@@ -12,27 +12,19 @@
 //                backing-store write calls vs dirty pages (coalescing win).
 //   prefetch   — sequential scans through a pool much smaller than the file,
 //                driven by prefetch_range windows: measures the coalesced
-//                readv gather path (and, in async mode, the background
-//                prefetch workers), reporting pages/s plus the backing
+//                readv gather path, reporting pages/s plus the backing
 //                read-batching ratio.
 //   faults     — the miss/evict churn mix run against a FaultStore that
 //                injects EIOs, short reads, torn writes and latency spikes:
 //                the degraded mode.  Reports clean vs degraded throughput,
 //                injected-fault and surfaced-error counts, and checks pool
 //                invariants (debug_validate) after the storm.
-//   async      — queue-depth sweep (1/4/16/64 in-flight single-page reads)
-//                over the AsyncBackingStore submission/completion API, on
-//                the thread-pool backend and — when the kernel allows — on
-//                io_uring.  Reports pages/s and the submit-syscalls-per-
-//                page ratio from the async counters: uring pays one
-//                io_uring_enter per batch, the fallback one round-trip per
-//                op, so the ratio is where the batching win shows up.
 //
 // Each scenario runs at 1/2/4/8 threads and reports aggregate ops/sec plus
 // speedup vs 1 thread, for shards=1 (the pre-sharding structure) and the
 // default 16-way sharding.
 //
-// Usage: micro_bufferpool [all|warm|miss|flush|prefetch|faults|async]
+// Usage: micro_bufferpool [all|warm|miss|flush|prefetch|faults]
 // (default: all)
 #include <atomic>
 #include <chrono>
@@ -42,12 +34,9 @@
 #include <thread>
 #include <vector>
 
-#include "io/async_store.hpp"
 #include "io/buffer_pool.hpp"
 #include "io/fault_store.hpp"
 #include "io/file_store.hpp"
-#include "io/io_stats.hpp"
-#include "io/uring_store.hpp"
 #include "obs/bench_report.hpp"
 #include "util/error.hpp"
 #include "util/histogram.hpp"
@@ -279,8 +268,8 @@ void bench_flush_coalescing(obs::BenchReport& report) {
 
 /// Sequential scans driven by readahead windows, through a pool much
 /// smaller than the file so every pass is cold: this is the prefetch-churn
-/// path the coalesced readv gather (and the async workers) accelerate.
-void bench_prefetch_churn(obs::BenchReport& report, bool async) {
+/// path the coalesced readv gather accelerates.
+void bench_prefetch_churn(obs::BenchReport& report) {
   util::TempDir dir("clio-microbp");
   io::RealFileStore real(dir.path());
   CountingStore store(real);
@@ -296,9 +285,7 @@ void bench_prefetch_churn(obs::BenchReport& report, bool async) {
     io::BufferPool pool(
         store, io::BufferPoolConfig{.page_size = kPageSize,
                                     .capacity_pages = 256,
-                                    .shards = 16,
-                                    .async_prefetch = async,
-                                    .prefetch_threads = 2});
+                                    .shards = 16});
     const std::uint64_t span = kFilePages / threads;
     const std::uint64_t pages_per_thread = span * kPasses;
     store.read_calls = 0;
@@ -311,13 +298,9 @@ void bench_prefetch_churn(obs::BenchReport& report, bool async) {
           const std::size_t n =
               static_cast<std::size_t>(std::min<std::uint64_t>(kWindow,
                                                                span - p));
-          if (async) {
-            pool.prefetch_range_async(file, lo + p, n);
-          } else {
-            pool.prefetch_range(file, lo + p, n);
-          }
-          // Consume the window like a sequential reader: pins wait for the
-          // in-flight gather instead of re-issuing per-page loads.
+          pool.prefetch_range(file, lo + p, n);
+          // Consume the window like a sequential reader: every page is
+          // resident already, so no pin re-issues a per-page load.
           for (std::size_t i = 0; i < n; ++i) {
             auto g = pool.pin(file, lo + p + i);
             local += static_cast<unsigned char>(g.data()[0]);
@@ -326,10 +309,8 @@ void bench_prefetch_churn(obs::BenchReport& report, bool async) {
       }
       benchmark_sink = local;
     });
-    pool.drain_prefetches();
     if (threads == 1) base = r.ops_per_sec;
-    report.scenario(std::string("prefetch_") + (async ? "async" : "sync") +
-                    "_t" + std::to_string(threads));
+    report.scenario("prefetch_sync_t" + std::to_string(threads));
     report.metric("pages_per_sec", r.ops_per_sec);
     report.metric("speedup", r.ops_per_sec / base);
     report.metric("readv_calls", static_cast<double>(store.readv_calls));
@@ -337,7 +318,7 @@ void bench_prefetch_churn(obs::BenchReport& report, bool async) {
     std::printf(
         "%-10s  %-5s      threads=%d  %12.0f pages/s  speedup %.2fx  "
         "(%llu readv + %llu read calls)\n",
-        "prefetch", async ? "async" : "sync", threads, r.ops_per_sec,
+        "prefetch", "sync", threads, r.ops_per_sec,
         r.ops_per_sec / base,
         static_cast<unsigned long long>(store.readv_calls),
         static_cast<unsigned long long>(store.read_calls));
@@ -345,9 +326,8 @@ void bench_prefetch_churn(obs::BenchReport& report, bool async) {
   const std::uint64_t total_pages = kFilePages * kPasses;
   const std::uint64_t calls = store.read_calls + store.readv_calls;
   if (calls > 0) {
-    std::printf("prefetch    %-5s      batching: %.1f pages/backing call "
+    std::printf("prefetch    sync       batching: %.1f pages/backing call "
                 "(8-thread run)\n",
-                async ? "async" : "sync",
                 static_cast<double>(total_pages) /
                     static_cast<double>(calls));
   }
@@ -445,86 +425,6 @@ void bench_fault_churn(obs::BenchReport& report) {
   }
 }
 
-/// Queue-depth sweep over the submission/completion API: keeps `depth`
-/// single-page reads in flight (submit a batch of `depth`, wait, repeat
-/// across the file), per backend.  pages/s shows how much concurrency the
-/// backend extracts; syscalls-per-page shows what each page costs in
-/// kernel round-trips — the uring batching win versus the one-syscall-
-/// per-op fallback.
-void bench_async_depth(obs::BenchReport& report) {
-  struct Backend {
-    const char* name;
-    bool available;
-  };
-  const Backend backends[] = {
-      {"threadpool", true},
-      {"uring", io::UringStore::supported()},
-  };
-  constexpr int kPasses = 2;
-  for (const Backend& backend : backends) {
-    if (!backend.available) {
-      std::printf("async       %-10s skipped (io_uring unavailable)\n",
-                  backend.name);
-      continue;
-    }
-    util::TempDir dir("clio-microbp");
-    io::RealFileStore store(dir.path());
-    const io::FileId file = store.open("data.bin", true);
-    std::vector<std::byte> chunk(kPageSize, std::byte{0x5a});
-    for (std::uint64_t p = 0; p < kFilePages; ++p) {
-      store.write(file, p * kPageSize, chunk);
-    }
-    std::unique_ptr<io::AsyncBackingStore> async;
-    if (std::string(backend.name) == "uring") {
-      async = std::make_unique<io::UringStore>(store);
-    } else {
-      async = std::make_unique<io::ThreadPoolAsyncStore>(store, 4);
-    }
-    for (const std::size_t depth : {1u, 4u, 16u, 64u}) {
-      io::IoStats stats;
-      async->bind_stats(&stats);
-      std::vector<std::vector<std::byte>> bufs(
-          depth, std::vector<std::byte>(kPageSize));
-      unsigned long long local = 0;
-      const auto start = Clock::now();
-      std::uint64_t pages_done = 0;
-      for (int pass = 0; pass < kPasses; ++pass) {
-        for (std::uint64_t p = 0; p < kFilePages; p += depth) {
-          const std::size_t n = static_cast<std::size_t>(
-              std::min<std::uint64_t>(depth, kFilePages - p));
-          std::vector<io::AsyncOp> batch;
-          batch.reserve(n);
-          for (std::size_t i = 0; i < n; ++i) {
-            batch.push_back(
-                io::AsyncOp::make_read(file, (p + i) * kPageSize, bufs[i], i));
-          }
-          for (const io::AsyncCompletion& c :
-               async->submit_and_wait(std::move(batch))) {
-            c.rethrow();
-            local += static_cast<unsigned char>(bufs[c.user_data][0]);
-          }
-          pages_done += n;
-        }
-      }
-      benchmark_sink = local;
-      const double sec =
-          std::chrono::duration<double>(Clock::now() - start).count();
-      const io::AsyncCounters ac = stats.async_counters();
-      async->bind_stats(nullptr);
-      const double pages_per_sec = static_cast<double>(pages_done) / sec;
-      report.scenario(std::string("async_depth_") + backend.name + "_d" +
-                      std::to_string(depth));
-      report.metric("pages_per_sec", pages_per_sec);
-      report.metric("submit_syscalls", static_cast<double>(ac.submit_syscalls));
-      report.metric("syscalls_per_page", ac.syscalls_per_page(kPageSize));
-      std::printf(
-          "async       %-10s depth=%-3zu %12.0f pages/s  "
-          "%.3f submit syscalls/page\n",
-          backend.name, depth, pages_per_sec, ac.syscalls_per_page(kPageSize));
-    }
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -557,19 +457,13 @@ int main(int argc, char** argv) {
   }
   if (enabled("prefetch")) {
     std::printf("-- prefetch churn, coalesced readv (inline) --\n");
-    bench_prefetch_churn(report, /*async=*/false);
-    std::printf("\n-- prefetch churn, async background workers --\n");
-    bench_prefetch_churn(report, /*async=*/true);
+    bench_prefetch_churn(report);
     std::printf("\n");
   }
   if (enabled("faults")) {
     std::printf("-- degraded mode: seeded fault injection --\n");
     bench_fault_churn(report);
     std::printf("\n");
-  }
-  if (enabled("async")) {
-    std::printf("-- async submission/completion queue-depth sweep --\n");
-    bench_async_depth(report);
   }
   const std::string json_path = report.write_default();
   if (!json_path.empty()) {

@@ -4,8 +4,6 @@
 #include <chrono>
 #include <cstring>
 #include <exception>
-#include <memory>
-#include <utility>
 
 #include "util/error.hpp"
 
@@ -20,15 +18,10 @@ std::size_t auto_shards(std::size_t capacity_pages) {
   return std::clamp<std::size_t>(capacity_pages / 256, 1, 16);
 }
 
-/// Async readahead hints beyond this many in-flight gathers are dropped,
-/// not queued: a saturated backlog means I/O is already behind the reader.
-constexpr std::size_t kMaxQueuedPrefetches = 1024;
-
 }  // namespace
 
-BufferPool::BufferPool(BackingStore& store, BufferPoolConfig config,
-                       AsyncBackingStore* async)
-    : store_(store), config_(config), async_(async) {
+BufferPool::BufferPool(BackingStore& store, BufferPoolConfig config)
+    : store_(store), config_(config) {
   check<util::ConfigError>(config_.page_size >= 64,
                            "BufferPool: page_size must be >= 64");
   check<util::ConfigError>(config_.capacity_pages >= 1,
@@ -44,69 +37,15 @@ BufferPool::BufferPool(BackingStore& store, BufferPoolConfig config,
   for (std::size_t i = config_.capacity_pages; i > 0; --i) {
     free_frames_.push_back(i - 1);
   }
-  if (config_.async_prefetch) {
-    check<util::ConfigError>(config_.prefetch_threads >= 1,
-                             "BufferPool: async_prefetch needs >= 1 thread");
-    if (async_ == nullptr) {
-      owned_async_ = std::make_unique<ThreadPoolAsyncStore>(
-          store_, config_.prefetch_threads);
-      async_ = owned_async_.get();
-    }
-    // One completion reaper: gathers are submitted inline by the hinting
-    // thread, so the only background work left is harvesting completions
-    // and publishing frames.
-    prefetch_reaper_thread_ = std::thread([this] { prefetch_reaper(); });
-  }
 }
 
 BufferPool::~BufferPool() {
-  if (prefetch_reaper_thread_.joinable()) {
-    // Quiesce the reaper first.  Unlike the old request queue, every entry
-    // in the backlog is *already submitted* I/O whose completions must be
-    // harvested and whose frames must be published or unwound, so the
-    // reaper drains the whole queue before exiting.  After the join no
-    // thread touches frames_ but ours.
-    {
-      std::lock_guard<std::mutex> lock(prefetch_mutex_);
-      prefetch_stop_ = true;
-    }
-    prefetch_work_cv_.notify_all();
-    prefetch_reaper_thread_.join();
-  }
   // Best effort: persist dirty pages.  Failures are swallowed because a
   // destructor must not throw; callers who care flush explicitly.
   try {
     flush_all();
   } catch (...) {
   }
-}
-
-// ------------------------------------------------------ backing transfers ----
-
-std::size_t BufferPool::backing_read(FileId file, std::uint64_t offset,
-                                     std::span<std::byte> out) {
-  if (async_ == nullptr) return store_.read(file, offset, out);
-  std::vector<AsyncOp> batch;
-  batch.push_back(AsyncOp::make_read(file, offset, out));
-  const std::vector<AsyncCompletion> done =
-      async_->submit_and_wait(std::move(batch));
-  check<IoError>(done.size() == 1, "BufferPool: lost a read completion");
-  done.front().rethrow();
-  return done.front().bytes;
-}
-
-void BufferPool::backing_write(FileId file, std::uint64_t offset,
-                               std::span<const std::byte> data) {
-  if (async_ == nullptr) {
-    store_.write(file, offset, data);
-    return;
-  }
-  std::vector<AsyncOp> batch;
-  batch.push_back(AsyncOp::make_write(file, offset, data));
-  const std::vector<AsyncCompletion> done =
-      async_->submit_and_wait(std::move(batch));
-  check<IoError>(done.size() == 1, "BufferPool: lost a write completion");
-  done.front().rethrow();
 }
 
 std::size_t BufferPool::shard_of(const PageKey& key) const {
@@ -288,95 +227,29 @@ std::vector<BufferPool::PrefetchTarget> BufferPool::claim_prefetch_targets(
   return targets;
 }
 
-std::vector<BufferPool::GatherRun> BufferPool::build_gather_runs(
-    std::span<const PrefetchTarget> targets) const {
-  std::vector<GatherRun> runs;
-  for (std::size_t i = 0; i < targets.size();) {
-    std::size_t j = i + 1;
-    while (j < targets.size() && j - i < config_.coalesce_pages &&
-           targets[j].page_no == targets[j - 1].page_no + 1) {
-      j++;
-    }
-    runs.push_back(GatherRun{i, j - i});
-    i = j;
-  }
-  return runs;
-}
-
-AsyncTicket BufferPool::submit_gather(FileId file,
-                                      std::span<const PrefetchTarget> targets,
-                                      std::span<const GatherRun> runs) {
-  std::vector<AsyncOp> batch;
-  batch.reserve(runs.size());
-  for (std::size_t r = 0; r < runs.size(); ++r) {
-    const GatherRun& run = runs[r];
-    std::vector<std::span<std::byte>> parts;
-    parts.reserve(run.count);
-    for (std::size_t k = 0; k < run.count; ++k) {
-      Frame& f = frames_[targets[run.first + k].frame];
-      parts.emplace_back(f.data.data(), config_.page_size);
-    }
-    batch.push_back(
-        AsyncOp::make_readv(file, targets[run.first].page_no * config_.page_size,
-                            std::move(parts), /*user_data=*/r));
-  }
-  return async_->submit(std::move(batch));
-}
-
-void BufferPool::publish_gather_run(std::span<const PrefetchTarget> targets,
-                                    const GatherRun& run, std::size_t got) {
+void BufferPool::publish_gather_run(std::span<const PrefetchTarget> run,
+                                    std::size_t got) {
   // Set each frame's valid extent, zero any stale tail of a reused frame,
   // then release the io_busy latch under the lock.
-  for (std::size_t k = 0; k < run.count; ++k) {
-    Frame& f = frames_[targets[run.first + k].frame];
+  for (std::size_t k = 0; k < run.size(); ++k) {
+    Frame& f = frames_[run[k].frame];
     const std::size_t skip = k * config_.page_size;
     const std::size_t valid =
         got > skip ? std::min(config_.page_size, got - skip) : 0;
     if (valid < config_.page_size) {
       std::memset(f.data.data() + valid, 0, config_.page_size - valid);
     }
-    Shard& sh = shards_[targets[run.first + k].shard];
+    Shard& sh = shards_[run[k].shard];
     std::lock_guard<std::mutex> lock(sh.mutex);
     f.valid_bytes = valid;
     f.io_busy = false;
     if (k == 0) {
       // Credit the whole gather to the run's first shard; stats() sums.
       sh.stats.gather_read_calls++;
-      sh.stats.gather_read_pages += run.count;
+      sh.stats.gather_read_pages += run.size();
     }
     sh.io_cv.notify_all();
   }
-}
-
-std::size_t BufferPool::complete_gather(FileId file,
-                                        std::span<const PrefetchTarget> targets,
-                                        std::span<const GatherRun> runs,
-                                        std::vector<AsyncCompletion>& done,
-                                        std::exception_ptr* error) {
-  std::size_t loaded = 0;
-  std::vector<char> seen(runs.size(), 0);
-  for (AsyncCompletion& c : done) {
-    const GatherRun& run = runs[static_cast<std::size_t>(c.user_data)];
-    seen[static_cast<std::size_t>(c.user_data)] = 1;
-    if (c.ok()) {
-      publish_gather_run(targets, run, c.bytes);
-      loaded += run.count;
-    } else {
-      // A failed gather must leave no half-valid frame resident; runs that
-      // completed cleanly stay — their data is complete.
-      abort_prefetch_frames(file, targets.subspan(run.first, run.count));
-      if (error != nullptr && *error == nullptr) *error = c.error;
-    }
-  }
-  // A lost completion would be a backend contract violation, but latches
-  // must never leak: unwind any run that was not reported at all.
-  for (std::size_t r = 0; r < runs.size(); ++r) {
-    if (seen[r] == 0) {
-      abort_prefetch_frames(file,
-                            targets.subspan(runs[r].first, runs[r].count));
-    }
-  }
-  return loaded;
 }
 
 std::size_t BufferPool::prefetch_range(FileId file, std::uint64_t first_page,
@@ -384,58 +257,37 @@ std::size_t BufferPool::prefetch_range(FileId file, std::uint64_t first_page,
   if (count == 0) return 0;
   const std::vector<PrefetchTarget> targets =
       claim_prefetch_targets(file, first_page, count);
-  if (targets.empty()) return 0;
+  const std::span<const PrefetchTarget> all(targets);
 
   // Phase 2: one vectored gather per contiguous run of claimed pages, all
   // I/O outside any lock (the io_busy latches own the frames).  Runs are
   // capped at coalesce_pages, mirroring the write-back side.
-  const std::vector<GatherRun> runs = build_gather_runs(targets);
-  std::size_t loaded = 0;
-  std::exception_ptr error;
-  if (async_ != nullptr) {
-    // Completion-driven: the whole window is ONE submitted batch (one run =
-    // one vectored AsyncOp), so on io_uring it costs one submit syscall.
-    AsyncTicket ticket = 0;
-    std::vector<AsyncCompletion> done;
+  std::vector<std::span<std::byte>> parts;
+  for (std::size_t i = 0; i < targets.size();) {
+    std::size_t j = i + 1;
+    while (j < targets.size() && j - i < config_.coalesce_pages &&
+           targets[j].page_no == targets[j - 1].page_no + 1) {
+      j++;
+    }
+    const std::span<const PrefetchTarget> run = all.subspan(i, j - i);
+    std::size_t got = 0;
     try {
-      ticket = submit_gather(file, targets, runs);
-      done = async_->wait(ticket);
+      parts.clear();
+      for (const PrefetchTarget& t : run) {
+        parts.emplace_back(frames_[t.frame].data.data(), config_.page_size);
+      }
+      got = store_.readv(file, run.front().page_no * config_.page_size, parts);
     } catch (...) {
-      // Submission/harvest failure: nothing was published yet, so every
-      // claimed frame unwinds.
-      abort_prefetch_frames(file, targets);
+      // Unwind this run and everything not yet issued: a failed gather
+      // must leave no half-valid frame resident.  Runs already published
+      // stay — their data is complete.
+      abort_prefetch_frames(file, all.subspan(i));
       throw;
     }
-    loaded = complete_gather(file, targets, runs, done, &error);
-  } else {
-    std::vector<std::span<std::byte>> parts;
-    for (std::size_t r = 0; r < runs.size(); ++r) {
-      const GatherRun& run = runs[r];
-      std::size_t got = 0;
-      try {
-        parts.clear();
-        for (std::size_t k = 0; k < run.count; ++k) {
-          Frame& f = frames_[targets[run.first + k].frame];
-          parts.emplace_back(f.data.data(), config_.page_size);
-        }
-        got = store_.readv(file, targets[run.first].page_no * config_.page_size,
-                           parts);
-      } catch (...) {
-        // Unwind this run and everything not yet issued: a failed gather
-        // must leave no half-valid frame resident.  Runs already published
-        // stay — their data is complete.
-        error = std::current_exception();
-        abort_prefetch_frames(
-            file,
-            std::span<const PrefetchTarget>(targets).subspan(run.first));
-        break;
-      }
-      publish_gather_run(targets, run, got);
-      loaded += run.count;
-    }
+    publish_gather_run(run, got);
+    i = j;
   }
-  if (error) std::rethrow_exception(error);
-  return loaded;
+  return targets.size();
 }
 
 /// Drops the claimed-but-unloaded frames of a failed prefetch: page-table
@@ -455,107 +307,6 @@ void BufferPool::abort_prefetch_frames(
     sh.stats.prefetches--;
     release_frame(t.frame);
     sh.io_cv.notify_all();
-  }
-}
-
-std::size_t BufferPool::prefetch_range_async(FileId file,
-                                             std::uint64_t first_page,
-                                             std::size_t count) {
-  if (count == 0) return 0;
-  if (!config_.async_prefetch) {
-    return prefetch_range(file, first_page, count);
-  }
-  {
-    std::lock_guard<std::mutex> lock(prefetch_mutex_);
-    if (prefetch_stop_ || pending_gathers_.size() >= kMaxQueuedPrefetches) {
-      return 0;  // drop the hint; I/O is already behind the reader
-    }
-  }
-  // Claim + submit inline on the hinting thread — both are cheap (no data
-  // transfer) — and let the reaper harvest the completions.  Everything
-  // here is best-effort: claim or submission failures drop the hint, and
-  // the demand fault reports real errors to the actual reader.
-  PendingGather g;
-  g.file = file;
-  try {
-    g.targets = claim_prefetch_targets(file, first_page, count);
-  } catch (...) {
-    return 0;  // claimed frames already unwound
-  }
-  if (g.targets.empty()) return 0;
-  g.runs = build_gather_runs(g.targets);
-  try {
-    g.ticket = submit_gather(file, g.targets, g.runs);
-  } catch (...) {
-    abort_prefetch_frames(file, g.targets);
-    return 0;
-  }
-  bool raced_shutdown = false;
-  {
-    std::lock_guard<std::mutex> lock(prefetch_mutex_);
-    if (prefetch_stop_) {
-      // Shutdown raced the submission; the reaper may already be past its
-      // final drain, so harvest inline rather than leak the latches.
-      raced_shutdown = true;
-    } else {
-      g.seq = prefetch_enqueue_seq_++;
-      pending_gathers_.push_back(std::move(g));
-    }
-  }
-  if (raced_shutdown) {
-    std::vector<AsyncCompletion> done = async_->wait(g.ticket);
-    complete_gather(g.file, g.targets, g.runs, done, nullptr);
-    return 0;
-  }
-  prefetch_work_cv_.notify_one();
-  return 0;
-}
-
-void BufferPool::drain_prefetches() {
-  if (!config_.async_prefetch) return;
-  std::unique_lock<std::mutex> lock(prefetch_mutex_);
-  // Snapshot semantics: wait for the gathers that exist *now*, not for a
-  // backlog other threads may keep refilling — otherwise a flush or close
-  // could starve behind unrelated readers' readahead.  Pops are FIFO, so
-  // "every seq below the snapshot has been popped and is no longer in
-  // flight" is exactly "the backlog at entry has been published".
-  const std::uint64_t upto = prefetch_enqueue_seq_;
-  prefetch_done_cv_.wait(lock, [&] {
-    for (const std::uint64_t seq : prefetch_inflight_seqs_) {
-      if (seq < upto) return false;
-    }
-    return prefetch_popped_seq_ >= upto;
-  });
-}
-
-void BufferPool::prefetch_reaper() {
-  std::unique_lock<std::mutex> lock(prefetch_mutex_);
-  for (;;) {
-    prefetch_work_cv_.wait(lock, [this] {
-      return prefetch_stop_ || !pending_gathers_.empty();
-    });
-    // On stop the whole backlog still drains: every queued entry is
-    // *submitted* I/O whose completions must be harvested and whose
-    // io_busy latches must be released.
-    if (pending_gathers_.empty()) return;
-    PendingGather g = std::move(pending_gathers_.front());
-    pending_gathers_.pop_front();
-    prefetch_popped_seq_ = g.seq + 1;
-    prefetch_inflight_seqs_.push_back(g.seq);
-    lock.unlock();
-    try {
-      std::vector<AsyncCompletion> done = async_->wait(g.ticket);
-      complete_gather(g.file, g.targets, g.runs, done, /*error=*/nullptr);
-    } catch (...) {
-      // Harvest failure: nothing was published, so unwind every frame —
-      // readahead is best-effort and the demand fault reports real errors.
-      abort_prefetch_frames(g.file, g.targets);
-    }
-    lock.lock();
-    prefetch_inflight_seqs_.erase(
-        std::find(prefetch_inflight_seqs_.begin(),
-                  prefetch_inflight_seqs_.end(), g.seq));
-    prefetch_done_cv_.notify_all();
   }
 }
 
@@ -609,7 +360,7 @@ std::size_t BufferPool::find_or_load(Shard& sh,
       if (f.data.size() != config_.page_size) {
         f.data.resize(config_.page_size);  // zero-filled on first allocation
       }
-      got = backing_read(file, page_no * config_.page_size, f.data);
+      got = store_.read(file, page_no * config_.page_size, f.data);
       if (got < config_.page_size) {
         // Only the stale tail needs zeroing; full-page loads skip the
         // page-sized memset the old code paid on every load.
@@ -695,8 +446,8 @@ std::size_t BufferPool::try_evict_from(Shard& sh,
       lk.unlock();
       std::exception_ptr error;
       try {
-        backing_write(file, offset,
-                      std::span<const std::byte>(f.data.data(), n));
+        store_.write(file, offset,
+                     std::span<const std::byte>(f.data.data(), n));
       } catch (...) {
         error = std::current_exception();
       }
@@ -851,12 +602,8 @@ void BufferPool::write_back_coalesced(std::vector<FlushEntry>& entries) {
   // computed from vectored-op stats (PoolStats here, IoStats at the
   // managed level) covers the whole flush path, not just the multi-page
   // gathers.
-  struct WriteRun {
-    std::size_t first;
-    std::size_t last;  ///< exclusive
-  };
-  std::vector<WriteRun> runs;
-  for (std::size_t i = 0; i < entries.size();) {
+  std::vector<std::span<const std::byte>> parts;
+  for (std::size_t i = 0; i < entries.size() && !error;) {
     std::size_t j = i + 1;
     while (j < entries.size() && j - i < config_.coalesce_pages &&
            entries[j].file == entries[i].file &&
@@ -864,70 +611,25 @@ void BufferPool::write_back_coalesced(std::vector<FlushEntry>& entries) {
            entries[j - 1].valid_bytes == config_.page_size) {
       j++;
     }
-    runs.push_back(WriteRun{i, j});
-    i = j;
-  }
-  const auto credit_run = [&](const WriteRun& run) {
-    for (std::size_t k = run.first; k < run.last; ++k) written[k] = true;
-    // Credit the backing call to the run's first shard; stats() sums.
-    Shard& sh = shards_[entries[run.first].shard];
-    std::lock_guard<std::mutex> lock(sh.mutex);
-    sh.stats.flush_write_calls++;
-    sh.stats.flush_write_pages += run.last - run.first;
-  };
-  if (async_ != nullptr && !runs.empty()) {
-    // Completion-driven flush: every run is one vectored AsyncOp and the
-    // whole flush is ONE submitted batch (on io_uring, one submit syscall
-    // for the entire dirty set).  All runs are attempted; pages whose run
-    // failed are re-dirtied below and the first error propagates.
     try {
-      std::vector<AsyncOp> batch;
-      batch.reserve(runs.size());
-      for (std::size_t r = 0; r < runs.size(); ++r) {
-        const WriteRun& run = runs[r];
-        std::vector<std::span<const std::byte>> parts;
-        parts.reserve(run.last - run.first);
-        for (std::size_t k = run.first; k < run.last; ++k) {
-          const FlushEntry& e = entries[k];
-          parts.emplace_back(frames_[e.frame].data.data(), e.valid_bytes);
-        }
-        batch.push_back(AsyncOp::make_writev(
-            entries[run.first].file,
-            entries[run.first].page_no * config_.page_size, std::move(parts),
-            /*user_data=*/r));
+      parts.clear();
+      for (std::size_t k = i; k < j; ++k) {
+        parts.emplace_back(frames_[entries[k].frame].data.data(),
+                           entries[k].valid_bytes);
       }
-      std::vector<AsyncCompletion> done =
-          async_->submit_and_wait(std::move(batch));
-      for (const AsyncCompletion& c : done) {
-        const WriteRun& run = runs[static_cast<std::size_t>(c.user_data)];
-        if (c.ok()) {
-          credit_run(run);
-        } else if (!error) {
-          error = c.error;
-        }
-      }
+      store_.writev(entries[i].file, entries[i].page_no * config_.page_size,
+                    parts);
+      std::fill(written.begin() + static_cast<std::ptrdiff_t>(i),
+                written.begin() + static_cast<std::ptrdiff_t>(j), true);
+      // Credit the backing call to the run's first shard; stats() sums.
+      Shard& sh = shards_[entries[i].shard];
+      std::lock_guard<std::mutex> lock(sh.mutex);
+      sh.stats.flush_write_calls++;
+      sh.stats.flush_write_pages += j - i;
     } catch (...) {
-      // Submission/harvest failure: nothing confirmed written; every page
-      // re-dirties below.
       error = std::current_exception();
     }
-  } else {
-    std::vector<std::span<const std::byte>> parts;
-    for (const WriteRun& run : runs) {
-      if (error) break;
-      try {
-        parts.clear();
-        for (std::size_t k = run.first; k < run.last; ++k) {
-          const FlushEntry& e = entries[k];
-          parts.emplace_back(frames_[e.frame].data.data(), e.valid_bytes);
-        }
-        store_.writev(entries[run.first].file,
-                      entries[run.first].page_no * config_.page_size, parts);
-        credit_run(run);
-      } catch (...) {
-        error = std::current_exception();
-      }
-    }
+    i = j;
   }
   // Release the holds; credit write-backs that happened and re-dirty the
   // pages a failed write left behind, so a retried flush still sees them.
@@ -948,11 +650,6 @@ void BufferPool::write_back_coalesced(std::vector<FlushEntry>& entries) {
 }
 
 void BufferPool::flush_file(FileId file) {
-  // Drain first even on the fast path below: ManagedFile::close relies on
-  // "flush_file drains on entry" before it releases the backing fd, and a
-  // read-only file can still have readahead in flight.  Free when async
-  // prefetch is off (no workers), which is the serving hot path.
-  drain_prefetches();
   {
     // Fast path: no page of this file was ever dirtied since the last
     // discard (mark_dirty is the only writer of dirty_extent_), so there
@@ -969,7 +666,6 @@ void BufferPool::flush_file(FileId file) {
 }
 
 void BufferPool::flush_all() {
-  drain_prefetches();
   std::vector<FlushEntry> dirty;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     collect_dirty(shards_[s], s, kInvalidFile, /*match_all=*/true, dirty);
@@ -988,9 +684,6 @@ std::uint64_t BufferPool::logical_file_size(FileId file) const {
 }
 
 void BufferPool::discard_file(FileId file) {
-  // Outstanding async readahead may still target this file; let it land
-  // before dropping, so no worker re-faults pages mid-discard.
-  drain_prefetches();
   {
     std::lock_guard<std::mutex> lock(extent_mutex_);
     dirty_extent_.erase(file);
@@ -1032,8 +725,6 @@ void BufferPool::discard_file(FileId file) {
 }
 
 std::size_t BufferPool::evict_clean() {
-  // Let queued readahead land first so its frames are evictable too.
-  drain_prefetches();
   std::size_t dropped = 0;
   for (Shard& sh : shards_) {
     std::lock_guard<std::mutex> lock(sh.mutex);

@@ -2,15 +2,11 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <mutex>
 #include <span>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include "io/async_store.hpp"
 #include "io/file_store.hpp"
 
 namespace clio::io {
@@ -36,17 +32,6 @@ struct BufferPoolConfig {
   /// read during prefetch_range.  1 disables coalescing on both sides (one
   /// backing call per page, the pre-sharding behaviour).
   std::size_t coalesce_pages = 64;
-
-  /// Opt-in background readahead: when set, prefetch_range_async() claims
-  /// frames inline, submits the gather batch to the pool's AsyncBackingStore
-  /// and returns immediately; a single completion reaper publishes the pages
-  /// as completions land, so sequential readers overlap readahead with
-  /// compute.  flush_file/flush_all/discard_file and the destructor drain
-  /// in-flight gathers before proceeding.
-  bool async_prefetch = false;
-  /// Worker count of the ThreadPoolAsyncStore the pool builds when
-  /// async_prefetch is on and no external AsyncBackingStore was supplied.
-  std::size_t prefetch_threads = 1;
 };
 
 /// Counters exposed for tests and ablation benches.  With sharding enabled
@@ -122,11 +107,8 @@ struct PageKeyHash {
 /// Both bulk transfer directions are coalesced: flush merges adjacent dirty
 /// pages into vectored writev gathers, and prefetch_range merges adjacent
 /// cold pages into vectored readv scatters — one backing access per run
-/// instead of one per page.  With an AsyncBackingStore attached, every bulk
-/// transfer rides the submission/completion interface (a flush or prefetch
-/// window is ONE submitted batch — on io_uring, one submit syscall), and
-/// with config.async_prefetch readahead gathers are submitted inline and
-/// published by a completion reaper so they overlap the caller's compute.
+/// instead of one per page.  Every transfer is a synchronous BackingStore
+/// call made by the thread that needs it; the pool starts no thread.
 ///
 /// Pinned pages are never evicted; data access through a PageGuard is
 /// lock-free and safe provided no two threads write the same page
@@ -137,15 +119,7 @@ struct PageKeyHash {
 /// and the next flush writes the final bytes.
 class BufferPool {
  public:
-  /// `async` (optional, not owned, must outlive the pool) routes every bulk
-  /// backing transfer — miss loads, eviction write-backs, coalesced flush
-  /// runs and prefetch gathers — through the submission/completion
-  /// interface instead of the sync BackingStore calls.  When it is null and
-  /// config.async_prefetch is on, the pool builds its own
-  /// ThreadPoolAsyncStore over `store` (config.prefetch_threads workers);
-  /// when both are absent the pool stays fully synchronous.
-  BufferPool(BackingStore& store, BufferPoolConfig config = {},
-             AsyncBackingStore* async = nullptr);
+  BufferPool(BackingStore& store, BufferPoolConfig config = {});
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
@@ -197,21 +171,10 @@ class BufferPool {
   std::size_t prefetch_range(FileId file, std::uint64_t first_page,
                              std::size_t count);
 
-  /// Like prefetch_range but, when config.async_prefetch is on, claims the
-  /// cold frames inline, submits their gather batch to the async store and
-  /// returns 0 immediately — the completion reaper publishes the pages when
-  /// the completions land (the hint is dropped if the in-flight gather
-  /// backlog is saturated, and claim failures are swallowed: prefetch is a
-  /// hint).  Falls back to the synchronous path when async prefetch is off.
-  std::size_t prefetch_range_async(FileId file, std::uint64_t first_page,
-                                   std::size_t count);
-
-  /// Blocks until every async prefetch queued or in flight *at the time of
-  /// the call* has completed (no-op when async_prefetch is off).  Snapshot
-  /// semantics keep the wait bounded: hints other threads enqueue after
-  /// entry are not chased.  flush_file/flush_all/discard_file call this on
-  /// entry so their view of residency is quiescent.
-  void drain_prefetches();
+  /// No-op: every prefetch gather is synchronous and has finished before
+  /// prefetch_range returns, so there is never readahead to wait for.
+  /// Kept for callers that quiesce the pool before checking it.
+  void drain_prefetches() {}
 
   /// True if the page is resident or being loaded (test/diagnostic helper).
   [[nodiscard]] bool contains(FileId file, std::uint64_t page_no) const;
@@ -246,10 +209,8 @@ class BufferPool {
   /// frame reachable), no leaked io_busy latches or flush_pins, per-frame
   /// sanity (valid_bytes <= page_size, buffers sized), and stats
   /// consistency.  Requires quiescence: no other thread may be using the
-  /// pool, and callers of async prefetch should drain_prefetches() first
-  /// so no background gather is mid-flight.  With `expect_unpinned` (the
-  /// default) any surviving
-  /// PageGuard pin is reported too — pass false while guards are live.
+  /// pool.  With `expect_unpinned` (the default) any surviving PageGuard
+  /// pin is reported too — pass false while guards are live.
   /// This is the stress harness's post-run oracle; it is cheap enough to
   /// call after every test.
   void debug_validate(bool expect_unpinned = true) const;
@@ -262,11 +223,6 @@ class BufferPool {
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] std::size_t resident_pages() const;
   [[nodiscard]] BackingStore& store() { return store_; }
-
-  /// The submission/completion store the pool's bulk transfers ride, or
-  /// null when the pool runs fully synchronously.  Exposed so owners can
-  /// bind_stats() it into their IoStats.
-  [[nodiscard]] AsyncBackingStore* async_store() { return async_; }
 
  private:
   static constexpr std::size_t kNoFrame = SIZE_MAX;
@@ -327,27 +283,6 @@ class BufferPool {
     std::size_t frame;
   };
 
-  /// One contiguous run of claimed prefetch targets, expressed as a span
-  /// [first, first + count) into the claim vector — the unit that becomes
-  /// one vectored gather AsyncOp (user_data = run index).
-  struct GatherRun {
-    std::size_t first;
-    std::size_t count;
-  };
-
-  /// A submitted-but-unharvested async readahead gather.  The frames in
-  /// `targets` sit io_busy-latched until the reaper publishes or aborts
-  /// them.  `seq` orders gathers so a drain can wait for exactly the
-  /// backlog present at its entry (snapshot semantics) instead of chasing
-  /// a queue other threads keep refilling.
-  struct PendingGather {
-    FileId file;
-    AsyncTicket ticket;
-    std::vector<PrefetchTarget> targets;
-    std::vector<GatherRun> runs;
-    std::uint64_t seq;
-  };
-
   [[nodiscard]] std::size_t shard_of(const PageKey& key) const;
 
   // Shard-local helpers; all assume the shard's mutex is held by `lk` /
@@ -364,39 +299,16 @@ class BufferPool {
                              bool& transient_holds);
   void abort_prefetch_frames(FileId file,
                              std::span<const PrefetchTarget> targets);
-  void prefetch_reaper();
-
-  // Single-op backing transfers (miss loads, eviction write-backs): ride
-  // the async store as one-op batches when present, else the sync calls.
-  std::size_t backing_read(FileId file, std::uint64_t offset,
-                           std::span<std::byte> out);
-  void backing_write(FileId file, std::uint64_t offset,
-                     std::span<const std::byte> data);
 
   /// Phase 1 of a prefetch window: clamps to EOF and claims every cold
   /// frame io_busy-latched, with buffers sized.  Unwinds and rethrows on a
   /// claim failure.
   [[nodiscard]] std::vector<PrefetchTarget> claim_prefetch_targets(
       FileId file, std::uint64_t first_page, std::size_t count);
-  /// Splits claimed targets into contiguous runs of at most coalesce_pages.
-  [[nodiscard]] std::vector<GatherRun> build_gather_runs(
-      std::span<const PrefetchTarget> targets) const;
-  /// One readv AsyncOp per run (user_data = run index), one submit call.
-  AsyncTicket submit_gather(FileId file,
-                            std::span<const PrefetchTarget> targets,
-                            std::span<const GatherRun> runs);
-  /// Publishes / aborts runs from their harvested completions; returns the
-  /// number of pages published.  Stores the first error seen in `error`
-  /// when non-null, else swallows (reaper hint semantics).
-  std::size_t complete_gather(FileId file,
-                              std::span<const PrefetchTarget> targets,
-                              std::span<const GatherRun> runs,
-                              std::vector<AsyncCompletion>& done,
-                              std::exception_ptr* error);
-  /// Publishes one run's frames: valid extents from `got`, stale tails
-  /// zeroed, io_busy latches released, gather stats credited.
-  void publish_gather_run(std::span<const PrefetchTarget> targets,
-                          const GatherRun& run, std::size_t got);
+  /// Publishes one gathered run's frames: valid extents from `got`, stale
+  /// tails zeroed, io_busy latches released, gather stats credited.
+  void publish_gather_run(std::span<const PrefetchTarget> run,
+                          std::size_t got);
   void release_frame(std::size_t idx);
   void lru_push_front(Shard& sh, std::size_t idx);
   void lru_remove(Shard& sh, std::size_t idx);
@@ -409,10 +321,6 @@ class BufferPool {
 
   BackingStore& store_;
   BufferPoolConfig config_;
-  /// Completion-driven transfer path: external (not owned), the pool's own
-  /// ThreadPoolAsyncStore, or null for a fully synchronous pool.
-  AsyncBackingStore* async_ = nullptr;
-  std::unique_ptr<ThreadPoolAsyncStore> owned_async_;
   std::vector<Shard> shards_;
   std::vector<Frame> frames_;  ///< all capacity_pages frames, shard-agnostic
   std::vector<std::size_t> free_frames_;
@@ -420,21 +328,6 @@ class BufferPool {
   /// Furthest byte ever dirtied per file; only grows, erased on discard.
   std::unordered_map<FileId, std::uint64_t> dirty_extent_;
   mutable std::mutex extent_mutex_;
-
-  // Async readahead state (empty / idle unless config.async_prefetch).
-  // Submitted gathers carry FIFO sequence numbers: `prefetch_enqueue_seq_`
-  // is the next to assign, seqs below `prefetch_popped_seq_` have left the
-  // queue, and `prefetch_inflight_seqs_` holds the popped-but-unharvested
-  // ones the reaper is currently waiting on.
-  std::thread prefetch_reaper_thread_;
-  std::deque<PendingGather> pending_gathers_;
-  std::mutex prefetch_mutex_;
-  std::condition_variable prefetch_work_cv_;  ///< the reaper waits for gathers
-  std::condition_variable prefetch_done_cv_;  ///< drainers wait on progress
-  std::uint64_t prefetch_enqueue_seq_ = 0;
-  std::uint64_t prefetch_popped_seq_ = 0;
-  std::vector<std::uint64_t> prefetch_inflight_seqs_;
-  bool prefetch_stop_ = false;
 
   friend class PageGuard;
 };

@@ -189,26 +189,6 @@ FaultStore::Decision FaultStore::decide(FaultOp op,
   return d;
 }
 
-FaultStore::AsyncInjection FaultStore::decide_async(
-    FaultOp op, std::uint64_t payload_bytes) {
-  const Decision d = decide(op, payload_bytes);
-  AsyncInjection inj;
-  inj.sleep_us = d.sleep_us;
-  inj.fail_clean = d.fail_clean;
-  inj.tear = d.tear;
-  inj.partial_bytes = d.partial_bytes;
-  if (d.fail_clean || d.tear) {
-    // Package the exact exception the sync path would throw, so async
-    // completions carry an identical error taxonomy.
-    try {
-      throw_injected(op, d);
-    } catch (...) {
-      inj.error = std::current_exception();
-    }
-  }
-  return inj;
-}
-
 void FaultStore::throw_injected(FaultOp op, const Decision& d) const {
   const std::string what = "FaultStore: injected " + std::string(d.reason) +
                            " on " + std::string(fault_op_name(op)) +
@@ -306,204 +286,6 @@ void FaultStore::writev(FileId id, std::uint64_t offset,
     throw_injected(FaultOp::kWritev, d);
   }
   inner_.writev(id, offset, parts);
-}
-
-// ------------------------------------------------------ AsyncFaultStore ----
-
-namespace {
-
-FaultOp fault_op_of(AsyncOpKind kind) {
-  switch (kind) {
-    case AsyncOpKind::kRead:
-      return FaultOp::kRead;
-    case AsyncOpKind::kWrite:
-      return FaultOp::kWrite;
-    case AsyncOpKind::kReadv:
-      return FaultOp::kReadv;
-    case AsyncOpKind::kWritev:
-      return FaultOp::kWritev;
-  }
-  return FaultOp::kRead;
-}
-
-/// Trims an op's payload to the injected prefix, in place — the async
-/// mirror of the sync tear paths (fill/persist a prefix, then fail).
-void trim_to_prefix(AsyncOp& op, std::size_t budget) {
-  switch (op.kind) {
-    case AsyncOpKind::kRead:
-      op.out = op.out.first(std::min(op.out.size(), budget));
-      return;
-    case AsyncOpKind::kWrite:
-      op.data = op.data.first(std::min(op.data.size(), budget));
-      return;
-    case AsyncOpKind::kReadv: {
-      std::vector<std::span<std::byte>> trimmed;
-      for (const auto& part : op.read_parts) {
-        if (budget == 0) break;
-        const std::size_t n = std::min(part.size(), budget);
-        trimmed.push_back(part.first(n));
-        budget -= n;
-      }
-      op.read_parts = std::move(trimmed);
-      return;
-    }
-    case AsyncOpKind::kWritev: {
-      std::vector<std::span<const std::byte>> trimmed;
-      for (const auto& part : op.write_parts) {
-        if (budget == 0) break;
-        const std::size_t n = std::min(part.size(), budget);
-        trimmed.push_back(part.first(n));
-        budget -= n;
-      }
-      op.write_parts = std::move(trimmed);
-      return;
-    }
-  }
-}
-
-}  // namespace
-
-AsyncFaultStore::AsyncFaultStore(AsyncBackingStore& inner, FaultStore& faults)
-    : inner_(inner), faults_(faults) {}
-
-void AsyncFaultStore::bind_stats(IoStats* stats) { inner_.bind_stats(stats); }
-
-AsyncTicket AsyncFaultStore::submit(std::vector<AsyncOp> batch) {
-  util::check<util::ConfigError>(!batch.empty(), "AsyncFaultStore: empty batch");
-  const auto now = Clock::now();
-  std::vector<AsyncOp> forward;
-  forward.reserve(batch.size());
-  std::vector<Stamp> stamps;
-  std::vector<std::pair<Clock::time_point, AsyncCompletion>> synthesized;
-  for (auto& op : batch) {
-    const auto inj =
-        faults_.decide_async(fault_op_of(op.kind), op.payload_bytes());
-    const auto ready = now + std::chrono::microseconds(inj.sleep_us);
-    if (inj.fail_clean) {
-      // Never reaches the inner store; the completion carries the error.
-      AsyncCompletion c;
-      c.user_data = op.user_data;
-      c.kind = op.kind;
-      c.error = inj.error;
-      synthesized.emplace_back(ready, std::move(c));
-      continue;
-    }
-    Stamp stamp;
-    stamp.user_data = op.user_data;
-    stamp.error = inj.error;  // null unless torn
-    stamp.ready = ready;
-    if (inj.tear) trim_to_prefix(op, inj.partial_bytes);
-    // Rewrite user_data to the forwarded index so duplicate caller values
-    // cannot collide when completions are matched back up.
-    op.user_data = stamps.size();
-    stamps.push_back(std::move(stamp));
-    if (op.payload_bytes() == 0 && inj.tear) {
-      // Tear trimmed the op to nothing: skip the inner call entirely and
-      // synthesize the failure (matches the sync paths' empty-trim skip).
-      AsyncCompletion c;
-      c.user_data = stamps.back().user_data;
-      c.kind = op.kind;
-      c.error = stamps.back().error;
-      synthesized.emplace_back(stamps.back().ready, std::move(c));
-      stamps.pop_back();
-      continue;
-    }
-    forward.push_back(std::move(op));
-  }
-  // Re-key forwarded ops after any tear-to-empty removals shifted indices.
-  for (std::size_t i = 0; i < forward.size(); ++i) forward[i].user_data = i;
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  const AsyncTicket ticket = next_ticket_++;
-  TicketState& st = tickets_[ticket];
-  st.expected = batch.size();
-  st.stamps = std::move(stamps);
-  st.held = std::move(synthesized);
-  if (!forward.empty()) {
-    st.inner_ticket = inner_.submit(std::move(forward));
-    st.has_inner = true;
-  }
-  return ticket;
-}
-
-void AsyncFaultStore::absorb_inner_locked(
-    TicketState& st, std::vector<AsyncCompletion>&& inner_done) {
-  for (auto& c : inner_done) {
-    const std::size_t idx = static_cast<std::size_t>(c.user_data);
-    const Stamp& stamp = st.stamps.at(idx);
-    c.user_data = stamp.user_data;  // restore the caller's tag
-    if (stamp.error != nullptr && c.ok()) {
-      // Injected tear: the prefix landed (or filled), the op still fails.
-      // If the inner store *also* failed, its error wins — it is the more
-      // real outcome.
-      c.error = stamp.error;
-      c.bytes = 0;
-    }
-    st.absorbed++;
-    st.held.emplace_back(stamp.ready, std::move(c));
-  }
-}
-
-std::size_t AsyncFaultStore::release_due_locked(
-    TicketState& st, Clock::time_point now, std::vector<AsyncCompletion>& out) {
-  std::size_t released = 0;
-  for (std::size_t i = 0; i < st.held.size();) {
-    if (st.held[i].first <= now) {
-      out.push_back(std::move(st.held[i].second));
-      st.held[i] = std::move(st.held.back());
-      st.held.pop_back();
-      released++;
-    } else {
-      ++i;
-    }
-  }
-  st.returned += released;
-  return released;
-}
-
-std::size_t AsyncFaultStore::poll(AsyncTicket ticket,
-                                  std::vector<AsyncCompletion>& out) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = tickets_.find(ticket);
-  if (it == tickets_.end()) return 0;
-  TicketState& st = it->second;
-  if (st.has_inner && st.absorbed < st.stamps.size()) {
-    std::vector<AsyncCompletion> done;
-    inner_.poll(st.inner_ticket, done);
-    absorb_inner_locked(st, std::move(done));
-  }
-  const std::size_t n = release_due_locked(st, Clock::now(), out);
-  if (st.returned == st.expected) tickets_.erase(it);
-  return n;
-}
-
-std::vector<AsyncCompletion> AsyncFaultStore::wait(AsyncTicket ticket) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  auto it = tickets_.find(ticket);
-  if (it == tickets_.end()) return {};
-  TicketState& st = it->second;
-  if (st.has_inner && st.absorbed < st.stamps.size()) {
-    const AsyncTicket inner_ticket = st.inner_ticket;
-    lock.unlock();
-    auto done = inner_.wait(inner_ticket);
-    lock.lock();
-    // `st` stays valid across the unlock: tickets are only erased once
-    // fully returned, and this one still has completions outstanding.
-    absorb_inner_locked(st, std::move(done));
-  }
-  // Everything is in `held` now; sleep out the latest injected latency so
-  // delayed completions land inside the measured window, like sync sleeps.
-  Clock::time_point latest = Clock::now();
-  for (const auto& [ready, c] : st.held) latest = std::max(latest, ready);
-  if (latest > Clock::now()) {
-    lock.unlock();
-    std::this_thread::sleep_until(latest);
-    lock.lock();
-  }
-  std::vector<AsyncCompletion> out;
-  release_due_locked(st, latest, out);
-  if (st.returned == st.expected) tickets_.erase(it);
-  return out;
 }
 
 }  // namespace clio::io

@@ -1,17 +1,12 @@
 #pragma once
 
 #include <array>
-#include <chrono>
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
-#include "io/async_store.hpp"
 #include "io/file_store.hpp"
 #include "io/store_decorator.hpp"
 #include "util/rng.hpp"
@@ -128,7 +123,7 @@ class FaultStore final : public StoreDecorator {
 
   /// Forces the next `n` calls of `op` to fail with a clean EIO, ahead of
   /// any plan probability.  Lets a test aim a fault at "whatever backing
-  /// read the async worker issues next" without computing call indices.
+  /// read the pool issues next" without computing call indices.
   void fail_next(FaultOp op, std::uint64_t n);
 
   /// Replaces the plan and reseeds the RNG from it (counters are kept).
@@ -140,19 +135,6 @@ class FaultStore final : public StoreDecorator {
   /// Clears counters, the forced-failure latches and the disk-full budget
   /// consumption, and reseeds the RNG from the plan.
   void reset();
-
-  /// What one async op should suffer, resolved from the same plan, RNG
-  /// stream, counters and arm switch as the sync path — so one seeded plan
-  /// drives both faces of a store at once.  Consumed by AsyncFaultStore.
-  struct AsyncInjection {
-    std::uint32_t sleep_us = 0;  ///< delay the completion this much
-    bool fail_clean = false;     ///< do not forward; complete with `error`
-    bool tear = false;           ///< forward only `partial_bytes`, error anyway
-    std::size_t partial_bytes = 0;
-    std::exception_ptr error;  ///< set when fail_clean || tear
-  };
-  [[nodiscard]] AsyncInjection decide_async(FaultOp op,
-                                            std::uint64_t payload_bytes);
 
  private:
   /// What decide() resolved for one call; acted on outside the mutex.
@@ -176,72 +158,6 @@ class FaultStore final : public StoreDecorator {
   std::array<std::uint64_t, kFaultOpCount> forced_fails_{};
   std::uint64_t bytes_written_ = 0;  ///< disk-full budget consumption
   bool armed_ = true;
-};
-
-/// AsyncBackingStore decorator that injects the same seeded fault plan into
-/// *completions*.  It shares a FaultStore's plan, RNG stream, counters and
-/// arm switch (via FaultStore::decide_async), so one plan exercises the
-/// sync and async paths of a harness with one switch — and faults land
-/// inside real completion interleavings, which is exactly where the stress
-/// harness finds bugs.
-///
-/// Decisions are taken at submit():
-///  - clean-EIO victims are never forwarded; their completion carries the
-///    injected error,
-///  - torn ops are trimmed to the injected prefix before forwarding and
-///    their completion is stamped with the injected error (the inner
-///    outcome, if also a failure, wins — it is the more real error),
-///  - latency spikes defer the completion's *delivery*: poll() holds the
-///    completion back until its ready time, wait() sleeps the remainder.
-class AsyncFaultStore final : public AsyncBackingStore {
- public:
-  /// Neither store is owned; both must outlive this.
-  AsyncFaultStore(AsyncBackingStore& inner, FaultStore& faults);
-
-  AsyncTicket submit(std::vector<AsyncOp> batch) override;
-  std::size_t poll(AsyncTicket ticket,
-                   std::vector<AsyncCompletion>& out) override;
-  std::vector<AsyncCompletion> wait(AsyncTicket ticket) override;
-  void bind_stats(IoStats* stats) override;
-
-  [[nodiscard]] AsyncBackingStore& inner() { return inner_; }
-  [[nodiscard]] FaultStore& faults() { return faults_; }
-
- private:
-  using Clock = std::chrono::steady_clock;
-
-  /// Verdict for one forwarded op, keyed by its index in the inner batch
-  /// (user_data is rewritten to that index so duplicates cannot collide).
-  struct Stamp {
-    std::uint64_t user_data = 0;  ///< caller's original, restored on delivery
-    std::exception_ptr error;     ///< injected error, null = clean
-    Clock::time_point ready;      ///< earliest delivery time
-  };
-
-  struct TicketState {
-    AsyncTicket inner_ticket = 0;
-    bool has_inner = false;
-    std::size_t expected = 0;   ///< caller batch size
-    std::size_t returned = 0;   ///< completions handed back to the caller
-    std::size_t absorbed = 0;   ///< inner completions absorbed into `held`
-    std::vector<Stamp> stamps;  ///< by forwarded-op index
-    /// Completions available but not yet returned to the caller: injected
-    /// fail-cleans plus inner completions held for a latency spike.
-    std::vector<std::pair<Clock::time_point, AsyncCompletion>> held;
-  };
-
-  /// Pulls newly-available inner completions into `held`; mutex held.
-  void absorb_inner_locked(TicketState& st,
-                           std::vector<AsyncCompletion>&& inner_done);
-  /// Moves every held completion whose time has come into `out`.
-  std::size_t release_due_locked(TicketState& st, Clock::time_point now,
-                                 std::vector<AsyncCompletion>& out);
-
-  AsyncBackingStore& inner_;
-  FaultStore& faults_;
-  std::mutex mutex_;
-  std::unordered_map<AsyncTicket, TicketState> tickets_;
-  AsyncTicket next_ticket_ = 1;
 };
 
 }  // namespace clio::io

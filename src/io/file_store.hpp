@@ -123,18 +123,11 @@ class RealFileStore final : public BackingStore {
 
   [[nodiscard]] const std::filesystem::path& root() const { return root_; }
 
-  /// The POSIX descriptor behind an open id — the seam UringStore needs to
-  /// build SQEs against the same descriptors the sync path uses.  Throws
-  /// util::IoError for a closed/invalid id.  The fd stays owned by this
-  /// store and is valid until close() drops the last reference.
+  /// The POSIX descriptor behind an open id — the seam the serving
+  /// layer's sendfile path needs.  Throws util::IoError for a
+  /// closed/invalid id.  The fd stays owned by this store and is valid
+  /// until close() drops the last reference.
   [[nodiscard]] int native_handle(FileId id) const { return fd_of(id); }
-
-  /// Tells the store that bytes up to `end_offset` were written to `id`
-  /// outside its own write paths (an io_uring completion), so the cached
-  /// size stays coherent.  Cheap: a mutex-guarded max().
-  void note_external_write(FileId id, std::uint64_t end_offset) {
-    grow_cached_size(id, end_offset);
-  }
 
  private:
   struct Entry {

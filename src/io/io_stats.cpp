@@ -46,7 +46,6 @@ void IoStats::reset() {
   bytes_.fill(0);
   records_.clear();
   resilience_ = ResilienceCounters{};
-  async_ = AsyncCounters{};
 }
 
 void IoStats::record_retry() {
@@ -77,37 +76,6 @@ void IoStats::record_deadline_expiry() {
 ResilienceCounters IoStats::resilience() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return resilience_;
-}
-
-void IoStats::record_async_submission(std::uint64_t ops) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  async_.submissions++;
-  async_.submitted_ops += ops;
-}
-
-void IoStats::record_async_completion(std::uint64_t bytes, bool failed) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  async_.completions++;
-  if (failed) {
-    async_.completion_errors++;
-  } else {
-    async_.bytes_completed += bytes;
-  }
-}
-
-void IoStats::record_submit_syscalls(std::uint64_t n) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  async_.submit_syscalls += n;
-}
-
-void IoStats::record_async_resubmission() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  async_.resubmissions++;
-}
-
-AsyncCounters IoStats::async_counters() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return async_;
 }
 
 const util::RunningStats& IoStats::op_stats(IoOp op) const {
@@ -174,15 +142,6 @@ void IoStats::render(std::ostream& os) const {
        << " absorbed=" << r.absorbed_faults << " trips=" << r.breaker_trips
        << " fast_fails=" << r.breaker_fast_fails
        << " deadline_expiries=" << r.deadline_expiries << "\n";
-  }
-  const auto& a = async_;
-  if (a.submissions != 0) {
-    os << "async: submissions=" << a.submissions
-       << " ops=" << a.submitted_ops << " completions=" << a.completions
-       << " errors=" << a.completion_errors
-       << " submit_syscalls=" << a.submit_syscalls
-       << " resubmissions=" << a.resubmissions
-       << " bytes=" << a.bytes_completed << "\n";
   }
 }
 

@@ -54,31 +54,6 @@ struct ResilienceCounters {
   std::uint64_t deadline_expiries = 0;  ///< retry loops cut short by deadlines
 };
 
-/// Counters of the asynchronous submission/completion path, fed by
-/// AsyncBackingStore::bind_stats().  `submit_syscalls` is what makes the
-/// batching observable: uring counts one per io_uring_enter (a whole
-/// coalesced batch), the thread-pool fallback one per executed op, so
-/// submit_syscalls / (bytes_completed / page_size) is the
-/// syscalls-per-page ratio the roadmap asks the stats to assert.
-struct AsyncCounters {
-  std::uint64_t submissions = 0;        ///< submit() batches accepted
-  std::uint64_t submitted_ops = 0;      ///< ops across all batches
-  std::uint64_t completions = 0;        ///< completions produced
-  std::uint64_t completion_errors = 0;  ///< completions carrying an error
-  std::uint64_t submit_syscalls = 0;    ///< kernel round-trips spent submitting
-  std::uint64_t resubmissions = 0;      ///< retry decorator re-submits
-  std::uint64_t bytes_completed = 0;    ///< payload bytes of ok completions
-
-  /// Submission syscalls per completed page — the batching ratio.  Returns
-  /// 0 before any bytes complete.
-  [[nodiscard]] double syscalls_per_page(std::size_t page_size) const {
-    if (bytes_completed == 0 || page_size == 0) return 0.0;
-    const double pages =
-        static_cast<double>(bytes_completed) / static_cast<double>(page_size);
-    return static_cast<double>(submit_syscalls) / pages;
-  }
-};
-
 /// Thread-safe point-in-time summary of one op class, returned by
 /// IoStats::op_snapshot() — the live-observability counterpart of the
 /// reference-returning op_stats()/op_histogram() accessors, safe to call
@@ -140,14 +115,6 @@ class IoStats {
   void record_deadline_expiry();
   [[nodiscard]] ResilienceCounters resilience() const;
 
-  /// Async submission/completion counters, fed by
-  /// io::AsyncBackingStore::bind_stats().
-  void record_async_submission(std::uint64_t ops);
-  void record_async_completion(std::uint64_t bytes, bool failed);
-  void record_submit_syscalls(std::uint64_t n);
-  void record_async_resubmission();
-  [[nodiscard]] AsyncCounters async_counters() const;
-
   /// Renders a per-op-class summary table (count, mean ms, min, max, bytes),
   /// followed by a resilience line when any retry/breaker activity occurred.
   void render(std::ostream& os) const;
@@ -158,7 +125,6 @@ class IoStats {
   std::array<std::uint64_t, kIoOpCount> bytes_{};
   std::vector<OpRecord> records_;
   ResilienceCounters resilience_{};
-  AsyncCounters async_{};
   bool keep_records_;
   mutable std::mutex mutex_;
 };

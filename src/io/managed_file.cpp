@@ -29,11 +29,6 @@ ManagedFileSystem::ManagedFileSystem(std::unique_ptr<BackingStore> store,
   pool_store_ = std::make_unique<VectoredStatsStore>(*store_);
   StoreDecorator::bind_chain(*pool_store_, &stats_);
   pool_ = std::make_unique<BufferPool>(*pool_store_, pool_config());
-  // The pool's submission/completion path (if any) reports its async
-  // counters — submissions, completions, submit syscalls — here as well.
-  if (AsyncBackingStore* async = pool_->async_store(); async != nullptr) {
-    async->bind_stats(&stats_);
-  }
 }
 
 ManagedFileSystem::~ManagedFileSystem() = default;
@@ -41,9 +36,7 @@ ManagedFileSystem::~ManagedFileSystem() = default;
 BufferPoolConfig ManagedFileSystem::pool_config() const {
   return BufferPoolConfig{.page_size = options_.page_size,
                           .capacity_pages = options_.pool_pages,
-                          .shards = options_.pool_shards,
-                          .async_prefetch = options_.async_prefetch,
-                          .prefetch_threads = options_.prefetch_threads};
+                          .shards = options_.pool_shards};
 }
 
 ManagedFile ManagedFileSystem::open(const std::string& name, OpenMode mode) {
@@ -152,9 +145,7 @@ void ManagedFile::run_prefetch(std::uint64_t page, std::uint64_t file_size) {
   if (ahead.first > last_page) return;
   const std::size_t count = static_cast<std::size_t>(
       std::min<std::uint64_t>(ahead.count, last_page - ahead.first + 1));
-  // With async_prefetch on, the window loads on the pool's I/O workers
-  // while this reader keeps consuming warm pages; otherwise inline.
-  fs_->pool_->prefetch_range_async(id_, ahead.first, count);
+  fs_->pool_->prefetch_range(id_, ahead.first, count);
 }
 
 std::size_t ManagedFile::read(std::span<std::byte> out) {
@@ -235,14 +226,7 @@ void ManagedFile::seek(std::uint64_t pos) {
 void ManagedFile::close() {
   if (fs_ == nullptr) return;
   Stopwatch watch;
-  // Outstanding async readahead for this file must land before the backing
-  // handle is released; flush_file drains on entry, so only the no-flush
-  // configuration needs the explicit drain.
-  if (fs_->options_.writeback_on_close) {
-    fs_->pool_->flush_file(id_);
-  } else {
-    fs_->pool_->drain_prefetches();
-  }
+  if (fs_->options_.writeback_on_close) fs_->pool_->flush_file(id_);
   {
     std::lock_guard<std::mutex> lock(fs_->prefetcher_mutex_);
     fs_->prefetcher_.forget(id_);

@@ -28,12 +28,10 @@ struct ManagedFsOptions {
   std::size_t pool_shards = 0;        ///< lock stripes; 0 = auto (see BufferPoolConfig)
   PrefetchConfig prefetch;            ///< readahead policy
   bool prefetch_on_seek = true;       ///< paper: prefetch on read/write/seek
-  /// Submit readahead gathers through the pool's async store and publish
-  /// them from a completion reaper, so sequential reads overlap the window
-  /// load with compute instead of paying for it inline (see
-  /// BufferPoolConfig::async_prefetch).
-  bool async_prefetch = false;
-  std::size_t prefetch_threads = 1;   ///< async-store workers (see pool config)
+  /// Always false: readahead is a synchronous gather (see
+  /// BufferPool::prefetch_range).  A constant, not a knob, so reports can
+  /// still record which readahead path ran.
+  static constexpr bool async_prefetch = false;
   bool writeback_on_close = true;     ///< close flushes dirty pages
   bool keep_op_records = false;       ///< retain per-op rows for tables
 };
@@ -64,11 +62,6 @@ class ManagedFileSystem {
   [[nodiscard]] BufferPool& pool() { return *pool_; }
   [[nodiscard]] BackingStore& store() { return *store_; }
 
-  /// The pool's submission/completion store (already stats-bound), or null
-  /// when the stack runs fully synchronously.
-  [[nodiscard]] AsyncBackingStore* async_store() {
-    return pool_->async_store();
-  }
   [[nodiscard]] const ManagedFsOptions& options() const { return options_; }
 
   /// Drops every cached page (flushing dirty ones first).  Benchmarks call

@@ -169,283 +169,4 @@ void RetryingStore::writev(FileId id, std::uint64_t offset,
   with_retries("writev", [&] { inner_.writev(id, offset, parts); });
 }
 
-// ==================================================== RetryingAsyncStore ====
-
-RetryingAsyncStore::RetryingAsyncStore(AsyncBackingStore& inner,
-                                       RetryPolicy policy,
-                                       util::CircuitBreaker* breaker)
-    : inner_(inner), policy_(policy), breaker_(breaker), rng_(policy.seed) {}
-
-void RetryingAsyncStore::bind_stats(IoStats* stats) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    io_stats_ = stats;
-  }
-  inner_.bind_stats(stats);
-}
-
-RetryStats RetryingAsyncStore::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
-}
-
-std::uint64_t RetryingAsyncStore::next_backoff_seed_locked() {
-  return rng_.next();
-}
-
-void RetryingAsyncStore::note_locked(void (IoStats::*record)(),
-                                     std::uint64_t RetryStats::*counter) {
-  if (counter != nullptr) stats_.*counter += 1;
-  if (record != nullptr && io_stats_ != nullptr) (io_stats_->*record)();
-}
-
-namespace {
-
-[[nodiscard]] AsyncCompletion synthesized_failure(const AsyncOp& op,
-                                                  std::exception_ptr error) {
-  AsyncCompletion c;
-  c.user_data = op.user_data;
-  c.kind = op.kind;
-  c.bytes = 0;
-  c.ms = 0.0;
-  c.error = std::move(error);
-  return c;
-}
-
-}  // namespace
-
-AsyncTicket RetryingAsyncStore::submit(std::vector<AsyncOp> batch) {
-  util::check<util::ConfigError>(!batch.empty(),
-                                 "RetryingAsyncStore: empty batch");
-  // Effective deadline, captured once for the whole batch: the tighter of
-  // the per-op budget and the submitting thread's ambient request budget.
-  // Harvest may happen on another thread, so the scope is bound now.
-  Deadline deadline = DeadlineScope::current();
-  if (policy_.op_deadline_ms > 0) {
-    deadline =
-        Deadline::earlier(deadline, Deadline::after_ms(policy_.op_deadline_ms));
-  }
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  const AsyncTicket ticket = next_ticket_++;
-  TicketState& st = tickets_[ticket];
-  st.ops.reserve(batch.size());
-
-  std::vector<AsyncOp> forward;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    st.ops.push_back(OpState{
-        .op = std::move(batch[i]),
-        .backoff = util::Backoff(policy_.backoff, next_backoff_seed_locked()),
-        .deadline = deadline,
-    });
-    OpState& op = st.ops.back();
-    if (breaker_ != nullptr && !breaker_->try_acquire()) {
-      note_locked(&IoStats::record_breaker_fast_fail, &RetryStats::fast_fails);
-      settle_locked(st, op,
-                    synthesized_failure(
-                        op.op, std::make_exception_ptr(TransientIoError(
-                                   "RetryingAsyncStore: circuit open, " +
-                                   std::string(async_op_name(op.op.kind)) +
-                                   " fast-failed"))));
-      continue;
-    }
-    note_locked(nullptr, &RetryStats::attempts);
-    // Forward a copy with user_data rewritten to the op index so inner
-    // completions map back unambiguously even when callers reuse tags.
-    AsyncOp copy = op.op;
-    copy.user_data = i;
-    forward.push_back(std::move(copy));
-  }
-  if (!forward.empty()) {
-    const std::size_t owed = forward.size();
-    st.inner_tickets.emplace_back(inner_.submit(std::move(forward)), owed);
-  }
-  return ticket;
-}
-
-void RetryingAsyncStore::settle_locked(TicketState& st, OpState& op,
-                                       AsyncCompletion&& c) {
-  op.settled = true;
-  op.result = std::move(c);
-  st.settled_count++;
-}
-
-void RetryingAsyncStore::process_completion_locked(TicketState& st,
-                                                   AsyncCompletion&& c) {
-  OpState& op = st.ops.at(static_cast<std::size_t>(c.user_data));
-  c.user_data = op.op.user_data;  // restore the caller's tag
-  if (c.ok()) {
-    if (breaker_ != nullptr) breaker_->record_success();
-    if (op.retried) {
-      note_locked(&IoStats::record_absorbed_fault, &RetryStats::absorbed);
-    }
-    settle_locked(st, op, std::move(c));
-    return;
-  }
-  try {
-    std::rethrow_exception(c.error);
-  } catch (const TransientIoError&) {
-    if (breaker_ != nullptr && breaker_->record_failure()) {
-      note_locked(&IoStats::record_breaker_trip, nullptr);
-    }
-    if (op.backoff.exhausted()) {
-      note_locked(nullptr, &RetryStats::exhausted);
-      settle_locked(st, op, std::move(c));
-      return;
-    }
-    const auto delay = op.backoff.next_delay();
-    if (op.deadline.expired() || op.deadline.remaining() < delay) {
-      note_locked(&IoStats::record_deadline_expiry,
-                  &RetryStats::deadline_expiries);
-      settle_locked(
-          st, op,
-          synthesized_failure(
-              op.op, std::make_exception_ptr(TimeoutError(
-                         "RetryingAsyncStore: deadline exhausted retrying " +
-                         std::string(async_op_name(op.op.kind))))));
-      return;
-    }
-    op.awaiting_resubmit = true;
-    op.next_attempt = Clock::now() + delay;
-  } catch (const util::IoError&) {
-    // Permanent storage semantics: never retried, breaker success (the
-    // store answered definitively) — exactly the sync with_retries rules.
-    if (breaker_ != nullptr) breaker_->record_success();
-    note_locked(nullptr, &RetryStats::permanent);
-    settle_locked(st, op, std::move(c));
-  } catch (...) {
-    settle_locked(st, op, std::move(c));
-  }
-}
-
-void RetryingAsyncStore::resubmit_due_locked(TicketState& st,
-                                             Clock::time_point now) {
-  std::vector<AsyncOp> forward;
-  for (std::size_t i = 0; i < st.ops.size(); ++i) {
-    OpState& op = st.ops[i];
-    if (!op.awaiting_resubmit || op.next_attempt > now) continue;
-    op.awaiting_resubmit = false;
-    if (breaker_ != nullptr && !breaker_->try_acquire()) {
-      note_locked(&IoStats::record_breaker_fast_fail, &RetryStats::fast_fails);
-      settle_locked(st, op,
-                    synthesized_failure(
-                        op.op, std::make_exception_ptr(TransientIoError(
-                                   "RetryingAsyncStore: circuit open, " +
-                                   std::string(async_op_name(op.op.kind)) +
-                                   " fast-failed"))));
-      continue;
-    }
-    op.retried = true;
-    note_locked(&IoStats::record_retry, &RetryStats::retries);
-    note_locked(&IoStats::record_async_resubmission, nullptr);
-    note_locked(nullptr, &RetryStats::attempts);
-    AsyncOp copy = op.op;
-    copy.user_data = i;
-    forward.push_back(std::move(copy));
-  }
-  if (!forward.empty()) {
-    const std::size_t owed = forward.size();
-    st.inner_tickets.emplace_back(inner_.submit(std::move(forward)), owed);
-  }
-}
-
-std::size_t RetryingAsyncStore::drain_locked(TicketState& st,
-                                             std::vector<AsyncCompletion>& out) {
-  std::size_t n = 0;
-  for (OpState& op : st.ops) {
-    if (!op.settled || op.delivered) continue;
-    op.delivered = true;
-    st.delivered_count++;
-    out.push_back(std::move(op.result));
-    ++n;
-  }
-  return n;
-}
-
-std::size_t RetryingAsyncStore::poll(AsyncTicket ticket,
-                                     std::vector<AsyncCompletion>& out) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = tickets_.find(ticket);
-  if (it == tickets_.end()) return 0;
-  TicketState& st = it->second;
-
-  // Harvest whatever the inner store has ready, without blocking.
-  std::vector<AsyncCompletion> got;
-  for (auto& [inner_ticket, owed] : st.inner_tickets) {
-    got.clear();
-    inner_.poll(inner_ticket, got);
-    owed -= got.size();
-    for (AsyncCompletion& c : got) {
-      process_completion_locked(st, std::move(c));
-    }
-  }
-  std::erase_if(st.inner_tickets, [](const auto& t) { return t.second == 0; });
-
-  // Re-submit only ops whose backoff has already elapsed — poll never sleeps.
-  resubmit_due_locked(st, Clock::now());
-
-  const std::size_t n = drain_locked(st, out);
-  if (st.delivered_count == st.ops.size()) tickets_.erase(it);
-  return n;
-}
-
-std::vector<AsyncCompletion> RetryingAsyncStore::wait(AsyncTicket ticket) {
-  std::vector<AsyncCompletion> out;
-  for (;;) {
-    AsyncTicket pending_inner = 0;
-    std::size_t pending_owed = 0;
-    Clock::time_point sleep_until{};
-    bool need_sleep = false;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      auto it = tickets_.find(ticket);
-      if (it == tickets_.end()) return out;
-      TicketState& st = it->second;
-
-      resubmit_due_locked(st, Clock::now());
-      if (!st.inner_tickets.empty()) {
-        pending_inner = st.inner_tickets.front().first;
-        pending_owed = st.inner_tickets.front().second;
-      } else {
-        // No inner work in flight: either everything settled, or some op
-        // is waiting out its backoff delay.
-        bool any_future = false;
-        Clock::time_point earliest = Clock::time_point::max();
-        for (const OpState& op : st.ops) {
-          if (!op.awaiting_resubmit) continue;
-          any_future = true;
-          earliest = std::min(earliest, op.next_attempt);
-        }
-        if (!any_future) {
-          drain_locked(st, out);
-          tickets_.erase(it);
-          return out;
-        }
-        need_sleep = true;
-        sleep_until = earliest;
-      }
-    }
-    if (need_sleep) {
-      std::this_thread::sleep_until(sleep_until);
-      continue;
-    }
-    // Block on the oldest inner ticket outside the lock (the inner store
-    // has its own synchronization; our state for this ticket only changes
-    // under mutex_, which we re-take before touching it).
-    std::vector<AsyncCompletion> got = inner_.wait(pending_inner);
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = tickets_.find(ticket);
-    if (it == tickets_.end()) return out;
-    TicketState& st = it->second;
-    for (AsyncCompletion& c : got) {
-      process_completion_locked(st, std::move(c));
-    }
-    // A waited-on inner ticket is fully drained and forgotten by the inner
-    // store, whatever a racing poll may have harvested first.
-    (void)pending_owed;
-    std::erase_if(st.inner_tickets,
-                  [&](const auto& t) { return t.first == pending_inner; });
-  }
-}
-
 }  // namespace clio::io

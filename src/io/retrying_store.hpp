@@ -1,15 +1,11 @@
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
-#include "io/async_store.hpp"
 #include "io/file_store.hpp"
 #include "io/io_stats.hpp"
 #include "io/store_decorator.hpp"
@@ -115,90 +111,6 @@ class RetryingStore final : public StoreDecorator {
   mutable std::mutex mutex_;       ///< stats_ + rng_
   util::SplitMix64 rng_;
   RetryStats stats_;
-};
-
-/// AsyncBackingStore decorator that re-submits transient completion
-/// failures under the exact Deadline/Backoff/breaker rules of the sync
-/// RetryingStore: each op gets its own seeded Backoff and a deadline
-/// captured at submit() (the tighter of the ambient util::DeadlineScope
-/// and the per-op budget); every attempt asks the shared breaker's
-/// try_acquire() first; transient errors (util::TransientIoError) are
-/// re-submitted after the backoff delay, permanent ones (plain
-/// util::IoError) settle immediately and count as breaker successes.
-///
-/// Retries are driven from the harvest side: wait() sleeps out backoff
-/// delays and re-submits inline until every op settles; poll() never
-/// sleeps — it re-submits only ops whose delay has already elapsed, so a
-/// poll loop converges without blocking.
-class RetryingAsyncStore final : public AsyncBackingStore {
- public:
-  /// The inner store is not owned and must outlive this.
-  explicit RetryingAsyncStore(AsyncBackingStore& inner,
-                              RetryPolicy policy = {},
-                              util::CircuitBreaker* breaker = nullptr);
-
-  AsyncTicket submit(std::vector<AsyncOp> batch) override;
-  std::size_t poll(AsyncTicket ticket,
-                   std::vector<AsyncCompletion>& out) override;
-  std::vector<AsyncCompletion> wait(AsyncTicket ticket) override;
-
-  /// Mirrors the resilience counters into the IoStats (like the sync
-  /// store's bind_stats) and forwards the binding to the inner store so
-  /// its async counters land in the same place.
-  void bind_stats(IoStats* stats) override;
-
-  [[nodiscard]] RetryStats stats() const;
-  [[nodiscard]] const RetryPolicy& policy() const { return policy_; }
-  [[nodiscard]] AsyncBackingStore& inner() { return inner_; }
-
- private:
-  using Clock = std::chrono::steady_clock;
-
-  struct OpState {
-    AsyncOp op;  ///< kept so a transient failure can be re-submitted verbatim
-    util::Backoff backoff;
-    util::Deadline deadline;
-    bool settled = false;
-    bool retried = false;
-    bool awaiting_resubmit = false;
-    Clock::time_point next_attempt{};  ///< earliest re-submission time
-    AsyncCompletion result{};
-    bool delivered = false;
-  };
-
-  struct TicketState {
-    std::vector<OpState> ops;
-    /// Inner tickets not yet fully harvested, with the number of
-    /// completions each still owes (an inner ticket forgets itself once
-    /// drained, so waiting on a fully-harvested one would be an error).
-    std::vector<std::pair<AsyncTicket, std::size_t>> inner_tickets;
-    std::size_t settled_count = 0;
-    std::size_t delivered_count = 0;
-  };
-
-  /// Classifies one inner completion: settle, or schedule a re-submission.
-  /// Mutex held.
-  void process_completion_locked(TicketState& st, AsyncCompletion&& c);
-  /// Re-submits every op whose backoff delay has elapsed.  Mutex held.
-  void resubmit_due_locked(TicketState& st, Clock::time_point now);
-  /// Moves settled, undelivered results into `out`.  Mutex held.
-  std::size_t drain_locked(TicketState& st, std::vector<AsyncCompletion>& out);
-  void settle_locked(TicketState& st, OpState& op, AsyncCompletion&& c);
-
-  /// Mutex held (rng_ and the counters share mutex_).
-  [[nodiscard]] std::uint64_t next_backoff_seed_locked();
-  void note_locked(void (IoStats::*record)(),
-                   std::uint64_t RetryStats::*counter);
-
-  AsyncBackingStore& inner_;
-  RetryPolicy policy_;
-  util::CircuitBreaker* breaker_;  ///< not owned; may be null
-  IoStats* io_stats_ = nullptr;    ///< not owned; guarded by mutex_
-  mutable std::mutex mutex_;
-  util::SplitMix64 rng_;
-  RetryStats stats_;
-  std::unordered_map<AsyncTicket, TicketState> tickets_;
-  AsyncTicket next_ticket_ = 1;
 };
 
 }  // namespace clio::io

@@ -1,648 +1,31 @@
 #include "io/uring_store.hpp"
 
-#include "util/error.hpp"
-
 #if !defined(CLIO_HAVE_URING)
 #define CLIO_HAVE_URING 0
 #endif
 
 #if CLIO_HAVE_URING
-
 #include <linux/io_uring.h>
-#include <sys/mman.h>
 #include <sys/syscall.h>
-#include <sys/uio.h>
 #include <unistd.h>
-
-#include <atomic>
-#include <cerrno>
-#include <chrono>
-#include <condition_variable>
-#include <cstring>
-#include <mutex>
-#include <unordered_map>
-#include <vector>
+#endif
 
 namespace clio::io {
 
-using util::check;
-using util::ConfigError;
-using util::IoError;
-
-namespace {
-
-int sys_uring_setup(unsigned entries, io_uring_params* p) {
-  return static_cast<int>(::syscall(__NR_io_uring_setup, entries, p));
-}
-
-int sys_uring_enter(int fd, unsigned to_submit, unsigned min_complete,
-                    unsigned flags) {
-  return static_cast<int>(::syscall(__NR_io_uring_enter, fd, to_submit,
-                                    min_complete, flags, nullptr, 0));
-}
-
-int sys_uring_register(int fd, unsigned opcode, const void* arg,
-                       unsigned nr_args) {
-  return static_cast<int>(::syscall(__NR_io_uring_register, fd, opcode, arg,
-                                    nr_args));
-}
-
-/// CQE errno → the sync path's exception taxonomy (see throw_syscall_error
-/// in file_store.cpp): EIO / EAGAIN are transient, the rest definitive.
-std::exception_ptr make_errno_error(const char* what, int err) {
-  const std::string msg =
-      std::string("UringStore: ") + what + " failed: " + std::strerror(err);
-  try {
-    if (err == EIO || err == EAGAIN || err == EWOULDBLOCK) {
-      throw util::TransientIoError(msg);
-    }
-    throw IoError(msg);
-  } catch (...) {
-    return std::current_exception();
-  }
-}
-
-std::exception_ptr make_error(std::string msg) {
-  try {
-    throw IoError(std::move(msg));
-  } catch (...) {
-    return std::current_exception();
-  }
-}
-
-unsigned load_acquire(const unsigned* p) {
-  return std::atomic_ref<const unsigned>(*p).load(std::memory_order_acquire);
-}
-
-void store_release(unsigned* p, unsigned v) {
-  std::atomic_ref<unsigned>(*p).store(v, std::memory_order_release);
-}
-
-}  // namespace
-
-struct UringStore::Impl {
-  /// One in-flight op.  Lives in a node-based map, so iovec storage and
-  /// the record itself stay address-stable across other insertions — the
-  /// kernel reads `iov` until the op completes.
-  struct Pending {
-    AsyncTicket ticket = 0;
-    std::uint64_t user_data = 0;  ///< caller's, echoed on the completion
-    AsyncOpKind kind = AsyncOpKind::kRead;
-    FileId file = kInvalidFile;
-    int fd = -1;
-    std::uint64_t offset = 0;  ///< next submission offset (advances)
-    std::vector<iovec> iov;    ///< remaining scatter list, trimmed in place
-    std::size_t iov_next = 0;  ///< first iovec not fully transferred
-    std::uint64_t done = 0;    ///< bytes transferred so far
-    std::uint64_t total = 0;   ///< full payload size
-    std::chrono::steady_clock::time_point start;
-    int buf_index = -1;  ///< >= 0: READ_FIXED/WRITE_FIXED against this region
-    std::byte* addr = nullptr;  ///< fixed-path cursor
-    std::size_t len = 0;        ///< fixed-path remaining length
-  };
-
-  struct TicketState {
-    std::size_t expected = 0;
-    std::size_t completed = 0;
-    std::vector<AsyncCompletion> ready;
-  };
-
-  RealFileStore& files;
-  Config config;
-
-  int ring_fd = -1;
-  unsigned sq_entries = 0;
-  unsigned cq_entries = 0;
-  void* sq_ring = MAP_FAILED;
-  std::size_t sq_ring_len = 0;
-  void* cq_ring = MAP_FAILED;
-  std::size_t cq_ring_len = 0;
-  bool single_mmap = false;
-  void* sqe_mem = MAP_FAILED;
-  std::size_t sqe_mem_len = 0;
-  unsigned* sq_head = nullptr;
-  unsigned* sq_tail = nullptr;
-  unsigned* sq_mask = nullptr;
-  unsigned* sq_array = nullptr;
-  io_uring_sqe* sqes = nullptr;
-  unsigned* cq_head = nullptr;
-  unsigned* cq_tail = nullptr;
-  unsigned* cq_mask = nullptr;
-  io_uring_cqe* cqes = nullptr;
-
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool kernel_waiter = false;  ///< one thread at a time blocks in the kernel
-  unsigned sq_pending = 0;     ///< SQEs published to the ring, not yet entered
-  unsigned inflight = 0;       ///< ops the kernel owes a CQE for
-
-  std::unordered_map<std::uint64_t, Pending> pending;
-  std::uint64_t next_internal = 1;
-  std::unordered_map<AsyncTicket, TicketState> tickets;
-  AsyncTicket next_ticket = 1;
-  IoStats* stats = nullptr;  ///< not owned; guarded by mutex
-
-  std::vector<std::pair<std::byte*, std::size_t>> fixed_regions;
-  bool buffers_registered = false;
-
-  explicit Impl(RealFileStore& files_in, Config config_in)
-      : files(files_in), config(config_in) {
-    check<ConfigError>(config.entries >= 1 && config.entries <= 4096,
-                       "UringStore: entries must be in [1, 4096]");
-    io_uring_params params{};
-    ring_fd = sys_uring_setup(config.entries, &params);
-    check<ConfigError>(ring_fd >= 0,
-                       std::string("UringStore: io_uring_setup failed: ") +
-                           std::strerror(errno));
-    sq_entries = params.sq_entries;
-    cq_entries = params.cq_entries;
-    sq_ring_len = params.sq_off.array + params.sq_entries * sizeof(unsigned);
-    cq_ring_len = params.cq_off.cqes + params.cq_entries * sizeof(io_uring_cqe);
-    single_mmap = (params.features & IORING_FEAT_SINGLE_MMAP) != 0;
-    if (single_mmap) {
-      sq_ring_len = cq_ring_len = std::max(sq_ring_len, cq_ring_len);
-    }
-    sq_ring = ::mmap(nullptr, sq_ring_len, PROT_READ | PROT_WRITE,
-                     MAP_SHARED | MAP_POPULATE, ring_fd, IORING_OFF_SQ_RING);
-    if (sq_ring == MAP_FAILED) {
-      const int err = errno;
-      teardown();
-      throw ConfigError(std::string("UringStore: SQ mmap failed: ") +
-                        std::strerror(err));
-    }
-    if (single_mmap) {
-      cq_ring = sq_ring;
-    } else {
-      cq_ring = ::mmap(nullptr, cq_ring_len, PROT_READ | PROT_WRITE,
-                       MAP_SHARED | MAP_POPULATE, ring_fd, IORING_OFF_CQ_RING);
-      if (cq_ring == MAP_FAILED) {
-        const int err = errno;
-        teardown();
-        throw ConfigError(std::string("UringStore: CQ mmap failed: ") +
-                          std::strerror(err));
-      }
-    }
-    sqe_mem_len = params.sq_entries * sizeof(io_uring_sqe);
-    sqe_mem = ::mmap(nullptr, sqe_mem_len, PROT_READ | PROT_WRITE,
-                     MAP_SHARED | MAP_POPULATE, ring_fd, IORING_OFF_SQES);
-    if (sqe_mem == MAP_FAILED) {
-      const int err = errno;
-      teardown();
-      throw ConfigError(std::string("UringStore: SQE mmap failed: ") +
-                        std::strerror(err));
-    }
-    auto* sq_base = static_cast<char*>(sq_ring);
-    sq_head = reinterpret_cast<unsigned*>(sq_base + params.sq_off.head);
-    sq_tail = reinterpret_cast<unsigned*>(sq_base + params.sq_off.tail);
-    sq_mask = reinterpret_cast<unsigned*>(sq_base + params.sq_off.ring_mask);
-    sq_array = reinterpret_cast<unsigned*>(sq_base + params.sq_off.array);
-    sqes = static_cast<io_uring_sqe*>(sqe_mem);
-    auto* cq_base = static_cast<char*>(cq_ring);
-    cq_head = reinterpret_cast<unsigned*>(cq_base + params.cq_off.head);
-    cq_tail = reinterpret_cast<unsigned*>(cq_base + params.cq_off.tail);
-    cq_mask = reinterpret_cast<unsigned*>(cq_base + params.cq_off.ring_mask);
-    cqes = reinterpret_cast<io_uring_cqe*>(cq_base + params.cq_off.cqes);
-  }
-
-  ~Impl() {
-    // Best effort: never leave the kernel writing into freed buffers.
-    // The pool drains its tickets before teardown, so this loop is
-    // normally a no-op.
-    std::unique_lock<std::mutex> lock(mutex);
-    while (!pending.empty()) {
-      submit_pending();
-      lock.unlock();
-      static_cast<void>(sys_uring_enter(ring_fd, 0, 1, IORING_ENTER_GETEVENTS));
-      lock.lock();
-      reap_locked();
-    }
-    lock.unlock();
-    teardown();
-  }
-
-  void teardown() {
-    if (sqe_mem != MAP_FAILED) ::munmap(sqe_mem, sqe_mem_len);
-    if (!single_mmap && cq_ring != MAP_FAILED) ::munmap(cq_ring, cq_ring_len);
-    if (sq_ring != MAP_FAILED) ::munmap(sq_ring, sq_ring_len);
-    sqe_mem = cq_ring = sq_ring = MAP_FAILED;
-    if (ring_fd >= 0) ::close(ring_fd);
-    ring_fd = -1;
-  }
-
-  // ----------------------------------------------------------- SQ side ----
-
-  /// Returns a zeroed SQE slot, flushing published-but-unentered SQEs if
-  /// the ring is full.  Mutex held.
-  io_uring_sqe* get_sqe() {
-    for (;;) {
-      const unsigned head = load_acquire(sq_head);
-      const unsigned tail = *sq_tail;
-      if (tail - head < sq_entries) {
-        const unsigned idx = tail & *sq_mask;
-        io_uring_sqe* sqe = &sqes[idx];
-        std::memset(sqe, 0, sizeof(*sqe));
-        sq_array[idx] = idx;
-        store_release(sq_tail, tail + 1);
-        sq_pending++;
-        return sqe;
-      }
-      // Ring full: everything in it is ours and unentered — flush.
-      submit_pending();
-    }
-  }
-
-  /// Publishes every filled SQE to the kernel with one io_uring_enter per
-  /// loop turn (one, in practice).  Mutex held.
-  void submit_pending() {
-    while (sq_pending > 0) {
-      const int r = sys_uring_enter(ring_fd, sq_pending, 0, 0);
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EBUSY) {
-          // Completion-side backpressure: drain CQEs, then retry.  With
-          // the in-flight cap this is all but unreachable.
-          reap_locked();
-          continue;
-        }
-        throw IoError(std::string("UringStore: io_uring_enter failed: ") +
-                      std::strerror(errno));
-      }
-      if (stats != nullptr) stats->record_submit_syscalls(1);
-      sq_pending -= static_cast<unsigned>(r);
-    }
-  }
-
-  /// Fills one SQE for `p`'s remaining transfer.  Mutex held.
-  void prep_sqe(std::uint64_t internal_id, Pending& p) {
-    io_uring_sqe* sqe = get_sqe();
-    const bool write = p.kind == AsyncOpKind::kWrite ||
-                       p.kind == AsyncOpKind::kWritev;
-    if (p.buf_index >= 0) {
-      sqe->opcode = write ? IORING_OP_WRITE_FIXED : IORING_OP_READ_FIXED;
-      sqe->addr = reinterpret_cast<std::uint64_t>(p.addr);
-      sqe->len = static_cast<unsigned>(p.len);
-      sqe->buf_index = static_cast<std::uint16_t>(p.buf_index);
-    } else {
-      sqe->opcode = write ? IORING_OP_WRITEV : IORING_OP_READV;
-      sqe->addr = reinterpret_cast<std::uint64_t>(p.iov.data() + p.iov_next);
-      sqe->len = static_cast<unsigned>(p.iov.size() - p.iov_next);
-    }
-    sqe->fd = p.fd;
-    sqe->off = p.offset;
-    sqe->user_data = internal_id;
-  }
-
-  /// The fixed-buffer region containing [data, data+len), or -1.
-  int find_fixed_region(const std::byte* data, std::size_t len) const {
-    if (!buffers_registered || len == 0) return -1;
-    for (std::size_t i = 0; i < fixed_regions.size(); ++i) {
-      const auto& [base, size] = fixed_regions[i];
-      if (data >= base && data + len <= base + size) {
-        return static_cast<int>(i);
-      }
-    }
-    return -1;
-  }
-
-  // ----------------------------------------------------------- CQ side ----
-
-  /// Processes every available CQE; resubmits partial transfers, delivers
-  /// finished/failed ops to their tickets.  Mutex held.
-  void reap_locked() {
-    bool advanced = false;
-    for (;;) {
-      // Re-read the head each turn: handle_cqe can recurse into this
-      // function through submit_pending's backpressure path, and a cached
-      // cursor would then rewind the ring.
-      const unsigned head = *cq_head;
-      if (head == load_acquire(cq_tail)) break;
-      const io_uring_cqe cqe = cqes[head & *cq_mask];
-      store_release(cq_head, head + 1);
-      advanced = true;
-      handle_cqe(cqe);
-    }
-    if (advanced) submit_pending();  // flush any resubmissions in one enter
-  }
-
-  void handle_cqe(const io_uring_cqe& cqe) {
-    auto it = pending.find(cqe.user_data);
-    if (it == pending.end()) return;  // stale/unknown — nothing to do
-    Pending& p = it->second;
-    const bool write = p.kind == AsyncOpKind::kWrite ||
-                       p.kind == AsyncOpKind::kWritev;
-    const int res = cqe.res;
-    if (res < 0) {
-      if (res == -EINTR) {
-        prep_sqe(it->first, p);  // interrupted: re-issue, no progress made
-        return;
-      }
-      finish(it, make_errno_error(write ? "async write" : "async read", -res));
-      return;
-    }
-    if (res == 0) {
-      if (write) {
-        // A zero-byte pwritev with bytes remaining would loop forever.
-        finish(it, make_error("UringStore: write completed 0 bytes"));
-      } else {
-        finish(it, nullptr);  // EOF: deliver what was read so far
-      }
-      return;
-    }
-    // Forward progress: advance the cursors, finish or continue.
-    p.done += static_cast<std::uint64_t>(res);
-    p.offset += static_cast<std::uint64_t>(res);
-    if (p.buf_index >= 0) {
-      p.addr += res;
-      p.len -= static_cast<std::size_t>(res);
-    } else {
-      std::size_t consumed = static_cast<std::size_t>(res);
-      while (p.iov_next < p.iov.size() &&
-             consumed >= p.iov[p.iov_next].iov_len) {
-        consumed -= p.iov[p.iov_next].iov_len;
-        p.iov_next++;
-      }
-      if (consumed > 0) {
-        iovec& v = p.iov[p.iov_next];
-        v.iov_base = static_cast<char*>(v.iov_base) + consumed;
-        v.iov_len -= consumed;
-      }
-    }
-    if (p.done >= p.total) {
-      finish(it, nullptr);
-    } else {
-      prep_sqe(it->first, p);  // short mid-file transfer: continue
-    }
-  }
-
-  /// Delivers the completion for a finished/failed op and retires it.
-  void finish(std::unordered_map<std::uint64_t, Pending>::iterator it,
-              std::exception_ptr error) {
-    Pending& p = it->second;
-    const bool write = p.kind == AsyncOpKind::kWrite ||
-                       p.kind == AsyncOpKind::kWritev;
-    AsyncCompletion c;
-    c.user_data = p.user_data;
-    c.kind = p.kind;
-    c.bytes = error == nullptr ? static_cast<std::size_t>(p.done) : 0;
-    c.ms = std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - p.start)
-               .count();
-    c.error = std::move(error);
-    if (write && c.ok() && p.done > 0) {
-      // `offset` has advanced past every byte written.
-      files.note_external_write(p.file, p.offset);
-    }
-    inflight--;
-    deliver(p.ticket, std::move(c));
-    pending.erase(it);
-  }
-
-  /// Files a completion under its ticket.  Mutex held.
-  void deliver(AsyncTicket ticket, AsyncCompletion c) {
-    if (stats != nullptr) stats->record_async_completion(c.bytes, !c.ok());
-    auto it = tickets.find(ticket);
-    if (it == tickets.end()) return;
-    it->second.completed++;
-    it->second.ready.push_back(std::move(c));
-    cv.notify_all();
-  }
-
-  /// Blocks until at least one more CQE is (or may be) available, letting
-  /// only one thread into the kernel at a time.  Mutex held on entry/exit.
-  void wait_for_cqe(std::unique_lock<std::mutex>& lock) {
-    if (kernel_waiter) {
-      cv.wait(lock);
-      return;
-    }
-    kernel_waiter = true;
-    lock.unlock();
-    const int r = sys_uring_enter(ring_fd, 0, 1, IORING_ENTER_GETEVENTS);
-    const int err = errno;
-    lock.lock();
-    kernel_waiter = false;
-    cv.notify_all();
-    if (r < 0 && err != EINTR) {
-      throw IoError(std::string("UringStore: io_uring_enter(GETEVENTS) "
-                                "failed: ") +
-                    std::strerror(err));
-    }
-  }
-};
-
-// ----------------------------------------------------------- interface ----
-
 bool UringStore::supported() {
+#if CLIO_HAVE_URING
   static const bool ok = [] {
     io_uring_params params{};
-    const int fd = sys_uring_setup(4, &params);
+    const int fd =
+        static_cast<int>(::syscall(__NR_io_uring_setup, 4u, &params));
     if (fd < 0) return false;
     ::close(fd);
     return true;
   }();
   return ok;
-}
-
-UringStore::UringStore(RealFileStore& files)
-    : UringStore(files, Config{}) {}
-
-UringStore::UringStore(RealFileStore& files, Config config)
-    : impl_(std::make_unique<Impl>(files, config)) {}
-
-UringStore::~UringStore() = default;
-
-RealFileStore& UringStore::files() { return impl_->files; }
-
-void UringStore::bind_stats(IoStats* stats) {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  impl_->stats = stats;
-}
-
-bool UringStore::register_buffers(
-    std::span<const std::span<std::byte>> regions) {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  if (impl_->buffers_registered || regions.empty()) {
-    return impl_->buffers_registered;
-  }
-  std::vector<iovec> iov;
-  iov.reserve(regions.size());
-  for (const auto& r : regions) {
-    if (r.empty()) return false;
-    iov.push_back(iovec{r.data(), r.size()});
-  }
-  const int rc =
-      sys_uring_register(impl_->ring_fd, IORING_REGISTER_BUFFERS, iov.data(),
-                         static_cast<unsigned>(iov.size()));
-  if (rc < 0) return false;  // e.g. RLIMIT_MEMLOCK — stay on the plain path
-  impl_->fixed_regions.clear();
-  for (const auto& r : regions) {
-    impl_->fixed_regions.emplace_back(r.data(), r.size());
-  }
-  impl_->buffers_registered = true;
-  return true;
-}
-
-AsyncTicket UringStore::submit(std::vector<AsyncOp> batch) {
-  check<ConfigError>(!batch.empty(), "UringStore: empty batch");
-  Impl& im = *impl_;
-  std::unique_lock<std::mutex> lock(im.mutex);
-  const AsyncTicket ticket = im.next_ticket++;
-  im.tickets[ticket].expected = batch.size();
-  if (im.stats != nullptr) im.stats->record_async_submission(batch.size());
-  const auto now = std::chrono::steady_clock::now();
-  for (const auto& op : batch) {
-    // Zero-payload ops complete immediately; a zero-length SQE would be a
-    // kernel-version lottery.
-    const std::uint64_t total = op.payload_bytes();
-    if (total == 0) {
-      AsyncCompletion c;
-      c.user_data = op.user_data;
-      c.kind = op.kind;
-      im.deliver(ticket, std::move(c));
-      continue;
-    }
-    int fd = -1;
-    try {
-      fd = im.files.native_handle(op.file);
-    } catch (...) {
-      AsyncCompletion c;
-      c.user_data = op.user_data;
-      c.kind = op.kind;
-      c.error = std::current_exception();
-      im.deliver(ticket, std::move(c));
-      continue;
-    }
-    // Cap in-flight ops at the CQ size so the completion ring can never
-    // overflow; flush queued SQEs first or the kernel has nothing to chew.
-    while (im.inflight >= im.cq_entries) {
-      im.submit_pending();
-      im.wait_for_cqe(lock);
-      im.reap_locked();
-    }
-    const std::uint64_t id = im.next_internal++;
-    Impl::Pending& p = im.pending[id];
-    p.ticket = ticket;
-    p.user_data = op.user_data;
-    p.kind = op.kind;
-    p.file = op.file;
-    p.fd = fd;
-    p.offset = op.offset;
-    p.total = total;
-    p.start = now;
-    switch (op.kind) {
-      case AsyncOpKind::kRead:
-        p.buf_index = im.find_fixed_region(op.out.data(), op.out.size());
-        if (p.buf_index >= 0) {
-          p.addr = op.out.data();
-          p.len = op.out.size();
-        } else {
-          p.iov.push_back(iovec{op.out.data(), op.out.size()});
-        }
-        break;
-      case AsyncOpKind::kWrite:
-        p.buf_index = im.find_fixed_region(op.data.data(), op.data.size());
-        if (p.buf_index >= 0) {
-          p.addr = const_cast<std::byte*>(op.data.data());
-          p.len = op.data.size();
-        } else {
-          p.iov.push_back(
-              iovec{const_cast<std::byte*>(op.data.data()), op.data.size()});
-        }
-        break;
-      case AsyncOpKind::kReadv:
-        for (const auto& part : op.read_parts) {
-          if (part.empty()) continue;
-          p.iov.push_back(iovec{part.data(), part.size()});
-        }
-        break;
-      case AsyncOpKind::kWritev:
-        for (const auto& part : op.write_parts) {
-          if (part.empty()) continue;
-          p.iov.push_back(
-              iovec{const_cast<std::byte*>(part.data()), part.size()});
-        }
-        break;
-    }
-    im.inflight++;
-    im.prep_sqe(id, p);
-  }
-  // One enter publishes the whole batch — the coalesced gather costs one
-  // submit syscall regardless of how many runs it carries.
-  im.submit_pending();
-  return ticket;
-}
-
-std::size_t UringStore::poll(AsyncTicket ticket,
-                             std::vector<AsyncCompletion>& out) {
-  Impl& im = *impl_;
-  std::lock_guard<std::mutex> lock(im.mutex);
-  im.reap_locked();
-  auto it = im.tickets.find(ticket);
-  if (it == im.tickets.end()) return 0;
-  const std::size_t n = it->second.ready.size();
-  for (auto& c : it->second.ready) out.push_back(std::move(c));
-  it->second.ready.clear();
-  if (it->second.completed == it->second.expected) im.tickets.erase(it);
-  return n;
-}
-
-std::vector<AsyncCompletion> UringStore::wait(AsyncTicket ticket) {
-  Impl& im = *impl_;
-  std::unique_lock<std::mutex> lock(im.mutex);
-  for (;;) {
-    im.reap_locked();
-    auto it = im.tickets.find(ticket);
-    if (it == im.tickets.end()) return {};
-    if (it->second.completed == it->second.expected) {
-      std::vector<AsyncCompletion> out = std::move(it->second.ready);
-      im.tickets.erase(it);
-      return out;
-    }
-    im.wait_for_cqe(lock);
-  }
-}
-
-}  // namespace clio::io
-
-#else  // !CLIO_HAVE_URING — stub so the target links on any platform
-
-namespace clio::io {
-
-struct UringStore::Impl {};
-
-bool UringStore::supported() { return false; }
-
-UringStore::UringStore(RealFileStore& files)
-    : UringStore(files, Config{}) {}
-
-UringStore::UringStore(RealFileStore& files, Config config) {
-  static_cast<void>(files);
-  static_cast<void>(config);
-  throw util::ConfigError(
-      "UringStore: built without io_uring support (CLIO_HAVE_URING=0)");
-}
-
-UringStore::~UringStore() = default;
-
-RealFileStore& UringStore::files() {
-  throw util::ConfigError("UringStore: unavailable");
-}
-
-void UringStore::bind_stats(IoStats*) {}
-
-bool UringStore::register_buffers(std::span<const std::span<std::byte>>) {
+#else
   return false;
+#endif
 }
-
-AsyncTicket UringStore::submit(std::vector<AsyncOp>) {
-  throw util::ConfigError("UringStore: unavailable");
-}
-
-std::size_t UringStore::poll(AsyncTicket, std::vector<AsyncCompletion>&) {
-  return 0;
-}
-
-std::vector<AsyncCompletion> UringStore::wait(AsyncTicket) { return {}; }
 
 }  // namespace clio::io
-
-#endif  // CLIO_HAVE_URING

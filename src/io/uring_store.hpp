@@ -1,79 +1,18 @@
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <span>
-
-#include "io/async_store.hpp"
-#include "io/file_store.hpp"
-
 namespace clio::io {
 
-/// AsyncBackingStore implementation over io_uring, built directly on the
-/// raw kernel interface (io_uring_setup / io_uring_enter / mmap'd rings —
-/// no liburing dependency, which keeps the container image untouched).
-///
-/// Shape:
-///  - submit(batch) fills one SQE per op — IORING_OP_READV/WRITEV, so a
-///    whole coalesced gather is a single SQE — and publishes the batch
-///    with ONE io_uring_enter.  That is the batching contract the
-///    syscalls-per-page counter asserts: a 16-page coalesced gather costs
-///    one submit syscall, not sixteen.
-///  - Completions are harvested from the CQ ring; partial transfers
-///    (short mid-file preadv, partial pwritev) are re-submitted
-///    transparently until EOF or full completion, mirroring the retry
-///    loops in RealFileStore.  res == 0 on a read is EOF.
-///  - Failed CQEs are classified by errno exactly like the sync path
-///    (EIO/EAGAIN → util::TransientIoError, else util::IoError) and
-///    delivered as completion errors; -EINTR is re-submitted.
-///  - register_buffers() registers fixed I/O regions
-///    (IORING_REGISTER_BUFFERS); after it succeeds, single-buffer
-///    read/write ops that lie entirely inside one registered region are
-///    submitted as READ_FIXED/WRITE_FIXED, skipping the per-op page
-///    pinning — "registered buffers where possible".
-///
-/// File handles come from a RealFileStore: the store keeps owning the
-/// descriptors (native_handle), and write completions report back through
-/// note_external_write so the cached-size optimization stays coherent.
-/// Construction throws util::ConfigError when the kernel (or the build,
-/// see CLIO_HAVE_URING) lacks io_uring — gate with UringStore::supported().
-class UringStore final : public AsyncBackingStore {
+/// Probe for the kernel's io_uring interface.  The storage stack has one,
+/// synchronous face (see docs/STORAGE.md, "Removed"); this probe stays so
+/// benchmark reports can record whether io_uring was available on the
+/// machine they ran on.
+class UringStore {
  public:
-  struct Config {
-    /// SQ ring size (the kernel rounds up to a power of two and sizes the
-    /// CQ ring at twice this).  In-flight ops are capped at the CQ size so
-    /// the completion ring can never overflow.
-    unsigned entries = 128;
-  };
-
-  explicit UringStore(RealFileStore& files);
-  UringStore(RealFileStore& files, Config config);
-  ~UringStore() override;
-
-  UringStore(const UringStore&) = delete;
-  UringStore& operator=(const UringStore&) = delete;
+  UringStore() = delete;
 
   /// True when the running kernel accepts io_uring_setup (cached probe).
-  /// False when the build was configured without io_uring support.
+  /// False when the build found no <linux/io_uring.h> (CLIO_HAVE_URING=0).
   [[nodiscard]] static bool supported();
-
-  /// Registers fixed I/O buffer regions with the kernel.  Returns true on
-  /// success; false (staying unregistered, with every op taking the
-  /// non-fixed path) when the kernel refuses — e.g. locked-memory limits.
-  /// Call once, before submitting; buffers must outlive the store.
-  bool register_buffers(std::span<const std::span<std::byte>> regions);
-
-  AsyncTicket submit(std::vector<AsyncOp> batch) override;
-  std::size_t poll(AsyncTicket ticket,
-                   std::vector<AsyncCompletion>& out) override;
-  std::vector<AsyncCompletion> wait(AsyncTicket ticket) override;
-  void bind_stats(IoStats* stats) override;
-
-  [[nodiscard]] RealFileStore& files();
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace clio::io

@@ -195,7 +195,12 @@ void MiniWebServer::start() {
 }
 
 void MiniWebServer::stop() {
-  if (!running_.exchange(false)) return;
+  {
+    // Cleared under queue_mutex_: a worker between its predicate check and
+    // its wait would otherwise miss the only notify below and never exit.
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    if (!running_.exchange(false)) return;
+  }
   queue_cv_.notify_all();
   if (accept_thread_.joinable()) accept_thread_.join();
   // Refuse late connectors: closing the listener resets any connection
@@ -849,19 +854,6 @@ std::string MiniWebServer::render_statz() const {
     w.kv("breaker_fast_fails", rc.breaker_fast_fails);
     w.kv("deadline_expiries", rc.deadline_expiries);
     w.end_object();
-    const io::AsyncCounters ac = io_stats.async_counters();
-    w.key("async");
-    w.begin_object();
-    w.kv("submissions", ac.submissions);
-    w.kv("submitted_ops", ac.submitted_ops);
-    w.kv("completions", ac.completions);
-    w.kv("completion_errors", ac.completion_errors);
-    w.kv("submit_syscalls", ac.submit_syscalls);
-    w.kv("resubmissions", ac.resubmissions);
-    w.kv("bytes_completed", ac.bytes_completed);
-    w.kv("syscalls_per_page",
-         ac.syscalls_per_page(fs_.pool().page_size()));
-    w.end_object();
     w.end_object();
   }
 
@@ -982,40 +974,6 @@ void MiniWebServer::register_metrics() {
   reg("clio_io_deadline_expiries_total", obs::MetricKind::kCounter,
       [&io_stats] {
         return static_cast<double>(io_stats.resilience().deadline_expiries);
-      });
-  // Submission/completion accounting of the async backing path.  The
-  // syscalls-per-page gauge is the paper-facing batching ratio: ~1/N on a
-  // uring-backed pool that coalesces N pages per submit, ~1/pages-per-op on
-  // the thread-pool fallback (one kernel round-trip per op).
-  reg("clio_io_async_submissions_total", obs::MetricKind::kCounter,
-      [&io_stats] {
-        return static_cast<double>(io_stats.async_counters().submissions);
-      });
-  reg("clio_io_async_submitted_ops_total", obs::MetricKind::kCounter,
-      [&io_stats] {
-        return static_cast<double>(io_stats.async_counters().submitted_ops);
-      });
-  reg("clio_io_async_completions_total", obs::MetricKind::kCounter,
-      [&io_stats] {
-        return static_cast<double>(io_stats.async_counters().completions);
-      });
-  reg("clio_io_async_completion_errors_total", obs::MetricKind::kCounter,
-      [&io_stats] {
-        return static_cast<double>(
-            io_stats.async_counters().completion_errors);
-      });
-  reg("clio_io_async_submit_syscalls_total", obs::MetricKind::kCounter,
-      [&io_stats] {
-        return static_cast<double>(io_stats.async_counters().submit_syscalls);
-      });
-  reg("clio_io_async_resubmissions_total", obs::MetricKind::kCounter,
-      [&io_stats] {
-        return static_cast<double>(io_stats.async_counters().resubmissions);
-      });
-  reg("clio_io_async_syscalls_per_page", obs::MetricKind::kGauge,
-      [this, &io_stats] {
-        return io_stats.async_counters().syscalls_per_page(
-            fs_.pool().page_size());
       });
 
   if (options_.breaker != nullptr) {

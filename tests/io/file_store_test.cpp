@@ -199,6 +199,21 @@ TYPED_TEST(BackingStoreContract, OperationsOnClosedIdFail) {
   EXPECT_THROW(store.read(id, 0, buf), util::IoError);
 }
 
+TYPED_TEST(BackingStoreContract, InvalidIdRaisesIoErrorOnEveryDataOp) {
+  // An id that was never opened fails every data operation, vectored ones
+  // included, with the typed IoError rather than touching any file.
+  auto& store = this->store_;
+  static_cast<void>(store.open("f", true));
+  std::vector<std::byte> buf(4);
+  std::vector<std::span<std::byte>> read_parts{buf};
+  const std::string data = "abcd";
+  std::vector<std::span<const std::byte>> write_parts{as_bytes(data)};
+  EXPECT_THROW(store.read(kInvalidFile, 0, buf), util::IoError);
+  EXPECT_THROW(store.readv(kInvalidFile, 0, read_parts), util::IoError);
+  EXPECT_THROW(store.write(kInvalidFile, 0, as_bytes(data)), util::IoError);
+  EXPECT_THROW(store.writev(kInvalidFile, 0, write_parts), util::IoError);
+}
+
 TYPED_TEST(BackingStoreContract, ReadvWithEmptyVectorReturnsZero) {
   auto& store = this->store_;
   const FileId id = store.open("f", true);

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <string>
 
-#include "io/fault_store.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
 #include "util/temp_dir.hpp"
@@ -229,24 +228,20 @@ TEST_F(ManagedFileTest, PrefetchOnSeekCanBeDisabled) {
   EXPECT_EQ(fs_->pool().stats().prefetches, 0u);
 }
 
-TEST_F(ManagedFileTest, AsyncPrefetchSequentialReadSeesCorrectData) {
-  ManagedFsOptions options;
-  options.async_prefetch = true;
-  options.prefetch_threads = 2;
-  reset(options);
+TEST_F(ManagedFileTest, SequentialReadaheadIsByteExactAndLoadsEachPageOnce) {
   std::string content;
   for (int p = 0; p < 16; ++p) content += std::string(256, char('A' + p));
   {
-    auto f = fs_->open("async.bin", OpenMode::kCreate);
+    auto f = fs_->open("seq16.bin", OpenMode::kCreate);
     f.write(as_bytes(content));
   }
   fs_->drop_caches();
-  // drop_caches keeps the pool object (and its counters) alive now, so
-  // count loads as a delta from this baseline.
+  // drop_caches keeps the pool object (and its counters) alive, so count
+  // loads as a delta from this baseline.
   const PoolStats base = fs_->pool().stats();
-  // Sequential page-sized reads: readahead runs on the background workers
-  // while this loop consumes; every byte must still be exact.
-  auto f = fs_->open("async.bin", OpenMode::kRead);
+  // Sequential page-sized reads: readahead gathers pages ahead of the
+  // stream, and every byte must still be exact.
+  auto f = fs_->open("seq16.bin", OpenMode::kRead);
   std::string got;
   std::vector<std::byte> page(256);
   for (int p = 0; p < 16; ++p) {
@@ -254,57 +249,13 @@ TEST_F(ManagedFileTest, AsyncPrefetchSequentialReadSeesCorrectData) {
     got.append(reinterpret_cast<const char*>(page.data()), page.size());
   }
   EXPECT_EQ(got, content);
-  fs_->pool().drain_prefetches();
-  // Each of the 16 pages was loaded exactly once, by demand miss or by the
-  // prefetch workers (pool holds the whole file; nothing was evicted).
+  // Each of the 16 pages was loaded exactly once, by demand miss or by
+  // readahead (the pool holds the whole file; nothing was evicted).
   const PoolStats stats = fs_->pool().stats();
+  EXPECT_GT(stats.prefetches, base.prefetches);
   EXPECT_EQ((stats.misses + stats.prefetches) -
                 (base.misses + base.prefetches),
             16u);
-}
-
-TEST_F(ManagedFileTest, AsyncPrefetchCloseDrainsOutstandingReadahead) {
-  ManagedFsOptions options;
-  options.async_prefetch = true;
-  options.writeback_on_close = false;  // close must drain even without flush
-  reset(options);
-  {
-    auto f = fs_->open("drain.bin", OpenMode::kCreate);
-    f.write(as_bytes(std::string(8 * 256, 'd')));
-    fs_->pool().flush_all();  // writeback_on_close is off: persist manually
-  }
-  fs_->drop_caches();
-  auto f = fs_->open("drain.bin", OpenMode::kRead);
-  std::vector<std::byte> page(256);
-  for (int p = 0; p < 4; ++p) f.read_exact(page);
-  // Destructor-close while readahead may still be queued: the drain inside
-  // close() must let it land before the backing fd is released.
-  f.close();
-  SUCCEED();
-}
-
-TEST_F(ManagedFileTest, ReadOnlyCloseDrainsReadaheadDespiteFlushFastPath) {
-  // writeback_on_close=true routes close() through flush_file, whose
-  // never-dirtied fast path must still drain queued readahead before the
-  // backing fd is released — otherwise an async worker can gather from a
-  // dead (or worse, reused) descriptor.  Regression for the flush
-  // fast-path ordering.
-  ManagedFsOptions options;
-  options.async_prefetch = true;
-  options.prefetch_threads = 2;
-  reset(options);
-  {
-    auto f = fs_->open("ro.bin", OpenMode::kCreate);
-    f.write(as_bytes(std::string(12 * 256, 'r')));
-  }
-  fs_->drop_caches();
-  for (int round = 0; round < 8; ++round) {
-    auto f = fs_->open("ro.bin", OpenMode::kRead);
-    std::vector<std::byte> page(256);
-    for (int p = 0; p < 3; ++p) f.read_exact(page);  // streak -> async hints
-    f.close();  // read-only: dirty-extent fast path, must drain first
-    EXPECT_EQ(static_cast<char>(page[0]), 'r');
-  }
 }
 
 TEST_F(ManagedFileTest, RemoveDeletesClosedFile) {
@@ -336,7 +287,6 @@ TEST_F(ManagedFileTest, VectoredBackingOpsAreObservableFromIoStats) {
   auto f = fs_->open("vec.bin", OpenMode::kRead);
   std::vector<std::byte> page(256);
   for (int p = 0; p < 16; ++p) f.read_exact(page);
-  fs_->pool().drain_prefetches();
   // Sequential reads established a streak and the readahead went out as
   // readv gathers; stats bytes must equal the pool's gathered pages.
   const std::uint64_t readv_calls = stats.op_stats(IoOp::kReadv).count();
@@ -345,39 +295,6 @@ TEST_F(ManagedFileTest, VectoredBackingOpsAreObservableFromIoStats) {
             fs_->pool().stats().gather_read_pages * 256u);
   // Batching: strictly fewer backing calls than pages moved through them.
   EXPECT_LT(readv_calls, fs_->pool().stats().gather_read_pages);
-}
-
-TEST_F(ManagedFileTest, AsyncCloseDrainsDespiteInjectedWorkerFailures) {
-  // A failing backing store must not wedge the drain that close() performs:
-  // background readahead errors are swallowed, the demand path reports.
-  auto owned = std::make_unique<FaultStore>(
-      std::make_unique<RealFileStore>(dir_.path()));
-  FaultStore* faults = owned.get();
-  ManagedFsOptions options;
-  options.page_size = 256;
-  options.pool_pages = 16;
-  options.async_prefetch = true;
-  options.prefetch_threads = 2;
-  ManagedFileSystem fs(std::move(owned), options);
-  {
-    auto f = fs.open("drain.bin", OpenMode::kCreate);
-    f.write(as_bytes(std::string(12 * 256, 'x')));
-  }
-  fs.drop_caches();
-  auto f = fs.open("drain.bin", OpenMode::kRead);
-  std::vector<std::byte> page(256);
-  for (int p = 0; p < 3; ++p) f.read_exact(page);  // streak -> async hints
-  // Every backing gather the workers issue from here on fails.
-  faults->fail_next(FaultOp::kReadv, 1000);
-  for (int p = 3; p < 6; ++p) f.read_exact(page);  // more hints enqueued
-  f.close();  // must drain the failing readahead queue and return
-  faults->fail_next(FaultOp::kReadv, 0);
-  // The file reads back intact afterwards.
-  auto g = fs.open("drain.bin", OpenMode::kRead);
-  for (int p = 0; p < 12; ++p) {
-    g.read_exact(page);
-    EXPECT_EQ(static_cast<char>(page[0]), 'x') << p;
-  }
 }
 
 TEST_F(ManagedFileTest, WorksOverSimStoreToo) {

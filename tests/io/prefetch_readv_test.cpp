@@ -1,7 +1,6 @@
-// Coverage for the coalesced + asynchronous read path: BackingStore::readv
-// batching in prefetch_range, EOF clamping, failure unwinding, and the
-// background prefetch workers.  The concurrency cases double as TSan
-// targets in CI.
+// Coverage for the coalesced read path: BackingStore::readv batching in
+// prefetch_range, EOF clamping and failure unwinding.  The concurrency
+// case doubles as a TSan target in CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,8 +25,6 @@ std::span<const std::byte> as_bytes(const std::string& s) {
 
 /// In-memory BackingStore that counts read/readv calls and can inject read
 /// failures, for asserting how prefetch_range batches its backing accesses.
-/// Counters are atomic because async-prefetch tests exercise it from the
-/// pool's worker threads.
 class CountingReadStore final : public BackingStore {
  public:
   FileId open(const std::string& name, bool create) override {
@@ -78,13 +75,14 @@ class CountingReadStore final : public BackingStore {
   }
   void remove(const std::string& name) override { by_name_.erase(name); }
 
-  std::atomic<std::uint64_t> read_calls{0};
-  std::atomic<std::uint64_t> readv_calls{0};
-  std::atomic<int> fail_reads{0};  ///< next N read/readv calls throw
+  std::uint64_t read_calls = 0;
+  std::uint64_t readv_calls = 0;
+  int fail_reads = 0;  ///< next N read/readv calls throw
 
  private:
   void maybe_fail() {
-    if (fail_reads.load() > 0 && fail_reads.fetch_sub(1) > 0) {
+    if (fail_reads > 0) {
+      fail_reads--;
       throw util::IoError("CountingReadStore: injected read failure");
     }
   }
@@ -222,6 +220,11 @@ TEST(PrefetchReadv, FailedGatherLeavesNoHalfValidFramesResident) {
   // Stats stay exact: nothing was loaded, so nothing counts as prefetched.
   EXPECT_EQ(pool.stats().prefetches, 0u);
   pool.debug_validate();  // the unwind left no leaked latch or frame
+  // A failing demand load reports its error and unwinds the same way.
+  store.fail_reads = 1;
+  EXPECT_THROW(static_cast<void>(pool.pin(file, 0)), util::IoError);
+  EXPECT_FALSE(pool.contains(file, 0));
+  pool.debug_validate();
   // The frames were returned to the pool: a retry loads everything fresh.
   EXPECT_EQ(pool.prefetch_range(file, 0, 8), 8u);
   EXPECT_EQ(pool.stats().prefetches, 8u);
@@ -291,186 +294,6 @@ TEST(PrefetchReadv, ConcurrentPrefetchAndPinOfSameRangeStayCoherent) {
   for (auto& th : readers) th.join();
   stop.store(true);
   prefetcher.join();
-  EXPECT_EQ(bad_bytes.load(), 0);
-}
-
-// ------------------------------------------------------- async prefetch ----
-
-TEST(AsyncPrefetch, LoadsInBackgroundAndDrainsOnDemand) {
-  CountingReadStore store;
-  const FileId file = make_file(store, 256, 16);
-  BufferPool pool(store, BufferPoolConfig{.page_size = 256,
-                                          .capacity_pages = 32,
-                                          .shards = 4,
-                                          .async_prefetch = true,
-                                          .prefetch_threads = 2});
-  EXPECT_EQ(pool.prefetch_range_async(file, 0, 16), 0u);  // queued, not done
-  pool.drain_prefetches();
-  EXPECT_EQ(pool.resident_pages(), 16u);
-  EXPECT_EQ(pool.stats().prefetches, 16u);
-  EXPECT_GE(store.readv_calls, 1u);
-  for (std::uint64_t p = 0; p < 16; ++p) {
-    auto g = pool.pin(file, p);
-    EXPECT_EQ(static_cast<char>(g.data()[0]), char('a' + p % 26)) << p;
-  }
-}
-
-TEST(AsyncPrefetch, SyncFallbackWhenDisabled) {
-  CountingReadStore store;
-  const FileId file = make_file(store, 256, 8);
-  BufferPool pool(store, BufferPoolConfig{.page_size = 256,
-                                          .capacity_pages = 32,
-                                          .shards = 4});
-  // Without workers the async entry point degrades to the inline path and
-  // reports what it loaded.
-  EXPECT_EQ(pool.prefetch_range_async(file, 0, 8), 8u);
-  EXPECT_EQ(pool.resident_pages(), 8u);
-  pool.drain_prefetches();  // no-op, must not block
-}
-
-TEST(AsyncPrefetch, FlushDrainsTheQueueFirst) {
-  CountingReadStore store;
-  const FileId file = make_file(store, 256, 16);
-  BufferPool pool(store, BufferPoolConfig{.page_size = 256,
-                                          .capacity_pages = 32,
-                                          .shards = 4,
-                                          .async_prefetch = true,
-                                          .prefetch_threads = 1});
-  {
-    auto g = pool.pin(file, 0);
-    g.data()[0] = static_cast<std::byte>('Z');
-    g.mark_dirty(256);
-  }
-  static_cast<void>(pool.prefetch_range_async(file, 8, 8));
-  pool.flush_all();  // must drain the readahead queue before flushing
-  // Dirty page 0 plus the 8 prefetched pages are all resident afterwards.
-  EXPECT_EQ(pool.resident_pages(), 9u);
-  for (std::uint64_t p = 8; p < 16; ++p) EXPECT_TRUE(pool.contains(file, p));
-  std::vector<std::byte> b(1);
-  store.read(file, 0, b);
-  EXPECT_EQ(static_cast<char>(b[0]), 'Z');
-}
-
-TEST(AsyncPrefetch, BackgroundFailureIsSwallowedAndLeavesPoolClean) {
-  CountingReadStore store;
-  const FileId file = make_file(store, 256, 8);
-  BufferPool pool(store, BufferPoolConfig{.page_size = 256,
-                                          .capacity_pages = 32,
-                                          .shards = 4,
-                                          .async_prefetch = true,
-                                          .prefetch_threads = 1});
-  store.fail_reads = 1;
-  static_cast<void>(pool.prefetch_range_async(file, 0, 8));
-  pool.drain_prefetches();  // worker hit the injected failure and unwound
-  EXPECT_EQ(pool.resident_pages(), 0u);
-  // The reader sees the file normally afterwards.
-  auto g = pool.pin(file, 0);
-  EXPECT_EQ(static_cast<char>(g.data()[0]), 'a');
-}
-
-TEST(AsyncPrefetch, FlushStillDrainsWhenEveryWorkerGatherFails) {
-  CountingReadStore store;
-  const FileId file = make_file(store, 256, 32);
-  BufferPool pool(store, BufferPoolConfig{.page_size = 256,
-                                          .capacity_pages = 64,
-                                          .shards = 4,
-                                          .async_prefetch = true,
-                                          .prefetch_threads = 2});
-  // Dirty a page, then queue readahead that will all fail in the workers.
-  {
-    auto g = pool.pin(file, 0);
-    g.data()[0] = static_cast<std::byte>('W');
-    g.mark_dirty(256);
-  }
-  store.fail_reads = 1000;
-  for (std::uint64_t p = 0; p < 32; p += 8) {
-    static_cast<void>(pool.prefetch_range_async(file, p, 8));
-  }
-  // flush_file must drain the failing queue (bounded, no hang) and still
-  // persist the dirty page; background failures never surface here.
-  pool.flush_file(file);
-  store.fail_reads = 0;
-  std::vector<std::byte> b(1);
-  store.read(file, 0, b);
-  EXPECT_EQ(static_cast<char>(b[0]), 'W');
-  pool.debug_validate();
-}
-
-TEST(AsyncPrefetch, FailedBackgroundReadLeavesPageColdAndDemandReports) {
-  CountingReadStore store;
-  const FileId file = make_file(store, 256, 8);
-  BufferPool pool(store, BufferPoolConfig{.page_size = 256,
-                                          .capacity_pages = 32,
-                                          .shards = 4,
-                                          .async_prefetch = true,
-                                          .prefetch_threads = 1});
-  // First failure hits the worker's gather: swallowed, pages stay cold —
-  // never half-valid.
-  store.fail_reads = 2;
-  static_cast<void>(pool.prefetch_range_async(file, 0, 8));
-  pool.drain_prefetches();
-  for (std::uint64_t p = 0; p < 8; ++p) EXPECT_FALSE(pool.contains(file, p));
-  pool.debug_validate();
-  // Second failure hits the demand fault, which *does* report the error.
-  EXPECT_THROW(static_cast<void>(pool.pin(file, 0)), util::IoError);
-  pool.debug_validate();
-  // With the fault gone the page loads normally — nothing was wedged.
-  auto g = pool.pin(file, 0);
-  EXPECT_EQ(static_cast<char>(g.data()[0]), 'a');
-}
-
-TEST(AsyncPrefetch, DestructorDrainsWithFailingWorkers) {
-  CountingReadStore store;
-  const FileId file = make_file(store, 256, 32);
-  {
-    BufferPool pool(store, BufferPoolConfig{.page_size = 256,
-                                            .capacity_pages = 64,
-                                            .shards = 4,
-                                            .async_prefetch = true,
-                                            .prefetch_threads = 2});
-    store.fail_reads = 1000;
-    for (std::uint64_t p = 0; p < 32; p += 4) {
-      static_cast<void>(pool.prefetch_range_async(file, p, 4));
-    }
-    // Destructor: quiesce workers mid-failure, then best-effort flush.
-    // Must join cleanly — ASan/TSan veto leaked threads or frames.
-  }
-  store.fail_reads = 0;
-  SUCCEED();
-}
-
-TEST(AsyncPrefetch, ConcurrentAsyncPrefetchAndPinsStayCoherent) {
-  util::TempDir dir;
-  RealFileStore store(dir.path());
-  const FileId file = store.open("data.bin", true);
-  constexpr std::uint64_t kPages = 64;
-  std::string content;
-  for (std::uint64_t p = 0; p < kPages; ++p) {
-    content += std::string(256, char('a' + p % 26));
-  }
-  store.write(file, 0, as_bytes(content));
-  BufferPool pool(store, BufferPoolConfig{.page_size = 256,
-                                          .capacity_pages = 32,
-                                          .shards = 4,
-                                          .async_prefetch = true,
-                                          .prefetch_threads = 2});
-  std::atomic<int> bad_bytes{0};
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 3; ++t) {
-    readers.emplace_back([&, t] {
-      util::Rng rng(10 + t);
-      for (int i = 0; i < 2000; ++i) {
-        const std::uint64_t page = rng.uniform_u64(kPages);
-        static_cast<void>(pool.prefetch_range_async(file, page, 4));
-        auto g = pool.pin(file, page);
-        if (static_cast<char>(g.data()[0]) != char('a' + page % 26)) {
-          bad_bytes++;
-        }
-      }
-    });
-  }
-  for (auto& th : readers) th.join();
-  pool.drain_prefetches();
   EXPECT_EQ(bad_bytes.load(), 0);
 }
 

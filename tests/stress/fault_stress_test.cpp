@@ -16,7 +16,6 @@
 
 #include "io/fault_store.hpp"
 #include "io/file_store.hpp"
-#include "io/uring_store.hpp"
 #include "support/stress_harness.hpp"
 #include "util/temp_dir.hpp"
 
@@ -102,28 +101,6 @@ TEST(FaultStress, MixedFaultsOnSimStore) {
   }
 }
 
-TEST(FaultStress, AsyncPrefetchWorkersUnderFaults) {
-  // Background readahead workers hit the same injected failures as demand
-  // loads; drains on flush/discard must still terminate and failed worker
-  // gathers must leave pages cold, never half-valid.
-  for (const std::uint64_t seed : seeds_under_test()) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    util::TempDir dir("clio-stress");
-    io::RealFileStore store(dir.path());
-    StressConfig config;
-    config.seed = seed;
-    config.threads = 4;
-    config.shards = 4;
-    config.capacity_pages = 64;
-    config.ops_per_thread = ops_per_thread();
-    config.async_prefetch = true;
-    config.prefetch_threads = 2;
-    config.faults = mixed_plan();
-    const StressResult result = run_stress(store, config);
-    expect_clean(result, seed);
-  }
-}
-
 TEST(FaultStress, SingleShardTinyPoolMaximisesEvictionChurn) {
   // shards=1 serializes the page table, so every unwind interleaves with
   // every other op; capacity 8 means nearly every pin evicts — the failed
@@ -186,107 +163,6 @@ TEST(FaultStress, SharedFileTokenedAccessUnderFaults) {
     config.pages_per_file = 40;
     config.ops_per_thread = ops_per_thread();
     config.shared_file = true;
-    config.faults = mixed_plan();
-    const StressResult result = run_stress(store, config);
-    expect_clean(result, seed);
-  }
-}
-
-TEST(FaultStress, SharedFileWithAsyncPrefetchWorkers) {
-  // The same shared-file contention with background readahead workers in
-  // the mix: worker gathers target pages other threads hold tokens for.
-  for (const std::uint64_t seed : seeds_under_test()) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    io::SimFileStore store(4, 64 * 1024);
-    StressConfig config;
-    config.seed = seed;
-    config.threads = 4;
-    config.shards = 4;
-    config.capacity_pages = 32;
-    config.pages_per_file = 40;
-    config.ops_per_thread = ops_per_thread();
-    config.shared_file = true;
-    config.async_prefetch = true;
-    config.prefetch_threads = 2;
-    config.faults = mixed_plan();
-    const StressResult result = run_stress(store, config);
-    expect_clean(result, seed);
-  }
-}
-
-TEST(FaultStress, AsyncThreadPoolBackendCompletionFaults) {
-  // Every data transfer — miss loads, eviction write-backs, coalesced
-  // flushes, prefetch gathers — goes through the submission/completion API
-  // on the thread-pool backend, with the AsyncFaultStore injecting the
-  // seeded plan into completions that arrive out of order.  The byte
-  // oracle and debug_validate() must still hold.
-  for (const std::uint64_t seed : seeds_under_test()) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    util::TempDir dir("clio-stress");
-    io::RealFileStore store(dir.path());
-    StressConfig config;
-    config.seed = seed;
-    config.threads = 4;
-    config.shards = 4;
-    config.capacity_pages = 64;
-    config.ops_per_thread = ops_per_thread();
-    config.async_backend = AsyncBackend::kThreadPool;
-    config.async_prefetch = true;
-    config.prefetch_threads = 3;  // >1 worker => out-of-order completions
-    config.faults = mixed_plan();
-    const StressResult result = run_stress(store, config);
-    expect_clean(result, seed);
-    EXPECT_GE(result.injected_faults * 100, result.ops)
-        << "seed " << seed << ": " << result.injected_faults
-        << " completion faults over " << result.ops << " ops";
-  }
-}
-
-TEST(FaultStress, AsyncUringBackendCompletionFaults) {
-  // The same completion-fault mix on the io_uring backend: kernel CQEs
-  // complete in whatever order the block layer likes, and the injected
-  // errors/tears land on top of that.
-  if (!io::UringStore::supported()) {
-    GTEST_SKIP() << "io_uring unavailable on this kernel/build";
-  }
-  for (const std::uint64_t seed : seeds_under_test()) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    util::TempDir dir("clio-stress");
-    io::RealFileStore store(dir.path());
-    StressConfig config;
-    config.seed = seed;
-    config.threads = 4;
-    config.shards = 4;
-    config.capacity_pages = 64;
-    config.ops_per_thread = ops_per_thread();
-    config.async_backend = AsyncBackend::kUring;
-    config.async_prefetch = true;
-    config.prefetch_threads = 2;
-    config.faults = mixed_plan();
-    const StressResult result = run_stress(store, config);
-    expect_clean(result, seed);
-  }
-}
-
-TEST(FaultStress, AsyncBackendSharedFileChurn) {
-  // Shared-file contention (per-page tokens, cross-thread same-page pins)
-  // with the whole data path completion-driven and a tiny pool forcing
-  // eviction write-backs through the async backend under faults.
-  for (const std::uint64_t seed : seeds_under_test()) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    util::TempDir dir("clio-stress");
-    io::RealFileStore store(dir.path());
-    StressConfig config;
-    config.seed = seed;
-    config.threads = 4;
-    config.shards = 4;
-    config.capacity_pages = 24;
-    config.pages_per_file = 40;
-    config.ops_per_thread = ops_per_thread();
-    config.shared_file = true;
-    config.async_backend = AsyncBackend::kThreadPool;
-    config.async_prefetch = true;
-    config.prefetch_threads = 2;
     config.faults = mixed_plan();
     const StressResult result = run_stress(store, config);
     expect_clean(result, seed);

@@ -5,11 +5,11 @@
 // The harness runs a random pin/dirty/flush/discard/prefetch mix on N
 // threads over one BufferPool whose BackingStore is wrapped in a FaultStore,
 // so every error and unwind path (failed miss loads, torn coalesced
-// flushes, failed eviction write-backs, aborted prefetch gathers, failing
-// async readahead workers) fires under real thread interleavings.  After
-// the run it disarms the faults, flushes cleanly, checks every pool
-// invariant via BufferPool::debug_validate(), and compares the backing
-// bytes of every touched page against a per-thread byte oracle.
+// flushes, failed eviction write-backs, aborted prefetch gathers) fires
+// under real thread interleavings.  After the run it disarms the faults,
+// flushes cleanly, checks every pool invariant via
+// BufferPool::debug_validate(), and compares the backing bytes of every
+// touched page against a per-thread byte oracle.
 //
 // Every failure string carries the run's seed: re-running the same config
 // with that seed replays the same fault plan.
@@ -18,8 +18,8 @@
 //  - Each thread owns one file and is the only thread that reads or writes
 //    that file's bytes through PageGuards.  Cross-thread contention still
 //    happens where the bugs live — shared shards, the global frame pool,
-//    eviction stealing, async workers — but page bytes are never raced at
-//    the user level, which keeps TSan meaningful and the oracle exact.
+//    eviction stealing — but page bytes are never raced at the user
+//    level, which keeps TSan meaningful and the oracle exact.
 //  - Foreign files are touched only through prefetch_range (no user-level
 //    byte access, no pins), so a thread's discard_file never observes a
 //    foreign pin.
@@ -39,24 +39,13 @@
 #include <thread>
 #include <vector>
 
-#include "io/async_store.hpp"
 #include "io/buffer_pool.hpp"
 #include "io/fault_store.hpp"
 #include "io/file_store.hpp"
-#include "io/uring_store.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace clio::test_support {
-
-/// Which AsyncBackingStore the pool drives.  kNone keeps the sync path
-/// (the pool may still build its own ThreadPoolAsyncStore for readahead
-/// when async_prefetch is set).  kThreadPool and kUring route *every* data
-/// transfer — miss loads, eviction write-backs, coalesced flushes and
-/// prefetch gathers — through the submission/completion API, wrapped in an
-/// AsyncFaultStore so the seeded plan injects its faults into completions
-/// arriving out of order.
-enum class AsyncBackend { kNone, kThreadPool, kUring };
 
 struct StressConfig {
   std::uint64_t seed = 1;
@@ -67,8 +56,6 @@ struct StressConfig {
   std::size_t capacity_pages = 64;
   std::size_t pages_per_file = 48;
   std::uint64_t ops_per_thread = 2000;
-  bool async_prefetch = false;
-  std::size_t prefetch_threads = 2;
   /// Shared-file mode: every thread works on ONE file, with a per-page
   /// try-lock token deciding who may touch a page's bytes.  This exercises
   /// cross-thread same-page pin interleavings (two threads pinning the
@@ -78,10 +65,6 @@ struct StressConfig {
   /// writes, so pages are checked for uniformity + membership in the set
   /// of values ever written, never exactness.
   bool shared_file = false;
-  /// Async submission/completion backend under the pool (see AsyncBackend).
-  /// kUring requires the backing store to be a RealFileStore and the
-  /// running kernel to accept io_uring — gate with UringStore::supported().
-  AsyncBackend async_backend = AsyncBackend::kNone;
   /// Faults to inject; `seed` and `torn_granularity` are overridden by the
   /// harness (granularity must equal page_size — see file comment).
   io::FaultPlan faults{};
@@ -330,35 +313,10 @@ inline StressResult run_stress(io::BackingStore& backing,
     }
   }
 
-  // Async mode: the backend executes the I/O, the AsyncFaultStore injects
-  // the same seeded plan into its completions.  Faults are deliberately
-  // injected only at the completion layer (the backend wraps the *raw*
-  // store, not the FaultStore) so every injected error lands inside a real
-  // out-of-order completion interleaving, and FaultStats still counts them
-  // (decide_async shares the FaultStore's stream, counters and arm switch).
-  std::unique_ptr<io::AsyncBackingStore> backend;
-  std::unique_ptr<io::AsyncFaultStore> async_faults;
-  if (config.async_backend == AsyncBackend::kThreadPool) {
-    backend = std::make_unique<io::ThreadPoolAsyncStore>(
-        backing, std::max<std::size_t>(config.prefetch_threads, 2));
-  } else if (config.async_backend == AsyncBackend::kUring) {
-    auto* real = dynamic_cast<io::RealFileStore*>(&backing);
-    util::check<util::ConfigError>(
-        real != nullptr, "stress: kUring needs a RealFileStore backing");
-    backend = std::make_unique<io::UringStore>(*real);
-  }
-  if (backend) {
-    async_faults = std::make_unique<io::AsyncFaultStore>(*backend, faults);
-  }
-
   io::BufferPool pool(
-      faults,
-      io::BufferPoolConfig{.page_size = config.page_size,
-                           .capacity_pages = config.capacity_pages,
-                           .shards = config.shards,
-                           .async_prefetch = config.async_prefetch,
-                           .prefetch_threads = config.prefetch_threads},
-      async_faults.get());
+      faults, io::BufferPoolConfig{.page_size = config.page_size,
+                                   .capacity_pages = config.capacity_pages,
+                                   .shards = config.shards});
   faults.arm(true);
 
   std::mutex failure_mutex;
@@ -424,7 +382,7 @@ inline StressResult run_stress(io::BackingStore& backing,
               shared_oracle.on_write(page, v);
             }
           } else {
-            static_cast<void>(pool.prefetch_range_async(file, page, 4));
+            static_cast<void>(pool.prefetch_range(file, page, 4));
           }
         } else if (dice < 72) {
           std::unique_lock<std::shared_mutex> rw(file_rw);
@@ -435,9 +393,9 @@ inline StressResult run_stress(io::BackingStore& backing,
           std::unique_lock<std::shared_mutex> rw(file_rw);
           pool.discard_file(file);
         } else if (dice < 92) {
-          static_cast<void>(pool.prefetch_range_async(file, page, 8));
+          static_cast<void>(pool.prefetch_range(file, page, 8));
         } else {
-          pool.drain_prefetches();
+          pool.drain_prefetches();  // a no-op; kept so seeds replay the mix
         }
       } catch (const util::IoError&) {
         surfaced.fetch_add(1, std::memory_order_relaxed);
@@ -487,9 +445,8 @@ inline StressResult run_stress(io::BackingStore& backing,
           pool.discard_file(file);
           oracle.on_discard();
         } else if (dice < 88) {
-          // Readahead over our own file (async when configured).
-          static_cast<void>(
-              pool.prefetch_range_async(file, page, 8));
+          // Readahead over our own file.
+          static_cast<void>(pool.prefetch_range(file, page, 8));
         } else if (dice < 97 && config.threads > 1) {
           // Readahead over a foreign file: cross-shard and cross-file
           // frame pressure without user-level byte access.
@@ -498,9 +455,9 @@ inline StressResult run_stress(io::BackingStore& backing,
                rng.uniform_u64(static_cast<std::uint64_t>(config.threads) -
                                1)) %
               static_cast<std::uint64_t>(config.threads));
-          static_cast<void>(pool.prefetch_range_async(files[other], page, 8));
+          static_cast<void>(pool.prefetch_range(files[other], page, 8));
         } else {
-          pool.drain_prefetches();
+          pool.drain_prefetches();  // a no-op; kept so seeds replay the mix
         }
       } catch (const util::IoError&) {
         // An injected (or induced) failure surfaced through the pool API.
@@ -536,7 +493,6 @@ inline StressResult run_stress(io::BackingStore& backing,
   faults.arm(false);
   const std::string seed_tag = "seed=" + std::to_string(config.seed);
   try {
-    pool.drain_prefetches();
     pool.flush_all();
   } catch (const util::IoError& e) {
     result.failures.push_back(seed_tag +
