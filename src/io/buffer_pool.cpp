@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstring>
 #include <exception>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -152,12 +153,17 @@ void BufferPool::lru_touch(Shard& sh, std::size_t idx) {
 // --------------------------------------------------------------- pool ----
 
 BufferPool::PageGuard BufferPool::pin(FileId file, std::uint64_t page_no) {
+  return pin_span(file, page_no, page_no);
+}
+
+BufferPool::PageGuard BufferPool::pin_span(FileId file, std::uint64_t page_no,
+                                           std::uint64_t last_page) {
   const std::size_t s = shard_of(PageKey{file, page_no});
   Shard& sh = shards_[s];
   std::unique_lock<std::mutex> lk(sh.mutex);
   const std::size_t idx = find_or_load(sh, lk, file, page_no,
                                        /*count_as_prefetch=*/false,
-                                       /*pin_result=*/true);
+                                       /*pin_result=*/true, last_page);
   return PageGuard(this, s, idx);
 }
 
@@ -172,19 +178,21 @@ bool BufferPool::prefetch(FileId file, std::uint64_t page_no) {
   return true;
 }
 
-/// Phase 1 of every prefetch window: clamp to end-of-file, then claim a
+/// Phase 1 of every gather window: clamp to end-of-file, then claim a
 /// frame for every cold page, entering it into its shard's page table
 /// io_busy-latched — a concurrent faulter of the same page waits on the
 /// shard CV instead of duplicating the read.  Resident and in-flight pages
 /// are skipped (they split the gather runs); under frame pressure the rest
-/// of the window is dropped, never waited for: prefetch is a hint and must
-/// not stall on pinned frames.  Frame buffers are sized here so the gather
-/// phase cannot hit bad_alloc mid-publication.  On error every claimed
-/// frame is unwound before rethrowing (a demand pin would otherwise hang
-/// on the leaked latch).
-std::vector<BufferPool::PrefetchTarget> BufferPool::claim_prefetch_targets(
-    FileId file, std::uint64_t first_page, std::size_t count) {
-  std::vector<PrefetchTarget> targets;
+/// of the window is dropped, never waited for: a prefetch is a hint, and a
+/// demand span's dropped pages are loaded one by one as the copy reaches
+/// them.  Claimed pages count as misses for a demand span, as prefetches
+/// otherwise.  Frame buffers are sized here so the gather phase cannot hit
+/// bad_alloc mid-publication.  On error every claimed frame is unwound
+/// before rethrowing (a demand pin would otherwise hang on the leaked
+/// latch).
+std::vector<BufferPool::GatherTarget> BufferPool::claim_gather_targets(
+    FileId file, std::uint64_t first_page, std::size_t count, bool demand) {
+  std::vector<GatherTarget> targets;
   // Clamp the window to end-of-file: faulting zero-filled pages past EOF
   // into the pool wastes frames and pollutes the LRU.  A page past the
   // store's size that holds unflushed dirty data is necessarily resident,
@@ -217,17 +225,22 @@ std::vector<BufferPool::PrefetchTarget> BufferPool::claim_prefetch_targets(
       if (f.data.size() != config_.page_size) {
         f.data.resize(config_.page_size);  // can throw bad_alloc
       }
-      sh.stats.prefetches++;
-      targets.push_back(PrefetchTarget{page_no, s, idx});
+      if (demand) {
+        sh.stats.misses++;
+        f.miss_counted = true;
+      } else {
+        sh.stats.prefetches++;
+      }
+      targets.push_back(GatherTarget{page_no, s, idx});
     }
   } catch (...) {
-    abort_prefetch_frames(file, targets);
+    abort_gather_frames(file, targets, demand);
     throw;
   }
   return targets;
 }
 
-void BufferPool::publish_gather_run(std::span<const PrefetchTarget> run,
+void BufferPool::publish_gather_run(std::span<const GatherTarget> run,
                                     std::size_t got) {
   // Set each frame's valid extent, zero any stale tail of a reused frame,
   // then release the io_busy latch under the lock.
@@ -254,10 +267,15 @@ void BufferPool::publish_gather_run(std::span<const PrefetchTarget> run,
 
 std::size_t BufferPool::prefetch_range(FileId file, std::uint64_t first_page,
                                        std::size_t count) {
+  return load_range(file, first_page, count, /*demand=*/false);
+}
+
+std::size_t BufferPool::load_range(FileId file, std::uint64_t first_page,
+                                   std::size_t count, bool demand) {
   if (count == 0) return 0;
-  const std::vector<PrefetchTarget> targets =
-      claim_prefetch_targets(file, first_page, count);
-  const std::span<const PrefetchTarget> all(targets);
+  const std::vector<GatherTarget> targets =
+      claim_gather_targets(file, first_page, count, demand);
+  const std::span<const GatherTarget> all(targets);
 
   // Phase 2: one vectored gather per contiguous run of claimed pages, all
   // I/O outside any lock (the io_busy latches own the frames).  Runs are
@@ -269,11 +287,11 @@ std::size_t BufferPool::prefetch_range(FileId file, std::uint64_t first_page,
            targets[j].page_no == targets[j - 1].page_no + 1) {
       j++;
     }
-    const std::span<const PrefetchTarget> run = all.subspan(i, j - i);
+    const std::span<const GatherTarget> run = all.subspan(i, j - i);
     std::size_t got = 0;
     try {
       parts.clear();
-      for (const PrefetchTarget& t : run) {
+      for (const GatherTarget& t : run) {
         parts.emplace_back(frames_[t.frame].data.data(), config_.page_size);
       }
       got = store_.readv(file, run.front().page_no * config_.page_size, parts);
@@ -281,7 +299,7 @@ std::size_t BufferPool::prefetch_range(FileId file, std::uint64_t first_page,
       // Unwind this run and everything not yet issued: a failed gather
       // must leave no half-valid frame resident.  Runs already published
       // stay — their data is complete.
-      abort_prefetch_frames(file, all.subspan(i));
+      abort_gather_frames(file, all.subspan(i), demand);
       throw;
     }
     publish_gather_run(run, got);
@@ -290,13 +308,15 @@ std::size_t BufferPool::prefetch_range(FileId file, std::uint64_t first_page,
   return targets.size();
 }
 
-/// Drops the claimed-but-unloaded frames of a failed prefetch: page-table
+/// Drops the claimed-but-unloaded frames of a failed gather: page-table
 /// entries are erased and the frames returned to the free list, so faulters
-/// waiting on them retry from a clean slate.  The prefetch counter is taken
-/// back too — PoolStats counts pages actually loaded, and these were not.
-void BufferPool::abort_prefetch_frames(
-    FileId file, std::span<const PrefetchTarget> targets) {
-  for (const PrefetchTarget& t : targets) {
+/// waiting on them retry from a clean slate.  The miss or prefetch counter
+/// is taken back too — a gather counts pages actually loaded, and these
+/// were not.
+void BufferPool::abort_gather_frames(FileId file,
+                                     std::span<const GatherTarget> targets,
+                                     bool demand) {
+  for (const GatherTarget& t : targets) {
     Shard& sh = shards_[t.shard];
     std::lock_guard<std::mutex> lock(sh.mutex);
     Frame& f = frames_[t.frame];
@@ -304,7 +324,11 @@ void BufferPool::abort_prefetch_frames(
     lru_remove(sh, t.frame);
     f.in_use = false;
     f.io_busy = false;
-    sh.stats.prefetches--;
+    if (demand) {
+      sh.stats.misses--;
+    } else {
+      sh.stats.prefetches--;
+    }
     release_frame(t.frame);
     sh.io_cv.notify_all();
   }
@@ -320,8 +344,8 @@ bool BufferPool::contains(FileId file, std::uint64_t page_no) const {
 std::size_t BufferPool::find_or_load(Shard& sh,
                                      std::unique_lock<std::mutex>& lk,
                                      FileId file, std::uint64_t page_no,
-                                     bool count_as_prefetch,
-                                     bool pin_result) {
+                                     bool count_as_prefetch, bool pin_result,
+                                     std::uint64_t span_last) {
   const PageKey key{file, page_no};
   for (;;) {
     if (auto it = sh.page_table.find(key); it != sh.page_table.end()) {
@@ -332,10 +356,26 @@ std::size_t BufferPool::find_or_load(Shard& sh,
         sh.io_cv.wait(lk);
         continue;
       }
-      if (!count_as_prefetch) sh.stats.hits++;
+      // A page a demand gather loaded had its miss counted then: its
+      // first pin is that miss, not a hit.
+      if (!count_as_prefetch && !std::exchange(f.miss_counted, false)) {
+        sh.stats.hits++;
+      }
       if (pin_result) f.pins++;
       lru_touch(sh, it->second);
       return it->second;
+    }
+    if (span_last > page_no) {
+      // The first cold page of a multi-page request: load every cold page
+      // from here to the end of the span now, one readv per contiguous
+      // run, instead of one read per page as the copy reaches it.  Then
+      // look again; a page the gather had to drop loads alone below.
+      lk.unlock();
+      static_cast<void>(load_range(file, page_no, span_last - page_no + 1,
+                                   /*demand=*/true));
+      lk.lock();
+      span_last = page_no;
+      continue;
     }
     const std::size_t idx = acquire_frame(sh, lk);
     if (sh.page_table.contains(key)) {
@@ -405,6 +445,7 @@ void BufferPool::install_loading_frame(Shard& sh, FileId file,
   f.dirty = false;
   f.in_use = true;
   f.io_busy = true;
+  f.miss_counted = false;
   sh.page_table.emplace(PageKey{file, page_no}, idx);
   lru_push_front(sh, idx);
 }
@@ -852,8 +893,8 @@ void BufferPool::debug_validate(bool expect_unpinned) const {
   if (total.flush_write_pages > total.writebacks) {
     fail("stats: flush wrote more pages than writebacks counted");
   }
-  if (total.gather_read_pages > total.prefetches) {
-    fail("stats: gathers loaded more pages than prefetches counted");
+  if (total.gather_read_pages > total.prefetches + total.misses) {
+    fail("stats: gathers loaded more pages than loads counted");
   }
 }
 

@@ -39,7 +39,7 @@ struct BufferPoolConfig {
 /// counted under its shard's lock and summed on stats().
 struct PoolStats {
   std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
+  std::uint64_t misses = 0;  ///< pages a request needed that were not resident
   std::uint64_t evictions = 0;
   std::uint64_t writebacks = 0;
   std::uint64_t prefetches = 0;  ///< pages loaded by prefetch (not in misses)
@@ -48,8 +48,9 @@ struct PoolStats {
   // (pages / call) are observable from stats instead of only from bench
   // counters.  flush_write_* covers every flush_file/flush_all backing
   // call (all runs go out as writev, single-page runs as a one-part
-  // gather); gather_read_* covers prefetch_range readv gathers.  Eviction
-  // write-backs are never coalesced and count only in `writebacks`.
+  // gather); gather_read_* covers the readv gathers of prefetch_range and
+  // of pin_span's demand spans.  Eviction write-backs are never coalesced
+  // and count only in `writebacks`.
   std::uint64_t flush_write_calls = 0;
   std::uint64_t flush_write_pages = 0;
   std::uint64_t gather_read_calls = 0;
@@ -105,9 +106,9 @@ struct PageKeyHash {
 /// when every frame in the pool is truly pinned.
 ///
 /// Both bulk transfer directions are coalesced: flush merges adjacent dirty
-/// pages into vectored writev gathers, and prefetch_range merges adjacent
-/// cold pages into vectored readv scatters — one backing access per run
-/// instead of one per page.  Every transfer is a synchronous BackingStore
+/// pages into vectored writev gathers, and prefetch_range and pin_span merge
+/// adjacent cold pages into vectored readv scatters — one backing access per
+/// run instead of one per page.  Every transfer is a synchronous BackingStore
 /// call made by the thread that needs it; the pool starts no thread.
 ///
 /// Pinned pages are never evicted; data access through a PageGuard is
@@ -155,6 +156,17 @@ class BufferPool {
 
   /// Pins page `page_no` of `file`, loading it on a miss.
   PageGuard pin(FileId file, std::uint64_t page_no);
+
+  /// Pins page `page_no` of a request that goes on through `last_page`.
+  /// A resident page is pinned as by pin(), under one shard lock.  On a
+  /// miss, every cold page of [page_no, last_page] is loaded first, as by
+  /// prefetch_range — one readv per contiguous cold run, clamped at EOF,
+  /// the tail dropped under frame pressure — but counted as misses, since
+  /// the request needs them; their first pins then count no hit.
+  /// ManagedFile::read/write pin every page of a span through this, so a
+  /// cold span costs one gather per run instead of one read per page.
+  PageGuard pin_span(FileId file, std::uint64_t page_no,
+                     std::uint64_t last_page);
 
   /// Loads a page into the cache without pinning it, if absent.
   /// Returns true if the page was actually loaded (i.e. it was cold).
@@ -240,6 +252,9 @@ class BufferPool {
     std::uint32_t flush_pins = 0;
     bool dirty = false;
     bool in_use = false;
+    /// Set when a demand gather (pin_span) loaded this page and counted
+    /// its miss: the first pin then counts no hit.
+    bool miss_counted = false;
     /// Set while a miss load or eviction write-back runs outside the shard
     /// lock; such frames are skipped by eviction and waited on by faulters.
     bool io_busy = false;
@@ -275,9 +290,9 @@ class BufferPool {
     std::size_t valid_bytes;
   };
 
-  /// A cold page claimed for prefetch: its frame sits in the page table
+  /// A cold page claimed for a gather: its frame sits in the page table
   /// io_busy-latched while the coalesced gather read runs outside the lock.
-  struct PrefetchTarget {
+  struct GatherTarget {
     std::uint64_t page_no;
     std::size_t shard;
     std::size_t frame;
@@ -287,9 +302,13 @@ class BufferPool {
 
   // Shard-local helpers; all assume the shard's mutex is held by `lk` /
   // the caller unless stated otherwise.
+  /// Returns the frame of (file, page_no), loading it if absent.  With
+  /// `span_last` > page_no an absent page first gathers the cold pages of
+  /// [page_no, span_last] (pin_span).
   std::size_t find_or_load(Shard& sh, std::unique_lock<std::mutex>& lk,
                            FileId file, std::uint64_t page_no,
-                           bool count_as_prefetch, bool pin_result);
+                           bool count_as_prefetch, bool pin_result,
+                           std::uint64_t span_last = 0);
   void install_loading_frame(Shard& sh, FileId file, std::uint64_t page_no,
                              std::size_t idx, std::uint32_t pins);
   std::size_t acquire_frame(Shard& self, std::unique_lock<std::mutex>& lk);
@@ -297,18 +316,21 @@ class BufferPool {
                                 bool& transient_holds);
   std::size_t try_evict_from(Shard& sh, std::unique_lock<std::mutex>& lk,
                              bool& transient_holds);
-  void abort_prefetch_frames(FileId file,
-                             std::span<const PrefetchTarget> targets);
+  void abort_gather_frames(FileId file, std::span<const GatherTarget> targets,
+                           bool demand);
 
-  /// Phase 1 of a prefetch window: clamps to EOF and claims every cold
+  /// The gather behind prefetch_range (demand = false: pages count as
+  /// prefetches) and pin_span (demand = true: pages count as misses).
+  std::size_t load_range(FileId file, std::uint64_t first_page,
+                         std::size_t count, bool demand);
+  /// Phase 1 of a gather window: clamps to EOF and claims every cold
   /// frame io_busy-latched, with buffers sized.  Unwinds and rethrows on a
   /// claim failure.
-  [[nodiscard]] std::vector<PrefetchTarget> claim_prefetch_targets(
-      FileId file, std::uint64_t first_page, std::size_t count);
+  [[nodiscard]] std::vector<GatherTarget> claim_gather_targets(
+      FileId file, std::uint64_t first_page, std::size_t count, bool demand);
   /// Publishes one gathered run's frames: valid extents from `got`, stale
   /// tails zeroed, io_busy latches released, gather stats credited.
-  void publish_gather_run(std::span<const PrefetchTarget> run,
-                          std::size_t got);
+  void publish_gather_run(std::span<const GatherTarget> run, std::size_t got);
   void release_frame(std::size_t idx);
   void lru_push_front(Shard& sh, std::size_t idx);
   void lru_remove(Shard& sh, std::size_t idx);

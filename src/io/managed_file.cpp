@@ -42,9 +42,8 @@ BufferPoolConfig ManagedFileSystem::pool_config() const {
 ManagedFile ManagedFileSystem::open(const std::string& name, OpenMode mode) {
   Stopwatch watch;
   const bool create = (mode == OpenMode::kCreate || mode == OpenMode::kTruncate);
-  if (!create) {
-    check<IoError>(store_->exists(name),
-                   "ManagedFileSystem: no such file '" + name + "'");
+  if (!create && !store_->exists(name)) {
+    throw IoError("ManagedFileSystem: no such file '" + name + "'");
   }
   const FileId id = store_->open(name, create);
   if (mode == OpenMode::kTruncate) {
@@ -126,7 +125,8 @@ std::uint64_t ManagedFile::size() const {
   return fs_->pool_->logical_file_size(id_);
 }
 
-void ManagedFile::run_prefetch(std::uint64_t page, std::uint64_t file_size) {
+void ManagedFile::run_prefetch(std::uint64_t first, std::uint64_t last,
+                               std::uint64_t file_size) {
   // A file that fits in one page has nothing ahead to fetch: skip the
   // shared prefetcher outright.  The serving hot path reads small objects
   // at a high rate, and the prefetcher sits behind a global mutex.
@@ -136,7 +136,7 @@ void ManagedFile::run_prefetch(std::uint64_t page, std::uint64_t file_size) {
   PrefetchRange ahead;
   {
     std::lock_guard<std::mutex> lock(fs_->prefetcher_mutex_);
-    ahead = fs_->prefetcher_.propose(id_, page);
+    ahead = fs_->prefetcher_.propose_span(id_, first, last);
   }
   if (ahead.empty()) return;
   if (file_size == kUnknownSize) file_size = size();
@@ -157,18 +157,18 @@ std::size_t ManagedFile::read(std::span<std::byte> out) {
   if (position_ < file_size && !out.empty()) {
     const std::size_t want = static_cast<std::size_t>(
         std::min<std::uint64_t>(out.size(), file_size - position_));
+    const std::uint64_t first_page = position_ / page_size;
+    const std::uint64_t last_page = (position_ + want - 1) / page_size;
     while (total < want) {
       const std::uint64_t pos = position_ + total;
       const std::uint64_t page = pos / page_size;
       const std::size_t within = static_cast<std::size_t>(pos % page_size);
       const std::size_t take = std::min(want - total, page_size - within);
-      {
-        auto guard = fs_->pool_->pin(id_, page);
-        std::memcpy(out.data() + total, guard.data().data() + within, take);
-      }
-      run_prefetch(page, file_size);
+      auto guard = fs_->pool_->pin_span(id_, page, last_page);
+      std::memcpy(out.data() + total, guard.data().data() + within, take);
       total += take;
     }
+    run_prefetch(first_page, last_page, file_size);
     position_ += total;
   }
   const double ms = watch.elapsed_ms();
@@ -177,9 +177,9 @@ std::size_t ManagedFile::read(std::span<std::byte> out) {
 }
 
 void ManagedFile::read_exact(std::span<std::byte> out) {
-  const std::size_t n = read(out);
-  check<IoError>(n == out.size(),
-                 "ManagedFile: short read from '" + name_ + "'");
+  if (read(out) != out.size()) {
+    throw IoError("ManagedFile: short read from '" + name_ + "'");
+  }
 }
 
 std::size_t ManagedFile::write(std::span<const std::byte> data) {
@@ -187,20 +187,23 @@ std::size_t ManagedFile::write(std::span<const std::byte> data) {
   Stopwatch watch;
   const std::size_t page_size = fs_->pool_->page_size();
   std::size_t total = 0;
-  while (total < data.size()) {
-    const std::uint64_t pos = position_ + total;
-    const std::uint64_t page = pos / page_size;
-    const std::size_t within = static_cast<std::size_t>(pos % page_size);
-    const std::size_t take = std::min(data.size() - total, page_size - within);
-    {
-      auto guard = fs_->pool_->pin(id_, page);
+  if (!data.empty()) {
+    const std::uint64_t first_page = position_ / page_size;
+    const std::uint64_t last_page = (position_ + data.size() - 1) / page_size;
+    while (total < data.size()) {
+      const std::uint64_t pos = position_ + total;
+      const std::uint64_t page = pos / page_size;
+      const std::size_t within = static_cast<std::size_t>(pos % page_size);
+      const std::size_t take =
+          std::min(data.size() - total, page_size - within);
+      auto guard = fs_->pool_->pin_span(id_, page, last_page);
       std::memcpy(guard.data().data() + within, data.data() + total, take);
       guard.mark_dirty(within + take);
+      total += take;
     }
-    run_prefetch(page);
-    total += take;
+    run_prefetch(first_page, last_page);
+    position_ += total;
   }
-  position_ += total;
   const double ms = watch.elapsed_ms();
   fs_->stats_.record(IoOp::kWrite, total, ms);
   return total;
@@ -217,7 +220,7 @@ void ManagedFile::seek(std::uint64_t pos) {
     // Touching the target page is what makes a cold seek expensive and a
     // warm seek nearly free — the Table 3/4 effect.
     fs_->pool_->prefetch(id_, page);
-    run_prefetch(page);
+    run_prefetch(page, page);
   }
   const double ms = watch.elapsed_ms();
   fs_->stats_.record(IoOp::kSeek, pos, ms);

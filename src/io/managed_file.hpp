@@ -141,7 +141,9 @@ class ManagedFile {
   /// Sentinel for "caller has not computed the file size".
   static constexpr std::uint64_t kUnknownSize = UINT64_MAX;
 
-  void run_prefetch(std::uint64_t page,
+  /// Consults the prefetcher once for a request that touched pages
+  /// first..last and gathers the readahead it proposes past them.
+  void run_prefetch(std::uint64_t first, std::uint64_t last,
                     std::uint64_t file_size = kUnknownSize);
 
   ManagedFileSystem* fs_ = nullptr;

@@ -41,6 +41,13 @@ class SequentialPrefetcher {
   /// prefetching (empty until the sequential streak is established).
   PrefetchRange propose(FileId file, std::uint64_t page);
 
+  /// Records accesses to pages first..last of one request, in order, and
+  /// returns the run worth prefetching past it.  Same answer and same
+  /// stream state as calling propose() on each of those pages in turn, at
+  /// the cost of one call.
+  PrefetchRange propose_span(FileId file, std::uint64_t first,
+                             std::uint64_t last);
+
   /// Forgets per-file state (e.g. after close).
   void forget(FileId file);
 

@@ -23,28 +23,34 @@ void validate(const TraceFile& trace) {
   std::vector<std::int64_t> open_depth(trace.header.num_files, 0);
   std::size_t index = 0;
   for (const auto& r : trace.records) {
-    util::check<ParseError>(
-        static_cast<std::uint8_t>(r.op) < io::kIoTraceOpCount,
-        util::cat("trace: bad op code at record ", index));
-    util::check<ParseError>(r.count >= 1,
-                            util::cat("trace: zero count at record ", index));
-    util::check<ParseError>(
-        r.pid < trace.header.num_processes,
-        util::cat("trace: pid out of range at record ", index));
-    util::check<ParseError>(
-        r.fid < trace.header.num_files,
-        util::cat("trace: fid out of range at record ", index));
-    util::check<ParseError>(
-        r.wall_clock + 1e-12 >= last_wall,
-        util::cat("trace: wall clock goes backwards at record ", index));
+    // Messages are built only on failure: this loop runs once per record
+    // on every replay, and formatting a message per record would dominate
+    // it.
+    if (static_cast<std::uint8_t>(r.op) >= io::kIoTraceOpCount) {
+      throw ParseError(util::cat("trace: bad op code at record ", index));
+    }
+    if (r.count < 1) {
+      throw ParseError(util::cat("trace: zero count at record ", index));
+    }
+    if (r.pid >= trace.header.num_processes) {
+      throw ParseError(util::cat("trace: pid out of range at record ", index));
+    }
+    if (r.fid >= trace.header.num_files) {
+      throw ParseError(util::cat("trace: fid out of range at record ", index));
+    }
+    if (!(r.wall_clock + 1e-12 >= last_wall)) {
+      throw ParseError(
+          util::cat("trace: wall clock goes backwards at record ", index));
+    }
     last_wall = r.wall_clock;
     if (r.op == TraceOp::kOpen) {
       open_depth[r.fid] += r.count;
     } else if (r.op == TraceOp::kClose) {
       open_depth[r.fid] -= r.count;
-      util::check<ParseError>(
-          open_depth[r.fid] >= 0,
-          util::cat("trace: close without open at record ", index));
+      if (open_depth[r.fid] < 0) {
+        throw ParseError(
+            util::cat("trace: close without open at record ", index));
+      }
     }
     ++index;
   }

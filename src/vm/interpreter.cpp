@@ -35,9 +35,10 @@ Value Interpreter::run_frame(std::uint16_t index, std::span<const Value> args,
   check<ExecutionError>(depth < max_call_depth_,
                         "interpreter: call stack overflow");
   const MethodDef& def = jit_.module().method(index);
-  check<ExecutionError>(args.size() == def.num_args,
-                        "interpreter: argument count mismatch calling '" +
-                            def.name + "'");
+  if (args.size() != def.num_args) {
+    throw ExecutionError("interpreter: argument count mismatch calling '" +
+                         def.name + "'");
+  }
   const CompiledMethod& compiled = jit_.get(index);
 
   std::vector<Value> locals(def.num_locals);

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <string>
 
+#include "io/fault_store.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
 #include "util/temp_dir.hpp"
@@ -310,6 +311,154 @@ TEST_F(ManagedFileTest, WorksOverSimStoreToo) {
   f.close();
   auto& store = dynamic_cast<SimFileStore&>(sim_fs.store());
   EXPECT_GT(store.consume_model_ms(), 0.0);
+}
+
+// ------------------------------------------------------ request gather ----
+
+/// Recognizable bytes that differ within a page and from page to page.
+std::string pattern(std::size_t n, int salt = 0) {
+  std::string s(n, '\0');
+  for (std::size_t i = 0; i < n; ++i) {
+    s[i] = static_cast<char>((i * 7 + i / 256 + salt) % 251);
+  }
+  return s;
+}
+
+/// A managed fs with 256-byte pages over a FaultStore over a real store,
+/// whose file "g.bin" already holds `content` on disk: every page starts
+/// cold and the pool counters start at zero.
+class RequestGatherTest : public ::testing::Test {
+ protected:
+  void make(std::size_t pool_pages, const std::string& content) {
+    auto real = std::make_unique<RealFileStore>(dir_.path());
+    const FileId id = real->open("g.bin", true);
+    real->write(id, 0, as_bytes(content));
+    real->close(id);
+    auto faults = std::make_unique<FaultStore>(std::move(real));
+    faults_ = faults.get();
+    ManagedFsOptions options;
+    options.page_size = 256;
+    options.pool_pages = pool_pages;
+    options.prefetch_on_seek = false;  // seeks leave the pool untouched
+    fs_ = std::make_unique<ManagedFileSystem>(std::move(faults), options);
+  }
+
+  std::string backing_bytes(FileId id, std::uint64_t offset, std::size_t n) {
+    std::string out(n, '\0');
+    static_cast<void>(fs_->store().read(
+        id, offset, std::as_writable_bytes(std::span<char>(out))));
+    return out;
+  }
+
+  util::TempDir dir_;
+  FaultStore* faults_ = nullptr;
+  std::unique_ptr<ManagedFileSystem> fs_;
+};
+
+TEST_F(RequestGatherTest, ColdSpanIsOneGatherOfMisses) {
+  const std::string content = pattern(32 * 256);
+  make(64, content);
+  auto f = fs_->open("g.bin", OpenMode::kRead);
+  EXPECT_EQ(read_all(f, content.size()), content);
+  const PoolStats stats = fs_->pool().stats();
+  EXPECT_EQ(stats.gather_read_calls, 1u);
+  EXPECT_EQ(stats.gather_read_pages, 32u);
+  EXPECT_EQ(fs_->stats().op_stats(IoOp::kReadv).count(), 1u);
+  // Every page was needed by the request: 32 misses, no hits, and no
+  // readahead (it would start past EOF).
+  EXPECT_EQ(stats.misses, 32u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.prefetches, 0u);
+}
+
+TEST_F(RequestGatherTest, ResidentDirtyPageSplitsTheGatherAndIsReadBack) {
+  std::string content = pattern(32 * 256);
+  make(64, content);
+  auto f = fs_->open("g.bin", OpenMode::kReadWrite);
+  f.seek(16 * 256 + 10);
+  f.write(as_bytes("DIRTY"));  // page 16: resident, dirty, not on disk
+  const PoolStats before = fs_->pool().stats();
+  f.seek(0);
+  const std::string got = read_all(f, content.size());
+  EXPECT_EQ(backing_bytes(f.id(), 16 * 256 + 10, 5),
+            content.substr(16 * 256 + 10, 5));
+  content.replace(16 * 256 + 10, 5, "DIRTY");
+  EXPECT_EQ(got, content);
+  // Pages 0-15 and 17-31 are two cold runs around the resident page.
+  const PoolStats after = fs_->pool().stats();
+  EXPECT_EQ(after.gather_read_calls - before.gather_read_calls, 2u);
+  EXPECT_EQ(after.gather_read_pages - before.gather_read_pages, 31u);
+  EXPECT_EQ(after.misses - before.misses, 31u);
+  EXPECT_EQ(after.hits - before.hits, 1u);  // the dirty page
+}
+
+TEST_F(RequestGatherTest, SpanPastStoreEofGathersOnlyStoredPages) {
+  const std::string content = pattern(8 * 256);
+  make(64, content);
+  auto f = fs_->open("g.bin", OpenMode::kReadWrite);
+  // Pages 8-9 exist only as dirty pool pages: the logical file is 10
+  // pages, the store's 8.
+  const std::string tail = pattern(2 * 256, 99);
+  f.seek(8 * 256);
+  f.write(as_bytes(tail));
+  const PoolStats before = fs_->pool().stats();
+  f.seek(0);
+  EXPECT_EQ(read_all(f, 32 * 256), content + tail);
+  const PoolStats after = fs_->pool().stats();
+  EXPECT_EQ(after.gather_read_calls - before.gather_read_calls, 1u);
+  EXPECT_EQ(after.gather_read_pages - before.gather_read_pages, 8u);
+  EXPECT_FALSE(fs_->pool().contains(f.id(), 10));
+  fs_->pool().debug_validate();
+}
+
+TEST_F(RequestGatherTest, PoolSmallerThanTheSpanStaysByteExact) {
+  const std::string content = pattern(32 * 256);
+  make(8, content);
+  auto f = fs_->open("g.bin", OpenMode::kRead);
+  EXPECT_EQ(read_all(f, content.size()), content);
+  // The gather drops what does not fit; the rest still loads exactly once
+  // per page, because only pages already copied are evicted.
+  EXPECT_EQ(fs_->pool().stats().misses, 32u);
+  EXPECT_GE(fs_->pool().stats().gather_read_calls, 1u);
+  fs_->pool().debug_validate();
+}
+
+TEST_F(RequestGatherTest, FailedGatherUnwindsAndARetrySucceeds) {
+  const std::string content = pattern(32 * 256);
+  make(64, content);
+  auto f = fs_->open("g.bin", OpenMode::kRead);
+  faults_->fail_next(FaultOp::kReadv, 1);
+  std::vector<std::byte> buf(content.size());
+  EXPECT_THROW(static_cast<void>(f.read(buf)), util::IoError);
+  EXPECT_EQ(f.position(), 0u);
+  EXPECT_EQ(fs_->pool().resident_pages(), 0u);
+  fs_->pool().debug_validate();
+  EXPECT_EQ(read_all(f, content.size()), content);
+  EXPECT_EQ(f.position(), content.size());
+  fs_->pool().debug_validate();
+}
+
+TEST_F(RequestGatherTest, ColdMultiPageWriteGathersItsPartialPages) {
+  std::string content = pattern(32 * 256);
+  make(64, content);
+  auto f = fs_->open("g.bin", OpenMode::kReadWrite);
+  // An unaligned 10-page write over pages 3-13: its cold pages load in
+  // one gather, then the readahead past it in a second, and the bytes
+  // around the write survive.
+  const std::string patch = pattern(10 * 256, 7);
+  f.seek(3 * 256 + 100);
+  f.write(as_bytes(patch));
+  const PoolStats stats = fs_->pool().stats();
+  EXPECT_EQ(stats.misses, 11u);
+  EXPECT_EQ(stats.prefetches, 4u);
+  EXPECT_EQ(stats.gather_read_calls, 2u);
+  content.replace(3 * 256 + 100, patch.size(), patch);
+  f.seek(0);
+  EXPECT_EQ(read_all(f, content.size()), content);
+  f.close();
+  fs_->drop_caches();
+  auto g = fs_->open("g.bin", OpenMode::kRead);
+  EXPECT_EQ(read_all(g, content.size()), content);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Coverage for the coalesced read path: BackingStore::readv batching in
-// prefetch_range, EOF clamping and failure unwinding.  The concurrency
+// prefetch_range and pin_span, EOF clamping and failure unwinding.  The concurrency
 // case doubles as a TSan target in CI.
 #include <gtest/gtest.h>
 
@@ -169,6 +169,57 @@ TEST(PrefetchReadv, CoalesceLimitBoundsRunLength) {
   EXPECT_EQ(store.readv_calls, 4u);  // 16 pages / 4 per gather
   EXPECT_EQ(pool.stats().gather_read_calls, 4u);
   EXPECT_EQ(pool.stats().gather_read_pages, 16u);
+}
+
+// ------------------------------------------------------- demand spans ----
+
+TEST(PrefetchReadv, PinSpanGathersTheColdSpanAsMisses) {
+  CountingReadStore store;
+  const FileId file = make_file(store, 256, 16);
+  BufferPool pool(store, BufferPoolConfig{.page_size = 256,
+                                          .capacity_pages = 32,
+                                          .shards = 4});
+  {
+    auto g = pool.pin_span(file, 0, 15);
+    EXPECT_EQ(static_cast<char>(g.data()[0]), 'a');
+  }
+  // The whole cold span arrived by one gather, before any copy.
+  EXPECT_EQ(store.readv_calls, 1u);
+  EXPECT_EQ(store.read_calls, 0u);
+  EXPECT_EQ(pool.resident_pages(), 16u);
+  // The request needs every page: misses, not prefetches.
+  EXPECT_EQ(pool.stats().misses, 16u);
+  EXPECT_EQ(pool.stats().prefetches, 0u);
+  EXPECT_EQ(pool.stats().gather_read_pages, 16u);
+  // The first pin of a gathered page is its miss, not a hit; later pins
+  // are hits.
+  for (std::uint64_t p = 1; p < 16; ++p) {
+    auto g = pool.pin_span(file, p, 15);
+    EXPECT_EQ(static_cast<char>(g.data()[0]), char('a' + p)) << p;
+  }
+  EXPECT_EQ(pool.stats().hits, 0u);
+  static_cast<void>(pool.pin(file, 3));
+  EXPECT_EQ(pool.stats().hits, 1u);
+  EXPECT_EQ(store.readv_calls + store.read_calls, 1u);
+  pool.debug_validate();
+}
+
+TEST(PrefetchReadv, PinSpanOfOnePageOrAResidentPageIssuesNoGather) {
+  CountingReadStore store;
+  const FileId file = make_file(store, 256, 16);
+  BufferPool pool(store, BufferPoolConfig{.page_size = 256,
+                                          .capacity_pages = 32,
+                                          .shards = 4});
+  // A one-page span is a plain demand load, as pin() does.
+  static_cast<void>(pool.pin_span(file, 3, 3));
+  EXPECT_EQ(store.read_calls, 1u);
+  EXPECT_EQ(store.readv_calls, 0u);
+  // A resident first page is a hit: the cold pages after it wait until
+  // the copy reaches them.
+  static_cast<void>(pool.pin_span(file, 3, 10));
+  EXPECT_EQ(store.read_calls + store.readv_calls, 1u);
+  EXPECT_EQ(pool.stats().hits, 1u);
+  EXPECT_EQ(pool.resident_pages(), 1u);
 }
 
 // ---------------------------------------------------------- EOF clamps ----

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "util/rng.hpp"
+
 namespace clio::io {
 namespace {
 
@@ -88,6 +92,70 @@ TEST_P(PrefetchWindowProperty, WindowShapeHolds) {
 
 INSTANTIATE_TEST_SUITE_P(Windows, PrefetchWindowProperty,
                          ::testing::Values(1, 2, 4, 8, 16));
+
+TEST(Prefetcher, ProposeSpanOfOnePageIsPropose) {
+  SequentialPrefetcher pf(PrefetchConfig{.window = 3, .min_streak = 2});
+  EXPECT_TRUE(pf.propose_span(1, 0, 0).empty());
+  const PrefetchRange r = pf.propose_span(1, 1, 1);
+  EXPECT_EQ(r.first, 2u);
+  EXPECT_EQ(r.count, 3u);
+}
+
+TEST(Prefetcher, ProposeSpanReadsAheadPastItsLastPage) {
+  SequentialPrefetcher pf(PrefetchConfig{.window = 4, .min_streak = 2});
+  // A fresh stream: the span alone establishes the streak.
+  const PrefetchRange r = pf.propose_span(1, 10, 17);
+  EXPECT_EQ(r.first, 18u);
+  EXPECT_EQ(r.count, 4u);
+  // A jump restarts the streak, and a one-page span cannot meet it.
+  EXPECT_TRUE(pf.propose_span(1, 40, 40).empty());
+}
+
+// Seeded property: for random span sequences over a few files, under random
+// window/streak settings, propose_span(f, a, b) answers exactly what
+// propose(f, a) ... propose(f, b) answers last, and leaves the same stream
+// state — checked by feeding both prefetchers one probe sequence after.
+TEST(Prefetcher, ProposeSpanMatchesPerPageProposeOnRandomSequences) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    util::Rng rng(seed);
+    const PrefetchConfig config{.window = rng.uniform_u64(6),
+                                .min_streak = 1 + rng.uniform_u64(5)};
+    SequentialPrefetcher by_span(config);
+    SequentialPrefetcher by_page(config);
+    std::uint64_t last[3] = {0, 0, 0};
+    // Continue, repeat the last page, or jump: the three streak cases.
+    auto next_first = [&](std::uint64_t prev) {
+      switch (rng.uniform_u64(3)) {
+        case 0: return prev + 1;
+        case 1: return prev;
+        default: return rng.uniform_u64(64);
+      }
+    };
+    for (int step = 0; step < 40; ++step) {
+      const auto file = static_cast<FileId>(rng.uniform_u64(3));
+      const std::uint64_t first = next_first(last[file]);
+      const std::uint64_t span_last = first + rng.uniform_u64(9);
+      const PrefetchRange got = by_span.propose_span(file, first, span_last);
+      PrefetchRange want;
+      for (std::uint64_t p = first; p <= span_last; ++p) {
+        want = by_page.propose(file, p);
+      }
+      ASSERT_EQ(got.first, want.first) << "step " << step;
+      ASSERT_EQ(got.count, want.count) << "step " << step;
+      last[file] = span_last;
+    }
+    for (int probe = 0; probe < 20; ++probe) {
+      const auto file = static_cast<FileId>(rng.uniform_u64(3));
+      const std::uint64_t page = next_first(last[file]);
+      const PrefetchRange a = by_span.propose(file, page);
+      const PrefetchRange b = by_page.propose(file, page);
+      ASSERT_EQ(a.first, b.first) << "probe " << probe;
+      ASSERT_EQ(a.count, b.count) << "probe " << probe;
+      last[file] = page;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace clio::io

@@ -188,11 +188,20 @@ TEST_F(ServerEpollTest, HotCacheHitsAreByteIdenticalAndPostInvalidates) {
   server.start();
 
   HttpClient client(server.port(), /*keep_alive=*/true);
-  // Miss fills, hit serves from memory — byte-identical both ways.
+  // Miss fills, hit serves from memory — byte-identical both ways.  The
+  // fill happens after the response is on the wire, so wait for it before
+  // asking for the hit.
   ASSERT_EQ(client.get("/doc.bin").status, 200);
+  for (int i = 0; i < 2000 && server.hot_cache_stats().insertions < 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   const auto hit = client.get("/doc.bin");
   EXPECT_EQ(hit.status, 200);
   EXPECT_EQ(hit.body, content_);
+  // The counter, too, moves only once the response has left.
+  for (int i = 0; i < 2000 && server.stats().cache_responses < 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   EXPECT_GE(server.stats().cache_responses, 1u);
   const auto warm = server.hot_cache_stats();
   EXPECT_GE(warm.hits, 1u);

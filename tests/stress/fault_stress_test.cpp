@@ -1,7 +1,7 @@
 // Cross-layer stress/soak suite for the concurrent I/O path: seeded
-// multi-threaded pin/dirty/flush/discard/prefetch mixes over a FaultStore
-// that injects EIOs, short reads, torn writes, latency spikes and
-// disk-full.  After every run the pool must pass debug_validate() and the
+// multi-threaded pin/dirty/flush/discard/prefetch mixes, and multi-page
+// ManagedFile reads and writes, over a FaultStore that injects EIOs, short
+// reads, torn writes, latency spikes and disk-full.  After every run the pool must pass debug_validate() and the
 // backing bytes must match the per-thread oracle — any violation prints
 // the reproducing seed.
 //
@@ -185,6 +185,27 @@ TEST(FaultStress, ShardSweepStaysCoherent) {
     config.faults = mixed_plan();
     const StressResult result = run_stress(store, config);
     expect_clean(result, config.seed);
+  }
+}
+
+TEST(FaultStress, ManagedSpansUnderFaults) {
+  // The layer above the pool: multi-page ManagedFile reads and writes, so
+  // request gathers, readahead and close-time flushes unwind under the
+  // mixed plan while threads evict each other's pages (4 files of 48
+  // pages share a 32-page pool).
+  for (const std::uint64_t seed : seeds_under_test()) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    util::TempDir dir("clio-stress");
+    io::RealFileStore store(dir.path());
+    StressConfig config;
+    config.seed = seed;
+    config.threads = 4;
+    config.shards = 4;
+    config.capacity_pages = 32;
+    config.ops_per_thread = ops_per_thread();
+    config.faults = mixed_plan();
+    const StressResult result = run_managed_stress(store, config);
+    expect_clean(result, seed);
   }
 }
 

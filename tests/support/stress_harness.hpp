@@ -26,9 +26,15 @@
 //  - Writes always fill whole pages with one marker byte, and the fault
 //    plan's torn_granularity equals the page size, so a backing page is
 //    always uniformly one byte — the oracle reasons in single bytes.
+//
+// run_managed_stress() drives the layer above instead: multi-page reads,
+// writes and seeks through ManagedFile over one ManagedFileSystem, so the
+// request gather (BufferPool::pin_span), readahead and close-time flushes
+// run under the same fault plans.  Its oracle is per byte (ByteOracle).
 
 #include <algorithm>
 #include <atomic>
+#include <bitset>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -42,6 +48,7 @@
 #include "io/buffer_pool.hpp"
 #include "io/fault_store.hpp"
 #include "io/file_store.hpp"
+#include "io/managed_file.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -289,6 +296,23 @@ class SharedPageOracle {
   std::vector<Page> pages_;
 };
 
+/// The end of every run, after its faults were disarmed: a clean flush must
+/// persist every pending write, and the pool must pass debug_validate().
+inline void flush_and_validate(io::BufferPool& pool,
+                               const std::string& seed_tag,
+                               std::vector<std::string>& failures) {
+  try {
+    pool.flush_all();
+  } catch (const util::IoError& e) {
+    failures.push_back(seed_tag + ": clean final flush threw: " + e.what());
+  }
+  try {
+    pool.debug_validate();
+  } catch (const util::IoError& e) {
+    failures.push_back(seed_tag + ": " + e.what());
+  }
+}
+
 /// Runs one seeded stress round over the given backing store (the store is
 /// wrapped in a FaultStore internally).  The store must be empty/fresh.
 inline StressResult run_stress(io::BackingStore& backing,
@@ -492,17 +516,7 @@ inline StressResult run_stress(io::BackingStore& backing,
   // Quiesce, then validate: faults off, everything pending persisted.
   faults.arm(false);
   const std::string seed_tag = "seed=" + std::to_string(config.seed);
-  try {
-    pool.flush_all();
-  } catch (const util::IoError& e) {
-    result.failures.push_back(seed_tag +
-                              ": clean final flush threw: " + e.what());
-  }
-  try {
-    pool.debug_validate();
-  } catch (const util::IoError& e) {
-    result.failures.push_back(seed_tag + ": " + e.what());
-  }
+  flush_and_validate(pool, seed_tag, result.failures);
   if (config.shared_file) {
     shared_oracle.final_check(backing, files[0], config.page_size,
                               seed_tag + " (shared)", result.failures);
@@ -512,6 +526,232 @@ inline StressResult run_stress(io::BackingStore& backing,
           backing, files[static_cast<std::size_t>(t)], config.page_size,
           seed_tag + " thread=" + std::to_string(t), result.failures);
     }
+  }
+  return result;
+}
+
+/// Byte oracle for one file accessed through ManagedFile: per byte, the set
+/// of values the managed view may hold.  A successful write pins its bytes
+/// down; a write that threw may have landed on any prefix of its pages, so
+/// each of its bytes may hold the old or the new value; a read pins every
+/// byte it saw (the managed view only changes by this thread's writes:
+/// failed write-backs keep their pages dirty and resident).
+class ByteOracle {
+ public:
+  explicit ByteOracle(std::span<const std::byte> initial)
+      : maybe_(initial.size()) {
+    for (std::size_t i = 0; i < initial.size(); ++i) {
+      maybe_[i].set(static_cast<std::uint8_t>(initial[i]));
+    }
+  }
+
+  void on_write(std::uint64_t offset, std::span<const std::byte> data) {
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      maybe_[offset + i].reset();
+      maybe_[offset + i].set(static_cast<std::uint8_t>(data[i]));
+    }
+  }
+
+  void on_failed_write(std::uint64_t offset,
+                       std::span<const std::byte> data) {
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      maybe_[offset + i].set(static_cast<std::uint8_t>(data[i]));
+    }
+  }
+
+  /// Checks bytes a read returned from `offset`; returns a failure
+  /// description or empty.
+  std::string check_read(std::uint64_t offset,
+                         std::span<const std::byte> data) {
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      const auto b = static_cast<std::uint8_t>(data[i]);
+      auto& maybe = maybe_[offset + i];
+      if (!maybe.test(b)) {
+        return "byte " + std::to_string(offset + i) + " read " +
+               std::to_string(b) + ", never written there";
+      }
+      maybe.reset();
+      maybe.set(b);
+    }
+    return {};
+  }
+
+  /// Compares the backing file with the oracle after faults were disarmed
+  /// and a clean flush persisted every pending write.
+  void final_check(io::BackingStore& store, io::FileId file,
+                   const std::string& tag,
+                   std::vector<std::string>& failures) const {
+    std::vector<std::byte> buf(maybe_.size());
+    const std::size_t got = store.read(file, 0, buf);
+    if (got != buf.size()) {
+      failures.push_back(tag + ": backing file is " + std::to_string(got) +
+                         " bytes, expected " + std::to_string(buf.size()));
+      return;
+    }
+    for (std::size_t i = 0; i < buf.size(); ++i) {
+      if (!maybe_[i].test(static_cast<std::uint8_t>(buf[i]))) {
+        failures.push_back(tag + ": backing byte " + std::to_string(i) +
+                           " holds " +
+                           std::to_string(static_cast<int>(buf[i])) +
+                           ", never written there");
+        return;
+      }
+    }
+  }
+
+ private:
+  std::vector<std::bitset<256>> maybe_;
+};
+
+/// Runs one seeded managed-path round: each thread owns one file of
+/// `pages_per_file` pages in one ManagedFileSystem (page_size, a pool of
+/// capacity_pages over `shards`, default readahead) whose store is
+/// `backing` wrapped in a FaultStore, and runs a mix of random and
+/// sequential multi-page reads, unaligned multi-page writes, flushes,
+/// close/reopen and drop_caches.  Files keep their size, so reads know
+/// how many bytes to expect.  A read or write that throws must leave the
+/// position where it was.  After the run: faults off, a clean flush_all,
+/// debug_validate(), and the backing bytes against each ByteOracle.
+inline StressResult run_managed_stress(io::BackingStore& backing,
+                                       const StressConfig& config) {
+  StressResult result;
+  io::FaultPlan plan = config.faults;
+  plan.seed = config.seed;
+  auto owned_faults = std::make_unique<io::FaultStore>(backing, plan);
+  io::FaultStore& faults = *owned_faults;
+  faults.arm(false);  // setup must not fault
+  io::ManagedFsOptions options;
+  options.page_size = config.page_size;
+  options.pool_pages = config.capacity_pages;
+  options.pool_shards = config.shards;
+  io::ManagedFileSystem fs(std::move(owned_faults), options);
+
+  const std::size_t file_bytes = config.pages_per_file * config.page_size;
+  std::vector<ByteOracle> oracles;
+  std::vector<io::ManagedFile> files;
+  for (int t = 0; t < config.threads; ++t) {
+    std::vector<std::byte> initial(file_bytes);
+    for (std::size_t i = 0; i < file_bytes; ++i) {
+      initial[i] = static_cast<std::byte>((i * 7 + i / 251 + t) % 256);
+    }
+    files.push_back(fs.open("managed-" + std::to_string(t) + ".bin",
+                            io::OpenMode::kTruncate));
+    files.back().write(initial);
+    oracles.emplace_back(initial);
+  }
+  fs.drop_caches();
+  faults.arm(true);
+
+  std::mutex failure_mutex;
+  std::vector<std::string> failures;
+  std::atomic<std::uint64_t> surfaced{0};
+  // drop_caches() flushes every thread's file, and a flush write-back reads
+  // page bytes outside any pool lock: overlapping it with a write into one
+  // of those pages is a data race (see BufferPool).  Writers therefore hold
+  // `writers` shared and drop_caches holds it exclusive.  A thread's own
+  // flush_file and close need no lock: only that thread writes its file.
+  std::shared_mutex writers;
+
+  auto worker = [&](int t) {
+    const std::string tag = "seed=" + std::to_string(config.seed) +
+                            " thread=" + std::to_string(t) + " (managed)";
+    util::Rng rng(util::SplitMix64(config.seed * 0x9e37u + t).next());
+    const auto idx = static_cast<std::size_t>(t);
+    const std::string name = "managed-" + std::to_string(t) + ".bin";
+    ByteOracle& oracle = oracles[idx];
+    std::vector<std::byte> buf(6 * config.page_size);
+    std::uint8_t marker = 0;
+    auto fail = [&](std::uint64_t op, const std::string& what) {
+      std::lock_guard<std::mutex> lock(failure_mutex);
+      failures.push_back(tag + " op=" + std::to_string(op) + ": " + what);
+    };
+    for (std::uint64_t i = 0; i < config.ops_per_thread; ++i) {
+      io::ManagedFile& f = files[idx];
+      const std::uint64_t dice = rng.uniform_u64(100);
+      const std::uint64_t target = rng.uniform_u64(file_bytes);
+      const std::size_t len = 1 + rng.uniform_u64(buf.size());
+      try {
+        if (dice < 50) {
+          // Random (seek first) or sequential (carry on) read.
+          if (dice < 35) f.seek(target);
+          const std::uint64_t pos = f.position();
+          const std::span<std::byte> out(buf.data(), len);
+          std::size_t got = 0;
+          try {
+            got = f.read(out);
+          } catch (const util::IoError&) {
+            if (f.position() != pos) fail(i, "failed read moved position");
+            throw;
+          }
+          const std::size_t want = static_cast<std::size_t>(std::min<
+              std::uint64_t>(len, pos < file_bytes ? file_bytes - pos : 0));
+          if (got != want) {
+            fail(i, "read returned " + std::to_string(got) + " of " +
+                        std::to_string(want) + " bytes");
+          } else if (const std::string err =
+                         oracle.check_read(pos, out.first(got));
+                     !err.empty()) {
+            fail(i, err);
+          }
+        } else if (dice < 80) {
+          // Unaligned multi-page write inside the file.
+          f.seek(target);
+          const std::size_t n = static_cast<std::size_t>(
+              std::min<std::uint64_t>(len, file_bytes - target));
+          const std::span<const std::byte> data(buf.data(), n);
+          marker++;
+          for (std::size_t k = 0; k < n; ++k) {
+            buf[k] = static_cast<std::byte>(marker + k * 13);
+          }
+          try {
+            std::shared_lock<std::shared_mutex> rw(writers);
+            f.write(data);
+          } catch (const util::IoError&) {
+            oracle.on_failed_write(target, data);
+            if (f.position() != target) fail(i, "failed write moved position");
+            throw;
+          }
+          oracle.on_write(target, data);
+          if (f.position() != target + n) fail(i, "write left bad position");
+        } else if (dice < 88) {
+          fs.pool().flush_file(f.id());
+        } else if (dice < 94) {
+          f.close();  // flushes; a failed flush leaves the file open
+          files[idx] = fs.open(name, io::OpenMode::kReadWrite);
+        } else {
+          std::unique_lock<std::shared_mutex> rw(writers);
+          fs.drop_caches();
+        }
+      } catch (const util::IoError&) {
+        surfaced.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  };
+
+  {
+    std::vector<std::thread> threads;
+    threads.reserve(static_cast<std::size_t>(config.threads));
+    for (int t = 0; t < config.threads; ++t) threads.emplace_back(worker, t);
+    for (auto& th : threads) th.join();
+  }
+
+  result.ops =
+      static_cast<std::uint64_t>(config.threads) * config.ops_per_thread;
+  const io::FaultStats fstats = faults.stats();
+  result.injected_faults = fstats.total_faults();
+  result.backing_calls = fstats.total_calls();
+  result.surfaced_errors = surfaced.load();
+  result.failures = std::move(failures);
+
+  faults.arm(false);
+  const std::string seed_tag = "seed=" + std::to_string(config.seed);
+  flush_and_validate(fs.pool(), seed_tag, result.failures);
+  for (int t = 0; t < config.threads; ++t) {
+    const auto idx = static_cast<std::size_t>(t);
+    oracles[idx].final_check(
+        backing, files[idx].id(),
+        seed_tag + " thread=" + std::to_string(t) + " (managed)",
+        result.failures);
   }
   return result;
 }
