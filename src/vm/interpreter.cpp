@@ -1,5 +1,6 @@
 #include "vm/interpreter.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -41,18 +42,17 @@ Value Interpreter::run_frame(std::uint16_t index, std::span<const Value> args,
   }
   const CompiledMethod& compiled = jit_.get(index);
 
-  std::vector<Value> locals(def.num_locals);
-  std::vector<Value> arg_slots(args.begin(), args.end());
-  std::vector<Value> stack;
-  stack.reserve(compiled.max_stack);
-
-  auto pop = [&]() -> Value {
-    Value v = std::move(stack.back());
-    stack.pop_back();
-    return v;
-  };
-  auto pop_int = [&]() -> std::int64_t { return pop().as_int(); };
-  auto pop_float = [&]() -> double { return pop().as_float(); };
+  // One flat frame: args, then locals, then the operand stack, sized by the
+  // verifier's max_stack so a push needs no capacity check.  `sp` points
+  // one past the top operand.  Invariant: a slot at or above `sp` holds no
+  // object reference, so every pop of a possible object resets its slot.
+  // Handlers keep no owning local across VM_NEXT(): a computed goto leaves
+  // the handler's scope without running destructors.
+  std::vector<Value> frame(def.num_args + def.num_locals + compiled.max_stack);
+  std::copy(args.begin(), args.end(), frame.begin());
+  Value* const arg_slots = frame.data();
+  Value* const locals = arg_slots + def.num_args;
+  Value* sp = locals + def.num_locals;
 
   // The verifier guarantees every reachable path ends in kRet and every
   // branch target is a decoded-instruction index, so dispatch needs no
@@ -60,7 +60,7 @@ Value Interpreter::run_frame(std::uint16_t index, std::span<const Value> args,
   // in a local and folded into the member on every exit path (including
   // ExecutionError unwinds) by the guard.
   const DecodedInsn* const code = compiled.code.data();
-  std::size_t pc = 0;
+  const DecodedInsn* ip = code;
   std::uint64_t executed = 0;
   struct CountGuard {
     std::uint64_t& total;
@@ -84,25 +84,42 @@ Value Interpreter::run_frame(std::uint16_t index, std::span<const Value> args,
       &&lbl_kBrFalse, &&lbl_kCall,   &&lbl_kRet,     &&lbl_kNewArr,
       &&lbl_kLdElem, &&lbl_kStElem,  &&lbl_kArrLen,  &&lbl_kSysCall,
   };
-#define VM_DISPATCH()                                                   \
-  do {                                                                  \
-    ++executed;                                                         \
-    goto* kLabels[static_cast<std::size_t>(code[pc].op)];               \
+#define VM_DISPATCH()                                \
+  do {                                               \
+    ++executed;                                      \
+    goto* kLabels[static_cast<std::size_t>(ip->op)]; \
   } while (0)
 #define VM_CASE(name) lbl_##name:
 #else
 #define VM_DISPATCH() goto dispatch_loop
 #define VM_CASE(name) case Op::name:
 #endif
-#define VM_NEXT() \
-  do {            \
-    ++pc;         \
+#define VM_NEXT()  \
+  do {             \
+    ++ip;          \
     VM_DISPATCH(); \
   } while (0)
-#define VM_JUMP(target)                        \
-  do {                                         \
-    pc = static_cast<std::size_t>(target);     \
-    VM_DISPATCH();                             \
+#define VM_JUMP(target)                             \
+  do {                                              \
+    ip = code + static_cast<std::size_t>(target);   \
+    VM_DISPATCH();                                  \
+  } while (0)
+// Binary ops pop b, then a, and leave the result in a's slot.
+#define VM_INT_BINOP(expr)                   \
+  do {                                       \
+    const std::int64_t b = sp[-1].as_int();  \
+    const std::int64_t a = sp[-2].as_int();  \
+    --sp;                                    \
+    sp[-1].set_int(expr);                    \
+    VM_NEXT();                               \
+  } while (0)
+#define VM_FLOAT_BINOP(expr)                 \
+  do {                                       \
+    const double b = sp[-1].as_float();      \
+    const double a = sp[-2].as_float();      \
+    --sp;                                    \
+    sp[-1].set_float(expr);                  \
+    VM_NEXT();                               \
   } while (0)
 
 #if CLIO_VM_THREADED_DISPATCH
@@ -110,158 +127,113 @@ Value Interpreter::run_frame(std::uint16_t index, std::span<const Value> args,
 #else
 dispatch_loop:
   ++executed;
-  switch (code[pc].op) {
+  switch (ip->op) {
 #endif
 
   VM_CASE(kNop) { VM_NEXT(); }
   VM_CASE(kLdcI8) {
-    stack.push_back(Value::from_int(code[pc].imm));
+    (sp++)->set_int(ip->imm);
     VM_NEXT();
   }
   VM_CASE(kLdcF64) {
-    stack.push_back(Value::from_float(code[pc].fimm));
+    (sp++)->set_float(ip->fimm);
     VM_NEXT();
   }
   VM_CASE(kLdStr) {
     // Per-module interning: pushes a shared reference; no allocation here.
-    stack.push_back(Value::from_obj(
-        jit_.interned_string(static_cast<std::size_t>(code[pc].imm))));
+    *sp++ = Value::from_obj(
+        jit_.interned_string(static_cast<std::size_t>(ip->imm)));
     VM_NEXT();
   }
   VM_CASE(kLdLoc) {
-    stack.push_back(locals[static_cast<std::size_t>(code[pc].imm)]);
+    *sp++ = locals[ip->imm];
     VM_NEXT();
   }
   VM_CASE(kStLoc) {
-    locals[static_cast<std::size_t>(code[pc].imm)] = pop();
+    locals[ip->imm] = std::move(*--sp);
     VM_NEXT();
   }
   VM_CASE(kLdArg) {
-    stack.push_back(arg_slots[static_cast<std::size_t>(code[pc].imm)]);
+    *sp++ = arg_slots[ip->imm];
     VM_NEXT();
   }
   VM_CASE(kStArg) {
-    arg_slots[static_cast<std::size_t>(code[pc].imm)] = pop();
+    arg_slots[ip->imm] = std::move(*--sp);
     VM_NEXT();
   }
   VM_CASE(kDup) {
-    stack.push_back(stack.back());
+    *sp = sp[-1];
+    ++sp;
     VM_NEXT();
   }
   VM_CASE(kPop) {
-    stack.pop_back();
+    *--sp = Value();
     VM_NEXT();
   }
   // ---- integer ----
-  VM_CASE(kAdd) {
-    const auto b = pop_int();
-    const auto a = pop_int();
-    stack.push_back(Value::from_int(a + b));
-    VM_NEXT();
-  }
-  VM_CASE(kSub) {
-    const auto b = pop_int();
-    const auto a = pop_int();
-    stack.push_back(Value::from_int(a - b));
-    VM_NEXT();
-  }
-  VM_CASE(kMul) {
-    const auto b = pop_int();
-    const auto a = pop_int();
-    stack.push_back(Value::from_int(a * b));
-    VM_NEXT();
-  }
+  VM_CASE(kAdd) { VM_INT_BINOP(a + b); }
+  VM_CASE(kSub) { VM_INT_BINOP(a - b); }
+  VM_CASE(kMul) { VM_INT_BINOP(a * b); }
   VM_CASE(kDiv) {
-    const auto b = pop_int();
-    const auto a = pop_int();
+    const std::int64_t b = sp[-1].as_int();
+    const std::int64_t a = sp[-2].as_int();
     check<ExecutionError>(b != 0, "interpreter: division by zero");
     check<ExecutionError>(!(a == INT64_MIN && b == -1),
                           "interpreter: division overflow");
-    stack.push_back(Value::from_int(a / b));
+    --sp;
+    sp[-1].set_int(a / b);
     VM_NEXT();
   }
   VM_CASE(kRem) {
-    const auto b = pop_int();
-    const auto a = pop_int();
+    const std::int64_t b = sp[-1].as_int();
+    const std::int64_t a = sp[-2].as_int();
     check<ExecutionError>(b != 0, "interpreter: remainder by zero");
     check<ExecutionError>(!(a == INT64_MIN && b == -1),
                           "interpreter: remainder overflow");
-    stack.push_back(Value::from_int(a % b));
+    --sp;
+    sp[-1].set_int(a % b);
     VM_NEXT();
   }
   VM_CASE(kNeg) {
-    stack.push_back(Value::from_int(-pop_int()));
+    sp[-1].set_int(-sp[-1].as_int());
     VM_NEXT();
   }
-  VM_CASE(kAnd) {
-    const auto b = pop_int();
-    const auto a = pop_int();
-    stack.push_back(Value::from_int(a & b));
-    VM_NEXT();
-  }
-  VM_CASE(kOr) {
-    const auto b = pop_int();
-    const auto a = pop_int();
-    stack.push_back(Value::from_int(a | b));
-    VM_NEXT();
-  }
-  VM_CASE(kXor) {
-    const auto b = pop_int();
-    const auto a = pop_int();
-    stack.push_back(Value::from_int(a ^ b));
-    VM_NEXT();
-  }
+  VM_CASE(kAnd) { VM_INT_BINOP(a & b); }
+  VM_CASE(kOr) { VM_INT_BINOP(a | b); }
+  VM_CASE(kXor) { VM_INT_BINOP(a ^ b); }
   VM_CASE(kShl) {
-    const auto b = pop_int();
-    const auto a = pop_int();
+    const std::int64_t b = sp[-1].as_int();
+    const std::int64_t a = sp[-2].as_int();
     check<ExecutionError>(b >= 0 && b < 64, "interpreter: bad shift");
-    stack.push_back(Value::from_int(
-        static_cast<std::int64_t>(static_cast<std::uint64_t>(a) << b)));
+    --sp;
+    sp[-1].set_int(
+        static_cast<std::int64_t>(static_cast<std::uint64_t>(a) << b));
     VM_NEXT();
   }
   VM_CASE(kShr) {
-    const auto b = pop_int();
-    const auto a = pop_int();
+    const std::int64_t b = sp[-1].as_int();
+    const std::int64_t a = sp[-2].as_int();
     check<ExecutionError>(b >= 0 && b < 64, "interpreter: bad shift");
-    stack.push_back(Value::from_int(
-        static_cast<std::int64_t>(static_cast<std::uint64_t>(a) >> b)));
+    --sp;
+    sp[-1].set_int(
+        static_cast<std::int64_t>(static_cast<std::uint64_t>(a) >> b));
     VM_NEXT();
   }
   // ---- float ----
-  VM_CASE(kAddF) {
-    const auto b = pop_float();
-    const auto a = pop_float();
-    stack.push_back(Value::from_float(a + b));
-    VM_NEXT();
-  }
-  VM_CASE(kSubF) {
-    const auto b = pop_float();
-    const auto a = pop_float();
-    stack.push_back(Value::from_float(a - b));
-    VM_NEXT();
-  }
-  VM_CASE(kMulF) {
-    const auto b = pop_float();
-    const auto a = pop_float();
-    stack.push_back(Value::from_float(a * b));
-    VM_NEXT();
-  }
-  VM_CASE(kDivF) {
-    const auto b = pop_float();
-    const auto a = pop_float();
-    stack.push_back(Value::from_float(a / b));
-    VM_NEXT();
-  }
+  VM_CASE(kAddF) { VM_FLOAT_BINOP(a + b); }
+  VM_CASE(kSubF) { VM_FLOAT_BINOP(a - b); }
+  VM_CASE(kMulF) { VM_FLOAT_BINOP(a * b); }
+  VM_CASE(kDivF) { VM_FLOAT_BINOP(a / b); }
   VM_CASE(kNegF) {
-    stack.push_back(Value::from_float(-pop_float()));
+    sp[-1].set_float(-sp[-1].as_float());
     VM_NEXT();
   }
   VM_CASE(kConvI2F) {
-    stack.push_back(Value::from_float(static_cast<double>(pop_int())));
+    sp[-1].set_float(static_cast<double>(sp[-1].as_int()));
     VM_NEXT();
   }
   VM_CASE(kConvF2I) {
-    const double f = pop_float();
+    const double f = sp[-1].as_float();
     // llround of NaN or anything outside i64 range is undefined behaviour
     // in C++; managed semantics trap instead (ECMA-335 conv.ovf).  The
     // upper bound is exclusive: 2^63 is exactly representable, INT64_MAX
@@ -269,131 +241,112 @@ dispatch_loop:
     check<ExecutionError>(std::isfinite(f) && f >= -9223372036854775808.0 &&
                               f < 9223372036854775808.0,
                           "interpreter: float to int conversion overflow");
-    stack.push_back(
-        Value::from_int(static_cast<std::int64_t>(std::llround(f))));
+    sp[-1].set_int(static_cast<std::int64_t>(std::llround(f)));
     VM_NEXT();
   }
   // ---- comparisons ----
-  VM_CASE(kCmpEq) {
-    const auto b = pop_int();
-    const auto a = pop_int();
-    stack.push_back(Value::from_int(a == b ? 1 : 0));
-    VM_NEXT();
-  }
-  VM_CASE(kCmpNe) {
-    const auto b = pop_int();
-    const auto a = pop_int();
-    stack.push_back(Value::from_int(a != b ? 1 : 0));
-    VM_NEXT();
-  }
-  VM_CASE(kCmpLt) {
-    const auto b = pop_int();
-    const auto a = pop_int();
-    stack.push_back(Value::from_int(a < b ? 1 : 0));
-    VM_NEXT();
-  }
-  VM_CASE(kCmpLe) {
-    const auto b = pop_int();
-    const auto a = pop_int();
-    stack.push_back(Value::from_int(a <= b ? 1 : 0));
-    VM_NEXT();
-  }
-  VM_CASE(kCmpGt) {
-    const auto b = pop_int();
-    const auto a = pop_int();
-    stack.push_back(Value::from_int(a > b ? 1 : 0));
-    VM_NEXT();
-  }
-  VM_CASE(kCmpGe) {
-    const auto b = pop_int();
-    const auto a = pop_int();
-    stack.push_back(Value::from_int(a >= b ? 1 : 0));
-    VM_NEXT();
-  }
+  VM_CASE(kCmpEq) { VM_INT_BINOP(a == b ? 1 : 0); }
+  VM_CASE(kCmpNe) { VM_INT_BINOP(a != b ? 1 : 0); }
+  VM_CASE(kCmpLt) { VM_INT_BINOP(a < b ? 1 : 0); }
+  VM_CASE(kCmpLe) { VM_INT_BINOP(a <= b ? 1 : 0); }
+  VM_CASE(kCmpGt) { VM_INT_BINOP(a > b ? 1 : 0); }
+  VM_CASE(kCmpGe) { VM_INT_BINOP(a >= b ? 1 : 0); }
   // ---- control ----
-  VM_CASE(kBr) { VM_JUMP(code[pc].imm); }
+  VM_CASE(kBr) { VM_JUMP(ip->imm); }
   VM_CASE(kBrTrue) {
-    if (pop_int() != 0) VM_JUMP(code[pc].imm);
+    if ((--sp)->as_int() != 0) VM_JUMP(ip->imm);
     VM_NEXT();
   }
   VM_CASE(kBrFalse) {
-    if (pop_int() == 0) VM_JUMP(code[pc].imm);
+    if ((--sp)->as_int() == 0) VM_JUMP(ip->imm);
     VM_NEXT();
   }
   VM_CASE(kCall) {
-    const auto callee = static_cast<std::uint16_t>(code[pc].imm);
-    const auto nargs = jit_.module().method(callee).num_args;
-    std::vector<Value> callee_args(nargs);
-    for (std::size_t i = nargs; i-- > 0;) callee_args[i] = pop();
-    stack.push_back(run_frame(callee, callee_args, depth + 1));
+    // The callee copies its arguments out of the top `nargs` slots; the
+    // result lands in the lowest of them and the rest are released.
+    const auto callee = static_cast<std::uint16_t>(ip->imm);
+    const std::size_t nargs = jit_.module().method(callee).num_args;
+    Value* const base = sp - nargs;
+    *base = run_frame(callee, std::span<const Value>(base, nargs), depth + 1);
+    while (sp > base + 1) *--sp = Value();
+    sp = base + 1;
     VM_NEXT();
   }
-  VM_CASE(kRet) { return pop(); }
+  VM_CASE(kRet) { return std::move(sp[-1]); }
   // ---- arrays & buffers ----
   VM_CASE(kNewArr) {
-    const auto len = pop_int();
+    const auto len = sp[-1].as_int();
     check<ExecutionError>(len >= 0 && len <= (1 << 28),
                           "interpreter: bad array length");
-    stack.push_back(Value::from_obj(std::make_shared<Obj>(
-        std::vector<Value>(static_cast<std::size_t>(len)))));
+    sp[-1] = Value::from_obj(std::make_shared<Obj>(
+        std::vector<Value>(static_cast<std::size_t>(len))));
     VM_NEXT();
   }
   VM_CASE(kLdElem) {
-    const auto idx = pop_int();
-    const auto obj = pop().as_obj();
-    if (obj->is_buffer()) {
-      const auto& bytes = obj->bytes();
+    // The object is borrowed from its stack slot; storing the element
+    // into that slot is what releases it.
+    const auto idx = sp[-1].as_int();
+    const Obj& obj = *sp[-2].as_obj();
+    if (obj.is_buffer()) {
+      const auto& bytes = obj.bytes();
       check<ExecutionError>(
           idx >= 0 && static_cast<std::size_t>(idx) < bytes.size(),
           "interpreter: buffer index out of range");
-      stack.push_back(Value::from_int(std::to_integer<std::uint8_t>(
-          bytes[static_cast<std::size_t>(idx)])));
+      --sp;
+      sp[-1] = Value::from_int(std::to_integer<std::uint8_t>(
+          bytes[static_cast<std::size_t>(idx)]));
     } else {
-      check<ExecutionError>(obj->is_array(),
+      check<ExecutionError>(obj.is_array(),
                             "interpreter: ldelem needs an array or buffer");
       check<ExecutionError>(
-          idx >= 0 && static_cast<std::size_t>(idx) < obj->arr().size(),
+          idx >= 0 && static_cast<std::size_t>(idx) < obj.arr().size(),
           "interpreter: array index out of range");
-      stack.push_back(obj->arr()[static_cast<std::size_t>(idx)]);
+      --sp;
+      // Copy the element out before the assignment can drop the array.
+      sp[-1] = Value(obj.arr()[static_cast<std::size_t>(idx)]);
     }
     VM_NEXT();
   }
   VM_CASE(kStElem) {
-    Value v = pop();
-    const auto idx = pop_int();
-    const auto obj = pop().as_obj();
-    if (obj->is_buffer()) {
-      auto& bytes = obj->bytes();
+    const auto idx = sp[-2].as_int();
+    Obj& obj = *sp[-3].as_obj();
+    if (obj.is_buffer()) {
+      auto& bytes = obj.bytes();
       check<ExecutionError>(
           idx >= 0 && static_cast<std::size_t>(idx) < bytes.size(),
           "interpreter: buffer index out of range");
       bytes[static_cast<std::size_t>(idx)] =
-          static_cast<std::byte>(v.as_int() & 0xff);
+          static_cast<std::byte>(sp[-1].as_int() & 0xff);
     } else {
-      check<ExecutionError>(obj->is_array(),
+      check<ExecutionError>(obj.is_array(),
                             "interpreter: stelem needs an array or buffer");
       check<ExecutionError>(
-          idx >= 0 && static_cast<std::size_t>(idx) < obj->arr().size(),
+          idx >= 0 && static_cast<std::size_t>(idx) < obj.arr().size(),
           "interpreter: array index out of range");
-      obj->arr()[static_cast<std::size_t>(idx)] = std::move(v);
+      obj.arr()[static_cast<std::size_t>(idx)] = std::move(sp[-1]);
     }
+    sp -= 3;
+    *sp = Value();
     VM_NEXT();
   }
   VM_CASE(kArrLen) {
-    const auto obj = pop().as_obj();
-    const std::size_t len = obj->is_string()   ? obj->str().size()
-                            : obj->is_buffer() ? obj->bytes().size()
-                                               : obj->arr().size();
-    stack.push_back(Value::from_int(static_cast<std::int64_t>(len)));
+    const Obj& obj = *sp[-1].as_obj();
+    const std::size_t len = obj.is_string()   ? obj.str().size()
+                            : obj.is_buffer() ? obj.bytes().size()
+                                              : obj.arr().size();
+    sp[-1] = Value::from_int(static_cast<std::int64_t>(len));
     VM_NEXT();
   }
   // ---- services ----
   VM_CASE(kSysCall) {
-    const auto id = static_cast<SysCall>(code[pc].imm);
-    const int arity = syscall_arity(id);
-    std::vector<Value> sys_args(static_cast<std::size_t>(arity));
-    for (std::size_t i = sys_args.size(); i-- > 0;) sys_args[i] = pop();
-    stack.push_back(engine_.dispatch_syscall(id, sys_args));
+    // Arguments are the top `arity` slots, passed in place; the result
+    // lands in the lowest of them and the rest are released.
+    const auto id = static_cast<SysCall>(ip->imm);
+    const auto arity = static_cast<std::size_t>(syscall_arity(id));
+    Value* const base = sp - arity;
+    *base = engine_.dispatch_syscall(id, std::span<const Value>(base, arity));
+    while (sp > base + 1) *--sp = Value();
+    sp = base + 1;
     VM_NEXT();
   }
 
@@ -404,6 +357,8 @@ dispatch_loop:
   throw ExecutionError("interpreter: invalid opcode");
 #endif
 
+#undef VM_FLOAT_BINOP
+#undef VM_INT_BINOP
 #undef VM_JUMP
 #undef VM_NEXT
 #undef VM_CASE

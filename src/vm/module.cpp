@@ -8,21 +8,10 @@ using util::check;
 using util::ConfigError;
 using util::ExecutionError;
 
-std::int64_t Value::as_int() const {
-  check<ExecutionError>(kind_ == Kind::kInt, "Value: expected int");
-  return i_;
-}
+// Scalars share one payload word: a Value is a tag, 8 bytes and an ObjPtr.
+static_assert(sizeof(Value) <= 32);
 
-double Value::as_float() const {
-  check<ExecutionError>(kind_ == Kind::kFloat, "Value: expected float");
-  return f_;
-}
-
-const ObjPtr& Value::as_obj() const {
-  check<ExecutionError>(kind_ == Kind::kObj && obj_ != nullptr,
-                        "Value: expected object reference");
-  return obj_;
-}
+void Value::trap_kind(const char* what) { throw ExecutionError(what); }
 
 std::uint16_t Module::add_method(MethodDef method) {
   check<ConfigError>(!method.name.empty(), "Module: empty method name");

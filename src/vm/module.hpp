@@ -43,15 +43,48 @@ class Value {
   }
 
   [[nodiscard]] Kind kind() const { return kind_; }
-  /// Accessors trap (ExecutionError) on kind mismatch.
-  [[nodiscard]] std::int64_t as_int() const;
-  [[nodiscard]] double as_float() const;
-  [[nodiscard]] const ObjPtr& as_obj() const;
+  /// Accessors trap (ExecutionError) on kind mismatch.  The kind check is
+  /// inline; only the throw is out of line.
+  [[nodiscard]] std::int64_t as_int() const {
+    if (kind_ != Kind::kInt) [[unlikely]] {
+      trap_kind("Value: expected int");
+    }
+    return i_;
+  }
+  [[nodiscard]] double as_float() const {
+    if (kind_ != Kind::kFloat) [[unlikely]] {
+      trap_kind("Value: expected float");
+    }
+    return f_;
+  }
+  [[nodiscard]] const ObjPtr& as_obj() const {
+    if (kind_ != Kind::kObj || obj_ == nullptr) [[unlikely]] {
+      trap_kind("Value: expected object reference");
+    }
+    return obj_;
+  }
+
+  /// Overwrite a value that holds no object reference with a scalar, in
+  /// place (the interpreter's operand slots).  Only an int or float value,
+  /// or a moved-from one, may be overwritten this way.
+  void set_int(std::int64_t v) {
+    kind_ = Kind::kInt;
+    i_ = v;
+  }
+  void set_float(double v) {
+    kind_ = Kind::kFloat;
+    f_ = v;
+  }
 
  private:
+  [[noreturn]] static void trap_kind(const char* what);
+
+  // Only a kObj value ever holds a non-null obj_.
   Kind kind_;
-  std::int64_t i_ = 0;
-  double f_ = 0.0;
+  union {
+    std::int64_t i_;
+    double f_;
+  };
   ObjPtr obj_;
 };
 

@@ -141,5 +141,126 @@ TEST(EdgeSemanticsTest, CallDepthOverflowsAtExactBoundary) {
   EXPECT_EQ(engine.call("recurse", {Value::from_int(7)}).as_int(), 0);
 }
 
+// One method per operand class that can reach a handler with the wrong
+// kind.  arg 0 is always a byte buffer.
+const char* const kOperandTrapSource = R"(
+.method obj_into_int_binop 1 0
+  ldarg 0
+  ldc 1
+  add
+  ret
+.end
+
+.method int_into_float_binop 1 0
+  ldc 1
+  ldcf 2.0
+  addf
+  convf2i
+  ret
+.end
+
+.method float_into_brtrue 1 0
+  ldcf 1.0
+  brtrue yes
+  ldc 0
+  ret
+yes:
+  ldc 1
+  ret
+.end
+
+.method ldelem_on_int 1 0
+  ldc 5
+  ldc 0
+  ldelem
+  ret
+.end
+
+.method ldelem_on_string 1 0
+  ldstr "abc"
+  ldc 0
+  ldelem
+  ret
+.end
+
+.method stelem_float_into_buffer 1 0
+  ldarg 0
+  ldc 0
+  ldcf 1.5
+  stelem
+  ldc 0
+  ret
+.end
+
+.method arrlen_on_int 1 0
+  ldc 3
+  arrlen
+  ret
+.end
+
+.method syscall_int_for_buffer 1 0
+  ldc 3
+  syscall buf_len
+  ret
+.end
+
+.method syscall_string_for_buffer 1 0
+  ldstr "abc"
+  syscall buf_len
+  ret
+.end
+
+.method buffer_sum 1 0
+  ldarg 0
+  ldc 0
+  ldelem
+  ldarg 0
+  ldc 1
+  ldelem
+  add
+  ldarg 0
+  arrlen
+  add
+  ret
+.end
+)";
+
+TEST(EdgeSemanticsTest, OperandKindTrapsKeepTheirTextAndUnwindFully) {
+  EngineOptions options;
+  options.jit.compile_ns_per_byte = 0;
+  ExecutionEngine engine(assemble(kOperandTrapSource), options);
+  const ObjPtr buf = std::make_shared<Obj>(
+      std::vector<std::byte>{std::byte{3}, std::byte{4}});
+  const struct {
+    const char* method;
+    const char* what;
+  } cases[] = {
+      {"obj_into_int_binop", "Value: expected int"},
+      {"int_into_float_binop", "Value: expected float"},
+      {"float_into_brtrue", "Value: expected int"},
+      {"ldelem_on_int", "Value: expected object reference"},
+      {"ldelem_on_string", "interpreter: ldelem needs an array or buffer"},
+      {"stelem_float_into_buffer", "Value: expected int"},
+      {"arrlen_on_int", "Value: expected object reference"},
+      {"syscall_int_for_buffer", "Value: expected object reference"},
+      {"syscall_string_for_buffer", "vm: buf_len needs a buffer"},
+  };
+  for (const auto& c : cases) {
+    try {
+      engine.call(c.method, {Value::from_obj(buf)});
+      ADD_FAILURE() << c.method << " did not trap";
+    } catch (const ExecutionError& e) {
+      EXPECT_STREQ(e.what(), c.what) << c.method;
+    }
+    // The trapping frame is gone: the same engine runs the next call
+    // correctly, and the buffer is referenced only here again.
+    EXPECT_EQ(buf.use_count(), 1) << c.method;
+    EXPECT_EQ(engine.call("buffer_sum", {Value::from_obj(buf)}).as_int(),
+              3 + 4 + 2)
+        << c.method;
+  }
+  EXPECT_EQ(buf->bytes()[0], std::byte{3});  // the failed stelem wrote nothing
+}
+
 }  // namespace
 }  // namespace clio::vm

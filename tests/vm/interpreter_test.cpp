@@ -255,6 +255,112 @@ TEST(Interpreter, InstructionCountAdvances) {
   EXPECT_EQ(engine.instructions_executed(), 4u);
 }
 
+// Lifetime oracle: once a call returns, normally or by a trap, the VM
+// holds no reference to any object it was handed.  `touch` moves its
+// buffer argument through every instruction that can hold an object:
+// dup/pop, stloc/ldloc, stelem, ldelem, arrlen, a syscall and a call.
+const char* const kLifetimeSource = R"(
+.method touch 1 1
+  ldarg 0
+  dup
+  pop
+  stloc 0
+  ldloc 0
+  ldc 1
+  ldc 9
+  stelem
+  ldloc 0
+  ldc 0
+  ldelem
+  ldloc 0
+  arrlen
+  add
+  ldloc 0
+  syscall buf_len
+  add
+  ldloc 0
+  call peek_one
+  add
+  ret
+.end
+
+.method peek_one 1 0
+  ldarg 0
+  ldc 1
+  ldelem
+  ret
+.end
+
+.method trap_deep 1 1
+  ldarg 0
+  stloc 0
+  ldloc 0
+  ldloc 0
+  ldc 99
+  call peek_at
+  pop
+  ret
+.end
+
+.method peek_at 2 0
+  ldarg 0
+  ldarg 1
+  ldelem
+  ret
+.end
+
+.method fresh 0 1
+  ldc 3
+  newarr
+  stloc 0
+  ldloc 0
+  ldc 0
+  ldc 5
+  stelem
+  ldloc 0
+  ret
+.end
+
+.method fresh_via_call 0 0
+  call fresh
+  dup
+  arrlen
+  pop
+  ret
+.end
+)";
+
+TEST(Interpreter, NoObjectOutlivesItsLastVmReference) {
+  EngineOptions options;
+  options.jit.compile_ns_per_byte = 0;
+  ExecutionEngine engine(assemble(kLifetimeSource), options);
+  const ObjPtr buf = std::make_shared<Obj>(std::vector<std::byte>{
+      std::byte{1}, std::byte{2}, std::byte{3}, std::byte{4}});
+
+  // buf[0] + arrlen + buf_len + buf[1] after the stelem: 1 + 4 + 4 + 9.
+  EXPECT_EQ(engine.call("touch", {Value::from_obj(buf)}).as_int(), 18);
+  EXPECT_EQ(buf->bytes()[1], std::byte{9});
+  EXPECT_EQ(buf.use_count(), 1);
+
+  // A trap two frames down, with the buffer in a local, on the caller's
+  // operand stack and in both of the callee's argument slots.
+  try {
+    engine.call("trap_deep", {Value::from_obj(buf)});
+    ADD_FAILURE() << "trap_deep did not trap";
+  } catch (const util::ExecutionError& e) {
+    EXPECT_STREQ(e.what(), "interpreter: buffer index out of range");
+  }
+  EXPECT_EQ(buf.use_count(), 1);
+
+  // A freshly allocated array comes back holding only the caller's
+  // reference, returned directly or through a nested frame.
+  for (const char* method : {"fresh", "fresh_via_call"}) {
+    const Value arr = engine.call(method);
+    EXPECT_EQ(arr.as_obj().use_count(), 1) << method;
+    EXPECT_EQ(arr.as_obj()->arr()[0].as_int(), 5) << method;
+  }
+}
+
 TEST(Interpreter, ArgCountMismatchTraps) {
   EngineOptions options;
   options.jit.compile_ns_per_byte = 0;

@@ -16,6 +16,12 @@
 namespace clio::vm {
 namespace {
 
+// Instructions executed by one kernel call on the fixtures below.  They
+// pin the instruction stream: a change to it, or to how the interpreter
+// counts it, moves these.
+constexpr std::uint64_t kBitapFixtureInsns = 400091;
+constexpr std::uint64_t kDmineFixtureInsns = 786175;
+
 class KernelsTest : public ::testing::Test {
  protected:
   KernelsTest()
@@ -39,10 +45,17 @@ class KernelsTest : public ::testing::Test {
 };
 
 TEST_F(KernelsTest, SpinSumMatchesClosedForm) {
-  auto engine = make_engine(kernels::kSpinSource);
-  EXPECT_EQ(engine.call("spin_sum", {Value::from_int(1000)}).as_int(),
-            1000 * 999 / 2);
-  EXPECT_EQ(engine.call("spin_sum", {Value::from_int(0)}).as_int(), 0);
+  // The sum is n(n-1)/2.  The instruction count is 4 prologue + 13 per
+  // iteration + 4 for the failing loop test + 2 to return: 13n + 10, so
+  // any change to the instruction stream or its accounting moves it.
+  for (const std::int64_t n : {0, 1, 1000}) {
+    auto engine = make_engine(kernels::kSpinSource);
+    EXPECT_EQ(engine.call("spin_sum", {Value::from_int(n)}).as_int(),
+              n * (n - 1) / 2);
+    EXPECT_EQ(engine.instructions_executed(),
+              static_cast<std::uint64_t>(13 * n + 10))
+        << "n = " << n;
+  }
 }
 
 TEST_F(KernelsTest, BitapKernelMatchesNativeScanner) {
@@ -88,6 +101,7 @@ TEST_F(KernelsTest, BitapKernelMatchesNativeScanner) {
                  Value::from_int(4096)})
           .as_int();
   EXPECT_EQ(static_cast<std::uint64_t>(vm_count), scanner.matches());
+  EXPECT_EQ(engine.instructions_executed(), kBitapFixtureInsns);
 }
 
 TEST_F(KernelsTest, DmineKernelMatchesNativeCounter) {
@@ -143,6 +157,7 @@ TEST_F(KernelsTest, DmineKernelMatchesNativeCounter) {
                  Value::from_int(1024)})
           .as_int();
   EXPECT_EQ(static_cast<std::uint64_t>(vm_total), native_total);
+  EXPECT_EQ(engine.instructions_executed(), kDmineFixtureInsns);
 }
 
 }  // namespace

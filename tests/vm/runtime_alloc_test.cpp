@@ -3,7 +3,8 @@
 // heap allocations during the call are O(1), not O(bytes).  The old
 // array-based path allocated a staging vector and boxed 65536 elements;
 // this test pins the new path by counting every global operator new in the
-// process while the syscall runs.
+// process while the syscall runs.  The same counter pins the interpreter:
+// a warm call allocates its frame, not one argument vector per syscall.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -87,6 +88,30 @@ const char* const kReadOnceSource = R"(
 .end
 )";
 
+// args: 0 buffer, 1 n -> n, after n buf_len syscalls
+const char* const kBufLenLoopSource = R"(
+.method buf_len_loop 2 1
+  ldc 0
+  stloc 0
+loop:
+  ldloc 0
+  ldarg 1
+  cmpge
+  brtrue done
+  ldarg 0
+  syscall buf_len
+  pop
+  ldloc 0
+  ldc 1
+  add
+  stloc 0
+  br loop
+done:
+  ldloc 0
+  ret
+.end
+)";
+
 TEST(RuntimeAllocTest, BufferFileReadMakesNoPerByteAllocations) {
   constexpr std::size_t kBytes = 64 * 1024;
   util::TempDir dir;
@@ -131,6 +156,30 @@ TEST(RuntimeAllocTest, BufferFileReadMakesNoPerByteAllocations) {
   // old boxing path fails this bound by three orders of magnitude.
   EXPECT_LT(allocs, 64u) << "file_read allocated " << allocs
                          << " times for a " << kBytes << "-byte read";
+}
+
+TEST(RuntimeAllocTest, SyscallsAndInstructionsDoNotAllocate) {
+  // Syscall arguments are passed in place from the operand stack, so the
+  // only allocation a warm call makes is its frame, whatever the number
+  // of syscalls and instructions it runs.
+  constexpr std::int64_t kCalls = 10000;
+  EngineOptions options;
+  options.jit.compile_ns_per_byte = 0;
+  ExecutionEngine engine(assemble(kBufLenLoopSource), options);
+  const std::vector<Value> args{
+      kernels::make_buffer(std::vector<std::byte>(16)),
+      Value::from_int(kCalls)};
+  const auto idx = engine.method_index("buf_len_loop");
+  ASSERT_EQ(engine.call_index(idx, args).as_int(), kCalls);  // JIT, warm
+
+  const std::uint64_t before = g_news.load(std::memory_order_relaxed);
+  const auto got = engine.call_index(idx, args).as_int();
+  const std::uint64_t after = g_news.load(std::memory_order_relaxed);
+  ASSERT_EQ(got, kCalls);
+
+  const std::uint64_t allocs = after - before;
+  EXPECT_LT(allocs, 10u) << kCalls << " buf_len syscalls allocated "
+                         << allocs << " times";
 }
 
 }  // namespace
