@@ -123,12 +123,6 @@ class RealFileStore final : public BackingStore {
 
   [[nodiscard]] const std::filesystem::path& root() const { return root_; }
 
-  /// The POSIX descriptor behind an open id — the seam the serving
-  /// layer's sendfile path needs.  Throws util::IoError for a
-  /// closed/invalid id.  The fd stays owned by this store and is valid
-  /// until close() drops the last reference.
-  [[nodiscard]] int native_handle(FileId id) const { return fd_of(id); }
-
  private:
   struct Entry {
     int fd = -1;

@@ -129,9 +129,8 @@ class ManagedFile {
   [[nodiscard]] std::uint64_t size() const;
   [[nodiscard]] const std::string& name() const { return name_; }
   /// The backing-store id behind this stream — the seam the serving
-  /// layer's zero-copy path needs to pin this file's pages directly
-  /// (BufferPool::pin) or fetch its POSIX descriptor for sendfile
-  /// (RealFileStore::native_handle).  Valid while the file is open.
+  /// layer's page-gather path needs to pin this file's pages directly
+  /// (BufferPool::pin).  Valid while the file is open.
   [[nodiscard]] FileId id() const { return id_; }
 
  private:

@@ -92,7 +92,7 @@ std::string control_response(int status, std::string_view body,
                    extra_headers, "\r\n", body);
 }
 
-/// Response head for the zero-copy paths, matching send_response's wire
+/// Response head for the page-gather path, matching send_response's wire
 /// format byte for byte (clients must not be able to tell the paths apart).
 std::string response_head(int status, std::uint64_t content_length,
                           bool keep_alive) {
@@ -138,14 +138,6 @@ MiniWebServer::MiniWebServer(io::ManagedFileSystem& fs, ServerOptions options)
   if (options_.vm_dispatch) {
     engine_ = std::make_unique<vm::ExecutionEngine>(
         vm::assemble(kHandlerSource), options_.vm_options, &fs_);
-  }
-  // The sendfile seam: only a RealFileStore directly behind fs_ exposes the
-  // POSIX descriptors the kernel needs.  Decorated stores (retry/fault
-  // wrappers) leave this null and every response rides the pool.
-  real_store_ = dynamic_cast<io::RealFileStore*>(&fs_.store());
-  if (options_.hot_cache_entries > 0) {
-    hot_cache_ = std::make_unique<HotObjectCache>(
-        options_.hot_cache_entries, options_.hot_cache_max_object_bytes);
   }
   if (options_.metrics != nullptr) {
     metrics_ = options_.metrics;
@@ -611,7 +603,7 @@ void MiniWebServer::process_request(Conn& conn, HttpRequest request,
       obs::TraceScope trace(*tracer_);
       tracer_->record_stage(obs::Stage::kParse, parse_ns);
       obs::SpanScope handler_span(obs::Stage::kHandler);
-      dispatch(channel, *current, keep, &conn);
+      dispatch(channel, *current, keep);
     } catch (const std::exception&) {
       // Connection-level failure (real or injected EIO): tear the
       // connection down; the request mix soak counts these against the
@@ -650,7 +642,7 @@ void MiniWebServer::process_request(Conn& conn, HttpRequest request,
 }
 
 void MiniWebServer::dispatch(Channel& channel, const HttpRequest& request,
-                             bool keep, Conn* conn) {
+                             bool keep) {
   // Arm the per-request budget as this thread's ambient deadline: every
   // storage call below it — pool miss loads, RetryingStore backoff sleeps —
   // honors it without signature plumbing.
@@ -685,7 +677,7 @@ void MiniWebServer::dispatch(Channel& channel, const HttpRequest& request,
       return;
     }
     if (request.method == "GET") {
-      do_get(channel, request, keep, conn);
+      do_get(channel, request, keep);
     } else if (request.method == "POST") {
       do_post(channel, request, keep);
     } else {
@@ -750,8 +742,6 @@ void write_server_stats_json(obs::JsonWriter& w, const ServerStats& s) {
   w.kv("degraded_503", s.degraded_503);
   w.kv("drained_503", s.drained_503);
   w.kv("gather_responses", s.gather_responses);
-  w.kv("sendfile_responses", s.sendfile_responses);
-  w.kv("cache_responses", s.cache_responses);
   w.end_object();
 }
 
@@ -792,20 +782,6 @@ std::string MiniWebServer::render_statz() const {
     w.kv("gather_read_calls", ps.gather_read_calls);
     w.kv("gather_read_pages", ps.gather_read_pages);
     w.end_object();
-  }
-
-  w.key("hot_cache");
-  if (hot_cache_ != nullptr) {
-    const HotCacheStats hs = hot_cache_->stats();
-    w.begin_object();
-    w.kv("lookups", hs.lookups);
-    w.kv("hits", hs.hits);
-    w.kv("insertions", hs.insertions);
-    w.kv("invalidations", hs.invalidations);
-    w.kv("evictions", hs.evictions);
-    w.end_object();
-  } else {
-    w.null();
   }
 
   w.key("breaker");
@@ -912,21 +888,6 @@ void MiniWebServer::register_metrics() {
   counter("clio_server_degraded_503_total", counters_.degraded_503);
   counter("clio_server_drained_503_total", counters_.drained_503);
   counter("clio_server_gather_responses_total", counters_.gather_responses);
-  counter("clio_server_sendfile_responses_total",
-          counters_.sendfile_responses);
-  counter("clio_server_cache_responses_total", counters_.cache_responses);
-
-  if (hot_cache_ != nullptr) {
-    HotObjectCache* cache = hot_cache_.get();
-    reg("clio_server_hot_cache_lookups_total", obs::MetricKind::kCounter,
-        [cache] { return static_cast<double>(cache->stats().lookups); });
-    reg("clio_server_hot_cache_hits_total", obs::MetricKind::kCounter,
-        [cache] { return static_cast<double>(cache->stats().hits); });
-    reg("clio_server_hot_cache_invalidations_total",
-        obs::MetricKind::kCounter, [cache] {
-          return static_cast<double>(cache->stats().invalidations);
-        });
-  }
 
   io::BufferPool& pool = fs_.pool();
   reg("clio_pool_resident_pages", obs::MetricKind::kGauge,
@@ -1010,8 +971,15 @@ std::string MiniWebServer::read_file_vm(const std::string& name) {
   return content;
 }
 
+std::size_t MiniWebServer::gather_cap_pages(std::size_t pool_capacity_pages,
+                                           std::size_t worker_threads) {
+  return std::min<std::size_t>(
+      64,
+      std::max<std::size_t>(1, pool_capacity_pages / (2 * worker_threads)));
+}
+
 void MiniWebServer::do_get(Channel& channel, const HttpRequest& request,
-                           bool keep, Conn* conn) {
+                           bool keep) {
   RequestSample sample;
   sample.is_get = true;
   util::Stopwatch total;
@@ -1021,80 +989,34 @@ void MiniWebServer::do_get(Channel& channel, const HttpRequest& request,
     return;
   }
 
-  // Fast path: the Zipf head straight from memory, no storage round at
-  // all.  vm_dispatch bypasses the cache — its point is to *pay* the
-  // managed-execution cost.
-  if (!options_.vm_dispatch && hot_cache_ != nullptr) {
-    if (const auto body = hot_cache_->lookup(name)) {
-      sample.bytes = body->size();
-      sample.total_ms = total.elapsed_ms();
-      record(sample);
-      {
-        obs::SpanScope send_span(obs::Stage::kSend);
-        send_response(channel, 200, *body, keep);
-      }
-      counters_.cache_responses.fetch_add(1, std::memory_order_relaxed);
-      counters_.responses_ok.fetch_add(1, std::memory_order_relaxed);
-      counters_.get_body_bytes_sent.fetch_add(body->size(),
-                                              std::memory_order_relaxed);
-      return;
-    }
-  }
-
   // Timed portion, as in the paper: open the stream, get at the data,
   // close the stream.  Storage failures convert to responses here — the
   // connection is healthy, the store is not — so only socket-level errors
-  // escape to the connection teardown path.  Which bytes actually ride the
-  // response is decided here too, in preference order: sendfile (kernel
-  // zero-copy, big files on a raw socket over a RealFileStore), pool-page
-  // gather (pins sent straight via sendmsg), legacy read-into-string
-  // (vm_dispatch, oversized gathers, cache fills).
-  enum class SendPath { kBuffered, kGather, kSendfile };
-  SendPath path = SendPath::kBuffered;
-  std::shared_ptr<const std::string> body;  // buffered path (+ cache fill)
-  bool cache_fill = false;
-  std::vector<io::BufferPool::PageGuard> guards;     // gather path pins
-  std::vector<std::span<const std::byte>> parts;     // gather path views
-  io::ManagedFile file;  // stays open across a sendfile send
-  int file_fd = -1;
+  // escape to the connection teardown path.  The body rides one of two
+  // paths: a native GET whose pages fit the pin cap pins them and gathers
+  // them straight into the socket; everything else (vm_dispatch, oversized
+  // and empty files) is read into one buffer first.
+  std::string body;                               // buffered path
+  std::vector<io::BufferPool::PageGuard> guards;  // gather path pins
+  std::vector<std::span<const std::byte>> parts;  // gather path views
   std::uint64_t body_bytes = 0;
   try {
     obs::SpanScope storage_span(obs::Stage::kStorageOp);
     util::Stopwatch file_watch;
     if (options_.vm_dispatch) {
-      body = std::make_shared<const std::string>(read_file_vm(name));
-      body_bytes = body->size();
+      body = read_file_vm(name);
+      body_bytes = body.size();
     } else {
-      file = fs_.open(name, io::OpenMode::kRead);
+      io::ManagedFile file = fs_.open(name, io::OpenMode::kRead);
       const std::uint64_t size = file.size();
       body_bytes = size;
       io::BufferPool& pool = fs_.pool();
-      // sendfile bypasses a FaultChannel entirely, so a faulted connection
-      // never qualifies: the injector must see every byte.
-      const int raw_fd =
-          (conn != nullptr && !conn->faulted.has_value()) ? conn->socket.fd()
-                                                          : -1;
-      const bool cacheable =
-          hot_cache_ != nullptr && size <= hot_cache_->max_object_bytes();
-      // Page-gather sizing: never let one response pin more than its fair
-      // share of the pool, or concurrent workers could deadlock it.
       const std::size_t page_size = pool.page_size();
       const std::size_t page_count =
           static_cast<std::size_t>((size + page_size - 1) / page_size);
-      const std::size_t gather_cap = std::min<std::size_t>(
-          64, std::max<std::size_t>(
-                  1, pool.capacity_pages() / (2 * options_.worker_threads)));
-      if (!cacheable && raw_fd >= 0 && real_store_ != nullptr &&
-          sendfile_ok_.load(std::memory_order_relaxed) &&
-          options_.sendfile_min_bytes > 0 &&
-          size >= options_.sendfile_min_bytes) {
-        // The kernel reads the backing file directly: dirty pool pages
-        // must land first or the response would be stale.
-        pool.flush_file(file.id());
-        file_fd = real_store_->native_handle(file.id());
-        path = SendPath::kSendfile;
-      } else if (!cacheable && options_.zero_copy && size > 0 &&
-                 page_count <= gather_cap) {
+      if (size > 0 &&
+          page_count <= gather_cap_pages(pool.capacity_pages(),
+                                         options_.worker_threads)) {
         // One coalesced readv warms the window, then every pin hits.
         const io::FileId id = file.id();
         pool.prefetch_range(id, 0, page_count);
@@ -1109,16 +1031,12 @@ void MiniWebServer::do_get(Channel& channel, const HttpRequest& request,
                               .subspan(0, take));
           remaining -= take;
         }
-        file.close();
-        path = SendPath::kGather;
       } else {
-        std::string content(static_cast<std::size_t>(size), '\0');
+        body.assign(static_cast<std::size_t>(size), '\0');
         file.read_exact(std::as_writable_bytes(
-            std::span<char>(content.data(), content.size())));
-        file.close();
-        body = std::make_shared<const std::string>(std::move(content));
-        cache_fill = cacheable;
+            std::span<char>(body.data(), body.size())));
       }
+      file.close();
     }
     sample.file_ms = file_watch.elapsed_ms();
   } catch (const util::TransientIoError&) {
@@ -1139,44 +1057,14 @@ void MiniWebServer::do_get(Channel& channel, const HttpRequest& request,
   record(sample);
   {
     obs::SpanScope send_span(obs::Stage::kSend);
-    switch (path) {
-      case SendPath::kBuffered:
-        send_response(channel, 200, *body, keep);
-        break;
-      case SendPath::kGather: {
-        const std::string head = response_head(200, body_bytes, keep);
-        channel.send_gather(str_bytes(head), parts);
-        counters_.gather_responses.fetch_add(1, std::memory_order_relaxed);
-        break;
-      }
-      case SendPath::kSendfile: {
-        const std::string head = response_head(200, body_bytes, keep);
-        channel.send_all(head.data(), head.size());
-        if (sendfile_all(conn->socket.fd(), file_fd, 0,
-                         static_cast<std::size_t>(body_bytes))) {
-          counters_.sendfile_responses.fetch_add(1,
-                                                 std::memory_order_relaxed);
-        } else {
-          // This kernel/fs pairing refuses sendfile outright (no byte
-          // moved): remember that, and stream the body the buffered way —
-          // the head is already on the wire.  A storage failure now tears
-          // the connection (the response cannot be untorn), hence IoError.
-          sendfile_ok_.store(false, std::memory_order_relaxed);
-          std::string content(static_cast<std::size_t>(body_bytes), '\0');
-          try {
-            file.read_exact(std::as_writable_bytes(
-                std::span<char>(content.data(), content.size())));
-          } catch (const std::exception&) {
-            throw util::IoError("MiniWebServer: sendfile fallback read failed");
-          }
-          channel.send_all(content.data(), content.size());
-        }
-        break;
-      }
+    if (parts.empty()) {
+      send_response(channel, 200, body, keep);
+    } else {
+      const std::string head = response_head(200, body_bytes, keep);
+      channel.send_gather(str_bytes(head), parts);
+      counters_.gather_responses.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  guards.clear();  // release the pins before any cache bookkeeping
-  if (cache_fill) hot_cache_->insert(name, body);
   // Served-byte accounting happens only after the whole response left:
   // a torn send must not count.
   counters_.responses_ok.fetch_add(1, std::memory_order_relaxed);
@@ -1189,10 +1077,6 @@ void MiniWebServer::do_post(Channel& channel, const HttpRequest& request,
   RequestSample sample;
   sample.is_get = false;
   util::Stopwatch total;
-  // Write-path cache coherence: POSTs only ever create fresh files, but a
-  // blanket invalidation is cheap insurance that the response cache can
-  // never serve bytes the store has since superseded (docs/SERVING.md).
-  if (hot_cache_ != nullptr) hot_cache_->invalidate_all();
   // "The data is written to a new file created by using a random number
   // generator" — a unique counter-derived name keeps writers disjoint.
   const std::uint64_t id =
@@ -1275,8 +1159,6 @@ ServerStats MiniWebServer::stats() const {
   s.degraded_503 = counters_.degraded_503.load();
   s.drained_503 = counters_.drained_503.load();
   s.gather_responses = counters_.gather_responses.load();
-  s.sendfile_responses = counters_.sendfile_responses.load();
-  s.cache_responses = counters_.cache_responses.load();
   return s;
 }
 
@@ -1296,8 +1178,6 @@ void MiniWebServer::reset_stats() {
   counters_.degraded_503.store(0, std::memory_order_relaxed);
   counters_.drained_503.store(0, std::memory_order_relaxed);
   counters_.gather_responses.store(0, std::memory_order_relaxed);
-  counters_.sendfile_responses.store(0, std::memory_order_relaxed);
-  counters_.cache_responses.store(0, std::memory_order_relaxed);
   clear_samples();
 }
 
@@ -1308,9 +1188,6 @@ ServerStats MiniWebServer::last_run_stats() const {
 
 void MiniWebServer::make_cold() {
   if (engine_ != nullptr) engine_->flush_jit_cache();
-  // The response cache fronts the pool: a cold pool with a warm response
-  // cache would defeat the whole point of the reset.
-  if (hot_cache_ != nullptr) hot_cache_->invalidate_all();
   fs_.drop_caches();
 }
 

@@ -7,10 +7,8 @@
 #include <thread>
 #include <vector>
 
-#include "io/file_store.hpp"
 #include "io/managed_file.hpp"
 #include "net/fault_channel.hpp"
-#include "net/hot_cache.hpp"
 #include "net/http.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -50,9 +48,11 @@ struct ServerStats {
   std::uint64_t timeouts_408 = 0;     ///< peers stalling mid-request (408)
   std::uint64_t degraded_503 = 0;     ///< storage-unavailable 503 responses
   std::uint64_t drained_503 = 0;      ///< queued backlog 503'd during stop()
-  std::uint64_t gather_responses = 0;    ///< 200s sent page-gather zero-copy
-  std::uint64_t sendfile_responses = 0;  ///< 200s sent via sendfile(2)
-  std::uint64_t cache_responses = 0;     ///< 200s served from the hot cache
+  std::uint64_t gather_responses = 0;  ///< 200s sent page-gather zero-copy
+  /// Always 0: the sendfile tier is gone (kept for reports that read it).
+  static constexpr std::uint64_t sendfile_responses = 0;
+  /// Always 0: the hot-object cache is gone (kept for reports that read it).
+  static constexpr std::uint64_t cache_responses = 0;
 };
 
 struct ServerOptions {
@@ -106,23 +106,12 @@ struct ServerOptions {
   /// Seed for deterministic trace IDs (obs::RequestTracer): a fixed seed
   /// yields a fixed ID sequence, so traces are reproducible run-to-run.
   std::uint64_t trace_seed = 0x7ace5eedULL;
-  /// Zero-copy GET responses: pin the file's buffer-pool pages and gather
-  /// them straight into the socket (sendmsg iovecs) instead of copying the
-  /// body into a per-request string first.  Off, every GET takes the
-  /// legacy read-into-string path (the paper's model).
-  bool zero_copy = true;
-  /// Files at least this large whose backing store is a RealFileStore are
-  /// sent with sendfile(2) — kernel-side zero-copy, no page pins held for
-  /// the duration of the send.  0 disables sendfile (page gathers still
-  /// apply).  Responses on a fault-injected channel never sendfile: the
-  /// injector must see every byte.
-  std::size_t sendfile_min_bytes = 256 * 1024;
-  /// Hot-object response cache entries (0 = off).  The Zipf head of the
-  /// request mix is served from memory without touching storage; every
-  /// POST invalidates the whole cache (see docs/SERVING.md).
-  std::size_t hot_cache_entries = 0;
-  /// Largest body the hot cache will retain.
-  std::size_t hot_cache_max_object_bytes = 128 * 1024;
+  /// Always true: native GETs within the pin cap send pool pages zero-copy.
+  static constexpr bool zero_copy = true;
+  /// Always 0: the sendfile tier is gone (kept for reports that read it).
+  static constexpr std::size_t sendfile_min_bytes = 0;
+  /// Always 0: the hot-object cache is gone (kept for reports that read it).
+  static constexpr std::size_t hot_cache_entries = 0;
   /// Cap on connections the event loop will own at once (0 = unlimited).
   /// At the cap, fresh connections get a best-effort 503 and close — fd
   /// backpressure, mirroring the request queue's.
@@ -137,10 +126,10 @@ struct ServerOptions {
 /// concurrency is bounded by fds instead of worker_threads (the C10K
 /// step; see docs/SERVING.md for the loop's state machine).  GET reads
 /// the requested file from the managed file system and returns it —
-/// zero-copy where possible (pool-page gathers, sendfile, hot-object
-/// cache); POST writes the body to a new file named by a counter-derived
-/// random number ("hence, no synchronization is required for write
-/// operations").
+/// straight from pinned pool pages when they fit the pin cap, else
+/// through one buffered copy; POST writes the body to a new file named by
+/// a counter-derived random number ("hence, no synchronization is
+/// required for write operations").
 class MiniWebServer {
  public:
   MiniWebServer(io::ManagedFileSystem& fs, ServerOptions options = {});
@@ -202,10 +191,11 @@ class MiniWebServer {
     return engine_.get();
   }
 
-  /// Hot-object cache counters (all zero when the cache is off).
-  [[nodiscard]] HotCacheStats hot_cache_stats() const {
-    return hot_cache_ != nullptr ? hot_cache_->stats() : HotCacheStats{};
-  }
+  /// Most pages one GET may pin for a page-gather send: its fair share of
+  /// the pool, so concurrent workers can never pin it dry (at most 64).
+  /// Larger native GETs take the buffered path.
+  [[nodiscard]] static std::size_t gather_cap_pages(
+      std::size_t pool_capacity_pages, std::size_t worker_threads);
 
  private:
   /// Event-loop connection state (defined in server.cpp): socket, optional
@@ -226,8 +216,7 @@ class MiniWebServer {
   /// Wakes the event loop (eventfd write); safe from any thread while the
   /// loop is alive.
   void wake_loop();
-  void dispatch(Channel& channel, const HttpRequest& request, bool keep,
-                Conn* conn);
+  void dispatch(Channel& channel, const HttpRequest& request, bool keep);
   void do_healthz(Channel& channel, bool keep);
   void do_metrics(Channel& channel, bool keep);
   void do_statz(Channel& channel, bool keep);
@@ -238,8 +227,7 @@ class MiniWebServer {
   /// "Retry-After: N\r\n" derived from the breaker's remaining cooldown
   /// (empty when no breaker is armed).
   [[nodiscard]] std::string retry_after_header() const;
-  void do_get(Channel& channel, const HttpRequest& request, bool keep,
-              Conn* conn);
+  void do_get(Channel& channel, const HttpRequest& request, bool keep);
   void do_post(Channel& channel, const HttpRequest& request, bool keep);
   std::string read_file_vm(const std::string& name);
   void record(RequestSample sample);
@@ -283,14 +271,6 @@ class MiniWebServer {
   std::atomic<bool> draining_{false};   ///< stop(): close parked conns
   std::atomic<bool> loop_stop_{false};  ///< stop(): exit the loop
 
-  // The zero-copy seams, resolved once at construction: the raw store
-  // behind fs_ when it is a RealFileStore (sendfile source), and whether
-  // sendfile works on this kernel/fs pairing (flips off after the first
-  // EINVAL/ENOSYS and stays off).
-  io::RealFileStore* real_store_ = nullptr;
-  std::atomic<bool> sendfile_ok_{true};
-  std::unique_ptr<HotObjectCache> hot_cache_;
-
   std::vector<RequestSample> samples_;
   mutable std::mutex samples_mutex_;
 
@@ -310,8 +290,6 @@ class MiniWebServer {
     std::atomic<std::uint64_t> degraded_503{0};
     std::atomic<std::uint64_t> drained_503{0};
     std::atomic<std::uint64_t> gather_responses{0};
-    std::atomic<std::uint64_t> sendfile_responses{0};
-    std::atomic<std::uint64_t> cache_responses{0};
   };
   Counters counters_;
 

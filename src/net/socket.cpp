@@ -5,7 +5,6 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
-#include <sys/sendfile.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/uio.h>
@@ -180,28 +179,6 @@ bool try_send_nonblock(int fd, std::string_view data) {
     if (r < 0 && errno == EINTR) continue;
     if (r <= 0) return false;  // would block or dead peer: give up
     sent += static_cast<std::size_t>(r);
-  }
-  return true;
-}
-
-bool sendfile_all(int socket_fd, int file_fd, std::uint64_t offset,
-                  std::size_t count) {
-  off_t off = static_cast<off_t>(offset);
-  std::size_t left = count;
-  while (left > 0) {
-    const ssize_t r = ::sendfile(socket_fd, file_fd, &off, left);
-    if (r < 0 && errno == EINTR) continue;
-    if (r < 0 && (errno == EINVAL || errno == ENOSYS) && left == count) {
-      return false;  // this pairing can't sendfile; nothing sent, fall back
-    }
-    if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      // SO_SNDTIMEO expired on the blocking socket: the peer stopped
-      // reading mid-response — same IoError a timed-out send_all throws.
-      throw IoError("Socket: sendfile timed out");
-    }
-    check<IoError>(r > 0, std::string("Socket: sendfile failed: ") +
-                              std::strerror(errno));
-    left -= static_cast<std::size_t>(r);
   }
   return true;
 }

@@ -72,15 +72,6 @@ void set_recv_timeout(int fd, int timeout_ms);
 /// always has room for a small response.
 bool try_send_nonblock(int fd, std::string_view data);
 
-/// Transmits `count` bytes of file_fd starting at `offset` to socket_fd via
-/// sendfile(2) — the kernel-side zero-copy response path.  Returns false if
-/// sendfile is unusable for this pairing (EINVAL/ENOSYS before any byte
-/// moved), so the caller can fall back; throws util::IoError on a
-/// connection error or on failure after partial progress (the response is
-/// torn either way).
-bool sendfile_all(int socket_fd, int file_fd, std::uint64_t offset,
-                  std::size_t count);
-
 /// Loopback TCP listener.  Binding port 0 picks an ephemeral port,
 /// retrievable via port() — tests and benches never collide.
 class TcpListener {

@@ -16,11 +16,6 @@ const CompiledMethod& Jit::get(std::uint16_t method_index) {
   util::check<util::ConfigError>(method_index < cache_.size(),
                                  "Jit: method index out of range");
   Slot& slot = cache_[method_index];
-  if (!options_.cache_enabled && slot.code.has_value()) {
-    // The no-code-cache ablation: every invocation redoes the whole
-    // verify + decode + codegen pipeline.
-    slot = Slot{};
-  }
   if (!slot.code.has_value()) {
     slot.code = decode_method(method_index);
   }
@@ -29,7 +24,7 @@ const CompiledMethod& Jit::get(std::uint16_t method_index) {
       options_.compile_threshold, 1);
   if (slot.tiered_up) {
     stats_.cache_hits++;
-  } else if (slot.calls >= threshold || !options_.cache_enabled) {
+  } else if (slot.calls >= threshold) {
     run_codegen(method_index);
     slot.tiered_up = true;
   } else {

@@ -32,8 +32,8 @@ struct JitOptions {
   /// visible at benchmark timescales (Table 6's "delay caused by the JIT
   /// compiler when the web server is handling the first request").
   std::int64_t compile_ns_per_byte = 1500;
-  /// When false every invocation recompiles — the "no code cache" ablation.
-  bool cache_enabled = true;
+  /// Always true: compiled code is cached per method (kept for reports).
+  static constexpr bool cache_enabled = true;
   /// Warm-up tier: the first (threshold - 1) invocations of a method run
   /// from the cheap baseline decode only; crossing the threshold pays the
   /// modeled code-generation cost once.  1 (the default, and the SSCLI

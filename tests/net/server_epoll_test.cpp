@@ -2,9 +2,8 @@
 // economics (thousands of idle keep-alive connections on a tiny worker
 // pool), stop() drain with a deadline and no fd leaks, pipelined bursts
 // vs the idle timeout, the connection cap's best-effort 503 against a
-// non-reading client, and the zero-copy response tiers (hot cache,
-// page gather, sendfile) staying byte-identical.  These run under the
-// TSan CI label (`net`).
+// non-reading client, and the two GET send paths (page gather, buffered)
+// staying byte-identical.  These run under the TSan CI label (`net`).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -181,83 +180,94 @@ TEST_F(ServerEpollTest, ConnectionCapRejectsWithoutWedgingTheLoop) {
   server.stop();
 }
 
-TEST_F(ServerEpollTest, HotCacheHitsAreByteIdenticalAndPostInvalidates) {
-  ServerOptions options;
-  options.hot_cache_entries = 4;
-  MiniWebServer server(fs_, options);
-  server.start();
-
-  HttpClient client(server.port(), /*keep_alive=*/true);
-  // Miss fills, hit serves from memory — byte-identical both ways.  The
-  // fill happens after the response is on the wire, so wait for it before
-  // asking for the hit.
-  ASSERT_EQ(client.get("/doc.bin").status, 200);
-  for (int i = 0; i < 2000 && server.hot_cache_stats().insertions < 1; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+/// One GET on a fresh connection that asks to close, read to EOF: the
+/// exact bytes the server put on the wire for that response.
+std::string raw_get(std::uint16_t port, const std::string& path) {
+  Socket socket = connect_loopback(port);
+  const std::string wire =
+      "GET " + path + " HTTP/1.1\r\nConnection: close\r\n\r\n";
+  socket.send_all(wire.data(), wire.size());
+  std::string out;
+  char buf[16384];
+  while (const std::size_t n = socket.recv_some(buf, sizeof(buf))) {
+    out.append(buf, n);
   }
-  const auto hit = client.get("/doc.bin");
-  EXPECT_EQ(hit.status, 200);
-  EXPECT_EQ(hit.body, content_);
-  // The counter, too, moves only once the response has left.
-  for (int i = 0; i < 2000 && server.stats().cache_responses < 1; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_GE(server.stats().cache_responses, 1u);
-  const auto warm = server.hot_cache_stats();
-  EXPECT_GE(warm.hits, 1u);
-  EXPECT_GE(warm.insertions, 1u);
-
-  // Any POST invalidates the whole cache (writers pick random names, so
-  // per-key invalidation cannot be trusted): the next GET misses, refills
-  // and still serves the exact bytes.
-  EXPECT_EQ(client.post("/upload", "fresh-bytes").status, 201);
-  EXPECT_GE(server.hot_cache_stats().invalidations, 1u);
-  const auto refill = client.get("/doc.bin");
-  EXPECT_EQ(refill.status, 200);
-  EXPECT_EQ(refill.body, content_);
-  // The fill happens after the response is on the wire, so give the worker
-  // a beat to reach it before asserting.
-  for (int i = 0; i < 2000 &&
-                  server.hot_cache_stats().insertions < warm.insertions + 1;
-       ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_GE(server.hot_cache_stats().insertions, warm.insertions + 1);
-  server.stop();
+  return out;
 }
 
-TEST_F(ServerEpollTest, ZeroCopyTiersStayByteIdentical) {
-  // Page-gather tier: default options (sendfile floor far above the file).
-  {
-    MiniWebServer server(fs_, ServerOptions{});
-    server.start();
-    HttpClient client(server.port());
-    const auto response = client.get("/doc.bin");
-    EXPECT_EQ(response.status, 200);
-    EXPECT_EQ(response.body, content_);
-    // The tier counter ticks after the bytes are on the wire; give the
-    // worker a beat to reach it.
-    for (int i = 0; i < 2000 && server.stats().gather_responses < 1; ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+TEST(ServerSendPaths, EverySizeIsByteIdenticalOnBothPaths) {
+  // Differential test of the GET send paths: the same files served
+  // natively (page gather up to the pin cap, buffered above it and for
+  // empty files) and under vm_dispatch (always buffered).  Each response
+  // is read raw to EOF, so a body one byte long or short cannot hide
+  // behind Content-Length, and both modes must put identical bytes on
+  // the wire.
+  constexpr std::size_t kPage = 4096;
+  constexpr std::size_t kWorkers = 2;
+  io::ManagedFsOptions fs_options;
+  fs_options.page_size = kPage;
+  fs_options.pool_pages = 64;
+  util::TempDir dir;
+  io::ManagedFileSystem fs(std::make_unique<io::RealFileStore>(dir.path()),
+                           fs_options);
+  const std::size_t cap =
+      MiniWebServer::gather_cap_pages(fs.pool().capacity_pages(), kWorkers);
+  ASSERT_GE(cap, 2u);
+  const std::vector<std::size_t> sizes = {
+      0, 1, kPage - 1, kPage, kPage + 1, cap * kPage, cap * kPage + 1};
+  std::vector<std::string> contents;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    std::string content(sizes[i], '\0');
+    for (std::size_t b = 0; b < content.size(); ++b) {
+      content[b] = static_cast<char>(1 + (b * 31 + i * 7 + b / kPage) % 250);
     }
-    EXPECT_GE(server.stats().gather_responses, 1u);
-    server.stop();
+    auto file = fs.open("size" + std::to_string(i) + ".bin",
+                        io::OpenMode::kTruncate);
+    file.write(std::as_bytes(
+        std::span<const char>(content.data(), content.size())));
+    file.close();
+    contents.push_back(std::move(content));
   }
-  // Sendfile tier: drop the floor below the file size; the store is a
-  // bare RealFileStore, so the kernel path is eligible.
-  {
+
+  std::vector<std::string> native_wire;
+  for (const bool vm_dispatch : {false, true}) {
+    SCOPED_TRACE(vm_dispatch ? "vm_dispatch" : "native");
     ServerOptions options;
-    options.sendfile_min_bytes = 1024;
-    MiniWebServer server(fs_, options);
+    options.worker_threads = kWorkers;
+    options.vm_dispatch = vm_dispatch;
+    options.vm_options.jit.compile_ns_per_byte = 0;
+    MiniWebServer server(fs, options);
     server.start();
-    HttpClient client(server.port());
-    const auto response = client.get("/doc.bin");
-    EXPECT_EQ(response.status, 200);
-    EXPECT_EQ(response.body, content_);
-    for (int i = 0; i < 2000 && server.stats().sendfile_responses < 1; ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::uint64_t body_bytes = 0;
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      SCOPED_TRACE("size " + std::to_string(sizes[i]));
+      const ServerStats before = server.stats();
+      const std::string wire =
+          raw_get(server.port(), "/size" + std::to_string(i) + ".bin");
+      const std::size_t head_end = wire.find("\r\n\r\n");
+      ASSERT_NE(head_end, std::string::npos);
+      EXPECT_EQ(wire.rfind("HTTP/1.1 200 ", 0), 0u);
+      const std::string body = wire.substr(head_end + 4);
+      ASSERT_EQ(body.size(), contents[i].size());
+      EXPECT_TRUE(body == contents[i]);
+      body_bytes += sizes[i];
+      if (vm_dispatch) {
+        EXPECT_TRUE(wire == native_wire[i]);
+      } else {
+        native_wire.push_back(wire);
+      }
+      // Counters tick after the bytes are on the wire, gather first.
+      for (int w = 0; w < 2000 && server.stats().responses_ok <
+                                      before.responses_ok + 1;
+           ++w) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      const bool gathered = !vm_dispatch && sizes[i] > 0 &&
+                            sizes[i] <= cap * kPage;
+      EXPECT_EQ(server.stats().gather_responses - before.gather_responses,
+                gathered ? 1u : 0u);
     }
-    EXPECT_GE(server.stats().sendfile_responses, 1u);
+    EXPECT_EQ(server.stats().get_body_bytes_sent, body_bytes);
     server.stop();
   }
 }

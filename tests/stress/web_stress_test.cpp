@@ -225,8 +225,12 @@ TEST(WebStress, SeededRequestMixUnderNetFaults) {
         io::ManagedFsOptions{});
 
     // Publish a small zoo of files with deterministic per-file content.
+    // The last one is larger than the server's page-gather cap (64 pages
+    // of 4 KiB), so native GETs of it take the buffered send path and the
+    // byte-exact and served-byte oracles cover both paths under the storm.
     std::map<std::string, std::string> docs;
-    const std::size_t sizes[] = {900, 3100, 7501, 14063, 26000, 50607};
+    const std::size_t sizes[] = {900, 3100, 7501, 14063, 26000, 50607,
+                                 300000};
     for (std::size_t i = 0; i < std::size(sizes); ++i) {
       const std::string name = "doc" + std::to_string(i) + ".bin";
       std::string content(sizes[i], '\0');
@@ -245,10 +249,6 @@ TEST(WebStress, SeededRequestMixUnderNetFaults) {
     options.worker_threads = 4;
     options.max_pending = 16;
     options.fault_injector = &injector;
-    // The hot cache rides the storm too: a stale or torn cached body would
-    // fail the byte-exact oracle, and the 25% POST mix exercises the
-    // invalidate-on-write contract continuously.
-    options.hot_cache_entries = 4;
     MiniWebServer server(fs, options);
     server.start();
 
@@ -334,7 +334,6 @@ TEST(WebStress, MostlyIdleConnectionSoak) {
   options.worker_threads = 8;
   options.max_pending = 64;
   options.fault_injector = &injector;
-  options.hot_cache_entries = 4;
   options.drain_deadline_ms = 2000;
   MiniWebServer server(fs, options);
   server.start();

@@ -41,16 +41,32 @@ TEST(Jit, CompilesOncePerMethodWhenCached) {
   EXPECT_GT(engine.jit_stats().cache_hits, 0u);
 }
 
-TEST(Jit, CacheDisabledRecompilesEveryInvocation) {
+TEST(Jit, SelfRecursiveMethodCompilesOnceAndKeepsItsCode) {
+  // The outer frame keeps running from the method's cached code while the
+  // inner calls fetch the same slot; under ASan any reset or reallocation
+  // of that slot mid-call is a use-after-free.
   EngineOptions options;
   options.jit.compile_ns_per_byte = 0;
-  options.jit.cache_enabled = false;
-  ExecutionEngine engine(
-      assemble(".method f 0 0\nldc 1\nret\n.end\n"), options);
-  engine.call("f");
-  engine.call("f");
-  engine.call("f");
-  EXPECT_EQ(engine.jit_stats().compilations, 3u);
+  ExecutionEngine engine(assemble(R"(
+.method recurse 1 0
+  ldarg 0
+  brfalse done
+  ldarg 0
+  ldc 1
+  sub
+  call recurse
+  ldc 10
+  add
+  ret
+done:
+  ldc 7
+  ret
+.end
+)"),
+                         options);
+  EXPECT_EQ(engine.call("recurse", {Value::from_int(3)}).as_int(), 37);
+  EXPECT_EQ(engine.call("recurse", {Value::from_int(3)}).as_int(), 37);
+  EXPECT_EQ(engine.jit_stats().compilations, 1u);
 }
 
 TEST(Jit, FirstCallSlowerThanWarmCalls) {
