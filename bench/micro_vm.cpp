@@ -5,9 +5,9 @@
 // filesystem?
 //
 // Scenarios:
-//   interp   — raw interpreter dispatch throughput (threaded computed-goto
-//              vs switch fallback is a compile-time property; the metric is
-//              interpreted Minstructions/s on a tight arithmetic loop).
+//   interp   — raw interpreter throughput on a tight arithmetic loop run
+//              from the fused tier: source Minstructions/s, and how many
+//              handler dispatches each source instruction cost.
 //   jit      — first-request delay: eager compile (threshold 1, the Table 6
 //              cold-start) vs the warm-up tier (threshold 16: early calls
 //              interpret, the hot method compiles later).
@@ -70,6 +70,7 @@ void bench_interp(obs::BenchReport& report) {
   // Warm up (forces the compile), then measure.
   benchmark_sink = engine.call_index(idx, args).as_int();
   const auto insns_before = engine.instructions_executed();
+  const auto dispatches_before = engine.dispatches_executed();
   util::Stopwatch watch;
   constexpr int kReps = 150;
   for (int i = 0; i < kReps; ++i) {
@@ -78,17 +79,13 @@ void bench_interp(obs::BenchReport& report) {
   const double sec = watch.elapsed_ms() / 1e3;
   const double insns =
       static_cast<double>(engine.instructions_executed() - insns_before);
-#if defined(__GNUC__) || defined(__clang__)
-  const bool threaded = true;
-#else
-  const bool threaded = false;
-#endif
-  std::printf("dispatch: %s   %.1f M insns/s\n",
-              threaded ? "threaded (computed goto)" : "switch fallback",
-              insns / sec / 1e6);
+  const double dispatches =
+      static_cast<double>(engine.dispatches_executed() - dispatches_before);
+  std::printf("fused tier: %.1f M insns/s   %.3f dispatches/insn\n",
+              insns / sec / 1e6, dispatches / insns);
   report.scenario("interp_loop");
   report.metric("minsns_per_sec", insns / sec / 1e6);
-  report.metric("threaded_dispatch", threaded ? 1.0 : 0.0);
+  report.metric("dispatches_per_insn", dispatches / insns);
 }
 
 // ---------------------------------------------------------------- jit ----
@@ -141,12 +138,15 @@ void bench_jit(obs::BenchReport& report) {
   std::printf(
       "first call:  eager p50 %8llu ns   tiered p50 %8llu ns\n"
       "warm call:         p50 %8llu ns\n"
-      "tiered engine: %llu compilations, %llu interpreted calls\n",
+      "tiered engine: %llu compilations, %llu interpreted calls\n"
+      "per compilation: modeled %.1f us, fused-stream translation %.2f us\n",
       static_cast<unsigned long long>(eager_first.quantile_ns(0.5)),
       static_cast<unsigned long long>(tiered_first.quantile_ns(0.5)),
       static_cast<unsigned long long>(warm.quantile_ns(0.5)),
       static_cast<unsigned long long>(stats.compilations),
-      static_cast<unsigned long long>(stats.interpreted_calls));
+      static_cast<unsigned long long>(stats.interpreted_calls),
+      stats.total_compile_ms * 1e3 / static_cast<double>(stats.compilations),
+      stats.translate_ms * 1e3 / static_cast<double>(stats.compilations));
 
   report.scenario("jit_first_request");
   report.metric("eager_first_call_p50_ns",
@@ -157,6 +157,9 @@ void bench_jit(obs::BenchReport& report) {
                 static_cast<double>(warm.quantile_ns(0.5)));
   report.metric("tiered_interpreted_calls",
                 static_cast<double>(stats.interpreted_calls));
+  report.metric("translate_us_per_compile",
+                stats.translate_ms * 1e3 /
+                    static_cast<double>(stats.compilations));
   report.distribution("eager_first_call_ns", eager_first);
   report.distribution("tiered_first_call_ns", tiered_first);
   report.distribution("warm_call_ns", warm);

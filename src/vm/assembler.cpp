@@ -164,10 +164,11 @@ Module assemble(std::string_view source) {
     }
 
     auto [mnemonic, operand] = split_word(line);
-    const Op op = op_by_name(mnemonic);
-    util::check<ParseError>(op != Op::kOpCount_,
+    const std::optional<Op> found = op_by_name(mnemonic);
+    util::check<ParseError>(found.has_value(),
                             cat("asm line ", line_no, ": unknown mnemonic '",
                                 mnemonic, "'"));
+    const Op op = *found;
     current.code.push_back(static_cast<std::uint8_t>(op));
     const OpInfo& info = op_info(op);
     switch (info.operand) {

@@ -1,27 +1,106 @@
 #include "vm/interpreter.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <iterator>
 
 #include "util/error.hpp"
 #include "vm/runtime.hpp"
 
-// Threaded (computed-goto) dispatch on GCC/Clang: each handler jumps
-// straight to the next instruction's handler through a label table, so the
-// branch predictor sees one indirect branch per *opcode* instead of the
-// single shared switch branch.  Elsewhere the same handler bodies compile
-// into a plain dispatch-loop switch; the two modes share one source of
-// truth via the VM_CASE / VM_NEXT / VM_JUMP macros below.
-#if defined(__GNUC__) || defined(__clang__)
-#define CLIO_VM_THREADED_DISPATCH 1
-#else
-#define CLIO_VM_THREADED_DISPATCH 0
+// Threaded (computed-goto) dispatch: each handler jumps straight to the
+// next instruction's handler through a label table, so the branch
+// predictor sees one indirect branch per handler instead of one shared
+// switch branch.  Computed goto is a GNU extension; the build only supports
+// GCC and Clang (CMakeLists.txt passes GNU-style warning flags to every
+// compiler), so there is no portable fallback to keep in step.
+#if !defined(__GNUC__)
+#error "the VM interpreter needs computed goto (GCC or Clang)"
 #endif
 
 namespace clio::vm {
 
 using util::check;
 using util::ExecutionError;
+
+namespace {
+
+constexpr std::uint64_t bits(std::int64_t v) {
+  return static_cast<std::uint64_t>(v);
+}
+constexpr std::int64_t wrap(std::uint64_t v) {
+  return static_cast<std::int64_t>(v);
+}
+
+/// Integer binary op `kOp` (one of CLIO_VM_FUSED_BINOPS), shared by its
+/// base handler and every superinstruction that carries it.  add, sub and
+/// mul wrap modulo 2^64 as ECMA-335 says (signed overflow is undefined in
+/// C++, so they compute in uint64_t); shifts trap outside [0, 64).
+template <Op kOp>
+std::int64_t int_binop(std::int64_t a, std::int64_t b) {
+  if constexpr (kOp == Op::kAdd) {
+    return wrap(bits(a) + bits(b));
+  } else if constexpr (kOp == Op::kSub) {
+    return wrap(bits(a) - bits(b));
+  } else if constexpr (kOp == Op::kMul) {
+    return wrap(bits(a) * bits(b));
+  } else if constexpr (kOp == Op::kAnd) {
+    return a & b;
+  } else if constexpr (kOp == Op::kOr) {
+    return a | b;
+  } else if constexpr (kOp == Op::kXor) {
+    return a ^ b;
+  } else {
+    static_assert(kOp == Op::kShl || kOp == Op::kShr);
+    check<ExecutionError>(b >= 0 && b < 64, "interpreter: bad shift");
+    return kOp == Op::kShl ? wrap(bits(a) << b) : wrap(bits(a) >> b);
+  }
+}
+
+/// Comparison `kCmp` (kCmpEq ... kCmpGe), shared like int_binop.
+template <Op kCmp>
+bool int_relation(std::int64_t a, std::int64_t b) {
+  if constexpr (kCmp == Op::kCmpEq) {
+    return a == b;
+  } else if constexpr (kCmp == Op::kCmpNe) {
+    return a != b;
+  } else if constexpr (kCmp == Op::kCmpLt) {
+    return a < b;
+  } else if constexpr (kCmp == Op::kCmpLe) {
+    return a <= b;
+  } else if constexpr (kCmp == Op::kCmpGt) {
+    return a > b;
+  } else {
+    static_assert(kCmp == Op::kCmpGe);
+    return a >= b;
+  }
+}
+
+/// ldelem's body: replaces the array or buffer held by `slot` with its
+/// element `idx`.  The object is borrowed from the slot; storing the
+/// element into that slot is what releases it.
+[[gnu::always_inline]] inline void load_element(Value& slot,
+                                                std::int64_t idx) {
+  const Obj& obj = *slot.as_obj();
+  if (obj.is_buffer()) {
+    const auto& bytes = obj.bytes();
+    check<ExecutionError>(
+        idx >= 0 && static_cast<std::size_t>(idx) < bytes.size(),
+        "interpreter: buffer index out of range");
+    slot = Value::from_int(
+        std::to_integer<std::uint8_t>(bytes[static_cast<std::size_t>(idx)]));
+  } else {
+    check<ExecutionError>(obj.is_array(),
+                          "interpreter: ldelem needs an array or buffer");
+    check<ExecutionError>(
+        idx >= 0 && static_cast<std::size_t>(idx) < obj.arr().size(),
+        "interpreter: array index out of range");
+    // Copy the element out before the assignment can drop the array.
+    slot = Value(obj.arr()[static_cast<std::size_t>(idx)]);
+  }
+}
+
+}  // namespace
 
 Interpreter::Interpreter(ExecutionEngine& engine, Jit& jit,
                          std::size_t max_call_depth)
@@ -50,27 +129,36 @@ Value Interpreter::run_frame(std::uint16_t index, std::span<const Value> args,
   // the handler's scope without running destructors.
   std::vector<Value> frame(def.num_args + def.num_locals + compiled.max_stack);
   std::copy(args.begin(), args.end(), frame.begin());
-  Value* const arg_slots = frame.data();
-  Value* const locals = arg_slots + def.num_args;
+  Value* const slots = frame.data();  // args, then locals
+  Value* const locals = slots + def.num_args;
   Value* sp = locals + def.num_locals;
 
   // The verifier guarantees every reachable path ends in kRet and every
   // branch target is a decoded-instruction index, so dispatch needs no
-  // per-instruction bounds check.  Executed-instruction accounting is kept
-  // in a local and folded into the member on every exit path (including
-  // ExecutionError unwinds) by the guard.
+  // per-instruction bounds check.  Each dispatch counts one; a
+  // superinstruction standing for n source instructions adds the other
+  // n - 1 to `fused_extra`: those before its one checking instruction
+  // before the check can trap, the rest after it, so a trap leaves the
+  // count the plain decode would.  Both are kept in locals and folded into
+  // the members on every exit path (including ExecutionError unwinds).
   const DecodedInsn* const code = compiled.code.data();
   const DecodedInsn* ip = code;
-  std::uint64_t executed = 0;
+  std::uint64_t dispatched = 0;
+  std::uint64_t fused_extra = 0;
   struct CountGuard {
-    std::uint64_t& total;
-    const std::uint64_t& local;
-    ~CountGuard() { total += local; }
-  } count_guard{instructions_, executed};
+    Interpreter& self;
+    const std::uint64_t& dispatched;
+    const std::uint64_t& fused_extra;
+    ~CountGuard() {
+      self.dispatches_ += dispatched;
+      self.instructions_ += dispatched + fused_extra;
+    }
+  } count_guard{*this, dispatched, fused_extra};
 
-#if CLIO_VM_THREADED_DISPATCH
-  static_assert(static_cast<std::size_t>(Op::kOpCount_) == 44,
-                "opcode added: update the threaded-dispatch label table");
+  // Indexed by Op: the bytecode opcodes in enum order, then the
+  // superinstructions in the order opcodes.hpp declares them.
+#define VM_RELATION_LABELS(rel) &&lbl_kBr##rel##SS, &&lbl_kBr##rel##TS,
+#define VM_BINOP_LABELS(op) &&lbl_k##op##SI, &&lbl_k##op##TS, &&lbl_k##op##TI,
   static const void* const kLabels[] = {
       &&lbl_kNop,    &&lbl_kLdcI8,   &&lbl_kLdcF64,  &&lbl_kLdStr,
       &&lbl_kLdLoc,  &&lbl_kStLoc,   &&lbl_kLdArg,   &&lbl_kStArg,
@@ -83,17 +171,25 @@ Value Interpreter::run_frame(std::uint16_t index, std::span<const Value> args,
       &&lbl_kCmpGt,  &&lbl_kCmpGe,   &&lbl_kBr,      &&lbl_kBrTrue,
       &&lbl_kBrFalse, &&lbl_kCall,   &&lbl_kRet,     &&lbl_kNewArr,
       &&lbl_kLdElem, &&lbl_kStElem,  &&lbl_kArrLen,  &&lbl_kSysCall,
+      // superinstructions
+      &&lbl_kBrTrueS, &&lbl_kBrFalseS, &&lbl_kBrTrueAndSS,
+      &&lbl_kBrFalseAndSS, &&lbl_kIncS, &&lbl_kIncSBr, &&lbl_kStSI,
+      &&lbl_kLdElemTS,
+      CLIO_VM_FUSED_RELATIONS(VM_RELATION_LABELS)
+      CLIO_VM_FUSED_BINOPS(VM_BINOP_LABELS)
   };
+#undef VM_BINOP_LABELS
+#undef VM_RELATION_LABELS
+  static_assert(std::size(kLabels) ==
+                    static_cast<std::size_t>(Op::kHandlerCount_),
+                "opcode or superinstruction added: update the label table");
+
+#define VM_CASE(name) lbl_##name:
 #define VM_DISPATCH()                                \
   do {                                               \
-    ++executed;                                      \
+    ++dispatched;                                    \
     goto* kLabels[static_cast<std::size_t>(ip->op)]; \
   } while (0)
-#define VM_CASE(name) lbl_##name:
-#else
-#define VM_DISPATCH() goto dispatch_loop
-#define VM_CASE(name) case Op::name:
-#endif
 #define VM_NEXT()  \
   do {             \
     ++ip;          \
@@ -122,13 +218,7 @@ Value Interpreter::run_frame(std::uint16_t index, std::span<const Value> args,
     VM_NEXT();                               \
   } while (0)
 
-#if CLIO_VM_THREADED_DISPATCH
   VM_DISPATCH();
-#else
-dispatch_loop:
-  ++executed;
-  switch (ip->op) {
-#endif
 
   VM_CASE(kNop) { VM_NEXT(); }
   VM_CASE(kLdcI8) {
@@ -136,7 +226,7 @@ dispatch_loop:
     VM_NEXT();
   }
   VM_CASE(kLdcF64) {
-    (sp++)->set_float(ip->fimm);
+    (sp++)->set_float(std::bit_cast<double>(ip->imm));
     VM_NEXT();
   }
   VM_CASE(kLdStr) {
@@ -154,11 +244,11 @@ dispatch_loop:
     VM_NEXT();
   }
   VM_CASE(kLdArg) {
-    *sp++ = arg_slots[ip->imm];
+    *sp++ = slots[ip->imm];
     VM_NEXT();
   }
   VM_CASE(kStArg) {
-    arg_slots[ip->imm] = std::move(*--sp);
+    slots[ip->imm] = std::move(*--sp);
     VM_NEXT();
   }
   VM_CASE(kDup) {
@@ -171,9 +261,10 @@ dispatch_loop:
     VM_NEXT();
   }
   // ---- integer ----
-  VM_CASE(kAdd) { VM_INT_BINOP(a + b); }
-  VM_CASE(kSub) { VM_INT_BINOP(a - b); }
-  VM_CASE(kMul) { VM_INT_BINOP(a * b); }
+#define VM_BINOP_HANDLER(op) \
+  VM_CASE(k##op) { VM_INT_BINOP(int_binop<Op::k##op>(a, b)); }
+  CLIO_VM_FUSED_BINOPS(VM_BINOP_HANDLER)
+#undef VM_BINOP_HANDLER
   VM_CASE(kDiv) {
     const std::int64_t b = sp[-1].as_int();
     const std::int64_t a = sp[-2].as_int();
@@ -195,28 +286,7 @@ dispatch_loop:
     VM_NEXT();
   }
   VM_CASE(kNeg) {
-    sp[-1].set_int(-sp[-1].as_int());
-    VM_NEXT();
-  }
-  VM_CASE(kAnd) { VM_INT_BINOP(a & b); }
-  VM_CASE(kOr) { VM_INT_BINOP(a | b); }
-  VM_CASE(kXor) { VM_INT_BINOP(a ^ b); }
-  VM_CASE(kShl) {
-    const std::int64_t b = sp[-1].as_int();
-    const std::int64_t a = sp[-2].as_int();
-    check<ExecutionError>(b >= 0 && b < 64, "interpreter: bad shift");
-    --sp;
-    sp[-1].set_int(
-        static_cast<std::int64_t>(static_cast<std::uint64_t>(a) << b));
-    VM_NEXT();
-  }
-  VM_CASE(kShr) {
-    const std::int64_t b = sp[-1].as_int();
-    const std::int64_t a = sp[-2].as_int();
-    check<ExecutionError>(b >= 0 && b < 64, "interpreter: bad shift");
-    --sp;
-    sp[-1].set_int(
-        static_cast<std::int64_t>(static_cast<std::uint64_t>(a) >> b));
+    sp[-1].set_int(wrap(std::uint64_t{0} - bits(sp[-1].as_int())));
     VM_NEXT();
   }
   // ---- float ----
@@ -245,12 +315,10 @@ dispatch_loop:
     VM_NEXT();
   }
   // ---- comparisons ----
-  VM_CASE(kCmpEq) { VM_INT_BINOP(a == b ? 1 : 0); }
-  VM_CASE(kCmpNe) { VM_INT_BINOP(a != b ? 1 : 0); }
-  VM_CASE(kCmpLt) { VM_INT_BINOP(a < b ? 1 : 0); }
-  VM_CASE(kCmpLe) { VM_INT_BINOP(a <= b ? 1 : 0); }
-  VM_CASE(kCmpGt) { VM_INT_BINOP(a > b ? 1 : 0); }
-  VM_CASE(kCmpGe) { VM_INT_BINOP(a >= b ? 1 : 0); }
+#define VM_RELATION_HANDLER(rel) \
+  VM_CASE(kCmp##rel) { VM_INT_BINOP(int_relation<Op::kCmp##rel>(a, b)); }
+  CLIO_VM_FUSED_RELATIONS(VM_RELATION_HANDLER)
+#undef VM_RELATION_HANDLER
   // ---- control ----
   VM_CASE(kBr) { VM_JUMP(ip->imm); }
   VM_CASE(kBrTrue) {
@@ -283,28 +351,10 @@ dispatch_loop:
     VM_NEXT();
   }
   VM_CASE(kLdElem) {
-    // The object is borrowed from its stack slot; storing the element
-    // into that slot is what releases it.
-    const auto idx = sp[-1].as_int();
-    const Obj& obj = *sp[-2].as_obj();
-    if (obj.is_buffer()) {
-      const auto& bytes = obj.bytes();
-      check<ExecutionError>(
-          idx >= 0 && static_cast<std::size_t>(idx) < bytes.size(),
-          "interpreter: buffer index out of range");
-      --sp;
-      sp[-1] = Value::from_int(std::to_integer<std::uint8_t>(
-          bytes[static_cast<std::size_t>(idx)]));
-    } else {
-      check<ExecutionError>(obj.is_array(),
-                            "interpreter: ldelem needs an array or buffer");
-      check<ExecutionError>(
-          idx >= 0 && static_cast<std::size_t>(idx) < obj.arr().size(),
-          "interpreter: array index out of range");
-      --sp;
-      // Copy the element out before the assignment can drop the array.
-      sp[-1] = Value(obj.arr()[static_cast<std::size_t>(idx)]);
-    }
+    // The popped index slot held an int (as_int proved it), so it needs
+    // no reset.
+    load_element(sp[-2], sp[-1].as_int());
+    --sp;
     VM_NEXT();
   }
   VM_CASE(kStElem) {
@@ -350,19 +400,110 @@ dispatch_loop:
     VM_NEXT();
   }
 
-#if !CLIO_VM_THREADED_DISPATCH
-    case Op::kOpCount_:
-      break;
+  // ---- superinstructions (fused tier, vm/jit.cpp) ----
+  // Each comment gives the source run and its checking instruction, with
+  // "(k of n)": k of the run's n instructions come before that one.
+  // `slots` indexes args and locals alike.  Only the
+  // checking instruction reads a Value's kind, so every trap keeps the
+  // text, and the instruction count, of the plain decode.
+  VM_CASE(kBrTrueS) {  // ldS a; brtrue t -- brtrue (1 of 2)
+    ++fused_extra;
+    if (slots[ip->slot].as_int() != 0) VM_JUMP(ip->target);
+    VM_NEXT();
   }
-  throw ExecutionError("interpreter: invalid opcode");
-#endif
+  VM_CASE(kBrFalseS) {  // ldS a; brfalse t -- brfalse (1 of 2)
+    ++fused_extra;
+    if (slots[ip->slot].as_int() == 0) VM_JUMP(ip->target);
+    VM_NEXT();
+  }
+  VM_CASE(kBrTrueAndSS) {  // ldS a; ldS b; and; brtrue t -- and (2 of 4)
+    fused_extra += 2;
+    const std::int64_t b = slots[ip->slot2].as_int();
+    const std::int64_t a = slots[ip->slot].as_int();
+    ++fused_extra;
+    if ((a & b) != 0) VM_JUMP(ip->target);
+    VM_NEXT();
+  }
+  VM_CASE(kBrFalseAndSS) {  // ldS a; ldS b; and; brfalse t -- and (2 of 4)
+    fused_extra += 2;
+    const std::int64_t b = slots[ip->slot2].as_int();
+    const std::int64_t a = slots[ip->slot].as_int();
+    ++fused_extra;
+    if ((a & b) == 0) VM_JUMP(ip->target);
+    VM_NEXT();
+  }
+  VM_CASE(kIncS) {  // ldS a; ldc i; add; stS a -- add (2 of 4)
+    fused_extra += 2;
+    Value& v = slots[ip->slot];
+    v.set_int(int_binop<Op::kAdd>(v.as_int(), ip->imm));
+    ++fused_extra;
+    VM_NEXT();
+  }
+  VM_CASE(kIncSBr) {  // ldS a; ldc i; add; stS a; br t -- add (2 of 5)
+    fused_extra += 2;
+    Value& v = slots[ip->slot];
+    v.set_int(int_binop<Op::kAdd>(v.as_int(), ip->imm));
+    fused_extra += 2;
+    VM_JUMP(ip->target);
+  }
+  VM_CASE(kStSI) {  // ldc i; stS a -- nothing checks
+    ++fused_extra;
+    slots[ip->slot] = Value::from_int(ip->imm);
+    VM_NEXT();
+  }
+  VM_CASE(kLdElemTS) {  // ldS b; ldelem -- ldelem (1 of 2)
+    ++fused_extra;
+    load_element(sp[-1], slots[ip->slot].as_int());
+    VM_NEXT();
+  }
+#define VM_RELATION_FUSED_HANDLERS(rel)                           \
+  VM_CASE(kBr##rel##SS) { /* ldS a; ldS b; cmp; br* -- 2 of 4 */ \
+    fused_extra += 2;                                             \
+    const std::int64_t b = slots[ip->slot2].as_int();             \
+    const std::int64_t a = slots[ip->slot].as_int();              \
+    ++fused_extra;                                                \
+    if (int_relation<Op::kCmp##rel>(a, b)) VM_JUMP(ip->target);   \
+    VM_NEXT();                                                    \
+  }                                                               \
+  VM_CASE(kBr##rel##TS) { /* ldS b; cmp; br* -- 1 of 3 */        \
+    ++fused_extra;                                                \
+    const std::int64_t b = slots[ip->slot].as_int();              \
+    const std::int64_t a = sp[-1].as_int();                       \
+    --sp;                                                         \
+    ++fused_extra;                                                \
+    if (int_relation<Op::kCmp##rel>(a, b)) VM_JUMP(ip->target);   \
+    VM_NEXT();                                                    \
+  }
+  CLIO_VM_FUSED_RELATIONS(VM_RELATION_FUSED_HANDLERS)
+#undef VM_RELATION_FUSED_HANDLERS
+#define VM_BINOP_FUSED_HANDLERS(op)                                  \
+  VM_CASE(k##op##SI) { /* ldS a; ldc i; op -- 2 of 3 */             \
+    fused_extra += 2;                                                \
+    const std::int64_t r =                                           \
+        int_binop<Op::k##op>(slots[ip->slot].as_int(), ip->imm);     \
+    (sp++)->set_int(r);                                              \
+    VM_NEXT();                                                       \
+  }                                                                  \
+  VM_CASE(k##op##TS) { /* ldS b; op -- 1 of 2 */                    \
+    ++fused_extra;                                                   \
+    const std::int64_t b = slots[ip->slot].as_int();                 \
+    sp[-1].set_int(int_binop<Op::k##op>(sp[-1].as_int(), b));        \
+    VM_NEXT();                                                       \
+  }                                                                  \
+  VM_CASE(k##op##TI) { /* ldc i; op -- 1 of 2 */                    \
+    ++fused_extra;                                                   \
+    sp[-1].set_int(int_binop<Op::k##op>(sp[-1].as_int(), ip->imm));  \
+    VM_NEXT();                                                       \
+  }
+  CLIO_VM_FUSED_BINOPS(VM_BINOP_FUSED_HANDLERS)
+#undef VM_BINOP_FUSED_HANDLERS
 
 #undef VM_FLOAT_BINOP
 #undef VM_INT_BINOP
 #undef VM_JUMP
 #undef VM_NEXT
-#undef VM_CASE
 #undef VM_DISPATCH
+#undef VM_CASE
 }
 
 }  // namespace clio::vm

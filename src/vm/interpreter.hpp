@@ -11,8 +11,9 @@ namespace clio::vm {
 class ExecutionEngine;
 
 /// Executes compiled methods.  The interpreter walks the DecodedInsn array
-/// with an explicit Value stack per frame; `call` recurses (bounded by
-/// max_call_depth).  Syscalls are delegated to the owning ExecutionEngine.
+/// (a plain decode or a fused stream) with an explicit Value stack per
+/// frame; `call` recurses (bounded by max_call_depth).  Syscalls are
+/// delegated to the owning ExecutionEngine.
 class Interpreter {
  public:
   Interpreter(ExecutionEngine& engine, Jit& jit,
@@ -21,8 +22,14 @@ class Interpreter {
   /// Runs method `index` with `args`; returns its result.
   Value invoke(std::uint16_t index, std::span<const Value> args);
 
+  /// Source (bytecode) instructions executed, whichever tier ran them; a
+  /// trapping instruction counts.
   [[nodiscard]] std::uint64_t instructions_executed() const {
     return instructions_;
+  }
+  /// Handler dispatches: one per plain instruction or superinstruction.
+  [[nodiscard]] std::uint64_t dispatches_executed() const {
+    return dispatches_;
   }
 
  private:
@@ -33,6 +40,7 @@ class Interpreter {
   Jit& jit_;
   std::size_t max_call_depth_;
   std::uint64_t instructions_ = 0;
+  std::uint64_t dispatches_ = 0;
 };
 
 }  // namespace clio::vm

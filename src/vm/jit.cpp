@@ -1,13 +1,226 @@
 #include "vm/jit.hpp"
 
-#include <cstring>
-
 #include "util/error.hpp"
 #include "util/stopwatch.hpp"
 #include "vm/decode.hpp"
 #include "vm/verifier.hpp"
 
 namespace clio::vm {
+namespace {
+
+bool is_branch(Op op) {
+  return op == Op::kBr || op == Op::kBrTrue || op == Op::kBrFalse;
+}
+
+bool is_cond_branch(Op op) { return op == Op::kBrTrue || op == Op::kBrFalse; }
+
+/// The frame slot an ldarg/ldloc reads: arguments and locals are
+/// contiguous in the interpreter's frame, arguments first.
+std::optional<std::uint32_t> load_slot(const DecodedInsn& insn,
+                                       std::uint32_t num_args) {
+  const auto index = static_cast<std::uint32_t>(insn.imm);
+  if (insn.op == Op::kLdArg) return index;
+  if (insn.op == Op::kLdLoc) return num_args + index;
+  return std::nullopt;
+}
+
+/// The frame slot a starg/stloc writes.
+std::optional<std::uint32_t> store_slot(const DecodedInsn& insn,
+                                        std::uint32_t num_args) {
+  const auto index = static_cast<std::uint32_t>(insn.imm);
+  if (insn.op == Op::kStArg) return index;
+  if (insn.op == Op::kStLoc) return num_args + index;
+  return std::nullopt;
+}
+
+/// The superinstructions that carry integer binary op `op`.
+struct BinopForms {
+  Op slot_imm;  ///< ldS a; ldc i; op
+  Op top_slot;  ///< ldS b; op
+  Op top_imm;   ///< ldc i; op
+};
+
+std::optional<BinopForms> binop_forms(Op op) {
+  switch (op) {
+#define CLIO_VM_BINOP_FORMS(name) \
+  case Op::k##name:               \
+    return BinopForms{Op::k##name##SI, Op::k##name##TS, Op::k##name##TI};
+    CLIO_VM_FUSED_BINOPS(CLIO_VM_BINOP_FORMS)
+#undef CLIO_VM_BINOP_FORMS
+    default:
+      return std::nullopt;
+  }
+}
+
+/// The compare-and-branch superinstructions for `cmp` followed by brtrue
+/// (`if_true`) or brfalse.  brfalse branches when the relation fails, so
+/// it takes the negated relation.
+struct RelationForms {
+  Op slot_slot;  ///< ldS a; ldS b; cmp; br*
+  Op top_slot;   ///< ldS b; cmp; br*
+};
+
+std::optional<RelationForms> relation_forms(Op cmp, bool if_true) {
+  if (!if_true) {
+    switch (cmp) {
+      case Op::kCmpEq: cmp = Op::kCmpNe; break;
+      case Op::kCmpNe: cmp = Op::kCmpEq; break;
+      case Op::kCmpLt: cmp = Op::kCmpGe; break;
+      case Op::kCmpLe: cmp = Op::kCmpGt; break;
+      case Op::kCmpGt: cmp = Op::kCmpLe; break;
+      case Op::kCmpGe: cmp = Op::kCmpLt; break;
+      default: return std::nullopt;
+    }
+  }
+  switch (cmp) {
+#define CLIO_VM_RELATION_FORMS(rel) \
+  case Op::kCmp##rel:               \
+    return RelationForms{Op::kBr##rel##SS, Op::kBr##rel##TS};
+    CLIO_VM_FUSED_RELATIONS(CLIO_VM_RELATION_FORMS)
+#undef CLIO_VM_RELATION_FORMS
+    default:
+      return std::nullopt;
+  }
+}
+
+/// One superinstruction (or a copied plain instruction) and the number of
+/// source instructions it stands for.  `target` of a fused branch holds
+/// the source index until fuse() remaps it.
+struct Match {
+  DecodedInsn insn;
+  std::size_t length = 1;
+  bool branches = false;
+};
+
+/// The longest superinstruction starting at `at`, or the plain instruction.
+Match match_at(const std::vector<DecodedInsn>& in, std::size_t at,
+               std::uint32_t num_args, const std::vector<bool>& is_target) {
+  // Whether the n instructions from `at` may fuse: none but the first is a
+  // branch target.
+  const auto fits = [&](std::size_t n) {
+    if (at + n > in.size()) return false;
+    for (std::size_t k = at + 1; k < at + n; ++k) {
+      if (is_target[k]) return false;
+    }
+    return true;
+  };
+  const auto fused = [](Op op, std::uint32_t slot, std::int64_t imm = 0) {
+    DecodedInsn insn;
+    insn.op = op;
+    insn.slot = slot;
+    insn.imm = imm;
+    return insn;
+  };
+  const auto branch = [](DecodedInsn insn, const DecodedInsn& br,
+                         std::size_t length) {
+    insn.target = static_cast<std::uint32_t>(br.imm);
+    return Match{insn, length, true};
+  };
+
+  if (const auto a = load_slot(in[at], num_args)) {
+    if (fits(4)) {
+      const auto b = load_slot(in[at + 1], num_args);
+      const Op op = in[at + 2].op;
+      const DecodedInsn& last = in[at + 3];
+      if (b && is_cond_branch(last.op)) {
+        const bool if_true = last.op == Op::kBrTrue;
+        DecodedInsn insn = fused(Op::kNop, *a);
+        insn.slot2 = *b;
+        if (const auto forms = relation_forms(op, if_true)) {
+          insn.op = forms->slot_slot;
+          return branch(insn, last, 4);
+        }
+        if (op == Op::kAnd) {
+          insn.op = if_true ? Op::kBrTrueAndSS : Op::kBrFalseAndSS;
+          return branch(insn, last, 4);
+        }
+      }
+      if (in[at + 1].op == Op::kLdcI8 && (op == Op::kAdd || op == Op::kSub) &&
+          store_slot(last, num_args) == a) {
+        // x - i == x + (0 - i) modulo 2^64, i = INT64_MIN included.
+        const auto imm = static_cast<std::uint64_t>(in[at + 1].imm);
+        const DecodedInsn insn = fused(
+            Op::kIncS, *a,
+            static_cast<std::int64_t>(op == Op::kAdd ? imm : 0 - imm));
+        if (fits(5) && in[at + 4].op == Op::kBr) {
+          DecodedInsn looped = insn;
+          looped.op = Op::kIncSBr;
+          return branch(looped, in[at + 4], 5);
+        }
+        return Match{insn, 4};
+      }
+    }
+    if (fits(3) && in[at + 1].op == Op::kLdcI8) {
+      if (const auto forms = binop_forms(in[at + 2].op)) {
+        return Match{fused(forms->slot_imm, *a, in[at + 1].imm), 3};
+      }
+    }
+    if (fits(3) && is_cond_branch(in[at + 2].op)) {
+      if (const auto forms = relation_forms(
+              in[at + 1].op, in[at + 2].op == Op::kBrTrue)) {
+        return branch(fused(forms->top_slot, *a), in[at + 2], 3);
+      }
+    }
+    if (fits(2)) {
+      const Op next = in[at + 1].op;
+      if (const auto forms = binop_forms(next)) {
+        return Match{fused(forms->top_slot, *a), 2};
+      }
+      if (next == Op::kLdElem) return Match{fused(Op::kLdElemTS, *a), 2};
+      if (is_cond_branch(next)) {
+        return branch(
+            fused(next == Op::kBrTrue ? Op::kBrTrueS : Op::kBrFalseS, *a),
+            in[at + 1], 2);
+      }
+    }
+  } else if (in[at].op == Op::kLdcI8 && fits(2)) {
+    if (const auto forms = binop_forms(in[at + 1].op)) {
+      return Match{fused(forms->top_imm, 0, in[at].imm), 2};
+    }
+    if (const auto dst = store_slot(in[at + 1], num_args)) {
+      return Match{fused(Op::kStSI, *dst, in[at].imm), 2};
+    }
+  }
+  return Match{in[at], 1, is_branch(in[at].op)};
+}
+
+/// Translates a verified plain decode into its fused stream.  Runs of
+/// source instructions become superinstructions (greedy, longest first);
+/// a run fuses only if no instruction after its first is a branch target,
+/// so every target still starts an instruction, and targets are remapped
+/// to the fused indices.
+CompiledMethod fuse(const CompiledMethod& decoded, std::uint32_t num_args) {
+  const std::vector<DecodedInsn>& in = decoded.code;
+  std::vector<bool> is_target(in.size(), false);
+  for (const DecodedInsn& insn : in) {
+    if (is_branch(insn.op)) {
+      is_target[static_cast<std::size_t>(insn.imm)] = true;
+    }
+  }
+
+  CompiledMethod out;
+  out.max_stack = decoded.max_stack;
+  std::vector<std::uint32_t> fused_index(in.size(), 0);
+  std::vector<std::size_t> branch_sites;
+  for (std::size_t at = 0; at < in.size();) {
+    const Match m = match_at(in, at, num_args, is_target);
+    fused_index[at] = static_cast<std::uint32_t>(out.code.size());
+    if (m.branches) branch_sites.push_back(out.code.size());
+    out.code.push_back(m.insn);
+    at += m.length;
+  }
+  for (const std::size_t site : branch_sites) {
+    DecodedInsn& insn = out.code[site];
+    if (is_branch(insn.op)) {
+      insn.imm = fused_index[static_cast<std::size_t>(insn.imm)];
+    } else {
+      insn.target = fused_index[insn.target];
+    }
+  }
+  return out;
+}
+
+}  // namespace
 
 Jit::Jit(const Module& module, JitOptions options)
     : module_(module), options_(options), cache_(module.num_methods()) {}
@@ -16,21 +229,22 @@ const CompiledMethod& Jit::get(std::uint16_t method_index) {
   util::check<util::ConfigError>(method_index < cache_.size(),
                                  "Jit: method index out of range");
   Slot& slot = cache_[method_index];
-  if (!slot.code.has_value()) {
-    slot.code = decode_method(method_index);
+  if (!slot.decoded.has_value()) {
+    slot.decoded = decode_method(method_index);
   }
   ++slot.calls;
   const std::uint64_t threshold = std::max<std::uint64_t>(
       options_.compile_threshold, 1);
-  if (slot.tiered_up) {
+  if (slot.fused.has_value()) {
     stats_.cache_hits++;
-  } else if (slot.calls >= threshold) {
-    run_codegen(method_index);
-    slot.tiered_up = true;
-  } else {
-    stats_.interpreted_calls++;
+    return *slot.fused;
   }
-  return *slot.code;
+  if (slot.calls >= threshold) {
+    tier_up(method_index, slot);
+    return *slot.fused;
+  }
+  stats_.interpreted_calls++;
+  return *slot.decoded;
 }
 
 const ObjPtr& Jit::interned_string(std::size_t index) {
@@ -62,10 +276,7 @@ CompiledMethod Jit::decode_method(std::uint16_t method_index) {
   for (const RawInsn& raw : stream.insns) {
     DecodedInsn insn;
     insn.op = raw.op;
-    if (raw.op == Op::kLdcF64) {
-      std::memcpy(&insn.fimm, &raw.operand, 8);
-    } else if (raw.op == Op::kBr || raw.op == Op::kBrTrue ||
-               raw.op == Op::kBrFalse) {
+    if (is_branch(raw.op)) {
       // Branch resolution through the shared boundary contract: a target
       // the verifier would reject surfaces as the same typed VerifyError
       // here, never as a raw std::out_of_range.
@@ -79,15 +290,19 @@ CompiledMethod Jit::decode_method(std::uint16_t method_index) {
   return compiled;
 }
 
-void Jit::run_codegen(std::uint16_t method_index) {
-  util::Stopwatch watch;
+void Jit::tier_up(std::uint16_t method_index, Slot& slot) {
+  const MethodDef& method = module_.method(method_index);
+  const util::Stopwatch translate;
+  slot.fused = fuse(*slot.decoded, method.num_args);
+  stats_.translate_ms += translate.elapsed_ms();
+
+  const util::Stopwatch watch;
   // Modeled code-generation cost, realized as real CPU time so first-call
   // (or, with a warm-up tier, threshold-crossing) latency shows up in
   // wall-clock measurements exactly like SSCLI's JIT.
   if (options_.compile_ns_per_byte > 0) {
     util::spin_for_ns(options_.compile_ns_per_byte *
-                      static_cast<std::int64_t>(
-                          module_.method(method_index).code.size()));
+                      static_cast<std::int64_t>(method.code.size()));
   }
   stats_.compilations++;
   stats_.total_compile_ms += watch.elapsed_ms();

@@ -9,17 +9,23 @@
 
 namespace clio::vm {
 
-/// One decoded (and branch-resolved) instruction, the "native" form the
-/// baseline JIT produces: operands are materialized and branch targets are
-/// instruction indices instead of byte offsets, so the interpreter runs a
-/// flat array without re-decoding.
+/// One decoded (and branch-resolved) instruction: operands are
+/// materialized and branch targets are instruction indices instead of byte
+/// offsets, so the interpreter runs a flat array without re-decoding.  The
+/// plain decode holds bytecode opcodes only; the fused tier also emits
+/// superinstructions (Op::kOpCount_ and up), which use the slot fields.
 struct DecodedInsn {
   Op op = Op::kNop;
-  std::int64_t imm = 0;  ///< immediate / index / target insn index
-  double fimm = 0.0;     ///< float immediate (kLdcF64)
+  std::uint32_t slot = 0;    ///< superinstruction: first frame slot
+  std::uint32_t slot2 = 0;   ///< superinstruction: second frame slot
+  std::uint32_t target = 0;  ///< superinstruction: branch target index
+  /// Bytecode opcode: the immediate, index or branch target index; for
+  /// kLdcF64 the f64 bit pattern.  Superinstruction: the immediate.
+  std::int64_t imm = 0;
 };
 
-/// Compiled form of one method.
+/// Compiled form of one method: its plain decode (tier 0) or its fused
+/// stream (tier 1).
 struct CompiledMethod {
   std::vector<DecodedInsn> code;
   std::uint32_t max_stack = 0;
@@ -35,12 +41,13 @@ struct JitOptions {
   /// Always true: compiled code is cached per method (kept for reports).
   static constexpr bool cache_enabled = true;
   /// Warm-up tier: the first (threshold - 1) invocations of a method run
-  /// from the cheap baseline decode only; crossing the threshold pays the
-  /// modeled code-generation cost once.  1 (the default, and the SSCLI
+  /// the plain decode (tier 0); the call that crosses the threshold builds
+  /// the fused stream (tier 1), pays the modeled code-generation cost once,
+  /// and runs fused code from then on.  1 (the default, and the SSCLI
   /// behaviour the paper measures) compiles eagerly on the first call, so
   /// the first request through any code path is the slow one; larger
   /// values amortize that stall the way tiered engines do.  0 is treated
-  /// as 1.
+  /// as 1; UINT64_MAX never tiers up.
   std::uint64_t compile_threshold = 1;
 };
 
@@ -50,14 +57,18 @@ struct JitStats {
   std::uint64_t cache_hits = 0;
   /// Invocations served below the compile threshold (tier-0, decode only).
   std::uint64_t interpreted_calls = 0;
+  /// Modeled code-generation time (compile_ns_per_byte x code bytes).
   double total_compile_ms = 0.0;
+  /// Measured time spent building fused streams at tier-up.
+  double translate_ms = 0.0;
 };
 
-/// Baseline just-in-time compiler: verification + decode + branch
-/// resolution on first invocation; the modeled code-generation cost is
-/// paid when a method's invocation count crosses compile_threshold, and
-/// the result is cached thereafter.  With the default threshold of 1 this
-/// reproduces the CLI execution-engine behaviour the paper observes:
+/// Two-tier just-in-time compiler: verification + decode + branch
+/// resolution on first invocation (tier 0); when a method's invocation
+/// count crosses compile_threshold, the decode is translated into a fused
+/// stream of superinstructions (tier 1), the modeled code-generation cost
+/// is paid, and the fused stream is cached.  With the default threshold of
+/// 1 this reproduces the CLI execution-engine behaviour the paper observes:
 /// "functions are compiled only when they are required", so the first
 /// request through any code path is slower.
 class Jit {
@@ -65,8 +76,11 @@ class Jit {
   explicit Jit(const Module& module, JitOptions options = {});
 
   /// Returns the runnable body for one invocation: decodes on first use,
-  /// tiering up (paying the modeled codegen cost) when the method's
-  /// invocation count crosses options().compile_threshold.
+  /// tiering up (fusing, and paying the modeled codegen cost) when the
+  /// method's invocation count crosses options().compile_threshold.  The
+  /// returned code stays valid until flush_cache(): tier-up stores the
+  /// fused stream beside the decode, so a frame still running tier-0 code
+  /// is never pulled from under.
   const CompiledMethod& get(std::uint16_t method_index);
 
   /// The per-module interned object for string-pool entry `index`: kLdStr
@@ -78,21 +92,21 @@ class Jit {
   [[nodiscard]] const Module& module() const { return module_; }
   [[nodiscard]] const JitOptions& options() const { return options_; }
 
-  /// Drops all compiled code and invocation counts (simulates an engine
-  /// restart).
+  /// Drops both tiers of every method and all invocation counts (simulates
+  /// an engine restart).  No frame may be running.
   void flush_cache();
 
  private:
-  /// Per-method tier state: the baseline decode plus how far along the
-  /// warm-up this method is.
+  /// Per-method tier state: the plain decode, the fused stream once the
+  /// method has tiered up, and how far along the warm-up it is.
   struct Slot {
-    std::optional<CompiledMethod> code;
+    std::optional<CompiledMethod> decoded;
+    std::optional<CompiledMethod> fused;
     std::uint64_t calls = 0;
-    bool tiered_up = false;
   };
 
   CompiledMethod decode_method(std::uint16_t method_index);
-  void run_codegen(std::uint16_t method_index);
+  void tier_up(std::uint16_t method_index, Slot& slot);
 
   const Module& module_;
   JitOptions options_;

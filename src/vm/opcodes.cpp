@@ -64,11 +64,11 @@ const OpInfo& op_info(Op op) {
   return kOpTable[idx];
 }
 
-Op op_by_name(std::string_view name) {
+std::optional<Op> op_by_name(std::string_view name) {
   for (std::size_t i = 0; i < kCount; ++i) {
     if (kOpTable[i].name == name) return static_cast<Op>(i);
   }
-  return Op::kOpCount_;
+  return std::nullopt;
 }
 
 std::size_t encoded_size(Op op) {

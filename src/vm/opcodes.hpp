@@ -1,9 +1,18 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 
 namespace clio::vm {
+
+/// The integer binary ops a superinstruction can carry (each names an Op:
+/// kAdd, kSub, ...), and the relations a fused compare-and-branch can test
+/// (each names a comparison: kCmpEq, ...).  The fused tier emits, and the
+/// interpreter handles, one superinstruction per entry and operand shape.
+#define CLIO_VM_FUSED_BINOPS(X) \
+  X(Add) X(Sub) X(Mul) X(And) X(Or) X(Xor) X(Shl) X(Shr)
+#define CLIO_VM_FUSED_RELATIONS(X) X(Eq) X(Ne) X(Lt) X(Le) X(Gt) X(Ge)
 
 /// Instruction set of the mini-CLI: a stack-based intermediate language in
 /// the spirit of ECMA-335 CIL, reduced to what I/O-intensive benchmark
@@ -62,7 +71,32 @@ enum class Op : std::uint8_t {
   // Runtime services (u16 syscall id) — see corelib.hpp.
   kSysCall,
 
-  kOpCount_,
+  kOpCount_,  ///< number of bytecode opcodes
+
+  // ---- Superinstructions ----
+  // Emitted only by the fused tier (vm/jit.cpp), never encoded in bytecode:
+  // decode_stream() rejects any byte >= kOpCount_.  In the names, S is a
+  // frame slot (an argument or a local: both live in one flat frame), I an
+  // immediate and T the top of the operand stack.  The comment gives the
+  // source run each one replaces; docs/VM.md has the full table.
+  kBrTrueS = kOpCount_,  ///< ldS a; brtrue t
+  kBrFalseS,             ///< ldS a; brfalse t
+  kBrTrueAndSS,          ///< ldS a; ldS b; and; brtrue t
+  kBrFalseAndSS,         ///< ldS a; ldS b; and; brfalse t
+  kIncS,                 ///< ldS a; ldc i; add|sub; stS a
+  kIncSBr,               ///< ldS a; ldc i; add|sub; stS a; br t
+  kStSI,                 ///< ldc i; stS a
+  kLdElemTS,             ///< ldS b; ldelem
+// ldS a; ldS b; cmp<rel>; br* t  and  ldS b; cmp<rel>; br* t
+#define CLIO_VM_RELATION_OPS(rel) kBr##rel##SS, kBr##rel##TS,
+  CLIO_VM_FUSED_RELATIONS(CLIO_VM_RELATION_OPS)
+#undef CLIO_VM_RELATION_OPS
+// ldS a; ldc i; <op>  and  ldS b; <op>  and  ldc i; <op>
+#define CLIO_VM_BINOP_OPS(op) k##op##SI, k##op##TS, k##op##TI,
+  CLIO_VM_FUSED_BINOPS(CLIO_VM_BINOP_OPS)
+#undef CLIO_VM_BINOP_OPS
+
+  kHandlerCount_,  ///< bytecode opcodes plus superinstructions
 };
 
 /// How an opcode's inline operand is encoded in the bytecode stream.
@@ -82,11 +116,12 @@ struct OpInfo {
   int pushes;
 };
 
-/// Metadata for every opcode; index with static_cast<size_t>(op).
+/// Metadata for every bytecode opcode; index with static_cast<size_t>(op).
+/// Throws ConfigError for a superinstruction.
 [[nodiscard]] const OpInfo& op_info(Op op);
 
-/// Looks up an opcode by mnemonic; returns kOpCount_ when unknown.
-[[nodiscard]] Op op_by_name(std::string_view name);
+/// Looks up a bytecode opcode by mnemonic; nullopt when unknown.
+[[nodiscard]] std::optional<Op> op_by_name(std::string_view name);
 
 /// Size in bytes of one encoded instruction (1 + operand size).
 [[nodiscard]] std::size_t encoded_size(Op op);

@@ -50,6 +50,9 @@ class ExecutionEngine {
   [[nodiscard]] std::uint64_t instructions_executed() const {
     return interpreter_->instructions_executed();
   }
+  [[nodiscard]] std::uint64_t dispatches_executed() const {
+    return interpreter_->dispatches_executed();
+  }
 
   /// Drops compiled code, so the next call of each method pays JIT cost
   /// again (cold-start simulation between benchmark trials).

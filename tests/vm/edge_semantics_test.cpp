@@ -93,6 +93,90 @@ TEST(EdgeSemanticsTest, Int64MinDividedByMinusOneTraps) {
             std::numeric_limits<std::int64_t>::max());
 }
 
+const char* const kWrapSource = R"(
+.method add_ab 2 0
+  ldarg 0
+  ldarg 1
+  add
+  ret
+.end
+
+.method sub_ab 2 0
+  ldarg 0
+  ldarg 1
+  sub
+  ret
+.end
+
+.method mul_ab 2 0
+  ldarg 0
+  ldarg 1
+  mul
+  ret
+.end
+
+.method neg_a 1 0
+  ldarg 0
+  neg
+  ret
+.end
+
+.method inc_a 1 0
+  ldarg 0
+  ldc 1
+  add
+  starg 0
+  ldarg 0
+  ret
+.end
+
+.method dec_a 1 0
+  ldarg 0
+  ldc 1
+  sub
+  ret
+.end
+
+.method mul_a_minus_one 1 0
+  ldarg 0
+  nop
+  ldc -1
+  mul
+  ret
+.end
+)";
+
+TEST(EdgeSemanticsTest, IntegerArithmeticWrapsAtInt64Bounds) {
+  // ECMA-335 add/sub/mul/neg wrap modulo 2^64 (in C++ the overflow is
+  // undefined; the CI UBSan job checks that none happens).  Both tiers:
+  // the plain decode runs the base handlers, the fused stream the
+  // superinstructions (kAddTS, kSubTS, kMulTS, kIncS, kSubSI, kMulTI).
+  const auto min = std::numeric_limits<std::int64_t>::min();
+  const auto max = std::numeric_limits<std::int64_t>::max();
+  for (const std::uint64_t threshold : {UINT64_MAX, std::uint64_t{1}}) {
+    EngineOptions options;
+    options.jit.compile_ns_per_byte = 0;
+    options.jit.compile_threshold = threshold;
+    ExecutionEngine engine(assemble(kWrapSource), options);
+    const auto call2 = [&](const char* method, std::int64_t a,
+                           std::int64_t b) {
+      return engine.call(method, {Value::from_int(a), Value::from_int(b)})
+          .as_int();
+    };
+    const auto call1 = [&](const char* method, std::int64_t a) {
+      return engine.call(method, {Value::from_int(a)}).as_int();
+    };
+    EXPECT_EQ(call2("add_ab", max, 1), min) << threshold;
+    EXPECT_EQ(call2("sub_ab", min, 1), max) << threshold;
+    EXPECT_EQ(call2("mul_ab", min, -1), min) << threshold;
+    EXPECT_EQ(call1("neg_a", min), min) << threshold;
+    EXPECT_EQ(call1("inc_a", max), min) << threshold;
+    EXPECT_EQ(call1("dec_a", min), max) << threshold;
+    EXPECT_EQ(call1("mul_a_minus_one", min), min) << threshold;
+    EXPECT_EQ(call2("mul_ab", max, 2), -2) << threshold;
+  }
+}
+
 TEST(EdgeSemanticsTest, FloatToIntConversionCorners) {
   auto engine = make_engine();
   const auto conv = [&](double f) {

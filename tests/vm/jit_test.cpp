@@ -69,6 +69,65 @@ done:
   EXPECT_EQ(engine.jit_stats().compilations, 1u);
 }
 
+TEST(Jit, RecursionTiersUpInAnInnerFrameWhileOuterFramesRunTierZero) {
+  // compile_threshold = 2: the outermost call runs the plain decode, the
+  // second (nested) call tiers up and runs fused code, and deeper calls
+  // reuse it, while the outer frame keeps running its tier-0 vector.
+  // Under ASan any reallocation of that vector mid-call is a
+  // use-after-free.
+  EngineOptions options;
+  options.jit.compile_ns_per_byte = 0;
+  options.jit.compile_threshold = 2;
+  ExecutionEngine engine(assemble(R"(
+.method recurse 1 0
+  ldarg 0
+  brfalse done
+  ldarg 0
+  ldc 1
+  sub
+  call recurse
+  ldc 10
+  add
+  ret
+done:
+  ldc 7
+  ret
+.end
+)"),
+                         options);
+  EXPECT_EQ(engine.call("recurse", {Value::from_int(5)}).as_int(), 57);
+  EXPECT_EQ(engine.jit_stats().interpreted_calls, 1u);
+  EXPECT_EQ(engine.jit_stats().compilations, 1u);
+  EXPECT_EQ(engine.jit_stats().cache_hits, 4u);
+  // One frame ran 9 instructions in 9 dispatches, five frames fused (four
+  // recursing in 5 dispatches each, the last in 3 for 4 instructions).
+  EXPECT_EQ(engine.instructions_executed(), 9u * 5 + 4);
+  EXPECT_EQ(engine.dispatches_executed(), 9u + 5 * 4 + 3);
+
+  // A flush drops both tiers: the next call runs the plain decode again,
+  // and the one after tiers up again.
+  engine.flush_jit_cache();
+  const std::uint64_t insns = engine.instructions_executed();
+  const std::uint64_t dispatches = engine.dispatches_executed();
+  EXPECT_EQ(engine.call("recurse", {Value::from_int(0)}).as_int(), 7);
+  EXPECT_EQ(engine.instructions_executed() - insns, 4u);
+  EXPECT_EQ(engine.dispatches_executed() - dispatches, 4u);
+  EXPECT_EQ(engine.jit_stats().interpreted_calls, 2u);
+  EXPECT_EQ(engine.call("recurse", {Value::from_int(0)}).as_int(), 7);
+  EXPECT_EQ(engine.instructions_executed() - insns, 8u);
+  EXPECT_EQ(engine.dispatches_executed() - dispatches, 4u + 3);
+  EXPECT_EQ(engine.jit_stats().compilations, 2u);
+}
+
+TEST(Jit, TranslationTimeIsMeasuredBesideTheModeledCost) {
+  EngineOptions options;
+  options.jit.compile_ns_per_byte = 0;
+  ExecutionEngine engine(assemble(kFibSource), options);
+  engine.call("fib", {Value::from_int(3)});
+  EXPECT_GT(engine.jit_stats().translate_ms, 0.0);
+  EXPECT_EQ(engine.jit_stats().compilations, 1u);
+}
+
 TEST(Jit, FirstCallSlowerThanWarmCalls) {
   // Generous compile cost so the effect dwarfs timer noise — the Table 6
   // first-request mechanism in isolation.

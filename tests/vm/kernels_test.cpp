@@ -21,6 +21,12 @@ namespace {
 // counts it, moves these.
 constexpr std::uint64_t kBitapFixtureInsns = 400091;
 constexpr std::uint64_t kDmineFixtureInsns = 786175;
+// Dispatches the same calls make on the fused tier (the default
+// compile_threshold of 1 tiers up on the first call): 0.44x and 0.38x of
+// the instruction counts.  A change to the superinstruction set moves
+// these.
+constexpr std::uint64_t kBitapFixtureDispatches = 176056;
+constexpr std::uint64_t kDmineFixtureDispatches = 302386;
 
 class KernelsTest : public ::testing::Test {
  protected:
@@ -47,13 +53,18 @@ class KernelsTest : public ::testing::Test {
 TEST_F(KernelsTest, SpinSumMatchesClosedForm) {
   // The sum is n(n-1)/2.  The instruction count is 4 prologue + 13 per
   // iteration + 4 for the failing loop test + 2 to return: 13n + 10, so
-  // any change to the instruction stream or its accounting moves it.
+  // any change to the instruction stream or its accounting moves it.  The
+  // fused tier dispatches 5 per iteration (loop test, ldloc, add, stloc,
+  // increment-and-branch) and 5 outside the loop: 5n + 5.
   for (const std::int64_t n : {0, 1, 1000}) {
     auto engine = make_engine(kernels::kSpinSource);
     EXPECT_EQ(engine.call("spin_sum", {Value::from_int(n)}).as_int(),
               n * (n - 1) / 2);
     EXPECT_EQ(engine.instructions_executed(),
               static_cast<std::uint64_t>(13 * n + 10))
+        << "n = " << n;
+    EXPECT_EQ(engine.dispatches_executed(),
+              static_cast<std::uint64_t>(5 * n + 5))
         << "n = " << n;
   }
 }
@@ -102,6 +113,7 @@ TEST_F(KernelsTest, BitapKernelMatchesNativeScanner) {
           .as_int();
   EXPECT_EQ(static_cast<std::uint64_t>(vm_count), scanner.matches());
   EXPECT_EQ(engine.instructions_executed(), kBitapFixtureInsns);
+  EXPECT_EQ(engine.dispatches_executed(), kBitapFixtureDispatches);
 }
 
 TEST_F(KernelsTest, DmineKernelMatchesNativeCounter) {
@@ -158,6 +170,7 @@ TEST_F(KernelsTest, DmineKernelMatchesNativeCounter) {
           .as_int();
   EXPECT_EQ(static_cast<std::uint64_t>(vm_total), native_total);
   EXPECT_EQ(engine.instructions_executed(), kDmineFixtureInsns);
+  EXPECT_EQ(engine.dispatches_executed(), kDmineFixtureDispatches);
 }
 
 }  // namespace
