@@ -27,8 +27,6 @@ BufferPool::BufferPool(BackingStore& store, BufferPoolConfig config)
                            "BufferPool: page_size must be >= 64");
   check<util::ConfigError>(config_.capacity_pages >= 1,
                            "BufferPool: capacity must be >= 1 page");
-  check<util::ConfigError>(config_.coalesce_pages >= 1,
-                           "BufferPool: coalesce_pages must be >= 1");
   if (config_.shards == 0) config_.shards = auto_shards(config_.capacity_pages);
   check<util::ConfigError>(config_.shards <= config_.capacity_pages,
                            "BufferPool: more shards than capacity pages");
@@ -173,9 +171,8 @@ bool BufferPool::prefetch(FileId file, std::uint64_t page_no) {
   std::unique_lock<std::mutex> lk(sh.mutex);
   // Resident or already being loaded by someone else: nothing to do.
   if (sh.page_table.contains(key)) return false;
-  find_or_load(sh, lk, file, page_no, /*count_as_prefetch=*/true,
-               /*pin_result=*/false);
-  return true;
+  return find_or_load(sh, lk, file, page_no, /*count_as_prefetch=*/true,
+                      /*pin_result=*/false) != kNoFrame;
 }
 
 /// Phase 1 of every gather window: clamp to end-of-file, then claim a
@@ -279,11 +276,11 @@ std::size_t BufferPool::load_range(FileId file, std::uint64_t first_page,
 
   // Phase 2: one vectored gather per contiguous run of claimed pages, all
   // I/O outside any lock (the io_busy latches own the frames).  Runs are
-  // capped at coalesce_pages, mirroring the write-back side.
+  // capped at kCoalescePages, mirroring the write-back side.
   std::vector<std::span<std::byte>> parts;
   for (std::size_t i = 0; i < targets.size();) {
     std::size_t j = i + 1;
-    while (j < targets.size() && j - i < config_.coalesce_pages &&
+    while (j < targets.size() && j - i < kCoalescePages &&
            targets[j].page_no == targets[j - 1].page_no + 1) {
       j++;
     }
@@ -377,7 +374,13 @@ std::size_t BufferPool::find_or_load(Shard& sh,
       span_last = page_no;
       continue;
     }
-    const std::size_t idx = acquire_frame(sh, lk);
+    // A prefetch is a hint: it takes a frame only if one is free or
+    // evictable right now, like prefetch_range's gather.
+    bool transient_holds = false;
+    const std::size_t idx = count_as_prefetch
+                                ? try_acquire_frame(sh, lk, transient_holds)
+                                : acquire_frame(sh, lk);
+    if (idx == kNoFrame) return kNoFrame;
     if (sh.page_table.contains(key)) {
       // Lost a race while acquire_frame released the lock: someone else
       // claimed this page.  Return the frame and retry.
@@ -646,7 +649,7 @@ void BufferPool::write_back_coalesced(std::vector<FlushEntry>& entries) {
   std::vector<std::span<const std::byte>> parts;
   for (std::size_t i = 0; i < entries.size() && !error;) {
     std::size_t j = i + 1;
-    while (j < entries.size() && j - i < config_.coalesce_pages &&
+    while (j < entries.size() && j - i < kCoalescePages &&
            entries[j].file == entries[i].file &&
            entries[j].page_no == entries[j - 1].page_no + 1 &&
            entries[j - 1].valid_bytes == config_.page_size) {

@@ -25,13 +25,6 @@ struct BufferPoolConfig {
   /// tight-cache ablations) keep a single shard and therefore exact global
   /// LRU order; default-sized pools get 16-way striping.
   std::size_t shards = 0;
-
-  /// Upper bound on the number of adjacent dirty pages merged into a single
-  /// vectored backing-store write during flush_file/flush_all, and on the
-  /// number of adjacent cold pages merged into a single vectored gather
-  /// read during prefetch_range.  1 disables coalescing on both sides (one
-  /// backing call per page, the pre-sharding behaviour).
-  std::size_t coalesce_pages = 64;
 };
 
 /// Counters exposed for tests and ablation benches.  With sharding enabled
@@ -108,8 +101,9 @@ struct PageKeyHash {
 /// Both bulk transfer directions are coalesced: flush merges adjacent dirty
 /// pages into vectored writev gathers, and prefetch_range and pin_span merge
 /// adjacent cold pages into vectored readv scatters — one backing access per
-/// run instead of one per page.  Every transfer is a synchronous BackingStore
-/// call made by the thread that needs it; the pool starts no thread.
+/// run of at most kCoalescePages pages instead of one per page.  Every
+/// transfer is a synchronous BackingStore call made by the thread that
+/// needs it; the pool starts no thread.
 ///
 /// Pinned pages are never evicted; data access through a PageGuard is
 /// lock-free and safe provided no two threads write the same page
@@ -169,7 +163,9 @@ class BufferPool {
                      std::uint64_t last_page);
 
   /// Loads a page into the cache without pinning it, if absent.
-  /// Returns true if the page was actually loaded (i.e. it was cold).
+  /// Returns true if the page was actually loaded (i.e. it was cold).  A
+  /// prefetch is a hint: when no frame can be had right now (every frame
+  /// pinned or mid-I/O) it returns false instead of waiting or throwing.
   bool prefetch(FileId file, std::uint64_t page_no);
 
   /// Prefetches `count` consecutive pages starting at `first_page`;
@@ -178,7 +174,7 @@ class BufferPool {
   /// pages are claimed up front across shards with io_busy latches, and
   /// each contiguous cold run is loaded by a single vectored
   /// BackingStore::readv issued outside any lock (runs are capped at
-  /// config.coalesce_pages).  Under frame pressure the tail of the window
+  /// kCoalescePages).  Under frame pressure the tail of the window
   /// is dropped rather than waited for — prefetch is a hint.
   std::size_t prefetch_range(FileId file, std::uint64_t first_page,
                              std::size_t count);
@@ -238,6 +234,11 @@ class BufferPool {
 
  private:
   static constexpr std::size_t kNoFrame = SIZE_MAX;
+  /// Most adjacent pages one vectored backing call carries, on both the
+  /// flush (writev) and the gather (readv) side.  64 pages is 256 KiB at
+  /// the default page size; RealFileStore splits longer calls at IOV_MAX
+  /// anyway.
+  static constexpr std::size_t kCoalescePages = 64;
 
   struct Frame {
     FileId file = kInvalidFile;
@@ -304,7 +305,8 @@ class BufferPool {
   // the caller unless stated otherwise.
   /// Returns the frame of (file, page_no), loading it if absent.  With
   /// `span_last` > page_no an absent page first gathers the cold pages of
-  /// [page_no, span_last] (pin_span).
+  /// [page_no, span_last] (pin_span).  A prefetch (`count_as_prefetch`)
+  /// returns kNoFrame instead of waiting when no frame is free.
   std::size_t find_or_load(Shard& sh, std::unique_lock<std::mutex>& lk,
                            FileId file, std::uint64_t page_no,
                            bool count_as_prefetch, bool pin_result,

@@ -27,8 +27,6 @@ std::string_view io_op_name(IoOp op) {
   return "?";
 }
 
-IoStats::IoStats(bool keep_records) : keep_records_(keep_records) {}
-
 void IoStats::record(IoOp op, std::uint64_t bytes, double ms) {
   const auto idx = static_cast<std::size_t>(op);
   util::check<util::ConfigError>(idx < kIoOpCount, "IoStats: bad op");
@@ -36,7 +34,6 @@ void IoStats::record(IoOp op, std::uint64_t bytes, double ms) {
   stats_[idx].push(ms);
   histograms_[idx].push(static_cast<std::uint64_t>(ms * 1e6));
   bytes_[idx] += bytes;
-  if (keep_records_) records_.push_back(OpRecord{op, bytes, ms});
 }
 
 void IoStats::reset() {
@@ -44,7 +41,6 @@ void IoStats::reset() {
   for (auto& s : stats_) s.reset();
   for (auto& h : histograms_) h.reset();
   bytes_.fill(0);
-  records_.clear();
   resilience_ = ResilienceCounters{};
 }
 

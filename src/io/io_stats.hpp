@@ -5,7 +5,6 @@
 #include <iosfwd>
 #include <mutex>
 #include <string_view>
-#include <vector>
 
 #include "util/histogram.hpp"
 #include "util/statistics.hpp"
@@ -35,14 +34,6 @@ inline constexpr std::size_t kIoOpCount = 7;
 
 [[nodiscard]] std::string_view io_op_name(IoOp op);
 
-/// One timed operation, kept when detailed logging is enabled.  Tables 3-4
-/// of the paper are rendered straight from these records.
-struct OpRecord {
-  IoOp op;
-  std::uint64_t bytes;  ///< payload length (0 for open/close)
-  double ms;            ///< measured latency in milliseconds
-};
-
 /// Resilience-layer counters: what the retry/breaker machinery did on top
 /// of the raw op latencies.  Snapshot value returned by
 /// IoStats::resilience().
@@ -68,9 +59,7 @@ struct OpSnapshot {
 
 /// Per-operation-class latency accounting for a managed file system.
 ///
-/// Always keeps streaming statistics and a log2 histogram per op class;
-/// optionally keeps the full per-operation record list (needed by benches
-/// that print per-request rows, e.g. the LU seek table).
+/// Keeps streaming statistics and a log2 histogram per op class.
 ///
 /// record() and reset() are internally synchronized so every worker thread
 /// of a server can account into one instance.  The value-returning readers
@@ -79,8 +68,6 @@ struct OpSnapshot {
 /// threads have quiesced (benchmarks report after joining their workers).
 class IoStats {
  public:
-  explicit IoStats(bool keep_records = false);
-
   void record(IoOp op, std::uint64_t bytes, double ms);
   void reset();
 
@@ -97,10 +84,6 @@ class IoStats {
   /// is safe while recording threads are live, which is what the /statz
   /// endpoint and the metric gauges scrape.
   [[nodiscard]] OpSnapshot op_snapshot(IoOp op) const;
-  [[nodiscard]] const std::vector<OpRecord>& records() const {
-    return records_;
-  }
-  [[nodiscard]] bool keeps_records() const { return keep_records_; }
 
   /// Total milliseconds across all operation classes.
   [[nodiscard]] double total_ms() const;
@@ -123,9 +106,7 @@ class IoStats {
   std::array<util::RunningStats, kIoOpCount> stats_{};
   std::array<util::LatencyHistogram, kIoOpCount> histograms_{};
   std::array<std::uint64_t, kIoOpCount> bytes_{};
-  std::vector<OpRecord> records_;
   ResilienceCounters resilience_{};
-  bool keep_records_;
   mutable std::mutex mutex_;
 };
 

@@ -17,7 +17,6 @@ ManagedFileSystem::ManagedFileSystem(std::unique_ptr<BackingStore> store,
                                      ManagedFsOptions options)
     : store_(std::move(store)),
       options_(options),
-      stats_(options.keep_op_records),
       prefetcher_(options.prefetch) {
   check<util::ConfigError>(store_ != nullptr,
                            "ManagedFileSystem: null backing store");
@@ -212,16 +211,16 @@ std::size_t ManagedFile::write(std::span<const std::byte> data) {
 void ManagedFile::seek(std::uint64_t pos) {
   check<IoError>(fs_ != nullptr, "ManagedFile: seek on closed file");
   Stopwatch watch;
-  position_ = pos;
-  if (fs_->options_.prefetch_on_seek && size() > 0) {
+  if (const std::uint64_t file_size = size(); file_size > 0) {
     const std::size_t page_size = fs_->pool_->page_size();
-    const std::uint64_t last_page = (size() - 1) / page_size;
+    const std::uint64_t last_page = (file_size - 1) / page_size;
     const std::uint64_t page = std::min(pos / page_size, last_page);
     // Touching the target page is what makes a cold seek expensive and a
     // warm seek nearly free — the Table 3/4 effect.
     fs_->pool_->prefetch(id_, page);
     run_prefetch(page, page);
   }
+  position_ = pos;
   const double ms = watch.elapsed_ms();
   fs_->stats_.record(IoOp::kSeek, pos, ms);
 }
@@ -229,7 +228,7 @@ void ManagedFile::seek(std::uint64_t pos) {
 void ManagedFile::close() {
   if (fs_ == nullptr) return;
   Stopwatch watch;
-  if (fs_->options_.writeback_on_close) fs_->pool_->flush_file(id_);
+  fs_->pool_->flush_file(id_);
   {
     std::lock_guard<std::mutex> lock(fs_->prefetcher_mutex_);
     fs_->prefetcher_.forget(id_);

@@ -20,20 +20,20 @@ enum class OpenMode {
   kTruncate,   ///< create or wipe
 };
 
-/// Knobs of the managed I/O stack; each maps to a paper observation or an
-/// ablation in DESIGN.md §5.
+/// Knobs of the managed I/O stack.  docs/STORAGE.md ("Options") names
+/// each field's callers and the measurement that keeps it.
 struct ManagedFsOptions {
   std::size_t page_size = 4096;
   std::size_t pool_pages = 4096;      ///< 16 MiB cache by default
   std::size_t pool_shards = 0;        ///< lock stripes; 0 = auto (see BufferPoolConfig)
   PrefetchConfig prefetch;            ///< readahead policy
-  bool prefetch_on_seek = true;       ///< paper: prefetch on read/write/seek
-  /// Always false: readahead is a synchronous gather (see
-  /// BufferPool::prefetch_range).  A constant, not a knob, so reports can
-  /// still record which readahead path ran.
+  /// The paper's stack always prefetches on read, write and seek, and
+  /// always flushes on close; readahead is a synchronous gather (see
+  /// BufferPool::prefetch_range).  Constants, not knobs, kept as names
+  /// for reports that record them.
+  static constexpr bool prefetch_on_seek = true;
   static constexpr bool async_prefetch = false;
-  bool writeback_on_close = true;     ///< close flushes dirty pages
-  bool keep_op_records = false;       ///< retain per-op rows for tables
+  static constexpr bool writeback_on_close = true;
 };
 
 class ManagedFile;
@@ -116,12 +116,13 @@ class ManagedFile {
   std::size_t write(std::span<const std::byte> data);
 
   /// Moves the stream position (absolute, from the beginning — the paper's
-  /// replay semantics).  Touches the target page when prefetch_on_seek is
-  /// set.  Timed as a Seek.
+  /// replay semantics) and touches the target page.  The touch is a hint:
+  /// a pool with no free frame skips it.  A seek that throws leaves the
+  /// position unchanged.  Timed as a Seek.
   void seek(std::uint64_t pos);
 
-  /// Flushes this file's dirty pages (when writeback_on_close is set) and
-  /// releases the handle.  Timed as a Close.  Idempotent.
+  /// Flushes this file's dirty pages and releases the handle.  Timed as a
+  /// Close.  Idempotent.
   void close();
 
   [[nodiscard]] bool is_open() const { return fs_ != nullptr; }

@@ -76,6 +76,10 @@ constexpr const char* kHandlerSource = R"(
 /// progress, replicating the per-recv SO_RCVTIMEO the blocking design had.
 constexpr int kInRequestRecvTimeoutMs = 5000;
 
+/// Seed of the request tracer's ID sequence (obs::RequestTracer): fixed,
+/// so trace IDs are reproducible run to run.
+constexpr std::uint64_t kTraceSeed = 0x7ace5eedULL;
+
 /// How long one epoll_wait sleeps with nothing to do.  This bounds the
 /// lateness of deadline expiries and of the drain escalation; events and
 /// eventfd wakeups cut it short.
@@ -118,7 +122,6 @@ struct MiniWebServer::Conn {
   Socket socket;
   std::optional<FaultChannel> faulted;  ///< wraps socket when faults are on
   std::optional<HttpReader> reader;     ///< buffered parser over channel()
-  std::size_t served = 0;               ///< requests dispatched on this conn
   bool busy = false;                    ///< checked out to a worker
   std::uint64_t deadline_gen = 0;       ///< matches the live heap entry
 
@@ -145,8 +148,7 @@ MiniWebServer::MiniWebServer(io::ManagedFileSystem& fs, ServerOptions options)
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
     metrics_ = owned_metrics_.get();
   }
-  tracer_ = std::make_unique<obs::RequestTracer>(*metrics_,
-                                                 options_.trace_seed);
+  tracer_ = std::make_unique<obs::RequestTracer>(*metrics_, kTraceSeed);
   register_metrics();
 }
 
@@ -312,6 +314,8 @@ void MiniWebServer::event_loop() {
                                    : kInRequestRecvTimeoutMs);
 
   const std::string busy_503 = control_response(503, "server busy");
+  const std::string stopping_503 =
+      control_response(503, "server shutting down", "Retry-After: 1\r\n");
   const std::string bad_400 = control_response(400, "bad request");
   const std::string timeout_408 = control_response(408, "request timeout");
 
@@ -344,6 +348,18 @@ void MiniWebServer::event_loop() {
     const int fd = c.socket.fd();
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
+      if (!running_.load()) {
+        // stop() cleared running_ under this lock and takes the queue
+        // once: a request queued after that is popped by no worker, the
+        // loop frees its connection on exit, and a restarted server's
+        // worker would find a dangling Conn.  Answer it as stop() answers
+        // the backlog.
+        lock.unlock();
+        counters_.drained_503.fetch_add(1, std::memory_order_relaxed);
+        try_send_nonblock(fd, stopping_503);
+        retire(fd);
+        return;
+      }
       if (pending_.size() >= options_.max_pending) {
         lock.unlock();
         // Backpressure: answer 503 without blocking the loop.  A peer that
@@ -356,7 +372,6 @@ void MiniWebServer::event_loop() {
         return;
       }
       c.busy = true;
-      c.served++;
       counters_.requests.fetch_add(1, std::memory_order_relaxed);
       pending_.push_back(PendingRequest{&c, std::move(req),
                                         util::Stopwatch::now_ns(), parse_ns});
@@ -588,12 +603,7 @@ void MiniWebServer::process_request(Conn& conn, HttpRequest request,
   Channel& channel = conn.channel();
   std::optional<HttpRequest> current = std::move(request);
   while (current.has_value()) {
-    bool keep =
-        options_.keep_alive && current->keep_alive && running_.load();
-    if (options_.max_requests_per_connection != 0 &&
-        conn.served >= options_.max_requests_per_connection) {
-      keep = false;
-    }
+    const bool keep = current->keep_alive && running_.load();
     try {
       // The request exists: open its trace.  Parse happened before the
       // trace could (the bytes define the request), so its duration is
@@ -635,7 +645,6 @@ void MiniWebServer::process_request(Conn& conn, HttpRequest request,
     }
     if (!next.has_value()) return;  // loop re-arms and waits for bytes
     counters_.requests.fetch_add(1, std::memory_order_relaxed);
-    conn.served++;
     parse_ns = static_cast<std::uint64_t>(parse_watch.elapsed_ns());
     current = std::move(next);
   }

@@ -47,7 +47,7 @@ struct ServerStats {
   std::uint64_t io_errors = 0;        ///< connections torn down mid-exchange
   std::uint64_t timeouts_408 = 0;     ///< peers stalling mid-request (408)
   std::uint64_t degraded_503 = 0;     ///< storage-unavailable 503 responses
-  std::uint64_t drained_503 = 0;      ///< queued backlog 503'd during stop()
+  std::uint64_t drained_503 = 0;      ///< requests 503'd by a stopping server
   std::uint64_t gather_responses = 0;  ///< 200s sent page-gather zero-copy
   /// Always 0: the sendfile tier is gone (kept for reports that read it).
   static constexpr std::uint64_t sendfile_responses = 0;
@@ -70,11 +70,10 @@ struct ServerOptions {
   /// it is full the accept loop answers 503 and closes instead of queueing
   /// unboundedly — backpressure, not collapse.
   std::size_t max_pending = 64;
-  /// Honor HTTP/1.1 keep-alive: one connection carries many requests.  Off,
-  /// every response closes (the paper's one-request-per-connection model).
-  bool keep_alive = true;
-  /// Per-connection request cap when keep-alive is on (0 = unlimited).
-  std::size_t max_requests_per_connection = 0;
+  /// Always true: the server honours HTTP/1.1 keep-alive, and closing after
+  /// each response is the client's choice (`Connection: close`).  Kept as
+  /// a name for reports that record it.
+  static constexpr bool keep_alive = true;
   /// When set (not owned), every accepted connection is wrapped in a
   /// FaultChannel and the accept path consults should_drop_accept() — the
   /// seeded net-layer fault plan, mirroring FaultStore under the pool.
@@ -103,9 +102,6 @@ struct ServerOptions {
   /// shared instance) to aggregate across components; the server
   /// deregisters its callback metrics on destruction.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Seed for deterministic trace IDs (obs::RequestTracer): a fixed seed
-  /// yields a fixed ID sequence, so traces are reproducible run-to-run.
-  std::uint64_t trace_seed = 0x7ace5eedULL;
   /// Always true: native GETs within the pin cap send pool pages zero-copy.
   static constexpr bool zero_copy = true;
   /// Always 0: the sendfile tier is gone (kept for reports that read it).

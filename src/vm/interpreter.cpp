@@ -102,9 +102,8 @@ bool int_relation(std::int64_t a, std::int64_t b) {
 
 }  // namespace
 
-Interpreter::Interpreter(ExecutionEngine& engine, Jit& jit,
-                         std::size_t max_call_depth)
-    : engine_(engine), jit_(jit), max_call_depth_(max_call_depth) {}
+Interpreter::Interpreter(ExecutionEngine& engine, Jit& jit)
+    : engine_(engine), jit_(jit) {}
 
 Value Interpreter::invoke(std::uint16_t index, std::span<const Value> args) {
   return run_frame(index, args, 0);
@@ -112,7 +111,7 @@ Value Interpreter::invoke(std::uint16_t index, std::span<const Value> args) {
 
 Value Interpreter::run_frame(std::uint16_t index, std::span<const Value> args,
                              std::size_t depth) {
-  check<ExecutionError>(depth < max_call_depth_,
+  check<ExecutionError>(depth < kMaxCallDepth,
                         "interpreter: call stack overflow");
   const MethodDef& def = jit_.module().method(index);
   if (args.size() != def.num_args) {

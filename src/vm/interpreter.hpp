@@ -12,12 +12,15 @@ class ExecutionEngine;
 
 /// Executes compiled methods.  The interpreter walks the DecodedInsn array
 /// (a plain decode or a fused stream) with an explicit Value stack per
-/// frame; `call` recurses (bounded by max_call_depth).  Syscalls are
+/// frame; `call` recurses (bounded by kMaxCallDepth).  Syscalls are
 /// delegated to the owning ExecutionEngine.
 class Interpreter {
  public:
-  Interpreter(ExecutionEngine& engine, Jit& jit,
-              std::size_t max_call_depth = 256);
+  /// Most frames one invoke() may hold; the call that would open one more
+  /// traps with "call stack overflow".
+  static constexpr std::size_t kMaxCallDepth = 256;
+
+  Interpreter(ExecutionEngine& engine, Jit& jit);
 
   /// Runs method `index` with `args`; returns its result.
   Value invoke(std::uint16_t index, std::span<const Value> args);
@@ -38,7 +41,6 @@ class Interpreter {
 
   ExecutionEngine& engine_;
   Jit& jit_;
-  std::size_t max_call_depth_;
   std::uint64_t instructions_ = 0;
   std::uint64_t dispatches_ = 0;
 };

@@ -14,8 +14,7 @@ ExecutionEngine::ExecutionEngine(Module module, EngineOptions options,
                                  io::ManagedFileSystem* fs)
     : module_(std::move(module)), fs_(fs) {
   jit_ = std::make_unique<Jit>(module_, options.jit);
-  interpreter_ =
-      std::make_unique<Interpreter>(*this, *jit_, options.max_call_depth);
+  interpreter_ = std::make_unique<Interpreter>(*this, *jit_);
 }
 
 Value ExecutionEngine::call(std::string_view method, std::vector<Value> args) {

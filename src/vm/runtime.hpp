@@ -13,10 +13,10 @@
 
 namespace clio::vm {
 
-/// Engine configuration.
+/// Engine configuration.  The call-depth bound is a constant
+/// (Interpreter::kMaxCallDepth).
 struct EngineOptions {
   JitOptions jit{};
-  std::size_t max_call_depth = 256;
 };
 
 /// The mini-CLI execution engine: owns a verified module, the baseline JIT

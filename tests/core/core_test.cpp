@@ -3,33 +3,14 @@
 #include <sstream>
 
 #include "core/behavioral_benchmark.hpp"
-#include "core/benchmark.hpp"
 #include "core/report.hpp"
 #include "core/trace_benchmark.hpp"
 #include "core/webserver_benchmark.hpp"
 #include "trace/synthetic.hpp"
-#include "util/error.hpp"
 #include "util/temp_dir.hpp"
 
 namespace clio::core {
 namespace {
-
-TEST(Registry, AddCreateAndListIds) {
-  class Dummy : public Benchmark {
-   public:
-    [[nodiscard]] std::string name() const override { return "dummy"; }
-    void run(std::ostream& os) override { os << "ran\n"; }
-  };
-  BenchmarkRegistry registry;
-  registry.add("dummy", [] { return std::make_unique<Dummy>(); });
-  EXPECT_EQ(registry.ids(), std::vector<std::string>{"dummy"});
-  auto bench = registry.create("dummy");
-  std::ostringstream oss;
-  bench->run(oss);
-  EXPECT_EQ(oss.str(), "ran\n");
-  EXPECT_THROW(registry.create("nope"), util::ConfigError);
-  EXPECT_THROW(registry.add("dummy", nullptr), util::ConfigError);
-}
 
 TEST(QcrdFigures, ShapesMatchPaperClaims) {
   util::TempDir dir;

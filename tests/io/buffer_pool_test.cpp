@@ -65,6 +65,7 @@ class CountingStore final : public BackingStore {
               std::span<const std::span<const std::byte>> parts) override {
     maybe_fail();
     writev_calls++;
+    writev_parts.push_back(parts.size());
     pages_written += parts.size();
     auto& file = files_.at(id);
     std::uint64_t total = 0;
@@ -87,6 +88,7 @@ class CountingStore final : public BackingStore {
   std::atomic<std::uint64_t> read_calls{0};
   std::uint64_t write_calls = 0;
   std::uint64_t writev_calls = 0;
+  std::vector<std::size_t> writev_parts;  ///< pages per writev, in order
   std::uint64_t pages_written = 0;
   int fail_writes = 0;  ///< next N write/writev calls throw
 
@@ -182,6 +184,20 @@ TEST_F(BufferPoolTest, AllPinnedThrows) {
   std::vector<BufferPool::PageGuard> guards;
   for (std::uint64_t p = 0; p < 4; ++p) guards.push_back(pool_.pin(file_, p));
   EXPECT_THROW(pool_.pin(file_, 4), util::IoError);
+}
+
+TEST_F(BufferPoolTest, PrefetchOnAllPinnedPoolIsSkippedNotThrown) {
+  std::vector<BufferPool::PageGuard> guards;
+  for (std::uint64_t p = 0; p < 4; ++p) guards.push_back(pool_.pin(file_, p));
+  // A prefetch is a hint: with no frame to be had it loads nothing.
+  EXPECT_FALSE(pool_.prefetch(file_, 4));
+  EXPECT_FALSE(pool_.contains(file_, 4));
+  EXPECT_EQ(pool_.stats().prefetches, 0u);
+  guards.clear();
+  pool_.debug_validate();
+  // Once a frame frees up the same prefetch loads the page.
+  EXPECT_TRUE(pool_.prefetch(file_, 4));
+  EXPECT_TRUE(pool_.contains(file_, 4));
 }
 
 TEST_F(BufferPoolTest, DirtyPageWrittenBackOnEviction) {
@@ -555,17 +571,19 @@ TEST(FlushCoalescingTest, CoalesceLimitBoundsRunLength) {
   CountingStore store;
   const FileId file = store.open("out.bin", true);
   BufferPool pool(store, BufferPoolConfig{.page_size = 256,
-                                          .capacity_pages = 32,
-                                          .shards = 1,
-                                          .coalesce_pages = 4});
-  for (std::uint64_t p = 0; p < 16; ++p) {
+                                          .capacity_pages = 256,
+                                          .shards = 1});
+  for (std::uint64_t p = 0; p < 160; ++p) {
     auto g = pool.pin(file, p);
     g.mark_dirty(256);
   }
   pool.flush_all();
-  EXPECT_EQ(store.write_calls + store.writev_calls, 4u);  // 16 / 4
-  EXPECT_EQ(pool.stats().flush_write_calls, 4u);
-  EXPECT_EQ(pool.stats().flush_write_pages, 16u);
+  // One dirty run of 160 pages splits at the 64-page coalescing limit.
+  EXPECT_EQ(store.write_calls, 0u);
+  EXPECT_EQ(store.writev_parts, (std::vector<std::size_t>{64, 64, 32}));
+  EXPECT_EQ(pool.stats().flush_write_calls, 3u);
+  EXPECT_EQ(pool.stats().flush_write_pages, 160u);
+  EXPECT_EQ(store.size(file), 160 * 256u);
   pool.debug_validate();
 }
 

@@ -25,11 +25,12 @@ std::string read_all(ManagedFile& f, std::size_t n) {
 
 class ManagedFileTest : public ::testing::Test {
  protected:
-  ManagedFileTest() { reset(ManagedFsOptions{}); }
+  ManagedFileTest() { reset(); }
 
-  void reset(ManagedFsOptions options) {
+  void reset(std::size_t pool_pages = 16) {
+    ManagedFsOptions options;
     options.page_size = 256;
-    options.pool_pages = 16;
+    options.pool_pages = pool_pages;
     fs_ = std::make_unique<ManagedFileSystem>(
         std::make_unique<RealFileStore>(dir_.path()), options);
   }
@@ -130,7 +131,7 @@ TEST_F(ManagedFileTest, DataPersistsAfterCloseViaWriteback) {
     f.close();
   }
   // Fresh managed fs over the same directory: data must be on real disk.
-  reset(ManagedFsOptions{});
+  reset();
   auto f = fs_->open("persist.bin", OpenMode::kRead);
   EXPECT_EQ(read_all(f, 7), "durable");
 }
@@ -215,18 +216,28 @@ TEST_F(ManagedFileTest, ColdSeekLoadsTargetPageWarmSeekFree) {
   EXPECT_EQ(after.prefetches, mid.prefetches);
 }
 
-TEST_F(ManagedFileTest, PrefetchOnSeekCanBeDisabled) {
-  ManagedFsOptions options;
-  options.prefetch_on_seek = false;
-  reset(options);
+TEST_F(ManagedFileTest, SeekOnAFullyPinnedPoolSkipsTheTouchAndMoves) {
+  reset(/*pool_pages=*/2);
+  ASSERT_EQ(fs_->pool().capacity_pages(), 2u);
   {
-    auto f = fs_->open("ns.bin", OpenMode::kCreate);
-    f.write(as_bytes(std::string(4 * 256, 'n')));
+    auto f = fs_->open("a.bin", OpenMode::kCreate);
+    f.write(as_bytes(std::string(2 * 256, 'a')));
+    auto g = fs_->open("b.bin", OpenMode::kCreate);
+    g.write(as_bytes(std::string(4 * 256, 'b')));
   }
   fs_->drop_caches();
-  auto f = fs_->open("ns.bin", OpenMode::kRead);
-  f.seek(2 * 256);
-  EXPECT_EQ(fs_->pool().stats().prefetches, 0u);
+  auto a = fs_->open("a.bin", OpenMode::kRead);
+  auto b = fs_->open("b.bin", OpenMode::kRead);
+  {
+    auto pin0 = fs_->pool().pin(a.id(), 0);
+    auto pin1 = fs_->pool().pin(a.id(), 1);
+    // Every frame is pinned: the seek's touch is a hint and is skipped.
+    b.seek(512);
+    EXPECT_EQ(b.position(), 512u);
+    EXPECT_FALSE(fs_->pool().contains(b.id(), 2));
+  }
+  fs_->pool().debug_validate();
+  EXPECT_EQ(read_all(b, 256), std::string(256, 'b'));
 }
 
 TEST_F(ManagedFileTest, SequentialReadaheadIsByteExactAndLoadsEachPageOnce) {
@@ -339,7 +350,6 @@ class RequestGatherTest : public ::testing::Test {
     ManagedFsOptions options;
     options.page_size = 256;
     options.pool_pages = pool_pages;
-    options.prefetch_on_seek = false;  // seeks leave the pool untouched
     fs_ = std::make_unique<ManagedFileSystem>(std::move(faults), options);
   }
 
@@ -384,12 +394,14 @@ TEST_F(RequestGatherTest, ResidentDirtyPageSplitsTheGatherAndIsReadBack) {
             content.substr(16 * 256 + 10, 5));
   content.replace(16 * 256 + 10, 5, "DIRTY");
   EXPECT_EQ(got, content);
-  // Pages 0-15 and 17-31 are two cold runs around the resident page.
+  // seek(0) touched page 0, so pages 1-15 and 17-31 are two cold runs
+  // around the resident dirty page.
   const PoolStats after = fs_->pool().stats();
   EXPECT_EQ(after.gather_read_calls - before.gather_read_calls, 2u);
-  EXPECT_EQ(after.gather_read_pages - before.gather_read_pages, 31u);
-  EXPECT_EQ(after.misses - before.misses, 31u);
-  EXPECT_EQ(after.hits - before.hits, 1u);  // the dirty page
+  EXPECT_EQ(after.gather_read_pages - before.gather_read_pages, 30u);
+  EXPECT_EQ(after.misses - before.misses, 30u);
+  EXPECT_EQ(after.prefetches - before.prefetches, 1u);  // page 0, by seek
+  EXPECT_EQ(after.hits - before.hits, 2u);  // page 0 and the dirty page
 }
 
 TEST_F(RequestGatherTest, SpanPastStoreEofGathersOnlyStoredPages) {
@@ -404,9 +416,10 @@ TEST_F(RequestGatherTest, SpanPastStoreEofGathersOnlyStoredPages) {
   const PoolStats before = fs_->pool().stats();
   f.seek(0);
   EXPECT_EQ(read_all(f, 32 * 256), content + tail);
+  // The seeks touched pages 7 and 0, so the one gather is pages 1-6.
   const PoolStats after = fs_->pool().stats();
   EXPECT_EQ(after.gather_read_calls - before.gather_read_calls, 1u);
-  EXPECT_EQ(after.gather_read_pages - before.gather_read_pages, 8u);
+  EXPECT_EQ(after.gather_read_pages - before.gather_read_pages, 6u);
   EXPECT_FALSE(fs_->pool().contains(f.id(), 10));
   fs_->pool().debug_validate();
 }
@@ -438,19 +451,36 @@ TEST_F(RequestGatherTest, FailedGatherUnwindsAndARetrySucceeds) {
   fs_->pool().debug_validate();
 }
 
+TEST_F(RequestGatherTest, FailedSeekLeavesThePositionUnchanged) {
+  const std::string content = pattern(8 * 256);
+  make(64, content);
+  auto f = fs_->open("g.bin", OpenMode::kRead);
+  f.seek(256);
+  // The seek's touch of cold page 5 is a single-page read; make it fail.
+  faults_->fail_next(FaultOp::kRead, 1);
+  EXPECT_THROW(f.seek(5 * 256), util::IoError);
+  EXPECT_EQ(f.position(), 256u);
+  EXPECT_FALSE(fs_->pool().contains(f.id(), 5));
+  fs_->pool().debug_validate();
+  f.seek(5 * 256);
+  EXPECT_EQ(f.position(), 5 * 256u);
+  EXPECT_EQ(read_all(f, 256), content.substr(5 * 256, 256));
+}
+
 TEST_F(RequestGatherTest, ColdMultiPageWriteGathersItsPartialPages) {
   std::string content = pattern(32 * 256);
   make(64, content);
   auto f = fs_->open("g.bin", OpenMode::kReadWrite);
-  // An unaligned 10-page write over pages 3-13: its cold pages load in
-  // one gather, then the readahead past it in a second, and the bytes
-  // around the write survive.
+  // An unaligned 10-page write over pages 3-13.  The seek touches page 3;
+  // the write's other cold pages (4-13) load in one gather, then the
+  // readahead past it in a second, and the bytes around the write survive.
   const std::string patch = pattern(10 * 256, 7);
   f.seek(3 * 256 + 100);
   f.write(as_bytes(patch));
   const PoolStats stats = fs_->pool().stats();
-  EXPECT_EQ(stats.misses, 11u);
-  EXPECT_EQ(stats.prefetches, 4u);
+  EXPECT_EQ(stats.misses, 10u);
+  EXPECT_EQ(stats.prefetches, 5u);  // page 3 by the seek, 4 of readahead
+  EXPECT_EQ(stats.hits, 1u);        // page 3, by the write
   EXPECT_EQ(stats.gather_read_calls, 2u);
   content.replace(3 * 256 + 100, patch.size(), patch);
   f.seek(0);

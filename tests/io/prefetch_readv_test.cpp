@@ -52,6 +52,7 @@ class CountingReadStore final : public BackingStore {
                     std::span<const std::span<std::byte>> parts) override {
     maybe_fail();
     readv_calls++;
+    readv_parts.push_back(parts.size());
     std::size_t total = 0;
     for (const auto& part : parts) {
       const std::size_t n = copy_out(id, offset + total, part);
@@ -77,6 +78,7 @@ class CountingReadStore final : public BackingStore {
 
   std::uint64_t read_calls = 0;
   std::uint64_t readv_calls = 0;
+  std::vector<std::size_t> readv_parts;  ///< pages per readv, in order
   int fail_reads = 0;  ///< next N read/readv calls throw
 
  private:
@@ -160,15 +162,15 @@ TEST(PrefetchReadv, ResidentPagesSplitTheWindowIntoRuns) {
 
 TEST(PrefetchReadv, CoalesceLimitBoundsRunLength) {
   CountingReadStore store;
-  const FileId file = make_file(store, 256, 16);
+  const FileId file = make_file(store, 256, 160);
   BufferPool pool(store, BufferPoolConfig{.page_size = 256,
-                                          .capacity_pages = 32,
-                                          .shards = 1,
-                                          .coalesce_pages = 4});
-  EXPECT_EQ(pool.prefetch_range(file, 0, 16), 16u);
-  EXPECT_EQ(store.readv_calls, 4u);  // 16 pages / 4 per gather
-  EXPECT_EQ(pool.stats().gather_read_calls, 4u);
-  EXPECT_EQ(pool.stats().gather_read_pages, 16u);
+                                          .capacity_pages = 256,
+                                          .shards = 1});
+  // One cold window of 160 pages splits at the 64-page coalescing limit.
+  EXPECT_EQ(pool.prefetch_range(file, 0, 160), 160u);
+  EXPECT_EQ(store.readv_parts, (std::vector<std::size_t>{64, 64, 32}));
+  EXPECT_EQ(pool.stats().gather_read_calls, 3u);
+  EXPECT_EQ(pool.stats().gather_read_pages, 160u);
 }
 
 // ------------------------------------------------------- demand spans ----
@@ -287,20 +289,24 @@ TEST(PrefetchReadv, FailedGatherLeavesNoHalfValidFramesResident) {
 
 TEST(PrefetchReadv, FailureInSecondRunKeepsFirstRunResident) {
   CountingReadStore store;
-  const FileId file = make_file(store, 256, 12);
+  const FileId file = make_file(store, 256, 136);
   BufferPool pool(store, BufferPoolConfig{.page_size = 256,
-                                          .capacity_pages = 32,
-                                          .shards = 1,
-                                          .coalesce_pages = 4});
+                                          .capacity_pages = 256,
+                                          .shards = 1});
   // A completed gather's pages are published and stay resident; a later
   // failed gather must unwind only its own claimed frames.
-  EXPECT_EQ(pool.prefetch_range(file, 0, 4), 4u);  // run 1 resident
+  EXPECT_EQ(pool.prefetch_range(file, 0, 64), 64u);  // run 1 resident
   store.fail_reads = 1;
-  EXPECT_THROW(static_cast<void>(pool.prefetch_range(file, 4, 8)),
+  // Pages 64..135 are two runs split at the 64-page limit; the first
+  // fails, so neither is loaded.
+  EXPECT_THROW(static_cast<void>(pool.prefetch_range(file, 64, 72)),
                util::IoError);
-  EXPECT_EQ(pool.resident_pages(), 4u);  // only run 1 remains
-  for (std::uint64_t p = 0; p < 4; ++p) EXPECT_TRUE(pool.contains(file, p));
-  for (std::uint64_t p = 4; p < 12; ++p) EXPECT_FALSE(pool.contains(file, p));
+  EXPECT_EQ(store.readv_parts, (std::vector<std::size_t>{64}));
+  EXPECT_EQ(pool.resident_pages(), 64u);  // only run 1 remains
+  for (std::uint64_t p = 0; p < 64; ++p) EXPECT_TRUE(pool.contains(file, p));
+  for (std::uint64_t p = 64; p < 136; ++p) {
+    EXPECT_FALSE(pool.contains(file, p));
+  }
 }
 
 // ----------------------------------------------------------- contention ----

@@ -159,13 +159,11 @@ TEST_F(ServerObservabilityTest, SpanAccountingBalancesAfterLoad) {
 }
 
 TEST_F(ServerObservabilityTest, TraceIdsAreDeterministicAcrossRuns) {
-  // Same trace seed, same single-connection request sequence → the /statz
-  // counters agree and the underlying ID sequence is fixed (pinned
-  // directly on the tracer, since IDs are not exposed per response).
-  ServerOptions options;
-  options.trace_seed = 1234;
-  MiniWebServer a(fs_, options);
-  MiniWebServer b(fs_, options);
+  // Every server seeds its tracer with the same constant, so the ID
+  // sequence is fixed (pinned directly on the tracer, since IDs are not
+  // exposed per response).
+  MiniWebServer a(fs_);
+  MiniWebServer b(fs_);
   // Both tracers mint identical sequences before any traffic runs.
   std::vector<std::uint64_t> ids_a, ids_b;
   for (int i = 0; i < 8; ++i) {

@@ -485,7 +485,6 @@ TEST(WebStress, BackpressureUnderStormNeverWedgesTheServer) {
     ServerOptions options;
     options.worker_threads = 1;
     options.max_pending = 2;
-    options.keep_alive = false;  // maximal accept/queue churn
     options.fault_injector = &injector;
     MiniWebServer server(fs, options);
     server.start();
@@ -493,7 +492,7 @@ TEST(WebStress, BackpressureUnderStormNeverWedgesTheServer) {
     LoadGenOptions load;
     load.connections = 6;
     load.requests_per_connection = requests_per_client() / 2;
-    load.keep_alive = false;
+    load.keep_alive = false;  // maximal accept/queue churn
     load.seed = seed;
     load.files = {"doc.bin"};
     const LoadReport report = LoadGenerator(load).run(server.port());

@@ -55,10 +55,9 @@ base:
 .end
 )";
 
-ExecutionEngine make_engine(std::size_t max_depth = 256) {
+ExecutionEngine make_engine() {
   EngineOptions options;
   options.jit.compile_ns_per_byte = 0;
-  options.max_call_depth = max_depth;
   return ExecutionEngine(assemble(kArithSource), options);
 }
 
@@ -213,16 +212,21 @@ TEST(EdgeSemanticsTest, IntFloatRoundTripIsLossyPastDoublePrecision) {
 }
 
 TEST(EdgeSemanticsTest, CallDepthOverflowsAtExactBoundary) {
-  // recurse(n) occupies n + 1 frames.  With max_call_depth = 8, 8 frames
-  // (n = 7) must succeed and 9 frames (n = 8) must trap — the off-by-one
-  // either way is a real engine bug.
-  auto engine = make_engine(/*max_depth=*/8);
-  EXPECT_EQ(engine.call("recurse", {Value::from_int(7)}).as_int(), 0);
-  EXPECT_THROW(engine.call("recurse", {Value::from_int(8)}),
-               ExecutionError);
+  // recurse(n) occupies n + 1 frames.  With the 256-frame bound, 256
+  // frames (n = 255) must succeed and 257 frames (n = 256) must trap — the
+  // off-by-one either way is a real engine bug.
+  static_assert(Interpreter::kMaxCallDepth == 256);
+  auto engine = make_engine();
+  EXPECT_EQ(engine.call("recurse", {Value::from_int(255)}).as_int(), 0);
+  try {
+    engine.call("recurse", {Value::from_int(256)});
+    ADD_FAILURE() << "257 frames did not trap";
+  } catch (const ExecutionError& e) {
+    EXPECT_STREQ(e.what(), "interpreter: call stack overflow");
+  }
   // The failed call must not corrupt the engine: the boundary case still
   // works afterwards.
-  EXPECT_EQ(engine.call("recurse", {Value::from_int(7)}).as_int(), 0);
+  EXPECT_EQ(engine.call("recurse", {Value::from_int(255)}).as_int(), 0);
 }
 
 // One method per operand class that can reach a handler with the wrong

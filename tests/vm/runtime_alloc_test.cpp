@@ -115,10 +115,7 @@ done:
 TEST(RuntimeAllocTest, BufferFileReadMakesNoPerByteAllocations) {
   constexpr std::size_t kBytes = 64 * 1024;
   util::TempDir dir;
-  io::ManagedFsOptions fs_options;
-  fs_options.prefetch_on_seek = false;
-  io::ManagedFileSystem fs(std::make_unique<io::RealFileStore>(dir.path()),
-                           fs_options);
+  io::ManagedFileSystem fs(std::make_unique<io::RealFileStore>(dir.path()));
   {
     std::vector<std::byte> data(kBytes, std::byte{0x5a});
     auto file = fs.open("big.bin", io::OpenMode::kTruncate);
