@@ -76,28 +76,24 @@ bool int_relation(std::int64_t a, std::int64_t b) {
   }
 }
 
-/// ldelem's body: replaces the array or buffer held by `slot` with its
-/// element `idx`.  The object is borrowed from the slot; storing the
-/// element into that slot is what releases it.
-[[gnu::always_inline]] inline void load_element(Value& slot,
-                                                std::int64_t idx) {
-  const Obj& obj = *slot.as_obj();
-  if (obj.is_buffer()) {
-    const auto& bytes = obj.bytes();
-    check<ExecutionError>(
-        idx >= 0 && static_cast<std::size_t>(idx) < bytes.size(),
-        "interpreter: buffer index out of range");
-    slot = Value::from_int(
-        std::to_integer<std::uint8_t>(bytes[static_cast<std::size_t>(idx)]));
-  } else {
-    check<ExecutionError>(obj.is_array(),
-                          "interpreter: ldelem needs an array or buffer");
-    check<ExecutionError>(
-        idx >= 0 && static_cast<std::size_t>(idx) < obj.arr().size(),
-        "interpreter: array index out of range");
-    // Copy the element out before the assignment can drop the array.
-    slot = Value(obj.arr()[static_cast<std::size_t>(idx)]);
+/// ldelem's body on both tiers: element `idx` of the array or buffer
+/// `container` holds.  The caller has checked the index's kind; this
+/// checks the container's kind, then the bounds.
+[[gnu::always_inline]] inline Value element(const Value& container,
+                                            std::int64_t idx) {
+  const Obj& obj = *container.as_obj();
+  const auto at = static_cast<std::size_t>(idx);
+  if (const auto* bytes = obj.bytes_if()) {
+    check<ExecutionError>(idx >= 0 && at < bytes->size(),
+                          "interpreter: buffer index out of range");
+    return Value::from_int(std::to_integer<std::uint8_t>((*bytes)[at]));
   }
+  const auto* arr = obj.arr_if();
+  check<ExecutionError>(arr != nullptr,
+                        "interpreter: ldelem needs an array or buffer");
+  check<ExecutionError>(idx >= 0 && at < arr->size(),
+                        "interpreter: array index out of range");
+  return (*arr)[at];
 }
 
 }  // namespace
@@ -136,10 +132,10 @@ Value Interpreter::run_frame(std::uint16_t index, std::span<const Value> args,
   // branch target is a decoded-instruction index, so dispatch needs no
   // per-instruction bounds check.  Each dispatch counts one; a
   // superinstruction standing for n source instructions adds the other
-  // n - 1 to `fused_extra`: those before its one checking instruction
-  // before the check can trap, the rest after it, so a trap leaves the
-  // count the plain decode would.  Both are kept in locals and folded into
-  // the members on every exit path (including ExecutionError unwinds).
+  // n - 1 to `fused_extra`: those before a checking instruction before
+  // its check can trap, the rest after it, so a trap leaves the count the
+  // plain decode would.  Both are kept in locals and folded into the
+  // members on every exit path (including ExecutionError unwinds).
   const DecodedInsn* const code = compiled.code.data();
   const DecodedInsn* ip = code;
   std::uint64_t dispatched = 0;
@@ -154,6 +150,9 @@ Value Interpreter::run_frame(std::uint16_t index, std::span<const Value> args,
     }
   } count_guard{*this, dispatched, fused_extra};
 
+  // The try block holds every handler (a computed goto may not jump into
+  // it from outside); its catch finishes the count of a trapping frame.
+  try {
   // Indexed by Op: the bytecode opcodes in enum order, then the
   // superinstructions in the order opcodes.hpp declares them.
 #define VM_RELATION_LABELS(rel) &&lbl_kBr##rel##SS, &&lbl_kBr##rel##TS,
@@ -173,7 +172,7 @@ Value Interpreter::run_frame(std::uint16_t index, std::span<const Value> args,
       // superinstructions
       &&lbl_kBrTrueS, &&lbl_kBrFalseS, &&lbl_kBrTrueAndSS,
       &&lbl_kBrFalseAndSS, &&lbl_kIncS, &&lbl_kIncSBr, &&lbl_kStSI,
-      &&lbl_kLdElemTS,
+      &&lbl_kLdElemS, &&lbl_kLdElemSS, &&lbl_kLdElemSIS,
       CLIO_VM_FUSED_RELATIONS(VM_RELATION_LABELS)
       CLIO_VM_FUSED_BINOPS(VM_BINOP_LABELS)
   };
@@ -351,8 +350,10 @@ Value Interpreter::run_frame(std::uint16_t index, std::span<const Value> args,
   }
   VM_CASE(kLdElem) {
     // The popped index slot held an int (as_int proved it), so it needs
-    // no reset.
-    load_element(sp[-2], sp[-1].as_int());
+    // no reset.  The element is copied out before the assignment can drop
+    // the container.
+    const std::int64_t idx = sp[-1].as_int();
+    sp[-2] = element(sp[-2], idx);
     --sp;
     VM_NEXT();
   }
@@ -400,11 +401,11 @@ Value Interpreter::run_frame(std::uint16_t index, std::span<const Value> args,
   }
 
   // ---- superinstructions (fused tier, vm/jit.cpp) ----
-  // Each comment gives the source run and its checking instruction, with
+  // Each comment gives the source run and its checking instructions, with
   // "(k of n)": k of the run's n instructions come before that one.
-  // `slots` indexes args and locals alike.  Only the
-  // checking instruction reads a Value's kind, so every trap keeps the
-  // text, and the instruction count, of the plain decode.
+  // `slots` indexes args and locals alike.  Only the checking
+  // instructions read a Value's kind, so every trap keeps the text, and
+  // the instruction count, of the plain decode.
   VM_CASE(kBrTrueS) {  // ldS a; brtrue t -- brtrue (1 of 2)
     ++fused_extra;
     if (slots[ip->slot].as_int() != 0) VM_JUMP(ip->target);
@@ -450,9 +451,32 @@ Value Interpreter::run_frame(std::uint16_t index, std::span<const Value> args,
     slots[ip->slot] = Value::from_int(ip->imm);
     VM_NEXT();
   }
-  VM_CASE(kLdElemTS) {  // ldS b; ldelem -- ldelem (1 of 2)
+  // The borrowed element loads read the container in its slot, which the
+  // borrow rule (vm/jit.cpp) guarantees still holds it: no reference
+  // count moves.  Each counts its elided load before its first check; a
+  // trap between that load and here is counted when the frame unwinds.
+  VM_CASE(kLdElemS) {  // ldS c (elided) ... ldelem -- ldelem
     ++fused_extra;
-    load_element(sp[-1], slots[ip->slot].as_int());
+    const std::int64_t idx = sp[-1].as_int();
+    sp[-1] = element(slots[ip->slot], idx);
+    VM_NEXT();
+  }
+  VM_CASE(kLdElemSS) {  // ldS c; ldS i; ldelem -- ldelem (2 of 3)
+    fused_extra += 2;
+    const std::int64_t idx = slots[ip->slot2].as_int();
+    *sp++ = element(slots[ip->slot], idx);
+    VM_NEXT();
+  }
+  VM_CASE(kLdElemSIS) {  // ldS c; ldS a; ldc i; add; ldS b; add; ldelem
+    // -- add (3 of 7), add (5 of 7), ldelem (6 of 7)
+    fused_extra += 3;
+    const std::int64_t base =
+        int_binop<Op::kAdd>(slots[ip->slot2].as_int(), ip->imm);
+    fused_extra += 2;
+    const std::int64_t idx =
+        int_binop<Op::kAdd>(base, slots[ip->target].as_int());
+    ++fused_extra;
+    *sp++ = element(slots[ip->slot], idx);
     VM_NEXT();
   }
 #define VM_RELATION_FUSED_HANDLERS(rel)                           \
@@ -496,6 +520,15 @@ Value Interpreter::run_frame(std::uint16_t index, std::span<const Value> args,
   }
   CLIO_VM_FUSED_BINOPS(VM_BINOP_FUSED_HANDLERS)
 #undef VM_BINOP_FUSED_HANDLERS
+  } catch (...) {
+    // A trap between an elided container load and its ldelem: the plain
+    // decode had counted that load.
+    if (!compiled.uncounted_loads.empty()) {
+      fused_extra +=
+          compiled.uncounted_loads[static_cast<std::size_t>(ip - code)];
+    }
+    throw;
+  }
 
 #undef VM_FLOAT_BINOP
 #undef VM_INT_BINOP

@@ -1,5 +1,7 @@
 #include "vm/jit.hpp"
 
+#include <algorithm>
+
 #include "util/error.hpp"
 #include "util/stopwatch.hpp"
 #include "vm/decode.hpp"
@@ -83,6 +85,14 @@ std::optional<RelationForms> relation_forms(Op cmp, bool if_true) {
   }
 }
 
+DecodedInsn fused(Op op, std::uint32_t slot, std::int64_t imm = 0) {
+  DecodedInsn insn;
+  insn.op = op;
+  insn.slot = slot;
+  insn.imm = imm;
+  return insn;
+}
+
 /// One superinstruction (or a copied plain instruction) and the number of
 /// source instructions it stands for.  `target` of a fused branch holds
 /// the source index until fuse() remaps it.
@@ -92,24 +102,99 @@ struct Match {
   bool branches = false;
 };
 
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+/// The borrow rule's analysis: per ldelem, the ldarg/ldloc that pushed its
+/// container when that load may be elided, else kNone.  It may when the
+/// two are in one straight-line run: no branch target after the load up
+/// to and including the ldelem, and no br*, call, syscall, ret or store to
+/// the load's slot between them.  The slot then still holds the container
+/// when the ldelem runs, and keeps it alive.  One pass that tracks which
+/// load pushed each operand of the current run.
+std::vector<std::size_t> container_loads(const std::vector<DecodedInsn>& in,
+                                         const MethodDef& method,
+                                         const std::vector<bool>& is_target) {
+  std::vector<std::size_t> container(in.size(), kNone);
+  std::vector<std::size_t> pushed_by;  // per operand of the run
+  // Per slot: 1 + the position of its latest store, 0 for none.
+  std::vector<std::size_t> stored_at(method.num_args + method.num_locals, 0);
+  for (std::size_t k = 0; k < in.size(); ++k) {
+    const DecodedInsn& insn = in[k];
+    if (is_target[k]) pushed_by.clear();
+    if (load_slot(insn, method.num_args)) {
+      // At most 255 loads of a run are borrowable, so the uncounted_loads
+      // table fits a byte.
+      pushed_by.push_back(pushed_by.size() < UINT8_MAX ? k : kNone);
+      continue;
+    }
+    const OpInfo& info = op_info(insn.op);
+    if (info.pops < 0 || is_branch(insn.op) || insn.op == Op::kRet) {
+      pushed_by.clear();
+      continue;
+    }
+    if (insn.op == Op::kLdElem && pushed_by.size() >= 2) {
+      const std::size_t load = pushed_by[pushed_by.size() - 2];
+      if (load != kNone &&
+          stored_at[*load_slot(in[load], method.num_args)] <= load) {
+        container[k] = load;
+      }
+    }
+    if (const auto slot = store_slot(insn, method.num_args)) {
+      stored_at[*slot] = k + 1;
+    }
+    const auto pops = std::min(static_cast<std::size_t>(info.pops),
+                               pushed_by.size());
+    pushed_by.resize(pushed_by.size() - pops);
+    pushed_by.resize(pushed_by.size() + static_cast<std::size_t>(info.pushes),
+                     kNone);
+  }
+  return container;
+}
+
+/// A borrowed ldelem that also absorbs its index computation, for the
+/// index shapes the paper kernels execute: a slot (`ldS c; ldS i;
+/// ldelem`) and slot + imm + slot (`ldS c; ldS a; ldc i; add; ldS b; add;
+/// ldelem`).  For any other index the load is elided alone and its ldelem
+/// becomes kLdElemS.
+std::optional<Match> borrowed_index(const std::vector<DecodedInsn>& in,
+                                    std::size_t load, std::size_t ldelem,
+                                    std::uint32_t num_args) {
+  const std::uint32_t container = *load_slot(in[load], num_args);
+  const auto slot_at = [&](std::size_t k) {
+    return load_slot(in[k], num_args);
+  };
+  if (ldelem == load + 2) {
+    if (const auto i = slot_at(load + 1)) {
+      DecodedInsn insn = fused(Op::kLdElemSS, container);
+      insn.slot2 = *i;
+      return Match{insn, 3};
+    }
+  }
+  if (ldelem == load + 6) {
+    const auto a = slot_at(load + 1);
+    const auto b = slot_at(load + 4);
+    if (a && b && in[load + 2].op == Op::kLdcI8 &&
+        in[load + 3].op == Op::kAdd && in[load + 5].op == Op::kAdd) {
+      DecodedInsn insn = fused(Op::kLdElemSIS, container, in[load + 2].imm);
+      insn.slot2 = *a;
+      insn.target = *b;
+      return Match{insn, 7};
+    }
+  }
+  return std::nullopt;
+}
+
 /// The longest superinstruction starting at `at`, or the plain instruction.
 Match match_at(const std::vector<DecodedInsn>& in, std::size_t at,
-               std::uint32_t num_args, const std::vector<bool>& is_target) {
+               std::uint32_t num_args, const std::vector<bool>& leader) {
   // Whether the n instructions from `at` may fuse: none but the first is a
-  // branch target.
+  // leader.
   const auto fits = [&](std::size_t n) {
     if (at + n > in.size()) return false;
     for (std::size_t k = at + 1; k < at + n; ++k) {
-      if (is_target[k]) return false;
+      if (leader[k]) return false;
     }
     return true;
-  };
-  const auto fused = [](Op op, std::uint32_t slot, std::int64_t imm = 0) {
-    DecodedInsn insn;
-    insn.op = op;
-    insn.slot = slot;
-    insn.imm = imm;
-    return insn;
   };
   const auto branch = [](DecodedInsn insn, const DecodedInsn& br,
                          std::size_t length) {
@@ -166,7 +251,6 @@ Match match_at(const std::vector<DecodedInsn>& in, std::size_t at,
       if (const auto forms = binop_forms(next)) {
         return Match{fused(forms->top_slot, *a), 2};
       }
-      if (next == Op::kLdElem) return Match{fused(Op::kLdElemTS, *a), 2};
       if (is_cond_branch(next)) {
         return branch(
             fused(next == Op::kBrTrue ? Op::kBrTrueS : Op::kBrFalseS, *a),
@@ -185,11 +269,12 @@ Match match_at(const std::vector<DecodedInsn>& in, std::size_t at,
 }
 
 /// Translates a verified plain decode into its fused stream.  Runs of
-/// source instructions become superinstructions (greedy, longest first);
-/// a run fuses only if no instruction after its first is a branch target,
-/// so every target still starts an instruction, and targets are remapped
-/// to the fused indices.
-CompiledMethod fuse(const CompiledMethod& decoded, std::uint32_t num_args) {
+/// source instructions become superinstructions (greedy, longest first)
+/// and borrowed loads are elided (container_loads()).  A run fuses only if
+/// no instruction after its first is a leader: a branch target, an elided
+/// load or a borrowing ldelem.  So every target still starts an
+/// instruction, and targets are remapped to the fused indices.
+CompiledMethod fuse(const CompiledMethod& decoded, const MethodDef& method) {
   const std::vector<DecodedInsn>& in = decoded.code;
   std::vector<bool> is_target(in.size(), false);
   for (const DecodedInsn& insn : in) {
@@ -198,15 +283,43 @@ CompiledMethod fuse(const CompiledMethod& decoded, std::uint32_t num_args) {
     }
   }
 
+  const std::vector<std::size_t> container =
+      container_loads(in, method, is_target);
+  std::vector<bool> leader = is_target;
+  std::vector<std::size_t> consumer(in.size(), kNone);  // per elided load
+  // pending[s]: elided loads before s whose ldelem comes after s.
+  std::vector<std::uint8_t> pending(in.size(), 0);
+  for (std::size_t k = 0; k < in.size(); ++k) {
+    const std::size_t load = container[k];
+    if (load == kNone) continue;
+    consumer[load] = k;
+    leader[load] = leader[k] = true;
+    for (std::size_t s = load + 1; s < k; ++s) ++pending[s];
+  }
+
   CompiledMethod out;
   out.max_stack = decoded.max_stack;
   std::vector<std::uint32_t> fused_index(in.size(), 0);
   std::vector<std::size_t> branch_sites;
   for (std::size_t at = 0; at < in.size();) {
-    const Match m = match_at(in, at, num_args, is_target);
     fused_index[at] = static_cast<std::uint32_t>(out.code.size());
+    Match m;
+    if (consumer[at] != kNone) {
+      const auto shape = borrowed_index(in, at, consumer[at], method.num_args);
+      if (!shape) {  // elided: its ldelem reads the slot
+        ++at;
+        continue;
+      }
+      m = *shape;
+    } else if (container[at] != kNone) {
+      m.insn = fused(Op::kLdElemS,
+                     *load_slot(in[container[at]], method.num_args));
+    } else {
+      m = match_at(in, at, method.num_args, leader);
+    }
     if (m.branches) branch_sites.push_back(out.code.size());
     out.code.push_back(m.insn);
+    out.uncounted_loads.push_back(pending[at]);
     at += m.length;
   }
   for (const std::size_t site : branch_sites) {
@@ -293,7 +406,7 @@ CompiledMethod Jit::decode_method(std::uint16_t method_index) {
 void Jit::tier_up(std::uint16_t method_index, Slot& slot) {
   const MethodDef& method = module_.method(method_index);
   const util::Stopwatch translate;
-  slot.fused = fuse(*slot.decoded, method.num_args);
+  slot.fused = fuse(*slot.decoded, method);
   stats_.translate_ms += translate.elapsed_ms();
 
   const util::Stopwatch watch;

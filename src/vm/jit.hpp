@@ -18,7 +18,8 @@ struct DecodedInsn {
   Op op = Op::kNop;
   std::uint32_t slot = 0;    ///< superinstruction: first frame slot
   std::uint32_t slot2 = 0;   ///< superinstruction: second frame slot
-  std::uint32_t target = 0;  ///< superinstruction: branch target index
+  /// Superinstruction: branch target index; kLdElemSIS: its third slot.
+  std::uint32_t target = 0;
   /// Bytecode opcode: the immediate, index or branch target index; for
   /// kLdcF64 the f64 bit pattern.  Superinstruction: the immediate.
   std::int64_t imm = 0;
@@ -29,6 +30,10 @@ struct DecodedInsn {
 struct CompiledMethod {
   std::vector<DecodedInsn> code;
   std::uint32_t max_stack = 0;
+  /// Fused stream only, one entry per instruction: the container loads
+  /// the borrow rule elided whose ldelem comes later, which a trap at that
+  /// instruction leaves uncounted.  Read only when a frame unwinds.
+  std::vector<std::uint8_t> uncounted_loads;
 };
 
 /// Knobs of the compile-cost model.

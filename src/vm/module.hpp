@@ -124,6 +124,14 @@ class Obj {
   [[nodiscard]] const std::vector<std::byte>& bytes() const {
     return std::get<std::vector<std::byte>>(data_);
   }
+  /// The buffer's bytes or the array's elements, or null for another
+  /// kind: one read of the variant each (the interpreter's ldelem).
+  [[nodiscard]] const std::vector<std::byte>* bytes_if() const {
+    return std::get_if<std::vector<std::byte>>(&data_);
+  }
+  [[nodiscard]] const std::vector<Value>* arr_if() const {
+    return std::get_if<std::vector<Value>>(&data_);
+  }
 
  private:
   std::variant<std::string, std::vector<Value>, std::vector<std::byte>> data_;

@@ -86,7 +86,11 @@ enum class Op : std::uint8_t {
   kIncS,                 ///< ldS a; ldc i; add|sub; stS a
   kIncSBr,               ///< ldS a; ldc i; add|sub; stS a; br t
   kStSI,                 ///< ldc i; stS a
-  kLdElemTS,             ///< ldS b; ldelem
+  // The borrowed element loads: the container's ldS c is elided and its
+  // slot read in place (the borrow rule, vm/jit.cpp).
+  kLdElemS,              ///< ldelem of slot c, index on top
+  kLdElemSS,             ///< ldS c; ldS i; ldelem
+  kLdElemSIS,            ///< ldS c; ldS a; ldc i; add; ldS b; add; ldelem
 // ldS a; ldS b; cmp<rel>; br* t  and  ldS b; cmp<rel>; br* t
 #define CLIO_VM_RELATION_OPS(rel) kBr##rel##SS, kBr##rel##TS,
   CLIO_VM_FUSED_RELATIONS(CLIO_VM_RELATION_OPS)

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -22,11 +25,11 @@ namespace {
 constexpr std::uint64_t kBitapFixtureInsns = 400091;
 constexpr std::uint64_t kDmineFixtureInsns = 786175;
 // Dispatches the same calls make on the fused tier (the default
-// compile_threshold of 1 tiers up on the first call): 0.44x and 0.38x of
-// the instruction counts.  A change to the superinstruction set moves
-// these.
-constexpr std::uint64_t kBitapFixtureDispatches = 176056;
-constexpr std::uint64_t kDmineFixtureDispatches = 302386;
+// compile_threshold of 1 tiers up on the first call): 0.36x and 0.26x of
+// the instruction counts.  A change to the superinstruction set or the
+// borrow rule moves these.
+constexpr std::uint64_t kBitapFixtureDispatches = 144056;
+constexpr std::uint64_t kDmineFixtureDispatches = 201915;
 
 class KernelsTest : public ::testing::Test {
  protected:
@@ -67,6 +70,50 @@ TEST_F(KernelsTest, SpinSumMatchesClosedForm) {
               static_cast<std::uint64_t>(5 * n + 5))
         << "n = " << n;
   }
+}
+
+TEST(KernelsFusedTier, EveryElementLoadBorrowsItsContainer) {
+  // Under the borrow rule no ldelem of either kernel takes its container
+  // from the stack: each became a borrowed form that reads the slot.
+  const Op borrowed[] = {Op::kLdElemS, Op::kLdElemSS, Op::kLdElemSIS};
+  for (const char* source : {kernels::kBitapSource, kernels::kDmineSource}) {
+    const Module module = assemble(source);
+    Jit plain(module, JitOptions{.compile_ns_per_byte = 0,
+                                 .compile_threshold = UINT64_MAX});
+    Jit fused(module, JitOptions{.compile_ns_per_byte = 0});
+    std::size_t ldelems = 0;
+    for (const DecodedInsn& insn : plain.get(0).code) {
+      ldelems += insn.op == Op::kLdElem ? 1 : 0;
+    }
+    std::size_t borrows = 0;
+    for (const DecodedInsn& insn : fused.get(0).code) {
+      EXPECT_NE(insn.op, Op::kLdElem) << module.method(0).name;
+      borrows += std::count(std::begin(borrowed), std::end(borrowed), insn.op);
+    }
+    EXPECT_GT(ldelems, 0u);
+    EXPECT_EQ(borrows, ldelems) << module.method(0).name;
+  }
+}
+
+TEST(KernelsFusedTier, DmineScanLoopIsFourInstructionsPerIteration) {
+  // The scan loop runs about 85% of dmine's instructions: the loop test,
+  // buf[rec + 1 + j], the item compare-and-branch, and the increment that
+  // branches back to the loop test.
+  const Module module = assemble(kernels::kDmineSource);
+  Jit jit(module, JitOptions{.compile_ns_per_byte = 0});
+  const std::vector<DecodedInsn>& code = jit.get(0).code;
+  const auto load = std::find_if(code.begin(), code.end(), [](const auto& i) {
+    return i.op == Op::kLdElemSIS;
+  });
+  ASSERT_NE(load, code.end());
+  const auto at = static_cast<std::size_t>(load - code.begin());
+  ASSERT_GT(at, 0u);
+  ASSERT_LT(at + 1, code.size());
+  EXPECT_EQ(code[at - 1].op, Op::kBrGeSS);  // j >= n: leave the loop
+  EXPECT_EQ(code[at + 1].op, Op::kBrNeTS);  // item != buf[...]: next j
+  const DecodedInsn& next = code[code[at + 1].target];
+  EXPECT_EQ(next.op, Op::kIncSBr);  // ++j, back to the loop test
+  EXPECT_EQ(next.target, at - 1);
 }
 
 TEST_F(KernelsTest, BitapKernelMatchesNativeScanner) {

@@ -5,10 +5,12 @@
 // the paper kernels, a seeded generator of small verified programs that
 // reaches every superinstruction, and hand cases for the fusion rules
 // (branch targets inside a run, a trap at every superinstruction's
-// checking instruction, starg/stloc mixes).
+// checking instruction, starg/stloc mixes, the borrow rule's limits and
+// the lifetimes of borrowed containers).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -107,10 +109,19 @@ std::multiset<Op> fused_ops(const Module& module, std::string_view name) {
 
 // ---- seeded generator ----
 
+/// The first of the generator's 400 program seeds: 1, or 1 + 400 x
+/// CLIO_STRESS_SEED when that is set, so each stress seed runs its own
+/// window of programs.
+std::uint64_t first_program_seed() {
+  const char* env = std::getenv("CLIO_STRESS_SEED");
+  return env == nullptr ? 1 : 1 + 400 * std::strtoull(env, nullptr, 10);
+}
+
 // Frame of every generated method `gen 3 8`: args 0-2 and locals 0-3 are
 // the scalars statements read and write; local 4 is the loop counter,
-// local 5 a 16-byte buffer, local 6 an index temporary and local 7 a
-// 16-element array.
+// local 6 an index temporary in 0..15, and locals 5 and 7 containers of
+// 16 elements (at first a buffer and an array; a statement may make them
+// one container).
 const char* const kScalars[] = {"ldarg 0", "ldarg 1", "ldarg 2", "ldloc 0",
                                 "ldloc 1", "ldloc 2", "ldloc 3"};
 const char* const kBinops[] = {"add", "sub", "mul", "and",
@@ -181,10 +192,11 @@ class ProgramGenerator {
   const char* relation() { return kRelations[rng_.uniform_u64(6)]; }
   const char* cond() { return rng_.uniform_u64(2) == 0 ? "brtrue" : "brfalse"; }
   std::string label() { return "l" + std::to_string(labels_++); }
+  std::string container() { return rng_.uniform_u64(2) == 0 ? "5" : "7"; }
 
   /// One stack-neutral statement; `nested` ones do not branch.
   void statement(bool nested) {
-    const auto kind = rng_.uniform_u64(nested ? 5 : 13);
+    const auto kind = rng_.uniform_u64(nested ? 5 : 17);
     const auto guarded = [&](const std::string& test) {
       const std::string skip = label();
       out_ << test << cond() << " " << skip << "\n";
@@ -232,18 +244,14 @@ class ProgramGenerator {
         guarded(test.str());
         break;
       }
-      case 9: {  // load an element at a clamped index
-        const char* container = rng_.uniform_u64(2) == 0 ? "5" : "7";
-        out_ << scalar() << "\nldc 15\nand\nstloc 6\nldloc " << container
+      case 9:  // load an element at a slot index
+        out_ << scalar() << "\nldc 15\nand\nstloc 6\nldloc " << container()
              << "\nldloc 6\nldelem\n" << store() << "\n";
         break;
-      }
-      case 10: {  // store an element at a clamped index
-        const char* container = rng_.uniform_u64(2) == 0 ? "5" : "7";
-        out_ << "ldloc " << container << "\n" << scalar() << "\nldc 15\nand\n"
-             << scalar() << "\nstelem\n";
+      case 10:  // store an element at a clamped index
+        out_ << "ldloc " << container() << "\n" << scalar()
+             << "\nldc 15\nand\n" << scalar() << "\nstelem\n";
         break;
-      }
       case 11:  // the plain-only integer ops
         out_ << scalar() << "\n" << scalar() << "\n"
              << (rng_.uniform_u64(2) == 0 ? "div" : "rem") << "\nneg\n"
@@ -257,6 +265,31 @@ class ProgramGenerator {
              << "\nadd\n" << store() << "\n";
         break;
       }
+      case 13:  // load an element at an index computed inside the borrow
+        out_ << "ldloc " << container() << "\n" << scalar()
+             << "\nldc 15\nand\nldelem\n" << store() << "\n";
+        break;
+      case 14: {  // load an element at slot + imm + slot; one time in
+                  // four an index part is a scalar, mostly out of range
+        const bool wild = rng_.uniform_u64(4) == 0;
+        out_ << scalar() << "\nldc 7\nand\nstloc 6\nldloc " << container()
+             << "\n" << (wild ? scalar() : "ldloc 6") << "\nldc "
+             << rng_.uniform_u64(2) << "\nadd\nldloc 6\nadd\nldelem\n"
+             << store() << "\n";
+        break;
+      }
+      case 15: {  // a store to the container's slot before its ldelem:
+                  // the ldelem must read the old container
+        const std::string c = container();
+        out_ << "ldloc " << c << "\nldloc " << (c == "5" ? "7" : "5")
+             << "\nstloc " << c << "\nldloc 6\nldelem\n" << store() << "\n";
+        break;
+      }
+      case 16:  // nested, as in bitap's masks[buf[i]]
+        out_ << "ldloc " << container() << "\nldloc " << container()
+             << "\nldloc 6\nldelem\nldc 15\nand\nldelem\n" << store()
+             << "\n";
+        break;
     }
   }
 
@@ -270,7 +303,8 @@ TEST(TierDifferential, GeneratedProgramsAgreeAndReachEverySuperinstruction) {
   std::uint64_t traps = 0;
   std::uint64_t insns = 0;
   std::uint64_t dispatches = 0;
-  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+  const std::uint64_t first = first_program_seed();
+  for (std::uint64_t seed = first; seed < first + 400; ++seed) {
     ProgramGenerator gen(seed);
     const std::string source = gen.method();
     const Module module = assemble(source);
@@ -332,6 +366,41 @@ inside:
   }
 }
 
+TEST(TierDifferential, BranchTargetInsideABorrowKeepsTheLoad) {
+  // `join` lies between the buffer's load and its ldelem, and the branch
+  // to it arrives with the array on the stack: the load must stay, or the
+  // taken path would read the buffer's slot.
+  const Module module = assemble(R"(
+.method f 1 2
+  ldc 4
+  syscall buf_new
+  stloc 0
+  ldloc 0
+  ldc 2
+  ldc 9
+  stelem
+  ldc 4
+  newarr
+  stloc 1
+  ldloc 1
+  ldarg 0
+  brtrue join
+  pop
+  ldloc 0
+join:
+  ldc 2
+  ldelem
+  ret
+.end
+)");
+  EXPECT_EQ(fused_ops(module, "f").count(Op::kLdElem), 1u);
+  TierPair tiers(module);
+  EXPECT_EQ(tiers.expect_same("f", {Value::from_int(1)}, "taken").result,
+            "int 0");
+  EXPECT_EQ(tiers.expect_same("f", {Value::from_int(0)}, "not taken").result,
+            "int 9");
+}
+
 TEST(TierDifferential, EverySuperinstructionTrapsAtItsCheckingInstruction) {
   // For each superinstruction, a method whose run reaches that op with a
   // wrong-kind operand.  Each starts with a few counted instructions so a
@@ -341,6 +410,8 @@ TEST(TierDifferential, EverySuperinstructionTrapsAtItsCheckingInstruction) {
     std::string body;  ///< the run under test; must fuse to `op`
     Op op;
   };
+  // Pushes local 0, which the method first sets to an 8-byte buffer.
+  const std::string kBuffer = "ldloc 0\n";
   std::vector<Case> cases = {
       {"ldarg 0\nbrtrue out\n", Op::kBrTrueS},
       {"ldarg 0\nbrfalse out\n", Op::kBrFalseS},
@@ -348,10 +419,27 @@ TEST(TierDifferential, EverySuperinstructionTrapsAtItsCheckingInstruction) {
       {"ldarg 0\nldarg 1\nand\nbrfalse out\n", Op::kBrFalseAndSS},
       {"ldarg 0\nldc 1\nadd\nstarg 0\n", Op::kIncS},
       {"ldarg 0\nldc 1\nsub\nstarg 0\nbr out\n", Op::kIncSBr},
-      // The index is the wrong kind, or (arg 0 = 5) the container is.
-      {"ldc 7\nldarg 0\nldelem\npop\n", Op::kLdElemTS},
-      // The container is arg 0: out of range, a string, not an object.
-      {"ldarg 0\nldarg 1\nldelem\npop\n", Op::kLdElemTS},
+      // Borrowed element loads.  The container is arg 0: not an object,
+      // out of range (the empty buffer), a string.
+      {"ldarg 0\nldarg 1\nldelem\npop\n", Op::kLdElemSS},
+      {"ldarg 0\nldarg 1\nldc 1\nadd\nldarg 1\nadd\nldelem\npop\n",
+       Op::kLdElemSIS},
+      {"ldarg 0\nldarg 1\nldc 1\nshl\nldelem\npop\n", Op::kLdElemS},
+      {"ldarg 0\n" + kBuffer + "ldarg 1\nldelem\nldelem\npop\n",
+       Op::kLdElemS},
+      // An index part is arg 0: the wrong kind, or (65) out of range.
+      {kBuffer + "ldarg 0\nldelem\npop\n", Op::kLdElemSS},
+      {kBuffer + "ldarg 0\nldc 1\nadd\nldarg 1\nadd\nldelem\npop\n",
+       Op::kLdElemSIS},
+      {kBuffer + "ldarg 1\nldc 1\nadd\nldarg 0\nadd\nldelem\npop\n",
+       Op::kLdElemSIS},
+      {kBuffer + "ldarg 0\nnop\nldelem\npop\n", Op::kLdElemS},
+      // A trap inside an index computation a borrow spans: the frame
+      // counts the elided load as it unwinds.
+      {kBuffer + "ldarg 0\nldc 1\nshl\nldelem\npop\n", Op::kLdElemS},
+      {kBuffer + "ldarg 1\nldarg 0\ndiv\nldelem\npop\n", Op::kLdElemS},
+      {"ldarg 1\n" + kBuffer + "ldarg 0\nldelem\nldelem\npop\n",
+       Op::kLdElemSS},
   };
   // brfalse branches when the relation fails: it fuses to the negation.
   const char* const relation_names[] = {"eq", "ne", "lt", "le", "gt", "ge"};
@@ -395,7 +483,8 @@ TEST(TierDifferential, EverySuperinstructionTrapsAtItsCheckingInstruction) {
                                     kernels::make_string("abc")};
   for (const Case& c : cases) {
     const std::string source =
-        ".method f 2 1\nldc 4\nstloc 0\nldloc 0\npop\n" + c.body +
+        ".method f 2 1\nldc 8\nsyscall buf_new\nstloc 0\nldloc 0\npop\n" +
+        c.body +
         "ldc 0\nret\nout:\nldc 1\nret\n.end\n";
     const Module module = assemble(source);
     EXPECT_EQ(fused_ops(module, "f").count(c.op), 1u) << source;
@@ -465,6 +554,161 @@ done:
     // runs 3 times: local 0 = 300, arg 1 = 0.
     EXPECT_EQ(out.result, "int " + std::to_string((a + 302) * (a + 3)));
   }
+}
+
+TEST(TierDifferential, AStoreToTheContainerSlotBlocksTheBorrow) {
+  // `stloc 0` between the container's load and its ldelem: the ldelem must
+  // read the old container (the buffer), not the array the slot then
+  // holds, so the load stays on the stack.
+  const Module module = assemble(R"(
+.method f 1 2
+  ldc 4
+  syscall buf_new
+  stloc 0
+  ldloc 0
+  ldc 2
+  ldc 7
+  stelem
+  ldc 4
+  newarr
+  stloc 1
+  ldloc 0
+  ldloc 1
+  stloc 0
+  ldarg 0
+  ldelem
+  ret
+.end
+)");
+  const auto ops = fused_ops(module, "f");
+  EXPECT_EQ(ops.count(Op::kLdElem), 1u);
+  EXPECT_EQ(ops.count(Op::kLdElemS) + ops.count(Op::kLdElemSS), 0u);
+  TierPair tiers(module);
+  EXPECT_EQ(tiers.expect_same("f", {Value::from_int(2)}, "in range").result,
+            "int 7");
+  EXPECT_EQ(tiers.expect_same("f", {Value::from_int(5)}, "past 4").result,
+            "trap interpreter: buffer index out of range");
+}
+
+// ---- lifetimes of borrowed containers (run under ASan in CI) ----
+
+TEST(TierDifferential, BorrowedContainerWhoseSlotIsItsOnlyOwner) {
+  // Local 0 holds the only reference to the buffer.  The borrowed reads
+  // take none, and the store that drops the buffer comes after the
+  // element is on the stack.
+  const Module module = assemble(R"(
+.method f 1 2
+  ldarg 0
+  syscall buf_new
+  stloc 0
+  ldloc 0
+  ldc 1
+  ldc 42
+  stelem
+  ldc 1
+  stloc 1
+  ldloc 0
+  ldloc 1
+  ldelem
+  ldloc 0
+  ldc 0
+  ldelem
+  ldc 0
+  stloc 0
+  add
+  ret
+.end
+)");
+  const auto ops = fused_ops(module, "f");
+  EXPECT_EQ(ops.count(Op::kLdElemSS), 1u);
+  EXPECT_EQ(ops.count(Op::kLdElemS), 1u);
+  TierPair tiers(module);
+  EXPECT_EQ(tiers.expect_same("f", {Value::from_int(3)}, "3 bytes").result,
+            "int 42");
+  EXPECT_EQ(tiers.expect_same("f", {Value::from_int(1)}, "1 byte").result,
+            "trap interpreter: buffer index out of range");
+}
+
+TEST(TierDifferential, ElementOfABorrowedArrayOutlivesTheArraySlot) {
+  // array[1] is a buffer only the array owns.  The borrowed read copies
+  // the reference to the stack; overwriting the array's only slot then
+  // frees the array, and the buffer must stay alive for arrlen.
+  const Module module = assemble(R"(
+.method f 0 2
+  ldc 2
+  newarr
+  stloc 0
+  ldloc 0
+  ldc 1
+  ldc 5
+  syscall buf_new
+  stelem
+  ldloc 0
+  ldc 1
+  ldelem
+  ldc 0
+  stloc 0
+  stloc 1
+  ldloc 1
+  arrlen
+  ret
+.end
+)");
+  EXPECT_EQ(fused_ops(module, "f").count(Op::kLdElemS), 1u);
+  TierPair tiers(module);
+  EXPECT_EQ(tiers.expect_same("f", {}, "element outlives array").result,
+            "int 5");
+}
+
+TEST(TierDifferential, RecursionBorrowsItsArgumentInEveryFrame) {
+  // sum(buf, n) = sum(buf, n - 1) + buf[n - 1]: every frame borrows arg 0,
+  // which the caller's frame and the test also hold.
+  const Module module = assemble(R"(
+.method sum 2 0
+  ldarg 1
+  brtrue more
+  ldc 0
+  ret
+more:
+  ldarg 0
+  ldarg 1
+  ldc 1
+  sub
+  call sum
+  ldarg 0
+  ldarg 1
+  ldc -1
+  add
+  ldelem
+  add
+  ret
+.end
+)");
+  EXPECT_EQ(fused_ops(module, "sum").count(Op::kLdElemS), 1u);
+  std::vector<std::byte> bytes(200);
+  std::int64_t expected = 0;
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::byte>(i * 7);
+    expected += static_cast<std::int64_t>((i * 7) & 0xff);
+  }
+  TierPair tiers(module);
+  EXPECT_EQ(tiers
+                .expect_same("sum",
+                             {kernels::make_buffer(bytes),
+                              Value::from_int(200)},
+                             "200 frames")
+                .result,
+            "int " + std::to_string(expected));
+  // Over 150 bytes, the frame with n = 151 reads buf[150] after 150 frames
+  // below it returned, and the trap unwinds through the 50 above it.
+  bytes.resize(150);
+  EXPECT_EQ(tiers
+                .expect_same("sum",
+                             {kernels::make_buffer(bytes),
+                              Value::from_int(200)},
+                             "trap 50 frames deep")
+                .result,
+            "trap interpreter: buffer index out of range");
 }
 
 // Last in the file: a mutated loop test can make a kernel spin forever,
