@@ -331,6 +331,78 @@ void BufferPool::abort_gather_frames(FileId file,
   }
 }
 
+// -------------------------------------------------------- read around ----
+
+void BufferPool::read_around(FileId file, std::uint64_t offset,
+                             std::span<std::byte> out) {
+  const std::size_t page_size = config_.page_size;
+  // out[run_begin, done) covers non-resident pages not read yet.  A run
+  // is read when a resident page or the end of the span closes it.
+  std::size_t run_begin = 0;
+  std::size_t done = 0;
+  while (done < out.size()) {
+    const std::uint64_t pos = offset + done;
+    const std::size_t within = static_cast<std::size_t>(pos % page_size);
+    const std::size_t take = std::min(out.size() - done, page_size - within);
+    if (copy_if_resident(file, pos / page_size, within,
+                         out.subspan(done, take))) {
+      if (run_begin < done) {
+        read_direct(file, offset + run_begin,
+                    out.subspan(run_begin, done - run_begin));
+      }
+      run_begin = done + take;
+    }
+    done += take;
+  }
+  if (run_begin < done) {
+    read_direct(file, offset + run_begin, out.subspan(run_begin));
+  }
+}
+
+bool BufferPool::copy_if_resident(FileId file, std::uint64_t page_no,
+                                  std::size_t within,
+                                  std::span<std::byte> out) {
+  const PageKey key{file, page_no};
+  Shard& sh = shards_[shard_of(key)];
+  std::unique_lock<std::mutex> lk(sh.mutex);
+  for (;;) {
+    const auto it = sh.page_table.find(key);
+    if (it == sh.page_table.end()) return false;
+    Frame& f = frames_[it->second];
+    if (f.io_busy) {
+      // Mid-load, or a dirty page mid-write-back: its bytes reach the
+      // frame or the store when the latch clears, so look again then.
+      sh.io_cv.wait(lk);
+      continue;
+    }
+    // Copying under the shard lock keeps the frame resident as a pin
+    // would, for one lock round trip instead of two.  A demand gather's
+    // miss_counted stays for its own first pin.
+    sh.stats.hits++;
+    lru_touch(sh, it->second);
+    std::memcpy(out.data(), f.data.data() + within, out.size());
+    return true;
+  }
+}
+
+void BufferPool::read_direct(FileId file, std::uint64_t offset,
+                             std::span<std::byte> out) {
+  // Past the store's EOF the logical file is a hole: any page there that
+  // holds written data is dirty, hence resident, hence not in this run.
+  const std::size_t got = store_.read(file, offset, out);
+  if (got < out.size()) {
+    std::memset(out.data() + got, 0, out.size() - got);
+  }
+  const std::uint64_t first_page = offset / config_.page_size;
+  const std::uint64_t last_page =
+      (offset + out.size() - 1) / config_.page_size;
+  // Credit the call to the run's first shard; stats() sums.
+  Shard& sh = shards_[shard_of(PageKey{file, first_page})];
+  std::lock_guard<std::mutex> lock(sh.mutex);
+  sh.stats.direct_read_calls++;
+  sh.stats.direct_read_pages += last_page - first_page + 1;
+}
+
 bool BufferPool::contains(FileId file, std::uint64_t page_no) const {
   const PageKey key{file, page_no};
   const Shard& sh = shards_[shard_of(key)];
@@ -804,6 +876,8 @@ void add_shard_stats(PoolStats& total, const PoolStats& s) {
   total.flush_write_pages += s.flush_write_pages;
   total.gather_read_calls += s.gather_read_calls;
   total.gather_read_pages += s.gather_read_pages;
+  total.direct_read_calls += s.direct_read_calls;
+  total.direct_read_pages += s.direct_read_pages;
 }
 
 }  // namespace

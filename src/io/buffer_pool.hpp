@@ -48,6 +48,11 @@ struct PoolStats {
   std::uint64_t flush_write_pages = 0;
   std::uint64_t gather_read_calls = 0;
   std::uint64_t gather_read_pages = 0;
+  // read_around's store reads: one backing `read` per run of non-resident
+  // pages, and the pages those runs delivered without a frame.  Such
+  // pages are neither misses nor prefetches: no frame was loaded.
+  std::uint64_t direct_read_calls = 0;
+  std::uint64_t direct_read_pages = 0;
 };
 
 /// Key of a cached page and its hash.  The hash feeds both the per-shard
@@ -101,9 +106,11 @@ struct PageKeyHash {
 /// Both bulk transfer directions are coalesced: flush merges adjacent dirty
 /// pages into vectored writev gathers, and prefetch_range and pin_span merge
 /// adjacent cold pages into vectored readv scatters — one backing access per
-/// run of at most kCoalescePages pages instead of one per page.  Every
-/// transfer is a synchronous BackingStore call made by the thread that
-/// needs it; the pool starts no thread.
+/// run of at most kCoalescePages pages instead of one per page.  A read of
+/// kCoalescePages pages or more skips the frames altogether (read_around):
+/// it copies out the pages that are resident and reads the rest straight
+/// into the caller's buffer.  Every transfer is a synchronous BackingStore
+/// call made by the thread that needs it; the pool starts no thread.
 ///
 /// Pinned pages are never evicted; data access through a PageGuard is
 /// lock-free and safe provided no two threads write the same page
@@ -114,6 +121,14 @@ struct PageKeyHash {
 /// and the next flush writes the final bytes.
 class BufferPool {
  public:
+  /// Most adjacent pages one vectored backing call carries, on both the
+  /// flush (writev) and the gather (readv) side.  64 pages is 256 KiB at
+  /// the default page size; RealFileStore splits longer calls at IOV_MAX
+  /// anyway.  A request span of at least this many pages is a full
+  /// backing transfer of its own, so ManagedFile::read sends it through
+  /// read_around instead of staging it through frames.
+  static constexpr std::size_t kCoalescePages = 64;
+
   BufferPool(BackingStore& store, BufferPoolConfig config = {});
 
   BufferPool(const BufferPool&) = delete;
@@ -161,6 +176,20 @@ class BufferPool {
   /// cold span costs one gather per run instead of one read per page.
   PageGuard pin_span(FileId file, std::uint64_t page_no,
                      std::uint64_t last_page);
+
+  /// Copies out.size() bytes of `file` from `offset` into `out` without
+  /// staging them through frames.  Each resident page (clean or dirty;
+  /// one mid-load or mid-write-back is waited out, as pin() does) is
+  /// copied from its frame under its shard lock and counts as a hit.
+  /// Each maximal run of non-resident pages is one backing `read`
+  /// straight into `out`, its bytes past the store's EOF zero-filled.  No
+  /// frame is installed or evicted and the prefetcher is not consulted.
+  /// A dirty page keeps its page-table entry until its write-back has
+  /// reached the store, so the result holds every write that returned
+  /// before the call began.  A store error propagates with `out`'s
+  /// contents unspecified and no frame touched.  The caller keeps the
+  /// range inside logical_file_size().
+  void read_around(FileId file, std::uint64_t offset, std::span<std::byte> out);
 
   /// Loads a page into the cache without pinning it, if absent.
   /// Returns true if the page was actually loaded (i.e. it was cold).  A
@@ -234,11 +263,6 @@ class BufferPool {
 
  private:
   static constexpr std::size_t kNoFrame = SIZE_MAX;
-  /// Most adjacent pages one vectored backing call carries, on both the
-  /// flush (writev) and the gather (readv) side.  64 pages is 256 KiB at
-  /// the default page size; RealFileStore splits longer calls at IOV_MAX
-  /// anyway.
-  static constexpr std::size_t kCoalescePages = 64;
 
   struct Frame {
     FileId file = kInvalidFile;
@@ -333,6 +357,15 @@ class BufferPool {
   /// Publishes one gathered run's frames: valid extents from `got`, stale
   /// tails zeroed, io_busy latches released, gather stats credited.
   void publish_gather_run(std::span<const GatherTarget> run, std::size_t got);
+  /// read_around's per-page step: copies `out` from offset `within` of
+  /// the resident page (file, page_no) and returns true, or returns false
+  /// if the page is not resident.  Waits out in-flight I/O on the page.
+  bool copy_if_resident(FileId file, std::uint64_t page_no,
+                        std::size_t within, std::span<std::byte> out);
+  /// read_around's store step: one backing read of a non-resident run
+  /// into `out`, zero-filling what the store does not have.
+  void read_direct(FileId file, std::uint64_t offset,
+                   std::span<std::byte> out);
   void release_frame(std::size_t idx);
   void lru_push_front(Shard& sh, std::size_t idx);
   void lru_remove(Shard& sh, std::size_t idx);

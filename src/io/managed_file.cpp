@@ -158,16 +158,25 @@ std::size_t ManagedFile::read(std::span<std::byte> out) {
         std::min<std::uint64_t>(out.size(), file_size - position_));
     const std::uint64_t first_page = position_ / page_size;
     const std::uint64_t last_page = (position_ + want - 1) / page_size;
-    while (total < want) {
-      const std::uint64_t pos = position_ + total;
-      const std::uint64_t page = pos / page_size;
-      const std::size_t within = static_cast<std::size_t>(pos % page_size);
-      const std::size_t take = std::min(want - total, page_size - within);
-      auto guard = fs_->pool_->pin_span(id_, page, last_page);
-      std::memcpy(out.data() + total, guard.data().data() + within, take);
-      total += take;
+    if (last_page - first_page + 1 >= BufferPool::kCoalescePages) {
+      // A full backing transfer or more: staging it through frames would
+      // evict as many pages as it reads, then copy each one out again.
+      // The span is its own readahead window, so the prefetcher is not
+      // asked either.
+      fs_->pool_->read_around(id_, position_, out.first(want));
+      total = want;
+    } else {
+      while (total < want) {
+        const std::uint64_t pos = position_ + total;
+        const std::uint64_t page = pos / page_size;
+        const std::size_t within = static_cast<std::size_t>(pos % page_size);
+        const std::size_t take = std::min(want - total, page_size - within);
+        auto guard = fs_->pool_->pin_span(id_, page, last_page);
+        std::memcpy(out.data() + total, guard.data().data() + within, take);
+        total += take;
+      }
+      run_prefetch(first_page, last_page, file_size);
     }
-    run_prefetch(first_page, last_page, file_size);
     position_ += total;
   }
   const double ms = watch.elapsed_ms();

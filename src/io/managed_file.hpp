@@ -101,7 +101,10 @@ class ManagedFile {
   ~ManagedFile();
 
   /// Reads up to out.size() bytes from the current position; returns the
-  /// count actually read (0 at EOF).  Timed as a Read.
+  /// count actually read (0 at EOF).  Timed as a Read.  A span of
+  /// BufferPool::kCoalescePages pages or more goes around the pool
+  /// (BufferPool::read_around); a shorter one is pinned page by page.
+  /// A read that throws leaves the position unchanged.
   std::size_t read(std::span<std::byte> out);
 
   /// Reads exactly `out.size()` bytes or throws IoError.

@@ -790,6 +790,8 @@ std::string MiniWebServer::render_statz() const {
     w.kv("flush_write_pages", ps.flush_write_pages);
     w.kv("gather_read_calls", ps.gather_read_calls);
     w.kv("gather_read_pages", ps.gather_read_pages);
+    w.kv("direct_read_calls", ps.direct_read_calls);
+    w.kv("direct_read_pages", ps.direct_read_pages);
     w.end_object();
   }
 
@@ -919,6 +921,10 @@ void MiniWebServer::register_metrics() {
       [&pool] { return static_cast<double>(pool.stats().writebacks); });
   reg("clio_pool_prefetches_total", obs::MetricKind::kCounter,
       [&pool] { return static_cast<double>(pool.stats().prefetches); });
+  reg("clio_pool_direct_reads_total", obs::MetricKind::kCounter,
+      [&pool] { return static_cast<double>(pool.stats().direct_read_calls); });
+  reg("clio_pool_direct_read_pages_total", obs::MetricKind::kCounter,
+      [&pool] { return static_cast<double>(pool.stats().direct_read_pages); });
 
   const io::IoStats& io_stats = fs_.stats();
   reg("clio_io_read_ops_total", obs::MetricKind::kCounter, [&io_stats] {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <shared_mutex>
 #include <string>
+#include <thread>
 
 #include "io/fault_store.hpp"
 #include "util/error.hpp"
@@ -489,6 +492,169 @@ TEST_F(RequestGatherTest, ColdMultiPageWriteGathersItsPartialPages) {
   fs_->drop_caches();
   auto g = fs_->open("g.bin", OpenMode::kRead);
   EXPECT_EQ(read_all(g, content.size()), content);
+}
+
+// -------------------------------------------------------- direct read ----
+
+TEST_F(RequestGatherTest, LargeReadCopiesResidentPagesAndReadsEachColdRunOnce) {
+  const std::string content = pattern(80 * 256);
+  make(64, content);
+  auto f = fs_->open("g.bin", OpenMode::kRead);
+  fs_->pool().prefetch_range(f.id(), 40, 3);  // pages 40-42 resident
+  const PoolStats before = fs_->pool().stats();
+  EXPECT_EQ(read_all(f, content.size()), content);
+  // Pages 0-39 and 43-79 are one direct read each; 40-42 are hits.
+  const PoolStats after = fs_->pool().stats();
+  EXPECT_EQ(after.direct_read_calls - before.direct_read_calls, 2u);
+  EXPECT_EQ(after.direct_read_pages - before.direct_read_pages, 77u);
+  EXPECT_EQ(after.hits - before.hits, 3u);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.prefetches, before.prefetches);  // no readahead asked
+  EXPECT_EQ(after.gather_read_calls, before.gather_read_calls);
+  EXPECT_EQ(after.evictions, 0u);
+  EXPECT_EQ(fs_->pool().resident_pages(), 3u);
+  EXPECT_EQ(fs_->stats().op_stats(IoOp::kReadv).count(), 1u);  // the warm-up
+  fs_->pool().debug_validate();
+}
+
+TEST_F(RequestGatherTest, FailedDirectReadLeavesPositionAndPoolUnchanged) {
+  const std::string content = pattern(80 * 256);
+  make(64, content);
+  auto f = fs_->open("g.bin", OpenMode::kRead);
+  faults_->fail_next(FaultOp::kRead, 1);
+  std::vector<std::byte> buf(content.size());
+  EXPECT_THROW(static_cast<void>(f.read(buf)), util::IoError);
+  EXPECT_EQ(f.position(), 0u);
+  EXPECT_EQ(fs_->pool().resident_pages(), 0u);
+  fs_->pool().debug_validate();
+  EXPECT_EQ(read_all(f, content.size()), content);
+  EXPECT_EQ(f.position(), content.size());
+}
+
+/// Scan resistance: a scan in reads of `scan_pages` pages over a cold file
+/// four times the pool's size, after a small hot file was warmed.
+class ScanResistanceTest : public ManagedFileTest {
+ protected:
+  static constexpr std::size_t kPoolPages = 32;
+  static constexpr std::size_t kHotPages = 8;
+
+  void scan(std::size_t scan_pages) {
+    reset(kPoolPages);
+    const std::string cold = pattern(4 * kPoolPages * 256, 1);
+    {
+      auto c = fs_->open("cold.bin", OpenMode::kTruncate);
+      c.write(as_bytes(cold));
+      auto h = fs_->open("hot.bin", OpenMode::kTruncate);
+      h.write(as_bytes(pattern(kHotPages * 256, 2)));
+    }
+    fs_->drop_caches();
+    hot_ = fs_->open("hot.bin", OpenMode::kRead);
+    static_cast<void>(read_all(hot_, kHotPages * 256));
+    before_ = fs_->pool().stats();
+    resident_before_ = fs_->pool().resident_pages();
+    auto c = fs_->open("cold.bin", OpenMode::kRead);
+    std::string seen;
+    while (c.position() < cold.size()) seen += read_all(c, scan_pages * 256);
+    EXPECT_EQ(seen, cold);
+  }
+
+  std::size_t hot_resident() const {
+    std::size_t n = 0;
+    for (std::uint64_t p = 0; p < kHotPages; ++p) {
+      n += fs_->pool().contains(hot_.id(), p) ? 1 : 0;
+    }
+    return n;
+  }
+
+  ManagedFile hot_;
+  PoolStats before_;
+  std::size_t resident_before_ = 0;
+};
+
+TEST_F(ScanResistanceTest, ScanInFullTransfersLeavesTheHotSetResident) {
+  scan(BufferPool::kCoalescePages);
+  EXPECT_EQ(hot_resident(), kHotPages);
+  EXPECT_EQ(fs_->pool().stats().evictions, before_.evictions);
+  EXPECT_EQ(fs_->pool().resident_pages(), resident_before_);
+  EXPECT_EQ(fs_->pool().stats().direct_read_pages - before_.direct_read_pages,
+            4 * kPoolPages);
+}
+
+TEST_F(ScanResistanceTest, TheSameScanInSmallReadsEvictsTheHotSet) {
+  scan(4);  // under the threshold: every page stages through a frame
+  EXPECT_LT(hot_resident(), kHotPages);
+  EXPECT_GT(fs_->pool().stats().evictions, before_.evictions);
+  EXPECT_EQ(fs_->pool().stats().direct_read_calls, before_.direct_read_calls);
+}
+
+TEST_F(ManagedFileTest, LargeReadsStayCoherentUnderRewritesAndChurn) {
+  // Three threads on one pool of 24 pages in 4 shards: a reader reads a
+  // 160-page file in reads of 64 pages or more; a writer rewrites and
+  // flushes pages of it; a churner reads another file in small reads, so
+  // the writer's dirty pages are evicted (written back) while the reader
+  // runs.  Each read call and each write call excludes the other (a
+  // reader and a writer on the same bytes would race on the page), so
+  // every read must equal the file as of the last write exactly.
+  ManagedFsOptions options;
+  options.page_size = 256;
+  options.pool_pages = 24;
+  options.pool_shards = 4;
+  fs_ = std::make_unique<ManagedFileSystem>(
+      std::make_unique<RealFileStore>(dir_.path()), options);
+  constexpr std::size_t kPages = 160;
+  std::string shadow = pattern(kPages * 256 - 40, 3);
+  {
+    auto f = fs_->open("shared.bin", OpenMode::kTruncate);
+    f.write(as_bytes(shadow));
+    auto g = fs_->open("churn.bin", OpenMode::kTruncate);
+    g.write(as_bytes(pattern(64 * 256, 4)));
+  }
+  std::shared_mutex exclusive;
+  std::atomic<bool> writing{true};
+  std::atomic<int> bad_reads{0};
+  std::thread reader([&] {
+    auto f = fs_->open("shared.bin", OpenMode::kRead);
+    for (int i = 0; i < 60; ++i) {
+      const std::uint64_t pos = (i * 1237) % (kPages * 256 / 2);
+      const std::size_t len = (64 + i % 40) * 256;
+      std::shared_lock<std::shared_mutex> lock(exclusive);
+      f.seek(pos);
+      const std::string got = read_all(f, len);
+      if (got != shadow.substr(pos, len)) bad_reads++;
+    }
+  });
+  std::thread writer([&] {
+    auto f = fs_->open("shared.bin", OpenMode::kReadWrite);
+    for (int i = 0; i < 120; ++i) {
+      const std::uint64_t pos = (i * 7919) % (kPages * 256 - 600);
+      const std::string patch = pattern(1 + (i * 37) % 600, 10 + i);
+      {
+        std::unique_lock<std::shared_mutex> lock(exclusive);
+        f.seek(pos);
+        f.write(as_bytes(patch));
+        shadow.replace(pos, patch.size(), patch);
+      }
+      if (i % 8 == 0) fs_->pool().flush_file(f.id());
+    }
+    writing = false;
+  });
+  std::thread churner([&] {
+    auto g = fs_->open("churn.bin", OpenMode::kRead);
+    for (int i = 0; writing || i < 200; ++i) {
+      g.seek((i * 613) % (60 * 256));
+      static_cast<void>(read_all(g, 1 + (i * 101) % (4 * 256)));
+    }
+  });
+  reader.join();
+  writer.join();
+  churner.join();
+  EXPECT_EQ(bad_reads.load(), 0);
+  fs_->pool().flush_all();
+  fs_->pool().debug_validate();
+  auto f = fs_->open("shared.bin", OpenMode::kRead);
+  EXPECT_EQ(read_all(f, shadow.size()), shadow);
+  f.close();
+  EXPECT_EQ(util::read_text_file(dir_.path() / "shared.bin"), shadow);
 }
 
 }  // namespace

@@ -87,6 +87,32 @@ TEST_F(ServerObservabilityTest, StatzServesJsonSnapshot) {
   expect_contains(json, "\"spans_opened\"");
 }
 
+TEST_F(ServerObservabilityTest, LargeBufferedGetShowsItsDirectReads) {
+  // An 80-page file is above the page-gather cap, so its GET reads it in
+  // one 80-page ManagedFile::read, which goes around the pool: one direct
+  // backing read delivers every (cold) page.
+  {
+    auto file = fs_.open("big.bin", io::OpenMode::kTruncate);
+    const std::string content(80 * 4096, 'b');
+    file.write(std::as_bytes(
+        std::span<const char>(content.data(), content.size())));
+  }
+  fs_.drop_caches();
+  MiniWebServer server(fs_);
+  server.start();
+  HttpClient client(server.port(), /*keep_alive=*/true);
+  EXPECT_EQ(client.get("/big.bin").body.size(), 80 * 4096u);
+  const auto metrics = client.get("/metrics");
+  const auto statz = client.get("/statz");
+  server.stop();
+  expect_contains(metrics.body, "# TYPE clio_pool_direct_reads_total counter");
+  expect_contains(metrics.body, "clio_pool_direct_reads_total 1\n");
+  expect_contains(metrics.body, "clio_pool_direct_read_pages_total 80\n");
+  expect_contains(statz.body, "\"direct_read_calls\": 1,");
+  expect_contains(statz.body, "\"direct_read_pages\": 80");
+  EXPECT_EQ(fs_.pool().resident_pages(), 0u);
+}
+
 TEST_F(ServerObservabilityTest, IntrospectionDoesNotPerturbServedByteOracle) {
   MiniWebServer server(fs_);
   server.start();

@@ -10,13 +10,18 @@
 //   CLIO_STRESS_OPS   — ops per thread (default 2000; TSan jobs inherit it)
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "io/fault_store.hpp"
 #include "io/file_store.hpp"
+#include "io/managed_file.hpp"
+#include "io/retrying_store.hpp"
 #include "support/stress_harness.hpp"
+#include "util/rng.hpp"
 #include "util/temp_dir.hpp"
 
 namespace clio::test_support {
@@ -191,21 +196,87 @@ TEST(FaultStress, ShardSweepStaysCoherent) {
 TEST(FaultStress, ManagedSpansUnderFaults) {
   // The layer above the pool: multi-page ManagedFile reads and writes, so
   // request gathers, readahead and close-time flushes unwind under the
-  // mixed plan while threads evict each other's pages (4 files of 48
-  // pages share a 32-page pool).
+  // mixed plan while threads evict each other's pages (4 files share a
+  // 32-page pool).  The second input's spans reach 96 pages, so reads of
+  // 64 pages or more go around the pool under the same plan.
+  struct Spans {
+    std::size_t pages_per_file;
+    std::size_t span_pages;
+  };
+  for (const Spans spans : {Spans{48, 6}, Spans{160, 96}}) {
+    for (const std::uint64_t seed : seeds_under_test()) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " span_pages=" + std::to_string(spans.span_pages));
+      util::TempDir dir("clio-stress");
+      io::RealFileStore store(dir.path());
+      StressConfig config;
+      config.seed = seed;
+      config.threads = 4;
+      config.shards = 4;
+      config.capacity_pages = 32;
+      config.pages_per_file = spans.pages_per_file;
+      config.span_pages = spans.span_pages;
+      config.ops_per_thread = ops_per_thread();
+      config.faults = mixed_plan();
+      const StressResult result = run_managed_stress(store, config);
+      expect_clean(result, seed);
+    }
+  }
+}
+
+TEST(FaultStress, TransientFaultsOnDirectReadsAreRetried) {
+  // Reads of 64 pages or more under clean EIOs and short reads, with a
+  // RetryingStore between the pool and the faults: every fault is
+  // absorbed by a retry, so each read returns the file's bytes.
   for (const std::uint64_t seed : seeds_under_test()) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     util::TempDir dir("clio-stress");
-    io::RealFileStore store(dir.path());
-    StressConfig config;
-    config.seed = seed;
-    config.threads = 4;
-    config.shards = 4;
-    config.capacity_pages = 32;
-    config.ops_per_thread = ops_per_thread();
-    config.faults = mixed_plan();
-    const StressResult result = run_managed_stress(store, config);
-    expect_clean(result, seed);
+    io::FaultPlan plan;
+    plan.seed = seed;
+    plan.fail_prob = {0.1, 0.0, 0.0, 0.0};  // read only
+    plan.short_read_prob = 0.1;
+    auto faulty = std::make_unique<io::FaultStore>(
+        std::make_unique<io::RealFileStore>(dir.path()), plan);
+    io::FaultStore* faults = faulty.get();
+    faults->arm(false);
+    io::RetryPolicy policy;
+    policy.backoff = {.max_retries = 10, .base_delay_us = 1,
+                      .max_delay_us = 10};
+    policy.seed = seed;
+    auto retrying =
+        std::make_unique<io::RetryingStore>(std::move(faulty), policy);
+    io::RetryingStore* retry = retrying.get();
+    io::ManagedFsOptions options;
+    options.page_size = 256;
+    options.pool_pages = 32;
+    io::ManagedFileSystem fs(std::move(retrying), options);
+
+    std::vector<std::byte> content(200 * 256);
+    for (std::size_t i = 0; i < content.size(); ++i) {
+      content[i] = static_cast<std::byte>((i * 7 + i / 251 + seed) % 256);
+    }
+    io::ManagedFile f = fs.open("direct.bin", io::OpenMode::kTruncate);
+    f.write(content);
+    fs.drop_caches();
+    faults->arm(true);
+    util::Rng rng(seed);
+    std::vector<std::byte> buf(100 * 256);
+    for (int i = 0; i < 200; ++i) {
+      const std::uint64_t pos = rng.uniform_u64(content.size() - buf.size());
+      const std::size_t len = 64 * 256 + rng.uniform_u64(36 * 256);
+      f.seek(pos);
+      ASSERT_EQ(f.read(std::span(buf).first(len)), len);
+      ASSERT_TRUE(std::equal(buf.begin(), buf.begin() + len,
+                             content.begin() + pos))
+          << "read " << i << " at " << pos
+          << " (reproduce with CLIO_STRESS_SEED=" << seed << ")";
+    }
+    faults->arm(false);
+    EXPECT_GT(fs.pool().stats().direct_read_calls, 0u);
+    EXPECT_GT(faults->stats().total_faults(), 0u);
+    EXPECT_GT(retry->stats().retries, 0u);
+    EXPECT_EQ(retry->stats().exhausted, 0u);
+    fs.pool().debug_validate();
   }
 }
 

@@ -62,6 +62,9 @@ struct StressConfig {
   /// Much smaller than threads * pages_per_file so eviction churns.
   std::size_t capacity_pages = 64;
   std::size_t pages_per_file = 48;
+  /// Longest read or write of run_managed_stress, in pages.  At
+  /// BufferPool::kCoalescePages or more, some reads go around the pool.
+  std::size_t span_pages = 6;
   std::uint64_t ops_per_thread = 2000;
   /// Shared-file mode: every thread works on ONE file, with a per-page
   /// try-lock token deciding who may touch a page's bytes.  This exercises
@@ -607,7 +610,7 @@ class ByteOracle {
 /// `pages_per_file` pages in one ManagedFileSystem (page_size, a pool of
 /// capacity_pages over `shards`, default readahead) whose store is
 /// `backing` wrapped in a FaultStore, and runs a mix of random and
-/// sequential multi-page reads, unaligned multi-page writes, flushes,
+/// sequential reads and unaligned writes of up to `span_pages` pages, flushes,
 /// close/reopen and drop_caches.  Files keep their size, so reads know
 /// how many bytes to expect.  A read or write that throws must leave the
 /// position where it was.  After the run: faults off, a clean flush_all,
@@ -659,7 +662,7 @@ inline StressResult run_managed_stress(io::BackingStore& backing,
     const auto idx = static_cast<std::size_t>(t);
     const std::string name = "managed-" + std::to_string(t) + ".bin";
     ByteOracle& oracle = oracles[idx];
-    std::vector<std::byte> buf(6 * config.page_size);
+    std::vector<std::byte> buf(config.span_pages * config.page_size);
     std::uint8_t marker = 0;
     auto fail = [&](std::uint64_t op, const std::string& what) {
       std::lock_guard<std::mutex> lock(failure_mutex);
