@@ -266,7 +266,7 @@ void bench_flush_coalescing(obs::BenchReport& report) {
   report.metric("flush_ms", ms);
 }
 
-/// Sequential scans driven by readahead windows, through a pool much
+/// Sequential scans driven by prefetch_range windows, through a pool much
 /// smaller than the file so every pass is cold: this is the prefetch-churn
 /// path the coalesced readv gather accelerates.
 void bench_prefetch_churn(obs::BenchReport& report) {

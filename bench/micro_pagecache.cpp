@@ -1,6 +1,6 @@
 // Microbenchmarks / ablations of the managed I/O stack (DESIGN.md §5,
-// decisions 2-3): buffer-pool hit vs miss cost, the readahead-window sweep
-// behind the Tables 1-4 cold-spike behaviour, and write-back-on-close.
+// decisions 2-3): buffer-pool hit vs miss cost, the cold-seek touch behind
+// the Tables 1-4 cold-spike behaviour, and write-back-on-close.
 #include <benchmark/benchmark.h>
 
 #include "io/managed_file.hpp"
@@ -39,10 +39,9 @@ BENCHMARK(BM_PoolHit);
 
 void BM_PoolMissSequential(benchmark::State& state) {
   // Each iteration streams 1 MiB through a pool far smaller than the file,
-  // so pages keep missing; readahead window is the sweep parameter.
+  // so pages keep missing.
   io::ManagedFsOptions options;
   options.pool_pages = 64;  // 256 KiB pool
-  options.prefetch.window = static_cast<std::size_t>(state.range(0));
   Env env{options};
   auto file = env.fs.open("data.bin", io::OpenMode::kRead);
   std::vector<std::byte> buf(64 * 1024);
@@ -59,7 +58,7 @@ void BM_PoolMissSequential(benchmark::State& state) {
   state.counters["prefetches"] = static_cast<double>(
       env.fs.pool().stats().prefetches);
 }
-BENCHMARK(BM_PoolMissSequential)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_PoolMissSequential);
 
 void BM_WritebackOnClose(benchmark::State& state) {
   // Decision 3: close flushes dirty pages, which is why the paper sees

@@ -244,7 +244,6 @@ void bench_faults(obs::BenchReport& report) {
   injector.arm(false);
   net::HttpClient client(bench.server().port());
   const auto response = client.get("/mid.jpg");
-  bench.fs().pool().drain_prefetches();
   try {
     bench.fs().pool().debug_validate();
     std::printf("faults      post-storm: clean GET -> %d (%zu bytes), pool "
@@ -373,7 +372,6 @@ void bench_resilience(obs::BenchReport& report) {
   report.metric("recovered", recovered ? 1.0 : 0.0);
   report.metric("recovery_ms", static_cast<double>(recovery_ms));
   server.stop();
-  fs.pool().drain_prefetches();
   try {
     fs.pool().debug_validate();
     std::printf(

@@ -183,7 +183,7 @@ class BufferPool {
   /// copied from its frame under its shard lock and counts as a hit.
   /// Each maximal run of non-resident pages is one backing `read`
   /// straight into `out`, its bytes past the store's EOF zero-filled.  No
-  /// frame is installed or evicted and the prefetcher is not consulted.
+  /// frame is installed or evicted.
   /// A dirty page keeps its page-table entry until its write-back has
   /// reached the store, so the result holds every write that returned
   /// before the call began.  A store error propagates with `out`'s
@@ -210,7 +210,7 @@ class BufferPool {
 
   /// No-op: every prefetch gather is synchronous and has finished before
   /// prefetch_range returns, so there is never readahead to wait for.
-  /// Kept for callers that quiesce the pool before checking it.
+  /// Kept because clio_bench calls it at the end of every workload.
   void drain_prefetches() {}
 
   /// True if the page is resident or being loaded (test/diagnostic helper).

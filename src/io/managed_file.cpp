@@ -15,9 +15,7 @@ using util::Stopwatch;
 
 ManagedFileSystem::ManagedFileSystem(std::unique_ptr<BackingStore> store,
                                      ManagedFsOptions options)
-    : store_(std::move(store)),
-      options_(options),
-      prefetcher_(options.prefetch) {
+    : store_(std::move(store)), options_(options) {
   check<util::ConfigError>(store_ != nullptr,
                            "ManagedFileSystem: null backing store");
   // One helper builds and binds the whole decorator chain: the pool talks
@@ -73,8 +71,6 @@ void ManagedFileSystem::drop_caches() {
   // still hold PageGuards into — make_cold() races live traffic by design.
   pool_->flush_all();
   pool_->evict_clean();
-  std::lock_guard<std::mutex> lock(prefetcher_mutex_);
-  prefetcher_.reset();
 }
 
 // --------------------------------------------------------------- file ----
@@ -124,29 +120,6 @@ std::uint64_t ManagedFile::size() const {
   return fs_->pool_->logical_file_size(id_);
 }
 
-void ManagedFile::run_prefetch(std::uint64_t first, std::uint64_t last,
-                               std::uint64_t file_size) {
-  // A file that fits in one page has nothing ahead to fetch: skip the
-  // shared prefetcher outright.  The serving hot path reads small objects
-  // at a high rate, and the prefetcher sits behind a global mutex.
-  if (file_size != kUnknownSize && file_size <= fs_->pool_->page_size()) {
-    return;
-  }
-  PrefetchRange ahead;
-  {
-    std::lock_guard<std::mutex> lock(fs_->prefetcher_mutex_);
-    ahead = fs_->prefetcher_.propose_span(id_, first, last);
-  }
-  if (ahead.empty()) return;
-  if (file_size == kUnknownSize) file_size = size();
-  if (file_size == 0) return;
-  const std::uint64_t last_page = (file_size - 1) / fs_->pool_->page_size();
-  if (ahead.first > last_page) return;
-  const std::size_t count = static_cast<std::size_t>(
-      std::min<std::uint64_t>(ahead.count, last_page - ahead.first + 1));
-  fs_->pool_->prefetch_range(id_, ahead.first, count);
-}
-
 std::size_t ManagedFile::read(std::span<std::byte> out) {
   check<IoError>(fs_ != nullptr, "ManagedFile: read on closed file");
   Stopwatch watch;
@@ -161,8 +134,6 @@ std::size_t ManagedFile::read(std::span<std::byte> out) {
     if (last_page - first_page + 1 >= BufferPool::kCoalescePages) {
       // A full backing transfer or more: staging it through frames would
       // evict as many pages as it reads, then copy each one out again.
-      // The span is its own readahead window, so the prefetcher is not
-      // asked either.
       fs_->pool_->read_around(id_, position_, out.first(want));
       total = want;
     } else {
@@ -175,7 +146,6 @@ std::size_t ManagedFile::read(std::span<std::byte> out) {
         std::memcpy(out.data() + total, guard.data().data() + within, take);
         total += take;
       }
-      run_prefetch(first_page, last_page, file_size);
     }
     position_ += total;
   }
@@ -196,7 +166,6 @@ std::size_t ManagedFile::write(std::span<const std::byte> data) {
   const std::size_t page_size = fs_->pool_->page_size();
   std::size_t total = 0;
   if (!data.empty()) {
-    const std::uint64_t first_page = position_ / page_size;
     const std::uint64_t last_page = (position_ + data.size() - 1) / page_size;
     while (total < data.size()) {
       const std::uint64_t pos = position_ + total;
@@ -209,7 +178,6 @@ std::size_t ManagedFile::write(std::span<const std::byte> data) {
       guard.mark_dirty(within + take);
       total += take;
     }
-    run_prefetch(first_page, last_page);
     position_ += total;
   }
   const double ms = watch.elapsed_ms();
@@ -227,7 +195,6 @@ void ManagedFile::seek(std::uint64_t pos) {
     // Touching the target page is what makes a cold seek expensive and a
     // warm seek nearly free — the Table 3/4 effect.
     fs_->pool_->prefetch(id_, page);
-    run_prefetch(page, page);
   }
   position_ = pos;
   const double ms = watch.elapsed_ms();
@@ -238,10 +205,6 @@ void ManagedFile::close() {
   if (fs_ == nullptr) return;
   Stopwatch watch;
   fs_->pool_->flush_file(id_);
-  {
-    std::lock_guard<std::mutex> lock(fs_->prefetcher_mutex_);
-    fs_->prefetcher_.forget(id_);
-  }
   fs_->store_->close(id_);
   const double ms = watch.elapsed_ms();
   fs_->stats_.record(IoOp::kClose, 0, ms);

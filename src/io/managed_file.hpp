@@ -2,13 +2,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 
 #include "io/buffer_pool.hpp"
 #include "io/io_stats.hpp"
-#include "io/prefetcher.hpp"
 
 namespace clio::io {
 
@@ -26,11 +24,9 @@ struct ManagedFsOptions {
   std::size_t page_size = 4096;
   std::size_t pool_pages = 4096;      ///< 16 MiB cache by default
   std::size_t pool_shards = 0;        ///< lock stripes; 0 = auto (see BufferPoolConfig)
-  PrefetchConfig prefetch;            ///< readahead policy
-  /// The paper's stack always prefetches on read, write and seek, and
-  /// always flushes on close; readahead is a synchronous gather (see
-  /// BufferPool::prefetch_range).  Constants, not knobs, kept as names
-  /// for reports that record them.
+  /// The paper's stack always touches the target page on seek and always
+  /// flushes on close; nothing is loaded in the background.  Constants,
+  /// not knobs, kept as names for reports that record them.
   static constexpr bool prefetch_on_seek = true;
   static constexpr bool async_prefetch = false;
   static constexpr bool writeback_on_close = true;
@@ -38,8 +34,8 @@ struct ManagedFsOptions {
 
 class ManagedFile;
 
-/// Facade owning the backing store, the buffer pool, the prefetcher and the
-/// latency accounting.  This is the C++ analogue of the System.IO stack the
+/// Facade owning the backing store, the buffer pool and the latency
+/// accounting.  This is the C++ analogue of the System.IO stack the
 /// paper's benchmarks run on: every open/close/read/write/seek goes through
 /// the pool and is timed into IoStats.
 class ManagedFileSystem {
@@ -84,8 +80,6 @@ class ManagedFileSystem {
   /// kWritev), so coalescing ratios show up in the op table.
   std::unique_ptr<BackingStore> pool_store_;
   std::unique_ptr<BufferPool> pool_;
-  SequentialPrefetcher prefetcher_;
-  std::mutex prefetcher_mutex_;
 };
 
 /// A position-tracking stream over one file, in the style of .NET
@@ -140,14 +134,6 @@ class ManagedFile {
  private:
   friend class ManagedFileSystem;
   ManagedFile(ManagedFileSystem* fs, FileId id, std::string name);
-
-  /// Sentinel for "caller has not computed the file size".
-  static constexpr std::uint64_t kUnknownSize = UINT64_MAX;
-
-  /// Consults the prefetcher once for a request that touched pages
-  /// first..last and gathers the readahead it proposes past them.
-  void run_prefetch(std::uint64_t first, std::uint64_t last,
-                    std::uint64_t file_size = kUnknownSize);
 
   ManagedFileSystem* fs_ = nullptr;
   FileId id_ = kInvalidFile;

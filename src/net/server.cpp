@@ -1032,14 +1032,14 @@ void MiniWebServer::do_get(Channel& channel, const HttpRequest& request,
       if (size > 0 &&
           page_count <= gather_cap_pages(pool.capacity_pages(),
                                          options_.worker_threads)) {
-        // One coalesced readv warms the window, then every pin hits.
+        // Pinning the whole file as one span loads its cold pages in one
+        // coalesced readv, each counted once as a miss.
         const io::FileId id = file.id();
-        pool.prefetch_range(id, 0, page_count);
         guards.reserve(page_count);
         parts.reserve(page_count);
         std::uint64_t remaining = size;
         for (std::size_t p = 0; p < page_count; ++p) {
-          guards.push_back(pool.pin(id, p));
+          guards.push_back(pool.pin_span(id, p, page_count - 1));
           const auto take = static_cast<std::size_t>(
               std::min<std::uint64_t>(remaining, page_size));
           parts.push_back(std::span<const std::byte>(guards.back().data())

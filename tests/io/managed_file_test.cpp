@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <shared_mutex>
@@ -9,6 +10,7 @@
 #include <thread>
 
 #include "io/fault_store.hpp"
+#include "io/store_decorator.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
 #include "util/temp_dir.hpp"
@@ -184,25 +186,6 @@ TEST_F(ManagedFileTest, StatsRecordEveryOpClass) {
   EXPECT_EQ(stats.total_bytes(), 14u);  // 7 written + 7 read
 }
 
-TEST_F(ManagedFileTest, SequentialReadTriggersPrefetch) {
-  // Write 8 pages, drop caches, then read sequentially: the prefetcher
-  // must load pages ahead of the stream.
-  {
-    auto f = fs_->open("seq.bin", OpenMode::kCreate);
-    f.write(as_bytes(std::string(8 * 256, 's')));
-  }
-  fs_->drop_caches();
-  auto f = fs_->open("seq.bin", OpenMode::kRead);
-  std::vector<std::byte> page(256);
-  f.read(page);
-  f.read(page);
-  f.read(page);  // by now the streak is established
-  EXPECT_GT(fs_->pool().stats().prefetches, 0u);
-  // Pages ahead of the read position are already resident.
-  const std::uint64_t next = f.position() / 256;
-  EXPECT_TRUE(fs_->pool().contains(fs_->store().open("seq.bin", false), next));
-}
-
 TEST_F(ManagedFileTest, ColdSeekLoadsTargetPageWarmSeekFree) {
   {
     auto f = fs_->open("seek.bin", OpenMode::kCreate);
@@ -243,34 +226,65 @@ TEST_F(ManagedFileTest, SeekOnAFullyPinnedPoolSkipsTheTouchAndMoves) {
   EXPECT_EQ(read_all(b, 256), std::string(256, 'b'));
 }
 
-TEST_F(ManagedFileTest, SequentialReadaheadIsByteExactAndLoadsEachPageOnce) {
+/// Records how far into its file any backing read reached.
+class ReadExtentStore final : public StoreDecorator {
+ public:
+  using StoreDecorator::StoreDecorator;
+
+  std::size_t read(FileId id, std::uint64_t offset,
+                   std::span<std::byte> out) override {
+    note(offset + out.size());
+    return StoreDecorator::read(id, offset, out);
+  }
+  std::size_t readv(FileId id, std::uint64_t offset,
+                    std::span<const std::span<std::byte>> parts) override {
+    std::uint64_t end = offset;
+    for (const auto& part : parts) end += part.size();
+    note(end);
+    return StoreDecorator::readv(id, offset, parts);
+  }
+
+  std::uint64_t read_end = 0;  ///< one past the furthest byte asked for
+
+ private:
+  void note(std::uint64_t end) { read_end = std::max(read_end, end); }
+};
+
+TEST_F(ManagedFileTest, SequentialReadsLoadExactlyThePagesTheyName) {
+  auto owned = std::make_unique<ReadExtentStore>(
+      std::make_unique<RealFileStore>(dir_.path()));
+  ReadExtentStore& extent = *owned;
+  ManagedFsOptions options;
+  options.page_size = 256;
+  options.pool_pages = 16;
+  ManagedFileSystem fs(std::move(owned), options);
   std::string content;
   for (int p = 0; p < 16; ++p) content += std::string(256, char('A' + p));
   {
-    auto f = fs_->open("seq16.bin", OpenMode::kCreate);
+    auto f = fs.open("seq16.bin", OpenMode::kCreate);
     f.write(as_bytes(content));
   }
-  fs_->drop_caches();
+  fs.drop_caches();
   // drop_caches keeps the pool object (and its counters) alive, so count
   // loads as a delta from this baseline.
-  const PoolStats base = fs_->pool().stats();
-  // Sequential page-sized reads: readahead gathers pages ahead of the
-  // stream, and every byte must still be exact.
-  auto f = fs_->open("seq16.bin", OpenMode::kRead);
+  const PoolStats base = fs.pool().stats();
+  extent.read_end = 0;
+  // Sequential page-sized reads of the first 10 of 16 pages.
+  constexpr int kRead = 10;
+  auto f = fs.open("seq16.bin", OpenMode::kRead);
   std::string got;
   std::vector<std::byte> page(256);
-  for (int p = 0; p < 16; ++p) {
+  for (int p = 0; p < kRead; ++p) {
     f.read_exact(page);
     got.append(reinterpret_cast<const char*>(page.data()), page.size());
   }
-  EXPECT_EQ(got, content);
-  // Each of the 16 pages was loaded exactly once, by demand miss or by
-  // readahead (the pool holds the whole file; nothing was evicted).
-  const PoolStats stats = fs_->pool().stats();
-  EXPECT_GT(stats.prefetches, base.prefetches);
-  EXPECT_EQ((stats.misses + stats.prefetches) -
-                (base.misses + base.prefetches),
-            16u);
+  EXPECT_EQ(got, content.substr(0, kRead * 256));
+  // Each page read is one demand miss; nothing is loaded ahead of the
+  // stream, and no backing read reaches past the last page read.
+  const PoolStats stats = fs.pool().stats();
+  EXPECT_EQ(stats.misses - base.misses, std::uint64_t{kRead});
+  EXPECT_EQ(stats.prefetches - base.prefetches, 0u);
+  EXPECT_EQ(extent.read_end, kRead * 256u);
 }
 
 TEST_F(ManagedFileTest, RemoveDeletesClosedFile) {
@@ -300,10 +314,10 @@ TEST_F(ManagedFileTest, VectoredBackingOpsAreObservableFromIoStats) {
 
   fs_->drop_caches();  // evicts every page; counters keep accumulating
   auto f = fs_->open("vec.bin", OpenMode::kRead);
-  std::vector<std::byte> page(256);
-  for (int p = 0; p < 16; ++p) f.read_exact(page);
-  // Sequential reads established a streak and the readahead went out as
-  // readv gathers; stats bytes must equal the pool's gathered pages.
+  std::vector<std::byte> whole(16 * 256);
+  f.read_exact(whole);
+  // The cold 16-page span went out as a readv gather; stats bytes must
+  // equal the pool's gathered pages.
   const std::uint64_t readv_calls = stats.op_stats(IoOp::kReadv).count();
   EXPECT_GE(readv_calls, 1u);
   EXPECT_EQ(stats.op_bytes(IoOp::kReadv),
@@ -377,8 +391,8 @@ TEST_F(RequestGatherTest, ColdSpanIsOneGatherOfMisses) {
   EXPECT_EQ(stats.gather_read_calls, 1u);
   EXPECT_EQ(stats.gather_read_pages, 32u);
   EXPECT_EQ(fs_->stats().op_stats(IoOp::kReadv).count(), 1u);
-  // Every page was needed by the request: 32 misses, no hits, and no
-  // readahead (it would start past EOF).
+  // Every page was needed by the request: 32 misses, no hits, and
+  // nothing loaded as a prefetch.
   EXPECT_EQ(stats.misses, 32u);
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.prefetches, 0u);
@@ -475,16 +489,16 @@ TEST_F(RequestGatherTest, ColdMultiPageWriteGathersItsPartialPages) {
   make(64, content);
   auto f = fs_->open("g.bin", OpenMode::kReadWrite);
   // An unaligned 10-page write over pages 3-13.  The seek touches page 3;
-  // the write's other cold pages (4-13) load in one gather, then the
-  // readahead past it in a second, and the bytes around the write survive.
+  // the write's other cold pages (4-13) load in one gather, and the bytes
+  // around the write survive.
   const std::string patch = pattern(10 * 256, 7);
   f.seek(3 * 256 + 100);
   f.write(as_bytes(patch));
   const PoolStats stats = fs_->pool().stats();
   EXPECT_EQ(stats.misses, 10u);
-  EXPECT_EQ(stats.prefetches, 5u);  // page 3 by the seek, 4 of readahead
+  EXPECT_EQ(stats.prefetches, 1u);  // page 3, by the seek
   EXPECT_EQ(stats.hits, 1u);        // page 3, by the write
-  EXPECT_EQ(stats.gather_read_calls, 2u);
+  EXPECT_EQ(stats.gather_read_calls, 1u);
   content.replace(3 * 256 + 100, patch.size(), patch);
   f.seek(0);
   EXPECT_EQ(read_all(f, content.size()), content);
@@ -509,7 +523,7 @@ TEST_F(RequestGatherTest, LargeReadCopiesResidentPagesAndReadsEachColdRunOnce) {
   EXPECT_EQ(after.direct_read_pages - before.direct_read_pages, 77u);
   EXPECT_EQ(after.hits - before.hits, 3u);
   EXPECT_EQ(after.misses, before.misses);
-  EXPECT_EQ(after.prefetches, before.prefetches);  // no readahead asked
+  EXPECT_EQ(after.prefetches, before.prefetches);
   EXPECT_EQ(after.gather_read_calls, before.gather_read_calls);
   EXPECT_EQ(after.evictions, 0u);
   EXPECT_EQ(fs_->pool().resident_pages(), 3u);

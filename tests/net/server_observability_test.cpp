@@ -113,6 +113,36 @@ TEST_F(ServerObservabilityTest, LargeBufferedGetShowsItsDirectReads) {
   EXPECT_EQ(fs_.pool().resident_pages(), 0u);
 }
 
+TEST_F(ServerObservabilityTest, GatheredGetCountsEachPageOnce) {
+  // An 8-page file is under the page-gather cap, so its GET pins every
+  // page.  Cold, each page is one miss (no hit, no prefetch); warm, each
+  // is one hit.  The pool counters feed /statz, /metrics and the
+  // benchmark's hit ratio.
+  constexpr std::uint64_t kPages = 8;
+  {
+    auto file = fs_.open("eight.bin", io::OpenMode::kTruncate);
+    const std::string content(kPages * 4096, 'e');
+    file.write(std::as_bytes(
+        std::span<const char>(content.data(), content.size())));
+  }
+  fs_.drop_caches();
+  MiniWebServer server(fs_);
+  server.start();
+  HttpClient client(server.port(), /*keep_alive=*/true);
+  const io::PoolStats cold_before = fs_.pool().stats();
+  EXPECT_EQ(client.get("/eight.bin").body.size(), kPages * 4096);
+  const io::PoolStats cold = fs_.pool().stats();
+  EXPECT_EQ(client.get("/eight.bin").body.size(), kPages * 4096);
+  const io::PoolStats warm = fs_.pool().stats();
+  server.stop();
+  EXPECT_EQ(cold.misses - cold_before.misses, kPages);
+  EXPECT_EQ(cold.hits - cold_before.hits, 0u);
+  EXPECT_EQ(cold.prefetches - cold_before.prefetches, 0u);
+  EXPECT_EQ(warm.hits - cold.hits, kPages);
+  EXPECT_EQ(warm.misses, cold.misses);
+  EXPECT_EQ(warm.prefetches, cold.prefetches);
+}
+
 TEST_F(ServerObservabilityTest, IntrospectionDoesNotPerturbServedByteOracle) {
   MiniWebServer server(fs_);
   server.start();

@@ -195,7 +195,7 @@ TEST(FaultStress, ShardSweepStaysCoherent) {
 
 TEST(FaultStress, ManagedSpansUnderFaults) {
   // The layer above the pool: multi-page ManagedFile reads and writes, so
-  // request gathers, readahead and close-time flushes unwind under the
+  // request gathers, seek touches and close-time flushes unwind under the
   // mixed plan while threads evict each other's pages (4 files share a
   // 32-page pool).  The second input's spans reach 96 pages, so reads of
   // 64 pages or more go around the pool under the same plan.

@@ -245,7 +245,6 @@ TEST(ResilienceStress, StorageFaultBurstDegradesGracefullyAndRecovers) {
     EXPECT_EQ(server.tracer().spans_opened(), server.tracer().spans_closed())
         << seed_hint;
     EXPECT_GT(server.tracer().traces_started(), 0u) << seed_hint;
-    fs.pool().drain_prefetches();
     ASSERT_NO_THROW(fs.pool().debug_validate()) << seed_hint;
 
     const ServerStats stats = server.stats();
@@ -373,7 +372,6 @@ TEST(ResilienceStress, DualLayerBurstStaysDiagnosableAndRecovers) {
         << "dual recovery seed " << seed << seed_hint;
 
     server.stop();
-    fs.pool().drain_prefetches();
     ASSERT_NO_THROW(fs.pool().debug_validate()) << seed_hint;
     // Even with connections severed mid-request by the net injector, RAII
     // unwinding must close every span it opened.

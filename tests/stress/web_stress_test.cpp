@@ -278,7 +278,6 @@ TEST(WebStress, SeededRequestMixUnderNetFaults) {
     fresh.disconnect();
     // stop() joins every worker, so the counters read below are final.
     server.stop();
-    fs.pool().drain_prefetches();
     ASSERT_NO_THROW(fs.pool().debug_validate())
         << "seed " << seed
         << "  (reproduce with CLIO_STRESS_SEED=" << seed << ")";

@@ -29,8 +29,9 @@
 //
 // run_managed_stress() drives the layer above instead: multi-page reads,
 // writes and seeks through ManagedFile over one ManagedFileSystem, so the
-// request gather (BufferPool::pin_span), readahead and close-time flushes
-// run under the same fault plans.  Its oracle is per byte (ByteOracle).
+// request gather (BufferPool::pin_span), the large-read bypass
+// (BufferPool::read_around) and close-time flushes run under the same
+// fault plans.  Its oracle is per byte (ByteOracle).
 
 #include <algorithm>
 #include <atomic>
@@ -421,9 +422,7 @@ inline StressResult run_stress(io::BackingStore& backing,
           pool.discard_file(file);
         } else if (dice < 92) {
           static_cast<void>(pool.prefetch_range(file, page, 8));
-        } else {
-          pool.drain_prefetches();  // a no-op; kept so seeds replay the mix
-        }
+        }  // any other roll is a no-op, which keeps each op's share
       } catch (const util::IoError&) {
         surfaced.fetch_add(1, std::memory_order_relaxed);
       }
@@ -483,9 +482,7 @@ inline StressResult run_stress(io::BackingStore& backing,
                                1)) %
               static_cast<std::uint64_t>(config.threads));
           static_cast<void>(pool.prefetch_range(files[other], page, 8));
-        } else {
-          pool.drain_prefetches();  // a no-op; kept so seeds replay the mix
-        }
+        }  // any other roll is a no-op, which keeps each op's share
       } catch (const util::IoError&) {
         // An injected (or induced) failure surfaced through the pool API.
         // That is the point of the exercise; the oracle state machine is
@@ -608,7 +605,7 @@ class ByteOracle {
 
 /// Runs one seeded managed-path round: each thread owns one file of
 /// `pages_per_file` pages in one ManagedFileSystem (page_size, a pool of
-/// capacity_pages over `shards`, default readahead) whose store is
+/// capacity_pages over `shards`) whose store is
 /// `backing` wrapped in a FaultStore, and runs a mix of random and
 /// sequential reads and unaligned writes of up to `span_pages` pages, flushes,
 /// close/reopen and drop_caches.  Files keep their size, so reads know
