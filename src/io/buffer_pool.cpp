@@ -403,6 +403,82 @@ void BufferPool::read_direct(FileId file, std::uint64_t offset,
   sh.stats.direct_read_pages += last_page - first_page + 1;
 }
 
+// ------------------------------------------------------- write around ----
+
+void BufferPool::write_around(FileId file, std::uint64_t offset,
+                              std::span<const std::byte> data) {
+  // Before the store write: a dirty page's write-back, in flight now or
+  // started later, carries the new bytes, never older ones.
+  static_cast<void>(copy_into_resident(file, offset, data, /*dirty=*/false));
+  try {
+    store_.write(file, offset, data);
+  } catch (...) {
+    // The store may hold any part of the bytes, so the resident pages keep
+    // them dirty for a later flush.  The file's extent entry exists before
+    // any dirty bit is set, as mark_dirty orders it, so flush_file's
+    // never-dirtied fast path cannot skip them.
+    {
+      std::lock_guard<std::mutex> lock(extent_mutex_);
+      dirty_extent_.try_emplace(file, 0);
+    }
+    const std::uint64_t extent =
+        copy_into_resident(file, offset, data, /*dirty=*/true);
+    std::lock_guard<std::mutex> lock(extent_mutex_);
+    auto& recorded = dirty_extent_[file];
+    recorded = std::max(recorded, extent);
+    throw;
+  }
+  // After it: a page loaded while the write ran may hold the old bytes;
+  // a page loaded from here on reads the new ones from the store.
+  static_cast<void>(copy_into_resident(file, offset, data, /*dirty=*/false));
+  const std::uint64_t first_page = offset / config_.page_size;
+  const std::uint64_t last_page =
+      (offset + data.size() - 1) / config_.page_size;
+  // Credit the call to the range's first shard; stats() sums.
+  Shard& sh = shards_[shard_of(PageKey{file, first_page})];
+  std::lock_guard<std::mutex> lock(sh.mutex);
+  sh.stats.direct_write_calls++;
+  sh.stats.direct_write_pages += last_page - first_page + 1;
+}
+
+std::uint64_t BufferPool::copy_into_resident(FileId file, std::uint64_t offset,
+                                             std::span<const std::byte> data,
+                                             bool dirty) {
+  const std::size_t page_size = config_.page_size;
+  std::uint64_t extent = 0;
+  for (std::size_t done = 0; done < data.size();) {
+    const std::uint64_t pos = offset + done;
+    const std::uint64_t page_no = pos / page_size;
+    const std::size_t within = static_cast<std::size_t>(pos % page_size);
+    const std::size_t take = std::min(data.size() - done, page_size - within);
+    const PageKey key{file, page_no};
+    Shard& sh = shards_[shard_of(key)];
+    std::unique_lock<std::mutex> lk(sh.mutex);
+    for (auto it = sh.page_table.find(key); it != sh.page_table.end();
+         it = sh.page_table.find(key)) {
+      Frame& f = frames_[it->second];
+      if (f.io_busy || f.flush_pins > 0 || f.pins > 0) {
+        // A load, a write-back or a reader's copy uses the frame's bytes
+        // outside the lock: look again when it is done.  The wait is
+        // bounded because an unpin does not signal, which keeps the hot
+        // unpin path free of a notify: a reader's last unpin is seen
+        // within a millisecond.
+        sh.io_cv.wait_for(lk, std::chrono::milliseconds(1));
+        continue;
+      }
+      std::memcpy(f.data.data() + within, data.data() + done, take);
+      f.valid_bytes = std::max(f.valid_bytes, within + take);
+      if (dirty) {
+        f.dirty = true;
+        extent = std::max(extent, page_no * page_size + f.valid_bytes);
+      }
+      break;
+    }
+    done += take;
+  }
+  return extent;
+}
+
 bool BufferPool::contains(FileId file, std::uint64_t page_no) const {
   const PageKey key{file, page_no};
   const Shard& sh = shards_[shard_of(key)];
@@ -878,6 +954,8 @@ void add_shard_stats(PoolStats& total, const PoolStats& s) {
   total.gather_read_pages += s.gather_read_pages;
   total.direct_read_calls += s.direct_read_calls;
   total.direct_read_pages += s.direct_read_pages;
+  total.direct_write_calls += s.direct_write_calls;
+  total.direct_write_pages += s.direct_write_pages;
 }
 
 }  // namespace

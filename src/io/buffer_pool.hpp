@@ -53,6 +53,11 @@ struct PoolStats {
   // pages are neither misses nor prefetches: no frame was loaded.
   std::uint64_t direct_read_calls = 0;
   std::uint64_t direct_read_pages = 0;
+  // write_around's store writes: one backing `write` per call, and the
+  // pages it covered.  Resident pages of the range take the bytes in
+  // place and count nowhere else; no frame is loaded or evicted.
+  std::uint64_t direct_write_calls = 0;
+  std::uint64_t direct_write_pages = 0;
 };
 
 /// Key of a cached page and its hash.  The hash feeds both the per-shard
@@ -106,10 +111,12 @@ struct PageKeyHash {
 /// Both bulk transfer directions are coalesced: flush merges adjacent dirty
 /// pages into vectored writev gathers, and prefetch_range and pin_span merge
 /// adjacent cold pages into vectored readv scatters — one backing access per
-/// run of at most kCoalescePages pages instead of one per page.  A read of
-/// kCoalescePages pages or more skips the frames altogether (read_around):
-/// it copies out the pages that are resident and reads the rest straight
-/// into the caller's buffer.  Every transfer is a synchronous BackingStore
+/// run of at most kCoalescePages pages instead of one per page.  A read or
+/// write of kCoalescePages pages or more skips the frames altogether.  A
+/// read (read_around) copies out the pages that are resident and reads the
+/// rest straight into the caller's buffer; a write (write_around) is one
+/// store write of the caller's bytes, which the resident pages of its
+/// range also take in place.  Every transfer is a synchronous BackingStore
 /// call made by the thread that needs it; the pool starts no thread.
 ///
 /// Pinned pages are never evicted; data access through a PageGuard is
@@ -118,15 +125,18 @@ struct PageKeyHash {
 /// files, as in the paper).  Mutating a page's bytes while a flush or
 /// eviction is writing that page back counts as such a conflict: the
 /// write-back may persist a torn snapshot, though the page stays dirty
-/// and the next flush writes the final bytes.
+/// and the next flush writes the final bytes.  write_around is the
+/// exception: it waits out a page's pins before copying into it, so a
+/// large write may run beside readers of the same pages.
 class BufferPool {
  public:
   /// Most adjacent pages one vectored backing call carries, on both the
   /// flush (writev) and the gather (readv) side.  64 pages is 256 KiB at
   /// the default page size; RealFileStore splits longer calls at IOV_MAX
   /// anyway.  A request span of at least this many pages is a full
-  /// backing transfer of its own, so ManagedFile::read sends it through
-  /// read_around instead of staging it through frames.
+  /// backing transfer of its own, so ManagedFile::read and write send it
+  /// through read_around and write_around instead of staging it through
+  /// frames.
   static constexpr std::size_t kCoalescePages = 64;
 
   BufferPool(BackingStore& store, BufferPoolConfig config = {});
@@ -190,6 +200,22 @@ class BufferPool {
   /// contents unspecified and no frame touched.  The caller keeps the
   /// range inside logical_file_size().
   void read_around(FileId file, std::uint64_t offset, std::span<std::byte> out);
+
+  /// Writes `data` to `file` at `offset` as one backing `write`, without
+  /// staging it through frames: no frame is claimed, loaded or evicted.
+  /// The resident pages of the range stay coherent in two passes.  Before
+  /// the store write, each one waits out its in-flight I/O, flush hold
+  /// and pins, then takes the new bytes into its frame, so no write-back
+  /// in flight or to come can land older bytes over them.  After it, each
+  /// page resident again (one a concurrent reader loaded meanwhile, too)
+  /// takes them once more.  A dirty page stays dirty, a clean one clean.
+  /// On a store error the resident pages of the range hold the new bytes
+  /// and are marked dirty, so a later flush retries them, and the error
+  /// propagates; pages that are not resident hold what the store kept.
+  /// Because it waits for pins, the calling thread must hold no PageGuard
+  /// on a page of the range.
+  void write_around(FileId file, std::uint64_t offset,
+                    std::span<const std::byte> data);
 
   /// Loads a page into the cache without pinning it, if absent.
   /// Returns true if the page was actually loaded (i.e. it was cold).  A
@@ -366,6 +392,13 @@ class BufferPool {
   /// into `out`, zero-filling what the store does not have.
   void read_direct(FileId file, std::uint64_t offset,
                    std::span<std::byte> out);
+  /// write_around's per-range pass: every resident page of the range
+  /// waits out in-flight I/O, flush holds and pins, then takes its part
+  /// of `data` into its frame.  With `dirty` the pages are also marked
+  /// dirty; returns the furthest byte such a page now holds (0 if none).
+  std::uint64_t copy_into_resident(FileId file, std::uint64_t offset,
+                                   std::span<const std::byte> data,
+                                   bool dirty);
   void release_frame(std::size_t idx);
   void lru_push_front(Shard& sh, std::size_t idx);
   void lru_remove(Shard& sh, std::size_t idx);

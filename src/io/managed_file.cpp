@@ -166,17 +166,25 @@ std::size_t ManagedFile::write(std::span<const std::byte> data) {
   const std::size_t page_size = fs_->pool_->page_size();
   std::size_t total = 0;
   if (!data.empty()) {
+    const std::uint64_t first_page = position_ / page_size;
     const std::uint64_t last_page = (position_ + data.size() - 1) / page_size;
-    while (total < data.size()) {
-      const std::uint64_t pos = position_ + total;
-      const std::uint64_t page = pos / page_size;
-      const std::size_t within = static_cast<std::size_t>(pos % page_size);
-      const std::size_t take =
-          std::min(data.size() - total, page_size - within);
-      auto guard = fs_->pool_->pin_span(id_, page, last_page);
-      std::memcpy(guard.data().data() + within, data.data() + total, take);
-      guard.mark_dirty(within + take);
-      total += take;
+    if (last_page - first_page + 1 >= BufferPool::kCoalescePages) {
+      // A full backing transfer or more: staging it through frames would
+      // load and evict as many pages as it writes, then leave them dirty.
+      fs_->pool_->write_around(id_, position_, data);
+      total = data.size();
+    } else {
+      while (total < data.size()) {
+        const std::uint64_t pos = position_ + total;
+        const std::uint64_t page = pos / page_size;
+        const std::size_t within = static_cast<std::size_t>(pos % page_size);
+        const std::size_t take =
+            std::min(data.size() - total, page_size - within);
+        auto guard = fs_->pool_->pin_span(id_, page, last_page);
+        std::memcpy(guard.data().data() + within, data.data() + total, take);
+        guard.mark_dirty(within + take);
+        total += take;
+      }
     }
     position_ += total;
   }

@@ -107,9 +107,12 @@ class ManagedFile {
   /// Writes all bytes at the current position, extending the file.  Timed
   /// as a Write.  Returns the count actually accepted into the stream —
   /// callers that report bytes written (e.g. the VM's file_write syscall)
-  /// must echo this, not the requested count.  A failure mid-write (a
-  /// faulting page load under a partial-page write) throws instead, with
-  /// the position unchanged past the accepted prefix.
+  /// must echo this, not the requested count.  A span of
+  /// BufferPool::kCoalescePages pages or more goes around the pool
+  /// (BufferPool::write_around, one store write whose error surfaces
+  /// here); a shorter one is pinned page by page and reaches the store at
+  /// eviction or flush.  A write that throws leaves the position
+  /// unchanged.
   std::size_t write(std::span<const std::byte> data);
 
   /// Moves the stream position (absolute, from the beginning — the paper's

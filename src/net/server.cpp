@@ -792,6 +792,8 @@ std::string MiniWebServer::render_statz() const {
     w.kv("gather_read_pages", ps.gather_read_pages);
     w.kv("direct_read_calls", ps.direct_read_calls);
     w.kv("direct_read_pages", ps.direct_read_pages);
+    w.kv("direct_write_calls", ps.direct_write_calls);
+    w.kv("direct_write_pages", ps.direct_write_pages);
     w.end_object();
   }
 
@@ -925,6 +927,10 @@ void MiniWebServer::register_metrics() {
       [&pool] { return static_cast<double>(pool.stats().direct_read_calls); });
   reg("clio_pool_direct_read_pages_total", obs::MetricKind::kCounter,
       [&pool] { return static_cast<double>(pool.stats().direct_read_pages); });
+  reg("clio_pool_direct_writes_total", obs::MetricKind::kCounter,
+      [&pool] { return static_cast<double>(pool.stats().direct_write_calls); });
+  reg("clio_pool_direct_write_pages_total", obs::MetricKind::kCounter,
+      [&pool] { return static_cast<double>(pool.stats().direct_write_pages); });
 
   const io::IoStats& io_stats = fs_.stats();
   reg("clio_io_read_ops_total", obs::MetricKind::kCounter, [&io_stats] {

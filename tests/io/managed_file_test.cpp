@@ -545,6 +545,89 @@ TEST_F(RequestGatherTest, FailedDirectReadLeavesPositionAndPoolUnchanged) {
   EXPECT_EQ(f.position(), content.size());
 }
 
+// ------------------------------------------------------- direct write ----
+
+TEST_F(RequestGatherTest, LargeWriteIsOneStoreWriteAndLoadsNoFrame) {
+  std::string content = pattern(80 * 256);
+  make(64, content);
+  auto f = fs_->open("g.bin", OpenMode::kReadWrite);
+  fs_->pool().prefetch_range(f.id(), 40, 3);  // pages 40-42 resident
+  const PoolStats before = fs_->pool().stats();
+  const std::string patch = pattern(80 * 256, 5);
+  f.write(as_bytes(patch));
+  EXPECT_EQ(f.position(), patch.size());
+  // One backing write of all 80 pages; no page loaded, evicted or
+  // written back, and the three resident pages took the new bytes.
+  const PoolStats after = fs_->pool().stats();
+  EXPECT_EQ(after.direct_write_calls - before.direct_write_calls, 1u);
+  EXPECT_EQ(after.direct_write_pages - before.direct_write_pages, 80u);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.evictions, 0u);
+  EXPECT_EQ(after.writebacks, 0u);
+  EXPECT_EQ(fs_->pool().resident_pages(), 3u);
+  EXPECT_EQ(backing_bytes(f.id(), 0, patch.size()), patch);
+  f.seek(40 * 256);
+  EXPECT_EQ(read_all(f, 3 * 256), patch.substr(40 * 256, 3 * 256));
+  // The resident pages are clean: closing the file writes nothing back.
+  f.close();
+  EXPECT_EQ(fs_->pool().stats().writebacks, 0u);
+  fs_->pool().debug_validate();
+}
+
+TEST_F(RequestGatherTest, WriteUnderTheThresholdStagesThroughFrames) {
+  const std::string content = pattern(80 * 256);
+  make(64, content);
+  auto f = fs_->open("g.bin", OpenMode::kReadWrite);
+  fs_->pool().prefetch_range(f.id(), 2, 3);  // pages 2-4 resident
+  const PoolStats before = fs_->pool().stats();
+  const std::string patch = pattern(8 * 256, 5);
+  f.write(as_bytes(patch));
+  // Eight pages go through pin_span: the cold ones load, all stay dirty.
+  const PoolStats after = fs_->pool().stats();
+  EXPECT_EQ(after.direct_write_calls, before.direct_write_calls);
+  EXPECT_EQ(after.direct_write_pages, before.direct_write_pages);
+  EXPECT_EQ(after.misses - before.misses, 5u);
+  EXPECT_EQ(fs_->pool().resident_pages(), 8u);
+  EXPECT_EQ(backing_bytes(f.id(), 0, patch.size()), content.substr(0, 8 * 256));
+  f.close();
+  EXPECT_EQ(fs_->pool().stats().writebacks - after.writebacks, 8u);
+}
+
+TEST_F(RequestGatherTest, FailedLargeWriteLeavesResidentPagesDirty) {
+  const std::string content = pattern(80 * 256);
+  make(64, content);
+  auto f = fs_->open("g.bin", OpenMode::kReadWrite);
+  const FileId id = f.id();  // the store's id, valid until the close
+  f.seek(20 * 256);
+  static_cast<void>(read_all(f, 2 * 256));  // pages 20-21 resident, clean
+  f.seek(30 * 256 + 7);
+  f.write(as_bytes("dirty"));  // page 30 resident, dirty
+  f.seek(0);
+  faults_->fail_next(FaultOp::kWrite, 1);
+  const std::string patch = pattern(80 * 256, 6);
+  EXPECT_THROW(static_cast<void>(f.write(as_bytes(patch))), util::IoError);
+  // The position stays and the store kept nothing.  The four resident
+  // pages (0, touched by the seek, and 20, 21 and 30) hold the new bytes,
+  // dirty, so the close writes exactly them back.
+  EXPECT_EQ(f.position(), 0u);
+  fs_->pool().debug_validate();
+  EXPECT_EQ(backing_bytes(id, 0, content.size()), content);
+  EXPECT_EQ(fs_->pool().stats().direct_write_calls, 0u);
+  f.seek(20 * 256);
+  EXPECT_EQ(read_all(f, 256), patch.substr(20 * 256, 256));
+  const PoolStats before = fs_->pool().stats();
+  f.close();
+  const PoolStats after = fs_->pool().stats();
+  EXPECT_EQ(after.writebacks - before.writebacks, 4u);
+  std::string expected = content;
+  for (const std::size_t page : {0, 20, 21, 30}) {
+    expected.replace(page * 256, 256, patch.substr(page * 256, 256));
+  }
+  auto g = fs_->open("g.bin", OpenMode::kRead);
+  EXPECT_EQ(backing_bytes(g.id(), 0, content.size()), expected);
+  fs_->pool().debug_validate();
+}
+
 /// Scan resistance: a scan in reads of `scan_pages` pages over a cold file
 /// four times the pool's size, after a small hot file was warmed.
 class ScanResistanceTest : public ManagedFileTest {

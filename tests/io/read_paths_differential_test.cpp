@@ -1,14 +1,19 @@
-// Differential test of ManagedFile's read paths against plain pread on the
-// same store.  A read of fewer than BufferPool::kCoalescePages pages stages
-// through frames (pin_span); a longer one goes around the pool
-// (read_around), copying resident pages and reading the rest straight from
-// the store.  A seeded op mix runs over pools of 8-256 pages with 1 or 4
-// shards: writes, some flushed and some left dirty; sparse writes past EOF,
-// which leave holes; cold reads of other files, which force evictions; and
-// reads of random spans on both sides of the threshold.  Every read must
-// equal a shadow copy of the file byte for byte, after a flush the backing
-// file must equal it under pread, and every seed ends with
-// debug_validate().
+// Differential test of ManagedFile's read and write paths against plain
+// pread on the same store.  A read or write of fewer than
+// BufferPool::kCoalescePages pages stages through frames (pin_span); a
+// longer one goes around the pool.  A long read (read_around) copies
+// resident pages and reads the rest straight from the store; a long write
+// (write_around) is one store write that the resident pages of its range
+// take in place.  A seeded op mix runs over pools of 8-256 pages with 1 or
+// 4 shards: writes on both sides of the threshold at any byte offset, so
+// first and last pages are often partial, some extending the file, some
+// flushed and some left dirty; sparse writes past EOF, which leave holes;
+// long writes over pages a small read left resident clean or a small
+// write left resident dirty; cold reads of other files, which force
+// evictions; and reads of random spans on both sides of the threshold.
+// Every read must equal a shadow copy of the file byte for byte, after a
+// flush the backing file must equal it under pread, and every seed ends
+// with debug_validate().
 //
 // CLIO_STRESS_SEED=s runs seeds 1 + 40s .. 40 + 40s instead of 1 .. 40.
 #include <fcntl.h>
@@ -121,20 +126,33 @@ class Round {
       const std::uint64_t dice = rng_.uniform_u64(100);
       const std::size_t f = rng_.uniform_u64(kFiles);
       std::string failure;
-      if (dice < 40) {
+      const std::uint64_t size = shadows_[f].size();
+      if (dice < 36) {
         failure = read(f);
+      } else if (dice < 56) {
+        // Inside the file or across its end, which extends it.
+        write(f, rng_.uniform_u64(size + 1), span_length());
       } else if (dice < 62) {
-        const std::uint64_t size = shadows_[f].size();
-        // Mostly a few pages; now and then longer than the threshold.
-        const std::size_t len =
-            1 + rng_.uniform_u64(rng_.bernoulli(0.2) ? 90 * kPage : 4 * kPage);
-        write(f, rng_.uniform_u64(size + 1), len);
-      } else if (dice < 67) {
         // A sparse write past EOF: the pages between stay holes.
-        const std::uint64_t size = shadows_[f].size();
         write(f, size + kPage * (1 + rng_.uniform_u64(40)) +
                      rng_.uniform_u64(kPage),
-              1 + rng_.uniform_u64(2 * kPage));
+              span_length());
+      } else if (dice < 68) {
+        // Resident pages under a long write: a small read leaves a few
+        // pages clean, or a small write leaves them dirty, and a write of
+        // the threshold or more then covers them.
+        const std::uint64_t pos = rng_.uniform_u64(size);
+        const std::size_t len = 1 + rng_.uniform_u64(4 * kPage);
+        if (rng_.bernoulli(0.5)) {
+          failure = read_span(f, pos, len);
+        } else {
+          write(f, pos, len);
+        }
+        const std::uint64_t back =
+            std::min<std::uint64_t>(pos, rng_.uniform_u64(8 * kPage));
+        write(f, pos - back,
+              BufferPool::kCoalescePages * kPage +
+                  rng_.uniform_u64(40 * kPage));
       } else if (dice < 77) {
         failure = flush(f);
       } else if (dice < 95) {
@@ -171,16 +189,23 @@ class Round {
            " shards) op " + std::to_string(op) + ": ";
   }
 
-  /// A read of a random span of file `f`, compared with its shadow.  Half
-  /// the spans are under the threshold, half at or over it (before the
-  /// clamp at EOF).
+  /// A span length: half under the threshold, half at or over it.
+  std::size_t span_length() {
+    return rng_.bernoulli(0.5) ? 1 + rng_.uniform_u64(63 * kPage - 1)
+                               : BufferPool::kCoalescePages * kPage +
+                                     rng_.uniform_u64(100 * kPage);
+  }
+
+  /// A read of a random span of file `f` (before the clamp at EOF).
   std::string read(std::size_t f) {
+    const std::uint64_t pos = rng_.uniform_u64(shadows_[f].size() + kPage);
+    return read_span(f, pos, span_length());
+  }
+
+  /// Reads `len` bytes of file `f` at `pos` and compares them with its
+  /// shadow.
+  std::string read_span(std::size_t f, std::uint64_t pos, std::size_t len) {
     const std::vector<std::byte>& shadow = shadows_[f];
-    const std::uint64_t pos = rng_.uniform_u64(shadow.size() + kPage);
-    const std::size_t len = rng_.bernoulli(0.5)
-                                ? 1 + rng_.uniform_u64(63 * kPage - 1)
-                                : BufferPool::kCoalescePages * kPage +
-                                      rng_.uniform_u64(100 * kPage);
     std::vector<std::byte> buf(len, kPoison);
     ManagedFile& file = streams_[f];
     file.seek(pos);
@@ -281,11 +306,13 @@ TEST(ReadPathsDifferential, PooledAndDirectReadsMatchTheShadowAndPread) {
         << (seed - 1) / kSeedsPerWindow << ")";
     const PoolStats s = round.stats();
     total.direct_read_calls += s.direct_read_calls;
+    total.direct_write_calls += s.direct_write_calls;
     total.hits += s.hits;
     total.gather_read_calls += s.gather_read_calls;
   }
-  // Both paths ran, and the direct path met resident pages too.
+  // Both paths ran each way, and the direct read met resident pages too.
   EXPECT_GT(total.direct_read_calls, 0u);
+  EXPECT_GT(total.direct_write_calls, 0u);
   EXPECT_GT(total.gather_read_calls, 0u);
   EXPECT_GT(total.hits, 0u);
 }

@@ -113,6 +113,25 @@ TEST_F(ServerObservabilityTest, LargeBufferedGetShowsItsDirectReads) {
   EXPECT_EQ(fs_.pool().resident_pages(), 0u);
 }
 
+TEST_F(ServerObservabilityTest, LargePostShowsItsDirectWrite) {
+  // An 80-page POST body is one ManagedFile::write of 64 pages or more,
+  // which goes around the pool: one store write, no frame left behind.
+  const std::size_t resident = fs_.pool().resident_pages();
+  MiniWebServer server(fs_);
+  server.start();
+  HttpClient client(server.port(), /*keep_alive=*/true);
+  EXPECT_EQ(client.post("/upload", std::string(80 * 4096, 'p')).status, 201);
+  const auto metrics = client.get("/metrics");
+  const auto statz = client.get("/statz");
+  server.stop();
+  expect_contains(metrics.body, "# TYPE clio_pool_direct_writes_total counter");
+  expect_contains(metrics.body, "clio_pool_direct_writes_total 1\n");
+  expect_contains(metrics.body, "clio_pool_direct_write_pages_total 80\n");
+  expect_contains(statz.body, "\"direct_write_calls\": 1,");
+  expect_contains(statz.body, "\"direct_write_pages\": 80");
+  EXPECT_EQ(fs_.pool().resident_pages(), resident);
+}
+
 TEST_F(ServerObservabilityTest, GatheredGetCountsEachPageOnce) {
   // An 8-page file is under the page-gather cap, so its GET pins every
   // page.  Cold, each page is one miss (no hit, no prefetch); warm, each

@@ -197,8 +197,10 @@ TEST(FaultStress, ManagedSpansUnderFaults) {
   // The layer above the pool: multi-page ManagedFile reads and writes, so
   // request gathers, seek touches and close-time flushes unwind under the
   // mixed plan while threads evict each other's pages (4 files share a
-  // 32-page pool).  The second input's spans reach 96 pages, so reads of
-  // 64 pages or more go around the pool under the same plan.
+  // 32-page pool).  The second input's spans reach 96 pages, so reads and
+  // writes of 64 pages or more go around the pool under the same plan; a
+  // large write that throws must leave its position and the oracle's
+  // old-or-new bytes, like any other.
   struct Spans {
     std::size_t pages_per_file;
     std::size_t span_pages;
@@ -220,6 +222,10 @@ TEST(FaultStress, ManagedSpansUnderFaults) {
       config.faults = mixed_plan();
       const StressResult result = run_managed_stress(store, config);
       expect_clean(result, seed);
+      if (spans.span_pages >= io::BufferPool::kCoalescePages) {
+        EXPECT_GT(result.pool.direct_read_calls, 0u);
+        EXPECT_GT(result.pool.direct_write_calls, 0u);
+      }
     }
   }
 }

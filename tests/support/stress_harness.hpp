@@ -29,9 +29,9 @@
 //
 // run_managed_stress() drives the layer above instead: multi-page reads,
 // writes and seeks through ManagedFile over one ManagedFileSystem, so the
-// request gather (BufferPool::pin_span), the large-read bypass
-// (BufferPool::read_around) and close-time flushes run under the same
-// fault plans.  Its oracle is per byte (ByteOracle).
+// request gather (BufferPool::pin_span), the large-read and large-write
+// bypasses (BufferPool::read_around, write_around) and close-time flushes
+// run under the same fault plans.  Its oracle is per byte (ByteOracle).
 
 #include <algorithm>
 #include <atomic>
@@ -64,7 +64,8 @@ struct StressConfig {
   std::size_t capacity_pages = 64;
   std::size_t pages_per_file = 48;
   /// Longest read or write of run_managed_stress, in pages.  At
-  /// BufferPool::kCoalescePages or more, some reads go around the pool.
+  /// BufferPool::kCoalescePages or more, some reads and writes go around
+  /// the pool.
   std::size_t span_pages = 6;
   std::uint64_t ops_per_thread = 2000;
   /// Shared-file mode: every thread works on ONE file, with a per-page
@@ -87,6 +88,7 @@ struct StressResult {
   std::uint64_t backing_calls = 0;    ///< data ops that reached the store
   std::uint64_t surfaced_errors = 0;  ///< IoErrors the workload caught
   std::vector<std::string> failures;  ///< oracle/invariant violations
+  io::PoolStats pool;                 ///< pool counters after a managed run
 
   [[nodiscard]] bool passed() const { return failures.empty(); }
 };
@@ -742,6 +744,7 @@ inline StressResult run_managed_stress(io::BackingStore& backing,
   result.backing_calls = fstats.total_calls();
   result.surfaced_errors = surfaced.load();
   result.failures = std::move(failures);
+  result.pool = fs.pool().stats();
 
   faults.arm(false);
   const std::string seed_tag = "seed=" + std::to_string(config.seed);
