@@ -92,8 +92,8 @@ void BufferPool::PageGuard::mark_dirty(std::size_t up_to) {
   check<IoError>(pool_ != nullptr, "PageGuard: empty guard");
   Shard& sh = pool_->shards_[shard_];
   // The extent lock is held ACROSS the dirty-bit publication: flush_file's
-  // never-dirtied fast path reads dirty_extent_ alone, so any observer of
-  // f.dirty == true must already be able to see this file's extent entry.
+  // clean-file fast path reads dirty_extent_ alone, so any observer of
+  // f.dirty == true must see this file's entry, its stamp already moved.
   // (Publishing the bit first and the entry second let the fast path skip
   // a just-dirtied page.)  Lock order extent -> shard is safe: no path
   // acquires extent_mutex_ while holding a shard mutex.
@@ -111,8 +111,13 @@ void BufferPool::PageGuard::mark_dirty(std::size_t up_to) {
     file = f.file;
     new_extent = f.page_no * pool_->config_.page_size + f.valid_bytes;
   }
-  auto& extent = pool_->dirty_extent_[file];
-  extent = std::max(extent, new_extent);
+  pool_->note_dirty(file, new_extent);
+}
+
+void BufferPool::note_dirty(FileId file, std::uint64_t extent) {
+  DirtyExtent& e = dirty_extent_[file];
+  e.bytes = std::max(e.bytes, extent);
+  e.stamp = ++dirty_stamp_;
 }
 
 // ---------------------------------------------------------- LRU intrusive ----
@@ -163,6 +168,39 @@ BufferPool::PageGuard BufferPool::pin_span(FileId file, std::uint64_t page_no,
                                        /*count_as_prefetch=*/false,
                                        /*pin_result=*/true, last_page);
   return PageGuard(this, s, idx);
+}
+
+std::vector<BufferPool::PageGuard> BufferPool::try_pin_span(
+    FileId file, std::uint64_t first_page, std::uint64_t last_page) {
+  std::vector<PageGuard> guards;
+  std::vector<std::pair<std::size_t, std::size_t>> pinned;  // shard, frame
+  guards.reserve(last_page - first_page + 1);
+  // Pass 1 pins and nothing else, so a miss can hand every pin back and
+  // leave no trace; pass 2 counts.  A pinned frame stays put between.
+  for (std::uint64_t p = first_page; p <= last_page; ++p) {
+    const PageKey key{file, p};
+    const std::size_t s = shard_of(key);
+    Shard& sh = shards_[s];
+    std::size_t idx = kNoFrame;
+    {
+      std::lock_guard<std::mutex> lock(sh.mutex);
+      const auto it = sh.page_table.find(key);
+      if (it != sh.page_table.end() && !frames_[it->second].io_busy) {
+        idx = it->second;
+        frames_[idx].pins++;
+      }
+    }
+    if (idx == kNoFrame) return {};  // the guards unpin
+    guards.emplace_back(this, s, idx);
+    pinned.emplace_back(s, idx);
+  }
+  for (const auto& [s, idx] : pinned) {
+    Shard& sh = shards_[s];
+    std::lock_guard<std::mutex> lock(sh.mutex);
+    if (!std::exchange(frames_[idx].miss_counted, false)) sh.stats.hits++;
+    lru_touch(sh, idx);
+  }
+  return guards;
 }
 
 bool BufferPool::prefetch(FileId file, std::uint64_t page_no) {
@@ -414,18 +452,17 @@ void BufferPool::write_around(FileId file, std::uint64_t offset,
     store_.write(file, offset, data);
   } catch (...) {
     // The store may hold any part of the bytes, so the resident pages keep
-    // them dirty for a later flush.  The file's extent entry exists before
-    // any dirty bit is set, as mark_dirty orders it, so flush_file's
-    // never-dirtied fast path cannot skip them.
+    // them dirty for a later flush.  The file's extent entry is restamped
+    // before any dirty bit is set, as mark_dirty orders it, so no flush
+    // can skip them or forget the file.
     {
       std::lock_guard<std::mutex> lock(extent_mutex_);
-      dirty_extent_.try_emplace(file, 0);
+      note_dirty(file, 0);
     }
     const std::uint64_t extent =
         copy_into_resident(file, offset, data, /*dirty=*/true);
     std::lock_guard<std::mutex> lock(extent_mutex_);
-    auto& recorded = dirty_extent_[file];
-    recorded = std::max(recorded, extent);
+    note_dirty(file, extent);
     throw;
   }
   // After it: a page loaded while the write ran may hold the old bytes;
@@ -842,19 +879,35 @@ void BufferPool::write_back_coalesced(std::vector<FlushEntry>& entries) {
 }
 
 void BufferPool::flush_file(FileId file) {
+  std::uint64_t stamp = 0;
   {
-    // Fast path: no page of this file was ever dirtied since the last
-    // discard (mark_dirty is the only writer of dirty_extent_), so there
-    // is nothing to write back and no failing in-flight write-back to
-    // wait out.  Read-only streams close() through here on every request.
+    // Fast path: no page of this file was dirtied since its last
+    // error-free flush or discard, so there is nothing to write back and
+    // no failing in-flight write-back to wait out.  Read-only streams
+    // close() through here on every request.
     std::lock_guard<std::mutex> lock(extent_mutex_);
-    if (!dirty_extent_.contains(file)) return;
+    const auto it = dirty_extent_.find(file);
+    if (it == dirty_extent_.end()) return;
+    stamp = it->second.stamp;
   }
   std::vector<FlushEntry> dirty;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     collect_dirty(shards_[s], s, file, /*match_all=*/false, dirty);
   }
-  write_back_coalesced(dirty);
+  write_back_coalesced(dirty);  // an error keeps the entry
+  // Every page dirty when the stamp was read was collected above or sat in
+  // a write-back collect_dirty waited out: the store holds the extent.  A
+  // page dirtied since moved the stamp.
+  std::lock_guard<std::mutex> lock(extent_mutex_);
+  const auto it = dirty_extent_.find(file);
+  if (it != dirty_extent_.end() && it->second.stamp == stamp) {
+    dirty_extent_.erase(it);
+  }
+}
+
+bool BufferPool::may_be_dirty(FileId file) const {
+  std::lock_guard<std::mutex> lock(extent_mutex_);
+  return dirty_extent_.contains(file);
 }
 
 void BufferPool::flush_all() {
@@ -872,7 +925,7 @@ std::uint64_t BufferPool::logical_file_size(FileId file) const {
   std::lock_guard<std::mutex> lock(extent_mutex_);
   const auto it = dirty_extent_.find(file);
   if (it == dirty_extent_.end()) return store_size;
-  return std::max(store_size, it->second);
+  return std::max(store_size, it->second.bytes);
 }
 
 void BufferPool::discard_file(FileId file) {
@@ -973,9 +1026,10 @@ void BufferPool::debug_validate(bool expect_unpinned) const {
   const auto fail = [](const std::string& what) {
     throw IoError("BufferPool::debug_validate: " + what);
   };
-  // All shard locks (index order), then the free-list lock — the same
-  // shard-before-free order every other path uses, so this cannot deadlock
+  // The extent lock, all shard locks (index order), then the free-list
+  // lock — the order every other path uses, so this cannot deadlock
   // against concurrent stragglers while it waits for quiescence.
+  std::lock_guard<std::mutex> extent_lock(extent_mutex_);
   std::vector<std::unique_lock<std::mutex>> locks;
   locks.reserve(shards_.size());
   for (const Shard& sh : shards_) locks.emplace_back(sh.mutex);
@@ -1008,6 +1062,9 @@ void BufferPool::debug_validate(bool expect_unpinned) const {
       if (expect_unpinned && f.pins != 0) fail("leaked PageGuard pin");
       if (f.data.size() != config_.page_size) fail("frame buffer not sized");
       if (f.valid_bytes > config_.page_size) fail("valid_bytes > page_size");
+      if (f.dirty && !dirty_extent_.contains(f.file)) {
+        fail("dirty page of a file with no dirty extent");
+      }
       prev = idx;
     }
     if (prev != sh.lru_tail) fail("LRU tail does not terminate the list");

@@ -187,6 +187,15 @@ class BufferPool {
   PageGuard pin_span(FileId file, std::uint64_t page_no,
                      std::uint64_t last_page);
 
+  /// Pins every page of [first_page, last_page] of `file` if each one is
+  /// resident with no load or eviction write-back in flight, and returns
+  /// the guards in page order, each counted as pin_span counts it.
+  /// Otherwise it returns none and leaves the pool, its stats and every
+  /// miss_counted as it found them.  It never loads and never waits: the
+  /// probe of a thread that must not block (the serving loop).
+  std::vector<PageGuard> try_pin_span(FileId file, std::uint64_t first_page,
+                                      std::uint64_t last_page);
+
   /// Copies out.size() bytes of `file` from `offset` into `out` without
   /// staging them through frames.  Each resident page (clean or dirty;
   /// one mid-load or mid-write-back is waited out, as pin() does) is
@@ -243,8 +252,13 @@ class BufferPool {
   [[nodiscard]] bool contains(FileId file, std::uint64_t page_no) const;
 
   /// Writes back all dirty pages of `file`, coalescing adjacent pages into
-  /// vectored backing-store writes.
+  /// vectored backing-store writes.  An error-free write-back also forgets
+  /// the file's dirty extent, unless a page was dirtied meanwhile.
   void flush_file(FileId file);
+
+  /// True from the first write that dirtied a page of `file` until a
+  /// flush_file that wrote them all back, or a discard_file.
+  [[nodiscard]] bool may_be_dirty(FileId file) const;
 
   /// Writes back every dirty page (coalesced).
   void flush_all();
@@ -268,7 +282,8 @@ class BufferPool {
   /// Exhaustively checks the pool's internal invariants, throwing
   /// util::IoError with a description of the first violation found:
   /// frame accounting (every frame is free xor resident in exactly one
-  /// shard's page table), LRU integrity (links consistent, every resident
+  /// shard's page table), every dirty page's file known to may_be_dirty,
+  /// LRU integrity (links consistent, every resident
   /// frame reachable), no leaked io_busy latches or flush_pins, per-frame
   /// sanity (valid_bytes <= page_size, buffers sized), and stats
   /// consistency.  Requires quiescence: no other thread may be using the
@@ -399,6 +414,9 @@ class BufferPool {
   std::uint64_t copy_into_resident(FileId file, std::uint64_t offset,
                                    std::span<const std::byte> data,
                                    bool dirty);
+  /// Raises `file`'s dirty extent and restamps it.  Caller holds
+  /// extent_mutex_ and sets no dirty bit the extent covers before this.
+  void note_dirty(FileId file, std::uint64_t extent);
   void release_frame(std::size_t idx);
   void lru_push_front(Shard& sh, std::size_t idx);
   void lru_remove(Shard& sh, std::size_t idx);
@@ -415,8 +433,14 @@ class BufferPool {
   std::vector<Frame> frames_;  ///< all capacity_pages frames, shard-agnostic
   std::vector<std::size_t> free_frames_;
   mutable std::mutex free_mutex_;  ///< mutable: debug_validate() is const
-  /// Furthest byte ever dirtied per file; only grows, erased on discard.
-  std::unordered_map<FileId, std::uint64_t> dirty_extent_;
+  /// Per file that may hold dirty pages: the furthest byte ever dirtied
+  /// and the stamp of the last dirtying (see flush_file).
+  struct DirtyExtent {
+    std::uint64_t bytes = 0;
+    std::uint64_t stamp = 0;
+  };
+  std::unordered_map<FileId, DirtyExtent> dirty_extent_;
+  std::uint64_t dirty_stamp_ = 0;  ///< pool-wide; guarded by extent_mutex_
   mutable std::mutex extent_mutex_;
 
   friend class PageGuard;

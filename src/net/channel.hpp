@@ -35,16 +35,6 @@ class Channel {
   /// would let the OS reuse the number out from under that bookkeeping.
   virtual void shutdown() { close(); }
 
-  /// Sends head then body.  The default forwards to send_all twice (so a
-  /// decorator's per-send fault decisions apply to each part); Socket
-  /// gathers both into one writev, sparing the serving hot path a
-  /// header+body concatenation copy per response.
-  virtual void send_parts(std::span<const std::byte> head,
-                          std::span<const std::byte> body) {
-    send_all(head.data(), head.size());
-    if (!body.empty()) send_all(body.data(), body.size());
-  }
-
   /// Non-blocking receive: > 0 bytes read, 0 orderly shutdown, -1 no data
   /// available right now.  The event loop's read path — it must never park
   /// its thread in recv.  The default forwards to recv_some (correct for
@@ -68,6 +58,20 @@ class Channel {
     for (const auto part : parts) {
       if (!part.empty()) send_all(part.data(), part.size());
     }
+  }
+
+  /// send_gather without blocking: returns how many bytes the channel took
+  /// (throws util::IoError on failure), so the event loop never parks on a
+  /// peer.  The default sends everything (right for channels that never
+  /// block); Socket uses MSG_DONTWAIT, and FaultChannel takes its one
+  /// decision per payload as in send_gather.
+  [[nodiscard]] virtual std::size_t send_gather_nonblock(
+      std::span<const std::byte> head,
+      std::span<const std::span<const std::byte>> parts) {
+    send_gather(head, parts);
+    std::size_t total = head.size();
+    for (const auto part : parts) total += part.size();
+    return total;
   }
 
   /// Receives exactly n bytes; returns false if the peer closed early.

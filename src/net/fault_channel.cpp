@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -153,9 +154,9 @@ std::ptrdiff_t FaultChannel::recv_nonblock(void* out, std::size_t n) {
   return inner_.recv_nonblock(out, n);
 }
 
-void FaultChannel::send_gather(
+std::size_t FaultChannel::gather(
     std::span<const std::byte> head,
-    std::span<const std::span<const std::byte>> parts) {
+    std::span<const std::span<const std::byte>> parts, bool nonblock) {
   std::size_t total = head.size();
   for (const auto part : parts) total += part.size();
   const auto d = injector_.decide_send(total);
@@ -163,25 +164,30 @@ void FaultChannel::send_gather(
     std::this_thread::sleep_for(std::chrono::microseconds(d.sleep_us));
   }
   if (d.fail) throw IoError("FaultChannel: injected send failure");
-  if (d.tear) {
-    // Send a keep_bytes-long prefix of the gathered stream, then break the
-    // connection — identical wire effect to send_all's tear, spread across
-    // whichever parts the prefix covers.
-    std::size_t left = d.keep_bytes;
-    auto send_prefix = [&](std::span<const std::byte> piece) {
-      const std::size_t take = std::min(left, piece.size());
-      if (take > 0) inner_.send_all(piece.data(), take);
-      left -= take;
-    };
-    send_prefix(head);
-    for (const auto part : parts) {
-      if (left == 0) break;
-      send_prefix(part);
-    }
-    inner_.shutdown();
-    throw IoError("FaultChannel: injected mid-send disconnect");
+  if (!d.tear) {
+    if (nonblock) return inner_.send_gather_nonblock(head, parts);
+    inner_.send_gather(head, parts);
+    return total;
   }
-  inner_.send_gather(head, parts);
+  // Send a keep_bytes-long prefix of the gathered stream, then break the
+  // connection — identical wire effect to send_all's tear, spread across
+  // whichever parts the prefix covers.
+  std::vector<std::span<const std::byte>> prefix;
+  std::size_t left = d.keep_bytes;
+  auto take = [&](std::span<const std::byte> piece) {
+    const std::size_t n = std::min(left, piece.size());
+    if (n > 0) prefix.push_back(piece.first(n));
+    left -= n;
+  };
+  take(head);
+  for (const auto part : parts) take(part);
+  if (nonblock) {
+    static_cast<void>(inner_.send_gather_nonblock({}, prefix));
+  } else {
+    inner_.send_gather({}, prefix);
+  }
+  inner_.shutdown();
+  throw IoError("FaultChannel: injected mid-send disconnect");
 }
 
 }  // namespace clio::net

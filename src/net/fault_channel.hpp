@@ -130,12 +130,24 @@ class FaultChannel final : public Channel {
   /// count of a response, making every large zero-copy response a
   /// near-certain tear under plans tuned for per-response probabilities.
   void send_gather(std::span<const std::byte> head,
-                   std::span<const std::span<const std::byte>> parts) override;
+                   std::span<const std::span<const std::byte>> parts) override {
+    static_cast<void>(gather(head, parts, /*nonblock=*/false));
+  }
+  /// The same single decision; a tear sends its prefix without blocking.
+  [[nodiscard]] std::size_t send_gather_nonblock(
+      std::span<const std::byte> head,
+      std::span<const std::span<const std::byte>> parts) override {
+    return gather(head, parts, /*nonblock=*/true);
+  }
   void close() override { inner_.close(); }
   void shutdown() override { inner_.shutdown(); }
   [[nodiscard]] bool valid() const override { return inner_.valid(); }
 
  private:
+  std::size_t gather(std::span<const std::byte> head,
+                     std::span<const std::span<const std::byte>> parts,
+                     bool nonblock);
+
   Channel& inner_;
   NetFaultInjector& injector_;
 };

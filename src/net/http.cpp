@@ -227,9 +227,10 @@ void send_response(Channel& channel, int status, std::string_view body,
           "\r\nContent-Length: ", body.size(),
           "\r\nContent-Type: application/octet-stream\r\nConnection: ",
           keep_alive ? "keep-alive" : "close", "\r\n", extra_headers, "\r\n");
-  channel.send_parts(
-      std::as_bytes(std::span<const char>(head.data(), head.size())),
-      std::as_bytes(std::span<const char>(body.data(), body.size())));
+  const std::span<const std::byte> parts[] = {
+      std::as_bytes(std::span<const char>(body.data(), body.size()))};
+  channel.send_gather(
+      std::as_bytes(std::span<const char>(head.data(), head.size())), parts);
 }
 
 std::string_view reason_phrase(int status) {

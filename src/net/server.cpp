@@ -111,6 +111,42 @@ std::span<const std::byte> str_bytes(const std::string& s) {
   return std::as_bytes(std::span<const char>(s.data(), s.size()));
 }
 
+/// The event loop's view of a connection: each send is one non-blocking
+/// gather (so one fault decision per response), and what the socket does
+/// not take goes to `tail`, with anything sent after it, for a worker.
+class LoopChannel final : public Channel {
+ public:
+  LoopChannel(Channel& inner, std::string& tail) : inner_(inner), tail_(tail) {}
+
+  void send_all(const void* data, std::size_t n) override {
+    send_gather(std::as_bytes(std::span(static_cast<const char*>(data), n)),
+                {});
+  }
+  void send_gather(std::span<const std::byte> head,
+                   std::span<const std::span<const std::byte>> parts) override {
+    std::size_t took =
+        tail_.empty() ? inner_.send_gather_nonblock(head, parts) : 0;
+    auto keep_unsent = [&](std::span<const std::byte> piece) {
+      const std::size_t skip = std::min(took, piece.size());
+      took -= skip;
+      tail_.append(reinterpret_cast<const char*>(piece.data()) + skip,
+                   piece.size() - skip);
+    };
+    keep_unsent(head);
+    for (const auto part : parts) keep_unsent(part);
+  }
+  [[nodiscard]] std::size_t recv_some(void* out, std::size_t n) override {
+    return inner_.recv_some(out, n);
+  }
+  void close() override { inner_.close(); }
+  void shutdown() override { inner_.shutdown(); }
+  [[nodiscard]] bool valid() const override { return inner_.valid(); }
+
+ private:
+  Channel& inner_;
+  std::string& tail_;
+};
+
 }  // namespace
 
 /// Event-loop connection state.  The loop owns the map entry; while `busy`
@@ -124,6 +160,10 @@ struct MiniWebServer::Conn {
   std::optional<HttpReader> reader;     ///< buffered parser over channel()
   bool busy = false;                    ///< checked out to a worker
   std::uint64_t deadline_gen = 0;       ///< matches the live heap entry
+  /// Unsent bytes of a loop-served response, for a worker to finish.
+  std::string tail;
+  Credit tail_credit;
+  bool tail_keep = false;
 
   Channel& channel() {
     return faulted.has_value() ? static_cast<Channel&>(*faulted) : socket;
@@ -215,11 +255,15 @@ void MiniWebServer::stop() {
     std::vector<ConnReturn> rets;
     rets.reserve(backlog.size());
     for (auto& queued : backlog) {
-      counters_.drained_503.fetch_add(1, std::memory_order_relaxed);
-      try {
-        send_response(queued.conn->channel(), 503, "server shutting down",
-                      /*keep_alive=*/false, "Retry-After: 1\r\n");
-      } catch (const std::exception&) {
+      // A queued tail's connection just closes: its client has part of a
+      // body already, and a 503 after it would read as more body.
+      if (queued.request.has_value()) {
+        counters_.drained_503.fetch_add(1, std::memory_order_relaxed);
+        try {
+          send_response(queued.conn->channel(), 503, "server shutting down",
+                        /*keep_alive=*/false, "Retry-After: 1\r\n");
+        } catch (const std::exception&) {
+        }
       }
       rets.push_back(ConnReturn{queued.conn->socket.fd(), /*rearm=*/false});
     }
@@ -343,9 +387,11 @@ void MiniWebServer::event_loop() {
         c.deadline_gen});
   };
 
-  auto dispatch_request = [&](Conn& c, HttpRequest req,
-                              std::uint64_t parse_ns) {
+  // Queues a request, or with none the connection's tail, for a worker.
+  auto enqueue = [&](Conn& c, std::optional<HttpRequest> req,
+                     std::uint64_t parse_ns) {
     const int fd = c.socket.fd();
+    const bool tail = !req.has_value();
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
       if (!running_.load()) {
@@ -353,14 +399,18 @@ void MiniWebServer::event_loop() {
         // once: a request queued after that is popped by no worker, the
         // loop frees its connection on exit, and a restarted server's
         // worker would find a dangling Conn.  Answer it as stop() answers
-        // the backlog.
+        // the backlog (a tail's connection just closes).
         lock.unlock();
-        counters_.drained_503.fetch_add(1, std::memory_order_relaxed);
-        try_send_nonblock(fd, stopping_503);
+        if (!tail) {
+          counters_.drained_503.fetch_add(1, std::memory_order_relaxed);
+          try_send_nonblock(fd, stopping_503);
+        }
         retire(fd);
         return;
       }
-      if (pending_.size() >= options_.max_pending) {
+      // A tail may exceed max_pending: a started response cannot be
+      // refused.
+      if (!tail && pending_.size() >= options_.max_pending) {
         lock.unlock();
         // Backpressure: answer 503 without blocking the loop.  A peer that
         // stopped reading must cost nothing — the bytes go out only as far
@@ -372,7 +422,8 @@ void MiniWebServer::event_loop() {
         return;
       }
       c.busy = true;
-      counters_.requests.fetch_add(1, std::memory_order_relaxed);
+      (tail ? counters_.loop_tails : counters_.requests)
+          .fetch_add(1, std::memory_order_relaxed);
       pending_.push_back(PendingRequest{&c, std::move(req),
                                         util::Stopwatch::now_ns(), parse_ns});
     }
@@ -384,37 +435,52 @@ void MiniWebServer::event_loop() {
     if (it == conns.end()) return;  // stale event for a retired fd
     Conn& c = *it->second;
     if (c.busy) return;  // stale event; the worker owns this connection
-    util::Stopwatch parse_watch;
     bool closed = false;
-    std::optional<HttpRequest> request;
-    try {
-      while (true) {
-        request = c.reader->poll_request();
-        if (request.has_value()) break;
-        char buf[16384];
-        const std::ptrdiff_t r = c.channel().recv_nonblock(buf, sizeof(buf));
-        if (r < 0) break;  // drained the kernel buffer, no full request yet
-        if (r == 0) {
-          closed = true;
-          break;
+    for (;;) {
+      util::Stopwatch parse_watch;
+      std::optional<HttpRequest> request;
+      try {
+        while (true) {
+          request = c.reader->poll_request();
+          if (request.has_value()) break;
+          char buf[16384];
+          const std::ptrdiff_t r =
+              c.channel().recv_nonblock(buf, sizeof(buf));
+          if (r < 0) break;  // drained the kernel buffer, no full request
+          if (r == 0) {
+            closed = true;
+            break;
+          }
+          c.reader->feed(buf, static_cast<std::size_t>(r));
         }
-        c.reader->feed(buf, static_cast<std::size_t>(r));
+      } catch (const util::ParseError&) {
+        counters_.parse_errors.fetch_add(1, std::memory_order_relaxed);
+        try_send_nonblock(fd, bad_400);
+        retire(fd);
+        return;
+      } catch (const std::exception&) {
+        // Connection-level failure (real or injected EIO): tear it down.
+        counters_.io_errors.fetch_add(1, std::memory_order_relaxed);
+        retire(fd);
+        return;
       }
-    } catch (const util::ParseError&) {
-      counters_.parse_errors.fetch_add(1, std::memory_order_relaxed);
-      try_send_nonblock(fd, bad_400);
-      retire(fd);
-      return;
-    } catch (const std::exception&) {
-      // Connection-level failure (real or injected EIO): tear it down.
-      counters_.io_errors.fetch_add(1, std::memory_order_relaxed);
-      retire(fd);
-      return;
-    }
-    if (request.has_value()) {
-      dispatch_request(c, std::move(*request),
-                       static_cast<std::uint64_t>(parse_watch.elapsed_ns()));
-      return;
+      if (!request.has_value()) break;
+      const auto parse_ns =
+          static_cast<std::uint64_t>(parse_watch.elapsed_ns());
+      bool keep = false;
+      if (!try_serve_on_loop(c, *request, parse_ns, keep)) {
+        enqueue(c, std::move(request), parse_ns);
+        return;
+      }
+      if (!c.tail.empty()) {
+        enqueue(c, std::nullopt, 0);
+        return;
+      }
+      if (!keep) {
+        retire(fd);
+        return;
+      }
+      // Served: a pipelined request may already be buffered.
     }
     if (closed) {
       if (c.reader->has_partial()) {
@@ -583,13 +649,30 @@ void MiniWebServer::worker_loop() {
       pr = std::move(pending_.front());
       pending_.pop_front();
     }
-    const std::int64_t waited = util::Stopwatch::now_ns() - pr.enqueued_ns;
-    tracer_->record_stage(obs::Stage::kQueueWait,
-                          waited > 0 ? static_cast<std::uint64_t>(waited)
-                                     : 0);
     Conn& conn = *pr.conn;
     bool retire = false;
-    process_request(conn, std::move(pr.request), pr.parse_ns, retire);
+    if (pr.request.has_value()) {
+      const std::int64_t waited = util::Stopwatch::now_ns() - pr.enqueued_ns;
+      tracer_->record_stage(obs::Stage::kQueueWait,
+                            waited > 0 ? static_cast<std::uint64_t>(waited)
+                                       : 0);
+    } else {
+      // The tail of a response the loop started, sent on the blocking
+      // path.  Straight to the socket, past any fault decorator: the
+      // response took its one fault decision on the loop.
+      try {
+        conn.socket.send_all(conn.tail.data(), conn.tail.size());
+        credit(conn.tail_credit);
+        retire = !conn.tail_keep;
+      } catch (const std::exception&) {
+        counters_.io_errors.fetch_add(1, std::memory_order_relaxed);
+        retire = true;
+      }
+      conn.tail.clear();
+    }
+    if (!retire) {
+      process_request(conn, std::move(pr.request), pr.parse_ns, retire);
+    }
     {
       std::lock_guard<std::mutex> lock(loop_mutex_);
       returns_.push_back(ConnReturn{conn.socket.fd(), !retire});
@@ -598,60 +681,132 @@ void MiniWebServer::worker_loop() {
   }
 }
 
-void MiniWebServer::process_request(Conn& conn, HttpRequest request,
+void MiniWebServer::process_request(Conn& conn,
+                                    std::optional<HttpRequest> current,
                                     std::uint64_t parse_ns, bool& retire) {
-  Channel& channel = conn.channel();
-  std::optional<HttpRequest> current = std::move(request);
-  while (current.has_value()) {
-    const bool keep = current->keep_alive && running_.load();
-    try {
-      // The request exists: open its trace.  Parse happened before the
-      // trace could (the bytes define the request), so its duration is
-      // recorded directly; on the first request of a loop hand-off it is
-      // the loop's non-blocking parse, on inline-drained pipelined
-      // requests it is the poll below.
-      obs::TraceScope trace(*tracer_);
-      tracer_->record_stage(obs::Stage::kParse, parse_ns);
-      obs::SpanScope handler_span(obs::Stage::kHandler);
-      dispatch(channel, *current, keep);
-    } catch (const std::exception&) {
-      // Connection-level failure (real or injected EIO): tear the
-      // connection down; the request mix soak counts these against the
-      // injector stats.
-      counters_.io_errors.fetch_add(1, std::memory_order_relaxed);
-      retire = true;
-      return;
-    }
-    if (!keep) {
-      retire = true;
-      return;
-    }
-    // Inline-drain: a pipelined request already complete in the reader's
-    // buffer needs no socket I/O, so serve it here instead of bouncing the
-    // connection through the loop (whose idle deadline must never apply to
-    // bytes that have already arrived — the old design's 408 bug).
-    util::Stopwatch parse_watch;
-    std::optional<HttpRequest> next;
-    try {
-      next = conn.reader->poll_request();
-    } catch (const util::ParseError&) {
-      counters_.parse_errors.fetch_add(1, std::memory_order_relaxed);
+  while (true) {
+    if (!current.has_value()) {
+      // Inline-drain: a pipelined request already complete in the reader's
+      // buffer needs no socket I/O, so serve it here instead of bouncing
+      // the connection through the loop (whose idle deadline must never
+      // apply to bytes that have already arrived — the old design's 408
+      // bug).
+      util::Stopwatch parse_watch;
       try {
-        send_response(channel, 400, "bad request", /*keep_alive=*/false);
-      } catch (const std::exception&) {
+        current = conn.reader->poll_request();
+      } catch (const util::ParseError&) {
+        counters_.parse_errors.fetch_add(1, std::memory_order_relaxed);
+        try {
+          send_response(conn.channel(), 400, "bad request",
+                        /*keep_alive=*/false);
+        } catch (const std::exception&) {
+        }
+        retire = true;
+        return;
       }
+      if (!current.has_value()) return;  // loop re-arms and waits for bytes
+      counters_.requests.fetch_add(1, std::memory_order_relaxed);
+      parse_ns = static_cast<std::uint64_t>(parse_watch.elapsed_ns());
+    }
+    if (!serve_one(conn, conn.channel(), *current, parse_ns, nullptr)) {
       retire = true;
       return;
     }
-    if (!next.has_value()) return;  // loop re-arms and waits for bytes
-    counters_.requests.fetch_add(1, std::memory_order_relaxed);
-    parse_ns = static_cast<std::uint64_t>(parse_watch.elapsed_ns());
-    current = std::move(next);
+    current.reset();
   }
 }
 
-void MiniWebServer::dispatch(Channel& channel, const HttpRequest& request,
-                             bool keep) {
+bool MiniWebServer::serve_one(Conn& conn, Channel& channel,
+                              const HttpRequest& request,
+                              std::uint64_t parse_ns, GetBody* claimed) {
+  const bool keep = request.keep_alive && running_.load();
+  Credit served;
+  try {
+    // The request exists: open its trace.  Parse happened before the
+    // trace could (the bytes define the request), so its duration is
+    // recorded directly.
+    obs::TraceScope trace(*tracer_);
+    tracer_->record_stage(obs::Stage::kParse, parse_ns);
+    obs::SpanScope handler_span(obs::Stage::kHandler);
+    served = dispatch(channel, request, keep, claimed);
+  } catch (const std::exception&) {
+    // Connection-level failure (real or injected EIO): tear the
+    // connection down; the request mix soak counts these against the
+    // injector stats.
+    counters_.io_errors.fetch_add(1, std::memory_order_relaxed);
+    conn.tail.clear();
+    return false;
+  }
+  if (conn.tail.empty()) {
+    credit(served);
+  } else {
+    conn.tail_credit = served;
+    conn.tail_keep = keep;
+  }
+  return keep;
+}
+
+bool MiniWebServer::try_serve_on_loop(Conn& conn, const HttpRequest& request,
+                                      std::uint64_t parse_ns, bool& keep) {
+  if (request.method != "GET") return false;
+  std::optional<GetBody> body;
+  // dispatch() routes the introspection endpoints before any storage.
+  if (request.path != "/healthz" && request.path != "/metrics" &&
+      request.path != "/statz") {
+    if (options_.vm_dispatch) return false;
+    // A name the store does not know would cost a stat, and a file the
+    // pool may hold dirty pages of would flush on close.
+    const std::string name = request.file_name();
+    io::BufferPool& pool = fs_.pool();
+    const io::FileId id =
+        name.empty() ? io::kInvalidFile : fs_.store().lookup(name);
+    if (id == io::kInvalidFile || pool.may_be_dirty(id)) return false;
+    try {
+      util::Stopwatch file_watch;
+      io::ManagedFile file = fs_.open(name, io::OpenMode::kRead);
+      const std::uint64_t size = file.size();
+      const auto pages = static_cast<std::size_t>(
+          (size + pool.page_size() - 1) / pool.page_size());
+      if (size == 0 || pages > gather_cap_pages(pool.capacity_pages(),
+                                                options_.worker_threads)) {
+        return false;  // a buffered GET
+      }
+      auto pinned = pool.try_pin_span(file.id(), 0, pages - 1);
+      if (pinned.empty()) return false;  // a page is cold or mid-load
+      file.close();
+      body.emplace();
+      body->bytes = size;
+      body->pages = std::move(pinned);
+      body->file_ns = static_cast<std::uint64_t>(file_watch.elapsed_ns());
+    } catch (const std::exception&) {
+      return false;  // a worker meets the failure and answers it
+    }
+  }
+  counters_.requests.fetch_add(1, std::memory_order_relaxed);
+  counters_.loop_served.fetch_add(1, std::memory_order_relaxed);
+  LoopChannel channel(conn.channel(), conn.tail);
+  keep = serve_one(conn, channel, request, parse_ns,
+                   body.has_value() ? &*body : nullptr);
+  return true;  // the pins drop here; a tail holds copies of its bytes
+}
+
+void MiniWebServer::credit(const Credit& served) {
+  if (!served.ok) return;
+  // Served-byte accounting happens only after the whole response left: a
+  // torn send must not count.  responses_ok goes last, so whoever sees it
+  // tick sees the rest.
+  counters_.gather_responses.fetch_add(served.gather ? 1 : 0,
+                                       std::memory_order_relaxed);
+  counters_.get_body_bytes_sent.fetch_add(served.get_body_bytes,
+                                          std::memory_order_relaxed);
+  counters_.post_body_bytes.fetch_add(served.post_body_bytes,
+                                      std::memory_order_relaxed);
+  counters_.responses_ok.fetch_add(1, std::memory_order_relaxed);
+}
+
+MiniWebServer::Credit MiniWebServer::dispatch(Channel& channel,
+                                              const HttpRequest& request,
+                                              bool keep, GetBody* claimed) {
   // Arm the per-request budget as this thread's ambient deadline: every
   // storage call below it — pool miss loads, RetryingStore backoff sleeps —
   // honors it without signature plumbing.
@@ -664,16 +819,13 @@ void MiniWebServer::dispatch(Channel& channel, const HttpRequest& request,
     // an operator diagnosing an open breaker needs /metrics and /statz to
     // answer precisely while file traffic is being 503'd.
     if (request.method == "GET" && request.path == "/healthz") {
-      do_healthz(channel, keep);
-      return;
+      return do_healthz(channel, keep);
     }
     if (request.method == "GET" && request.path == "/metrics") {
-      do_metrics(channel, keep);
-      return;
+      return do_metrics(channel, keep);
     }
     if (request.method == "GET" && request.path == "/statz") {
-      do_statz(channel, keep);
-      return;
+      return do_statz(channel, keep);
     }
     // Degraded mode: while the storage breaker is open, answer file
     // requests immediately with 503 + Retry-After instead of queueing
@@ -683,24 +835,21 @@ void MiniWebServer::dispatch(Channel& channel, const HttpRequest& request,
       counters_.degraded_503.fetch_add(1, std::memory_order_relaxed);
       send_response(channel, 503, "storage degraded", keep,
                     retry_after_header());
-      return;
+      return {};
     }
-    if (request.method == "GET") {
-      do_get(channel, request, keep);
-    } else if (request.method == "POST") {
-      do_post(channel, request, keep);
-    } else {
-      send_response(channel, 405, "method not allowed", keep);
-    }
+    if (request.method == "GET") return do_get(channel, request, keep, claimed);
+    if (request.method == "POST") return do_post(channel, request, keep);
+    send_response(channel, 405, "method not allowed", keep);
   } catch (const util::IoError&) {
     throw;  // socket-level: the connection is gone, abort it
   } catch (const std::exception&) {
     counters_.request_errors.fetch_add(1, std::memory_order_relaxed);
     send_response(channel, 500, "internal error", keep);
   }
+  return {};
 }
 
-void MiniWebServer::do_healthz(Channel& channel, bool keep) {
+MiniWebServer::Credit MiniWebServer::do_healthz(Channel& channel, bool keep) {
   using State = util::CircuitBreaker::State;
   const State state = options_.breaker != nullptr ? options_.breaker->state()
                                                   : State::kClosed;
@@ -710,51 +859,52 @@ void MiniWebServer::do_healthz(Channel& channel, bool keep) {
                 " breaker=", util::circuit_state_name(state), "\n");
   if (ready) {
     send_response(channel, 200, body, keep);
-    counters_.responses_ok.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    counters_.degraded_503.fetch_add(1, std::memory_order_relaxed);
-    send_response(channel, 503, body, keep, retry_after_header());
+    return {.ok = true};
   }
+  counters_.degraded_503.fetch_add(1, std::memory_order_relaxed);
+  send_response(channel, 503, body, keep, retry_after_header());
+  return {};
 }
 
-void MiniWebServer::do_metrics(Channel& channel, bool keep) {
+MiniWebServer::Credit MiniWebServer::do_metrics(Channel& channel, bool keep) {
   std::ostringstream body;
   metrics_->render_prometheus(body);
   send_response(channel, 200, body.str(), keep);
   // Introspection responses are 2xx but never count into
   // get_body_bytes_sent: that counter is the served-byte oracle for file
   // bodies, and scrapes must not perturb it.
-  counters_.responses_ok.fetch_add(1, std::memory_order_relaxed);
+  return {.ok = true};
 }
 
-void MiniWebServer::do_statz(Channel& channel, bool keep) {
+MiniWebServer::Credit MiniWebServer::do_statz(Channel& channel, bool keep) {
   send_response(channel, 200, render_statz(), keep);
-  counters_.responses_ok.fetch_add(1, std::memory_order_relaxed);
+  return {.ok = true};
 }
 
-namespace {
-
-void write_server_stats_json(obs::JsonWriter& w, const ServerStats& s) {
-  w.begin_object();
-  w.kv("accepted", s.accepted);
-  w.kv("dropped_accepts", s.dropped_accepts);
-  w.kv("rejected_503", s.rejected_503);
-  w.kv("connections", s.connections);
-  w.kv("requests", s.requests);
-  w.kv("responses_ok", s.responses_ok);
-  w.kv("get_body_bytes_sent", s.get_body_bytes_sent);
-  w.kv("post_body_bytes", s.post_body_bytes);
-  w.kv("parse_errors", s.parse_errors);
-  w.kv("request_errors", s.request_errors);
-  w.kv("io_errors", s.io_errors);
-  w.kv("timeouts_408", s.timeouts_408);
-  w.kv("degraded_503", s.degraded_503);
-  w.kv("drained_503", s.drained_503);
-  w.kv("gather_responses", s.gather_responses);
-  w.end_object();
-}
-
-}  // namespace
+const MiniWebServer::CounterField MiniWebServer::kCounterFields[] = {
+    {"accepted", &ServerStats::accepted, &Counters::accepted},
+    {"dropped_accepts", &ServerStats::dropped_accepts,
+     &Counters::dropped_accepts},
+    {"rejected_503", &ServerStats::rejected_503, &Counters::rejected_503},
+    {"connections", &ServerStats::connections, &Counters::connections},
+    {"requests", &ServerStats::requests, &Counters::requests},
+    {"responses_ok", &ServerStats::responses_ok, &Counters::responses_ok},
+    {"get_body_bytes_sent", &ServerStats::get_body_bytes_sent,
+     &Counters::get_body_bytes_sent},
+    {"post_body_bytes", &ServerStats::post_body_bytes,
+     &Counters::post_body_bytes},
+    {"parse_errors", &ServerStats::parse_errors, &Counters::parse_errors},
+    {"request_errors", &ServerStats::request_errors,
+     &Counters::request_errors},
+    {"io_errors", &ServerStats::io_errors, &Counters::io_errors},
+    {"timeouts_408", &ServerStats::timeouts_408, &Counters::timeouts_408},
+    {"degraded_503", &ServerStats::degraded_503, &Counters::degraded_503},
+    {"drained_503", &ServerStats::drained_503, &Counters::drained_503},
+    {"gather_responses", &ServerStats::gather_responses,
+     &Counters::gather_responses},
+    {"loop_served", &ServerStats::loop_served, &Counters::loop_served},
+    {"loop_tails", &ServerStats::loop_tails, &Counters::loop_tails},
+};
 
 std::string MiniWebServer::render_statz() const {
   std::ostringstream out;
@@ -763,10 +913,15 @@ std::string MiniWebServer::render_statz() const {
   w.kv("running", running_.load());
   w.kv("port", static_cast<std::uint64_t>(options_.port));
 
+  auto write_stats = [&w](const ServerStats& s) {
+    w.begin_object();
+    for (const CounterField& f : kCounterFields) w.kv(f.name, s.*f.snapshot);
+    w.end_object();
+  };
   w.key("server");
-  write_server_stats_json(w, stats());
+  write_stats(stats());
   w.key("last_run");
-  write_server_stats_json(w, last_run_stats());
+  write_stats(last_run_stats());
 
   {
     const io::BufferPool& pool = fs_.pool();
@@ -873,34 +1028,18 @@ std::string MiniWebServer::render_statz() const {
 }
 
 void MiniWebServer::register_metrics() {
-  auto reg = [this](const char* name, obs::MetricKind kind,
+  auto reg = [this](std::string_view name, obs::MetricKind kind,
                     std::function<double()> fn) {
     gauge_regs_.push_back(
         metrics_->register_callback(name, kind, std::move(fn)));
   };
-  auto counter = [&](const char* name,
-                     const std::atomic<std::uint64_t>& slot) {
-    reg(name, obs::MetricKind::kCounter, [&slot] {
-      return static_cast<double>(slot.load(std::memory_order_relaxed));
-    });
-  };
-
-  counter("clio_server_accepted_total", counters_.accepted);
-  counter("clio_server_dropped_accepts_total", counters_.dropped_accepts);
-  counter("clio_server_rejected_503_total", counters_.rejected_503);
-  counter("clio_server_connections_total", counters_.connections);
-  counter("clio_server_requests_total", counters_.requests);
-  counter("clio_server_responses_ok_total", counters_.responses_ok);
-  counter("clio_server_get_body_bytes_sent_total",
-          counters_.get_body_bytes_sent);
-  counter("clio_server_post_body_bytes_total", counters_.post_body_bytes);
-  counter("clio_server_parse_errors_total", counters_.parse_errors);
-  counter("clio_server_request_errors_total", counters_.request_errors);
-  counter("clio_server_io_errors_total", counters_.io_errors);
-  counter("clio_server_timeouts_408_total", counters_.timeouts_408);
-  counter("clio_server_degraded_503_total", counters_.degraded_503);
-  counter("clio_server_drained_503_total", counters_.drained_503);
-  counter("clio_server_gather_responses_total", counters_.gather_responses);
+  for (const CounterField& f : kCounterFields) {
+    const std::atomic<std::uint64_t>& slot = counters_.*f.live;
+    reg(util::cat("clio_server_", f.name, "_total"), obs::MetricKind::kCounter,
+        [&slot] {
+          return static_cast<double>(slot.load(std::memory_order_relaxed));
+        });
+  }
 
   io::BufferPool& pool = fs_.pool();
   reg("clio_pool_resident_pages", obs::MetricKind::kGauge,
@@ -999,102 +1138,103 @@ std::size_t MiniWebServer::gather_cap_pages(std::size_t pool_capacity_pages,
       std::max<std::size_t>(1, pool_capacity_pages / (2 * worker_threads)));
 }
 
-void MiniWebServer::do_get(Channel& channel, const HttpRequest& request,
-                           bool keep) {
+MiniWebServer::Credit MiniWebServer::do_get(Channel& channel,
+                                            const HttpRequest& request,
+                                            bool keep, GetBody* claimed) {
   RequestSample sample;
   sample.is_get = true;
   util::Stopwatch total;
   const std::string name = request.file_name();
-  if (name.empty() || !fs_.exists(name)) {
+  if (name.empty() || (claimed == nullptr && !fs_.exists(name))) {
     send_response(channel, 404, "no such file", keep);
-    return;
+    return {};
   }
 
   // Timed portion, as in the paper: open the stream, get at the data,
-  // close the stream.  Storage failures convert to responses here — the
-  // connection is healthy, the store is not — so only socket-level errors
-  // escape to the connection teardown path.  The body rides one of two
-  // paths: a native GET whose pages fit the pin cap pins them and gathers
-  // them straight into the socket; everything else (vm_dispatch, oversized
-  // and empty files) is read into one buffer first.
-  std::string body;                               // buffered path
-  std::vector<io::BufferPool::PageGuard> guards;  // gather path pins
-  std::vector<std::span<const std::byte>> parts;  // gather path views
-  std::uint64_t body_bytes = 0;
-  try {
-    obs::SpanScope storage_span(obs::Stage::kStorageOp);
-    util::Stopwatch file_watch;
-    if (options_.vm_dispatch) {
-      body = read_file_vm(name);
-      body_bytes = body.size();
-    } else {
-      io::ManagedFile file = fs_.open(name, io::OpenMode::kRead);
-      const std::uint64_t size = file.size();
-      body_bytes = size;
-      io::BufferPool& pool = fs_.pool();
-      const std::size_t page_size = pool.page_size();
-      const std::size_t page_count =
-          static_cast<std::size_t>((size + page_size - 1) / page_size);
-      if (size > 0 &&
-          page_count <= gather_cap_pages(pool.capacity_pages(),
-                                         options_.worker_threads)) {
-        // Pinning the whole file as one span loads its cold pages in one
-        // coalesced readv, each counted once as a miss.
-        const io::FileId id = file.id();
-        guards.reserve(page_count);
-        parts.reserve(page_count);
-        std::uint64_t remaining = size;
-        for (std::size_t p = 0; p < page_count; ++p) {
-          guards.push_back(pool.pin_span(id, p, page_count - 1));
-          const auto take = static_cast<std::size_t>(
-              std::min<std::uint64_t>(remaining, page_size));
-          parts.push_back(std::span<const std::byte>(guards.back().data())
-                              .subspan(0, take));
-          remaining -= take;
-        }
+  // close the stream.  For a loop-served GET the loop did it before the
+  // trace began, and its time is recorded here.  Storage failures convert
+  // to responses here — the connection is healthy, the store is not — so
+  // only socket-level errors escape to the connection teardown path.  The
+  // body rides one of two paths: a native GET whose pages fit the pin cap
+  // pins them and gathers them straight into the socket; everything else
+  // (vm_dispatch, oversized and empty files) is read into one buffer
+  // first.
+  GetBody loaded;
+  GetBody& body = claimed != nullptr ? *claimed : loaded;
+  if (claimed != nullptr) {
+    tracer_->record_stage(obs::Stage::kStorageOp, body.file_ns);
+  } else {
+    try {
+      obs::SpanScope storage_span(obs::Stage::kStorageOp);
+      util::Stopwatch file_watch;
+      if (options_.vm_dispatch) {
+        body.buffered = read_file_vm(name);
+        body.bytes = body.buffered.size();
       } else {
-        body.assign(static_cast<std::size_t>(size), '\0');
-        file.read_exact(std::as_writable_bytes(
-            std::span<char>(body.data(), body.size())));
+        io::ManagedFile file = fs_.open(name, io::OpenMode::kRead);
+        body.bytes = file.size();
+        io::BufferPool& pool = fs_.pool();
+        const std::size_t page_size = pool.page_size();
+        const auto page_count = static_cast<std::size_t>(
+            (body.bytes + page_size - 1) / page_size);
+        if (body.bytes > 0 &&
+            page_count <= gather_cap_pages(pool.capacity_pages(),
+                                           options_.worker_threads)) {
+          // Pinning the whole file as one span loads its cold pages in one
+          // coalesced readv, each counted once as a miss.
+          body.pages.reserve(page_count);
+          for (std::size_t p = 0; p < page_count; ++p) {
+            body.pages.push_back(pool.pin_span(file.id(), p, page_count - 1));
+          }
+        } else {
+          body.buffered.assign(static_cast<std::size_t>(body.bytes), '\0');
+          file.read_exact(std::as_writable_bytes(
+              std::span<char>(body.buffered.data(), body.buffered.size())));
+        }
+        file.close();
       }
-      file.close();
+      body.file_ns = static_cast<std::uint64_t>(file_watch.elapsed_ns());
+    } catch (const util::TransientIoError&) {
+      // Retries exhausted, breaker fast-fail or deadline blown: degrade.
+      counters_.degraded_503.fetch_add(1, std::memory_order_relaxed);
+      send_response(channel, 503, "storage unavailable", keep,
+                    retry_after_header());
+      return {};
+    } catch (const util::IoError&) {
+      counters_.request_errors.fetch_add(1, std::memory_order_relaxed);
+      send_response(channel, 500, "storage error", keep);
+      return {};
     }
-    sample.file_ms = file_watch.elapsed_ms();
-  } catch (const util::TransientIoError&) {
-    // Retries exhausted, breaker fast-fail or deadline blown: degrade.
-    counters_.degraded_503.fetch_add(1, std::memory_order_relaxed);
-    send_response(channel, 503, "storage unavailable", keep,
-                  retry_after_header());
-    return;
-  } catch (const util::IoError&) {
-    counters_.request_errors.fetch_add(1, std::memory_order_relaxed);
-    send_response(channel, 500, "storage error", keep);
-    return;
   }
-  sample.bytes = body_bytes;
-  sample.total_ms = total.elapsed_ms();
+  sample.file_ms = static_cast<double>(body.file_ns) / 1e6;
+  sample.bytes = body.bytes;
+  sample.total_ms =
+      total.elapsed_ms() + (claimed != nullptr ? sample.file_ms : 0.0);
   // Record before transmitting so samples appear in request order even if
-  // this worker is preempted mid-send.
+  // this thread is preempted mid-send.
   record(sample);
-  {
-    obs::SpanScope send_span(obs::Stage::kSend);
-    if (parts.empty()) {
-      send_response(channel, 200, body, keep);
-    } else {
-      const std::string head = response_head(200, body_bytes, keep);
-      channel.send_gather(str_bytes(head), parts);
-      counters_.gather_responses.fetch_add(1, std::memory_order_relaxed);
-    }
+  obs::SpanScope send_span(obs::Stage::kSend);
+  if (body.pages.empty()) {
+    send_response(channel, 200, body.buffered, keep);
+    return {.ok = true, .get_body_bytes = body.bytes};
   }
-  // Served-byte accounting happens only after the whole response left:
-  // a torn send must not count.
-  counters_.responses_ok.fetch_add(1, std::memory_order_relaxed);
-  counters_.get_body_bytes_sent.fetch_add(body_bytes,
-                                          std::memory_order_relaxed);
+  std::vector<std::span<const std::byte>> parts;
+  parts.reserve(body.pages.size());
+  std::uint64_t remaining = body.bytes;
+  for (const io::BufferPool::PageGuard& page : body.pages) {
+    const auto take = static_cast<std::size_t>(
+        std::min<std::uint64_t>(remaining, page.data().size()));
+    parts.push_back(page.data().first(take));
+    remaining -= take;
+  }
+  const std::string head = response_head(200, body.bytes, keep);
+  channel.send_gather(str_bytes(head), parts);
+  return {.ok = true, .gather = true, .get_body_bytes = body.bytes};
 }
 
-void MiniWebServer::do_post(Channel& channel, const HttpRequest& request,
-                            bool keep) {
+MiniWebServer::Credit MiniWebServer::do_post(Channel& channel,
+                                             const HttpRequest& request,
+                                             bool keep) {
   RequestSample sample;
   sample.is_get = false;
   util::Stopwatch total;
@@ -1127,24 +1267,20 @@ void MiniWebServer::do_post(Channel& channel, const HttpRequest& request,
     counters_.degraded_503.fetch_add(1, std::memory_order_relaxed);
     send_response(channel, 503, "storage unavailable", keep,
                   retry_after_header());
-    return;
+    return {};
   } catch (const util::IoError&) {
     // Torn write / disk full: the store answered definitively, the
     // client's payload did not land — a 500, not a teardown.
     counters_.request_errors.fetch_add(1, std::memory_order_relaxed);
     send_response(channel, 500, "storage error", keep);
-    return;
+    return {};
   }
   sample.bytes = request.body.size();
   sample.total_ms = total.elapsed_ms();
   record(sample);
-  {
-    obs::SpanScope send_span(obs::Stage::kSend);
-    send_response(channel, 201, name, keep);
-  }
-  counters_.responses_ok.fetch_add(1, std::memory_order_relaxed);
-  counters_.post_body_bytes.fetch_add(request.body.size(),
-                                      std::memory_order_relaxed);
+  obs::SpanScope send_span(obs::Stage::kSend);
+  send_response(channel, 201, name, keep);
+  return {.ok = true, .post_body_bytes = request.body.size()};
 }
 
 void MiniWebServer::record(RequestSample sample) {
@@ -1165,40 +1301,16 @@ void MiniWebServer::clear_samples() {
 
 ServerStats MiniWebServer::stats() const {
   ServerStats s;
-  s.accepted = counters_.accepted.load();
-  s.dropped_accepts = counters_.dropped_accepts.load();
-  s.rejected_503 = counters_.rejected_503.load();
-  s.connections = counters_.connections.load();
-  s.requests = counters_.requests.load();
-  s.responses_ok = counters_.responses_ok.load();
-  s.get_body_bytes_sent = counters_.get_body_bytes_sent.load();
-  s.post_body_bytes = counters_.post_body_bytes.load();
-  s.parse_errors = counters_.parse_errors.load();
-  s.request_errors = counters_.request_errors.load();
-  s.io_errors = counters_.io_errors.load();
-  s.timeouts_408 = counters_.timeouts_408.load();
-  s.degraded_503 = counters_.degraded_503.load();
-  s.drained_503 = counters_.drained_503.load();
-  s.gather_responses = counters_.gather_responses.load();
+  for (const CounterField& f : kCounterFields) {
+    s.*f.snapshot = (counters_.*f.live).load();
+  }
   return s;
 }
 
 void MiniWebServer::reset_stats() {
-  counters_.accepted.store(0, std::memory_order_relaxed);
-  counters_.dropped_accepts.store(0, std::memory_order_relaxed);
-  counters_.rejected_503.store(0, std::memory_order_relaxed);
-  counters_.connections.store(0, std::memory_order_relaxed);
-  counters_.requests.store(0, std::memory_order_relaxed);
-  counters_.responses_ok.store(0, std::memory_order_relaxed);
-  counters_.get_body_bytes_sent.store(0, std::memory_order_relaxed);
-  counters_.post_body_bytes.store(0, std::memory_order_relaxed);
-  counters_.parse_errors.store(0, std::memory_order_relaxed);
-  counters_.request_errors.store(0, std::memory_order_relaxed);
-  counters_.io_errors.store(0, std::memory_order_relaxed);
-  counters_.timeouts_408.store(0, std::memory_order_relaxed);
-  counters_.degraded_503.store(0, std::memory_order_relaxed);
-  counters_.drained_503.store(0, std::memory_order_relaxed);
-  counters_.gather_responses.store(0, std::memory_order_relaxed);
+  for (const CounterField& f : kCounterFields) {
+    (counters_.*f.live).store(0, std::memory_order_relaxed);
+  }
   clear_samples();
 }
 

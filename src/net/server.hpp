@@ -4,6 +4,8 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -49,6 +51,8 @@ struct ServerStats {
   std::uint64_t degraded_503 = 0;     ///< storage-unavailable 503 responses
   std::uint64_t drained_503 = 0;      ///< requests 503'd by a stopping server
   std::uint64_t gather_responses = 0;  ///< 200s sent page-gather zero-copy
+  std::uint64_t loop_served = 0;  ///< requests the event loop served itself
+  std::uint64_t loop_tails = 0;   ///< loop responses a worker finished
   /// Always 0: the sendfile tier is gone (kept for reports that read it).
   static constexpr std::uint64_t sendfile_responses = 0;
   /// Always 0: the hot-object cache is gone (kept for reports that read it).
@@ -116,11 +120,14 @@ struct ServerOptions {
 
 /// The paper's §4 web-server micro benchmark, grown into a readiness-
 /// driven server: an epoll event loop owns every connection fd, parses
-/// requests off ready sockets without blocking, and hands each *request*
-/// (not each connection) to a fixed worker pool through a bounded queue —
-/// so an idle keep-alive connection costs one fd, never a thread, and
+/// requests off ready sockets without blocking, serves itself each one
+/// that needs no storage wait (a GET whose pages are all resident, or an
+/// introspection endpoint), and hands every other *request* (not
+/// connection) to a fixed worker pool through a bounded queue — so an
+/// idle keep-alive connection costs one fd, never a thread, and
 /// concurrency is bounded by fds instead of worker_threads (the C10K
-/// step; see docs/SERVING.md for the loop's state machine).  GET reads
+/// step; see docs/SERVING.md for the loop's state machine and for what
+/// the loop serves).  GET reads
 /// the requested file from the managed file system and returns it —
 /// straight from pinned pool pages when they fit the pin cap, else
 /// through one buffered copy; POST writes the body to a new file named by
@@ -195,27 +202,56 @@ class MiniWebServer {
 
  private:
   /// Event-loop connection state (defined in server.cpp): socket, optional
-  /// fault decorator, buffered reader, served-request count.  Owned by the
-  /// loop; lent to exactly one worker at a time while `busy`.
+  /// fault decorator, buffered reader, unsent tail.  Owned by the loop;
+  /// lent to exactly one worker at a time while `busy`.
   struct Conn;
+
+  /// What a response adds to the served counters once all of it has left.
+  struct Credit {
+    bool ok = false;      ///< a 2xx
+    bool gather = false;  ///< sent page-gather
+    std::uint64_t get_body_bytes = 0;
+    std::uint64_t post_body_bytes = 0;
+  };
+
+  /// A GET body ready to send: pinned pool pages, or one buffered copy.
+  struct GetBody {
+    std::string buffered;
+    std::vector<io::BufferPool::PageGuard> pages;
+    std::uint64_t bytes = 0;
+    std::uint64_t file_ns = 0;  ///< open, pin or read, close
+  };
 
   void accept_loop();
   void event_loop();
   void worker_loop();
-  /// Serves `request` on a checked-out connection, then inline-drains any
-  /// complete pipelined requests already buffered in its reader (they need
-  /// no socket I/O, so bouncing them through the loop would only add
-  /// latency — and the old design's arm/disarm bug 408'd them).  Sets
-  /// `retire` when the connection must close instead of re-arming.
-  void process_request(Conn& conn, HttpRequest request,
+  /// Serves `request` (none: starts with the reader's buffer) on a
+  /// checked-out connection, then inline-drains any complete pipelined
+  /// requests already buffered in its reader (they need no socket I/O, so
+  /// bouncing them through the loop would only add latency — and the old
+  /// design's arm/disarm bug 408'd them).  Sets `retire` when the
+  /// connection must close instead of re-arming.
+  void process_request(Conn& conn, std::optional<HttpRequest> request,
                        std::uint64_t parse_ns, bool& retire);
+  /// Serves one request under its own trace; returns whether the
+  /// connection stays open.  A tail the loop left keeps the credit.
+  bool serve_one(Conn& conn, Channel& channel, const HttpRequest& request,
+                 std::uint64_t parse_ns, GetBody* claimed);
+  /// Serves `request` on the event loop unless a step would wait on
+  /// storage or the peer (docs/SERVING.md, "What the loop serves"); then
+  /// returns false, having sent and counted nothing.
+  bool try_serve_on_loop(Conn& conn, const HttpRequest& request,
+                         std::uint64_t parse_ns, bool& keep);
+  void credit(const Credit& served);
   /// Wakes the event loop (eventfd write); safe from any thread while the
   /// loop is alive.
   void wake_loop();
-  void dispatch(Channel& channel, const HttpRequest& request, bool keep);
-  void do_healthz(Channel& channel, bool keep);
-  void do_metrics(Channel& channel, bool keep);
-  void do_statz(Channel& channel, bool keep);
+  /// `claimed`: the body the loop pinned, or nullptr for do_get to load.
+  Credit dispatch(Channel& channel, const HttpRequest& request, bool keep,
+                  GetBody* claimed);
+  Credit do_healthz(Channel& channel, bool keep);
+  Credit do_metrics(Channel& channel, bool keep);
+  Credit do_statz(Channel& channel, bool keep);
   /// Registers the callback gauges that mirror ServerStats, PoolStats,
   /// breaker and IoStats into the metrics registry (constructor helper).
   void register_metrics();
@@ -223,8 +259,9 @@ class MiniWebServer {
   /// "Retry-After: N\r\n" derived from the breaker's remaining cooldown
   /// (empty when no breaker is armed).
   [[nodiscard]] std::string retry_after_header() const;
-  void do_get(Channel& channel, const HttpRequest& request, bool keep);
-  void do_post(Channel& channel, const HttpRequest& request, bool keep);
+  Credit do_get(Channel& channel, const HttpRequest& request, bool keep,
+                GetBody* claimed);
+  Credit do_post(Channel& channel, const HttpRequest& request, bool keep);
   std::string read_file_vm(const std::string& name);
   void record(RequestSample sample);
 
@@ -239,12 +276,13 @@ class MiniWebServer {
   std::atomic<bool> record_samples_{true};
   std::atomic<std::uint64_t> post_counter_{0};
 
-  // Loop-to-worker hand-off: one entry per parsed request.  Each carries
-  // its enqueue timestamp so the worker that pops it can record the
-  // queue-wait stage span, and the parse duration the loop measured.
+  // Loop-to-worker hand-off: one entry per parsed request or per tail of
+  // a loop-served response (no request).  Each carries its enqueue
+  // timestamp so the worker that pops it can record the queue-wait stage
+  // span, and the parse duration the loop measured.
   struct PendingRequest {
     Conn* conn = nullptr;
-    HttpRequest request;
+    std::optional<HttpRequest> request;
     std::int64_t enqueued_ns = 0;
     std::uint64_t parse_ns = 0;
   };
@@ -286,8 +324,18 @@ class MiniWebServer {
     std::atomic<std::uint64_t> degraded_503{0};
     std::atomic<std::uint64_t> drained_503{0};
     std::atomic<std::uint64_t> gather_responses{0};
+    std::atomic<std::uint64_t> loop_served{0};
+    std::atomic<std::uint64_t> loop_tails{0};
   };
   Counters counters_;
+  /// Each counter's /statz key (clio_server_<key>_total in the registry),
+  /// ServerStats field and live atomic.
+  struct CounterField {
+    const char* name;
+    std::uint64_t ServerStats::*snapshot;
+    std::atomic<std::uint64_t> Counters::*live;
+  };
+  static const CounterField kCounterFields[];
 
   // Observability.  owned_metrics_ must be declared before the members
   // that reference it (tracer_, gauge_regs_) so destruction unregisters

@@ -54,40 +54,20 @@ void Socket::send_all(const void* data, std::size_t n) {
   }
 }
 
-void Socket::send_parts(std::span<const std::byte> head,
-                        std::span<const std::byte> body) {
-  check<IoError>(valid(), "Socket: send on closed socket");
-  std::size_t sent = 0;
-  const std::size_t total = head.size() + body.size();
-  while (sent < total) {
-    iovec iov[2];
-    int iovcnt = 0;
-    if (sent < head.size()) {
-      iov[iovcnt++] = {const_cast<std::byte*>(head.data()) + sent,
-                       head.size() - sent};
-      if (!body.empty()) {
-        iov[iovcnt++] = {const_cast<std::byte*>(body.data()), body.size()};
-      }
-    } else {
-      const std::size_t into_body = sent - head.size();
-      iov[iovcnt++] = {const_cast<std::byte*>(body.data()) + into_body,
-                       body.size() - into_body};
-    }
-    // MSG_NOSIGNAL (as in send_all): a dead peer surfaces as EPIPE,
-    // not a process-killing SIGPIPE.
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = static_cast<std::size_t>(iovcnt);
-    const ssize_t r = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
-    if (r < 0 && errno == EINTR) continue;
-    check<IoError>(r > 0, std::string("Socket: sendmsg failed: ") +
-                              std::strerror(errno));
-    sent += static_cast<std::size_t>(r);
-  }
-}
-
 void Socket::send_gather(std::span<const std::byte> head,
                          std::span<const std::span<const std::byte>> parts) {
+  static_cast<void>(gather(head, parts, 0));
+}
+
+std::size_t Socket::send_gather_nonblock(
+    std::span<const std::byte> head,
+    std::span<const std::span<const std::byte>> parts) {
+  return gather(head, parts, MSG_DONTWAIT);
+}
+
+std::size_t Socket::gather(std::span<const std::byte> head,
+                           std::span<const std::span<const std::byte>> parts,
+                           int flags) {
   check<IoError>(valid(), "Socket: send on closed socket");
   std::vector<iovec> iov;
   iov.reserve(parts.size() + 1);
@@ -101,6 +81,7 @@ void Socket::send_gather(std::span<const std::byte> head,
   }
   // Kernels cap one sendmsg at IOV_MAX iovecs; batch and advance across
   // partial sends by trimming the front of the array.
+  std::size_t sent = 0;
   std::size_t at = 0;
   while (at < iov.size()) {
     const std::size_t batch =
@@ -108,10 +89,15 @@ void Socket::send_gather(std::span<const std::byte> head,
     msghdr msg{};
     msg.msg_iov = iov.data() + at;
     msg.msg_iovlen = batch;
-    const ssize_t r = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
+    const ssize_t r = ::sendmsg(fd_, &msg, MSG_NOSIGNAL | flags);
     if (r < 0 && errno == EINTR) continue;
+    if (r < 0 && (flags & MSG_DONTWAIT) != 0 &&
+        (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      break;  // the socket buffer is full: the caller sends the rest
+    }
     check<IoError>(r > 0, std::string("Socket: sendmsg failed: ") +
                               std::strerror(errno));
+    sent += static_cast<std::size_t>(r);
     std::size_t left = static_cast<std::size_t>(r);
     while (left > 0 && at < iov.size()) {
       if (left >= iov[at].iov_len) {
@@ -124,6 +110,7 @@ void Socket::send_gather(std::span<const std::byte> head,
       }
     }
   }
+  return sent;
 }
 
 std::ptrdiff_t Socket::recv_nonblock(void* out, std::size_t n) {
@@ -152,10 +139,6 @@ std::size_t Socket::recv_some(void* out, std::size_t n) {
                                std::strerror(errno));
     return static_cast<std::size_t>(r);
   }
-}
-
-void shutdown_receives(int fd) {
-  if (fd >= 0) ::shutdown(fd, SHUT_RD);
 }
 
 void shutdown_connection(int fd) {

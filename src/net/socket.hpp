@@ -34,23 +34,25 @@ class Socket final : public Channel {
   /// O_NONBLOCK, so in-flight blocking sends keep their SO_SNDTIMEO bound.
   [[nodiscard]] std::ptrdiff_t recv_nonblock(void* out,
                                              std::size_t n) override;
-  /// Gathers head + body into one writev(2) instead of copying them into
-  /// a contiguous buffer first.
-  void send_parts(std::span<const std::byte> head,
-                  std::span<const std::byte> body) override;
   /// Gathers head + N body parts (e.g. pinned buffer-pool pages) into
   /// sendmsg(2) iovec batches — the zero-copy response path.
   void send_gather(std::span<const std::byte> head,
                    std::span<const std::span<const std::byte>> parts) override;
+  /// The same gather with MSG_DONTWAIT, stopping when the socket buffer is
+  /// full.  Works on a blocking descriptor, like recv_nonblock.
+  [[nodiscard]] std::size_t send_gather_nonblock(
+      std::span<const std::byte> head,
+      std::span<const std::span<const std::byte>> parts) override;
 
  private:
+  /// sendmsg batches with MSG_NOSIGNAL | `flags`; returns the bytes sent,
+  /// short only when a MSG_DONTWAIT call would block.
+  std::size_t gather(std::span<const std::byte> head,
+                     std::span<const std::span<const std::byte>> parts,
+                     int flags);
+
   int fd_ = -1;
 };
-
-/// Disables further receives on a descriptor owned elsewhere: a blocked
-/// recv returns 0 as if the peer had closed.  Used by the server to unblock
-/// workers parked on idle keep-alive connections during stop().
-void shutdown_receives(int fd);
 
 /// Full SHUT_RDWR on a descriptor owned elsewhere: both directions stop,
 /// in-flight sends are abandoned.  stop()'s escalation path for

@@ -883,6 +883,89 @@ TEST(FlushDurabilityTest, ConcurrentFlushWaitsForAPeersFailingWrite) {
 
 // ---------------------------------------------------------- validation ----
 
+TEST(FlushForgetTest, FlushedFileLeavesNoDirtyExtent) {
+  // Every file written through the pool used to keep its dirty-extent
+  // entry until a discard, so a stream of uploads grew the map by one
+  // entry each and every later close of such a file paid the all-shard
+  // flush scan.  An error-free flush now forgets the file.
+  CountingStore store;
+  BufferPool pool(store, BufferPoolConfig{.page_size = 256,
+                                          .capacity_pages = 8,
+                                          .shards = 2});
+  for (int i = 0; i < 200; ++i) {
+    const FileId file = store.open("post" + std::to_string(i), true);
+    {
+      auto g = pool.pin(file, 0);
+      std::memset(g.data().data(), 'a' + i % 26, 100);
+      g.mark_dirty(100);
+    }
+    ASSERT_TRUE(pool.may_be_dirty(file));
+    EXPECT_EQ(pool.logical_file_size(file), 100u);
+    pool.flush_file(file);
+    ASSERT_FALSE(pool.may_be_dirty(file)) << "upload " << i;
+    // The store holds the extent now, so the logical size is unchanged.
+    EXPECT_EQ(pool.logical_file_size(file), 100u);
+  }
+  pool.debug_validate();
+}
+
+TEST(FlushForgetTest, FailedFlushKeepsTheFileUntilARetrySucceeds) {
+  CountingStore store;
+  const FileId file = store.open("out.bin", true);
+  BufferPool pool(store, BufferPoolConfig{.page_size = 256,
+                                          .capacity_pages = 8,
+                                          .shards = 1});
+  {
+    auto g = pool.pin(file, 0);
+    std::memset(g.data().data(), 'F', 256);
+    g.mark_dirty(256);
+  }
+  store.fail_writes = 1;
+  EXPECT_THROW(pool.flush_file(file), util::IoError);
+  EXPECT_TRUE(pool.may_be_dirty(file));
+  pool.debug_validate();
+  pool.flush_file(file);
+  EXPECT_FALSE(pool.may_be_dirty(file));
+  std::vector<std::byte> page(256);
+  EXPECT_EQ(store.read(file, 0, page), 256u);
+  EXPECT_EQ(static_cast<char>(page[0]), 'F');
+}
+
+TEST(FlushForgetTest, PageRedirtiedDuringAFlushIsWrittenByTheNextOne) {
+  // The flush collects page 0 and its write parks in the store.  Meanwhile
+  // another thread writes page 1 for the first time and re-dirties page
+  // 0.  The parked flush succeeds, but it must not forget the file: the
+  // next flush writes the new bytes, and then the store matches.
+  BlockingWriteStore store;
+  const FileId file = store.open("f", true);
+  BufferPool pool(store, BufferPoolConfig{.page_size = 256,
+                                          .capacity_pages = 4,
+                                          .shards = 2});
+  auto write_page = [&](std::uint64_t page_no, char c) {
+    auto g = pool.pin(file, page_no);
+    std::memset(g.data().data(), c, 256);
+    g.mark_dirty(256);
+  };
+  write_page(0, 'o');
+  store.arm_block();
+  std::thread flusher([&] { pool.flush_file(file); });
+  store.wait_until_parked();
+  std::thread writer([&] {
+    write_page(0, 'n');
+    write_page(1, 'n');
+  });
+  writer.join();
+  store.release(/*fail=*/false);
+  flusher.join();
+  EXPECT_TRUE(pool.may_be_dirty(file));
+  pool.flush_file(file);
+  EXPECT_FALSE(pool.may_be_dirty(file));
+  std::vector<std::byte> bytes(512);
+  ASSERT_EQ(store.read(file, 0, bytes), 512u);
+  EXPECT_EQ(bytes, std::vector<std::byte>(512, std::byte{'n'}));
+  pool.debug_validate();
+}
+
 TEST_F(BufferPoolTest, DebugValidatePassesAcrossLifecycle) {
   pool_.debug_validate();  // fresh pool: everything on the free list
   for (std::uint64_t p = 0; p < 8; ++p) {

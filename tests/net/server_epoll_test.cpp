@@ -2,9 +2,15 @@
 // economics (thousands of idle keep-alive connections on a tiny worker
 // pool), stop() drain with a deadline and no fd leaks, pipelined bursts
 // vs the idle timeout, the connection cap's best-effort 503 against a
-// non-reading client, and the two GET send paths (page gather, buffered)
-// staying byte-identical.  These run under the TSan CI label (`net`).
+// non-reading client, a loop-served response the socket cannot take
+// whole (its tail goes to a worker, or closes at stop()), and the GET
+// send paths (loop and worker page gather, buffered) staying
+// byte-identical.  These run under the TSan CI label (`net`).
 #include <gtest/gtest.h>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 
 #include <chrono>
 #include <filesystem>
@@ -180,13 +186,8 @@ TEST_F(ServerEpollTest, ConnectionCapRejectsWithoutWedgingTheLoop) {
   server.stop();
 }
 
-/// One GET on a fresh connection that asks to close, read to EOF: the
-/// exact bytes the server put on the wire for that response.
-std::string raw_get(std::uint16_t port, const std::string& path) {
-  Socket socket = connect_loopback(port);
-  const std::string wire =
-      "GET " + path + " HTTP/1.1\r\nConnection: close\r\n\r\n";
-  socket.send_all(wire.data(), wire.size());
+/// Everything `socket` receives until EOF.
+std::string read_to_eof(Socket& socket) {
   std::string out;
   char buf[16384];
   while (const std::size_t n = socket.recv_some(buf, sizeof(buf))) {
@@ -195,13 +196,177 @@ std::string raw_get(std::uint16_t port, const std::string& path) {
   return out;
 }
 
+/// One GET on a fresh connection that asks to close, read to EOF: the
+/// exact bytes the server put on the wire for that response.
+std::string raw_get(std::uint16_t port, const std::string& path) {
+  Socket socket = connect_loopback(port);
+  const std::string wire =
+      "GET " + path + " HTTP/1.1\r\nConnection: close\r\n\r\n";
+  socket.send_all(wire.data(), wire.size());
+  return read_to_eof(socket);
+}
+
+/// Pipelined GETs of big.bin that one non-reading client sends at once:
+/// 24 responses of 256 KiB are more than a loopback socket buffers (at
+/// most 4 MiB by default), so the loop's send of one of them comes up
+/// short.
+constexpr int kPipelined = 24;
+
+/// A loopback connection whose receive buffer is shrunk before connecting
+/// (so the window it advertises is small too), which sends kPipelined GETs
+/// of `path`, the last asking to close, and then reads nothing.
+Socket non_reading_client(std::uint16_t port, const std::string& path) {
+  Socket socket(::socket(AF_INET, SOCK_STREAM, 0));
+  const int rcvbuf = 2048;
+  ::setsockopt(socket.fd(), SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  EXPECT_EQ(::connect(socket.fd(), reinterpret_cast<sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  std::string wire;
+  for (int i = 0; i < kPipelined; ++i) {
+    wire += "GET " + path + " HTTP/1.1\r\nConnection: " +
+            (i + 1 < kPipelined ? "keep-alive" : "close") + "\r\n\r\n";
+  }
+  socket.send_all(wire.data(), wire.size());
+  return socket;
+}
+
+/// Polls `stats` until `done` holds (up to 2 s); returns whether it did.
+template <typename Done>
+bool wait_until(const MiniWebServer& server, Done done) {
+  for (int i = 0; i < 2000 && !done(server.stats()); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done(server.stats());
+}
+
+class ServerTailTest : public ServerEpollTest {
+ protected:
+  ServerTailTest() {
+    // The largest file the page-gather path takes with one worker: 64
+    // pages.  A write that long goes around the pool, so the file starts
+    // cold; warm() loads it.
+    big_.resize(64 * 4096);
+    for (std::size_t i = 0; i < big_.size(); ++i) {
+      big_[i] = static_cast<char>(1 + (i * 7 + i / 4096) % 250);
+    }
+    auto file = fs_.open("big.bin", io::OpenMode::kTruncate);
+    file.write(std::as_bytes(std::span<const char>(big_.data(), big_.size())));
+    file.close();
+    for (int i = 0; i < kPipelined; ++i) {
+      expected_ += "HTTP/1.1 200 OK\r\nContent-Length: " +
+                   std::to_string(big_.size()) +
+                   "\r\nContent-Type: application/octet-stream\r\n"
+                   "Connection: " +
+                   (i + 1 < kPipelined ? "keep-alive" : "close") +
+                   "\r\n\r\n" + big_;
+    }
+  }
+
+  /// GETs big.bin once, which a worker serves, loading every page.
+  void warm(const MiniWebServer& server) {
+    const std::string wire = raw_get(server.port(), "/big.bin");
+    const std::size_t head_end = wire.find("\r\n\r\n");
+    ASSERT_NE(head_end, std::string::npos);
+    EXPECT_TRUE(wire.substr(head_end + 4) == big_);
+    EXPECT_EQ(server.stats().loop_served, 0u);
+  }
+
+  std::string big_;
+  std::string expected_;  ///< what a non_reading_client must receive
+};
+
+TEST_F(ServerTailTest, ShortSendGoesToAWorkerWhileTheLoopServesOthers) {
+  // The loop sends without blocking.  What the non-reading client's socket
+  // does not take becomes a tail that the only worker sends on the
+  // blocking path (then it serves the rest of the pipeline), while the
+  // loop goes on answering other connections.
+  ServerOptions options;
+  options.worker_threads = 1;
+  MiniWebServer server(fs_, options);
+  server.start();
+  warm(server);
+
+  Socket slow = non_reading_client(server.port(), "/big.bin");
+  EXPECT_TRUE(wait_until(server, [](const ServerStats& s) {
+    return s.loop_tails == 1;
+  }));
+  // Whole responses count at once; the one with the tail once it has left.
+  const ServerStats at_tail = server.stats();
+  EXPECT_GE(at_tail.loop_served, 2u);
+  EXPECT_EQ(at_tail.responses_ok, at_tail.loop_served);
+
+  // The worker is blocked on the slow client; the loop is not.  A loop
+  // blocked on the slow client would leave this recv to time out.
+  Socket other = connect_loopback(server.port());
+  set_recv_timeout(other.fd(), 2000);
+  const std::string wire =
+      "GET /doc.bin HTTP/1.1\r\nConnection: close\r\n\r\n";
+  other.send_all(wire.data(), wire.size());
+  const auto response = read_response(other);
+  EXPECT_EQ(response.status, 200);
+  EXPECT_TRUE(response.body == content_);
+  EXPECT_EQ(server.stats().loop_served, at_tail.loop_served + 1);
+
+  EXPECT_TRUE(read_to_eof(slow) == expected_);
+  ASSERT_TRUE(wait_until(server, [](const ServerStats& s) {
+    return s.responses_ok == 2 + kPipelined;
+  }));
+  EXPECT_EQ(server.stats().get_body_bytes_sent,
+            (1 + kPipelined) * big_.size() + content_.size());
+  EXPECT_EQ(server.stats().gather_responses, 2u + kPipelined);
+  server.stop();
+  EXPECT_EQ(server.stats().loop_tails, 1u);
+  EXPECT_EQ(server.stats().io_errors, 0u);
+  ASSERT_NO_THROW(fs_.pool().debug_validate());
+}
+
+TEST_F(ServerTailTest, StopClosesAQueuedTailWithoutA503) {
+  // Two non-reading clients each leave a tail: the only worker blocks on
+  // the first, the second waits in the queue.  stop() must close the
+  // queued tail's connection as it is: its client has part of a body, and
+  // a 503 appended to it would read as more body.
+  ServerOptions options;
+  options.worker_threads = 1;
+  options.drain_deadline_ms = 200;
+  MiniWebServer server(fs_, options);
+  server.start();
+  warm(server);
+  Socket first = non_reading_client(server.port(), "/big.bin");
+  ASSERT_TRUE(wait_until(server, [](const ServerStats& s) {
+    return s.loop_tails == 1;
+  }));
+  Socket second = non_reading_client(server.port(), "/big.bin");
+  ASSERT_TRUE(wait_until(server, [](const ServerStats& s) {
+    return s.loop_tails == 2;
+  }));
+
+  const ServerStats before_stop = server.stats();
+  server.stop();
+  EXPECT_EQ(server.stats().drained_503, 0u);
+  EXPECT_EQ(server.stats().responses_ok, before_stop.responses_ok);
+  for (Socket* client : {&second, &first}) {
+    // A prefix of the pipeline's responses, then EOF: nothing appended.
+    const std::string got = read_to_eof(*client);
+    EXPECT_GT(got.size(), 0u);
+    EXPECT_LT(got.size(), expected_.size());
+    EXPECT_EQ(expected_.compare(0, got.size(), got), 0);
+  }
+}
+
 TEST(ServerSendPaths, EverySizeIsByteIdenticalOnBothPaths) {
   // Differential test of the GET send paths: the same files served
-  // natively (page gather up to the pin cap, buffered above it and for
-  // empty files) and under vm_dispatch (always buffered).  Each response
+  // natively from a cold pool (a worker loads and page-gathers up to the
+  // pin cap, buffers above it and for empty files), natively again from
+  // the warm pool (the event loop page-gathers what a worker gathered),
+  // and under vm_dispatch (always buffered, on a worker).  Each response
   // is read raw to EOF, so a body one byte long or short cannot hide
-  // behind Content-Length, and both modes must put identical bytes on
-  // the wire.
+  // behind Content-Length, and every pass must put identical bytes on the
+  // wire.
   constexpr std::size_t kPage = 4096;
   constexpr std::size_t kWorkers = 2;
   io::ManagedFsOptions fs_options;
@@ -229,9 +394,11 @@ TEST(ServerSendPaths, EverySizeIsByteIdenticalOnBothPaths) {
     contents.push_back(std::move(content));
   }
 
-  std::vector<std::string> native_wire;
-  for (const bool vm_dispatch : {false, true}) {
-    SCOPED_TRACE(vm_dispatch ? "vm_dispatch" : "native");
+  std::vector<std::string> first_wire;
+  for (const std::string pass : {"cold", "warm", "vm_dispatch"}) {
+    SCOPED_TRACE(pass);
+    const bool vm_dispatch = pass == "vm_dispatch";
+    if (pass == "cold") fs.drop_caches();
     ServerOptions options;
     options.worker_threads = kWorkers;
     options.vm_dispatch = vm_dispatch;
@@ -251,10 +418,10 @@ TEST(ServerSendPaths, EverySizeIsByteIdenticalOnBothPaths) {
       ASSERT_EQ(body.size(), contents[i].size());
       EXPECT_TRUE(body == contents[i]);
       body_bytes += sizes[i];
-      if (vm_dispatch) {
-        EXPECT_TRUE(wire == native_wire[i]);
+      if (pass == "cold") {
+        first_wire.push_back(wire);
       } else {
-        native_wire.push_back(wire);
+        EXPECT_TRUE(wire == first_wire[i]);
       }
       // Counters tick after the bytes are on the wire, gather first.
       for (int w = 0; w < 2000 && server.stats().responses_ok <
@@ -266,6 +433,9 @@ TEST(ServerSendPaths, EverySizeIsByteIdenticalOnBothPaths) {
                             sizes[i] <= cap * kPage;
       EXPECT_EQ(server.stats().gather_responses - before.gather_responses,
                 gathered ? 1u : 0u);
+      // Only a warm page-gather GET is the loop's to serve.
+      EXPECT_EQ(server.stats().loop_served - before.loop_served,
+                gathered && pass == "warm" ? 1u : 0u);
     }
     EXPECT_EQ(server.stats().get_body_bytes_sent, body_bytes);
     server.stop();

@@ -137,15 +137,16 @@ TEST_F(ServerLifecycleTest, MakeColdRacesLiveRequests) {
 /// Rig for queue choreography: a FaultStore between the real store and the
 /// managed stack whose latency injection can park the single worker inside
 /// a storage op for a known duration.  doc.bin is served warm (pool-only,
-/// no injected latency); slow.bin stays cold so its first GET pays the
-/// injected backing-store stall.
+/// no injected latency, so the event loop serves it itself); slow.bin and
+/// cold0..cold1.bin stay cold, so each GET of them goes to the worker
+/// queue and, once the stall plan is armed, pays the injected stall.
 struct SlowStoreRig {
   SlowStoreRig() {
     auto real = std::make_unique<io::RealFileStore>(dir.path());
     auto faulty = std::make_unique<io::FaultStore>(std::move(real));
     fault = faulty.get();
     fs.emplace(std::move(faulty), io::ManagedFsOptions{});
-    for (const char* name : {"doc.bin", "slow.bin"}) {
+    for (const char* name : {"doc.bin", "slow.bin", "cold0.bin", "cold1.bin"}) {
       auto file = fs->open(name, io::OpenMode::kTruncate);
       std::string content(8192, '\0');
       for (std::size_t i = 0; i < content.size(); ++i) {
@@ -155,22 +156,29 @@ struct SlowStoreRig {
           std::span<const char>(content.data(), content.size())));
       file.close();
     }
-    // The writes above left both files' pages resident: drop them so
-    // slow.bin is genuinely cold when the stall plan arms.
+    // The writes above left the files' pages resident: drop them so the
+    // cold files are genuinely cold when the stall plan arms.
     fs->drop_caches();
   }
 
-  /// Blocks until the server's worker has opened one more file than
-  /// `opens_before` — the proof that it popped a request off the queue and
-  /// is now inside do_get (about to stall on the cold read).
-  void wait_for_open(std::uint64_t opens_before) {
-    for (int i = 0; i < 5000 &&
-                    fs->stats().op_snapshot(io::IoOp::kOpen).count <=
-                        opens_before;
+  /// Arms the stall: every backing data op from here on sleeps `us`.
+  void arm_stall(std::uint32_t us) {
+    io::FaultPlan plan;
+    plan.latency_prob = 1.0;
+    plan.latency_us = us;
+    fault->set_plan(plan);
+  }
+
+  /// Blocks until a storage op has begun one more injected stall than
+  /// `stalls_before` — the proof that the worker popped a cold GET off the
+  /// queue and is now stalled inside its read.
+  void wait_for_stall(std::uint64_t stalls_before) {
+    for (int i = 0;
+         i < 5000 && fault->stats().latency_injections <= stalls_before;
          ++i) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    ASSERT_GT(fs->stats().op_snapshot(io::IoOp::kOpen).count, opens_before);
+    ASSERT_GT(fault->stats().latency_injections, stalls_before);
   }
 
   util::TempDir dir;
@@ -184,6 +192,13 @@ struct SlowStoreRig {
 /// the test quick.
 constexpr std::uint32_t kStallUs = 1'500'000;
 
+/// Sends `wire` on a fresh connection and returns it.
+Socket send_on_new_connection(std::uint16_t port, const std::string& wire) {
+  Socket socket = connect_loopback(port);
+  socket.send_all(wire.data(), wire.size());
+  return socket;
+}
+
 TEST_F(ServerLifecycleTest, QueueFullBackpressureReturns503) {
   SlowStoreRig rig;
   ServerOptions options;
@@ -192,31 +207,20 @@ TEST_F(ServerLifecycleTest, QueueFullBackpressureReturns503) {
   MiniWebServer server(*rig.fs, options);
   server.start();
 
-  // Warm doc.bin into the pool, then arm the stall: serving doc.bin again
-  // never touches the backing store, serving cold slow.bin stalls on it.
-  {
-    HttpClient warm(server.port());
-    ASSERT_EQ(warm.get("/doc.bin").status, 200);
-  }
-  io::FaultPlan plan;
-  plan.latency_prob = 1.0;
-  plan.latency_us = kStallUs;
-  rig.fault->set_plan(plan);
-
   // Occupy the only worker deterministically: the cold GET is popped off
   // the queue (leaving it empty again) and stalls in the storage op.
-  const auto opens =
-      rig.fs->stats().op_snapshot(io::IoOp::kOpen).count;
+  rig.arm_stall(kStallUs);
+  const auto stalls = rig.fault->stats().latency_injections;
   Socket busy = connect_loopback(server.port());
   HttpReader busy_reader(busy);
   const std::string slow = "GET /slow.bin HTTP/1.1\r\n\r\n";
   busy.send_all(slow.data(), slow.size());
-  rig.wait_for_open(opens);
+  rig.wait_for_stall(stalls);
 
-  // Fill the single queue slot with a second request.
-  Socket queued = connect_loopback(server.port());
-  const std::string q = "GET /doc.bin HTTP/1.1\r\nConnection: close\r\n\r\n";
-  queued.send_all(q.data(), q.size());
+  // Fill the single queue slot with a second request.  It must be one
+  // that queues: a warm GET would be served by the event loop itself.
+  Socket queued = send_on_new_connection(
+      server.port(), "GET /cold0.bin HTTP/1.1\r\nConnection: close\r\n\r\n");
   for (int i = 0; i < 2000 && server.stats().requests < 2; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -225,17 +229,51 @@ TEST_F(ServerLifecycleTest, QueueFullBackpressureReturns503) {
   // A third request must be rejected promptly with 503, not parked — and
   // the rejection must not block the event loop (it goes out best-effort
   // non-blocking).
-  Socket rejected = connect_loopback(server.port());
-  rejected.send_all(q.data(), q.size());
+  Socket rejected = send_on_new_connection(
+      server.port(), "GET /cold1.bin HTTP/1.1\r\nConnection: close\r\n\r\n");
   const auto response = read_response(rejected);
   EXPECT_EQ(response.status, 503);
   EXPECT_FALSE(response.keep_alive);
   EXPECT_GE(server.stats().rejected_503, 1u);
 
   // The stall elapses: the in-flight request completes, then the queued
-  // one is served.
+  // one is served (without a stall of its own: the plan is disarmed).
+  rig.fault->set_plan(io::FaultPlan{});
   EXPECT_EQ(busy_reader.read_response().status, 200);
   EXPECT_EQ(read_response(queued).status, 200);
+  server.stop();
+}
+
+TEST_F(ServerLifecycleTest, WarmGetIsAnsweredWhileTheOnlyWorkerStalls) {
+  // A GET whose pages are all resident needs no storage wait, so the event
+  // loop serves it itself instead of queueing it behind a stalled worker.
+  SlowStoreRig rig;
+  ServerOptions options;
+  options.worker_threads = 1;
+  MiniWebServer server(*rig.fs, options);
+  server.start();
+  {
+    HttpClient warm(server.port());
+    ASSERT_EQ(warm.get("/doc.bin").status, 200);  // cold: a worker loads it
+  }
+  const std::uint64_t loop_before = server.stats().loop_served;
+
+  rig.arm_stall(kStallUs);
+  const auto stalls = rig.fault->stats().latency_injections;
+  Socket busy = send_on_new_connection(
+      server.port(), "GET /slow.bin HTTP/1.1\r\nConnection: close\r\n\r\n");
+  rig.wait_for_stall(stalls);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  HttpClient client(server.port());
+  const auto response = client.get("/doc.bin");
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(response.status, 200);
+  EXPECT_EQ(response.body.size(), 8192u);
+  EXPECT_LT(waited, std::chrono::microseconds(kStallUs) / 2);
+  EXPECT_EQ(server.stats().loop_served, loop_before + 1);
+
+  EXPECT_EQ(read_response(busy).status, 200);  // the stalled GET finishes
   server.stop();
 }
 
@@ -250,29 +288,19 @@ TEST_F(ServerLifecycleTest, StopAnswersQueuedBacklogWith503) {
   MiniWebServer server(*rig.fs, options);
   server.start();
 
-  {
-    HttpClient warm(server.port());
-    ASSERT_EQ(warm.get("/doc.bin").status, 200);
-  }
-  io::FaultPlan plan;
-  plan.latency_prob = 1.0;
-  plan.latency_us = kStallUs;
-  rig.fault->set_plan(plan);
-
   // Park the only worker inside the cold GET's storage stall.
-  const auto opens =
-      rig.fs->stats().op_snapshot(io::IoOp::kOpen).count;
-  Socket busy = connect_loopback(server.port());
-  const std::string slow = "GET /slow.bin HTTP/1.1\r\n\r\n";
-  busy.send_all(slow.data(), slow.size());
-  rig.wait_for_open(opens);
+  rig.arm_stall(kStallUs);
+  const auto stalls = rig.fault->stats().latency_injections;
+  Socket busy = send_on_new_connection(server.port(),
+                                       "GET /slow.bin HTTP/1.1\r\n\r\n");
+  rig.wait_for_stall(stalls);
 
-  // Two further requests land in the queue behind the stalled worker.
-  Socket queued_a = connect_loopback(server.port());
-  Socket queued_b = connect_loopback(server.port());
-  const std::string q = "GET /doc.bin HTTP/1.1\r\nConnection: close\r\n\r\n";
-  queued_a.send_all(q.data(), q.size());
-  queued_b.send_all(q.data(), q.size());
+  // Two further requests land in the queue behind the stalled worker:
+  // cold GETs, which the event loop does not serve itself.
+  Socket queued_a = send_on_new_connection(
+      server.port(), "GET /cold0.bin HTTP/1.1\r\nConnection: close\r\n\r\n");
+  Socket queued_b = send_on_new_connection(
+      server.port(), "GET /cold1.bin HTTP/1.1\r\nConnection: close\r\n\r\n");
   for (int i = 0; i < 2000 && server.stats().requests < 3; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }

@@ -219,6 +219,10 @@ TEST_F(ServerObservabilityTest, SpanAccountingBalancesAfterLoad) {
   EXPECT_EQ(report.errors, 0u);
   const obs::RequestTracer& tracer = server.tracer();
   EXPECT_EQ(tracer.traces_started(), 4u * 20u);
+  // One trace per request, whichever thread served it: the loop's warm
+  // GETs and the workers' cold GETs and POSTs alike.
+  EXPECT_EQ(tracer.traces_started(), server.stats().requests);
+  EXPECT_GT(server.stats().loop_served, 0u);
   EXPECT_GT(tracer.spans_opened(), 0u);
   EXPECT_EQ(tracer.spans_opened(), tracer.spans_closed());
   // Every stage timer saw samples (accept/queue-wait are recorded out of

@@ -83,6 +83,9 @@ NetFaultPlan storm_plan(std::uint64_t seed) {
 
 struct WebStressResult {
   std::uint64_t ok_gets = 0;
+  /// 200 GETs of a file above the page-gather cap: only a worker serves
+  /// those, the event loop never does.
+  std::uint64_t ok_worker_gets = 0;
   std::uint64_t ok_posts = 0;
   std::uint64_t errors = 0;
   std::uint64_t client_get_bytes = 0;
@@ -96,6 +99,7 @@ struct WebStressResult {
 WebStressResult run_web_stress(std::uint64_t seed,
                                io::ManagedFileSystem& fs,
                                MiniWebServer& server,
+                               std::uint64_t gather_cap_bytes,
                                const std::map<std::string, std::string>& docs,
                                int clients, std::uint64_t requests) {
   WebStressResult result;
@@ -133,6 +137,9 @@ WebStressResult run_web_stress(std::uint64_t seed,
           const auto response = client.get("/" + name);
           if (response.status == 200) {
             ++local.ok_gets;
+            if (response.body.size() > gather_cap_bytes) {
+              ++local.ok_worker_gets;
+            }
             local.client_get_bytes += response.body.size();
             // Byte-exact oracle: a complete 200 must carry exactly the
             // published content, faults or not.
@@ -154,6 +161,7 @@ WebStressResult run_web_stress(std::uint64_t seed,
     }
     std::lock_guard<std::mutex> lock(mutex);
     result.ok_gets += local.ok_gets;
+    result.ok_worker_gets += local.ok_worker_gets;
     result.ok_posts += local.ok_posts;
     result.errors += local.errors;
     result.client_get_bytes += local.client_get_bytes;
@@ -252,8 +260,13 @@ TEST(WebStress, SeededRequestMixUnderNetFaults) {
     MiniWebServer server(fs, options);
     server.start();
 
-    WebStressResult result = run_web_stress(
-        seed, fs, server, docs, /*clients=*/6, requests_per_client());
+    const std::uint64_t gather_cap_bytes =
+        MiniWebServer::gather_cap_pages(fs.pool().capacity_pages(),
+                                        options.worker_threads) *
+        fs.pool().page_size();
+    WebStressResult result =
+        run_web_stress(seed, fs, server, gather_cap_bytes, docs,
+                       /*clients=*/6, requests_per_client());
 
     // Clean drain: faults off, every file must read byte-exact through a
     // fresh connection, and the pool must still satisfy its invariants.
@@ -283,6 +296,10 @@ TEST(WebStress, SeededRequestMixUnderNetFaults) {
         << "  (reproduce with CLIO_STRESS_SEED=" << seed << ")";
 
     expect_clean(result, server.stats(), injector.stats(), seed);
+    // The storm reached both serving paths: warm GETs the event loop
+    // served with its non-blocking sends, and GETs only a worker serves.
+    EXPECT_GT(server.stats().loop_served, 0u) << "seed " << seed;
+    EXPECT_GT(result.ok_worker_gets, 0u) << "seed " << seed;
   }
 }
 
