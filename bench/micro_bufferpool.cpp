@@ -14,6 +14,10 @@
 //                driven by prefetch_range windows: measures the coalesced
 //                readv gather path, reporting pages/s plus the backing
 //                read-batching ratio.
+//   post       — one POST's file steps (truncating open, 4 KiB write,
+//                flushing close of a new file) with 1k and with 64k pages
+//                of other files resident: the per-file index keeps the
+//                cycle's cost flat in the pool's resident page count.
 //   faults     — the miss/evict churn mix run against a FaultStore that
 //                injects EIOs, short reads, torn writes and latency spikes:
 //                the degraded mode.  Reports clean vs degraded throughput,
@@ -24,12 +28,15 @@
 // speedup vs 1 thread, for shards=1 (the pre-sharding structure) and the
 // default 16-way sharding.
 //
-// Usage: micro_bufferpool [all|warm|miss|flush|prefetch|faults]
+// Usage: micro_bufferpool [all|warm|miss|flush|prefetch|post|faults]
 // (default: all)
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,6 +44,7 @@
 #include "io/buffer_pool.hpp"
 #include "io/fault_store.hpp"
 #include "io/file_store.hpp"
+#include "io/managed_file.hpp"
 #include "obs/bench_report.hpp"
 #include "util/error.hpp"
 #include "util/histogram.hpp"
@@ -333,6 +341,75 @@ void bench_prefetch_churn(obs::BenchReport& report) {
   }
 }
 
+/// POST cycles (truncating open, one-page write, flushing close of a new
+/// file, as the web server's POST runs them) on two pools of one size,
+/// one with 1k resident pages of other files and one with 64k.  The
+/// cycles alternate between the pools, so machine noise lands on both.
+void bench_post_cycles(obs::BenchReport& report) {
+  constexpr std::size_t kFew = 1024;
+  constexpr std::size_t kMany = 64 * 1024;
+  constexpr std::size_t kOtherFilePages = 64;
+  constexpr int kCycles = 1000;
+  util::TempDir dir("clio-microbp");
+  io::ManagedFsOptions options;
+  options.page_size = kPageSize;
+  options.pool_pages = kMany + 64;
+  struct Side {
+    const char* name;
+    std::size_t resident;
+    std::unique_ptr<io::ManagedFileSystem> fs;
+    util::LatencyHistogram cycle_ns;
+    std::vector<double> us;
+  };
+  Side sides[] = {{"1k", kFew, nullptr, {}, {}},
+                  {"64k", kMany, nullptr, {}, {}}};
+  for (Side& side : sides) {
+    const std::filesystem::path root = dir.path() / side.name;
+    std::filesystem::create_directories(root);
+    side.fs = std::make_unique<io::ManagedFileSystem>(
+        std::make_unique<io::RealFileStore>(root), options);
+    // Pages past EOF load as zeros: resident, clean, no store bytes.
+    for (std::size_t f = 0; f < side.resident / kOtherFilePages; ++f) {
+      auto file =
+          side.fs->open("other" + std::to_string(f), io::OpenMode::kTruncate);
+      for (std::uint64_t p = 0; p < kOtherFilePages; ++p) {
+        static_cast<void>(side.fs->pool().pin(file.id(), p));
+      }
+    }
+  }
+  const std::vector<std::byte> body(kPageSize, std::byte{0x70});
+  for (int i = 0; i < kCycles; ++i) {
+    for (Side& side : sides) {
+      util::Stopwatch watch;
+      auto file = side.fs->open("post" + std::to_string(i),
+                                io::OpenMode::kTruncate);
+      file.write(body);
+      file.close();
+      const auto ns = static_cast<std::uint64_t>(watch.elapsed_ns());
+      side.cycle_ns.push(ns);
+      side.us.push_back(static_cast<double>(ns) / 1e3);
+    }
+  }
+  double median_us[2] = {0.0, 0.0};
+  for (std::size_t k = 0; k < 2; ++k) {
+    Side& side = sides[k];
+    std::vector<double>& us = side.us;
+    std::nth_element(us.begin(), us.begin() + us.size() / 2, us.end());
+    median_us[k] = us[us.size() / 2];
+    std::printf("post        resident pages=%-6zu  %8.1f us/cycle (median of "
+                "%d)\n",
+                side.resident, median_us[k], kCycles);
+    report.scenario(std::string("post_resident_") + side.name);
+    report.metric("resident_pages", static_cast<double>(side.resident));
+    report.metric("median_us_per_cycle", median_us[k]);
+    report.distribution("post_cycle_ns", side.cycle_ns);
+  }
+  std::printf("post        64k / 1k median ratio: %.2f\n",
+              median_us[1] / median_us[0]);
+  report.scenario("post_resident_64k");
+  report.metric("ratio_to_1k", median_us[1] / median_us[0]);
+}
+
 /// Degraded-mode churn: the miss/evict mix with dirty pages and periodic
 /// flushes, against a fault-injecting store.  The interesting numbers are
 /// how much throughput the error paths cost (unwinds, retries, kept-dirty
@@ -458,6 +535,11 @@ int main(int argc, char** argv) {
   if (enabled("prefetch")) {
     std::printf("-- prefetch churn, coalesced readv (inline) --\n");
     bench_prefetch_churn(report);
+    std::printf("\n");
+  }
+  if (enabled("post")) {
+    std::printf("-- POST cycle vs resident pages of other files --\n");
+    bench_post_cycles(report);
     std::printf("\n");
   }
   if (enabled("faults")) {

@@ -153,6 +153,43 @@ void BufferPool::lru_touch(Shard& sh, std::size_t idx) {
   lru_push_front(sh, idx);
 }
 
+// ------------------------------------------------------ per-file index ----
+
+void BufferPool::table_insert(Shard& sh, std::size_t idx) {
+  Frame& f = frames_[idx];
+  sh.page_table.emplace(PageKey{f.file, f.page_no}, idx);
+  const auto [head, first] = sh.file_head.try_emplace(f.file, idx);
+  f.file_prev = kNoFrame;
+  f.file_next = first ? kNoFrame : std::exchange(head->second, idx);
+  if (f.file_next != kNoFrame) frames_[f.file_next].file_prev = idx;
+}
+
+void BufferPool::table_erase(Shard& sh, std::size_t idx) {
+  Frame& f = frames_[idx];
+  sh.page_table.erase(PageKey{f.file, f.page_no});
+  if (f.file_next != kNoFrame) frames_[f.file_next].file_prev = f.file_prev;
+  if (f.file_prev != kNoFrame) {
+    frames_[f.file_prev].file_next = f.file_next;
+  } else if (f.file_next != kNoFrame) {
+    sh.file_head[f.file] = f.file_next;
+  } else {
+    sh.file_head.erase(f.file);
+  }
+  f.file_prev = kNoFrame;
+  f.file_next = kNoFrame;
+}
+
+template <typename Pred>
+bool BufferPool::any_file_frame(const Shard& sh, FileId file,
+                                Pred pred) const {
+  const auto head = sh.file_head.find(file);
+  if (head == sh.file_head.end()) return false;
+  for (std::size_t i = head->second; i != kNoFrame; i = frames_[i].file_next) {
+    if (pred(frames_[i])) return true;
+  }
+  return false;
+}
+
 // --------------------------------------------------------------- pool ----
 
 BufferPool::PageGuard BufferPool::pin(FileId file, std::uint64_t page_no) {
@@ -269,7 +306,7 @@ std::vector<BufferPool::GatherTarget> BufferPool::claim_gather_targets(
       targets.push_back(GatherTarget{page_no, s, idx});
     }
   } catch (...) {
-    abort_gather_frames(file, targets, demand);
+    abort_gather_frames(targets, demand);
     throw;
   }
   return targets;
@@ -334,7 +371,7 @@ std::size_t BufferPool::load_range(FileId file, std::uint64_t first_page,
       // Unwind this run and everything not yet issued: a failed gather
       // must leave no half-valid frame resident.  Runs already published
       // stay — their data is complete.
-      abort_gather_frames(file, all.subspan(i), demand);
+      abort_gather_frames(all.subspan(i), demand);
       throw;
     }
     publish_gather_run(run, got);
@@ -348,14 +385,13 @@ std::size_t BufferPool::load_range(FileId file, std::uint64_t first_page,
 /// waiting on them retry from a clean slate.  The miss or prefetch counter
 /// is taken back too — a gather counts pages actually loaded, and these
 /// were not.
-void BufferPool::abort_gather_frames(FileId file,
-                                     std::span<const GatherTarget> targets,
+void BufferPool::abort_gather_frames(std::span<const GatherTarget> targets,
                                      bool demand) {
   for (const GatherTarget& t : targets) {
     Shard& sh = shards_[t.shard];
     std::lock_guard<std::mutex> lock(sh.mutex);
     Frame& f = frames_[t.frame];
-    sh.page_table.erase(PageKey{file, t.page_no});
+    table_erase(sh, t.frame);
     lru_remove(sh, t.frame);
     f.in_use = false;
     f.io_busy = false;
@@ -599,7 +635,7 @@ std::size_t BufferPool::find_or_load(Shard& sh,
     }
     lk.lock();
     if (error) {
-      sh.page_table.erase(key);
+      table_erase(sh, idx);
       lru_remove(sh, idx);
       f.in_use = false;
       f.io_busy = false;
@@ -634,7 +670,7 @@ void BufferPool::install_loading_frame(Shard& sh, FileId file,
   f.in_use = true;
   f.io_busy = true;
   f.miss_counted = false;
-  sh.page_table.emplace(PageKey{file, page_no}, idx);
+  table_insert(sh, idx);
   lru_push_front(sh, idx);
 }
 
@@ -696,7 +732,7 @@ std::size_t BufferPool::try_evict_from(Shard& sh,
     } else {
       lru_remove(sh, idx);
     }
-    sh.page_table.erase(PageKey{f.file, f.page_no});
+    table_erase(sh, idx);
     sh.stats.evictions++;
     f.in_use = false;
     sh.io_cv.notify_all();
@@ -790,29 +826,39 @@ void BufferPool::collect_dirty(Shard& sh, std::size_t shard_idx, FileId file,
   // waiting here can only be waiting on a flush whose own wait (if any)
   // is in a strictly higher shard — wait chains cannot cycle.  Eviction
   // write-backs finish without taking further locks.
-  for (;;) {
-    bool busy = false;
-    for (const auto& [key, idx] : sh.page_table) {
-      if (!match_all && key.file != file) continue;
-      const Frame& f = frames_[idx];
-      if (f.io_write || f.flush_pins > 0) {
-        busy = true;
-        break;
-      }
-    }
-    if (!busy) break;
-    sh.io_cv.wait(lock);
-  }
-  for (std::size_t i = sh.lru_head; i != kNoFrame; i = frames_[i].lru_next) {
+  //
+  // One file's pages are found through its list in this shard, so a
+  // flush_file costs per page of the file, not per page of the pool.  A
+  // frame mid-eviction keeps its list entry until its table entry goes.
+  const auto writing = [](const Frame& f) {
+    return f.io_write || f.flush_pins > 0;
+  };
+  const auto take = [&](std::size_t i) {
     Frame& f = frames_[i];
-    if (!f.in_use || !f.dirty || f.io_busy) continue;
-    if (!match_all && f.file != file) continue;
+    if (!f.dirty || f.io_busy) return;
     // Clear dirty now and take a transient hold: the coalesced write below
     // runs without the shard lock, and the hold keeps the frame from being
     // evicted (a concurrent mark_dirty simply re-dirties the page).
     f.dirty = false;
     f.flush_pins++;
     out.push_back(FlushEntry{f.file, f.page_no, shard_idx, i, f.valid_bytes});
+  };
+  if (match_all) {
+    while (std::ranges::any_of(sh.page_table, [&](const auto& entry) {
+      return writing(frames_[entry.second]);
+    })) {
+      sh.io_cv.wait(lock);
+    }
+    for (std::size_t i = sh.lru_head; i != kNoFrame; i = frames_[i].lru_next) {
+      take(i);
+    }
+    return;
+  }
+  while (any_file_frame(sh, file, writing)) sh.io_cv.wait(lock);
+  const auto head = sh.file_head.find(file);
+  if (head == sh.file_head.end()) return;
+  for (std::size_t i = head->second; i != kNoFrame; i = frames_[i].file_next) {
+    take(i);
   }
 }
 
@@ -936,35 +982,25 @@ void BufferPool::discard_file(FileId file) {
   for (Shard& sh : shards_) {
     std::unique_lock<std::mutex> lk(sh.mutex);
     // Wait out in-flight loads, eviction write-backs and flush writes of
-    // this file so the drop is complete.  The page table — not the LRU —
+    // this file so the drop is complete.  The file's list — not the LRU —
     // is the authoritative index: a frame mid-eviction is detached from
-    // the LRU but keeps its table entry until its write-back finishes.
-    for (;;) {
-      bool busy = false;
-      for (const auto& [key, idx] : sh.page_table) {
-        if (key.file != file) continue;
-        const Frame& f = frames_[idx];
-        if (f.io_busy || f.flush_pins > 0) {
-          busy = true;
-          break;
-        }
-      }
-      if (!busy) break;
+    // the LRU but keeps its table and list entries until its write-back
+    // finishes.
+    while (any_file_frame(sh, file, [](const Frame& f) {
+      return f.io_busy || f.flush_pins > 0;
+    })) {
       sh.io_cv.wait(lk);
     }
-    for (auto it = sh.page_table.begin(); it != sh.page_table.end();) {
-      if (it->first.file != file) {
-        ++it;
-        continue;
-      }
-      const std::size_t idx = it->second;
+    for (auto head = sh.file_head.find(file); head != sh.file_head.end();
+         head = sh.file_head.find(file)) {
+      const std::size_t idx = head->second;
       Frame& f = frames_[idx];
       check<IoError>(f.pins == 0, "BufferPool: discard of pinned page");
       f.in_use = false;
       f.dirty = false;
       lru_remove(sh, idx);
+      table_erase(sh, idx);
       release_frame(idx);
-      it = sh.page_table.erase(it);
     }
   }
 }
@@ -982,10 +1018,11 @@ std::size_t BufferPool::evict_clean() {
         ++it;
         continue;
       }
+      ++it;  // table_erase invalidates the erased entry only
       f.in_use = false;
       lru_remove(sh, idx);
+      table_erase(sh, idx);
       release_frame(idx);
-      it = sh.page_table.erase(it);
       sh.stats.evictions++;
       ++dropped;
     }
@@ -1072,6 +1109,33 @@ void BufferPool::debug_validate(bool expect_unpinned) const {
     // and the LRU list must index exactly the same frames.
     if (count != sh.page_table.size()) {
       fail("page table entry not linked into the LRU");
+    }
+    // The per-file lists: each listed frame is of its list's file and maps
+    // back to itself through the page table, links are symmetric, and no
+    // frame is listed twice.  With as many listed frames as table entries,
+    // every entry is listed exactly once.
+    std::size_t listed = 0;
+    for (const auto& [file, head] : sh.file_head) {
+      if (head == kNoFrame) fail("empty file list kept");
+      std::size_t back = kNoFrame;
+      for (std::size_t idx = head; idx != kNoFrame;
+           idx = frames_[idx].file_next) {
+        if (idx >= frames_.size()) fail("file list link out of range");
+        if (++listed > frames_.size()) fail("file list contains a cycle");
+        const Frame& f = frames_[idx];
+        if (f.file_prev != back) fail("file list back-link mismatch");
+        if (f.file != file) fail("frame listed under another file");
+        if (seen[idx] != 1) fail("file list frame unresident or listed twice");
+        seen[idx] = 2;
+        const auto it = sh.page_table.find(PageKey{f.file, f.page_no});
+        if (it == sh.page_table.end() || it->second != idx) {
+          fail("file list frame not in the page table");
+        }
+        back = idx;
+      }
+    }
+    if (listed != sh.page_table.size()) {
+      fail("page table entry missing from its file's list");
     }
     add_shard_stats(total, sh.stats);
   }

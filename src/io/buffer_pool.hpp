@@ -283,8 +283,9 @@ class BufferPool {
   /// util::IoError with a description of the first violation found:
   /// frame accounting (every frame is free xor resident in exactly one
   /// shard's page table), every dirty page's file known to may_be_dirty,
-  /// LRU integrity (links consistent, every resident
-  /// frame reachable), no leaked io_busy latches or flush_pins, per-frame
+  /// LRU integrity (links consistent, every resident frame reachable), the
+  /// per-file index (every resident frame listed once, under its own file,
+  /// links consistent), no leaked io_busy latches or flush_pins, per-frame
   /// sanity (valid_bytes <= page_size, buffers sized), and stats
   /// consistency.  Requires quiescence: no other thread may be using the
   /// pool.  With `expect_unpinned` (the default) any surviving PageGuard
@@ -333,16 +334,25 @@ class BufferPool {
     // allocator traffic on touch, unlike the former std::list.
     std::size_t lru_prev = kNoFrame;
     std::size_t lru_next = kNoFrame;
+    // Intrusive links of the shard's per-file list (Shard::file_head): set
+    // while the frame has a page-table entry, mid-eviction included.
+    std::size_t file_prev = kNoFrame;
+    std::size_t file_next = kNoFrame;
   };
 
-  /// One lock stripe: page table, LRU and stats for the pages that hash
-  /// here.  Frames are drawn from the pool-wide free list on demand.
+  /// One lock stripe: page table, per-file lists, LRU and stats for the
+  /// pages that hash here.  Frames are drawn from the pool-wide free list
+  /// on demand.
   struct Shard {
     mutable std::mutex mutex;
     std::condition_variable io_cv;  ///< signalled when io_busy clears
     std::size_t lru_head = kNoFrame;  ///< most recently used
     std::size_t lru_tail = kNoFrame;  ///< least recently used
     std::unordered_map<PageKey, std::size_t, PageKeyHash> page_table;
+    /// First frame of each file's list of this shard's page-table entries,
+    /// so per-file work (flush_file, discard_file) visits only that file's
+    /// frames.  A file with no entry here has no page in this shard.
+    std::unordered_map<FileId, std::size_t> file_head;
     PoolStats stats;
   };
 
@@ -383,8 +393,7 @@ class BufferPool {
                                 bool& transient_holds);
   std::size_t try_evict_from(Shard& sh, std::unique_lock<std::mutex>& lk,
                              bool& transient_holds);
-  void abort_gather_frames(FileId file, std::span<const GatherTarget> targets,
-                           bool demand);
+  void abort_gather_frames(std::span<const GatherTarget> targets, bool demand);
 
   /// The gather behind prefetch_range (demand = false: pages count as
   /// prefetches) and pin_span (demand = true: pages count as misses).
@@ -417,6 +426,13 @@ class BufferPool {
   /// Raises `file`'s dirty extent and restamps it.  Caller holds
   /// extent_mutex_ and sets no dirty bit the extent covers before this.
   void note_dirty(FileId file, std::uint64_t extent);
+  /// Enters frame `idx` (its file and page_no set) into `sh`'s page table
+  /// and its file's list; table_erase takes it out of both.
+  void table_insert(Shard& sh, std::size_t idx);
+  void table_erase(Shard& sh, std::size_t idx);
+  /// True if some frame of `file` resident in `sh` satisfies `pred`.
+  template <typename Pred>
+  bool any_file_frame(const Shard& sh, FileId file, Pred pred) const;
   void release_frame(std::size_t idx);
   void lru_push_front(Shard& sh, std::size_t idx);
   void lru_remove(Shard& sh, std::size_t idx);

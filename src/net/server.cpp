@@ -85,6 +85,12 @@ constexpr std::uint64_t kTraceSeed = 0x7ace5eedULL;
 /// eventfd wakeups cut it short.
 constexpr int kLoopTickMs = 20;
 
+/// Most requests the loop serves off one connection per wake.  A client
+/// that pipelines more is parked on the loop's ready list and served again
+/// after the next epoll_wait, so other connections are answered between
+/// its batches.
+constexpr int kLoopRequestsPerWake = 16;
+
 /// A fully rendered control response (the loop's 503/400/408 answers),
 /// suitable for try_send_nonblock.
 std::string control_response(int status, std::string_view body,
@@ -430,13 +436,23 @@ void MiniWebServer::event_loop() {
     queue_cv_.notify_one();
   };
 
+  // Connections that used up their request budget with more buffered:
+  // not armed in epoll, served again after the next epoll_wait.
+  std::vector<int> ready;
+
   auto handle_readable = [&](int fd) {
     const auto it = conns.find(fd);
     if (it == conns.end()) return;  // stale event for a retired fd
     Conn& c = *it->second;
     if (c.busy) return;  // stale event; the worker owns this connection
     bool closed = false;
-    for (;;) {
+    for (int served = 0;; ++served) {
+      if (served == kLoopRequestsPerWake) {
+        // Park without a deadline: the connection is making progress.
+        c.deadline_gen = ++gen_counter;
+        ready.push_back(fd);
+        return;
+      }
       util::Stopwatch parse_watch;
       std::optional<HttpRequest> request;
       try {
@@ -504,7 +520,8 @@ void MiniWebServer::event_loop() {
 
   while (true) {
     epoll_event events[256];
-    const int n = ::epoll_wait(epoll_fd_, events, 256, kLoopTickMs);
+    const int n = ::epoll_wait(epoll_fd_, events, 256,
+                               ready.empty() ? kLoopTickMs : 0);
     if (n < 0 && errno != EINTR) break;  // epoll set died; stop() cleans up
 
     // 1. Drain the wakeup counter so the eventfd goes quiet again.
@@ -545,6 +562,12 @@ void MiniWebServer::event_loop() {
       // EPOLLHUP/EPOLLRDHUP/EPOLLERR all resolve through a read attempt:
       // recv reports the close or the error precisely.
       handle_readable(events[i].data.fd);
+    }
+    // Then the connections parked last wake, behind every event.
+    if (!ready.empty()) {
+      std::vector<int> parked;
+      parked.swap(ready);
+      for (const int fd : parked) handle_readable(fd);
     }
 
     // 4. Admit freshly accepted connections.
@@ -754,13 +777,17 @@ bool MiniWebServer::try_serve_on_loop(Conn& conn, const HttpRequest& request,
   if (request.path != "/healthz" && request.path != "/metrics" &&
       request.path != "/statz") {
     if (options_.vm_dispatch) return false;
-    // A name the store does not know would cost a stat, and a file the
-    // pool may hold dirty pages of would flush on close.
+    // A name the store does not know would cost a stat, a file the pool
+    // may hold dirty pages of would flush on close, and a file whose first
+    // page is cold would be opened only to be declined.
     const std::string name = request.file_name();
     io::BufferPool& pool = fs_.pool();
     const io::FileId id =
         name.empty() ? io::kInvalidFile : fs_.store().lookup(name);
-    if (id == io::kInvalidFile || pool.may_be_dirty(id)) return false;
+    if (id == io::kInvalidFile || pool.may_be_dirty(id) ||
+        !pool.contains(id, 0)) {
+      return false;
+    }
     try {
       util::Stopwatch file_watch;
       io::ManagedFile file = fs_.open(name, io::OpenMode::kRead);

@@ -12,8 +12,9 @@
 // write left resident dirty; cold reads of other files, which force
 // evictions; and reads of random spans on both sides of the threshold.
 // Every read must equal a shadow copy of the file byte for byte, after a
-// flush the backing file must equal it under pread, and every seed ends
-// with debug_validate().
+// flush the backing file must equal it under pread, and the pool must
+// pass debug_validate() after every op, so a broken index is reported
+// before a later flush or discard walks it.
 //
 // CLIO_STRESS_SEED=s runs seeds 1 + 40s .. 40 + 40s instead of 1 .. 40.
 #include <fcntl.h>
@@ -160,6 +161,7 @@ class Round {
       } else {
         fs_->drop_caches();
       }
+      if (failure.empty()) failure = validate();
       if (!failure.empty()) return tag(op) + failure;
     }
     fs_->pool().flush_all();
@@ -168,10 +170,8 @@ class Round {
         return tag(kOpsPerSeed) + failure;
       }
     }
-    try {
-      fs_->pool().debug_validate();
-    } catch (const util::IoError& e) {
-      return tag(kOpsPerSeed) + e.what();
+    if (std::string failure = validate(); !failure.empty()) {
+      return tag(kOpsPerSeed) + failure;
     }
     return {};
   }
@@ -181,6 +181,15 @@ class Round {
  private:
   static std::string name(std::size_t f) {
     return "f" + std::to_string(f) + ".bin";
+  }
+
+  std::string validate() const {
+    try {
+      fs_->pool().debug_validate();
+    } catch (const util::IoError& e) {
+      return e.what();
+    }
+    return {};
   }
 
   std::string tag(int op) const {

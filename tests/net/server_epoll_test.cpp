@@ -3,22 +3,29 @@
 // pool), stop() drain with a deadline and no fd leaks, pipelined bursts
 // vs the idle timeout, the connection cap's best-effort 503 against a
 // non-reading client, a loop-served response the socket cannot take
-// whole (its tail goes to a worker, or closes at stop()), and the GET
-// send paths (loop and worker page gather, buffered) staying
-// byte-identical.  These run under the TSan CI label (`net`).
+// whole (its tail goes to a worker, or closes at stop()), a cold GET
+// declined before the loop opens it, a pipelining client yielding the loop
+// to others, and the GET send paths (loop and worker page gather,
+// buffered) staying byte-identical.  These run under the TSan CI label
+// (`net`).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "io/file_store.hpp"
+#include "io/store_decorator.hpp"
 #include "net/client.hpp"
 #include "net/http.hpp"
 #include "net/server.hpp"
@@ -356,6 +363,149 @@ TEST_F(ServerTailTest, StopClosesAQueuedTailWithoutA503) {
     EXPECT_LT(got.size(), expected_.size());
     EXPECT_EQ(expected_.compare(0, got.size(), got), 0);
   }
+}
+
+TEST_F(ServerEpollTest, ColdGetIsDeclinedBeforeTheLoopOpensIt) {
+  // The loop declines a GET whose first page is not resident before it
+  // opens the file, so a cold GET costs one open (the worker's), not an
+  // extra open and close on the loop.  Once the worker has loaded the
+  // pages, the loop serves the next GET itself.
+  ServerOptions options;
+  options.worker_threads = 1;
+  MiniWebServer server(fs_, options);
+  server.start();
+  fs_.drop_caches();
+  fs_.stats().reset();
+  const auto get_doc = [&] {
+    const std::string wire = raw_get(server.port(), "/doc.bin");
+    const std::size_t head_end = wire.find("\r\n\r\n");
+    ASSERT_NE(head_end, std::string::npos);
+    EXPECT_TRUE(wire.substr(head_end + 4) == content_);
+  };
+  get_doc();
+  EXPECT_EQ(fs_.stats().op_snapshot(io::IoOp::kOpen).count, 1u);
+  EXPECT_EQ(server.stats().loop_served, 0u);
+  get_doc();
+  EXPECT_EQ(server.stats().loop_served, 1u);
+  EXPECT_EQ(fs_.stats().op_snapshot(io::IoOp::kOpen).count, 2u);
+  server.stop();
+}
+
+/// Holds the next open of one file name on a latch.  A warm GET opens its
+/// file on the event loop, so this stops the loop mid-request while a test
+/// queues bytes on other connections.
+class OpenGate final : public io::StoreDecorator {
+ public:
+  OpenGate(std::unique_ptr<io::BackingStore> inner, std::string name)
+      : StoreDecorator(std::move(inner)), name_(std::move(name)) {}
+
+  io::FileId open(const std::string& name, bool create) override {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      if (armed_ && name == name_) {
+        armed_ = false;
+        held_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [&] { return released_; });
+      }
+    }
+    return StoreDecorator::open(name, create);
+  }
+
+  void arm() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    armed_ = true;
+  }
+  void wait_until_held() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [&] { return held_; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  const std::string name_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  bool held_ = false;
+  bool released_ = false;
+};
+
+TEST(ServerLoopBudget, PipelinedBurstYieldsTheLoopToOtherConnections) {
+  // One connection pipelines 64 warm GETs and another sends one GET, both
+  // while the loop is held in a third connection's GET, so both are
+  // readable, the burst first, when the loop next waits.  The loop serves
+  // a bounded number of one connection's requests per wake, so the single
+  // GET is served (its sample recorded) before the burst's last request.
+  // Samples are recorded before each response is sent, in the order the
+  // loop serves.
+  constexpr int kBurst = 64;
+  util::TempDir dir;
+  auto gate_store = std::make_unique<OpenGate>(
+      std::make_unique<io::RealFileStore>(dir.path()), "gate.bin");
+  OpenGate& gate = *gate_store;
+  io::ManagedFileSystem fs(std::move(gate_store));
+  const std::string small(100, 's');
+  const std::string other(200, 'o');
+  const std::string gated(300, 'g');
+  for (const auto& [name, content] :
+       {std::pair{"small.bin", &small}, std::pair{"other.bin", &other},
+        std::pair{"gate.bin", &gated}}) {
+    auto file = fs.open(name, io::OpenMode::kTruncate);
+    file.write(std::as_bytes(std::span(content->data(), content->size())));
+  }
+  ServerOptions options;
+  options.worker_threads = 1;
+  MiniWebServer server(fs, options);
+  server.start();
+  const auto get = [](const std::string& name) {
+    return "GET /" + name + " HTTP/1.1\r\nConnection: keep-alive\r\n\r\n";
+  };
+  // One round trip on each connection first, so the loop has admitted
+  // both before the burst.
+  Socket burst = connect_loopback(server.port());
+  Socket single = connect_loopback(server.port());
+  HttpReader burst_reader(burst);
+  HttpReader single_reader(single);
+  burst.send_all(get("small.bin").data(), get("small.bin").size());
+  EXPECT_EQ(burst_reader.read_response().body, small);
+  single.send_all(get("other.bin").data(), get("other.bin").size());
+  EXPECT_EQ(single_reader.read_response().body, other);
+  server.clear_samples();
+
+  gate.arm();
+  Socket holder = connect_loopback(server.port());
+  holder.send_all(get("gate.bin").data(), get("gate.bin").size());
+  gate.wait_until_held();
+  std::string wire;
+  for (int i = 0; i < kBurst; ++i) wire += get("small.bin");
+  burst.send_all(wire.data(), wire.size());
+  single.send_all(get("other.bin").data(), get("other.bin").size());
+  gate.release();
+  HttpReader holder_reader(holder);
+  EXPECT_EQ(holder_reader.read_response().body, gated);
+  EXPECT_EQ(single_reader.read_response().body, other);
+  for (int i = 0; i < kBurst; ++i) {
+    EXPECT_EQ(burst_reader.read_response().body, small) << i;
+  }
+  const std::vector<RequestSample> samples = server.samples();
+  ASSERT_EQ(samples.size(), kBurst + 2u);
+  const auto single_at = std::find_if(
+      samples.begin(), samples.end(),
+      [&](const RequestSample& s) { return s.bytes == other.size(); });
+  ASSERT_NE(single_at, samples.end());
+  EXPECT_GT(std::count_if(single_at, samples.end(),
+                          [&](const RequestSample& s) {
+                            return s.bytes == small.size();
+                          }),
+            0)
+      << "the single GET was served after the whole burst";
+  EXPECT_EQ(server.stats().loop_served, kBurst + 4u);
+  server.stop();
 }
 
 TEST(ServerSendPaths, EverySizeIsByteIdenticalOnBothPaths) {
