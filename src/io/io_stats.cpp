@@ -3,9 +3,32 @@
 #include <ostream>
 
 #include "util/error.hpp"
+#include "util/stopwatch.hpp"
 #include "util/table.hpp"
 
 namespace clio::io {
+
+namespace {
+
+// Each thread's sampler state: a fresh thread starts from this seed, so
+// which of its ops are timed is reproducible.
+thread_local std::uint32_t t_sampler = 0x9e3779b9u;
+
+// Marsaglia's xorshift32 step; true for one op in kTimedOneIn.
+bool pick_for_timing() {
+  std::uint32_t x = t_sampler;
+  x ^= x << 13;
+  x ^= x >> 17;
+  x ^= x << 5;
+  t_sampler = x;
+  return x % kTimedOneIn == 0;
+}
+
+}  // namespace
+
+OpTimer::OpTimer() : timed_(pick_for_timing()) {
+  if (timed_) start_ns_ = util::Stopwatch::now_ns();
+}
 
 std::string_view io_op_name(IoOp op) {
   switch (op) {
@@ -31,13 +54,28 @@ void IoStats::record(IoOp op, std::uint64_t bytes, double ms) {
   const auto idx = static_cast<std::size_t>(op);
   util::check<util::ConfigError>(idx < kIoOpCount, "IoStats: bad op");
   std::lock_guard<std::mutex> lock(mutex_);
+  ops_[idx]++;
   stats_[idx].push(ms);
   histograms_[idx].push(static_cast<std::uint64_t>(ms * 1e6));
   bytes_[idx] += bytes;
 }
 
+void IoStats::record(IoOp op, std::uint64_t bytes, const OpTimer& timer) {
+  if (timer.timed_) {
+    const std::int64_t ns = util::Stopwatch::now_ns() - timer.start_ns_;
+    record(op, bytes, static_cast<double>(ns) / 1e6);
+    return;
+  }
+  const auto idx = static_cast<std::size_t>(op);
+  util::check<util::ConfigError>(idx < kIoOpCount, "IoStats: bad op");
+  std::lock_guard<std::mutex> lock(mutex_);
+  ops_[idx]++;
+  bytes_[idx] += bytes;
+}
+
 void IoStats::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
+  ops_.fill(0);
   for (auto& s : stats_) s.reset();
   for (auto& h : histograms_) h.reset();
   bytes_.fill(0);
@@ -95,8 +133,9 @@ OpSnapshot IoStats::op_snapshot(IoOp op) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto& s = stats_[idx];
   OpSnapshot snap;
-  snap.count = s.count();
-  if (snap.count > 0) {
+  snap.count = ops_[idx];
+  snap.timed = s.count();
+  if (snap.timed > 0) {
     snap.mean_ms = s.mean();
     snap.min_ms = s.min();
     snap.max_ms = s.max();
@@ -108,7 +147,9 @@ OpSnapshot IoStats::op_snapshot(IoOp op) const {
 double IoStats::total_ms() const {
   std::lock_guard<std::mutex> lock(mutex_);
   double total = 0.0;
-  for (const auto& s : stats_) total += s.sum();
+  for (std::size_t i = 0; i < kIoOpCount; ++i) {
+    total += static_cast<double>(ops_[i]) * stats_[i].mean();
+  }
   return total;
 }
 
@@ -121,12 +162,13 @@ std::uint64_t IoStats::total_bytes() const {
 void IoStats::render(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mutex_);
   util::TextTable table(
-      {"op", "count", "mean (ms)", "min (ms)", "max (ms)", "bytes"});
+      {"op", "count", "timed", "mean (ms)", "min (ms)", "max (ms)", "bytes"});
   for (std::size_t i = 0; i < kIoOpCount; ++i) {
     const auto& s = stats_[i];
-    if (s.count() == 0) continue;
+    if (ops_[i] == 0) continue;
     table.add_row({std::string(io_op_name(static_cast<IoOp>(i))),
-                   std::to_string(s.count()), util::format_ms(s.mean()),
+                   std::to_string(ops_[i]), std::to_string(s.count()),
+                   util::format_ms(s.mean()),
                    util::format_ms(s.min()), util::format_ms(s.max()),
                    std::to_string(bytes_[i])});
   }

@@ -48,18 +48,43 @@ struct ResilienceCounters {
 /// Thread-safe point-in-time summary of one op class, returned by
 /// IoStats::op_snapshot() — the live-observability counterpart of the
 /// reference-returning op_stats()/op_histogram() accessors, safe to call
-/// while worker threads are still recording.
+/// while worker threads are still recording.  `count` and `bytes` are
+/// exact; the latencies describe the `timed` ops only (see IoStats).
 struct OpSnapshot {
   std::uint64_t count = 0;
+  std::uint64_t timed = 0;  ///< ops behind mean_ms, min_ms and max_ms
   double mean_ms = 0.0;
   double min_ms = 0.0;
   double max_ms = 0.0;
   std::uint64_t bytes = 0;
 };
 
-/// Per-operation-class latency accounting for a managed file system.
+/// One managed file op in this many reads the clock.
+inline constexpr std::uint32_t kTimedOneIn = 16;
+
+/// Starts the accounting of one managed file op.  Construction asks the
+/// calling thread's sampler whether this op is timed and reads the clock
+/// only if it is; IoStats::record(op, bytes, timer) ends the op.
+class OpTimer {
+ public:
+  OpTimer();
+
+ private:
+  friend class IoStats;
+  bool timed_ = false;
+  std::int64_t start_ns_ = 0;
+};
+
+/// Per-operation-class accounting for a managed file system.
 ///
-/// Keeps streaming statistics and a log2 histogram per op class.
+/// Counts every op and its bytes exactly, and keeps streaming latency
+/// statistics and a log2 histogram per op class over a sample of the ops.
+/// Two clock reads cost about as much as the whole work of a warm seek or
+/// read, so a managed file op (record with an OpTimer) is timed only when
+/// its thread's xorshift sampler picks it, one in kTimedOneIn.  The pick
+/// depends on neither the op class nor a count, so a periodic op pattern
+/// (a replayed seek is seek(0) then seek(offset)) cannot alias with it.
+/// record with a time in hand always adds a sample.
 ///
 /// record() and reset() are internally synchronized so every worker thread
 /// of a server can account into one instance.  The value-returning readers
@@ -68,15 +93,21 @@ struct OpSnapshot {
 /// threads have quiesced (benchmarks report after joining their workers).
 class IoStats {
  public:
+  /// Counts one op that took `ms` and adds it as a latency sample.
   void record(IoOp op, std::uint64_t bytes, double ms);
+  /// Counts one op begun with `timer`; adds a latency sample if the
+  /// sampler picked it.
+  void record(IoOp op, std::uint64_t bytes, const OpTimer& timer);
   void reset();
 
+  /// Latency statistics and histogram of the timed ops only: count() is
+  /// the sample size, not the op count (that is op_snapshot(op).count).
   [[nodiscard]] const util::RunningStats& op_stats(IoOp op) const;
   [[nodiscard]] const util::LatencyHistogram& op_histogram(IoOp op) const;
 
   /// Total bytes recorded against one op class.  With the vectored classes
   /// this is what makes coalescing ratios observable from stats alone:
-  /// op_bytes(kWritev) / (op_stats(kWritev).count() * page_size) is the
+  /// op_bytes(kWritev) / (op_snapshot(kWritev).count * page_size) is the
   /// pages-per-backing-call ratio of the flush path.
   [[nodiscard]] std::uint64_t op_bytes(IoOp op) const;
 
@@ -85,7 +116,8 @@ class IoStats {
   /// endpoint and the metric gauges scrape.
   [[nodiscard]] OpSnapshot op_snapshot(IoOp op) const;
 
-  /// Total milliseconds across all operation classes.
+  /// Estimated milliseconds across all operation classes: each class's op
+  /// count times its sampled mean.
   [[nodiscard]] double total_ms() const;
   /// Total bytes moved by read+write.
   [[nodiscard]] std::uint64_t total_bytes() const;
@@ -98,11 +130,13 @@ class IoStats {
   void record_deadline_expiry();
   [[nodiscard]] ResilienceCounters resilience() const;
 
-  /// Renders a per-op-class summary table (count, mean ms, min, max, bytes),
-  /// followed by a resilience line when any retry/breaker activity occurred.
+  /// Renders a per-op-class summary table (count, timed, mean ms, min, max,
+  /// bytes), followed by a resilience line when any retry/breaker activity
+  /// occurred.
   void render(std::ostream& os) const;
 
  private:
+  std::array<std::uint64_t, kIoOpCount> ops_{};
   std::array<util::RunningStats, kIoOpCount> stats_{};
   std::array<util::LatencyHistogram, kIoOpCount> histograms_{};
   std::array<std::uint64_t, kIoOpCount> bytes_{};

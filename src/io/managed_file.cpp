@@ -5,13 +5,11 @@
 
 #include "io/store_decorator.hpp"
 #include "util/error.hpp"
-#include "util/stopwatch.hpp"
 
 namespace clio::io {
 
 using util::check;
 using util::IoError;
-using util::Stopwatch;
 
 ManagedFileSystem::ManagedFileSystem(std::unique_ptr<BackingStore> store,
                                      ManagedFsOptions options)
@@ -37,7 +35,7 @@ BufferPoolConfig ManagedFileSystem::pool_config() const {
 }
 
 ManagedFile ManagedFileSystem::open(const std::string& name, OpenMode mode) {
-  Stopwatch watch;
+  const OpTimer timer;
   const bool create = (mode == OpenMode::kCreate || mode == OpenMode::kTruncate);
   if (!create && !store_->exists(name)) {
     throw IoError("ManagedFileSystem: no such file '" + name + "'");
@@ -48,8 +46,7 @@ ManagedFile ManagedFileSystem::open(const std::string& name, OpenMode mode) {
     store_->truncate(id, 0);
   }
   ManagedFile file(this, id, name);
-  const double ms = watch.elapsed_ms();
-  stats_.record(IoOp::kOpen, 0, ms);
+  stats_.record(IoOp::kOpen, 0, timer);
   return file;
 }
 
@@ -122,7 +119,7 @@ std::uint64_t ManagedFile::size() const {
 
 std::size_t ManagedFile::read(std::span<std::byte> out) {
   check<IoError>(fs_ != nullptr, "ManagedFile: read on closed file");
-  Stopwatch watch;
+  const OpTimer timer;
   const std::size_t page_size = fs_->pool_->page_size();
   const std::uint64_t file_size = size();
   std::size_t total = 0;
@@ -149,8 +146,7 @@ std::size_t ManagedFile::read(std::span<std::byte> out) {
     }
     position_ += total;
   }
-  const double ms = watch.elapsed_ms();
-  fs_->stats_.record(IoOp::kRead, total, ms);
+  fs_->stats_.record(IoOp::kRead, total, timer);
   return total;
 }
 
@@ -162,7 +158,7 @@ void ManagedFile::read_exact(std::span<std::byte> out) {
 
 std::size_t ManagedFile::write(std::span<const std::byte> data) {
   check<IoError>(fs_ != nullptr, "ManagedFile: write on closed file");
-  Stopwatch watch;
+  const OpTimer timer;
   const std::size_t page_size = fs_->pool_->page_size();
   std::size_t total = 0;
   if (!data.empty()) {
@@ -188,14 +184,13 @@ std::size_t ManagedFile::write(std::span<const std::byte> data) {
     }
     position_ += total;
   }
-  const double ms = watch.elapsed_ms();
-  fs_->stats_.record(IoOp::kWrite, total, ms);
+  fs_->stats_.record(IoOp::kWrite, total, timer);
   return total;
 }
 
 void ManagedFile::seek(std::uint64_t pos) {
   check<IoError>(fs_ != nullptr, "ManagedFile: seek on closed file");
-  Stopwatch watch;
+  const OpTimer timer;
   if (const std::uint64_t file_size = size(); file_size > 0) {
     const std::size_t page_size = fs_->pool_->page_size();
     const std::uint64_t last_page = (file_size - 1) / page_size;
@@ -205,17 +200,15 @@ void ManagedFile::seek(std::uint64_t pos) {
     fs_->pool_->prefetch(id_, page);
   }
   position_ = pos;
-  const double ms = watch.elapsed_ms();
-  fs_->stats_.record(IoOp::kSeek, pos, ms);
+  fs_->stats_.record(IoOp::kSeek, pos, timer);
 }
 
 void ManagedFile::close() {
   if (fs_ == nullptr) return;
-  Stopwatch watch;
+  const OpTimer timer;
   fs_->pool_->flush_file(id_);
   fs_->store_->close(id_);
-  const double ms = watch.elapsed_ms();
-  fs_->stats_.record(IoOp::kClose, 0, ms);
+  fs_->stats_.record(IoOp::kClose, 0, timer);
   fs_ = nullptr;
   id_ = kInvalidFile;
 }

@@ -37,7 +37,7 @@ class ManagedFile;
 /// Facade owning the backing store, the buffer pool and the latency
 /// accounting.  This is the C++ analogue of the System.IO stack the
 /// paper's benchmarks run on: every open/close/read/write/seek goes through
-/// the pool and is timed into IoStats.
+/// the pool and is counted in IoStats, which times a sample of them.
 class ManagedFileSystem {
  public:
   ManagedFileSystem(std::unique_ptr<BackingStore> store,
@@ -47,7 +47,7 @@ class ManagedFileSystem {
   ManagedFileSystem(const ManagedFileSystem&) = delete;
   ManagedFileSystem& operator=(const ManagedFileSystem&) = delete;
 
-  /// Opens a managed file (timed as an Open operation).
+  /// Opens a managed file (accounted as an Open operation).
   [[nodiscard]] ManagedFile open(const std::string& name, OpenMode mode);
 
   [[nodiscard]] bool exists(const std::string& name) const;

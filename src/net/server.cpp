@@ -1009,6 +1009,7 @@ std::string MiniWebServer::render_statz() const {
       w.key(io::io_op_name(op));
       w.begin_object();
       w.kv("count", snap.count);
+      w.kv("timed", snap.timed);
       w.kv("mean_ms", snap.mean_ms);
       w.kv("min_ms", snap.min_ms);
       w.kv("max_ms", snap.max_ms);

@@ -27,6 +27,13 @@ ReplayResult TraceReplayer::replay(const TraceFile& trace) {
   std::vector<io::ManagedFile> handles(slots);
   std::vector<std::byte> buffer;
   buffer.reserve(1 << 20);
+  if (options_.keep_rows) {
+    // One row per repetition of each record: without this the rows vector
+    // regrows (and copies itself) inside the timed replay.
+    std::size_t repetitions = 0;
+    for (const auto& r : trace.records) repetitions += r.count;
+    result.rows.reserve(repetitions);
+  }
 
   auto slot_of = [&](const TraceRecord& r) -> io::ManagedFile& {
     return handles[static_cast<std::size_t>(r.pid) * trace.header.num_files +

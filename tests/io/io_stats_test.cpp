@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
+#include <thread>
+#include <vector>
+
+#include "io/file_store.hpp"
+#include "io/managed_file.hpp"
+#include "util/temp_dir.hpp"
 
 namespace clio::io {
 namespace {
@@ -91,6 +98,77 @@ TEST(IoStats, RenderListsOnlyUsedOps) {
   stats.render(oss);
   EXPECT_NE(oss.str().find("read"), std::string::npos);
   EXPECT_EQ(oss.str().find("write"), std::string::npos);
+}
+
+
+TEST(IoStats, ManagedOpsAreCountedExactlyAndTimedOneInSixteen) {
+  util::TempDir dir;
+  ManagedFileSystem fs(std::make_unique<RealFileStore>(dir.path()));
+  constexpr std::size_t kPage = 4096;
+  constexpr std::uint64_t kPages = 16;
+  constexpr std::uint64_t kOps = 4096;
+  {
+    auto f = fs.open("sampled.bin", OpenMode::kTruncate);
+    f.write(std::vector<std::byte>(kPages * kPage, std::byte{7}));
+  }
+  auto file = fs.open("sampled.bin", OpenMode::kReadWrite);
+  fs.stats().reset();
+  std::uint64_t seek_bytes = 0;
+  // A fresh thread starts its sampler from the seed, so which ops are
+  // timed is the same on every run.
+  std::thread([&] {
+    std::vector<std::byte> page(kPage);
+    for (std::uint64_t i = 0; i < kOps; ++i) {
+      const std::uint64_t pos = (i % kPages) * kPage;
+      file.seek(pos);
+      seek_bytes += pos;
+      ASSERT_EQ(file.read(page), kPage);
+    }
+  }).join();
+
+  const IoStats& stats = fs.stats();
+  const OpSnapshot seeks = stats.op_snapshot(IoOp::kSeek);
+  const OpSnapshot reads = stats.op_snapshot(IoOp::kRead);
+  EXPECT_EQ(seeks.count, kOps);
+  EXPECT_EQ(seeks.bytes, seek_bytes);
+  EXPECT_EQ(reads.count, kOps);
+  EXPECT_EQ(reads.bytes, kOps * kPage);
+  EXPECT_EQ(stats.total_bytes(), kOps * kPage);
+  for (const IoOp op : {IoOp::kSeek, IoOp::kRead}) {
+    const OpSnapshot snap = stats.op_snapshot(op);
+    SCOPED_TRACE(std::string(io_op_name(op)));
+    // 256 expected: one op in kTimedOneIn.
+    EXPECT_GE(snap.timed, 128u);
+    EXPECT_LE(snap.timed, 512u);
+    EXPECT_GT(snap.mean_ms, 0.0);
+    EXPECT_EQ(stats.op_stats(op).count(), snap.timed);
+    EXPECT_EQ(stats.op_histogram(op).count(), snap.timed);
+  }
+  // The total scales each class's sampled mean by its exact count.
+  EXPECT_NEAR(stats.total_ms(),
+              static_cast<double>(kOps) * (seeks.mean_ms + reads.mean_ms),
+              1e-9);
+}
+
+TEST(IoStats, ExplicitRecordAlwaysAddsASample) {
+  IoStats stats;
+  std::thread([&] {
+    for (int i = 0; i < 1000; ++i) {
+      const OpTimer timer;
+      stats.record(IoOp::kRead, 1, timer);
+      stats.record(IoOp::kWritev, 8, 0.25);
+    }
+  }).join();
+  const OpSnapshot sampled = stats.op_snapshot(IoOp::kRead);
+  EXPECT_EQ(sampled.count, 1000u);
+  EXPECT_EQ(sampled.bytes, 1000u);
+  EXPECT_GT(sampled.timed, 0u);
+  EXPECT_LT(sampled.timed, 1000u);
+  const OpSnapshot explicit_ops = stats.op_snapshot(IoOp::kWritev);
+  EXPECT_EQ(explicit_ops.count, 1000u);
+  EXPECT_EQ(explicit_ops.timed, 1000u);
+  EXPECT_EQ(explicit_ops.bytes, 8000u);
+  EXPECT_DOUBLE_EQ(explicit_ops.mean_ms, 0.25);
 }
 
 }  // namespace

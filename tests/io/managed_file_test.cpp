@@ -178,11 +178,11 @@ TEST_F(ManagedFileTest, StatsRecordEveryOpClass) {
   f.read(buf);
   f.close();
   const IoStats& stats = fs_->stats();
-  EXPECT_EQ(stats.op_stats(IoOp::kOpen).count(), 1u);
-  EXPECT_EQ(stats.op_stats(IoOp::kWrite).count(), 1u);
-  EXPECT_EQ(stats.op_stats(IoOp::kSeek).count(), 1u);
-  EXPECT_EQ(stats.op_stats(IoOp::kRead).count(), 1u);
-  EXPECT_EQ(stats.op_stats(IoOp::kClose).count(), 1u);
+  EXPECT_EQ(stats.op_snapshot(IoOp::kOpen).count, 1u);
+  EXPECT_EQ(stats.op_snapshot(IoOp::kWrite).count, 1u);
+  EXPECT_EQ(stats.op_snapshot(IoOp::kSeek).count, 1u);
+  EXPECT_EQ(stats.op_snapshot(IoOp::kRead).count, 1u);
+  EXPECT_EQ(stats.op_snapshot(IoOp::kClose).count, 1u);
   EXPECT_EQ(stats.total_bytes(), 14u);  // 7 written + 7 read
 }
 

@@ -87,6 +87,40 @@ TEST_F(ServerObservabilityTest, StatzServesJsonSnapshot) {
   expect_contains(json, "\"spans_opened\"");
 }
 
+// The unsigned integer after "key": in /statz's object "section".
+std::uint64_t statz_field(const std::string& json, const std::string& section,
+                          const std::string& key) {
+  const auto at = json.find("\"" + section + "\": {");
+  EXPECT_NE(at, std::string::npos) << "no \"" << section << "\" in " << json;
+  const std::string needle = "\"" + key + "\": ";
+  const auto k = json.find(needle, at);
+  EXPECT_NE(k, std::string::npos) << "no \"" << key << "\" in " << section;
+  if (at == std::string::npos || k == std::string::npos) return 0;
+  return std::stoull(json.substr(k + needle.size()));
+}
+
+TEST_F(ServerObservabilityTest, StatzReportsHowManyOpsAreTimed) {
+  // Every GET opens and closes the file; IoStats counts each of them and
+  // times a sample, and /statz says how many timed ops stand behind the
+  // latencies it prints.
+  MiniWebServer server(fs_);
+  server.start();
+  HttpClient client(server.port(), /*keep_alive=*/true);
+  for (int i = 0; i < 256; ++i) {
+    ASSERT_EQ(client.get("/doc.bin").status, 200);
+  }
+  const auto statz = client.get("/statz");
+  server.stop();
+  for (const char* op : {"open", "close"}) {
+    SCOPED_TRACE(op);
+    const std::uint64_t count = statz_field(statz.body, op, "count");
+    const std::uint64_t timed = statz_field(statz.body, op, "timed");
+    EXPECT_GE(count, 256u);
+    EXPECT_GT(timed, 0u);
+    EXPECT_LE(timed, count);
+  }
+}
+
 TEST_F(ServerObservabilityTest, LargeBufferedGetShowsItsDirectReads) {
   // An 80-page file is above the page-gather cap, so its GET reads it in
   // one 80-page ManagedFile::read, which goes around the pool: one direct

@@ -653,6 +653,21 @@ inline StressResult run_managed_stress(io::BackingStore& backing,
   // `writers` shared and drop_caches holds it exclusive.  A thread's own
   // flush_file and close need no lock: only that thread writes its file.
   std::shared_mutex writers;
+  // Reads, writes and seeks that returned normally, per thread: IoStats
+  // must count exactly these, whichever of them its sampler timed.
+  struct OpTally {
+    std::uint64_t reads = 0;
+    std::uint64_t writes = 0;
+    std::uint64_t seeks = 0;
+  };
+  std::vector<OpTally> tallies(static_cast<std::size_t>(config.threads));
+  const io::IoStats& io_stats = fs.stats();
+  const auto op_count = [&](io::IoOp op) {
+    return io_stats.op_snapshot(op).count;
+  };
+  const std::uint64_t reads_before = op_count(io::IoOp::kRead);
+  const std::uint64_t writes_before = op_count(io::IoOp::kWrite);
+  const std::uint64_t seeks_before = op_count(io::IoOp::kSeek);
 
   auto worker = [&](int t) {
     const std::string tag = "seed=" + std::to_string(config.seed) +
@@ -661,6 +676,7 @@ inline StressResult run_managed_stress(io::BackingStore& backing,
     const auto idx = static_cast<std::size_t>(t);
     const std::string name = "managed-" + std::to_string(t) + ".bin";
     ByteOracle& oracle = oracles[idx];
+    OpTally& tally = tallies[idx];
     std::vector<std::byte> buf(config.span_pages * config.page_size);
     std::uint8_t marker = 0;
     auto fail = [&](std::uint64_t op, const std::string& what) {
@@ -675,7 +691,10 @@ inline StressResult run_managed_stress(io::BackingStore& backing,
       try {
         if (dice < 50) {
           // Random (seek first) or sequential (carry on) read.
-          if (dice < 35) f.seek(target);
+          if (dice < 35) {
+            f.seek(target);
+            tally.seeks++;
+          }
           const std::uint64_t pos = f.position();
           const std::span<std::byte> out(buf.data(), len);
           std::size_t got = 0;
@@ -685,6 +704,7 @@ inline StressResult run_managed_stress(io::BackingStore& backing,
             if (f.position() != pos) fail(i, "failed read moved position");
             throw;
           }
+          tally.reads++;
           const std::size_t want = static_cast<std::size_t>(std::min<
               std::uint64_t>(len, pos < file_bytes ? file_bytes - pos : 0));
           if (got != want) {
@@ -698,6 +718,7 @@ inline StressResult run_managed_stress(io::BackingStore& backing,
         } else if (dice < 80) {
           // Unaligned multi-page write inside the file.
           f.seek(target);
+          tally.seeks++;
           const std::size_t n = static_cast<std::size_t>(
               std::min<std::uint64_t>(len, file_bytes - target));
           const std::span<const std::byte> data(buf.data(), n);
@@ -713,6 +734,7 @@ inline StressResult run_managed_stress(io::BackingStore& backing,
             if (f.position() != target) fail(i, "failed write moved position");
             throw;
           }
+          tally.writes++;
           oracle.on_write(target, data);
           if (f.position() != target + n) fail(i, "write left bad position");
         } else if (dice < 88) {
@@ -746,8 +768,28 @@ inline StressResult run_managed_stress(io::BackingStore& backing,
   result.failures = std::move(failures);
   result.pool = fs.pool().stats();
 
-  faults.arm(false);
   const std::string seed_tag = "seed=" + std::to_string(config.seed);
+  OpTally total;
+  for (const OpTally& t : tallies) {
+    total.reads += t.reads;
+    total.writes += t.writes;
+    total.seeks += t.seeks;
+  }
+  const auto check_count = [&](io::IoOp op, std::uint64_t before,
+                               std::uint64_t want) {
+    const std::uint64_t got = op_count(op) - before;
+    if (got != want) {
+      result.failures.push_back(
+          seed_tag + ": IoStats counted " + std::to_string(got) + " " +
+          std::string(io::io_op_name(op)) + " ops, the threads made " +
+          std::to_string(want));
+    }
+  };
+  check_count(io::IoOp::kRead, reads_before, total.reads);
+  check_count(io::IoOp::kWrite, writes_before, total.writes);
+  check_count(io::IoOp::kSeek, seeks_before, total.seeks);
+
+  faults.arm(false);
   flush_and_validate(fs.pool(), seed_tag, result.failures);
   for (int t = 0; t < config.threads; ++t) {
     const auto idx = static_cast<std::size_t>(t);

@@ -116,10 +116,10 @@ TEST_F(RuntimeTest, ManagedIoIsTimedByTheIoStack) {
   auto engine = make_engine(kFileRoundTrip);
   engine.call("write_then_sum", {Value::from_int(64)});
   const auto& stats = fs_.stats();
-  EXPECT_EQ(stats.op_stats(io::IoOp::kOpen).count(), 2u);
-  EXPECT_EQ(stats.op_stats(io::IoOp::kClose).count(), 2u);
-  EXPECT_EQ(stats.op_stats(io::IoOp::kWrite).count(), 1u);
-  EXPECT_EQ(stats.op_stats(io::IoOp::kRead).count(), 1u);
+  EXPECT_EQ(stats.op_snapshot(io::IoOp::kOpen).count, 2u);
+  EXPECT_EQ(stats.op_snapshot(io::IoOp::kClose).count, 2u);
+  EXPECT_EQ(stats.op_snapshot(io::IoOp::kWrite).count, 1u);
+  EXPECT_EQ(stats.op_snapshot(io::IoOp::kRead).count, 1u);
 }
 
 TEST_F(RuntimeTest, FileSeekAndSizeSyscalls) {
