@@ -16,8 +16,10 @@
 //              (one span copy, the fast path), MB/s over a 4 MiB file.
 //   bitap    — the Pgrep kernel (exact shift-and matching): VM bytecode vs
 //              native BitapStreamScanner over the same corpus file, same
-//              chunking, same buffer pool.  Reports both MB/s and the
-//              managed-over-native slowdown; aborts if match counts differ.
+//              chunking, same buffer pool.  Reports both MB/s, the
+//              managed-over-native slowdown and the managed side's
+//              dispatches per source instruction; aborts if match counts
+//              differ.
 //   dmine    — the Dmine kernel (Apriori candidate counting) likewise, over
 //              fixed 16-byte basket records.
 //
@@ -138,13 +140,15 @@ void bench_jit(obs::BenchReport& report) {
   std::printf(
       "first call:  eager p50 %8llu ns   tiered p50 %8llu ns\n"
       "warm call:         p50 %8llu ns\n"
-      "tiered engine: %llu compilations, %llu interpreted calls\n"
+      "tiered engine: %llu compilations, %llu interpreted calls, "
+      "%llu guard misses\n"
       "per compilation: modeled %.1f us, fused-stream translation %.2f us\n",
       static_cast<unsigned long long>(eager_first.quantile_ns(0.5)),
       static_cast<unsigned long long>(tiered_first.quantile_ns(0.5)),
       static_cast<unsigned long long>(warm.quantile_ns(0.5)),
       static_cast<unsigned long long>(stats.compilations),
       static_cast<unsigned long long>(stats.interpreted_calls),
+      static_cast<unsigned long long>(stats.guard_misses),
       stats.total_compile_ms * 1e3 / static_cast<double>(stats.compilations),
       stats.translate_ms * 1e3 / static_cast<double>(stats.compilations));
 
@@ -157,6 +161,8 @@ void bench_jit(obs::BenchReport& report) {
                 static_cast<double>(warm.quantile_ns(0.5)));
   report.metric("tiered_interpreted_calls",
                 static_cast<double>(stats.interpreted_calls));
+  report.metric("tiered_guard_misses",
+                static_cast<double>(stats.guard_misses));
   report.metric("translate_us_per_compile",
                 stats.translate_ms * 1e3 /
                     static_cast<double>(stats.compilations));
@@ -257,12 +263,36 @@ void bench_fileio(obs::BenchReport& report) {
 
 // ----------------------------------------------------- managed vs native ----
 
+/// One timed managed call: its result, wall time and the handler
+/// dispatches each source instruction cost.
+struct ManagedRun {
+  long long result = 0;
+  double ms = 0.0;
+  double dispatches_per_insn = 0.0;
+};
+
+ManagedRun run_managed(vm::ExecutionEngine& engine, const char* method,
+                       const std::vector<vm::Value>& args) {
+  const auto insns_before = engine.instructions_executed();
+  const auto dispatches_before = engine.dispatches_executed();
+  util::Stopwatch watch;
+  ManagedRun run;
+  run.result = engine.call(method, args).as_int();
+  run.ms = watch.elapsed_ms();
+  run.dispatches_per_insn =
+      static_cast<double>(engine.dispatches_executed() - dispatches_before) /
+      static_cast<double>(engine.instructions_executed() - insns_before);
+  return run;
+}
+
 /// Shared shape of the two kernel scenarios: run the managed (VM) and the
 /// native implementation over the same file through the same fs, check the
 /// results agree, and report throughput for both plus the slowdown factor.
 void report_pair(obs::BenchReport& report, const char* name,
-                 double bytes_processed, double managed_ms, double native_ms,
-                 long long managed_result, long long native_result) {
+                 double bytes_processed, const ManagedRun& managed,
+                 double native_ms, long long native_result) {
+  const double managed_ms = managed.ms;
+  const long long managed_result = managed.result;
   util::check<util::ConfigError>(
       managed_result == native_result,
       std::string(name) + ": managed and native kernels disagree");
@@ -270,11 +300,12 @@ void report_pair(obs::BenchReport& report, const char* name,
   const double native_mbs = bytes_processed / 1e6 / (native_ms / 1e3);
   std::printf(
       "%-6s  managed %8.1f MB/s   native %8.1f MB/s   slowdown x%.1f   "
-      "(result %lld)\n",
+      "%.3f dispatches/insn   (result %lld)\n",
       name, managed_mbs, native_mbs, native_mbs / managed_mbs,
-      managed_result);
+      managed.dispatches_per_insn, managed_result);
   report.scenario(std::string(name) + "_managed");
   report.metric("mb_per_sec", managed_mbs);
+  report.metric("dispatches_per_insn", managed.dispatches_per_insn);
   report.metric("result", static_cast<double>(managed_result));
   report.scenario(std::string(name) + "_native");
   report.metric("mb_per_sec", native_mbs);
@@ -311,9 +342,7 @@ void bench_bitap(obs::BenchReport& report) {
       vm::kernels::bitap_masks(pattern), vm::kernels::bitap_accept(pattern),
       vm::Value::from_int(kChunk)};
   engine.call("bitap_file", args);  // warm the pool + the jit
-  util::Stopwatch managed_watch;
-  const long long managed_result = engine.call("bitap_file", args).as_int();
-  const double managed_ms = managed_watch.elapsed_ms();
+  const ManagedRun managed = run_managed(engine, "bitap_file", args);
 
   apps::pgrep::Bitap matcher(pattern, 0);
   apps::pgrep::BitapStreamScanner scanner(matcher);
@@ -329,8 +358,7 @@ void bench_bitap(obs::BenchReport& report) {
   file.close();
   const double native_ms = native_watch.elapsed_ms();
 
-  report_pair(report, "bitap", kCorpusBytes, managed_ms, native_ms,
-              managed_result,
+  report_pair(report, "bitap", kCorpusBytes, managed, native_ms,
               static_cast<long long>(scanner.matches()));
 }
 
@@ -374,9 +402,7 @@ void bench_dmine(obs::BenchReport& report) {
       vm::Value::from_int(static_cast<std::int64_t>(kK)),
       vm::Value::from_int(kChunk)};
   engine.call("dmine_count", args);  // warm
-  util::Stopwatch managed_watch;
-  const long long managed_result = engine.call("dmine_count", args).as_int();
-  const double managed_ms = managed_watch.elapsed_ms();
+  const ManagedRun managed = run_managed(engine, "dmine_count", args);
 
   long long native_result = 0;
   std::vector<std::byte> chunk(static_cast<std::size_t>(kChunk));
@@ -391,8 +417,8 @@ void bench_dmine(obs::BenchReport& report) {
   file.close();
   const double native_ms = native_watch.elapsed_ms();
 
-  report_pair(report, "dmine", file_bytes, managed_ms, native_ms,
-              managed_result, native_result);
+  report_pair(report, "dmine", file_bytes, managed, native_ms,
+              native_result);
 }
 
 }  // namespace

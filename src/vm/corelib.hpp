@@ -32,8 +32,18 @@ enum class SysCall : std::uint16_t {
   kSysCallCount_,
 };
 
+/// What a syscall's one result is, for the verifier's kind pass.
+enum class SysResult : std::uint8_t {
+  kInt,       ///< always an integer
+  kBuffer,    ///< a new byte buffer (buf_new)
+  kFirstArg,  ///< the first argument, returned as it came (print_i64)
+};
+
 /// Number of stack arguments each syscall pops.
 [[nodiscard]] int syscall_arity(SysCall id);
+
+/// The kind of each syscall's result.
+[[nodiscard]] SysResult syscall_result(SysCall id);
 
 /// Mnemonic used by the assembler (e.g. "file_open").
 [[nodiscard]] std::string_view syscall_name(SysCall id);

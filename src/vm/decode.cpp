@@ -2,28 +2,22 @@
 
 #include <cstring>
 
-#include "util/error.hpp"
-#include "util/log.hpp"
 
 namespace clio::vm {
-
-using util::cat;
-using util::check;
-using util::VerifyError;
 
 DecodedStream decode_stream(const MethodDef& method) {
   const auto& code = method.code;
   DecodedStream stream;
   std::size_t at = 0;
   while (at < code.size()) {
-    check<VerifyError>(code[at] < static_cast<std::uint8_t>(Op::kOpCount_),
-                       cat("verify: bad opcode at offset ", at, " in '",
-                           method.name, "'"));
+    verify_that(code[at] < static_cast<std::uint8_t>(Op::kOpCount_),
+                "verify: bad opcode at offset ", at, " in '", method.name,
+                "'");
     const auto op = static_cast<Op>(code[at]);
     const std::size_t size = encoded_size(op);
-    check<VerifyError>(at + size <= code.size(),
-                       cat("verify: truncated operand at offset ", at, " in '",
-                           method.name, "'"));
+    verify_that(at + size <= code.size(),
+                "verify: truncated operand at offset ", at, " in '",
+                method.name, "'");
     std::uint64_t operand = 0;
     switch (op_info(op).operand) {
       case OperandKind::kNone:
@@ -55,10 +49,9 @@ std::size_t branch_target(const DecodedStream& stream, std::uint64_t offset,
                           const MethodDef& method) {
   const auto it =
       stream.boundary_to_index.find(static_cast<std::uint32_t>(offset));
-  check<VerifyError>(offset <= UINT32_MAX &&
-                         it != stream.boundary_to_index.end(),
-                     cat("verify: branch to non-boundary offset ", offset,
-                         " in '", method.name, "'"));
+  verify_that(offset <= UINT32_MAX && it != stream.boundary_to_index.end(),
+              "verify: branch to non-boundary offset ", offset, " in '",
+              method.name, "'");
   return it->second;
 }
 

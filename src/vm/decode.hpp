@@ -4,10 +4,23 @@
 #include <unordered_map>
 #include <vector>
 
+#include "util/error.hpp"
+#include "util/log.hpp"
 #include "vm/module.hpp"
 #include "vm/opcodes.hpp"
 
 namespace clio::vm {
+
+/// Throws util::VerifyError with the message `parts` make when `ok` is
+/// false.  The message is formatted only then: verification runs on a
+/// method's first call and again at tier-up, and formatting one message
+/// per instruction cost more than the whole pass.
+template <typename... Parts>
+void verify_that(bool ok, const Parts&... parts) {
+  if (!ok) [[unlikely]] {
+    throw util::VerifyError(util::cat(parts...));
+  }
+}
 
 /// One linearly-decoded instruction before branch resolution: the opcode,
 /// the byte offset it was decoded at, and its raw operand bits (for

@@ -76,24 +76,36 @@ bool int_relation(std::int64_t a, std::int64_t b) {
   }
 }
 
-/// ldelem's body on both tiers: element `idx` of the array or buffer
+/// Byte `idx` of a buffer, and element `idx` of an array: ldelem's
+/// bounds checks on both tiers.
+[[gnu::always_inline]] inline std::int64_t byte_at(
+    const std::vector<std::byte>& bytes, std::int64_t idx) {
+  const auto at = static_cast<std::size_t>(idx);
+  check<ExecutionError>(idx >= 0 && at < bytes.size(),
+                        "interpreter: buffer index out of range");
+  return std::to_integer<std::uint8_t>(bytes[at]);
+}
+[[gnu::always_inline]] inline const Value& array_at(
+    const std::vector<Value>& arr, std::int64_t idx) {
+  const auto at = static_cast<std::size_t>(idx);
+  check<ExecutionError>(idx >= 0 && at < arr.size(),
+                        "interpreter: array index out of range");
+  return arr[at];
+}
+
+/// The plain ldelem's body: element `idx` of the array or buffer
 /// `container` holds.  The caller has checked the index's kind; this
 /// checks the container's kind, then the bounds.
 [[gnu::always_inline]] inline Value element(const Value& container,
                                             std::int64_t idx) {
   const Obj& obj = *container.as_obj();
-  const auto at = static_cast<std::size_t>(idx);
   if (const auto* bytes = obj.bytes_if()) {
-    check<ExecutionError>(idx >= 0 && at < bytes->size(),
-                          "interpreter: buffer index out of range");
-    return Value::from_int(std::to_integer<std::uint8_t>((*bytes)[at]));
+    return Value::from_int(byte_at(*bytes, idx));
   }
   const auto* arr = obj.arr_if();
   check<ExecutionError>(arr != nullptr,
                         "interpreter: ldelem needs an array or buffer");
-  check<ExecutionError>(idx >= 0 && at < arr->size(),
-                        "interpreter: array index out of range");
-  return (*arr)[at];
+  return array_at(*arr, idx);
 }
 
 }  // namespace
@@ -114,7 +126,7 @@ Value Interpreter::run_frame(std::uint16_t index, std::span<const Value> args,
     throw ExecutionError("interpreter: argument count mismatch calling '" +
                          def.name + "'");
   }
-  const CompiledMethod& compiled = jit_.get(index);
+  const CompiledMethod& compiled = jit_.get(index, args);
 
   // One flat frame: args, then locals, then the operand stack, sized by the
   // verifier's max_stack so a push needs no capacity check.  `sp` points
@@ -155,7 +167,8 @@ Value Interpreter::run_frame(std::uint16_t index, std::span<const Value> args,
   try {
   // Indexed by Op: the bytecode opcodes in enum order, then the
   // superinstructions in the order opcodes.hpp declares them.
-#define VM_RELATION_LABELS(rel) &&lbl_kBr##rel##SS, &&lbl_kBr##rel##TS,
+#define VM_RELATION_LABELS(rel) \
+  &&lbl_kBr##rel##SS, &&lbl_kBr##rel##TS, &&lbl_kBr##rel##ElemSIS,
 #define VM_BINOP_LABELS(op) &&lbl_k##op##SI, &&lbl_k##op##TS, &&lbl_k##op##TI,
   static const void* const kLabels[] = {
       &&lbl_kNop,    &&lbl_kLdcI8,   &&lbl_kLdcF64,  &&lbl_kLdStr,
@@ -401,125 +414,139 @@ Value Interpreter::run_frame(std::uint16_t index, std::span<const Value> args,
   }
 
   // ---- superinstructions (fused tier, vm/jit.cpp) ----
-  // Each comment gives the source run and its checking instructions, with
-  // "(k of n)": k of the run's n instructions come before that one.
-  // `slots` indexes args and locals alike.  Only the checking
-  // instructions read a Value's kind, so every trap keeps the text, and
-  // the instruction count, of the plain decode.
-  VM_CASE(kBrTrueS) {  // ldS a; brtrue t -- brtrue (1 of 2)
+  // The fuser forms one only where the kind pass proved every slot and
+  // stack operand it reads an int and every container it borrows a buffer
+  // (kLdElemS: a buffer or an array), so each reads payloads without a
+  // kind check and writes a proven int's payload without its kind byte.
+  // What stays checked is what a proof cannot show: bounds and shift
+  // counts, with the plain handlers' texts.  Each comment gives the source
+  // run and its remaining checks, with "(k of n)": k of the run's n
+  // instructions come before that check, and are counted before it runs.
+  // `slots` indexes args and locals alike.
+#define VM_INT(slot) slots[slot].proven_int()
+  VM_CASE(kBrTrueS) {  // ldS a; brtrue t
     ++fused_extra;
-    if (slots[ip->slot].as_int() != 0) VM_JUMP(ip->target);
+    if (VM_INT(ip->slot) != 0) VM_JUMP(ip->target);
     VM_NEXT();
   }
-  VM_CASE(kBrFalseS) {  // ldS a; brfalse t -- brfalse (1 of 2)
+  VM_CASE(kBrFalseS) {  // ldS a; brfalse t
     ++fused_extra;
-    if (slots[ip->slot].as_int() == 0) VM_JUMP(ip->target);
+    if (VM_INT(ip->slot) == 0) VM_JUMP(ip->target);
     VM_NEXT();
   }
-  VM_CASE(kBrTrueAndSS) {  // ldS a; ldS b; and; brtrue t -- and (2 of 4)
-    fused_extra += 2;
-    const std::int64_t b = slots[ip->slot2].as_int();
-    const std::int64_t a = slots[ip->slot].as_int();
-    ++fused_extra;
-    if ((a & b) != 0) VM_JUMP(ip->target);
+  VM_CASE(kBrTrueAndSS) {  // ldS a; ldS b; and; brtrue t
+    fused_extra += 3;
+    if ((VM_INT(ip->slot) & VM_INT(ip->slot2)) != 0) VM_JUMP(ip->target);
     VM_NEXT();
   }
-  VM_CASE(kBrFalseAndSS) {  // ldS a; ldS b; and; brfalse t -- and (2 of 4)
-    fused_extra += 2;
-    const std::int64_t b = slots[ip->slot2].as_int();
-    const std::int64_t a = slots[ip->slot].as_int();
-    ++fused_extra;
-    if ((a & b) == 0) VM_JUMP(ip->target);
+  VM_CASE(kBrFalseAndSS) {  // ldS a; ldS b; and; brfalse t
+    fused_extra += 3;
+    if ((VM_INT(ip->slot) & VM_INT(ip->slot2)) == 0) VM_JUMP(ip->target);
     VM_NEXT();
   }
-  VM_CASE(kIncS) {  // ldS a; ldc i; add; stS a -- add (2 of 4)
-    fused_extra += 2;
+  VM_CASE(kIncS) {  // ldS a; ldc i; add; stS a
+    fused_extra += 3;
     Value& v = slots[ip->slot];
-    v.set_int(int_binop<Op::kAdd>(v.as_int(), ip->imm));
-    ++fused_extra;
+    v.set_proven_int(int_binop<Op::kAdd>(v.proven_int(), ip->imm));
     VM_NEXT();
   }
-  VM_CASE(kIncSBr) {  // ldS a; ldc i; add; stS a; br t -- add (2 of 5)
-    fused_extra += 2;
+  VM_CASE(kIncSBr) {  // ldS a; ldc i; add; stS a; br t
+    fused_extra += 4;
     Value& v = slots[ip->slot];
-    v.set_int(int_binop<Op::kAdd>(v.as_int(), ip->imm));
-    fused_extra += 2;
+    v.set_proven_int(int_binop<Op::kAdd>(v.proven_int(), ip->imm));
     VM_JUMP(ip->target);
   }
-  VM_CASE(kStSI) {  // ldc i; stS a -- nothing checks
+  VM_CASE(kStSI) {  // ldc i; stS a -- the slot may hold an object
     ++fused_extra;
     slots[ip->slot] = Value::from_int(ip->imm);
     VM_NEXT();
   }
   // The borrowed element loads read the container in its slot, which the
   // borrow rule (vm/jit.cpp) guarantees still holds it: no reference
-  // count moves.  Each counts its elided load before its first check; a
+  // count moves.  Each counts its elided load before its bounds check; a
   // trap between that load and here is counted when the frame unwinds.
-  VM_CASE(kLdElemS) {  // ldS c (elided) ... ldelem -- ldelem
+  // The container's variant is still read through its checked access, so
+  // a wrong proof that hands it another kind of object throws instead of
+  // reading out of bounds.
+  VM_CASE(kLdElemS) {  // ldS c (elided) ... ldelem -- bounds
     ++fused_extra;
-    const std::int64_t idx = sp[-1].as_int();
-    sp[-1] = element(slots[ip->slot], idx);
+    const std::int64_t idx = sp[-1].proven_int();
+    const Obj& obj = slots[ip->slot].proven_obj();
+    if (const auto* bytes = obj.bytes_if()) {
+      sp[-1].set_proven_int(byte_at(*bytes, idx));
+    } else {
+      sp[-1] = array_at(obj.arr(), idx);
+    }
     VM_NEXT();
   }
-  VM_CASE(kLdElemSS) {  // ldS c; ldS i; ldelem -- ldelem (2 of 3)
+  VM_CASE(kLdElemSS) {  // ldS c; ldS i; ldelem -- bounds (2 of 3)
     fused_extra += 2;
-    const std::int64_t idx = slots[ip->slot2].as_int();
-    *sp++ = element(slots[ip->slot], idx);
+    const std::int64_t e =
+        byte_at(slots[ip->slot].proven_obj().bytes(), VM_INT(ip->slot2));
+    (sp++)->set_int(e);
     VM_NEXT();
   }
   VM_CASE(kLdElemSIS) {  // ldS c; ldS a; ldc i; add; ldS b; add; ldelem
-    // -- add (3 of 7), add (5 of 7), ldelem (6 of 7)
-    fused_extra += 3;
-    const std::int64_t base =
-        int_binop<Op::kAdd>(slots[ip->slot2].as_int(), ip->imm);
-    fused_extra += 2;
-    const std::int64_t idx =
-        int_binop<Op::kAdd>(base, slots[ip->target].as_int());
-    ++fused_extra;
-    *sp++ = element(slots[ip->slot], idx);
+    // -- bounds (6 of 7)
+    fused_extra += 6;
+    const std::int64_t e = byte_at(
+        slots[ip->slot].proven_obj().bytes(),
+        int_binop<Op::kAdd>(int_binop<Op::kAdd>(VM_INT(ip->slot2), ip->imm),
+                            VM_INT(ip->slot3)));
+    (sp++)->set_int(e);
     VM_NEXT();
   }
-#define VM_RELATION_FUSED_HANDLERS(rel)                           \
-  VM_CASE(kBr##rel##SS) { /* ldS a; ldS b; cmp; br* -- 2 of 4 */ \
-    fused_extra += 2;                                             \
-    const std::int64_t b = slots[ip->slot2].as_int();             \
-    const std::int64_t a = slots[ip->slot].as_int();              \
-    ++fused_extra;                                                \
-    if (int_relation<Op::kCmp##rel>(a, b)) VM_JUMP(ip->target);   \
-    VM_NEXT();                                                    \
-  }                                                               \
-  VM_CASE(kBr##rel##TS) { /* ldS b; cmp; br* -- 1 of 3 */        \
-    ++fused_extra;                                                \
-    const std::int64_t b = slots[ip->slot].as_int();              \
-    const std::int64_t a = sp[-1].as_int();                       \
-    --sp;                                                         \
-    ++fused_extra;                                                \
-    if (int_relation<Op::kCmp##rel>(a, b)) VM_JUMP(ip->target);   \
-    VM_NEXT();                                                    \
+#define VM_RELATION_FUSED_HANDLERS(rel)                                  \
+  VM_CASE(kBr##rel##SS) { /* ldS a; ldS b; cmp; br* */                  \
+    fused_extra += 3;                                                    \
+    if (int_relation<Op::kCmp##rel>(VM_INT(ip->slot), VM_INT(ip->slot2))) \
+      VM_JUMP(ip->target);                                               \
+    VM_NEXT();                                                           \
+  }                                                                      \
+  VM_CASE(kBr##rel##TS) { /* ldS b; cmp; br* */                         \
+    fused_extra += 2;                                                    \
+    const std::int64_t a = (--sp)->proven_int();                         \
+    if (int_relation<Op::kCmp##rel>(a, VM_INT(ip->slot)))                \
+      VM_JUMP(ip->target);                                               \
+    VM_NEXT();                                                           \
+  }                                                                      \
+  VM_CASE(kBr##rel##ElemSIS) { /* kLdElemSIS's run; ldS d; cmp; br*   \
+                                  -- bounds (6 of 10) */                 \
+    fused_extra += 6;                                                    \
+    const std::int64_t e = byte_at(                                      \
+        slots[ip->slot].proven_obj().bytes(),                            \
+        int_binop<Op::kAdd>(                                             \
+            int_binop<Op::kAdd>(VM_INT(ip->slot2), ip->imm),             \
+            VM_INT(ip->slot3)));                                         \
+    fused_extra += 3;                                                    \
+    if (int_relation<Op::kCmp##rel>(e, VM_INT(ip->slot4)))               \
+      VM_JUMP(ip->target);                                               \
+    VM_NEXT();                                                           \
   }
   CLIO_VM_FUSED_RELATIONS(VM_RELATION_FUSED_HANDLERS)
 #undef VM_RELATION_FUSED_HANDLERS
-#define VM_BINOP_FUSED_HANDLERS(op)                                  \
-  VM_CASE(k##op##SI) { /* ldS a; ldc i; op -- 2 of 3 */             \
-    fused_extra += 2;                                                \
-    const std::int64_t r =                                           \
-        int_binop<Op::k##op>(slots[ip->slot].as_int(), ip->imm);     \
-    (sp++)->set_int(r);                                              \
-    VM_NEXT();                                                       \
-  }                                                                  \
-  VM_CASE(k##op##TS) { /* ldS b; op -- 1 of 2 */                    \
-    ++fused_extra;                                                   \
-    const std::int64_t b = slots[ip->slot].as_int();                 \
-    sp[-1].set_int(int_binop<Op::k##op>(sp[-1].as_int(), b));        \
-    VM_NEXT();                                                       \
-  }                                                                  \
-  VM_CASE(k##op##TI) { /* ldc i; op -- 1 of 2 */                    \
-    ++fused_extra;                                                   \
-    sp[-1].set_int(int_binop<Op::k##op>(sp[-1].as_int(), ip->imm));  \
-    VM_NEXT();                                                       \
+#define VM_BINOP_FUSED_HANDLERS(op)                                      \
+  VM_CASE(k##op##SI) { /* ldS a; ldc i; op -- shift count (2 of 3) */   \
+    fused_extra += 2;                                                    \
+    const std::int64_t r = int_binop<Op::k##op>(VM_INT(ip->slot), ip->imm); \
+    (sp++)->set_int(r);                                                  \
+    VM_NEXT();                                                           \
+  }                                                                      \
+  VM_CASE(k##op##TS) { /* ldS b; op -- shift count (1 of 2) */          \
+    ++fused_extra;                                                       \
+    sp[-1].set_proven_int(                                               \
+        int_binop<Op::k##op>(sp[-1].proven_int(), VM_INT(ip->slot)));    \
+    VM_NEXT();                                                           \
+  }                                                                      \
+  VM_CASE(k##op##TI) { /* ldc i; op -- shift count (1 of 2) */          \
+    ++fused_extra;                                                       \
+    sp[-1].set_proven_int(                                               \
+        int_binop<Op::k##op>(sp[-1].proven_int(), ip->imm));             \
+    VM_NEXT();                                                           \
   }
   CLIO_VM_FUSED_BINOPS(VM_BINOP_FUSED_HANDLERS)
 #undef VM_BINOP_FUSED_HANDLERS
+#undef VM_INT
   } catch (...) {
     // A trap between an elided container load and its ldelem: the plain
     // decode had counted that load.

@@ -60,6 +60,7 @@ std::optional<BinopForms> binop_forms(Op op) {
 struct RelationForms {
   Op slot_slot;  ///< ldS a; ldS b; cmp; br*
   Op top_slot;   ///< ldS b; cmp; br*
+  Op element;    ///< kLdElemSIS's run; ldS d; cmp; br*
 };
 
 std::optional<RelationForms> relation_forms(Op cmp, bool if_true) {
@@ -77,7 +78,8 @@ std::optional<RelationForms> relation_forms(Op cmp, bool if_true) {
   switch (cmp) {
 #define CLIO_VM_RELATION_FORMS(rel) \
   case Op::kCmp##rel:               \
-    return RelationForms{Op::kBr##rel##SS, Op::kBr##rel##TS};
+    return RelationForms{Op::kBr##rel##SS, Op::kBr##rel##TS, \
+                         Op::kBr##rel##ElemSIS};
     CLIO_VM_FUSED_RELATIONS(CLIO_VM_RELATION_FORMS)
 #undef CLIO_VM_RELATION_FORMS
     default:
@@ -92,6 +94,43 @@ DecodedInsn fused(Op op, std::uint32_t slot, std::int64_t imm = 0) {
   insn.imm = imm;
   return insn;
 }
+
+/// The kind pass's facts (Verified::kinds) as the fuser asks for them:
+/// whether an operand a superinstruction would read is proven, on entry to
+/// source instruction k.  Nothing is proven at an unreachable instruction.
+class Proof {
+ public:
+  Proof(const Verified& verified, const MethodDef& method)
+      : kinds_(verified.kinds),
+        num_slots_(static_cast<std::size_t>(method.num_args) +
+                   method.num_locals) {}
+
+  [[nodiscard]] bool slot_is(std::size_t k, std::uint32_t slot,
+                             VKind kind) const {
+    return !kinds_[k].empty() && kinds_[k][slot] == kind;
+  }
+  [[nodiscard]] bool slot_int(std::size_t k, std::uint32_t slot) const {
+    return slot_is(k, slot, VKind::kInt);
+  }
+  /// The top stack entry is an int.
+  [[nodiscard]] bool top_int(std::size_t k) const {
+    const std::vector<VKind>& at = kinds_[k];
+    return at.size() > num_slots_ && at.back() == VKind::kInt;
+  }
+  /// The slot instruction k loads, when it is an ldarg/ldloc of a proven
+  /// int.
+  [[nodiscard]] std::optional<std::uint32_t> int_load(
+      const std::vector<DecodedInsn>& in, std::size_t k,
+      std::uint32_t num_args) const {
+    const auto slot = load_slot(in[k], num_args);
+    if (slot && slot_int(k, *slot)) return slot;
+    return std::nullopt;
+  }
+
+ private:
+  const std::vector<std::vector<VKind>>& kinds_;
+  std::size_t num_slots_;
+};
 
 /// One superinstruction (or a copied plain instruction) and the number of
 /// source instructions it stands for.  `target` of a fused branch holds
@@ -109,11 +148,14 @@ constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 /// two are in one straight-line run: no branch target after the load up
 /// to and including the ldelem, and no br*, call, syscall, ret or store to
 /// the load's slot between them.  The slot then still holds the container
-/// when the ldelem runs, and keeps it alive.  One pass that tracks which
-/// load pushed each operand of the current run.
+/// when the ldelem runs, and keeps it alive.  The container must be a
+/// proven buffer or array and the index a proven int, because the
+/// borrowed forms check neither.  One pass that tracks which load pushed
+/// each operand of the current run.
 std::vector<std::size_t> container_loads(const std::vector<DecodedInsn>& in,
                                          const MethodDef& method,
-                                         const std::vector<bool>& is_target) {
+                                         const std::vector<bool>& is_target,
+                                         const Proof& proof) {
   std::vector<std::size_t> container(in.size(), kNone);
   std::vector<std::size_t> pushed_by;  // per operand of the run
   // Per slot: 1 + the position of its latest store, 0 for none.
@@ -134,9 +176,13 @@ std::vector<std::size_t> container_loads(const std::vector<DecodedInsn>& in,
     }
     if (insn.op == Op::kLdElem && pushed_by.size() >= 2) {
       const std::size_t load = pushed_by[pushed_by.size() - 2];
-      if (load != kNone &&
-          stored_at[*load_slot(in[load], method.num_args)] <= load) {
-        container[k] = load;
+      if (load != kNone && proof.top_int(k)) {
+        const std::uint32_t slot = *load_slot(in[load], method.num_args);
+        if (stored_at[slot] <= load &&
+            (proof.slot_is(load, slot, VKind::kBuffer) ||
+             proof.slot_is(load, slot, VKind::kArray))) {
+          container[k] = load;
+        }
       }
     }
     if (const auto slot = store_slot(insn, method.num_args)) {
@@ -151,42 +197,62 @@ std::vector<std::size_t> container_loads(const std::vector<DecodedInsn>& in,
   return container;
 }
 
-/// A borrowed ldelem that also absorbs its index computation, for the
-/// index shapes the paper kernels execute: a slot (`ldS c; ldS i;
-/// ldelem`) and slot + imm + slot (`ldS c; ldS a; ldc i; add; ldS b; add;
-/// ldelem`).  For any other index the load is elided alone and its ldelem
-/// becomes kLdElemS.
+/// A borrowed ldelem of a proven buffer that also absorbs its index
+/// computation, for the index shapes the paper kernels execute: a slot
+/// (`ldS c; ldS i; ldelem`) and slot + imm + slot (`ldS c; ldS a; ldc i;
+/// add; ldS b; add; ldelem`), the latter with the compare-and-branch that
+/// consumes the element (`ldS d; cmp<rel>; br* t`) when one follows.  Every
+/// slot the form reads must be a proven int.  For any other case the load
+/// is elided alone and its ldelem becomes kLdElemS.
 std::optional<Match> borrowed_index(const std::vector<DecodedInsn>& in,
                                     std::size_t load, std::size_t ldelem,
-                                    std::uint32_t num_args) {
+                                    std::uint32_t num_args,
+                                    const std::vector<bool>& leader,
+                                    const Proof& proof) {
   const std::uint32_t container = *load_slot(in[load], num_args);
-  const auto slot_at = [&](std::size_t k) {
-    return load_slot(in[k], num_args);
+  if (!proof.slot_is(load, container, VKind::kBuffer)) return std::nullopt;
+  const auto int_slot_at = [&](std::size_t k) {
+    return proof.int_load(in, k, num_args);
   };
   if (ldelem == load + 2) {
-    if (const auto i = slot_at(load + 1)) {
+    if (const auto i = int_slot_at(load + 1)) {
       DecodedInsn insn = fused(Op::kLdElemSS, container);
       insn.slot2 = *i;
       return Match{insn, 3};
     }
   }
   if (ldelem == load + 6) {
-    const auto a = slot_at(load + 1);
-    const auto b = slot_at(load + 4);
+    const auto a = int_slot_at(load + 1);
+    const auto b = int_slot_at(load + 4);
     if (a && b && in[load + 2].op == Op::kLdcI8 &&
         in[load + 3].op == Op::kAdd && in[load + 5].op == Op::kAdd) {
       DecodedInsn insn = fused(Op::kLdElemSIS, container, in[load + 2].imm);
       insn.slot2 = *a;
-      insn.target = *b;
+      insn.slot3 = *b;
+      const std::size_t cmp = ldelem + 2;
+      if (cmp + 1 < in.size() && !leader[ldelem + 1] && !leader[cmp] &&
+          !leader[cmp + 1] && is_cond_branch(in[cmp + 1].op)) {
+        const auto d = int_slot_at(ldelem + 1);
+        const auto forms =
+            relation_forms(in[cmp].op, in[cmp + 1].op == Op::kBrTrue);
+        if (d && forms) {
+          insn.op = forms->element;
+          insn.slot4 = *d;
+          insn.target = static_cast<std::uint32_t>(in[cmp + 1].imm);
+          return Match{insn, 10, true};
+        }
+      }
       return Match{insn, 7};
     }
   }
   return std::nullopt;
 }
 
-/// The longest superinstruction starting at `at`, or the plain instruction.
+/// The longest superinstruction starting at `at` whose operands are all
+/// proven ints, or the plain instruction.
 Match match_at(const std::vector<DecodedInsn>& in, std::size_t at,
-               std::uint32_t num_args, const std::vector<bool>& leader) {
+               std::uint32_t num_args, const std::vector<bool>& leader,
+               const Proof& proof) {
   // Whether the n instructions from `at` may fuse: none but the first is a
   // leader.
   const auto fits = [&](std::size_t n) {
@@ -201,10 +267,13 @@ Match match_at(const std::vector<DecodedInsn>& in, std::size_t at,
     insn.target = static_cast<std::uint32_t>(br.imm);
     return Match{insn, length, true};
   };
+  const auto int_slot = [&](std::size_t k) {
+    return proof.int_load(in, k, num_args);
+  };
 
-  if (const auto a = load_slot(in[at], num_args)) {
+  if (const auto a = int_slot(at)) {
     if (fits(4)) {
-      const auto b = load_slot(in[at + 1], num_args);
+      const auto b = int_slot(at + 1);
       const Op op = in[at + 2].op;
       const DecodedInsn& last = in[at + 3];
       if (b && is_cond_branch(last.op)) {
@@ -240,26 +309,30 @@ Match match_at(const std::vector<DecodedInsn>& in, std::size_t at,
         return Match{fused(forms->slot_imm, *a, in[at + 1].imm), 3};
       }
     }
-    if (fits(3) && is_cond_branch(in[at + 2].op)) {
-      if (const auto forms = relation_forms(
-              in[at + 1].op, in[at + 2].op == Op::kBrTrue)) {
-        return branch(fused(forms->top_slot, *a), in[at + 2], 3);
+    if (proof.top_int(at)) {
+      if (fits(3) && is_cond_branch(in[at + 2].op)) {
+        if (const auto forms = relation_forms(
+                in[at + 1].op, in[at + 2].op == Op::kBrTrue)) {
+          return branch(fused(forms->top_slot, *a), in[at + 2], 3);
+        }
+      }
+      if (fits(2)) {
+        if (const auto forms = binop_forms(in[at + 1].op)) {
+          return Match{fused(forms->top_slot, *a), 2};
+        }
       }
     }
-    if (fits(2)) {
-      const Op next = in[at + 1].op;
-      if (const auto forms = binop_forms(next)) {
-        return Match{fused(forms->top_slot, *a), 2};
-      }
-      if (is_cond_branch(next)) {
-        return branch(
-            fused(next == Op::kBrTrue ? Op::kBrTrueS : Op::kBrFalseS, *a),
-            in[at + 1], 2);
-      }
+    if (fits(2) && is_cond_branch(in[at + 1].op)) {
+      return branch(fused(in[at + 1].op == Op::kBrTrue ? Op::kBrTrueS
+                                                        : Op::kBrFalseS,
+                          *a),
+                    in[at + 1], 2);
     }
   } else if (in[at].op == Op::kLdcI8 && fits(2)) {
-    if (const auto forms = binop_forms(in[at + 1].op)) {
-      return Match{fused(forms->top_imm, 0, in[at].imm), 2};
+    if (proof.top_int(at)) {
+      if (const auto forms = binop_forms(in[at + 1].op)) {
+        return Match{fused(forms->top_imm, 0, in[at].imm), 2};
+      }
     }
     if (const auto dst = store_slot(in[at + 1], num_args)) {
       return Match{fused(Op::kStSI, *dst, in[at].imm), 2};
@@ -268,13 +341,17 @@ Match match_at(const std::vector<DecodedInsn>& in, std::size_t at,
   return Match{in[at], 1, is_branch(in[at].op)};
 }
 
-/// Translates a verified plain decode into its fused stream.  Runs of
-/// source instructions become superinstructions (greedy, longest first)
-/// and borrowed loads are elided (container_loads()).  A run fuses only if
-/// no instruction after its first is a leader: a branch target, an elided
+/// Translates a verified plain decode into its fused stream, given what
+/// the kind pass proved.  Runs of source instructions whose operands are
+/// proven become superinstructions (greedy, longest first) and borrowed
+/// loads are elided (container_loads()); every other instruction is
+/// copied, and checks its operands when it runs.  A run fuses only if no
+/// instruction after its first is a leader: a branch target, an elided
 /// load or a borrowing ldelem.  So every target still starts an
 /// instruction, and targets are remapped to the fused indices.
-CompiledMethod fuse(const CompiledMethod& decoded, const MethodDef& method) {
+CompiledMethod fuse(const CompiledMethod& decoded, const MethodDef& method,
+                    const Verified& verified) {
+  const Proof proof(verified, method);
   const std::vector<DecodedInsn>& in = decoded.code;
   std::vector<bool> is_target(in.size(), false);
   for (const DecodedInsn& insn : in) {
@@ -284,7 +361,7 @@ CompiledMethod fuse(const CompiledMethod& decoded, const MethodDef& method) {
   }
 
   const std::vector<std::size_t> container =
-      container_loads(in, method, is_target);
+      container_loads(in, method, is_target, proof);
   std::vector<bool> leader = is_target;
   std::vector<std::size_t> consumer(in.size(), kNone);  // per elided load
   // pending[s]: elided loads before s whose ldelem comes after s.
@@ -305,7 +382,8 @@ CompiledMethod fuse(const CompiledMethod& decoded, const MethodDef& method) {
     fused_index[at] = static_cast<std::uint32_t>(out.code.size());
     Match m;
     if (consumer[at] != kNone) {
-      const auto shape = borrowed_index(in, at, consumer[at], method.num_args);
+      const auto shape = borrowed_index(in, at, consumer[at], method.num_args,
+                                        leader, proof);
       if (!shape) {  // elided: its ldelem reads the slot
         ++at;
         continue;
@@ -315,7 +393,7 @@ CompiledMethod fuse(const CompiledMethod& decoded, const MethodDef& method) {
       m.insn = fused(Op::kLdElemS,
                      *load_slot(in[container[at]], method.num_args));
     } else {
-      m = match_at(in, at, method.num_args, leader);
+      m = match_at(in, at, method.num_args, leader, proof);
     }
     if (m.branches) branch_sites.push_back(out.code.size());
     out.code.push_back(m.insn);
@@ -338,9 +416,13 @@ CompiledMethod fuse(const CompiledMethod& decoded, const MethodDef& method) {
 Jit::Jit(const Module& module, JitOptions options)
     : module_(module), options_(options), cache_(module.num_methods()) {}
 
-const CompiledMethod& Jit::get(std::uint16_t method_index) {
+const CompiledMethod& Jit::get(std::uint16_t method_index,
+                               std::span<const Value> args) {
   util::check<util::ConfigError>(method_index < cache_.size(),
                                  "Jit: method index out of range");
+  util::check<util::ConfigError>(
+      args.size() == module_.method(method_index).num_args,
+      "Jit: argument count mismatch");
   Slot& slot = cache_[method_index];
   if (!slot.decoded.has_value()) {
     slot.decoded = decode_method(method_index);
@@ -349,11 +431,19 @@ const CompiledMethod& Jit::get(std::uint16_t method_index) {
   const std::uint64_t threshold = std::max<std::uint64_t>(
       options_.compile_threshold, 1);
   if (slot.fused.has_value()) {
+    // The entry guard: the fused stream trusts the kinds it was
+    // specialised on.
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      if (kind_of(args[i]) != slot.seed[i]) {
+        stats_.guard_misses++;
+        return *slot.decoded;
+      }
+    }
     stats_.cache_hits++;
     return *slot.fused;
   }
   if (slot.calls >= threshold) {
-    tier_up(method_index, slot);
+    tier_up(method_index, slot, args);
     return *slot.fused;
   }
   stats_.interpreted_calls++;
@@ -403,10 +493,14 @@ CompiledMethod Jit::decode_method(std::uint16_t method_index) {
   return compiled;
 }
 
-void Jit::tier_up(std::uint16_t method_index, Slot& slot) {
+void Jit::tier_up(std::uint16_t method_index, Slot& slot,
+                  std::span<const Value> args) {
   const MethodDef& method = module_.method(method_index);
   const util::Stopwatch translate;
-  slot.fused = fuse(*slot.decoded, method);
+  slot.seed.clear();
+  for (const Value& arg : args) slot.seed.push_back(kind_of(arg));
+  slot.fused = fuse(*slot.decoded, method,
+                    verify_kinds(module_, method, slot.seed));
   stats_.translate_ms += translate.elapsed_ms();
 
   const util::Stopwatch watch;

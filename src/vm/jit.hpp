@@ -3,9 +3,11 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "vm/module.hpp"
+#include "vm/verifier.hpp"
 
 namespace clio::vm {
 
@@ -18,8 +20,9 @@ struct DecodedInsn {
   Op op = Op::kNop;
   std::uint32_t slot = 0;    ///< superinstruction: first frame slot
   std::uint32_t slot2 = 0;   ///< superinstruction: second frame slot
-  /// Superinstruction: branch target index; kLdElemSIS: its third slot.
-  std::uint32_t target = 0;
+  std::uint32_t slot3 = 0;   ///< kLdElemSIS forms: the third slot
+  std::uint32_t slot4 = 0;   ///< kBr<rel>ElemSIS: the compared slot
+  std::uint32_t target = 0;  ///< superinstruction: branch target index
   /// Bytecode opcode: the immediate, index or branch target index; for
   /// kLdcF64 the f64 bit pattern.  Superinstruction: the immediate.
   std::int64_t imm = 0;
@@ -62,6 +65,9 @@ struct JitStats {
   std::uint64_t cache_hits = 0;
   /// Invocations served below the compile threshold (tier-0, decode only).
   std::uint64_t interpreted_calls = 0;
+  /// Invocations after tier-up whose argument kinds differ from those the
+  /// fused stream was specialised on; each ran the plain decode.
+  std::uint64_t guard_misses = 0;
   /// Modeled code-generation time (compile_ns_per_byte x code bytes).
   double total_compile_ms = 0.0;
   /// Measured time spent building fused streams at tier-up.
@@ -76,17 +82,26 @@ struct JitStats {
 /// 1 this reproduces the CLI execution-engine behaviour the paper observes:
 /// "functions are compiled only when they are required", so the first
 /// request through any code path is slower.
+///
+/// The fused stream is specialised on the argument kinds of the call that
+/// tiers the method up: the verifier's kind pass starts from them, and a
+/// superinstruction is formed only where the pass proves every operand it
+/// reads.  A later call whose argument kinds differ runs the plain decode
+/// (JitStats::guard_misses).
 class Jit {
  public:
   explicit Jit(const Module& module, JitOptions options = {});
 
-  /// Returns the runnable body for one invocation: decodes on first use,
-  /// tiering up (fusing, and paying the modeled codegen cost) when the
-  /// method's invocation count crosses options().compile_threshold.  The
-  /// returned code stays valid until flush_cache(): tier-up stores the
-  /// fused stream beside the decode, so a frame still running tier-0 code
-  /// is never pulled from under.
-  const CompiledMethod& get(std::uint16_t method_index);
+  /// Returns the runnable body for one invocation with `args`: decodes on
+  /// first use, tiering up (fusing, and paying the modeled codegen cost)
+  /// when the method's invocation count crosses
+  /// options().compile_threshold.  After tier-up, the fused stream when
+  /// the kinds of `args` (kind_of()) equal those it was specialised on,
+  /// else the plain decode.  The returned code stays valid until
+  /// flush_cache(): tier-up stores the fused stream beside the decode, so a
+  /// frame still running tier-0 code is never pulled from under.
+  const CompiledMethod& get(std::uint16_t method_index,
+                            std::span<const Value> args);
 
   /// The per-module interned object for string-pool entry `index`: kLdStr
   /// pushes a reference to this shared immutable object instead of
@@ -103,15 +118,18 @@ class Jit {
 
  private:
   /// Per-method tier state: the plain decode, the fused stream once the
-  /// method has tiered up, and how far along the warm-up it is.
+  /// method has tiered up with the argument kinds it was specialised on,
+  /// and how far along the warm-up it is.
   struct Slot {
     std::optional<CompiledMethod> decoded;
     std::optional<CompiledMethod> fused;
+    std::vector<VKind> seed;
     std::uint64_t calls = 0;
   };
 
   CompiledMethod decode_method(std::uint16_t method_index);
-  void tier_up(std::uint16_t method_index, Slot& slot);
+  void tier_up(std::uint16_t method_index, Slot& slot,
+               std::span<const Value> args);
 
   const Module& module_;
   JitOptions options_;

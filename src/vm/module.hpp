@@ -14,10 +14,11 @@ namespace clio::vm {
 class Obj;
 using ObjPtr = std::shared_ptr<Obj>;
 
-/// A managed value: 64-bit integer, double, or object reference.  Types are
-/// checked dynamically by the interpreter (the verifier guarantees stack
-/// *depth* safety; operand types trap at execution time, like an
-/// unverifiable-but-memory-safe CLI).
+/// A managed value: 64-bit integer, double, or object reference.  The
+/// verifier proves stack depth for every method and, at tier-up, the kind
+/// of the operands the fused tier's superinstructions read
+/// (vm/verifier.hpp); those read the payload unchecked.  Every other
+/// operand is checked when it is used, and traps on the wrong kind.
 class Value {
  public:
   enum class Kind : std::uint8_t { kInt, kFloat, kObj };
@@ -64,6 +65,13 @@ class Value {
     return obj_;
   }
 
+  /// The payload of a value the kind pass proved an int, or a buffer or
+  /// array (so not null), read without the kind check.
+  [[nodiscard]] std::int64_t proven_int() const { return i_; }
+  [[nodiscard]] const Obj& proven_obj() const { return *obj_; }
+  /// The object this value references, or null for a scalar.
+  [[nodiscard]] const Obj* obj_if() const { return obj_.get(); }
+
   /// Overwrite a value that holds no object reference with a scalar, in
   /// place (the interpreter's operand slots).  Only an int or float value,
   /// or a moved-from one, may be overwritten this way.
@@ -71,6 +79,8 @@ class Value {
     kind_ = Kind::kInt;
     i_ = v;
   }
+  /// Overwrite the payload of a value the kind pass proved an int.
+  void set_proven_int(std::int64_t v) { i_ = v; }
   void set_float(double v) {
     kind_ = Kind::kFloat;
     f_ = v;

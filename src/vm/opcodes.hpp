@@ -91,8 +91,11 @@ enum class Op : std::uint8_t {
   kLdElemS,              ///< ldelem of slot c, index on top
   kLdElemSS,             ///< ldS c; ldS i; ldelem
   kLdElemSIS,            ///< ldS c; ldS a; ldc i; add; ldS b; add; ldelem
-// ldS a; ldS b; cmp<rel>; br* t  and  ldS b; cmp<rel>; br* t
-#define CLIO_VM_RELATION_OPS(rel) kBr##rel##SS, kBr##rel##TS,
+// ldS a; ldS b; cmp<rel>; br* t  and  ldS b; cmp<rel>; br* t  and
+// ldS c; ldS a; ldc i; add; ldS b; add; ldelem; ldS d; cmp<rel>; br* t
+// (borrowed, like kLdElemSIS)
+#define CLIO_VM_RELATION_OPS(rel) \
+  kBr##rel##SS, kBr##rel##TS, kBr##rel##ElemSIS,
   CLIO_VM_FUSED_RELATIONS(CLIO_VM_RELATION_OPS)
 #undef CLIO_VM_RELATION_OPS
 // ldS a; ldc i; <op>  and  ldS b; <op>  and  ldc i; <op>

@@ -71,7 +71,7 @@ TEST(DecodeTest, BranchIntoInstructionMiddleIsTypedInVerifierAndJit) {
   EXPECT_THROW((void)verify_method(module, module.method(0)), VerifyError);
   Jit jit(module, JitOptions{});
   try {
-    jit.get(0);
+    jit.get(0, {});
     FAIL() << "JIT accepted a branch into an instruction";
   } catch (const VerifyError& e) {
     EXPECT_NE(std::string(e.what()).find("non-boundary"), std::string::npos)
@@ -86,7 +86,7 @@ TEST(DecodeTest, BranchToEndOfCodeIsTypedNotOutOfRange) {
   Module module = module_with_branch_to(15);
   EXPECT_THROW((void)verify_method(module, module.method(0)), VerifyError);
   Jit jit(module, JitOptions{});
-  EXPECT_THROW(jit.get(0), VerifyError);
+  EXPECT_THROW(jit.get(0, {}), VerifyError);
 }
 
 TEST(DecodeTest, TruncatedOperandIsTyped) {
@@ -100,7 +100,7 @@ TEST(DecodeTest, TruncatedOperandIsTyped) {
   module.add_method(std::move(method));
   EXPECT_THROW(decode_stream(module.method(0)), VerifyError);
   Jit jit(module, JitOptions{});
-  EXPECT_THROW(jit.get(0), VerifyError);
+  EXPECT_THROW(jit.get(0, {}), VerifyError);
 }
 
 }  // namespace

@@ -97,14 +97,22 @@ struct TierPair {
   ExecutionEngine fused;
 };
 
-/// The ops of method `name`'s fused stream.
-std::multiset<Op> fused_ops(const Module& module, std::string_view name) {
+/// The ops of method `name`'s fused stream, specialised on the kinds of
+/// `args`.
+std::multiset<Op> fused_ops(const Module& module, std::string_view name,
+                            const std::vector<Value>& args) {
   Jit jit(module, JitOptions{.compile_ns_per_byte = 0});
   std::multiset<Op> ops;
-  for (const DecodedInsn& insn : jit.get(module.find_method(name)).code) {
+  for (const DecodedInsn& insn :
+       jit.get(module.find_method(name), args).code) {
     ops.insert(insn.op);
   }
   return ops;
+}
+
+/// `n` int arguments.
+std::vector<Value> ints(std::size_t n) {
+  return std::vector<Value>(n, Value::from_int(1));
 }
 
 // ---- seeded generator ----
@@ -196,7 +204,7 @@ class ProgramGenerator {
 
   /// One stack-neutral statement; `nested` ones do not branch.
   void statement(bool nested) {
-    const auto kind = rng_.uniform_u64(nested ? 5 : 17);
+    const auto kind = rng_.uniform_u64(nested ? 5 : 18);
     const auto guarded = [&](const std::string& test) {
       const std::string skip = label();
       out_ << test << cond() << " " << skip << "\n";
@@ -248,9 +256,12 @@ class ProgramGenerator {
         out_ << scalar() << "\nldc 15\nand\nstloc 6\nldloc " << container()
              << "\nldloc 6\nldelem\n" << store() << "\n";
         break;
-      case 10:  // store an element at a clamped index
+      case 10:  // store an element at a clamped index; now and then a
+                // float, which an array holds and a buffer refuses
         out_ << "ldloc " << container() << "\n" << scalar()
-             << "\nldc 15\nand\n" << scalar() << "\nstelem\n";
+             << "\nldc 15\nand\n"
+             << (rng_.uniform_u64(8) == 0 ? "ldcf 2.5" : scalar())
+             << "\nstelem\n";
         break;
       case 11:  // the plain-only integer ops
         out_ << scalar() << "\n" << scalar() << "\n"
@@ -290,6 +301,18 @@ class ProgramGenerator {
              << "\nldloc 6\nldelem\nldc 15\nand\nldelem\n" << store()
              << "\n";
         break;
+      case 17: {  // compare the element at slot + imm + slot with a slot
+                  // and branch, as in dmine's scan loop; one time in four
+                  // an index part is a scalar, mostly out of range
+        const bool wild = rng_.uniform_u64(4) == 0;
+        out_ << scalar() << "\nldc 7\nand\nstloc 6\n";
+        guarded("ldloc " + container() + "\n" +
+                (wild ? scalar() : "ldloc 6") + "\nldc " +
+                std::to_string(rng_.uniform_u64(2)) +
+                "\nadd\nldloc 6\nadd\nldelem\n" + scalar() + "\n" +
+                relation() + "\n");
+        break;
+      }
     }
   }
 
@@ -308,11 +331,16 @@ TEST(TierDifferential, GeneratedProgramsAgreeAndReachEverySuperinstruction) {
     ProgramGenerator gen(seed);
     const std::string source = gen.method();
     const Module module = assemble(source);
-    for (const Op op : fused_ops(module, "gen")) emitted.insert(op);
+    std::vector<std::vector<Value>> calls;
+    for (int call = 0; call < 3; ++call) calls.push_back(gen.args());
+    // The first call tiers the fused engine up: its stream is this one.
+    for (const Op op : fused_ops(module, "gen", calls[0])) {
+      emitted.insert(op);
+    }
     TierPair tiers(module);
     for (int call = 0; call < 3; ++call) {
       const Outcome out = tiers.expect_same(
-          "gen", gen.args(),
+          "gen", calls[static_cast<std::size_t>(call)],
           "seed " + std::to_string(seed) + " call " + std::to_string(call) +
               "\n" + source);
       traps += out.result.starts_with("trap ") ? 1 : 0;
@@ -353,7 +381,7 @@ inside:
   ret
 .end
 )");
-  const auto ops = fused_ops(module, "f");
+  const auto ops = fused_ops(module, "f", ints(2));
   EXPECT_EQ(ops.count(Op::kIncS), 0u);
   EXPECT_EQ(ops.count(Op::kAddTI), 1u);  // the run after the target fuses
   EXPECT_EQ(ops.count(Op::kBrTrueS), 1u);
@@ -393,7 +421,7 @@ join:
   ret
 .end
 )");
-  EXPECT_EQ(fused_ops(module, "f").count(Op::kLdElem), 1u);
+  EXPECT_EQ(fused_ops(module, "f", ints(1)).count(Op::kLdElem), 1u);
   TierPair tiers(module);
   EXPECT_EQ(tiers.expect_same("f", {Value::from_int(1)}, "taken").result,
             "int 0");
@@ -402,13 +430,19 @@ join:
 }
 
 TEST(TierDifferential, EverySuperinstructionTrapsAtItsCheckingInstruction) {
-  // For each superinstruction, a method whose run reaches that op with a
-  // wrong-kind operand.  Each starts with a few counted instructions so a
-  // miscounted trap shows.  arg 0 is the wrong-kind operand (then the int
-  // 65), arg 1 the int 3.
+  // For each superinstruction, a method whose run reaches that op.  arg 0
+  // is the operand under test, arg 1 the int 3.  The first call tiers the
+  // fused engine up on arg 0's proven kind: the int 65 (an index out of
+  // range, a shift count of 65) or, for a container, the empty buffer
+  // (every index out of range), so the run traps at the checks a proof
+  // leaves.  The int 0 runs it through, or traps in a div.  Every other
+  // kind misses the entry guard and runs the plain decode, which traps at
+  // the first instruction that reads arg 0.  Each method starts with a
+  // few counted instructions so a miscounted trap shows.
   struct Case {
     std::string body;  ///< the run under test; must fuse to `op`
     Op op;
+    bool container = false;  ///< arg 0 is the borrowed container
   };
   // Pushes local 0, which the method first sets to an 8-byte buffer.
   const std::string kBuffer = "ldloc 0\n";
@@ -419,14 +453,13 @@ TEST(TierDifferential, EverySuperinstructionTrapsAtItsCheckingInstruction) {
       {"ldarg 0\nldarg 1\nand\nbrfalse out\n", Op::kBrFalseAndSS},
       {"ldarg 0\nldc 1\nadd\nstarg 0\n", Op::kIncS},
       {"ldarg 0\nldc 1\nsub\nstarg 0\nbr out\n", Op::kIncSBr},
-      // Borrowed element loads.  The container is arg 0: not an object,
-      // out of range (the empty buffer), a string.
-      {"ldarg 0\nldarg 1\nldelem\npop\n", Op::kLdElemSS},
+      // Borrowed element loads whose container is arg 0.
+      {"ldarg 0\nldarg 1\nldelem\npop\n", Op::kLdElemSS, true},
       {"ldarg 0\nldarg 1\nldc 1\nadd\nldarg 1\nadd\nldelem\npop\n",
-       Op::kLdElemSIS},
-      {"ldarg 0\nldarg 1\nldc 1\nshl\nldelem\npop\n", Op::kLdElemS},
+       Op::kLdElemSIS, true},
+      {"ldarg 0\nldarg 1\nldc 1\nshl\nldelem\npop\n", Op::kLdElemS, true},
       {"ldarg 0\n" + kBuffer + "ldarg 1\nldelem\nldelem\npop\n",
-       Op::kLdElemS},
+       Op::kLdElemS, true},
       // An index part is arg 0: the wrong kind, or (65) out of range.
       {kBuffer + "ldarg 0\nldelem\npop\n", Op::kLdElemSS},
       {kBuffer + "ldarg 0\nldc 1\nadd\nldarg 1\nadd\nldelem\npop\n",
@@ -448,8 +481,20 @@ TEST(TierDifferential, EverySuperinstructionTrapsAtItsCheckingInstruction) {
                           Op::kBrLeSS, Op::kBrGtSS, Op::kBrGeSS};
   const Op top_slot[] = {Op::kBrEqTS, Op::kBrNeTS, Op::kBrLtTS,
                          Op::kBrLeTS, Op::kBrGtTS, Op::kBrGeTS};
+  const Op element[] = {Op::kBrEqElemSIS, Op::kBrNeElemSIS,
+                        Op::kBrLtElemSIS, Op::kBrLeElemSIS,
+                        Op::kBrGtElemSIS, Op::kBrGeElemSIS};
   for (int r = 0; r < 6; ++r) {
     const std::string cmp = std::string("cmp") + relation_names[r];
+    // The element compare: arg 0 in the index, then as the compared slot.
+    cases.push_back({kBuffer +
+                         "ldarg 0\nldc 1\nadd\nldarg 1\nadd\nldelem\n"
+                         "ldarg 1\n" + cmp + "\nbrtrue out\n",
+                     element[r]});
+    cases.push_back({kBuffer +
+                         "ldarg 1\nldc 1\nadd\nldarg 1\nadd\nldelem\n"
+                         "ldarg 0\n" + cmp + "\nbrfalse out\n",
+                     element[negated[r]]});
     cases.push_back({"ldarg 1\nldarg 0\n" + cmp + "\nbrtrue out\n",
                      slot_slot[r]});
     cases.push_back({"ldarg 0\nldarg 1\n" + cmp + "\nbrfalse out\n",
@@ -477,23 +522,218 @@ TEST(TierDifferential, EverySuperinstructionTrapsAtItsCheckingInstruction) {
     cases.push_back({"ldarg 1\nldarg 0\n" + op + "\npop\n",
                      top_slot_ops[b]});
   }
-  // Kinds for arg 0: float, buffer, string.
-  const std::vector<Value> wrong = {Value::from_float(2.5),
-                                    kernels::make_buffer({}),
-                                    kernels::make_string("abc")};
+  const Value arg1 = Value::from_int(3);
   for (const Case& c : cases) {
     const std::string source =
         ".method f 2 1\nldc 8\nsyscall buf_new\nstloc 0\nldloc 0\npop\n" +
         c.body +
         "ldc 0\nret\nout:\nldc 1\nret\n.end\n";
     const Module module = assemble(source);
-    EXPECT_EQ(fused_ops(module, "f").count(c.op), 1u) << source;
-    TierPair tiers(module);
-    for (const Value& bad : wrong) {
-      tiers.expect_same("f", {bad, Value::from_int(3)}, source);
+    // arg 0's values: the seed and one more of its kind, then the kinds
+    // that miss the guard.
+    std::vector<Value> values;
+    if (c.container) {
+      values = {kernels::make_buffer({}), kernels::make_buffer({}),
+                Value::from_int(65), Value::from_float(2.5),
+                kernels::make_string("abc"), kernels::bitap_masks("ab")};
+    } else {
+      values = {Value::from_int(65), Value::from_int(0),
+                Value::from_float(2.5), kernels::make_buffer({}),
+                kernels::make_string("abc")};
     }
-    tiers.expect_same("f", {Value::from_int(65), Value::from_int(3)}, source);
+    EXPECT_EQ(fused_ops(module, "f", {values[0], arg1}).count(c.op), 1u)
+        << source;
+    TierPair tiers(module);
+    for (const Value& v : values) tiers.expect_same("f", {v, arg1}, source);
+    EXPECT_EQ(tiers.fused.jit_stats().guard_misses, values.size() - 2)
+        << source;
   }
+}
+
+// ---- the kind proof and its guard ----
+
+TEST(TierDifferential, GuardMissRunsThePlainDecode) {
+  // f(buf, n, k) counts the j < n with buf[2j] == k and sums buf[j]: its
+  // loop fuses to kBrGeSS, kBrNeElemSIS, kIncS, kLdElemSS, kAddTS and
+  // kIncSBr, all of which read arguments they trust to be a buffer and
+  // two ints.
+  const Module module = assemble(R"(
+.method f 3 2
+  ldc 0
+  stloc 0
+  ldc 0
+  stloc 1
+loop:
+  ldloc 1
+  ldarg 1
+  cmpge
+  brtrue done
+  ldarg 0
+  ldloc 1
+  ldc 0
+  add
+  ldloc 1
+  add
+  ldelem
+  ldarg 2
+  cmpeq
+  brfalse next
+  ldloc 0
+  ldc 1
+  add
+  stloc 0
+next:
+  ldarg 0
+  ldloc 1
+  ldelem
+  ldloc 0
+  add
+  stloc 0
+  ldloc 1
+  ldc 1
+  add
+  stloc 1
+  br loop
+done:
+  ldloc 0
+  ret
+.end
+)");
+  std::vector<std::byte> bytes(16);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::byte>(i % 3);
+  }
+  const Value buf = kernels::make_buffer(bytes);
+  const std::vector<Value> seed = {buf, Value::from_int(8),
+                                   Value::from_int(2)};
+  const auto ops = fused_ops(module, "f", seed);
+  for (const Op op : {Op::kBrGeSS, Op::kBrNeElemSIS, Op::kIncS,
+                      Op::kLdElemSS, Op::kAddTS, Op::kIncSBr}) {
+    EXPECT_EQ(ops.count(op), 1u) << static_cast<int>(op);
+  }
+  TierPair tiers(module);
+  const JitStats& stats = tiers.fused.jit_stats();
+  // The first call tiers up on a buffer and two ints.
+  Outcome out = tiers.expect_same("f", seed, "seed kinds");
+  EXPECT_LT(out.dispatches, out.insns);
+  EXPECT_EQ(stats.compilations, 1u);
+  // An array, a float and a string in those positions: the guard misses
+  // and the call runs the plain decode, which traps at the first compare.
+  out = tiers.expect_same("f",
+                          {kernels::bitap_masks("ab"), Value::from_float(8),
+                           kernels::make_string("2")},
+                          "array, float, string");
+  EXPECT_EQ(out.result, "trap Value: expected int");
+  EXPECT_EQ(out.dispatches, out.insns);
+  EXPECT_EQ(stats.guard_misses, 1u);
+  // An array alone runs to the end on the plain decode.
+  out = tiers.expect_same(
+      "f", {kernels::bitap_masks("ab"), Value::from_int(8), Value::from_int(0)},
+      "array");
+  EXPECT_EQ(out.result, "int 8");
+  EXPECT_EQ(out.dispatches, out.insns);
+  EXPECT_EQ(stats.guard_misses, 2u);
+  // The seed kinds run fused again, and so does their out-of-range trap
+  // in kBrNeElemSIS.
+  out = tiers.expect_same("f", seed, "seed kinds again");
+  EXPECT_LT(out.dispatches, out.insns);
+  out = tiers.expect_same("f", {buf, Value::from_int(9), Value::from_int(2)},
+                          "buf[16]");
+  EXPECT_EQ(out.result, "trap interpreter: buffer index out of range");
+  EXPECT_LT(out.dispatches, out.insns);
+  EXPECT_EQ(stats.guard_misses, 2u);
+  EXPECT_EQ(stats.compilations, 1u);
+}
+
+TEST(TierDifferential, UnprovenOperandsStayPlain) {
+  // Each method reads a slot the kind pass cannot prove an int, with the
+  // same argument kinds on every call: an array element, a call result,
+  // and a local stored with an int on one path and a float on the other.
+  // The runs over that slot stay plain and trap as tier 0 does; the runs
+  // over proven slots still fuse.
+  const Module module = assemble(R"(
+.method element 1 1
+  ldarg 0
+  ldc 0
+  ldelem
+  stloc 0
+  ldloc 0
+  brfalse zero
+  ldloc 0
+  ldc 5
+  add
+  ret
+zero:
+  ldc 7
+  ret
+.end
+.method pick 2 0
+  ldarg 0
+  ldarg 1
+  ldelem
+  ret
+.end
+.method result 2 1
+  ldarg 0
+  ldarg 1
+  call pick
+  stloc 0
+  ldloc 0
+  ldc 2
+  mul
+  ret
+.end
+.method paths 2 1
+  ldarg 0
+  brtrue float
+  ldarg 1
+  stloc 0
+  br join
+float:
+  ldcf 1.5
+  stloc 0
+join:
+  ldloc 0
+  ldc 3
+  add
+  ret
+.end
+)");
+  const auto array = [](std::vector<Value> elements) {
+    return Value::from_obj(std::make_shared<Obj>(std::move(elements)));
+  };
+  const Value mixed = array({Value::from_int(4), Value::from_float(1.5),
+                             kernels::make_buffer({})});
+
+  auto ops = fused_ops(module, "element", {mixed});
+  EXPECT_EQ(ops.count(Op::kLdElemS), 1u);  // the array itself is proven
+  EXPECT_EQ(ops.count(Op::kBrFalseS), 0u);
+  EXPECT_EQ(ops.count(Op::kAddSI), 0u);
+  ops = fused_ops(module, "result", {mixed, Value::from_int(0)});
+  EXPECT_EQ(ops.count(Op::kMulSI), 0u);
+  ops = fused_ops(module, "paths", ints(2));
+  EXPECT_EQ(ops.count(Op::kBrTrueS), 1u);  // arg 0 is proven
+  EXPECT_EQ(ops.count(Op::kAddSI), 0u);
+
+  TierPair tiers(module);
+  const auto same = [&](std::string_view method, std::vector<Value> args,
+                        const std::string& expected) {
+    const Outcome out =
+        tiers.expect_same(method, args, std::string(method) + " " + expected);
+    EXPECT_EQ(out.result, expected) << method;
+  };
+  same("element", {mixed}, "int 9");
+  same("element", {array({Value::from_float(1.5)})},
+       "trap Value: expected int");
+  same("element", {array({kernels::make_buffer({})})},
+       "trap Value: expected int");
+  same("element", {array({Value::from_int(0)})}, "int 7");
+  same("result", {mixed, Value::from_int(0)}, "int 8");
+  same("result", {mixed, Value::from_int(1)}, "trap Value: expected int");
+  same("result", {mixed, Value::from_int(2)}, "trap Value: expected int");
+  same("paths", ints(2), "trap Value: expected int");
+  same("paths", {Value::from_int(0), Value::from_int(4)}, "int 7");
+  EXPECT_EQ(tiers.fused.jit_stats().guard_misses, 0u);
 }
 
 TEST(TierDifferential, StargAndStlocMixesLandInTheirSlots) {
@@ -541,7 +781,7 @@ done:
   ret
 .end
 )");
-  const auto ops = fused_ops(module, "f");
+  const auto ops = fused_ops(module, "f", ints(2));
   EXPECT_EQ(ops.count(Op::kStSI), 2u);
   EXPECT_EQ(ops.count(Op::kIncS), 2u);
   EXPECT_EQ(ops.count(Op::kIncSBr), 1u);
@@ -580,7 +820,7 @@ TEST(TierDifferential, AStoreToTheContainerSlotBlocksTheBorrow) {
   ret
 .end
 )");
-  const auto ops = fused_ops(module, "f");
+  const auto ops = fused_ops(module, "f", ints(1));
   EXPECT_EQ(ops.count(Op::kLdElem), 1u);
   EXPECT_EQ(ops.count(Op::kLdElemS) + ops.count(Op::kLdElemSS), 0u);
   TierPair tiers(module);
@@ -619,7 +859,7 @@ TEST(TierDifferential, BorrowedContainerWhoseSlotIsItsOnlyOwner) {
   ret
 .end
 )");
-  const auto ops = fused_ops(module, "f");
+  const auto ops = fused_ops(module, "f", ints(1));
   EXPECT_EQ(ops.count(Op::kLdElemSS), 1u);
   EXPECT_EQ(ops.count(Op::kLdElemS), 1u);
   TierPair tiers(module);
@@ -654,7 +894,7 @@ TEST(TierDifferential, ElementOfABorrowedArrayOutlivesTheArraySlot) {
   ret
 .end
 )");
-  EXPECT_EQ(fused_ops(module, "f").count(Op::kLdElemS), 1u);
+  EXPECT_EQ(fused_ops(module, "f", {}).count(Op::kLdElemS), 1u);
   TierPair tiers(module);
   EXPECT_EQ(tiers.expect_same("f", {}, "element outlives array").result,
             "int 5");
@@ -684,7 +924,10 @@ more:
   ret
 .end
 )");
-  EXPECT_EQ(fused_ops(module, "sum").count(Op::kLdElemS), 1u);
+  EXPECT_EQ(fused_ops(module, "sum",
+                      {kernels::make_buffer({}), Value::from_int(1)})
+                .count(Op::kLdElemS),
+            1u);
   std::vector<std::byte> bytes(200);
   std::int64_t expected = 0;
   for (std::size_t i = 0; i < bytes.size(); ++i) {
