@@ -18,6 +18,11 @@
 //                flushing close of a new file) with 1k and with 64k pages
 //                of other files resident: the per-file index keeps the
 //                cycle's cost flat in the pool's resident page count.
+//   around     — one 512 KiB read_around and write_around (128 pages)
+//                with 0, 64 and 2,048 resident pages of the same file
+//                outside the span, and with the whole span resident, over
+//                a store that moves no bytes: ns per call of the around
+//                paths' resident-page pass plus the copies they make.
 //   faults     — the miss/evict churn mix run against a FaultStore that
 //                injects EIOs, short reads, torn writes and latency spikes:
 //                the degraded mode.  Reports clean vs degraded throughput,
@@ -28,7 +33,7 @@
 // speedup vs 1 thread, for shards=1 (the pre-sharding structure) and the
 // default 16-way sharding.
 //
-// Usage: micro_bufferpool [all|warm|miss|flush|prefetch|post|faults]
+// Usage: micro_bufferpool [all|warm|miss|flush|prefetch|post|around|faults]
 // (default: all)
 #include <algorithm>
 #include <atomic>
@@ -45,6 +50,7 @@
 #include "io/fault_store.hpp"
 #include "io/file_store.hpp"
 #include "io/managed_file.hpp"
+#include "io/store_decorator.hpp"
 #include "obs/bench_report.hpp"
 #include "util/error.hpp"
 #include "util/histogram.hpp"
@@ -410,6 +416,105 @@ void bench_post_cycles(obs::BenchReport& report) {
   report.metric("ratio_to_1k", median_us[1] / median_us[0]);
 }
 
+/// Keeps an in-memory store's files and sizes but moves no bytes: a read
+/// claims every byte and leaves the buffer as it is, a write is dropped.
+/// Over it, the around paths' time is the pool's own work: finding the
+/// resident pages and copying them.
+class NoCopyStore final : public io::StoreDecorator {
+ public:
+  using StoreDecorator::StoreDecorator;
+  std::size_t read(io::FileId, std::uint64_t,
+                   std::span<std::byte> out) override {
+    return out.size();
+  }
+  void write(io::FileId, std::uint64_t, std::span<const std::byte>) override {}
+};
+
+/// read_around and write_around of one 512 KiB span in four shapes of
+/// residency, each its own file and pool over one store that moves no
+/// bytes: the span alone, the span beside 64 or 2,048 resident pages of
+/// its file, and the span wholly resident.  The calls alternate between
+/// the shapes, so machine noise lands on all of them.
+void bench_around(obs::BenchReport& report) {
+  constexpr std::size_t kSpanPages = 128;
+  constexpr std::uint64_t kSpanFirst = 64;
+  constexpr std::uint64_t kOutsideFirst = kSpanFirst + kSpanPages + 64;
+  constexpr std::size_t kMostOutside = 2048;
+  constexpr std::uint64_t kFileBytes =
+      (kOutsideFirst + kMostOutside) * kPageSize;
+  constexpr int kCalls = 400;
+  io::SimFileStore sim(1, 64 * 1024);
+  NoCopyStore store(sim);
+  struct Shape {
+    const char* name;
+    std::size_t outside;
+    bool span_resident;
+    std::unique_ptr<io::BufferPool> pool = nullptr;
+    io::FileId file = io::kInvalidFile;
+    util::LatencyHistogram read_hist = {};
+    util::LatencyHistogram write_hist = {};
+    std::vector<double> read_ns = {};
+    std::vector<double> write_ns = {};
+  };
+  Shape shapes[] = {
+      {.name = "none", .outside = 0, .span_resident = false},
+      {.name = "outside_64", .outside = 64, .span_resident = false},
+      {.name = "outside_2048", .outside = kMostOutside, .span_resident = false},
+      {.name = "span", .outside = 0, .span_resident = true}};
+  const std::vector<std::byte> zeros(kFileBytes, std::byte{0});
+  for (Shape& shape : shapes) {
+    shape.file = store.open(std::string("around_") + shape.name, true);
+    sim.write(shape.file, 0, zeros);
+    shape.pool = std::make_unique<io::BufferPool>(
+        store, io::BufferPoolConfig{.page_size = kPageSize,
+                                    .capacity_pages = 4096,
+                                    .shards = 16});
+    for (std::uint64_t p = 0; p < shape.outside; ++p) {
+      static_cast<void>(shape.pool->pin(shape.file, kOutsideFirst + p));
+    }
+    for (std::uint64_t p = 0; shape.span_resident && p < kSpanPages; ++p) {
+      static_cast<void>(shape.pool->pin(shape.file, kSpanFirst + p));
+    }
+  }
+  std::vector<std::byte> buf(kSpanPages * kPageSize);
+  const std::vector<std::byte> data(buf.size(), std::byte{0x3c});
+  unsigned long long local = 0;
+  for (int i = 0; i < kCalls; ++i) {
+    for (Shape& shape : shapes) {
+      util::Stopwatch read_watch;
+      shape.pool->read_around(shape.file, kSpanFirst * kPageSize, buf);
+      const auto read_ns = static_cast<std::uint64_t>(read_watch.elapsed_ns());
+      local += static_cast<unsigned char>(buf[static_cast<std::size_t>(i)]);
+      util::Stopwatch write_watch;
+      shape.pool->write_around(shape.file, kSpanFirst * kPageSize, data);
+      const auto write_ns =
+          static_cast<std::uint64_t>(write_watch.elapsed_ns());
+      shape.read_hist.push(read_ns);
+      shape.write_hist.push(write_ns);
+      shape.read_ns.push_back(static_cast<double>(read_ns));
+      shape.write_ns.push_back(static_cast<double>(write_ns));
+    }
+  }
+  benchmark_sink = local;
+  const auto median = [](std::vector<double>& v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  for (Shape& shape : shapes) {
+    const double read_ns = median(shape.read_ns);
+    const double write_ns = median(shape.write_ns);
+    std::printf("around      %-13s read_around %8.0f ns  write_around %8.0f "
+                "ns (median of %d)\n",
+                shape.name, read_ns, write_ns, kCalls);
+    report.scenario(std::string("around_") + shape.name);
+    report.metric("read_ns", read_ns);
+    report.metric("write_ns", write_ns);
+    report.distribution("read_around_ns", shape.read_hist);
+    report.distribution("write_around_ns", shape.write_hist);
+    shape.pool->debug_validate();
+  }
+}
+
 /// Degraded-mode churn: the miss/evict mix with dirty pages and periodic
 /// flushes, against a fault-injecting store.  The interesting numbers are
 /// how much throughput the error paths cost (unwinds, retries, kept-dirty
@@ -540,6 +645,11 @@ int main(int argc, char** argv) {
   if (enabled("post")) {
     std::printf("-- POST cycle vs resident pages of other files --\n");
     bench_post_cycles(report);
+    std::printf("\n");
+  }
+  if (enabled("around")) {
+    std::printf("-- 512 KiB read_around/write_around vs resident pages --\n");
+    bench_around(report);
     std::printf("\n");
   }
   if (enabled("faults")) {

@@ -407,55 +407,111 @@ void BufferPool::abort_gather_frames(std::span<const GatherTarget> targets,
 
 // -------------------------------------------------------- read around ----
 
-void BufferPool::read_around(FileId file, std::uint64_t offset,
-                             std::span<std::byte> out) {
+template <typename Visit>
+std::vector<std::uint8_t> BufferPool::for_each_resident(FileId file,
+                                                        std::uint64_t offset,
+                                                        std::uint64_t length,
+                                                        bool wait_pins,
+                                                        Visit visit) {
   const std::size_t page_size = config_.page_size;
-  // out[run_begin, done) covers non-resident pages not read yet.  A run
-  // is read when a resident page or the end of the span closes it.
-  std::size_t run_begin = 0;
-  std::size_t done = 0;
-  while (done < out.size()) {
-    const std::uint64_t pos = offset + done;
-    const std::size_t within = static_cast<std::size_t>(pos % page_size);
-    const std::size_t take = std::min(out.size() - done, page_size - within);
-    if (copy_if_resident(file, pos / page_size, within,
-                         out.subspan(done, take))) {
-      if (run_begin < done) {
-        read_direct(file, offset + run_begin,
-                    out.subspan(run_begin, done - run_begin));
+  const std::uint64_t first_page = offset / page_size;
+  const std::uint64_t end = offset + length;
+  const auto pages =
+      static_cast<std::size_t>((end - 1) / page_size - first_page + 1);
+  std::vector<std::uint8_t> done(pages, 0);
+  // The span's pages grouped by shard (a counting sort): shard s holds
+  // by_shard[start[s], start[s + 1]).
+  std::vector<std::size_t> start(shards_.size() + 1, 0);
+  std::vector<std::size_t> shard_at(pages);
+  for (std::size_t i = 0; i < pages; ++i) {
+    shard_at[i] = shard_of(PageKey{file, first_page + i});
+    start[shard_at[i] + 1]++;
+  }
+  for (std::size_t s = 0; s < shards_.size(); ++s) start[s + 1] += start[s];
+  std::vector<std::size_t> by_shard(pages);
+  std::vector<std::size_t> fill(start.begin(), start.end() - 1);
+  for (std::size_t i = 0; i < pages; ++i) by_shard[fill[shard_at[i]]++] = i;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const std::size_t share = start[s + 1] - start[s];
+    if (share == 0) continue;
+    Shard& sh = shards_[s];
+    std::unique_lock<std::mutex> lk(sh.mutex);
+    for (;;) {
+      bool busy = false;
+      const auto take = [&](std::size_t i, std::size_t idx) {
+        const Frame& f = frames_[idx];
+        if (f.io_busy || (wait_pins && (f.flush_pins > 0 || f.pins > 0))) {
+          busy = true;
+          return;
+        }
+        const std::uint64_t page_begin = (first_page + i) * page_size;
+        visit(sh, idx, std::max(offset, page_begin),
+              std::min(end, page_begin + page_size));
+        done[i] = 1;
+      };
+      // The file's list, for at most `share` steps: if it ends within
+      // them, every resident page of the span in this shard was seen.
+      const auto head = sh.file_head.find(file);
+      std::size_t idx = head == sh.file_head.end() ? kNoFrame : head->second;
+      for (std::size_t step = 0; step < share && idx != kNoFrame; ++step) {
+        const std::uint64_t i = frames_[idx].page_no - first_page;
+        if (i < pages && done[i] == 0) take(static_cast<std::size_t>(i), idx);
+        idx = frames_[idx].file_next;
       }
-      run_begin = done + take;
+      // It runs on: the file has more pages here than the span, so probe
+      // the span's pages instead of walking the rest.
+      for (std::size_t k = start[s]; idx != kNoFrame && k < start[s + 1];
+           ++k) {
+        const std::size_t i = by_shard[k];
+        if (done[i] != 0) continue;
+        const auto it = sh.page_table.find(PageKey{file, first_page + i});
+        if (it != sh.page_table.end()) take(i, it->second);
+      }
+      if (!busy) break;
+      if (wait_pins) {
+        // The wait is bounded because an unpin does not signal, which
+        // keeps the hot unpin path free of a notify: a reader's last
+        // unpin is seen within a millisecond.
+        sh.io_cv.wait_for(lk, std::chrono::milliseconds(1));
+      } else {
+        // Mid-load, or a dirty page mid-write-back: its bytes reach the
+        // frame or the store when the latch clears, so look again then.
+        sh.io_cv.wait(lk);
+      }
     }
-    done += take;
   }
-  if (run_begin < done) {
-    read_direct(file, offset + run_begin, out.subspan(run_begin));
-  }
+  return done;
 }
 
-bool BufferPool::copy_if_resident(FileId file, std::uint64_t page_no,
-                                  std::size_t within,
-                                  std::span<std::byte> out) {
-  const PageKey key{file, page_no};
-  Shard& sh = shards_[shard_of(key)];
-  std::unique_lock<std::mutex> lk(sh.mutex);
-  for (;;) {
-    const auto it = sh.page_table.find(key);
-    if (it == sh.page_table.end()) return false;
-    Frame& f = frames_[it->second];
-    if (f.io_busy) {
-      // Mid-load, or a dirty page mid-write-back: its bytes reach the
-      // frame or the store when the latch clears, so look again then.
-      sh.io_cv.wait(lk);
+void BufferPool::read_around(FileId file, std::uint64_t offset,
+                             std::span<std::byte> out) {
+  if (out.empty()) return;
+  const std::size_t page_size = config_.page_size;
+  // Each resident page's part of `out`, copied under its shard lock: that
+  // keeps the frame resident as a pin would, without the pin.  A demand
+  // gather's miss_counted stays for its own first pin.
+  const std::vector<std::uint8_t> resident = for_each_resident(
+      file, offset, out.size(), /*wait_pins=*/false,
+      [&](Shard& sh, std::size_t idx, std::uint64_t lo, std::uint64_t hi) {
+        sh.stats.hits++;
+        lru_touch(sh, idx);
+        std::memcpy(out.data() + (lo - offset),
+                    frames_[idx].data.data() + lo % page_size, hi - lo);
+      });
+  // Each maximal run of the other pages is one store read.
+  const std::uint64_t first_page = offset / page_size;
+  const std::uint64_t end = offset + out.size();
+  for (std::size_t i = 0; i < resident.size();) {
+    if (resident[i] != 0) {
+      ++i;
       continue;
     }
-    // Copying under the shard lock keeps the frame resident as a pin
-    // would, for one lock round trip instead of two.  A demand gather's
-    // miss_counted stays for its own first pin.
-    sh.stats.hits++;
-    lru_touch(sh, it->second);
-    std::memcpy(out.data(), f.data.data() + within, out.size());
-    return true;
+    std::size_t j = i;
+    while (j < resident.size() && resident[j] == 0) ++j;
+    const std::uint64_t lo = std::max(offset, (first_page + i) * page_size);
+    const std::uint64_t hi = std::min(end, (first_page + j) * page_size);
+    read_direct(file, lo, out.subspan(lo - offset, hi - lo));
+    i = j;
   }
 }
 
@@ -517,38 +573,24 @@ void BufferPool::write_around(FileId file, std::uint64_t offset,
 std::uint64_t BufferPool::copy_into_resident(FileId file, std::uint64_t offset,
                                              std::span<const std::byte> data,
                                              bool dirty) {
+  if (data.empty()) return 0;
   const std::size_t page_size = config_.page_size;
   std::uint64_t extent = 0;
-  for (std::size_t done = 0; done < data.size();) {
-    const std::uint64_t pos = offset + done;
-    const std::uint64_t page_no = pos / page_size;
-    const std::size_t within = static_cast<std::size_t>(pos % page_size);
-    const std::size_t take = std::min(data.size() - done, page_size - within);
-    const PageKey key{file, page_no};
-    Shard& sh = shards_[shard_of(key)];
-    std::unique_lock<std::mutex> lk(sh.mutex);
-    for (auto it = sh.page_table.find(key); it != sh.page_table.end();
-         it = sh.page_table.find(key)) {
-      Frame& f = frames_[it->second];
-      if (f.io_busy || f.flush_pins > 0 || f.pins > 0) {
-        // A load, a write-back or a reader's copy uses the frame's bytes
-        // outside the lock: look again when it is done.  The wait is
-        // bounded because an unpin does not signal, which keeps the hot
-        // unpin path free of a notify: a reader's last unpin is seen
-        // within a millisecond.
-        sh.io_cv.wait_for(lk, std::chrono::milliseconds(1));
-        continue;
-      }
-      std::memcpy(f.data.data() + within, data.data() + done, take);
-      f.valid_bytes = std::max(f.valid_bytes, within + take);
-      if (dirty) {
-        f.dirty = true;
-        extent = std::max(extent, page_no * page_size + f.valid_bytes);
-      }
-      break;
-    }
-    done += take;
-  }
+  // A load, a write-back or a reader's copy uses a frame's bytes outside
+  // the lock, so each page waits those out before it takes the bytes.
+  static_cast<void>(for_each_resident(
+      file, offset, data.size(), /*wait_pins=*/true,
+      [&](Shard&, std::size_t idx, std::uint64_t lo, std::uint64_t hi) {
+        Frame& f = frames_[idx];
+        const auto within = static_cast<std::size_t>(lo % page_size);
+        const auto n = static_cast<std::size_t>(hi - lo);
+        std::memcpy(f.data.data() + within, data.data() + (lo - offset), n);
+        f.valid_bytes = std::max(f.valid_bytes, within + n);
+        if (dirty) {
+          f.dirty = true;
+          extent = std::max(extent, f.page_no * page_size + f.valid_bytes);
+        }
+      }));
   return extent;
 }
 

@@ -407,19 +407,31 @@ class BufferPool {
   /// Publishes one gathered run's frames: valid extents from `got`, stale
   /// tails zeroed, io_busy latches released, gather stats credited.
   void publish_gather_run(std::span<const GatherTarget> run, std::size_t got);
-  /// read_around's per-page step: copies `out` from offset `within` of
-  /// the resident page (file, page_no) and returns true, or returns false
-  /// if the page is not resident.  Waits out in-flight I/O on the page.
-  bool copy_if_resident(FileId file, std::uint64_t page_no,
-                        std::size_t within, std::span<std::byte> out);
+  /// The around paths' pass over the resident pages of `file` that hold
+  /// bytes of [offset, offset + length): one lock per shard that holds a
+  /// page of the span, under which `visit(sh, frame, lo, hi)` runs once
+  /// for each such page with the file bytes [lo, hi) it holds of the
+  /// span.  Returns one mark per page of the span, set where the page was
+  /// visited.  A page mid-I/O (io_busy), or with `wait_pins` one pinned
+  /// or held by a flush, is waited out and its shard looked at again.  A
+  /// shard's resident pages are found by walking its file list for at
+  /// most as many steps as the span has pages in the shard; a list that
+  /// runs on past that is left, and those pages are probed in the page
+  /// table instead.
+  template <typename Visit>
+  std::vector<std::uint8_t> for_each_resident(FileId file,
+                                              std::uint64_t offset,
+                                              std::uint64_t length,
+                                              bool wait_pins, Visit visit);
   /// read_around's store step: one backing read of a non-resident run
   /// into `out`, zero-filling what the store does not have.
   void read_direct(FileId file, std::uint64_t offset,
                    std::span<std::byte> out);
-  /// write_around's per-range pass: every resident page of the range
-  /// waits out in-flight I/O, flush holds and pins, then takes its part
-  /// of `data` into its frame.  With `dirty` the pages are also marked
-  /// dirty; returns the furthest byte such a page now holds (0 if none).
+  /// write_around's per-range pass (for_each_resident): every resident
+  /// page of the range waits out in-flight I/O, flush holds and pins, then
+  /// takes its part of `data` into its frame.  With `dirty` the pages are
+  /// also marked dirty; returns the furthest byte such a page now holds
+  /// (0 if none).
   std::uint64_t copy_into_resident(FileId file, std::uint64_t offset,
                                    std::span<const std::byte> data,
                                    bool dirty);

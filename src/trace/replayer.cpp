@@ -27,6 +27,7 @@ ReplayResult TraceReplayer::replay(const TraceFile& trace) {
   std::vector<io::ManagedFile> handles(slots);
   std::vector<std::byte> buffer;
   buffer.reserve(1 << 20);
+  std::vector<std::byte> expected;  // the verify pass's oracle bytes
   if (options_.keep_rows) {
     // One row per repetition of each record: without this the rows vector
     // regrows (and copies itself) inside the timed replay.
@@ -73,7 +74,7 @@ ReplayResult TraceReplayer::replay(const TraceFile& trace) {
           ms = w.elapsed_ms();
           result.bytes_read += got;
           if (options_.verify_content && got > 0) {
-            std::vector<std::byte> expected(got);
+            expected.resize(got);
             util::expected_sample_bytes(r.offset, expected,
                                         options_.sample_seed);
             util::check<util::IoError>(

@@ -62,11 +62,33 @@ std::uint64_t file_size(const std::filesystem::path& path) {
 
 void expected_sample_bytes(std::uint64_t offset, std::span<std::byte> out,
                            std::uint64_t seed) {
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const std::uint64_t abs = offset + i;
-    const std::uint64_t lane = abs / 8;
-    const std::uint64_t word = lane_value(lane, seed);
-    out[i] = static_cast<std::byte>((word >> ((abs % 8) * 8)) & 0xff);
+  // One hash per lane.  Byte b of a lane is bits 8b..8b+7 of its word,
+  // taken by shifts so the output does not depend on the host byte order.
+  const auto byte_of = [](std::uint64_t word, unsigned b) {
+    return static_cast<std::byte>((word >> (8 * b)) & 0xff);
+  };
+  std::uint64_t lane = offset / 8;
+  unsigned head = static_cast<unsigned>(offset % 8);  // first byte wanted
+  std::byte* p = out.data();
+  std::byte* const end = p + out.size();
+  while (p != end) {
+    const std::uint64_t word = lane_value(lane++, seed);
+    if (head == 0 && end - p >= 8) {
+      // A whole lane: eight constant shifts, which compile to one store.
+      p[0] = byte_of(word, 0);
+      p[1] = byte_of(word, 1);
+      p[2] = byte_of(word, 2);
+      p[3] = byte_of(word, 3);
+      p[4] = byte_of(word, 4);
+      p[5] = byte_of(word, 5);
+      p[6] = byte_of(word, 6);
+      p[7] = byte_of(word, 7);
+      p += 8;
+      continue;
+    }
+    // An unaligned head or a short tail.
+    for (unsigned b = head; b < 8 && p != end; ++b) *p++ = byte_of(word, b);
+    head = 0;
   }
 }
 

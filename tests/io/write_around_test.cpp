@@ -3,7 +3,11 @@
 // pages of its range take the new bytes before it (so no write-back can
 // land older bytes over them) and again after it (so a page a reader
 // loaded while it ran does not keep the old bytes).  Each test holds one
-// store call on a latch to force its race, then checks the bytes.
+// store call on a latch to force its race, then checks the bytes.  The
+// residency tests then place a span's resident pages where the around
+// paths' per-shard pass could miss one: across shards, at the span's ends,
+// under an unaligned head, dirty, and among more pages of the file
+// outside the span than inside.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +24,7 @@
 #include "io/buffer_pool.hpp"
 #include "io/managed_file.hpp"
 #include "io/store_decorator.hpp"
+#include "util/fs.hpp"
 #include "util/temp_dir.hpp"
 
 namespace clio::io {
@@ -254,6 +259,152 @@ TEST(WriteAroundConcurrencyTest, LargeWritesSmallReadsAndChurnStayCoherent) {
   EXPECT_EQ(g.read(got), shadow.size());
   EXPECT_EQ(got, shadow);
   fs.pool().debug_validate();
+}
+
+/// One span of a 1,024-page file with chosen pages resident (some dirty)
+/// in a 4-shard pool.  check() runs read_around and write_around over the
+/// span and holds both to a shadow copy of the file.
+class AroundResidencyTest : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kFilePages = 1024;
+
+  AroundResidencyTest()
+      : store_(dir_.path()),
+        file_(store_.open("f.bin", true)),
+        shadow_(kFilePages * kPage),
+        pool_(store_, {.page_size = kPage, .capacity_pages = 1024,
+                       .shards = 4}) {
+    util::expected_sample_bytes(0, shadow_, /*seed=*/3);
+    store_.write(file_, 0, shadow_);
+  }
+
+  void make_resident(std::uint64_t first, std::uint64_t count) {
+    for (std::uint64_t p = first; p < first + count; ++p) {
+      static_cast<void>(pool_.pin(file_, p));
+    }
+  }
+  /// Page `p` becomes resident and dirty with bytes the store lacks.
+  void make_dirty(std::uint64_t p) {
+    auto guard = pool_.pin(file_, p);
+    std::memset(guard.data().data(), static_cast<int>(0x80 + p % 100), kPage);
+    guard.mark_dirty(kPage);
+    std::memset(shadow_.data() + p * kPage, static_cast<int>(0x80 + p % 100),
+                kPage);
+  }
+  std::size_t shards_of_resident(std::uint64_t first, std::uint64_t last) {
+    std::vector<bool> seen(pool_.shard_count(), false);
+    for (std::uint64_t p = first; p <= last; ++p) {
+      if (pool_.contains(file_, p)) {
+        seen[PageKeyHash{}(PageKey{file_, p}) % pool_.shard_count()] = true;
+      }
+    }
+    return static_cast<std::size_t>(std::count(seen.begin(), seen.end(), true));
+  }
+
+  void check(std::uint64_t offset, std::size_t length) {
+    const std::uint64_t first = offset / kPage;
+    const std::uint64_t last = (offset + length - 1) / kPage;
+    ASSERT_GE(last - first + 1, BufferPool::kCoalescePages);
+    std::size_t resident = 0;
+    std::size_t runs = 0;
+    for (std::uint64_t p = first; p <= last; ++p) {
+      if (pool_.contains(file_, p)) {
+        ++resident;
+      } else if (p == first || pool_.contains(file_, p - 1)) {
+        ++runs;
+      }
+    }
+    // read_around: resident pages (dirty ones' bytes included) come from
+    // their frames, each run of the others is one store read.
+    const PoolStats before = pool_.stats();
+    std::vector<std::byte> got(length);
+    pool_.read_around(file_, offset, got);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), shadow_.begin() + offset));
+    const PoolStats after = pool_.stats();
+    EXPECT_EQ(after.hits - before.hits, resident);
+    EXPECT_EQ(after.direct_read_calls - before.direct_read_calls, runs);
+    EXPECT_EQ(after.misses, before.misses);
+    // write_around: the store and every resident page of the range hold
+    // the new bytes; a dirty page stays dirty, so a flush keeps them.
+    std::vector<std::byte> data(length);
+    util::expected_sample_bytes(offset, data, /*seed=*/99);
+    pool_.write_around(file_, offset, data);
+    std::copy(data.begin(), data.end(), shadow_.begin() + offset);
+    std::vector<std::byte> stored(length);
+    EXPECT_EQ(store_.read(file_, offset, stored), length);
+    EXPECT_EQ(stored, data);
+    for (std::uint64_t p = first; p <= last; ++p) {
+      if (!pool_.contains(file_, p)) continue;
+      const auto guard = pool_.pin(file_, p);
+      EXPECT_TRUE(std::equal(guard.data().begin(), guard.data().end(),
+                             shadow_.begin() + p * kPage))
+          << "resident page " << p << " missed the new bytes";
+    }
+    pool_.flush_all();
+    std::vector<std::byte> whole(shadow_.size());
+    EXPECT_EQ(store_.read(file_, 0, whole), whole.size());
+    EXPECT_EQ(whole, shadow_);
+    pool_.debug_validate();
+  }
+
+  util::TempDir dir_{"clio-around"};
+  RealFileStore store_;
+  FileId file_;
+  std::vector<std::byte> shadow_;
+  BufferPool pool_;
+};
+
+TEST_F(AroundResidencyTest, PagesInSeveralShardsAndAtBothEnds) {
+  make_resident(100, 1);
+  make_resident(179, 1);
+  make_resident(120, 3);
+  make_resident(150, 2);
+  ASSERT_GE(shards_of_resident(100, 179), 2u);
+  check(100 * kPage, 80 * kPage);
+}
+
+TEST_F(AroundResidencyTest, PageUnderAnUnalignedHeadAndTail) {
+  make_resident(100, 1);
+  make_resident(140, 1);
+  make_resident(180, 1);
+  check(100 * kPage + 37, 80 * kPage + 5);
+}
+
+TEST_F(AroundResidencyTest, DirtyPageBytesWinInTheRead) {
+  make_dirty(110);
+  make_dirty(111);
+  make_resident(130, 1);
+  make_dirty(163);  // the span's last page
+  check(100 * kPage, 64 * kPage);
+}
+
+TEST_F(AroundResidencyTest, MorePagesOfTheFileOutsideTheSpanThanInside) {
+  // Each shard lists about 100 pages of the file against about 20 of the
+  // span.  A shard's list starts at its newest page, so the span's pages,
+  // loaded first, sit past the walk's end and only the probe finds them.
+  make_resident(101, 1);
+  make_dirty(150);
+  make_resident(179, 1);
+  make_resident(0, 2);
+  make_resident(300, 400);
+  ASSERT_GE(shards_of_resident(100, 179), 2u);
+  check(100 * kPage + 11, 80 * kPage - 20);
+}
+
+TEST_F(AroundResidencyTest, SpanWithNoResidentPageIsOneStoreRead) {
+  make_resident(0, 64);
+  make_resident(500, 64);
+  make_dirty(99);
+  make_dirty(180);
+  const PoolStats before = pool_.stats();
+  check(100 * kPage, 80 * kPage);
+  EXPECT_EQ(pool_.stats().direct_read_calls, before.direct_read_calls + 1);
+}
+
+TEST_F(AroundResidencyTest, WholeSpanResident) {
+  make_resident(100, 80);
+  make_dirty(140);
+  check(100 * kPage + 3, 79 * kPage);
 }
 
 }  // namespace
