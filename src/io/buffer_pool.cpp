@@ -420,7 +420,8 @@ std::vector<std::uint8_t> BufferPool::for_each_resident(FileId file,
       static_cast<std::size_t>((end - 1) / page_size - first_page + 1);
   std::vector<std::uint8_t> done(pages, 0);
   // The span's pages grouped by shard (a counting sort): shard s holds
-  // by_shard[start[s], start[s + 1]).
+  // by_shard[start[s], start[s + 1]), and next[s] is the first of them
+  // not looked at yet.
   std::vector<std::size_t> start(shards_.size() + 1, 0);
   std::vector<std::size_t> shard_at(pages);
   for (std::size_t i = 0; i < pages; ++i) {
@@ -429,55 +430,51 @@ std::vector<std::uint8_t> BufferPool::for_each_resident(FileId file,
   }
   for (std::size_t s = 0; s < shards_.size(); ++s) start[s + 1] += start[s];
   std::vector<std::size_t> by_shard(pages);
-  std::vector<std::size_t> fill(start.begin(), start.end() - 1);
-  for (std::size_t i = 0; i < pages; ++i) by_shard[fill[shard_at[i]]++] = i;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const std::size_t share = start[s + 1] - start[s];
-    if (share == 0) continue;
-    Shard& sh = shards_[s];
-    std::unique_lock<std::mutex> lk(sh.mutex);
-    for (;;) {
-      bool busy = false;
-      const auto take = [&](std::size_t i, std::size_t idx) {
-        const Frame& f = frames_[idx];
-        if (f.io_busy || (wait_pins && (f.flush_pins > 0 || f.pins > 0))) {
-          busy = true;
-          return;
-        }
-        const std::uint64_t page_begin = (first_page + i) * page_size;
-        visit(sh, idx, std::max(offset, page_begin),
-              std::min(end, page_begin + page_size));
-        done[i] = 1;
-      };
-      // The file's list, for at most `share` steps: if it ends within
-      // them, every resident page of the span in this shard was seen.
-      const auto head = sh.file_head.find(file);
-      std::size_t idx = head == sh.file_head.end() ? kNoFrame : head->second;
-      for (std::size_t step = 0; step < share && idx != kNoFrame; ++step) {
-        const std::uint64_t i = frames_[idx].page_no - first_page;
-        if (i < pages && done[i] == 0) take(static_cast<std::size_t>(i), idx);
-        idx = frames_[idx].file_next;
+  std::vector<std::size_t> next(start.begin(), start.end() - 1);
+  for (std::size_t i = 0; i < pages; ++i) by_shard[next[shard_at[i]]++] = i;
+  std::copy(start.begin(), start.end() - 1, next.begin());
+  // Rounds over the shards, each holding a shard's lock for at most
+  // kAroundPagesPerHold of its pages, so a long span keeps no shard from
+  // pin and the event loop for more than that many page copies.
+  for (bool more = true; more;) {
+    more = false;
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      if (next[s] == start[s + 1]) continue;
+      Shard& sh = shards_[s];
+      std::unique_lock<std::mutex> lk(sh.mutex);
+      if (!sh.file_head.contains(file)) {
+        next[s] = start[s + 1];  // no page of the file in this shard
+        continue;
       }
-      // It runs on: the file has more pages here than the span, so probe
-      // the span's pages instead of walking the rest.
-      for (std::size_t k = start[s]; idx != kNoFrame && k < start[s + 1];
-           ++k) {
-        const std::size_t i = by_shard[k];
-        if (done[i] != 0) continue;
+      for (std::size_t n = 0;
+           n < kAroundPagesPerHold && next[s] < start[s + 1];) {
+        const std::size_t i = by_shard[next[s]];
         const auto it = sh.page_table.find(PageKey{file, first_page + i});
-        if (it != sh.page_table.end()) take(i, it->second);
+        if (it != sh.page_table.end()) {
+          const Frame& f = frames_[it->second];
+          if (f.io_busy) {
+            // Mid-load, or a dirty page mid-write-back: its bytes reach
+            // the frame or the store when the latch clears, so look again
+            // then.
+            sh.io_cv.wait(lk);
+            continue;
+          }
+          if (wait_pins && (f.flush_pins > 0 || f.pins > 0)) {
+            // The wait is bounded because an unpin does not signal, which
+            // keeps the hot unpin path free of a notify: a reader's last
+            // unpin is seen within a millisecond.
+            sh.io_cv.wait_for(lk, std::chrono::milliseconds(1));
+            continue;
+          }
+          const std::uint64_t page_begin = (first_page + i) * page_size;
+          visit(sh, it->second, std::max(offset, page_begin),
+                std::min(end, page_begin + page_size));
+          done[i] = 1;
+        }
+        ++next[s];
+        ++n;
       }
-      if (!busy) break;
-      if (wait_pins) {
-        // The wait is bounded because an unpin does not signal, which
-        // keeps the hot unpin path free of a notify: a reader's last
-        // unpin is seen within a millisecond.
-        sh.io_cv.wait_for(lk, std::chrono::milliseconds(1));
-      } else {
-        // Mid-load, or a dirty page mid-write-back: its bytes reach the
-        // frame or the store when the latch clears, so look again then.
-        sh.io_cv.wait(lk);
-      }
+      more = more || next[s] < start[s + 1];
     }
   }
   return done;

@@ -305,6 +305,9 @@ class BufferPool {
 
  private:
   static constexpr std::size_t kNoFrame = SIZE_MAX;
+  /// for_each_resident's pages per shard lock hold: a long direct read or
+  /// write holds a shard for at most this many page copies at a time.
+  static constexpr std::size_t kAroundPagesPerHold = 16;
 
   struct Frame {
     FileId file = kInvalidFile;
@@ -408,16 +411,15 @@ class BufferPool {
   /// tails zeroed, io_busy latches released, gather stats credited.
   void publish_gather_run(std::span<const GatherTarget> run, std::size_t got);
   /// The around paths' pass over the resident pages of `file` that hold
-  /// bytes of [offset, offset + length): one lock per shard that holds a
-  /// page of the span, under which `visit(sh, frame, lo, hi)` runs once
-  /// for each such page with the file bytes [lo, hi) it holds of the
-  /// span.  Returns one mark per page of the span, set where the page was
-  /// visited.  A page mid-I/O (io_busy), or with `wait_pins` one pinned
-  /// or held by a flush, is waited out and its shard looked at again.  A
-  /// shard's resident pages are found by walking its file list for at
-  /// most as many steps as the span has pages in the shard; a list that
-  /// runs on past that is left, and those pages are probed in the page
-  /// table instead.
+  /// bytes of [offset, offset + length): `visit(sh, frame, lo, hi)` runs
+  /// under the page's shard lock, once for each such page, with the file
+  /// bytes [lo, hi) it holds of the span.  Returns one mark per page of
+  /// the span, set where the page was visited.  A shard with no page of
+  /// the file (no `file_head` entry) costs one lookup; in the others each
+  /// page of the span is probed in the page table, for at most
+  /// kAroundPagesPerHold pages per lock hold.  A page mid-I/O (io_busy),
+  /// or with `wait_pins` one pinned or held by a flush, is waited out
+  /// and probed again.
   template <typename Visit>
   std::vector<std::uint8_t> for_each_resident(FileId file,
                                               std::uint64_t offset,

@@ -379,9 +379,8 @@ TEST_F(AroundResidencyTest, DirtyPageBytesWinInTheRead) {
 }
 
 TEST_F(AroundResidencyTest, MorePagesOfTheFileOutsideTheSpanThanInside) {
-  // Each shard lists about 100 pages of the file against about 20 of the
-  // span.  A shard's list starts at its newest page, so the span's pages,
-  // loaded first, sit past the walk's end and only the probe finds them.
+  // Each shard holds about 100 pages of the file against about 20 of the
+  // span.
   make_resident(101, 1);
   make_dirty(150);
   make_resident(179, 1);
