@@ -6,6 +6,10 @@
 //   warm-hit   — every pin is a cache hit on the thread's own page range;
 //                under the old single pool mutex this was ~flat with thread
 //                count, with shards it should scale on multi-core hosts.
+//   warm-op    — one thread's managed ops on resident pages: ns per
+//                ManagedFile::seek, per seek(0)+seek(off) (a replayed seek
+//                record), per seek + 512 B read and per 512 B read_at (a
+//                replayed read record).
 //   miss-churn — pool much smaller than the file, every access evicts and
 //                loads; measures how much the loads serialize.
 //   flush      — dirties a sequentially-written file and flushes, reporting
@@ -347,6 +351,94 @@ void bench_prefetch_churn(obs::BenchReport& report) {
   }
 }
 
+/// Warm managed ops on one thread: a 1 MiB file wholly resident in a
+/// default-sized pool over a real store, and four op shapes timed in
+/// batches, the shapes taking turns so machine noise lands on all of them.
+/// Each batch is one clock read around kOps ops, so the numbers carry no
+/// per-op clock cost; the median batch is reported.
+void bench_warm_ops(obs::BenchReport& report) {
+  constexpr std::uint64_t kPages = 256;
+  constexpr std::size_t kRead = 512;
+  constexpr std::uint64_t kOps = 200000;
+  constexpr int kBatches = 7;
+  util::TempDir dir("clio-microbp");
+  io::ManagedFileSystem fs(std::make_unique<io::RealFileStore>(dir.path()));
+  io::ManagedFile file = fs.open("warm.bin", io::OpenMode::kTruncate);
+  const std::vector<std::byte> content(kPages * kPageSize, std::byte{0x2b});
+  file.write(content);
+  std::vector<std::byte> buf(kRead);
+  for (std::uint64_t p = 0; p < kPages; ++p) {
+    static_cast<void>(file.read_at(p * kPageSize, buf));
+  }
+  // Random 512-byte slots, none crossing a page, so every op is a hit.
+  util::Rng rng(7);
+  std::vector<std::uint64_t> offsets(4096);
+  for (auto& off : offsets) {
+    off = rng.uniform_u64(kPages) * kPageSize +
+          rng.uniform_u64(kPageSize / kRead) * kRead;
+  }
+  struct Shape {
+    const char* name;
+    void (*op)(io::ManagedFile&, std::uint64_t, std::span<std::byte>);
+    util::LatencyHistogram hist = {};
+    std::vector<double> ns = {};
+  };
+  Shape shapes[] = {
+      {.name = "seek",
+       .op = [](io::ManagedFile& f, std::uint64_t off,
+                std::span<std::byte>) { f.seek(off); }},
+      {.name = "seek0_seek",
+       .op = [](io::ManagedFile& f, std::uint64_t off,
+                std::span<std::byte>) {
+         f.seek(0);
+         f.seek(off);
+       }},
+      {.name = "seek_read",
+       .op = [](io::ManagedFile& f, std::uint64_t off,
+                std::span<std::byte> out) {
+         f.seek(off);
+         static_cast<void>(f.read(out));
+       }},
+      {.name = "read_at",
+       .op = [](io::ManagedFile& f, std::uint64_t off,
+                std::span<std::byte> out) {
+         static_cast<void>(f.read_at(off, out));
+       }}};
+  unsigned long long local = 0;
+  for (int b = 0; b < kBatches; ++b) {
+    for (Shape& shape : shapes) {
+      const auto start = Clock::now();
+      for (std::uint64_t i = 0; i < kOps; ++i) {
+        shape.op(file, offsets[i % offsets.size()], buf);
+      }
+      const double ns =
+          std::chrono::duration<double, std::nano>(Clock::now() - start)
+              .count() /
+          kOps;
+      local += static_cast<unsigned char>(buf[0]);
+      shape.hist.push(static_cast<std::uint64_t>(ns));
+      shape.ns.push_back(ns);
+    }
+  }
+  benchmark_sink = local;
+  const io::PoolStats stats = fs.pool().stats();
+  for (Shape& shape : shapes) {
+    std::vector<double>& v = shape.ns;
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    std::printf("warm-op     %-11s %8.1f ns/op (median of %d batches of "
+                "%llu)\n",
+                shape.name, v[v.size() / 2], kBatches,
+                static_cast<unsigned long long>(kOps));
+    report.scenario(std::string("warm_op_") + shape.name);
+    report.metric("ns_per_op", v[v.size() / 2]);
+    report.distribution("batch_ns_per_op", shape.hist);
+  }
+  std::printf("warm-op     pool misses %llu (the setup's loads), seek "
+              "touches %llu\n",
+              static_cast<unsigned long long>(stats.misses),
+              static_cast<unsigned long long>(stats.prefetches));
+}
+
 /// POST cycles (truncating open, one-page write, flushing close of a new
 /// file, as the web server's POST runs them) on two pools of one size,
 /// one with 1k resident pages of other files and one with 64k.  The
@@ -623,6 +715,8 @@ int main(int argc, char** argv) {
     bench_warm_hits(report, 1);
     std::printf("\n-- warm hits, 16-way sharding --\n");
     bench_warm_hits(report, 16);
+    std::printf("\n-- warm managed ops, one thread --\n");
+    bench_warm_ops(report);
     std::printf("\n");
   }
   if (enabled("miss")) {

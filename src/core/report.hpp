@@ -28,7 +28,9 @@ void render_app_summary(std::ostream& os, const std::string& app_name,
 void render_seek_rows(std::ostream& os, const trace::ReplayResult& replay,
                       std::size_t max_rows);
 
-/// Table 4 shape: per-request seek+read rows.
+/// Table 4 shape: per-request seek+read rows.  "Seek time" is the trace's
+/// seek record (seek(0) then seek(offset)); "Read time" is the read record
+/// alone, a positional read_at with no second positioning seek in it.
 void render_seek_read_rows(std::ostream& os,
                            const trace::ReplayResult& replay,
                            std::size_t max_rows);

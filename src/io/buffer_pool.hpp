@@ -248,7 +248,9 @@ class BufferPool {
   /// Kept because clio_bench calls it at the end of every workload.
   void drain_prefetches() {}
 
-  /// True if the page is resident or being loaded (test/diagnostic helper).
+  /// True if the page is resident or being loaded.  One shard probe that
+  /// counts nothing and leaves the LRU alone: ManagedFile::seek's warm
+  /// test, and a test helper.
   [[nodiscard]] bool contains(FileId file, std::uint64_t page_no) const;
 
   /// Writes back all dirty pages of `file`, coalescing adjacent pages into

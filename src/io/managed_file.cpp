@@ -118,36 +118,9 @@ std::uint64_t ManagedFile::size() const {
 }
 
 std::size_t ManagedFile::read(std::span<std::byte> out) {
-  check<IoError>(fs_ != nullptr, "ManagedFile: read on closed file");
-  const OpTimer timer;
-  const std::size_t page_size = fs_->pool_->page_size();
-  const std::uint64_t file_size = size();
-  std::size_t total = 0;
-  if (position_ < file_size && !out.empty()) {
-    const std::size_t want = static_cast<std::size_t>(
-        std::min<std::uint64_t>(out.size(), file_size - position_));
-    const std::uint64_t first_page = position_ / page_size;
-    const std::uint64_t last_page = (position_ + want - 1) / page_size;
-    if (last_page - first_page + 1 >= BufferPool::kCoalescePages) {
-      // A full backing transfer or more: staging it through frames would
-      // evict as many pages as it reads, then copy each one out again.
-      fs_->pool_->read_around(id_, position_, out.first(want));
-      total = want;
-    } else {
-      while (total < want) {
-        const std::uint64_t pos = position_ + total;
-        const std::uint64_t page = pos / page_size;
-        const std::size_t within = static_cast<std::size_t>(pos % page_size);
-        const std::size_t take = std::min(want - total, page_size - within);
-        auto guard = fs_->pool_->pin_span(id_, page, last_page);
-        std::memcpy(out.data() + total, guard.data().data() + within, take);
-        total += take;
-      }
-    }
-    position_ += total;
-  }
-  fs_->stats_.record(IoOp::kRead, total, timer);
-  return total;
+  const std::size_t got = read_at(position_, out);
+  position_ += got;
+  return got;
 }
 
 void ManagedFile::read_exact(std::span<std::byte> out) {
@@ -157,21 +130,61 @@ void ManagedFile::read_exact(std::span<std::byte> out) {
 }
 
 std::size_t ManagedFile::write(std::span<const std::byte> data) {
+  const std::size_t put = write_at(position_, data);
+  position_ += put;
+  return put;
+}
+
+std::size_t ManagedFile::read_at(std::uint64_t offset,
+                                 std::span<std::byte> out) {
+  check<IoError>(fs_ != nullptr, "ManagedFile: read on closed file");
+  const OpTimer timer;
+  const std::size_t page_size = fs_->pool_->page_size();
+  const std::uint64_t file_size = size();
+  std::size_t total = 0;
+  if (offset < file_size && !out.empty()) {
+    const std::size_t want = static_cast<std::size_t>(
+        std::min<std::uint64_t>(out.size(), file_size - offset));
+    const std::uint64_t first_page = offset / page_size;
+    const std::uint64_t last_page = (offset + want - 1) / page_size;
+    if (last_page - first_page + 1 >= BufferPool::kCoalescePages) {
+      // A full backing transfer or more: staging it through frames would
+      // evict as many pages as it reads, then copy each one out again.
+      fs_->pool_->read_around(id_, offset, out.first(want));
+      total = want;
+    } else {
+      while (total < want) {
+        const std::uint64_t pos = offset + total;
+        const std::uint64_t page = pos / page_size;
+        const std::size_t within = static_cast<std::size_t>(pos % page_size);
+        const std::size_t take = std::min(want - total, page_size - within);
+        auto guard = fs_->pool_->pin_span(id_, page, last_page);
+        std::memcpy(out.data() + total, guard.data().data() + within, take);
+        total += take;
+      }
+    }
+  }
+  fs_->stats_.record(IoOp::kRead, total, timer);
+  return total;
+}
+
+std::size_t ManagedFile::write_at(std::uint64_t offset,
+                                  std::span<const std::byte> data) {
   check<IoError>(fs_ != nullptr, "ManagedFile: write on closed file");
   const OpTimer timer;
   const std::size_t page_size = fs_->pool_->page_size();
   std::size_t total = 0;
   if (!data.empty()) {
-    const std::uint64_t first_page = position_ / page_size;
-    const std::uint64_t last_page = (position_ + data.size() - 1) / page_size;
+    const std::uint64_t first_page = offset / page_size;
+    const std::uint64_t last_page = (offset + data.size() - 1) / page_size;
     if (last_page - first_page + 1 >= BufferPool::kCoalescePages) {
       // A full backing transfer or more: staging it through frames would
       // load and evict as many pages as it writes, then leave them dirty.
-      fs_->pool_->write_around(id_, position_, data);
+      fs_->pool_->write_around(id_, offset, data);
       total = data.size();
     } else {
       while (total < data.size()) {
-        const std::uint64_t pos = position_ + total;
+        const std::uint64_t pos = offset + total;
         const std::uint64_t page = pos / page_size;
         const std::size_t within = static_cast<std::size_t>(pos % page_size);
         const std::size_t take =
@@ -182,7 +195,6 @@ std::size_t ManagedFile::write(std::span<const std::byte> data) {
         total += take;
       }
     }
-    position_ += total;
   }
   fs_->stats_.record(IoOp::kWrite, total, timer);
   return total;
@@ -191,13 +203,16 @@ std::size_t ManagedFile::write(std::span<const std::byte> data) {
 void ManagedFile::seek(std::uint64_t pos) {
   check<IoError>(fs_ != nullptr, "ManagedFile: seek on closed file");
   const OpTimer timer;
-  if (const std::uint64_t file_size = size(); file_size > 0) {
-    const std::size_t page_size = fs_->pool_->page_size();
-    const std::uint64_t last_page = (file_size - 1) / page_size;
-    const std::uint64_t page = std::min(pos / page_size, last_page);
-    // Touching the target page is what makes a cold seek expensive and a
-    // warm seek nearly free — the Table 3/4 effect.
-    fs_->pool_->prefetch(id_, page);
+  const std::size_t page_size = fs_->pool_->page_size();
+  const std::uint64_t page = pos / page_size;
+  // Touching the target page is what makes a cold seek expensive and a
+  // warm seek nearly free — the Table 3/4 effect.  A resident target
+  // needs no touch, so only a miss pays for sizing the file.
+  if (!fs_->pool_->contains(id_, page)) {
+    if (const std::uint64_t file_size = size(); file_size > 0) {
+      const std::uint64_t last_page = (file_size - 1) / page_size;
+      fs_->pool_->prefetch(id_, std::min(page, last_page));
+    }
   }
   position_ = pos;
   fs_->stats_.record(IoOp::kSeek, pos, timer);

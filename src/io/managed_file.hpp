@@ -94,31 +94,46 @@ class ManagedFile {
   ManagedFile& operator=(const ManagedFile&) = delete;
   ~ManagedFile();
 
-  /// Reads up to out.size() bytes from the current position; returns the
-  /// count actually read (0 at EOF).  Timed as a Read.  A span of
-  /// BufferPool::kCoalescePages pages or more goes around the pool
-  /// (BufferPool::read_around); a shorter one is pinned page by page.
-  /// A read that throws leaves the position unchanged.
+  /// Reads up to out.size() bytes from the current position and advances
+  /// it by the count read: read_at(position(), out) plus the move.
   std::size_t read(std::span<std::byte> out);
 
   /// Reads exactly `out.size()` bytes or throws IoError.
   void read_exact(std::span<std::byte> out);
 
-  /// Writes all bytes at the current position, extending the file.  Timed
-  /// as a Write.  Returns the count actually accepted into the stream —
-  /// callers that report bytes written (e.g. the VM's file_write syscall)
-  /// must echo this, not the requested count.  A span of
-  /// BufferPool::kCoalescePages pages or more goes around the pool
-  /// (BufferPool::write_around, one store write whose error surfaces
-  /// here); a shorter one is pinned page by page and reaches the store at
-  /// eviction or flush.  A write that throws leaves the position
-  /// unchanged.
+  /// Writes all bytes at the current position and advances it past them:
+  /// write_at(position(), data) plus the move.
   std::size_t write(std::span<const std::byte> data);
 
+  /// Reads up to out.size() bytes at `offset`, like pread: returns the
+  /// count actually read (short at EOF, 0 past it) and leaves the
+  /// position alone.  Counted as one Read and no Seek.  A span of
+  /// BufferPool::kCoalescePages pages or more goes around the pool
+  /// (BufferPool::read_around); a shorter one is pinned page by page, its
+  /// cold pages loaded by pin_span's gather.
+  std::size_t read_at(std::uint64_t offset, std::span<std::byte> out);
+
+  /// Writes all bytes at `offset`, like pwrite, extending the file, and
+  /// leaves the position alone.  Counted as one Write and no Seek.
+  /// Returns the count actually accepted into the stream — callers that
+  /// report bytes written (e.g. the VM's file_write syscall) must echo
+  /// this, not the requested count.  A span of BufferPool::kCoalescePages
+  /// pages or more goes around the pool (BufferPool::write_around, one
+  /// store write whose error surfaces here); a shorter one is pinned page
+  /// by page and reaches the store at eviction or flush.
+  std::size_t write_at(std::uint64_t offset, std::span<const std::byte> data);
+
   /// Moves the stream position (absolute, from the beginning — the paper's
-  /// replay semantics) and touches the target page.  The touch is a hint:
-  /// a pool with no free frame skips it.  A seek that throws leaves the
-  /// position unchanged.  Timed as a Seek.
+  /// replay semantics) and makes sure the target page is resident.  The
+  /// target page is probed first: if it is resident (or mid-load) the
+  /// seek is done and never asks for the file size.  Only on a miss does
+  /// it size the file and touch the target page, clamped to the last
+  /// page.  So a seek past EOF touches the last page, unless a page past
+  /// the logical end is resident — which only a raw BufferPool::pin past
+  /// EOF can cause — and then it touches nothing.  The touch is a hint: a
+  /// pool with no free frame skips it.  Counted as one Seek.
+  ///
+  /// Every transfer and seek that throws leaves the position unchanged.
   void seek(std::uint64_t pos);
 
   /// Flushes this file's dirty pages and releases the handle.  Timed as a

@@ -69,8 +69,7 @@ ReplayResult TraceReplayer::replay(const TraceFile& trace) {
           auto& h = ensure_open(r);
           buffer.resize(static_cast<std::size_t>(r.length));
           Stopwatch w;
-          h.seek(r.offset);  // position; untimed side of the read
-          const std::size_t got = h.read(buffer);
+          const std::size_t got = h.read_at(r.offset, buffer);
           ms = w.elapsed_ms();
           result.bytes_read += got;
           if (options_.verify_content && got > 0) {
@@ -88,8 +87,7 @@ ReplayResult TraceReplayer::replay(const TraceFile& trace) {
           buffer.resize(static_cast<std::size_t>(r.length));
           util::expected_sample_bytes(r.offset, buffer, options_.sample_seed);
           Stopwatch w;
-          h.seek(r.offset);
-          h.write(buffer);
+          h.write_at(r.offset, buffer);
           ms = w.elapsed_ms();
           result.bytes_written += r.length;
           break;

@@ -45,8 +45,12 @@ struct ReplayResult {
 /// Semantics follow the paper (§3.3): read and write are issued at the
 /// record's offset; "seek operations are performed from the beginning of
 /// the file to the offset as mentioned in the trace files"; open/close act
-/// on the sample file.  Records with count > 1 are issued `count` times
-/// back-to-back, each timed individually.
+/// on the sample file.  A read or write record is one positional call
+/// (ManagedFile::read_at / write_at), as the native twin issues one
+/// pread / pwrite: it moves no stream position and counts no Seek, so
+/// its time holds the transfer alone, and positioning is timed only in
+/// the trace's own seek records.  Records with count > 1 are issued
+/// `count` times back-to-back, each timed individually.
 class TraceReplayer {
  public:
   explicit TraceReplayer(io::ManagedFileSystem& fs, ReplayOptions options = {});

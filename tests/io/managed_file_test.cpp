@@ -226,6 +226,165 @@ TEST_F(ManagedFileTest, SeekOnAFullyPinnedPoolSkipsTheTouchAndMoves) {
   EXPECT_EQ(read_all(b, 256), std::string(256, 'b'));
 }
 
+// ------------------------------------------------------- positional ----
+
+TEST_F(ManagedFileTest, ReadAtAndWriteAtLeaveThePositionAlone) {
+  auto f = fs_->open("pos.bin", OpenMode::kCreate);
+  f.write(as_bytes(std::string(600, 'a')));
+  f.seek(3);
+  EXPECT_EQ(f.write_at(300, as_bytes("XYZ")), 3u);
+  EXPECT_EQ(f.position(), 3u);
+  std::vector<std::byte> buf(5);
+  EXPECT_EQ(f.read_at(299, buf), 5u);
+  EXPECT_EQ(f.position(), 3u);
+  EXPECT_EQ(std::string(reinterpret_cast<const char*>(buf.data()), 5),
+            "aXYZa");
+  // The stream read still starts at the position and advances.
+  EXPECT_EQ(read_all(f, 4), "aaaa");
+  EXPECT_EQ(f.position(), 7u);
+}
+
+TEST_F(ManagedFileTest, PositionalCallsCountOneOpAndNoSeek) {
+  auto f = fs_->open("ops_at.bin", OpenMode::kCreate);
+  const IoStats& stats = fs_->stats();
+  const auto count = [&](IoOp op) { return stats.op_snapshot(op).count; };
+  const std::uint64_t seeks = count(IoOp::kSeek);
+  // One page, several pages, and a span long enough to go around the pool.
+  for (const std::size_t n : {std::size_t{100}, std::size_t{1000},
+                              BufferPool::kCoalescePages * 256 + 10}) {
+    const std::uint64_t writes = count(IoOp::kWrite);
+    const std::uint64_t reads = count(IoOp::kRead);
+    const std::string data(n, 'w');
+    EXPECT_EQ(f.write_at(17, as_bytes(data)), n);
+    EXPECT_EQ(count(IoOp::kWrite) - writes, 1u);
+    std::vector<std::byte> buf(n);
+    EXPECT_EQ(f.read_at(17, buf), n);
+    EXPECT_EQ(count(IoOp::kRead) - reads, 1u);
+  }
+  EXPECT_EQ(count(IoOp::kSeek), seeks);
+  EXPECT_EQ(f.position(), 0u);
+}
+
+TEST_F(ManagedFileTest, ReadAtAtAndPastEofIsShortOrZero) {
+  auto f = fs_->open("eof_at.bin", OpenMode::kCreate);
+  f.write(as_bytes("0123456789"));
+  std::vector<std::byte> buf(8);
+  EXPECT_EQ(f.read_at(6, buf), 4u);
+  EXPECT_EQ(std::string(reinterpret_cast<const char*>(buf.data()), 4),
+            "6789");
+  EXPECT_EQ(f.read_at(10, buf), 0u);
+  EXPECT_EQ(f.read_at(5000, buf), 0u);
+  EXPECT_EQ(f.position(), 10u);
+  EXPECT_EQ(fs_->stats().op_snapshot(IoOp::kRead).bytes, 4u);
+}
+
+TEST_F(ManagedFileTest, WriteAtPastEofExtendsTheSize) {
+  auto f = fs_->open("extend_at.bin", OpenMode::kCreate);
+  f.write(as_bytes("head"));
+  EXPECT_EQ(f.write_at(1000, as_bytes("tail")), 4u);
+  EXPECT_EQ(f.size(), 1004u);
+  EXPECT_EQ(f.position(), 4u);
+  // The gap reads back as a hole of zeros, the tail as written.
+  std::vector<std::byte> buf(1004);
+  EXPECT_EQ(f.read_at(0, buf), 1004u);
+  const std::string got(reinterpret_cast<const char*>(buf.data()), 1004);
+  EXPECT_EQ(got, "head" + std::string(996, '\0') + "tail");
+  f.close();
+  auto g = fs_->open("extend_at.bin", OpenMode::kRead);
+  EXPECT_EQ(g.size(), 1004u);
+}
+
+// -------------------------------------------------------- warm seek ----
+
+/// Counts the store calls a seek may make: file sizes and page loads.
+class SizeCountingStore final : public StoreDecorator {
+ public:
+  using StoreDecorator::StoreDecorator;
+
+  [[nodiscard]] std::uint64_t size(FileId id) const override {
+    size_calls++;
+    return StoreDecorator::size(id);
+  }
+  std::size_t read(FileId id, std::uint64_t offset,
+                   std::span<std::byte> out) override {
+    loads++;
+    return StoreDecorator::read(id, offset, out);
+  }
+  std::size_t readv(FileId id, std::uint64_t offset,
+                    std::span<const std::span<std::byte>> parts) override {
+    loads++;
+    return StoreDecorator::readv(id, offset, parts);
+  }
+
+  mutable std::uint64_t size_calls = 0;
+  std::uint64_t loads = 0;
+};
+
+class WarmSeekTest : public ::testing::Test {
+ protected:
+  /// A 256-byte-page fs over the counting store whose file "s.bin" holds
+  /// `pages` full pages, all cold.
+  void make(std::size_t pages) {
+    auto owned = std::make_unique<SizeCountingStore>(
+        std::make_unique<RealFileStore>(dir_.path()));
+    counts_ = owned.get();
+    ManagedFsOptions options;
+    options.page_size = 256;
+    options.pool_pages = 16;
+    fs_ = std::make_unique<ManagedFileSystem>(std::move(owned), options);
+    {
+      auto f = fs_->open("s.bin", OpenMode::kCreate);
+      f.write(as_bytes(std::string(pages * 256, 's')));
+    }
+    fs_->drop_caches();
+  }
+
+  util::TempDir dir_;
+  SizeCountingStore* counts_ = nullptr;
+  std::unique_ptr<ManagedFileSystem> fs_;
+};
+
+TEST_F(WarmSeekTest, SeekToAResidentPageNeitherSizesNorLoads) {
+  make(8);
+  auto f = fs_->open("s.bin", OpenMode::kRead);
+  std::vector<std::byte> buf(10);
+  ASSERT_EQ(f.read_at(5 * 256, buf), 10u);  // page 5 resident
+  const PoolStats before = fs_->pool().stats();
+  const std::uint64_t sizes = counts_->size_calls;
+  const std::uint64_t loads = counts_->loads;
+  f.seek(5 * 256 + 100);
+  EXPECT_EQ(counts_->size_calls, sizes);
+  EXPECT_EQ(counts_->loads, loads);
+  EXPECT_EQ(fs_->pool().stats().prefetches, before.prefetches);
+  EXPECT_EQ(f.position(), 5 * 256 + 100u);
+}
+
+TEST_F(WarmSeekTest, ColdSeekLoadsTheTargetPageOnce) {
+  make(8);
+  auto f = fs_->open("s.bin", OpenMode::kRead);
+  const PoolStats before = fs_->pool().stats();
+  const std::uint64_t loads = counts_->loads;
+  f.seek(3 * 256);
+  EXPECT_EQ(counts_->loads - loads, 1u);
+  EXPECT_EQ(fs_->pool().stats().prefetches - before.prefetches, 1u);
+  EXPECT_TRUE(fs_->pool().contains(f.id(), 3));
+  // Now warm: the same seek loads nothing more.
+  f.seek(3 * 256);
+  EXPECT_EQ(counts_->loads - loads, 1u);
+}
+
+TEST_F(WarmSeekTest, SeekPastEofTouchesTheLastPage) {
+  make(8);
+  auto f = fs_->open("s.bin", OpenMode::kRead);
+  const PoolStats before = fs_->pool().stats();
+  f.seek(100 * 256);
+  EXPECT_EQ(f.position(), 100 * 256u);
+  EXPECT_TRUE(fs_->pool().contains(f.id(), 7));
+  EXPECT_FALSE(fs_->pool().contains(f.id(), 100));
+  EXPECT_EQ(fs_->pool().stats().prefetches - before.prefetches, 1u);
+  fs_->pool().debug_validate();
+}
+
 /// Records how far into its file any backing read reached.
 class ReadExtentStore final : public StoreDecorator {
  public:
@@ -482,6 +641,28 @@ TEST_F(RequestGatherTest, FailedSeekLeavesThePositionUnchanged) {
   f.seek(5 * 256);
   EXPECT_EQ(f.position(), 5 * 256u);
   EXPECT_EQ(read_all(f, 256), content.substr(5 * 256, 256));
+}
+
+TEST_F(RequestGatherTest, FailedReadAtThrowsAndLeavesThePosition) {
+  const std::string content = pattern(80 * 256);
+  make(64, content);
+  auto f = fs_->open("g.bin", OpenMode::kRead);
+  f.seek(256);
+  // A 32-page read_at is one gather, an 80-page one a direct read.
+  std::vector<std::byte> gathered(32 * 256);
+  faults_->fail_next(FaultOp::kReadv, 1);
+  EXPECT_THROW(static_cast<void>(f.read_at(2 * 256, gathered)), util::IoError);
+  EXPECT_EQ(f.position(), 256u);
+  std::vector<std::byte> around(content.size());
+  faults_->fail_next(FaultOp::kRead, 1);
+  EXPECT_THROW(static_cast<void>(f.read_at(0, around)), util::IoError);
+  EXPECT_EQ(f.position(), 256u);
+  fs_->pool().debug_validate();
+  ASSERT_EQ(f.read_at(0, around), content.size());
+  EXPECT_EQ(std::string(reinterpret_cast<const char*>(around.data()),
+                        around.size()),
+            content);
+  EXPECT_EQ(f.position(), 256u);
 }
 
 TEST_F(RequestGatherTest, ColdMultiPageWriteGathersItsPartialPages) {

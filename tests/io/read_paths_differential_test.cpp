@@ -11,6 +11,10 @@
 // long writes over pages a small read left resident clean or a small
 // write left resident dirty; cold reads of other files, which force
 // evictions; and reads of random spans on both sides of the threshold.
+// Each read and write is drawn either as seek plus read/write or as the
+// positional read_at/write_at, which must leave the stream position
+// where it was, while the stream calls must leave it just past the bytes
+// they moved.
 // Every read must equal a shadow copy of the file byte for byte, after a
 // flush the backing file must equal it under pread, and the pool must
 // pass debug_validate() after every op, so a broken index is reported
@@ -132,28 +136,27 @@ class Round {
         failure = read(f);
       } else if (dice < 56) {
         // Inside the file or across its end, which extends it.
-        write(f, rng_.uniform_u64(size + 1), span_length());
+        failure = write(f, rng_.uniform_u64(size + 1), span_length());
       } else if (dice < 62) {
         // A sparse write past EOF: the pages between stay holes.
-        write(f, size + kPage * (1 + rng_.uniform_u64(40)) +
-                     rng_.uniform_u64(kPage),
-              span_length());
+        failure = write(f, size + kPage * (1 + rng_.uniform_u64(40)) +
+                               rng_.uniform_u64(kPage),
+                        span_length());
       } else if (dice < 68) {
         // Resident pages under a long write: a small read leaves a few
         // pages clean, or a small write leaves them dirty, and a write of
         // the threshold or more then covers them.
         const std::uint64_t pos = rng_.uniform_u64(size);
         const std::size_t len = 1 + rng_.uniform_u64(4 * kPage);
-        if (rng_.bernoulli(0.5)) {
-          failure = read_span(f, pos, len);
-        } else {
-          write(f, pos, len);
-        }
+        failure = rng_.bernoulli(0.5) ? read_span(f, pos, len)
+                                      : write(f, pos, len);
         const std::uint64_t back =
             std::min<std::uint64_t>(pos, rng_.uniform_u64(8 * kPage));
-        write(f, pos - back,
-              BufferPool::kCoalescePages * kPage +
-                  rng_.uniform_u64(40 * kPage));
+        const std::string long_write =
+            write(f, pos - back,
+                  BufferPool::kCoalescePages * kPage +
+                      rng_.uniform_u64(40 * kPage));
+        if (failure.empty()) failure = long_write;
       } else if (dice < 77) {
         failure = flush(f);
       } else if (dice < 95) {
@@ -217,8 +220,22 @@ class Round {
     const std::vector<std::byte>& shadow = shadows_[f];
     std::vector<std::byte> buf(len, kPoison);
     ManagedFile& file = streams_[f];
-    file.seek(pos);
-    const std::size_t got = file.read(buf);
+    std::size_t got = 0;
+    if (rng_.bernoulli(0.5)) {
+      const std::uint64_t before = file.position();
+      got = file.read_at(pos, buf);
+      if (file.position() != before) {
+        return "read_at at " + std::to_string(pos) + " of " + name(f) +
+               " moved the position to " + std::to_string(file.position());
+      }
+    } else {
+      file.seek(pos);
+      got = file.read(buf);
+      if (file.position() != pos + got) {
+        return "read at " + std::to_string(pos) + " of " + name(f) +
+               " left the position at " + std::to_string(file.position());
+      }
+    }
     const std::size_t want =
         pos < shadow.size() ? std::min<std::size_t>(len, shadow.size() - pos)
                             : 0;
@@ -238,16 +255,32 @@ class Round {
     return {};
   }
 
-  void write(std::size_t f, std::uint64_t offset, std::size_t len) {
+  /// Writes `len` bytes to file `f` at `offset` and to its shadow.
+  std::string write(std::size_t f, std::uint64_t offset, std::size_t len) {
     std::vector<std::byte> data(len);
     fill(data, ++generation_ * 7 + f);
     ManagedFile& file = streams_[f];
-    file.seek(offset);
-    file.write(data);
+    std::string failure;
+    if (rng_.bernoulli(0.5)) {
+      const std::uint64_t before = file.position();
+      file.write_at(offset, data);
+      if (file.position() != before) {
+        failure = "write_at at " + std::to_string(offset) + " of " + name(f) +
+                  " moved the position to " + std::to_string(file.position());
+      }
+    } else {
+      file.seek(offset);
+      file.write(data);
+      if (file.position() != offset + len) {
+        failure = "write at " + std::to_string(offset) + " of " + name(f) +
+                  " left the position at " + std::to_string(file.position());
+      }
+    }
     std::vector<std::byte>& shadow = shadows_[f];
     if (shadow.size() < offset + len) shadow.resize(offset + len);
     std::copy(data.begin(), data.end(),
               shadow.begin() + static_cast<std::ptrdiff_t>(offset));
+    return failure;
   }
 
   /// Persists file `f` (a flush, or a flushing close and reopen), then

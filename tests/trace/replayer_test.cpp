@@ -174,6 +174,53 @@ TEST_F(ReplayerTest, MultiProcessStreamsKeepIndependentHandles) {
   EXPECT_EQ(result.op(TraceOp::kClose).count(), 2u);
 }
 
+TEST_F(ReplayerTest, ReadAndWriteRecordsIssueNoSeek) {
+  // Read and write records are positional, as the native twin's pread and
+  // pwrite are: only the trace's seek records seek, each as seek(0) then
+  // seek(offset).  Writes put the sample's own bytes back, so the verify
+  // pass holds every read to the pristine pattern.
+  TraceFile t;
+  t.header.sample_file = "sample.bin";
+  double clock = 0.0;
+  auto rec = [&](TraceOp op, std::uint64_t offset, std::uint64_t length,
+                 std::uint32_t count = 1) {
+    TraceRecord r;
+    r.op = op;
+    r.offset = offset;
+    r.length = length;
+    r.count = count;
+    r.wall_clock = clock += 0.001;
+    t.records.push_back(r);
+  };
+  rec(TraceOp::kOpen, 0, 0);
+  rec(TraceOp::kSeek, 4096, 0);
+  rec(TraceOp::kRead, 4096, 512);
+  rec(TraceOp::kWrite, 10000, 3000);
+  rec(TraceOp::kRead, 9000, 5000, 2);
+  rec(TraceOp::kSeek, 300000, 0, 3);
+  rec(TraceOp::kRead, 300000, 70000);  // around the pool
+  rec(TraceOp::kWrite, 600000, 300000);
+  rec(TraceOp::kRead, kSampleSize - 100, 512);  // short at EOF
+  rec(TraceOp::kClose, 0, 0);
+  t.header.num_records = t.records.size();
+  ReplayOptions options;
+  options.verify_content = true;
+  TraceReplayer replayer(*fs_, options);
+  const io::IoStats& stats = fs_->stats();
+  const auto count = [&](io::IoOp op) { return stats.op_snapshot(op).count; };
+  const std::uint64_t seeks = count(io::IoOp::kSeek);
+  const std::uint64_t reads = count(io::IoOp::kRead);
+  const std::uint64_t writes = count(io::IoOp::kWrite);
+  ReplayResult result;
+  ASSERT_NO_THROW(result = replayer.replay(t));
+  EXPECT_EQ(result.op(TraceOp::kSeek).count(), 4u);
+  EXPECT_EQ(count(io::IoOp::kSeek) - seeks, 2u * 4);
+  EXPECT_EQ(count(io::IoOp::kRead) - reads, 5u);
+  EXPECT_EQ(count(io::IoOp::kWrite) - writes, 2u);
+  EXPECT_EQ(result.bytes_read, 512u + 2 * 5000 + 70000 + 100);
+  EXPECT_EQ(result.bytes_written, 3000u + 300000);
+}
+
 TEST_F(ReplayerTest, SeeksAreCheapWhenWarm) {
   // Warm the pool with a sequential pass, then time pure seeks: they must
   // be far cheaper than the initial cold reads (Table 3's contrast).
