@@ -14,10 +14,10 @@
 //                loads; measures how much the loads serialize.
 //   flush      — dirties a sequentially-written file and flushes, reporting
 //                backing-store write calls vs dirty pages (coalescing win).
-//   prefetch   — sequential scans through a pool much smaller than the file,
-//                driven by prefetch_range windows: measures the coalesced
-//                readv gather path, reporting pages/s plus the backing
-//                read-batching ratio.
+//   gather     — sequential scans through a pool much smaller than the file,
+//                in 16-page pin_span windows as a request's copy pins
+//                them: measures the coalesced readv gather path, reporting
+//                pages/s plus the backing read-batching ratio.
 //   post       — one POST's file steps (truncating open, 4 KiB write,
 //                flushing close of a new file) with 1k and with 64k pages
 //                of other files resident: the per-file index keeps the
@@ -37,7 +37,7 @@
 // speedup vs 1 thread, for shards=1 (the pre-sharding structure) and the
 // default 16-way sharding.
 //
-// Usage: micro_bufferpool [all|warm|miss|flush|prefetch|post|around|faults]
+// Usage: micro_bufferpool [all|warm|miss|flush|gather|post|around|faults]
 // (default: all)
 #include <algorithm>
 #include <atomic>
@@ -284,10 +284,10 @@ void bench_flush_coalescing(obs::BenchReport& report) {
   report.metric("flush_ms", ms);
 }
 
-/// Sequential scans driven by prefetch_range windows, through a pool much
-/// smaller than the file so every pass is cold: this is the prefetch-churn
-/// path the coalesced readv gather accelerates.
-void bench_prefetch_churn(obs::BenchReport& report) {
+/// Sequential scans in pin_span windows, through a pool much smaller than
+/// the file so every pass is cold: each window's first pin gathers its
+/// cold pages, one readv per run, and the rest of its pins are hits.
+void bench_gather_churn(obs::BenchReport& report) {
   util::TempDir dir("clio-microbp");
   io::RealFileStore real(dir.path());
   CountingStore store(real);
@@ -316,11 +316,11 @@ void bench_prefetch_churn(obs::BenchReport& report) {
           const std::size_t n =
               static_cast<std::size_t>(std::min<std::uint64_t>(kWindow,
                                                                span - p));
-          pool.prefetch_range(file, lo + p, n);
-          // Consume the window like a sequential reader: every page is
-          // resident already, so no pin re-issues a per-page load.
-          for (std::size_t i = 0; i < n; ++i) {
-            auto g = pool.pin(file, lo + p + i);
+          // Consume the window like a request's copy: one pin at a time,
+          // each naming the window's last page.
+          const std::uint64_t last = lo + p + n - 1;
+          for (std::uint64_t q = lo + p; q <= last; ++q) {
+            auto g = pool.pin_span(file, q, last);
             local += static_cast<unsigned char>(g.data()[0]);
           }
         }
@@ -328,7 +328,7 @@ void bench_prefetch_churn(obs::BenchReport& report) {
       benchmark_sink = local;
     });
     if (threads == 1) base = r.ops_per_sec;
-    report.scenario("prefetch_sync_t" + std::to_string(threads));
+    report.scenario("gather_t" + std::to_string(threads));
     report.metric("pages_per_sec", r.ops_per_sec);
     report.metric("speedup", r.ops_per_sec / base);
     report.metric("readv_calls", static_cast<double>(store.readv_calls));
@@ -336,7 +336,7 @@ void bench_prefetch_churn(obs::BenchReport& report) {
     std::printf(
         "%-10s  %-5s      threads=%d  %12.0f pages/s  speedup %.2fx  "
         "(%llu readv + %llu read calls)\n",
-        "prefetch", "sync", threads, r.ops_per_sec,
+        "gather", "sync", threads, r.ops_per_sec,
         r.ops_per_sec / base,
         static_cast<unsigned long long>(store.readv_calls),
         static_cast<unsigned long long>(store.read_calls));
@@ -344,7 +344,7 @@ void bench_prefetch_churn(obs::BenchReport& report) {
   const std::uint64_t total_pages = kFilePages * kPasses;
   const std::uint64_t calls = store.read_calls + store.readv_calls;
   if (calls > 0) {
-    std::printf("prefetch    sync       batching: %.1f pages/backing call "
+    std::printf("gather      sync       batching: %.1f pages/backing call "
                 "(8-thread run)\n",
                 static_cast<double>(total_pages) /
                     static_cast<double>(calls));
@@ -731,9 +731,9 @@ int main(int argc, char** argv) {
     bench_flush_coalescing(report);
     std::printf("\n");
   }
-  if (enabled("prefetch")) {
-    std::printf("-- prefetch churn, coalesced readv (inline) --\n");
-    bench_prefetch_churn(report);
+  if (enabled("gather")) {
+    std::printf("-- request gather churn, coalesced readv (pin_span) --\n");
+    bench_gather_churn(report);
     std::printf("\n");
   }
   if (enabled("post")) {

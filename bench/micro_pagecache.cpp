@@ -55,7 +55,7 @@ void BM_PoolMissSequential(benchmark::State& state) {
     pos += 1 << 20;
   }
   state.SetBytesProcessed(state.iterations() * (1 << 20));
-  state.counters["prefetches"] = static_cast<double>(
+  state.counters["seek_touches"] = static_cast<double>(
       env.fs.pool().stats().prefetches);
 }
 BENCHMARK(BM_PoolMissSequential);

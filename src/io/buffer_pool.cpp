@@ -201,9 +201,8 @@ BufferPool::PageGuard BufferPool::pin_span(FileId file, std::uint64_t page_no,
   const std::size_t s = shard_of(PageKey{file, page_no});
   Shard& sh = shards_[s];
   std::unique_lock<std::mutex> lk(sh.mutex);
-  const std::size_t idx = find_or_load(sh, lk, file, page_no,
-                                       /*count_as_prefetch=*/false,
-                                       /*pin_result=*/true, last_page);
+  const std::size_t idx =
+      find_or_load(sh, lk, file, page_no, /*pin=*/true, last_page);
   return PageGuard(this, s, idx);
 }
 
@@ -246,8 +245,7 @@ bool BufferPool::prefetch(FileId file, std::uint64_t page_no) {
   std::unique_lock<std::mutex> lk(sh.mutex);
   // Resident or already being loaded by someone else: nothing to do.
   if (sh.page_table.contains(key)) return false;
-  return find_or_load(sh, lk, file, page_no, /*count_as_prefetch=*/true,
-                      /*pin_result=*/false) != kNoFrame;
+  return find_or_load(sh, lk, file, page_no, /*pin=*/false) != kNoFrame;
 }
 
 /// Phase 1 of every gather window: clamp to end-of-file, then claim a
@@ -255,15 +253,14 @@ bool BufferPool::prefetch(FileId file, std::uint64_t page_no) {
 /// io_busy-latched — a concurrent faulter of the same page waits on the
 /// shard CV instead of duplicating the read.  Resident and in-flight pages
 /// are skipped (they split the gather runs); under frame pressure the rest
-/// of the window is dropped, never waited for: a prefetch is a hint, and a
-/// demand span's dropped pages are loaded one by one as the copy reaches
-/// them.  Claimed pages count as misses for a demand span, as prefetches
-/// otherwise.  Frame buffers are sized here so the gather phase cannot hit
-/// bad_alloc mid-publication.  On error every claimed frame is unwound
-/// before rethrowing (a demand pin would otherwise hang on the leaked
-/// latch).
+/// of the window is dropped, never waited for: pin_span loads those pages
+/// one by one as the copy reaches them.  Each claimed page counts as a
+/// miss, and its first pin counts no hit.  Frame buffers are sized here so
+/// the gather phase cannot hit bad_alloc mid-publication.  On error every
+/// claimed frame is unwound before rethrowing (a pin would otherwise hang
+/// on the leaked latch).
 std::vector<BufferPool::GatherTarget> BufferPool::claim_gather_targets(
-    FileId file, std::uint64_t first_page, std::size_t count, bool demand) {
+    FileId file, std::uint64_t first_page, std::size_t count) {
   std::vector<GatherTarget> targets;
   // Clamp the window to end-of-file: faulting zero-filled pages past EOF
   // into the pool wastes frames and pollutes the LRU.  A page past the
@@ -297,16 +294,12 @@ std::vector<BufferPool::GatherTarget> BufferPool::claim_gather_targets(
       if (f.data.size() != config_.page_size) {
         f.data.resize(config_.page_size);  // can throw bad_alloc
       }
-      if (demand) {
-        sh.stats.misses++;
-        f.miss_counted = true;
-      } else {
-        sh.stats.prefetches++;
-      }
+      sh.stats.misses++;
+      f.miss_counted = true;
       targets.push_back(GatherTarget{page_no, s, idx});
     }
   } catch (...) {
-    abort_gather_frames(targets, demand);
+    abort_gather_frames(targets);
     throw;
   }
   return targets;
@@ -337,16 +330,10 @@ void BufferPool::publish_gather_run(std::span<const GatherTarget> run,
   }
 }
 
-std::size_t BufferPool::prefetch_range(FileId file, std::uint64_t first_page,
-                                       std::size_t count) {
-  return load_range(file, first_page, count, /*demand=*/false);
-}
-
-std::size_t BufferPool::load_range(FileId file, std::uint64_t first_page,
-                                   std::size_t count, bool demand) {
-  if (count == 0) return 0;
+void BufferPool::load_range(FileId file, std::uint64_t first_page,
+                            std::size_t count) {
   const std::vector<GatherTarget> targets =
-      claim_gather_targets(file, first_page, count, demand);
+      claim_gather_targets(file, first_page, count);
   const std::span<const GatherTarget> all(targets);
 
   // Phase 2: one vectored gather per contiguous run of claimed pages, all
@@ -371,22 +358,19 @@ std::size_t BufferPool::load_range(FileId file, std::uint64_t first_page,
       // Unwind this run and everything not yet issued: a failed gather
       // must leave no half-valid frame resident.  Runs already published
       // stay — their data is complete.
-      abort_gather_frames(all.subspan(i), demand);
+      abort_gather_frames(all.subspan(i));
       throw;
     }
     publish_gather_run(run, got);
     i = j;
   }
-  return targets.size();
 }
 
 /// Drops the claimed-but-unloaded frames of a failed gather: page-table
 /// entries are erased and the frames returned to the free list, so faulters
-/// waiting on them retry from a clean slate.  The miss or prefetch counter
-/// is taken back too — a gather counts pages actually loaded, and these
-/// were not.
-void BufferPool::abort_gather_frames(std::span<const GatherTarget> targets,
-                                     bool demand) {
+/// waiting on them retry from a clean slate.  Their misses are taken back
+/// too — a gather counts pages actually loaded, and these were not.
+void BufferPool::abort_gather_frames(std::span<const GatherTarget> targets) {
   for (const GatherTarget& t : targets) {
     Shard& sh = shards_[t.shard];
     std::lock_guard<std::mutex> lock(sh.mutex);
@@ -395,11 +379,7 @@ void BufferPool::abort_gather_frames(std::span<const GatherTarget> targets,
     lru_remove(sh, t.frame);
     f.in_use = false;
     f.io_busy = false;
-    if (demand) {
-      sh.stats.misses--;
-    } else {
-      sh.stats.prefetches--;
-    }
+    sh.stats.misses--;
     release_frame(t.frame);
     sh.io_cv.notify_all();
   }
@@ -485,8 +465,8 @@ void BufferPool::read_around(FileId file, std::uint64_t offset,
   if (out.empty()) return;
   const std::size_t page_size = config_.page_size;
   // Each resident page's part of `out`, copied under its shard lock: that
-  // keeps the frame resident as a pin would, without the pin.  A demand
-  // gather's miss_counted stays for its own first pin.
+  // keeps the frame resident as a pin would, without the pin.  A gathered
+  // page's miss_counted stays for its own first pin.
   const std::vector<std::uint8_t> resident = for_each_resident(
       file, offset, out.size(), /*wait_pins=*/false,
       [&](Shard& sh, std::size_t idx, std::uint64_t lo, std::uint64_t hi) {
@@ -601,8 +581,7 @@ bool BufferPool::contains(FileId file, std::uint64_t page_no) const {
 std::size_t BufferPool::find_or_load(Shard& sh,
                                      std::unique_lock<std::mutex>& lk,
                                      FileId file, std::uint64_t page_no,
-                                     bool count_as_prefetch, bool pin_result,
-                                     std::uint64_t span_last) {
+                                     bool pin, std::uint64_t span_last) {
   const PageKey key{file, page_no};
   for (;;) {
     if (auto it = sh.page_table.find(key); it != sh.page_table.end()) {
@@ -613,12 +592,12 @@ std::size_t BufferPool::find_or_load(Shard& sh,
         sh.io_cv.wait(lk);
         continue;
       }
-      // A page a demand gather loaded had its miss counted then: its
-      // first pin is that miss, not a hit.
-      if (!count_as_prefetch && !std::exchange(f.miss_counted, false)) {
-        sh.stats.hits++;
+      // A page a gather loaded had its miss counted then: its first pin
+      // is that miss, not a hit.
+      if (pin) {
+        if (!std::exchange(f.miss_counted, false)) sh.stats.hits++;
+        f.pins++;
       }
-      if (pin_result) f.pins++;
       lru_touch(sh, it->second);
       return it->second;
     }
@@ -628,18 +607,16 @@ std::size_t BufferPool::find_or_load(Shard& sh,
       // run, instead of one read per page as the copy reaches it.  Then
       // look again; a page the gather had to drop loads alone below.
       lk.unlock();
-      static_cast<void>(load_range(file, page_no, span_last - page_no + 1,
-                                   /*demand=*/true));
+      load_range(file, page_no, span_last - page_no + 1);
       lk.lock();
       span_last = page_no;
       continue;
     }
-    // A prefetch is a hint: it takes a frame only if one is free or
-    // evictable right now, like prefetch_range's gather.
+    // A seek touch is a hint: it takes a frame only if one is free or
+    // evictable right now, as the gather does.
     bool transient_holds = false;
-    const std::size_t idx = count_as_prefetch
-                                ? try_acquire_frame(sh, lk, transient_holds)
-                                : acquire_frame(sh, lk);
+    const std::size_t idx = pin ? acquire_frame(sh, lk)
+                                : try_acquire_frame(sh, lk, transient_holds);
     if (idx == kNoFrame) return kNoFrame;
     if (sh.page_table.contains(key)) {
       // Lost a race while acquire_frame released the lock: someone else
@@ -647,12 +624,12 @@ std::size_t BufferPool::find_or_load(Shard& sh,
       release_frame(idx);
       continue;
     }
-    install_loading_frame(sh, file, page_no, idx, pin_result ? 1u : 0u);
+    install_loading_frame(sh, file, page_no, idx, pin ? 1u : 0u);
     Frame& f = frames_[idx];
-    if (count_as_prefetch) {
-      sh.stats.prefetches++;
-    } else {
+    if (pin) {
       sh.stats.misses++;
+    } else {
+      sh.stats.prefetches++;
     }
     // The actual disk read happens outside the shard lock; the io_busy
     // latch keeps the frame from being evicted or double-loaded.
@@ -679,9 +656,9 @@ std::size_t BufferPool::find_or_load(Shard& sh,
       f.in_use = false;
       f.io_busy = false;
       f.pins = 0;
-      // Prefetches count pages actually loaded; a miss stays counted — the
-      // demand fault did happen even though its load failed.
-      if (count_as_prefetch) sh.stats.prefetches--;
+      // Seek touches count pages actually loaded; a miss stays counted —
+      // the demand fault did happen even though its load failed.
+      if (!pin) sh.stats.prefetches--;
       release_frame(idx);
       sh.io_cv.notify_all();
       std::rethrow_exception(error);
@@ -1200,7 +1177,7 @@ void BufferPool::debug_validate(bool expect_unpinned) const {
     fail("frames leaked: resident + free != capacity");
   }
   // Stats consistency.  Every resident or evicted page came from a
-  // successful load, and every load was counted as a miss or a prefetch
+  // successful load, and every load was counted as a miss or a seek touch
   // (failed misses still count as misses, so this is an inequality).
   if (resident + total.evictions > total.misses + total.prefetches) {
     fail("stats: more residents+evictions than counted loads");
@@ -1208,8 +1185,9 @@ void BufferPool::debug_validate(bool expect_unpinned) const {
   if (total.flush_write_pages > total.writebacks) {
     fail("stats: flush wrote more pages than writebacks counted");
   }
-  if (total.gather_read_pages > total.prefetches + total.misses) {
-    fail("stats: gathers loaded more pages than loads counted");
+  // Every gathered page is a request's miss.
+  if (total.gather_read_pages > total.misses) {
+    fail("stats: gathers loaded more pages than misses counted");
   }
 }
 

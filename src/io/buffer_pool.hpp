@@ -35,15 +35,15 @@ struct PoolStats {
   std::uint64_t misses = 0;  ///< pages a request needed that were not resident
   std::uint64_t evictions = 0;
   std::uint64_t writebacks = 0;
-  std::uint64_t prefetches = 0;  ///< pages loaded by prefetch (not in misses)
+  std::uint64_t prefetches = 0;  ///< pages a seek's one-page touch loaded
   // Vectored-transfer accounting: how many backing calls the coalesced
   // paths issued and how many pages rode them, so batching ratios
   // (pages / call) are observable from stats instead of only from bench
   // counters.  flush_write_* covers every flush_file/flush_all backing
   // call (all runs go out as writev, single-page runs as a one-part
-  // gather); gather_read_* covers the readv gathers of prefetch_range and
-  // of pin_span's demand spans.  Eviction write-backs are never coalesced
-  // and count only in `writebacks`.
+  // gather); gather_read_* covers the readv gathers of pin_span's request
+  // spans.  Eviction write-backs are never coalesced and count only in
+  // `writebacks`.
   std::uint64_t flush_write_calls = 0;
   std::uint64_t flush_write_pages = 0;
   std::uint64_t gather_read_calls = 0;
@@ -109,7 +109,7 @@ struct PageKeyHash {
 /// when every frame in the pool is truly pinned.
 ///
 /// Both bulk transfer directions are coalesced: flush merges adjacent dirty
-/// pages into vectored writev gathers, and prefetch_range and pin_span merge
+/// pages into vectored writev gathers, and pin_span merges a request's
 /// adjacent cold pages into vectored readv scatters — one backing access per
 /// run of at most kCoalescePages pages instead of one per page.  A read or
 /// write of kCoalescePages pages or more skips the frames altogether.  A
@@ -178,10 +178,11 @@ class BufferPool {
 
   /// Pins page `page_no` of a request that goes on through `last_page`.
   /// A resident page is pinned as by pin(), under one shard lock.  On a
-  /// miss, every cold page of [page_no, last_page] is loaded first, as by
-  /// prefetch_range — one readv per contiguous cold run, clamped at EOF,
-  /// the tail dropped under frame pressure — but counted as misses, since
-  /// the request needs them; their first pins then count no hit.
+  /// miss, every cold page of [page_no, last_page] is loaded first: one
+  /// readv per contiguous cold run of at most kCoalescePages pages, clamped
+  /// at the store's EOF, the tail dropped under frame pressure.  They count
+  /// as misses, since the request needs them; their first pins count no hit.
+  /// This gather is the only way a multi-page load enters the pool.
   /// ManagedFile::read/write pin every page of a span through this, so a
   /// cold span costs one gather per run instead of one read per page.
   PageGuard pin_span(FileId file, std::uint64_t page_no,
@@ -226,26 +227,16 @@ class BufferPool {
   void write_around(FileId file, std::uint64_t offset,
                     std::span<const std::byte> data);
 
-  /// Loads a page into the cache without pinning it, if absent.
-  /// Returns true if the page was actually loaded (i.e. it was cold).  A
-  /// prefetch is a hint: when no frame can be had right now (every frame
-  /// pinned or mid-I/O) it returns false instead of waiting or throwing.
+  /// Loads a page into the cache without pinning it, if absent: the seek
+  /// touch (ManagedFile::seek), counted in `prefetches`.  Returns true if
+  /// the page was actually loaded (i.e. it was cold).  A touch is a hint:
+  /// when no frame can be had right now (every frame pinned or mid-I/O) it
+  /// returns false instead of waiting or throwing.
   bool prefetch(FileId file, std::uint64_t page_no);
 
-  /// Prefetches `count` consecutive pages starting at `first_page`;
-  /// returns how many were cold and actually loaded.  The window is clamped
-  /// to end-of-file (pages wholly past EOF are never faulted in), cold
-  /// pages are claimed up front across shards with io_busy latches, and
-  /// each contiguous cold run is loaded by a single vectored
-  /// BackingStore::readv issued outside any lock (runs are capped at
-  /// kCoalescePages).  Under frame pressure the tail of the window
-  /// is dropped rather than waited for — prefetch is a hint.
-  std::size_t prefetch_range(FileId file, std::uint64_t first_page,
-                             std::size_t count);
-
-  /// No-op: every prefetch gather is synchronous and has finished before
-  /// prefetch_range returns, so there is never readahead to wait for.
-  /// Kept because clio_bench calls it at the end of every workload.
+  /// No-op: every load is synchronous and has finished when the call that
+  /// made it returns, so there is never readahead to wait for.  Kept
+  /// because clio_bench calls it at the end of every workload.
   void drain_prefetches() {}
 
   /// True if the page is resident or being loaded.  One shard probe that
@@ -324,8 +315,8 @@ class BufferPool {
     std::uint32_t flush_pins = 0;
     bool dirty = false;
     bool in_use = false;
-    /// Set when a demand gather (pin_span) loaded this page and counted
-    /// its miss: the first pin then counts no hit.
+    /// Set when pin_span's gather loaded this page and counted its miss:
+    /// the first pin then counts no hit.
     bool miss_counted = false;
     /// Set while a miss load or eviction write-back runs outside the shard
     /// lock; such frames are skipped by eviction and waited on by faulters.
@@ -383,13 +374,14 @@ class BufferPool {
 
   // Shard-local helpers; all assume the shard's mutex is held by `lk` /
   // the caller unless stated otherwise.
-  /// Returns the frame of (file, page_no), loading it if absent.  With
+  /// Returns the frame of (file, page_no), loading it if absent.  A `pin`
+  /// (pin_span) counts a hit or a miss and pins the frame; with
   /// `span_last` > page_no an absent page first gathers the cold pages of
-  /// [page_no, span_last] (pin_span).  A prefetch (`count_as_prefetch`)
-  /// returns kNoFrame instead of waiting when no frame is free.
+  /// [page_no, span_last].  A seek touch (prefetch, !pin) counts a load in
+  /// `prefetches`, pins nothing, and returns kNoFrame instead of waiting
+  /// when no frame is free.
   std::size_t find_or_load(Shard& sh, std::unique_lock<std::mutex>& lk,
-                           FileId file, std::uint64_t page_no,
-                           bool count_as_prefetch, bool pin_result,
+                           FileId file, std::uint64_t page_no, bool pin,
                            std::uint64_t span_last = 0);
   void install_loading_frame(Shard& sh, FileId file, std::uint64_t page_no,
                              std::size_t idx, std::uint32_t pins);
@@ -398,17 +390,16 @@ class BufferPool {
                                 bool& transient_holds);
   std::size_t try_evict_from(Shard& sh, std::unique_lock<std::mutex>& lk,
                              bool& transient_holds);
-  void abort_gather_frames(std::span<const GatherTarget> targets, bool demand);
+  void abort_gather_frames(std::span<const GatherTarget> targets);
 
-  /// The gather behind prefetch_range (demand = false: pages count as
-  /// prefetches) and pin_span (demand = true: pages count as misses).
-  std::size_t load_range(FileId file, std::uint64_t first_page,
-                         std::size_t count, bool demand);
+  /// pin_span's gather: loads the cold pages of `count` pages from
+  /// `first_page`, counting each as a miss.
+  void load_range(FileId file, std::uint64_t first_page, std::size_t count);
   /// Phase 1 of a gather window: clamps to EOF and claims every cold
   /// frame io_busy-latched, with buffers sized.  Unwinds and rethrows on a
   /// claim failure.
   [[nodiscard]] std::vector<GatherTarget> claim_gather_targets(
-      FileId file, std::uint64_t first_page, std::size_t count, bool demand);
+      FileId file, std::uint64_t first_page, std::size_t count);
   /// Publishes one gathered run's frames: valid extents from `got`, stale
   /// tails zeroed, io_busy latches released, gather stats credited.
   void publish_gather_run(std::span<const GatherTarget> run, std::size_t got);

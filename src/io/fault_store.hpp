@@ -41,7 +41,7 @@ struct FaultPlan {
 
   /// 1-based call index at which that op fails with a clean EIO (0 = off).
   /// Counts calls of that op since construction / reset(), letting a test
-  /// aim a fault at an exact code path ("the 2nd readv = the prefetch
+  /// aim a fault at an exact code path ("the 2nd readv = the request
   /// gather for the second run").  Indexed by FaultOp.
   std::array<std::uint64_t, kFaultOpCount> fail_nth{};
 

@@ -56,7 +56,7 @@ class BackingStore {
                       std::span<const std::span<const std::byte>> parts);
 
   /// Reads contiguous bytes starting at `offset`, scattering them into
-  /// `parts` in order — the buffer pool's coalesced prefetch path.  Returns
+  /// `parts` in order — the buffer pool's request gather (pin_span).  Returns
   /// total bytes read (short at EOF, 0 past EOF).  Implementations should
   /// treat the whole scatter as one storage access (preadv / a single
   /// modeled seek); the default falls back to one read() per part.

@@ -14,8 +14,8 @@ namespace clio::io {
 /// I/O operation classes.  The numeric values of the first five match the
 /// UMD trace format the paper uses (Open=0, Close=1, Read=2, Write=3,
 /// Seek=4); the vectored classes are internal — they account the backing
-/// gather/scatter calls the buffer pool's coalesced flush and prefetch
-/// paths issue, so batching ratios are observable from IoStats.  Traces
+/// gather/scatter calls the buffer pool's coalesced flush and request
+/// gathers issue, so batching ratios are observable from IoStats.  Traces
 /// never carry them (see kIoTraceOpCount).
 enum class IoOp : std::uint8_t {
   kOpen = 0,

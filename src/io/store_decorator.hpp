@@ -96,7 +96,7 @@ class StoreDecorator : public BackingStore {
 
 /// Decorator that times the vectored data ops into an IoStats under the
 /// pool-internal kReadv/kWritev classes, making the coalescing ratios of
-/// the flush and prefetch paths observable from stats alone.  Scalar
+/// the flush and gather paths observable from stats alone.  Scalar
 /// read/write forward untimed: ManagedFile already accounts those at the
 /// trace-op layer, and double-counting would skew the totals.
 ///

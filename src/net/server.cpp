@@ -967,7 +967,7 @@ std::string MiniWebServer::render_statz() const {
     w.kv("misses", ps.misses);
     w.kv("evictions", ps.evictions);
     w.kv("writebacks", ps.writebacks);
-    w.kv("prefetches", ps.prefetches);
+    w.kv("seek_touches", ps.prefetches);
     w.kv("flush_write_calls", ps.flush_write_calls);
     w.kv("flush_write_pages", ps.flush_write_pages);
     w.kv("gather_read_calls", ps.gather_read_calls);
@@ -1088,7 +1088,7 @@ void MiniWebServer::register_metrics() {
       [&pool] { return static_cast<double>(pool.stats().evictions); });
   reg("clio_pool_writebacks_total", obs::MetricKind::kCounter,
       [&pool] { return static_cast<double>(pool.stats().writebacks); });
-  reg("clio_pool_prefetches_total", obs::MetricKind::kCounter,
+  reg("clio_pool_seek_touches_total", obs::MetricKind::kCounter,
       [&pool] { return static_cast<double>(pool.stats().prefetches); });
   reg("clio_pool_direct_reads_total", obs::MetricKind::kCounter,
       [&pool] { return static_cast<double>(pool.stats().direct_read_calls); });

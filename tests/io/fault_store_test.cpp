@@ -244,7 +244,7 @@ TEST(FaultStoreAiming, FailNthWritevHitsTheCoalescedFlushGather) {
   pool.debug_validate();
 }
 
-TEST(FaultStoreAiming, FailNthReadvHitsThePrefetchGather) {
+TEST(FaultStoreAiming, FailNthReadvHitsTheRequestGather) {
   SimFileStore inner(2, 64 * 1024);
   FaultPlan plan;
   plan.fail_nth[static_cast<std::size_t>(FaultOp::kReadv)] = 1;
@@ -257,11 +257,11 @@ TEST(FaultStoreAiming, FailNthReadvHitsThePrefetchGather) {
   BufferPool pool(store, BufferPoolConfig{.page_size = 256,
                                           .capacity_pages = 32,
                                           .shards = 4});
-  EXPECT_THROW(static_cast<void>(pool.prefetch_range(id, 0, 8)),
-               util::IoError);
+  EXPECT_THROW(static_cast<void>(pool.pin_span(id, 0, 7)), util::IoError);
   EXPECT_EQ(pool.resident_pages(), 0u);  // failed gather fully unwound
   pool.debug_validate();
-  EXPECT_EQ(pool.prefetch_range(id, 0, 8), 8u);  // retry loads clean
+  static_cast<void>(pool.pin_span(id, 0, 7));
+  EXPECT_EQ(pool.resident_pages(), 8u);  // retry loads clean
   pool.debug_validate();
 }
 

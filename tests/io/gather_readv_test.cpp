@@ -1,6 +1,7 @@
 // Coverage for the coalesced read path: BackingStore::readv batching in
-// prefetch_range and pin_span, EOF clamping and failure unwinding.  The concurrency
-// case doubles as a TSan target in CI.
+// pin_span's request gather, EOF clamping and failure unwinding.  Each case
+// drives the gather through pin_span and drops the guard it returns.  The
+// concurrency case doubles as a TSan target in CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,7 +25,8 @@ std::span<const std::byte> as_bytes(const std::string& s) {
 }
 
 /// In-memory BackingStore that counts read/readv calls and can inject read
-/// failures, for asserting how prefetch_range batches its backing accesses.
+/// failures, for asserting how pin_span's gather batches its backing
+/// accesses.
 class CountingReadStore final : public BackingStore {
  public:
   FileId open(const std::string& name, bool create) override {
@@ -117,36 +119,49 @@ FileId make_file(CountingReadStore& store, std::size_t page_size,
   return file;
 }
 
+/// Pins every page of [first, last] as a request span does — each pin
+/// released before the next — and returns how many new misses it counted.
+std::uint64_t pin_window(BufferPool& pool, FileId file, std::uint64_t first,
+                         std::uint64_t last) {
+  const std::uint64_t before = pool.stats().misses;
+  for (std::uint64_t p = first; p <= last; ++p) {
+    static_cast<void>(pool.pin_span(file, p, last));
+  }
+  return pool.stats().misses - before;
+}
+
 // ------------------------------------------------------------ batching ----
 
-TEST(PrefetchReadv, SequentialWindowIssuesOneGatherRead) {
+TEST(GatherReadv, SequentialWindowIssuesOneGatherRead) {
   CountingReadStore store;
   const FileId file = make_file(store, 256, 16);
   BufferPool pool(store, BufferPoolConfig{.page_size = 256,
                                           .capacity_pages = 32,
                                           .shards = 4});
   constexpr std::size_t kWindow = 16;
-  EXPECT_EQ(pool.prefetch_range(file, 0, kWindow), kWindow);
+  static_cast<void>(pool.pin_span(file, 0, kWindow - 1));
   // The whole sequential window must go out as a single vectored gather —
   // not one backing read per page, the pre-coalescing behaviour.
   EXPECT_EQ(store.readv_calls, 1u);
   EXPECT_EQ(store.read_calls, 0u);
-  // The batching ratio is observable from PoolStats alone now, not just
-  // from instrumented test stores: 16 pages over 1 backing call.
+  // The batching ratio is observable from PoolStats alone, not just from
+  // instrumented test stores: 16 pages over 1 backing call.
   EXPECT_EQ(pool.stats().gather_read_calls, 1u);
   EXPECT_EQ(pool.stats().gather_read_pages, kWindow);
   EXPECT_EQ(pool.resident_pages(), kWindow);
-  EXPECT_EQ(pool.stats().prefetches, kWindow);
+  EXPECT_EQ(pool.stats().misses, kWindow);
+  // Page 0's first pin was the request's; every later pin loads nothing.
   for (std::uint64_t p = 0; p < kWindow; ++p) {
     auto g = pool.pin(file, p);
     EXPECT_EQ(static_cast<char>(g.data()[0]), char('a' + p % 26)) << p;
     EXPECT_EQ(g.valid_bytes(), 256u);
   }
-  EXPECT_EQ(pool.stats().hits, kWindow);
-  EXPECT_EQ(pool.stats().misses, 0u);
+  EXPECT_EQ(pool.stats().hits, 1u);
+  EXPECT_EQ(pool.stats().misses, kWindow);
+  EXPECT_EQ(store.readv_calls + store.read_calls, 1u);
 }
 
-TEST(PrefetchReadv, ResidentPagesSplitTheWindowIntoRuns) {
+TEST(GatherReadv, ResidentPagesSplitTheWindowIntoRuns) {
   CountingReadStore store;
   const FileId file = make_file(store, 256, 16);
   BufferPool pool(store, BufferPoolConfig{.page_size = 256,
@@ -155,27 +170,29 @@ TEST(PrefetchReadv, ResidentPagesSplitTheWindowIntoRuns) {
   EXPECT_TRUE(pool.prefetch(file, 4));  // single-page path: one read()
   EXPECT_EQ(store.read_calls, 1u);
   // Page 4 is resident, so the window splits into runs [0..3] and [5..9].
-  EXPECT_EQ(pool.prefetch_range(file, 0, 10), 9u);
+  EXPECT_EQ(pin_window(pool, file, 0, 9), 9u);
   EXPECT_EQ(store.readv_calls, 2u);
+  EXPECT_EQ(store.read_calls, 1u);
   EXPECT_EQ(pool.resident_pages(), 10u);
 }
 
-TEST(PrefetchReadv, CoalesceLimitBoundsRunLength) {
+TEST(GatherReadv, CoalesceLimitBoundsRunLength) {
   CountingReadStore store;
   const FileId file = make_file(store, 256, 160);
   BufferPool pool(store, BufferPoolConfig{.page_size = 256,
                                           .capacity_pages = 256,
                                           .shards = 1});
   // One cold window of 160 pages splits at the 64-page coalescing limit.
-  EXPECT_EQ(pool.prefetch_range(file, 0, 160), 160u);
+  static_cast<void>(pool.pin_span(file, 0, 159));
   EXPECT_EQ(store.readv_parts, (std::vector<std::size_t>{64, 64, 32}));
   EXPECT_EQ(pool.stats().gather_read_calls, 3u);
   EXPECT_EQ(pool.stats().gather_read_pages, 160u);
+  EXPECT_EQ(pool.stats().misses, 160u);
 }
 
-// ------------------------------------------------------- demand spans ----
+// ---------------------------------------------------------- accounting ----
 
-TEST(PrefetchReadv, PinSpanGathersTheColdSpanAsMisses) {
+TEST(GatherReadv, PinSpanGathersTheColdSpanAsMisses) {
   CountingReadStore store;
   const FileId file = make_file(store, 256, 16);
   BufferPool pool(store, BufferPoolConfig{.page_size = 256,
@@ -189,7 +206,7 @@ TEST(PrefetchReadv, PinSpanGathersTheColdSpanAsMisses) {
   EXPECT_EQ(store.readv_calls, 1u);
   EXPECT_EQ(store.read_calls, 0u);
   EXPECT_EQ(pool.resident_pages(), 16u);
-  // The request needs every page: misses, not prefetches.
+  // The request needs every page: misses, not seek touches.
   EXPECT_EQ(pool.stats().misses, 16u);
   EXPECT_EQ(pool.stats().prefetches, 0u);
   EXPECT_EQ(pool.stats().gather_read_pages, 16u);
@@ -206,7 +223,7 @@ TEST(PrefetchReadv, PinSpanGathersTheColdSpanAsMisses) {
   pool.debug_validate();
 }
 
-TEST(PrefetchReadv, PinSpanOfOnePageOrAResidentPageIssuesNoGather) {
+TEST(GatherReadv, PinSpanOfOnePageOrAResidentPageIssuesNoGather) {
   CountingReadStore store;
   const FileId file = make_file(store, 256, 16);
   BufferPool pool(store, BufferPoolConfig{.page_size = 256,
@@ -226,14 +243,15 @@ TEST(PrefetchReadv, PinSpanOfOnePageOrAResidentPageIssuesNoGather) {
 
 // ---------------------------------------------------------- EOF clamps ----
 
-TEST(PrefetchReadv, WindowIsClampedToEndOfFile) {
+TEST(GatherReadv, WindowIsClampedToEndOfFile) {
   CountingReadStore store;
   // 5 full pages plus a 100-byte tail page: pages 0..5 exist, 6+ do not.
   const FileId file = make_file(store, 256, 5, 100);
   BufferPool pool(store, BufferPoolConfig{.page_size = 256,
                                           .capacity_pages = 32,
                                           .shards = 4});
-  EXPECT_EQ(pool.prefetch_range(file, 4, 8), 2u);  // pages 4 and 5 only
+  static_cast<void>(pool.pin_span(file, 4, 11));
+  EXPECT_EQ(pool.stats().misses, 2u);  // pages 4 and 5 only
   EXPECT_EQ(store.readv_calls, 1u);
   EXPECT_FALSE(pool.contains(file, 6));
   EXPECT_EQ(pool.resident_pages(), 2u);
@@ -243,35 +261,45 @@ TEST(PrefetchReadv, WindowIsClampedToEndOfFile) {
   EXPECT_EQ(tail.data()[100], std::byte{0});  // zero past the valid extent
 }
 
-TEST(PrefetchReadv, WindowEntirelyPastEofLoadsNothing) {
+TEST(GatherReadv, WindowEntirelyPastEofGathersNothing) {
   CountingReadStore store;
   const FileId file = make_file(store, 256, 4);
   BufferPool pool(store, BufferPoolConfig{.page_size = 256,
                                           .capacity_pages = 32,
                                           .shards = 4});
-  EXPECT_EQ(pool.prefetch_range(file, 100, 8), 0u);
-  EXPECT_EQ(store.readv_calls + store.read_calls, 0u);
-  EXPECT_EQ(pool.resident_pages(), 0u);
-  // An empty file never prefetches either.
+  // The gather loads nothing past EOF; only the page the request pins is
+  // faulted in, by one read that finds no bytes.
+  {
+    auto g = pool.pin_span(file, 100, 107);
+    EXPECT_EQ(g.valid_bytes(), 0u);
+  }
+  EXPECT_EQ(store.readv_calls, 0u);
+  EXPECT_EQ(store.read_calls, 1u);
+  EXPECT_EQ(pool.stats().gather_read_pages, 0u);
+  EXPECT_EQ(pool.resident_pages(), 1u);
+  EXPECT_FALSE(pool.contains(file, 101));
+  // An empty file never gathers either.
   const FileId empty = store.open("empty.bin", true);
-  EXPECT_EQ(pool.prefetch_range(empty, 0, 8), 0u);
-  EXPECT_EQ(pool.resident_pages(), 0u);
+  static_cast<void>(pool.pin_span(empty, 0, 7));
+  EXPECT_EQ(store.readv_calls, 0u);
+  EXPECT_EQ(pool.stats().gather_read_pages, 0u);
+  EXPECT_EQ(pool.resident_pages(), 2u);
+  EXPECT_FALSE(pool.contains(empty, 1));
 }
 
 // ------------------------------------------------------------ failures ----
 
-TEST(PrefetchReadv, FailedGatherLeavesNoHalfValidFramesResident) {
+TEST(GatherReadv, FailedGatherLeavesNoHalfValidFramesResident) {
   CountingReadStore store;
   const FileId file = make_file(store, 256, 8);
   BufferPool pool(store, BufferPoolConfig{.page_size = 256,
                                           .capacity_pages = 32,
                                           .shards = 4});
   store.fail_reads = 1;
-  EXPECT_THROW(static_cast<void>(pool.prefetch_range(file, 0, 8)),
-               util::IoError);
+  EXPECT_THROW(static_cast<void>(pool.pin_span(file, 0, 7)), util::IoError);
   EXPECT_EQ(pool.resident_pages(), 0u);
-  // Stats stay exact: nothing was loaded, so nothing counts as prefetched.
-  EXPECT_EQ(pool.stats().prefetches, 0u);
+  // Stats stay exact: nothing was loaded, so no miss stays counted.
+  EXPECT_EQ(pool.stats().misses, 0u);
   pool.debug_validate();  // the unwind left no leaked latch or frame
   // A failing demand load reports its error and unwinds the same way.
   store.fail_reads = 1;
@@ -279,15 +307,15 @@ TEST(PrefetchReadv, FailedGatherLeavesNoHalfValidFramesResident) {
   EXPECT_FALSE(pool.contains(file, 0));
   pool.debug_validate();
   // The frames were returned to the pool: a retry loads everything fresh.
-  EXPECT_EQ(pool.prefetch_range(file, 0, 8), 8u);
-  EXPECT_EQ(pool.stats().prefetches, 8u);
+  EXPECT_EQ(pin_window(pool, file, 0, 7), 8u);
+  EXPECT_EQ(pool.stats().gather_read_pages, 8u);
   for (std::uint64_t p = 0; p < 8; ++p) {
     auto g = pool.pin(file, p);
     EXPECT_EQ(static_cast<char>(g.data()[0]), char('a' + p)) << p;
   }
 }
 
-TEST(PrefetchReadv, FailureInSecondRunKeepsFirstRunResident) {
+TEST(GatherReadv, FailureInSecondRunKeepsFirstRunResident) {
   CountingReadStore store;
   const FileId file = make_file(store, 256, 136);
   BufferPool pool(store, BufferPoolConfig{.page_size = 256,
@@ -295,11 +323,11 @@ TEST(PrefetchReadv, FailureInSecondRunKeepsFirstRunResident) {
                                           .shards = 1});
   // A completed gather's pages are published and stay resident; a later
   // failed gather must unwind only its own claimed frames.
-  EXPECT_EQ(pool.prefetch_range(file, 0, 64), 64u);  // run 1 resident
+  EXPECT_EQ(pin_window(pool, file, 0, 63), 64u);  // run 1 resident
   store.fail_reads = 1;
   // Pages 64..135 are two runs split at the 64-page limit; the first
   // fails, so neither is loaded.
-  EXPECT_THROW(static_cast<void>(pool.prefetch_range(file, 64, 72)),
+  EXPECT_THROW(static_cast<void>(pool.pin_span(file, 64, 135)),
                util::IoError);
   EXPECT_EQ(store.readv_parts, (std::vector<std::size_t>{64}));
   EXPECT_EQ(pool.resident_pages(), 64u);  // only run 1 remains
@@ -307,11 +335,12 @@ TEST(PrefetchReadv, FailureInSecondRunKeepsFirstRunResident) {
   for (std::uint64_t p = 64; p < 136; ++p) {
     EXPECT_FALSE(pool.contains(file, p));
   }
+  pool.debug_validate();
 }
 
 // ----------------------------------------------------------- contention ----
 
-TEST(PrefetchReadv, ConcurrentPrefetchAndPinOfSameRangeStayCoherent) {
+TEST(GatherReadv, ConcurrentGatherAndPinOfSameRangeStayCoherent) {
   util::TempDir dir;
   RealFileStore store(dir.path());
   const FileId file = store.open("data.bin", true);
@@ -321,17 +350,22 @@ TEST(PrefetchReadv, ConcurrentPrefetchAndPinOfSameRangeStayCoherent) {
     content += std::string(256, char('a' + p % 26));
   }
   store.write(file, 0, as_bytes(content));
-  // Pool smaller than the file: prefetch and demand pins contend for
+  // Pool smaller than the file: gathers and single-page pins contend for
   // frames and evict each other's pages while gathers are in flight.
   BufferPool pool(store, BufferPoolConfig{.page_size = 256,
                                           .capacity_pages = 32,
                                           .shards = 4});
   std::atomic<int> bad_bytes{0};
   std::atomic<bool> stop{false};
-  std::thread prefetcher([&] {
+  const auto check = [&](const BufferPool::PageGuard& g, std::uint64_t page) {
+    if (static_cast<char>(g.data()[0]) != char('a' + page % 26)) bad_bytes++;
+  };
+  std::thread gatherer([&] {
     while (!stop.load()) {
       for (std::uint64_t p = 0; p < kPages; p += 8) {
-        static_cast<void>(pool.prefetch_range(file, p, 8));
+        for (std::uint64_t q = p; q < p + 8; ++q) {
+          check(pool.pin_span(file, q, p + 7), q);
+        }
       }
     }
   });
@@ -341,17 +375,15 @@ TEST(PrefetchReadv, ConcurrentPrefetchAndPinOfSameRangeStayCoherent) {
       util::Rng rng(100 + t);
       for (int i = 0; i < 3000; ++i) {
         const std::uint64_t page = rng.uniform_u64(kPages);
-        auto g = pool.pin(file, page);
-        if (static_cast<char>(g.data()[0]) != char('a' + page % 26)) {
-          bad_bytes++;
-        }
+        check(pool.pin(file, page), page);
       }
     });
   }
   for (auto& th : readers) th.join();
   stop.store(true);
-  prefetcher.join();
+  gatherer.join();
   EXPECT_EQ(bad_bytes.load(), 0);
+  pool.debug_validate();
 }
 
 }  // namespace

@@ -695,7 +695,7 @@ TEST_F(RequestGatherTest, LargeReadCopiesResidentPagesAndReadsEachColdRunOnce) {
   const std::string content = pattern(80 * 256);
   make(64, content);
   auto f = fs_->open("g.bin", OpenMode::kRead);
-  fs_->pool().prefetch_range(f.id(), 40, 3);  // pages 40-42 resident
+  static_cast<void>(fs_->pool().pin_span(f.id(), 40, 42));  // 40-42 resident
   const PoolStats before = fs_->pool().stats();
   EXPECT_EQ(read_all(f, content.size()), content);
   // Pages 0-39 and 43-79 are one direct read each; 40-42 are hits.
@@ -732,7 +732,7 @@ TEST_F(RequestGatherTest, LargeWriteIsOneStoreWriteAndLoadsNoFrame) {
   std::string content = pattern(80 * 256);
   make(64, content);
   auto f = fs_->open("g.bin", OpenMode::kReadWrite);
-  fs_->pool().prefetch_range(f.id(), 40, 3);  // pages 40-42 resident
+  static_cast<void>(fs_->pool().pin_span(f.id(), 40, 42));  // 40-42 resident
   const PoolStats before = fs_->pool().stats();
   const std::string patch = pattern(80 * 256, 5);
   f.write(as_bytes(patch));
@@ -759,7 +759,7 @@ TEST_F(RequestGatherTest, WriteUnderTheThresholdStagesThroughFrames) {
   const std::string content = pattern(80 * 256);
   make(64, content);
   auto f = fs_->open("g.bin", OpenMode::kReadWrite);
-  fs_->pool().prefetch_range(f.id(), 2, 3);  // pages 2-4 resident
+  static_cast<void>(fs_->pool().pin_span(f.id(), 2, 4));  // 2-4 resident
   const PoolStats before = fs_->pool().stats();
   const std::string patch = pattern(8 * 256, 5);
   f.write(as_bytes(patch));

@@ -168,7 +168,7 @@ TEST_F(ServerObservabilityTest, LargePostShowsItsDirectWrite) {
 
 TEST_F(ServerObservabilityTest, GatheredGetCountsEachPageOnce) {
   // An 8-page file is under the page-gather cap, so its GET pins every
-  // page.  Cold, each page is one miss (no hit, no prefetch); warm, each
+  // page.  Cold, each page is one miss (no hit, no seek touch); warm, each
   // is one hit.  The pool counters feed /statz, /metrics and the
   // benchmark's hit ratio.
   constexpr std::uint64_t kPages = 8;
@@ -187,6 +187,8 @@ TEST_F(ServerObservabilityTest, GatheredGetCountsEachPageOnce) {
   const io::PoolStats cold = fs_.pool().stats();
   EXPECT_EQ(client.get("/eight.bin").body.size(), kPages * 4096);
   const io::PoolStats warm = fs_.pool().stats();
+  const auto metrics = client.get("/metrics");
+  const auto statz = client.get("/statz");
   server.stop();
   EXPECT_EQ(cold.misses - cold_before.misses, kPages);
   EXPECT_EQ(cold.hits - cold_before.hits, 0u);
@@ -194,6 +196,16 @@ TEST_F(ServerObservabilityTest, GatheredGetCountsEachPageOnce) {
   EXPECT_EQ(warm.hits - cold.hits, kPages);
   EXPECT_EQ(warm.misses, cold.misses);
   EXPECT_EQ(warm.prefetches, cold.prefetches);
+  // The seek-free GETs touched nothing, and both surfaces publish the
+  // counter as seek touches, under no other name.
+  const std::string touches = std::to_string(cold_before.prefetches);
+  expect_contains(metrics.body, "# TYPE clio_pool_seek_touches_total counter");
+  expect_contains(metrics.body,
+                  "clio_pool_seek_touches_total " + touches + "\n");
+  EXPECT_EQ(metrics.body.find("clio_pool_prefetches_total"),
+            std::string::npos);
+  expect_contains(statz.body, "\"seek_touches\": " + touches + ",");
+  EXPECT_EQ(statz.body.find("\"prefetches\""), std::string::npos);
 }
 
 TEST_F(ServerObservabilityTest, IntrospectionDoesNotPerturbServedByteOracle) {

@@ -1,5 +1,5 @@
 // Cross-layer stress/soak suite for the concurrent I/O path: seeded
-// multi-threaded pin/dirty/flush/discard/prefetch mixes, and multi-page
+// multi-threaded pin/dirty/flush/discard/gather/touch mixes, and multi-page
 // ManagedFile reads and writes, over a FaultStore that injects EIOs, short
 // reads, torn writes, latency spikes and disk-full.  After every run the pool must pass debug_validate() and the
 // backing bytes must match the per-thread oracle — any violation prints
@@ -153,7 +153,7 @@ TEST(FaultStress, DiskFullMidRun) {
 TEST(FaultStress, SharedFileTokenedAccessUnderFaults) {
   // ROADMAP open item: one file shared by every thread, per-page tokens
   // arbitrating byte access, so cross-thread same-page pin interleavings
-  // (pin after foreign pin, prefetch racing a pin, discard observing a
+  // (pin after foreign pin, a gather racing a pin, discard observing a
   // foreign pin and unwinding) run under the full fault mix.  The oracle
   // checks uniformity + membership of every value ever written.
   for (const std::uint64_t seed : seeds_under_test()) {

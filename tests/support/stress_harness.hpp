@@ -2,10 +2,10 @@
 
 // Seeded multi-threaded stress harness for the concurrent I/O path.
 //
-// The harness runs a random pin/dirty/flush/discard/prefetch mix on N
+// The harness runs a random pin/dirty/flush/discard/gather/touch mix on N
 // threads over one BufferPool whose BackingStore is wrapped in a FaultStore,
 // so every error and unwind path (failed miss loads, torn coalesced
-// flushes, failed eviction write-backs, aborted prefetch gathers) fires
+// flushes, failed eviction write-backs, aborted request gathers) fires
 // under real thread interleavings.  After the run it disarms the faults,
 // flushes cleanly, checks every pool invariant via
 // BufferPool::debug_validate(), and compares the backing bytes of every
@@ -20,9 +20,15 @@
 //    happens where the bugs live — shared shards, the global frame pool,
 //    eviction stealing — but page bytes are never raced at the user
 //    level, which keeps TSan meaningful and the oracle exact.
-//  - Foreign files are touched only through prefetch_range (no user-level
-//    byte access, no pins), so a thread's discard_file never observes a
-//    foreign pin.
+//  - Foreign files are touched only through prefetch(), the seek's
+//    one-page touch (no user-level byte access, no pins), so a thread's
+//    discard_file never observes a foreign pin.  A foreign pin_span would
+//    break that: discard_file throws "discard of pinned page" partway
+//    through its shard walk, after it has dropped other shards' pages,
+//    which the owner's oracle cannot follow.
+//  - A gather roll over a thread's own file (or the shared file) walks a
+//    pin_span window and releases each guard before the next pin, so a
+//    roll holds at most one pin.
 //  - Writes always fill whole pages with one marker byte, and the fault
 //    plan's torn_granularity equals the page size, so a backing page is
 //    always uniformly one byte — the oracle reasons in single bytes.
@@ -71,7 +77,7 @@ struct StressConfig {
   /// Shared-file mode: every thread works on ONE file, with a per-page
   /// try-lock token deciding who may touch a page's bytes.  This exercises
   /// cross-thread same-page pin interleavings (two threads pinning the
-  /// same page back-to-back, prefetch racing a pin, discard racing a
+  /// same page back-to-back, a gather racing a pin, discard racing a
   /// foreign pin) that the per-thread-file mode cannot reach.  The oracle
   /// is necessarily weaker — flush/discard interleave with other threads'
   /// writes, so pages are checked for uniformity + membership in the set
@@ -358,7 +364,7 @@ inline StressResult run_stress(io::BackingStore& backing,
   SharedPageOracle shared_oracle(config.pages_per_file);
   // Shared mode: per-page try-lock tokens arbitrate byte access, so page
   // bytes are never raced at the user level (TSan stays meaningful) while
-  // pins, prefetches, flushes and discards of the same page interleave
+  // pins, gathers, flushes and discards of the same page interleave
   // freely across threads.  Additionally, byte WRITERS take `file_rw`
   // shared and flush/discard take it exclusive: a flush write-back reads
   // page bytes outside any pool lock, so overlapping it with a guard
@@ -369,6 +375,18 @@ inline StressResult run_stress(io::BackingStore& backing,
   std::vector<std::mutex> page_tokens(
       config.shared_file ? config.pages_per_file : 0);
   std::shared_mutex file_rw;
+
+  // A request span of up to `pages` pages from `first`, clamped to the
+  // file: the first cold pin gathers the span's cold pages, and each guard
+  // is released before the next pin, as ManagedFile's copy does.
+  const auto pin_window = [&](io::FileId file, std::uint64_t first,
+                              std::uint64_t pages) {
+    const std::uint64_t last =
+        std::min(first + pages, std::uint64_t{config.pages_per_file}) - 1;
+    for (std::uint64_t p = first; p <= last; ++p) {
+      static_cast<void>(pool.pin_span(file, p, last));
+    }
+  };
 
   auto shared_worker = [&](int t) {
     const std::string tag =
@@ -412,7 +430,7 @@ inline StressResult run_stress(io::BackingStore& backing,
               shared_oracle.on_write(page, v);
             }
           } else {
-            static_cast<void>(pool.prefetch_range(file, page, 4));
+            pin_window(file, page, 4);
           }
         } else if (dice < 72) {
           std::unique_lock<std::shared_mutex> rw(file_rw);
@@ -423,7 +441,7 @@ inline StressResult run_stress(io::BackingStore& backing,
           std::unique_lock<std::shared_mutex> rw(file_rw);
           pool.discard_file(file);
         } else if (dice < 92) {
-          static_cast<void>(pool.prefetch_range(file, page, 8));
+          pin_window(file, page, 8);
         }  // any other roll is a no-op, which keeps each op's share
       } catch (const util::IoError&) {
         surfaced.fetch_add(1, std::memory_order_relaxed);
@@ -473,17 +491,21 @@ inline StressResult run_stress(io::BackingStore& backing,
           pool.discard_file(file);
           oracle.on_discard();
         } else if (dice < 88) {
-          // Readahead over our own file.
-          static_cast<void>(pool.prefetch_range(file, page, 8));
+          // A request gather over our own file.
+          pin_window(file, page, 8);
         } else if (dice < 97 && config.threads > 1) {
-          // Readahead over a foreign file: cross-shard and cross-file
-          // frame pressure without user-level byte access.
+          // Seek touches over a foreign file's window: cross-shard and
+          // cross-file frame pressure without a pin or byte access.
           const auto other = static_cast<std::size_t>(
               (static_cast<std::uint64_t>(t) + 1 +
                rng.uniform_u64(static_cast<std::uint64_t>(config.threads) -
                                1)) %
               static_cast<std::uint64_t>(config.threads));
-          static_cast<void>(pool.prefetch_range(files[other], page, 8));
+          const std::uint64_t end =
+              std::min(page + 8, std::uint64_t{config.pages_per_file});
+          for (std::uint64_t p = page; p < end; ++p) {
+            static_cast<void>(pool.prefetch(files[other], p));
+          }
         }  // any other roll is a no-op, which keeps each op's share
       } catch (const util::IoError&) {
         // An injected (or induced) failure surfaced through the pool API.
