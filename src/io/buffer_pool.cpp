@@ -1,6 +1,7 @@
 #include "io/buffer_pool.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstring>
 #include <exception>
@@ -47,8 +48,8 @@ BufferPool::~BufferPool() {
   }
 }
 
-std::size_t BufferPool::shard_of(const PageKey& key) const {
-  return PageKeyHash{}(key) % shards_.size();
+std::size_t BufferPool::shard_of(FileId file, std::uint64_t page_no) const {
+  return RunKeyHash{}(RunKey{file, page_no / kRunPages}) % shards_.size();
 }
 
 // ------------------------------------------------------------- guards ----
@@ -155,9 +156,22 @@ void BufferPool::lru_touch(Shard& sh, std::size_t idx) {
 
 // ------------------------------------------------------ per-file index ----
 
+std::size_t BufferPool::lookup(const Shard& sh, FileId file,
+                              std::uint64_t page_no) {
+  const auto it = sh.page_table.find(RunKey{file, page_no / kRunPages});
+  const std::size_t slot = page_no % kRunPages;
+  const bool held =
+      it != sh.page_table.end() && (it->second.occupied >> slot & 1u) != 0;
+  return held ? it->second.frame[slot] : kNoFrame;
+}
+
 void BufferPool::table_insert(Shard& sh, std::size_t idx) {
   Frame& f = frames_[idx];
-  sh.page_table.emplace(PageKey{f.file, f.page_no}, idx);
+  Run& run = sh.page_table[RunKey{f.file, f.page_no / kRunPages}];
+  const std::size_t slot = f.page_no % kRunPages;
+  run.frame[slot] = idx;
+  run.occupied |= 1u << slot;
+  sh.resident++;
   const auto [head, first] = sh.file_head.try_emplace(f.file, idx);
   f.file_prev = kNoFrame;
   f.file_next = first ? kNoFrame : std::exchange(head->second, idx);
@@ -166,7 +180,10 @@ void BufferPool::table_insert(Shard& sh, std::size_t idx) {
 
 void BufferPool::table_erase(Shard& sh, std::size_t idx) {
   Frame& f = frames_[idx];
-  sh.page_table.erase(PageKey{f.file, f.page_no});
+  const auto run = sh.page_table.find(RunKey{f.file, f.page_no / kRunPages});
+  run->second.occupied &= ~(1u << f.page_no % kRunPages);
+  if (run->second.occupied == 0) sh.page_table.erase(run);
+  sh.resident--;
   if (f.file_next != kNoFrame) frames_[f.file_next].file_prev = f.file_prev;
   if (f.file_prev != kNoFrame) {
     frames_[f.file_prev].file_next = f.file_next;
@@ -198,7 +215,7 @@ BufferPool::PageGuard BufferPool::pin(FileId file, std::uint64_t page_no) {
 
 BufferPool::PageGuard BufferPool::pin_span(FileId file, std::uint64_t page_no,
                                            std::uint64_t last_page) {
-  const std::size_t s = shard_of(PageKey{file, page_no});
+  const std::size_t s = shard_of(file, page_no);
   Shard& sh = shards_[s];
   std::unique_lock<std::mutex> lk(sh.mutex);
   const std::size_t idx =
@@ -214,19 +231,13 @@ std::vector<BufferPool::PageGuard> BufferPool::try_pin_span(
   // Pass 1 pins and nothing else, so a miss can hand every pin back and
   // leave no trace; pass 2 counts.  A pinned frame stays put between.
   for (std::uint64_t p = first_page; p <= last_page; ++p) {
-    const PageKey key{file, p};
-    const std::size_t s = shard_of(key);
+    const std::size_t s = shard_of(file, p);
     Shard& sh = shards_[s];
-    std::size_t idx = kNoFrame;
-    {
-      std::lock_guard<std::mutex> lock(sh.mutex);
-      const auto it = sh.page_table.find(key);
-      if (it != sh.page_table.end() && !frames_[it->second].io_busy) {
-        idx = it->second;
-        frames_[idx].pins++;
-      }
-    }
-    if (idx == kNoFrame) return {};  // the guards unpin
+    std::unique_lock<std::mutex> lock(sh.mutex);
+    const std::size_t idx = lookup(sh, file, p);
+    if (idx == kNoFrame || frames_[idx].io_busy) return {};  // guards unpin
+    frames_[idx].pins++;
+    lock.unlock();
     guards.emplace_back(this, s, idx);
     pinned.emplace_back(s, idx);
   }
@@ -240,11 +251,10 @@ std::vector<BufferPool::PageGuard> BufferPool::try_pin_span(
 }
 
 bool BufferPool::prefetch(FileId file, std::uint64_t page_no) {
-  const PageKey key{file, page_no};
-  Shard& sh = shards_[shard_of(key)];
+  Shard& sh = shards_[shard_of(file, page_no)];
   std::unique_lock<std::mutex> lk(sh.mutex);
   // Resident or already being loaded by someone else: nothing to do.
-  if (sh.page_table.contains(key)) return false;
+  if (lookup(sh, file, page_no) != kNoFrame) return false;
   return find_or_load(sh, lk, file, page_no, /*pin=*/false) != kNoFrame;
 }
 
@@ -276,15 +286,14 @@ std::vector<BufferPool::GatherTarget> BufferPool::claim_gather_targets(
   try {
     for (std::size_t i = 0; i < count; ++i) {
       const std::uint64_t page_no = first_page + i;
-      const PageKey key{file, page_no};
-      const std::size_t s = shard_of(key);
+      const std::size_t s = shard_of(file, page_no);
       Shard& sh = shards_[s];
       std::unique_lock<std::mutex> lk(sh.mutex);
-      if (sh.page_table.contains(key)) continue;
+      if (lookup(sh, file, page_no) != kNoFrame) continue;
       bool transient_holds = false;
       const std::size_t idx = try_acquire_frame(sh, lk, transient_holds);
       if (idx == kNoFrame) break;
-      if (sh.page_table.contains(key)) {
+      if (lookup(sh, file, page_no) != kNoFrame) {
         // Lost a race while try_acquire_frame released the lock.
         release_frame(idx);
         continue;
@@ -368,8 +377,9 @@ void BufferPool::load_range(FileId file, std::uint64_t first_page,
 
 /// Drops the claimed-but-unloaded frames of a failed gather: page-table
 /// entries are erased and the frames returned to the free list, so faulters
-/// waiting on them retry from a clean slate.  Their misses are taken back
-/// too — a gather counts pages actually loaded, and these were not.
+/// waiting on them retry from a clean slate.  Their misses stay counted, as
+/// a failed single-page load's does: the request needed these pages and
+/// they were not resident.
 void BufferPool::abort_gather_frames(std::span<const GatherTarget> targets) {
   for (const GatherTarget& t : targets) {
     Shard& sh = shards_[t.shard];
@@ -379,7 +389,6 @@ void BufferPool::abort_gather_frames(std::span<const GatherTarget> targets) {
     lru_remove(sh, t.frame);
     f.in_use = false;
     f.io_busy = false;
-    sh.stats.misses--;
     release_frame(t.frame);
     sh.io_cv.notify_all();
   }
@@ -396,65 +405,44 @@ std::vector<std::uint8_t> BufferPool::for_each_resident(FileId file,
   const std::size_t page_size = config_.page_size;
   const std::uint64_t first_page = offset / page_size;
   const std::uint64_t end = offset + length;
-  const auto pages =
-      static_cast<std::size_t>((end - 1) / page_size - first_page + 1);
-  std::vector<std::uint8_t> done(pages, 0);
-  // The span's pages grouped by shard (a counting sort): shard s holds
-  // by_shard[start[s], start[s + 1]), and next[s] is the first of them
-  // not looked at yet.
-  std::vector<std::size_t> start(shards_.size() + 1, 0);
-  std::vector<std::size_t> shard_at(pages);
-  for (std::size_t i = 0; i < pages; ++i) {
-    shard_at[i] = shard_of(PageKey{file, first_page + i});
-    start[shard_at[i] + 1]++;
-  }
-  for (std::size_t s = 0; s < shards_.size(); ++s) start[s + 1] += start[s];
-  std::vector<std::size_t> by_shard(pages);
-  std::vector<std::size_t> next(start.begin(), start.end() - 1);
-  for (std::size_t i = 0; i < pages; ++i) by_shard[next[shard_at[i]]++] = i;
-  std::copy(start.begin(), start.end() - 1, next.begin());
-  // Rounds over the shards, each holding a shard's lock for at most
-  // kAroundPagesPerHold of its pages, so a long span keeps no shard from
-  // pin and the event loop for more than that many page copies.
-  for (bool more = true; more;) {
-    more = false;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (next[s] == start[s + 1]) continue;
-      Shard& sh = shards_[s];
-      std::unique_lock<std::mutex> lk(sh.mutex);
-      if (!sh.file_head.contains(file)) {
-        next[s] = start[s + 1];  // no page of the file in this shard
+  const std::uint64_t last_page = (end - 1) / page_size;
+  std::vector<std::uint8_t> done(
+      static_cast<std::size_t>(last_page - first_page + 1), 0);
+  // The span's runs in order, each under one hold of its shard's lock, so
+  // a long span keeps no shard from pin and the event loop for more than
+  // kRunPages page copies at a time.
+  for (std::uint64_t r = first_page / kRunPages; r <= last_page / kRunPages;
+       ++r) {
+    const std::uint64_t base = r * kRunPages;
+    const std::uint64_t lo = std::max(first_page, base) - base;
+    const std::uint64_t hi = std::min(last_page, base + kRunPages - 1) - base;
+    std::uint32_t want = ((2u << hi) - 1) & ~((1u << lo) - 1);  // in span
+    const RunKey key{file, r};
+    Shard& sh = shards_[shard_of(file, base)];
+    std::unique_lock<std::mutex> lk(sh.mutex);
+    auto it = sh.page_table.find(key);
+    while (it != sh.page_table.end() && (want & it->second.occupied) != 0) {
+      const int slot = std::countr_zero(want & it->second.occupied);
+      const std::size_t idx = it->second.frame[slot];
+      const Frame& f = frames_[idx];
+      if (f.io_busy) {
+        // Mid-load, or a dirty page mid-write-back: its bytes reach the
+        // frame or the store when the latch clears, so look again then.
+        sh.io_cv.wait(lk);
+      } else if (wait_pins && (f.flush_pins > 0 || f.pins > 0)) {
+        // The wait is bounded because an unpin does not signal, which
+        // keeps the hot unpin path free of a notify: a reader's last
+        // unpin is seen within a millisecond.
+        sh.io_cv.wait_for(lk, std::chrono::milliseconds(1));
+      } else {
+        const std::uint64_t page_begin = (base + slot) * page_size;
+        visit(sh, idx, std::max(offset, page_begin),
+              std::min(end, page_begin + page_size));
+        done[base + slot - first_page] = 1;
+        want &= ~(1u << slot);
         continue;
       }
-      for (std::size_t n = 0;
-           n < kAroundPagesPerHold && next[s] < start[s + 1];) {
-        const std::size_t i = by_shard[next[s]];
-        const auto it = sh.page_table.find(PageKey{file, first_page + i});
-        if (it != sh.page_table.end()) {
-          const Frame& f = frames_[it->second];
-          if (f.io_busy) {
-            // Mid-load, or a dirty page mid-write-back: its bytes reach
-            // the frame or the store when the latch clears, so look again
-            // then.
-            sh.io_cv.wait(lk);
-            continue;
-          }
-          if (wait_pins && (f.flush_pins > 0 || f.pins > 0)) {
-            // The wait is bounded because an unpin does not signal, which
-            // keeps the hot unpin path free of a notify: a reader's last
-            // unpin is seen within a millisecond.
-            sh.io_cv.wait_for(lk, std::chrono::milliseconds(1));
-            continue;
-          }
-          const std::uint64_t page_begin = (first_page + i) * page_size;
-          visit(sh, it->second, std::max(offset, page_begin),
-                std::min(end, page_begin + page_size));
-          done[i] = 1;
-        }
-        ++next[s];
-        ++n;
-      }
-      more = more || next[s] < start[s + 1];
+      it = sh.page_table.find(key);  // the wait let go of the lock
     }
   }
   return done;
@@ -478,17 +466,12 @@ void BufferPool::read_around(FileId file, std::uint64_t offset,
   // Each maximal run of the other pages is one store read.
   const std::uint64_t first_page = offset / page_size;
   const std::uint64_t end = offset + out.size();
-  for (std::size_t i = 0; i < resident.size();) {
-    if (resident[i] != 0) {
-      ++i;
-      continue;
-    }
-    std::size_t j = i;
-    while (j < resident.size() && resident[j] == 0) ++j;
+  for (std::size_t i = 0, j = 0; i < resident.size(); i = j) {
+    for (j = i + 1; j < resident.size() && resident[j] == resident[i];) ++j;
+    if (resident[i] != 0) continue;
     const std::uint64_t lo = std::max(offset, (first_page + i) * page_size);
     const std::uint64_t hi = std::min(end, (first_page + j) * page_size);
     read_direct(file, lo, out.subspan(lo - offset, hi - lo));
-    i = j;
   }
 }
 
@@ -501,13 +484,12 @@ void BufferPool::read_direct(FileId file, std::uint64_t offset,
     std::memset(out.data() + got, 0, out.size() - got);
   }
   const std::uint64_t first_page = offset / config_.page_size;
-  const std::uint64_t last_page =
-      (offset + out.size() - 1) / config_.page_size;
   // Credit the call to the run's first shard; stats() sums.
-  Shard& sh = shards_[shard_of(PageKey{file, first_page})];
+  Shard& sh = shards_[shard_of(file, first_page)];
   std::lock_guard<std::mutex> lock(sh.mutex);
   sh.stats.direct_read_calls++;
-  sh.stats.direct_read_pages += last_page - first_page + 1;
+  sh.stats.direct_read_pages +=
+      (offset + out.size() - 1) / config_.page_size - first_page + 1;
 }
 
 // ------------------------------------------------------- write around ----
@@ -538,13 +520,12 @@ void BufferPool::write_around(FileId file, std::uint64_t offset,
   // a page loaded from here on reads the new ones from the store.
   static_cast<void>(copy_into_resident(file, offset, data, /*dirty=*/false));
   const std::uint64_t first_page = offset / config_.page_size;
-  const std::uint64_t last_page =
-      (offset + data.size() - 1) / config_.page_size;
   // Credit the call to the range's first shard; stats() sums.
-  Shard& sh = shards_[shard_of(PageKey{file, first_page})];
+  Shard& sh = shards_[shard_of(file, first_page)];
   std::lock_guard<std::mutex> lock(sh.mutex);
   sh.stats.direct_write_calls++;
-  sh.stats.direct_write_pages += last_page - first_page + 1;
+  sh.stats.direct_write_pages +=
+      (offset + data.size() - 1) / config_.page_size - first_page + 1;
 }
 
 std::uint64_t BufferPool::copy_into_resident(FileId file, std::uint64_t offset,
@@ -572,20 +553,19 @@ std::uint64_t BufferPool::copy_into_resident(FileId file, std::uint64_t offset,
 }
 
 bool BufferPool::contains(FileId file, std::uint64_t page_no) const {
-  const PageKey key{file, page_no};
-  const Shard& sh = shards_[shard_of(key)];
+  const Shard& sh = shards_[shard_of(file, page_no)];
   std::lock_guard<std::mutex> lock(sh.mutex);
-  return sh.page_table.contains(key);
+  return lookup(sh, file, page_no) != kNoFrame;
 }
 
 std::size_t BufferPool::find_or_load(Shard& sh,
                                      std::unique_lock<std::mutex>& lk,
                                      FileId file, std::uint64_t page_no,
                                      bool pin, std::uint64_t span_last) {
-  const PageKey key{file, page_no};
   for (;;) {
-    if (auto it = sh.page_table.find(key); it != sh.page_table.end()) {
-      Frame& f = frames_[it->second];
+    if (const std::size_t found = lookup(sh, file, page_no);
+        found != kNoFrame) {
+      Frame& f = frames_[found];
       if (f.io_busy) {
         // Another thread is faulting or writing back this very page: wait
         // for its I/O instead of issuing a conflicting backing access.
@@ -598,8 +578,8 @@ std::size_t BufferPool::find_or_load(Shard& sh,
         if (!std::exchange(f.miss_counted, false)) sh.stats.hits++;
         f.pins++;
       }
-      lru_touch(sh, it->second);
-      return it->second;
+      lru_touch(sh, found);
+      return found;
     }
     if (span_last > page_no) {
       // The first cold page of a multi-page request: load every cold page
@@ -618,19 +598,14 @@ std::size_t BufferPool::find_or_load(Shard& sh,
     const std::size_t idx = pin ? acquire_frame(sh, lk)
                                 : try_acquire_frame(sh, lk, transient_holds);
     if (idx == kNoFrame) return kNoFrame;
-    if (sh.page_table.contains(key)) {
-      // Lost a race while acquire_frame released the lock: someone else
-      // claimed this page.  Return the frame and retry.
+    if (lookup(sh, file, page_no) != kNoFrame) {
+      // Someone claimed the page while acquire_frame let go of the lock.
       release_frame(idx);
       continue;
     }
     install_loading_frame(sh, file, page_no, idx, pin ? 1u : 0u);
     Frame& f = frames_[idx];
-    if (pin) {
-      sh.stats.misses++;
-    } else {
-      sh.stats.prefetches++;
-    }
+    (pin ? sh.stats.misses : sh.stats.prefetches)++;
     // The actual disk read happens outside the shard lock; the io_busy
     // latch keeps the frame from being evicted or double-loaded.
     lk.unlock();
@@ -640,7 +615,11 @@ std::size_t BufferPool::find_or_load(Shard& sh,
       if (f.data.size() != config_.page_size) {
         f.data.resize(config_.page_size);  // zero-filled on first allocation
       }
-      got = store_.read(file, page_no * config_.page_size, f.data);
+      // A page wholly past the store's EOF loads as zeros, unread.  Sized
+      // under the latch: a write_around extending the file meanwhile
+      // waits this frame out in its second pass, then copies in.
+      const std::uint64_t at = page_no * config_.page_size;
+      if (at < store_.size(file)) got = store_.read(file, at, f.data);
       if (got < config_.page_size) {
         // Only the stale tail needs zeroing; full-page loads skip the
         // page-sized memset the old code paid on every load.
@@ -860,8 +839,9 @@ void BufferPool::collect_dirty(Shard& sh, std::size_t shard_idx, FileId file,
     out.push_back(FlushEntry{f.file, f.page_no, shard_idx, i, f.valid_bytes});
   };
   if (match_all) {
-    while (std::ranges::any_of(sh.page_table, [&](const auto& entry) {
-      return writing(frames_[entry.second]);
+    // The file lists index exactly the page table's frames.
+    while (std::ranges::any_of(sh.file_head, [&](const auto& entry) {
+      return any_file_frame(sh, entry.first, writing);
     })) {
       sh.io_cv.wait(lock);
     }
@@ -1025,16 +1005,14 @@ std::size_t BufferPool::evict_clean() {
   std::size_t dropped = 0;
   for (Shard& sh : shards_) {
     std::lock_guard<std::mutex> lock(sh.mutex);
-    for (auto it = sh.page_table.begin(); it != sh.page_table.end();) {
-      const std::size_t idx = it->second;
+    // A frame mid-eviction is off the LRU, but io_busy: it would stay.
+    for (std::size_t idx = sh.lru_head, next = kNoFrame; idx != kNoFrame;
+         idx = next) {
       Frame& f = frames_[idx];
+      next = f.lru_next;
       // Anything referenced, mid-I/O or dirty stays resident: this is a
       // cache hint, not a correctness operation.
-      if (f.pins > 0 || f.flush_pins > 0 || f.io_busy || f.dirty) {
-        ++it;
-        continue;
-      }
-      ++it;  // table_erase invalidates the erased entry only
+      if (f.pins > 0 || f.flush_pins > 0 || f.io_busy || f.dirty) continue;
       f.in_use = false;
       lru_remove(sh, idx);
       table_erase(sh, idx);
@@ -1104,11 +1082,7 @@ void BufferPool::debug_validate(bool expect_unpinned) const {
       if (!f.in_use) fail("LRU frame not in_use");
       if (seen[idx] != 0) fail("frame linked into two LRU lists");
       seen[idx] = 1;
-      const PageKey key{f.file, f.page_no};
-      if (shard_of(key) != s) fail("frame resident in the wrong shard");
-      const auto it = sh.page_table.find(key);
-      if (it == sh.page_table.end()) fail("LRU frame missing from page table");
-      if (it->second != idx) fail("page table maps key to a different frame");
+      if (lookup(sh, f.file, f.page_no) != idx) fail("LRU frame not in a slot");
       if (f.io_busy) fail("leaked io_busy latch on a quiescent pool");
       if (f.io_write) fail("leaked io_write flag on a quiescent pool");
       if (f.flush_pins != 0) fail("leaked flush_pin on a quiescent pool");
@@ -1121,11 +1095,27 @@ void BufferPool::debug_validate(bool expect_unpinned) const {
       prev = idx;
     }
     if (prev != sh.lru_tail) fail("LRU tail does not terminate the list");
+    // Each occupied slot holds a frame of its own page, so no frame sits in
+    // two slots, and each LRU frame above sits in one.
+    std::size_t slots = 0;
+    for (const auto& [key, run] : sh.page_table) {
+      if (run.occupied == 0) fail("empty run kept");
+      if (shard_of(key.file, key.run * kRunPages) != s) fail("run misplaced");
+      for (std::uint32_t bits = run.occupied; bits != 0; bits &= bits - 1) {
+        const auto slot = static_cast<std::size_t>(std::countr_zero(bits));
+        const std::size_t idx = run.frame[slot];
+        if (idx >= frames_.size()) fail("run slot frame out of range");
+        const Frame& f = frames_[idx];
+        if (f.file != key.file || f.page_no != key.run * kRunPages + slot) {
+          fail("run slot holds a frame of another page");
+        }
+        ++slots;
+      }
+    }
     // At quiescence no frame is detached mid-eviction, so the page table
     // and the LRU list must index exactly the same frames.
-    if (count != sh.page_table.size()) {
-      fail("page table entry not linked into the LRU");
-    }
+    if (count != slots) fail("page table entry not linked into the LRU");
+    if (slots != sh.resident) fail("resident count differs from the slots");
     // The per-file lists: each listed frame is of its list's file and maps
     // back to itself through the page table, links are symmetric, and no
     // frame is listed twice.  With as many listed frames as table entries,
@@ -1143,14 +1133,10 @@ void BufferPool::debug_validate(bool expect_unpinned) const {
         if (f.file != file) fail("frame listed under another file");
         if (seen[idx] != 1) fail("file list frame unresident or listed twice");
         seen[idx] = 2;
-        const auto it = sh.page_table.find(PageKey{f.file, f.page_no});
-        if (it == sh.page_table.end() || it->second != idx) {
-          fail("file list frame not in the page table");
-        }
         back = idx;
       }
     }
-    if (listed != sh.page_table.size()) {
+    if (listed != slots) {
       fail("page table entry missing from its file's list");
     }
     add_shard_stats(total, sh.stats);
@@ -1195,7 +1181,7 @@ std::size_t BufferPool::resident_pages() const {
   std::size_t total = 0;
   for (const Shard& sh : shards_) {
     std::lock_guard<std::mutex> lock(sh.mutex);
-    total += sh.page_table.size();
+    total += sh.resident;
   }
   return total;
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -17,9 +18,10 @@ struct BufferPoolConfig {
   std::size_t page_size = 4096;
   std::size_t capacity_pages = 4096;
 
-  /// Number of lock-striped sub-pools.  Pages are distributed across shards
-  /// by a mixed hash of (file, page_no); each shard has its own mutex, page
-  /// table, LRU list, and stats, so concurrent accesses to different pages
+  /// Number of lock-striped sub-pools.  Runs of BufferPool::kRunPages
+  /// consecutive pages are distributed across shards by a mixed hash of
+  /// (file, page_no / kRunPages); each shard has its own mutex, page table,
+  /// LRU list, and stats, so concurrent accesses to pages of different runs
   /// contend only when they land on the same shard.  0 = auto: one shard
   /// per 256 capacity pages, clamped to [1, 16] — small pools (tests,
   /// tight-cache ablations) keep a single shard and therefore exact global
@@ -60,25 +62,25 @@ struct PoolStats {
   std::uint64_t direct_write_pages = 0;
 };
 
-/// Key of a cached page and its hash.  The hash feeds both the per-shard
-/// page tables and shard selection, so it must mix *both* fields into the
-/// low bits: the previous `(file << 48) ^ page_no` scheme degenerated under
-/// modulo — page N of every file shared a bucket and a shard.  This is a
-/// SplitMix64-style finalizer over both fields.
-struct PageKey {
+/// Key of a run (BufferPool::kRunPages consecutive pages of one file,
+/// `run` = page_no / kRunPages) and its hash, which feeds both the page
+/// tables and shard selection, so a run lives in one shard.  It mixes
+/// *both* fields into the low bits (a SplitMix64-style finalizer): under
+/// `(file << 48) ^ run`, run N of every file shared a bucket and a shard.
+struct RunKey {
   FileId file;
-  std::uint64_t page_no;
-  bool operator==(const PageKey&) const = default;
+  std::uint64_t run;
+  bool operator==(const RunKey&) const = default;
 };
-struct PageKeyHash {
+struct RunKeyHash {
   static constexpr std::uint64_t mix(std::uint64_t z) {
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
   }
-  std::size_t operator()(const PageKey& k) const {
+  std::size_t operator()(const RunKey& k) const {
     return static_cast<std::size_t>(
-        mix(k.page_no + 0x9e3779b97f4a7c15ULL * (k.file + 1)));
+        mix(k.run + 0x9e3779b97f4a7c15ULL * (k.file + 1)));
   }
 };
 
@@ -138,6 +140,10 @@ class BufferPool {
   /// through read_around and write_around instead of staging it through
   /// frames.
   static constexpr std::size_t kCoalescePages = 64;
+
+  /// Pages per run, the unit of the page tables and of shard selection:
+  /// one lookup finds a run's resident pages.
+  static constexpr std::size_t kRunPages = 16;
 
   BufferPool(BackingStore& store, BufferPoolConfig config = {});
 
@@ -275,7 +281,8 @@ class BufferPool {
   /// Exhaustively checks the pool's internal invariants, throwing
   /// util::IoError with a description of the first violation found:
   /// frame accounting (every frame is free xor resident in exactly one
-  /// shard's page table), every dirty page's file known to may_be_dirty,
+  /// shard's page table), every occupied run slot holding a frame of its
+  /// own page, every dirty page's file known to may_be_dirty,
   /// LRU integrity (links consistent, every resident frame reachable), the
   /// per-file index (every resident frame listed once, under its own file,
   /// links consistent), no leaked io_busy latches or flush_pins, per-frame
@@ -298,9 +305,6 @@ class BufferPool {
 
  private:
   static constexpr std::size_t kNoFrame = SIZE_MAX;
-  /// for_each_resident's pages per shard lock hold: a long direct read or
-  /// write holds a shard for at most this many page copies at a time.
-  static constexpr std::size_t kAroundPagesPerHold = 16;
 
   struct Frame {
     FileId file = kInvalidFile;
@@ -336,15 +340,24 @@ class BufferPool {
     std::size_t file_next = kNoFrame;
   };
 
+  /// A page-table entry: bit i of `occupied` is set while page
+  /// run * kRunPages + i has a frame, and `frame[i]` is then its index.
+  /// A run with no such page has no entry.
+  struct Run {
+    std::array<std::size_t, kRunPages> frame{};
+    std::uint32_t occupied = 0;
+  };
+
   /// One lock stripe: page table, per-file lists, LRU and stats for the
-  /// pages that hash here.  Frames are drawn from the pool-wide free list
+  /// runs that hash here.  Frames are drawn from the pool-wide free list
   /// on demand.
   struct Shard {
     mutable std::mutex mutex;
     std::condition_variable io_cv;  ///< signalled when io_busy clears
     std::size_t lru_head = kNoFrame;  ///< most recently used
     std::size_t lru_tail = kNoFrame;  ///< least recently used
-    std::unordered_map<PageKey, std::size_t, PageKeyHash> page_table;
+    std::unordered_map<RunKey, Run, RunKeyHash> page_table;
+    std::size_t resident = 0;  ///< occupied slots of page_table
     /// First frame of each file's list of this shard's page-table entries,
     /// so per-file work (flush_file, discard_file) visits only that file's
     /// frames.  A file with no entry here has no page in this shard.
@@ -370,7 +383,10 @@ class BufferPool {
     std::size_t frame;
   };
 
-  [[nodiscard]] std::size_t shard_of(const PageKey& key) const;
+  [[nodiscard]] std::size_t shard_of(FileId file, std::uint64_t page_no) const;
+  /// The frame of (file, page_no) in `sh`'s page table, or kNoFrame.
+  [[nodiscard]] static std::size_t lookup(const Shard& sh, FileId file,
+                                          std::uint64_t page_no);
 
   // Shard-local helpers; all assume the shard's mutex is held by `lk` /
   // the caller unless stated otherwise.
@@ -407,12 +423,9 @@ class BufferPool {
   /// bytes of [offset, offset + length): `visit(sh, frame, lo, hi)` runs
   /// under the page's shard lock, once for each such page, with the file
   /// bytes [lo, hi) it holds of the span.  Returns one mark per page of
-  /// the span, set where the page was visited.  A shard with no page of
-  /// the file (no `file_head` entry) costs one lookup; in the others each
-  /// page of the span is probed in the page table, for at most
-  /// kAroundPagesPerHold pages per lock hold.  A page mid-I/O (io_busy),
-  /// or with `wait_pins` one pinned or held by a flush, is waited out
-  /// and probed again.
+  /// the span, set where the page was visited.  One lookup under one lock
+  /// hold per run of the span, in order.  A page mid-I/O (io_busy), or with
+  /// `wait_pins` one pinned or held by a flush, is waited out.
   template <typename Visit>
   std::vector<std::uint8_t> for_each_resident(FileId file,
                                               std::uint64_t offset,
@@ -433,8 +446,9 @@ class BufferPool {
   /// Raises `file`'s dirty extent and restamps it.  Caller holds
   /// extent_mutex_ and sets no dirty bit the extent covers before this.
   void note_dirty(FileId file, std::uint64_t extent);
-  /// Enters frame `idx` (its file and page_no set) into `sh`'s page table
-  /// and its file's list; table_erase takes it out of both.
+  /// Enters frame `idx` (its file and page_no set) into its run's slot in
+  /// `sh`'s page table and into its file's list; table_erase takes it out
+  /// of both, and erases the run when its last slot empties.
   void table_insert(Shard& sh, std::size_t idx);
   void table_erase(Shard& sh, std::size_t idx);
   /// True if some frame of `file` resident in `sh` satisfies `pred`.

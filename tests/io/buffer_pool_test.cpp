@@ -288,21 +288,21 @@ TEST_F(BufferPoolTest, GuardsFromTwoFilesAreIndependent) {
 
 // ----------------------------------------------------- sharding & hashing ----
 
-TEST(PageKeyHashTest, MixesBothFieldsIntoLowBits) {
-  // The old (file << 48) ^ page_no scheme made page N of every file collide
-  // modulo any small shard/bucket count.  The mixed hash must not.
-  PageKeyHash hash;
+TEST(RunKeyHashTest, MixesBothFieldsIntoLowBits) {
+  // A (file << 48) ^ run scheme makes run N of every file collide modulo
+  // any small shard/bucket count.  The mixed hash must not.
+  RunKeyHash hash;
   std::set<std::size_t> full;
   for (FileId f = 1; f <= 4; ++f) {
-    for (std::uint64_t p = 0; p < 1000; ++p) {
-      full.insert(hash(PageKey{f, p}));
+    for (std::uint64_t r = 0; r < 1000; ++r) {
+      full.insert(hash(RunKey{f, r}));
     }
   }
   EXPECT_EQ(full.size(), 4000u);  // no full-width collisions at all
-  // Same page of different files should usually land on different shards.
+  // Same run of different files should usually land on different shards.
   std::size_t same_shard = 0;
-  for (std::uint64_t p = 0; p < 1000; ++p) {
-    if (hash(PageKey{1, p}) % 16 == hash(PageKey{2, p}) % 16) same_shard++;
+  for (std::uint64_t r = 0; r < 1000; ++r) {
+    if (hash(RunKey{1, r}) % 16 == hash(RunKey{2, r}) % 16) same_shard++;
   }
   EXPECT_LT(same_shard, 250u);  // ~62/1000 expected for a uniform hash
 }
@@ -393,7 +393,9 @@ TEST(ShardedBufferPoolTest, MultithreadedSharedPageLoadsOnlyOnce) {
   util::TempDir dir;
   RealFileStore store(dir.path());
   const FileId file = store.open("data.bin", true);
-  store.write(file, 0, as_bytes(std::string(4 * 256, 'x')));
+  // Four pages a run apart, so they spread over the shards.
+  constexpr std::uint64_t kStride = BufferPool::kRunPages;
+  store.write(file, 0, as_bytes(std::string(4 * kStride * 256, 'x')));
 
   BufferPool pool(store, BufferPoolConfig{.page_size = 256,
                                           .capacity_pages = 64,
@@ -405,7 +407,7 @@ TEST(ShardedBufferPoolTest, MultithreadedSharedPageLoadsOnlyOnce) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < kOpsPerThread; ++i) {
-        auto g = pool.pin(file, static_cast<std::uint64_t>(i % 4));
+        auto g = pool.pin(file, static_cast<std::uint64_t>(i % 4) * kStride);
         if (static_cast<char>(g.data()[0]) != 'x') bad_bytes++;
       }
     });
@@ -452,8 +454,12 @@ TEST(ShardedBufferPoolTest, PinsConcentratedInOneShardDoNotExhaustPool) {
   util::TempDir dir;
   RealFileStore store(dir.path());
   const FileId file = store.open("data.bin", true);
+  // 16 runs, so some of them land in shard 0.
+  constexpr std::uint64_t kPages = 16 * BufferPool::kRunPages;
   std::string content;
-  for (int p = 0; p < 64; ++p) content += std::string(256, char('a' + p % 26));
+  for (std::uint64_t p = 0; p < kPages; ++p) {
+    content += std::string(256, char('a' + p % 26));
+  }
   store.write(file, 0, as_bytes(content));
 
   BufferPool pool(store, BufferPoolConfig{.page_size = 256,
@@ -461,15 +467,16 @@ TEST(ShardedBufferPoolTest, PinsConcentratedInOneShardDoNotExhaustPool) {
                                           .shards = 4});
   // Pin 8 pages of one shard (more than any static 16/4 split could hold).
   auto hash_shard = [&](std::uint64_t p) {
-    return PageKeyHash{}(PageKey{file, p}) % pool.shard_count();
+    return RunKeyHash{}(RunKey{file, p / BufferPool::kRunPages}) %
+           pool.shard_count();
   };
   std::vector<BufferPool::PageGuard> guards;
-  for (std::uint64_t p = 0; p < 64 && guards.size() < 8; ++p) {
+  for (std::uint64_t p = 0; p < kPages && guards.size() < 8; ++p) {
     if (hash_shard(p) == 0) guards.push_back(pool.pin(file, p));
   }
   ASSERT_EQ(guards.size(), 8u);
   // The remaining 8 frames still serve any page, in shard 0 or not.
-  for (std::uint64_t p = 0; p < 64; ++p) {
+  for (std::uint64_t p = 0; p < kPages; ++p) {
     auto g = pool.pin(file, p);
     EXPECT_EQ(static_cast<char>(g.data()[0]), char('a' + p % 26)) << p;
   }
@@ -486,10 +493,11 @@ TEST(ShardedBufferPoolTest, EvictionWithAllButOneFramePinnedPerShard) {
   BufferPool pool(store, BufferPoolConfig{.page_size = 256,
                                           .capacity_pages = 8,
                                           .shards = 2});
-  // Compute each page's shard the same way the pool does, then pin
-  // all-but-one frame of every shard.
+  // Compute each page's shard the same way the pool does (by its run),
+  // then pin all-but-one frame of every shard.
   auto shard_of = [&](std::uint64_t p) {
-    return PageKeyHash{}(PageKey{file, p}) % pool.shard_count();
+    return RunKeyHash{}(RunKey{file, p / BufferPool::kRunPages}) %
+           pool.shard_count();
   };
   std::vector<std::size_t> pinned_per_shard(pool.shard_count(), 0);
   std::vector<BufferPool::PageGuard> guards;
@@ -500,6 +508,7 @@ TEST(ShardedBufferPoolTest, EvictionWithAllButOneFramePinnedPerShard) {
       pinned_per_shard[s]++;
     }
   }
+  for (const std::size_t pinned : pinned_per_shard) ASSERT_EQ(pinned, 3u);
   // Every shard now has exactly one evictable frame; streaming through many
   // pages must keep succeeding by cycling that single frame.
   for (std::uint64_t p = 0; p < 64; ++p) {
@@ -517,20 +526,21 @@ TEST(FlushCoalescingTest, SequentialDirtyPagesMergeIntoOneGatherWrite) {
   BufferPool pool(store, BufferPoolConfig{.page_size = 256,
                                           .capacity_pages = 32,
                                           .shards = 4});
-  constexpr std::uint64_t kDirty = 16;
+  // Two runs, which land in different shards.
+  constexpr std::uint64_t kDirty = 2 * BufferPool::kRunPages;
   for (std::uint64_t p = 0; p < kDirty; ++p) {
     auto g = pool.pin(file, p);
     std::memset(g.data().data(), '0' + static_cast<int>(p % 10), 256);
     g.mark_dirty(256);
   }
   pool.flush_all();
-  // All 16 pages are adjacent and full, so they must go out as a single
+  // All 32 pages are adjacent and full, so they must go out as a single
   // vectored write — certainly far fewer calls than dirty pages.
   EXPECT_EQ(store.pages_written, kDirty);
   EXPECT_LT(store.write_calls + store.writev_calls, kDirty);
   EXPECT_EQ(store.write_calls + store.writev_calls, 1u);
   // The same ratio is observable from PoolStats without an instrumented
-  // store: 16 pages through 1 flush backing call.
+  // store: 32 pages through 1 flush backing call.
   EXPECT_EQ(pool.stats().flush_write_calls, 1u);
   EXPECT_EQ(pool.stats().flush_write_pages, kDirty);
   EXPECT_EQ(pool.stats().writebacks, kDirty);
@@ -933,9 +943,10 @@ TEST(FlushForgetTest, FailedFlushKeepsTheFileUntilARetrySucceeds) {
 
 TEST(FlushForgetTest, PageRedirtiedDuringAFlushIsWrittenByTheNextOne) {
   // The flush collects page 0 and its write parks in the store.  Meanwhile
-  // another thread writes page 1 for the first time and re-dirties page
-  // 0.  The parked flush succeeds, but it must not forget the file: the
-  // next flush writes the new bytes, and then the store matches.
+  // another thread writes a page of another shard for the first time and
+  // re-dirties page 0.  The parked flush succeeds, but it must not forget
+  // the file: the next flush writes the new bytes, and then the store
+  // matches.
   BlockingWriteStore store;
   const FileId file = store.open("f", true);
   BufferPool pool(store, BufferPoolConfig{.page_size = 256,
@@ -946,13 +957,15 @@ TEST(FlushForgetTest, PageRedirtiedDuringAFlushIsWrittenByTheNextOne) {
     std::memset(g.data().data(), c, 256);
     g.mark_dirty(256);
   };
+  // The second page is two runs on, in the other shard.
+  constexpr std::uint64_t kOther = 2 * BufferPool::kRunPages;
   write_page(0, 'o');
   store.arm_block();
   std::thread flusher([&] { pool.flush_file(file); });
   store.wait_until_parked();
   std::thread writer([&] {
     write_page(0, 'n');
-    write_page(1, 'n');
+    write_page(kOther, 'n');
   });
   writer.join();
   store.release(/*fail=*/false);
@@ -960,9 +973,11 @@ TEST(FlushForgetTest, PageRedirtiedDuringAFlushIsWrittenByTheNextOne) {
   EXPECT_TRUE(pool.may_be_dirty(file));
   pool.flush_file(file);
   EXPECT_FALSE(pool.may_be_dirty(file));
-  std::vector<std::byte> bytes(512);
-  ASSERT_EQ(store.read(file, 0, bytes), 512u);
-  EXPECT_EQ(bytes, std::vector<std::byte>(512, std::byte{'n'}));
+  std::vector<std::byte> bytes(256);
+  for (const std::uint64_t p : {std::uint64_t{0}, kOther}) {
+    ASSERT_EQ(store.read(file, p * 256, bytes), 256u);
+    EXPECT_EQ(bytes, std::vector<std::byte>(256, std::byte{'n'})) << p;
+  }
   pool.debug_validate();
 }
 

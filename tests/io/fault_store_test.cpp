@@ -251,16 +251,17 @@ TEST(FaultStoreAiming, FailNthReadvHitsTheRequestGather) {
   FaultStore store(inner, plan);
   const FileId id = store.open("f", true);
   store.arm(false);
-  std::vector<std::byte> content(16 * 256, std::byte{'P'});
+  std::vector<std::byte> content(32 * 256, std::byte{'P'});
   store.write(id, 0, content);
   store.arm(true);
   BufferPool pool(store, BufferPoolConfig{.page_size = 256,
                                           .capacity_pages = 32,
                                           .shards = 4});
-  EXPECT_THROW(static_cast<void>(pool.pin_span(id, 0, 7)), util::IoError);
+  // Pages 12..19 end run 0 and start run 1, which lie in different shards.
+  EXPECT_THROW(static_cast<void>(pool.pin_span(id, 12, 19)), util::IoError);
   EXPECT_EQ(pool.resident_pages(), 0u);  // failed gather fully unwound
   pool.debug_validate();
-  static_cast<void>(pool.pin_span(id, 0, 7));
+  static_cast<void>(pool.pin_span(id, 12, 19));
   EXPECT_EQ(pool.resident_pages(), 8u);  // retry loads clean
   pool.debug_validate();
 }

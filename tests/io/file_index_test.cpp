@@ -226,7 +226,9 @@ TEST(FileIndexTest, FrameReusedForAnotherFileIsListedOnlyUnderIt) {
   // A full pool holds pages of a; pages of b then evict them and reuse
   // their frames, in one shard and across four (a shard evicts its own
   // pages first, then borrows from its siblings).  Per-file work on a
-  // must then find none of b's pages.
+  // must then find none of b's pages.  Each file's four pages lie a run
+  // apart, so with four shards they spread over them.
+  constexpr std::uint64_t kStride = BufferPool::kRunPages;
   for (const std::size_t shards : {1u, 4u}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
     auto store = memory_store();
@@ -234,28 +236,28 @@ TEST(FileIndexTest, FrameReusedForAnotherFileIsListedOnlyUnderIt) {
     const FileId b = store->open("b.bin", true);
     BufferPool pool(
         *store, {.page_size = kPage, .capacity_pages = 4, .shards = shards});
-    for (std::uint64_t p = 0; p < 4; ++p) dirty_page(pool, a, p, 'a');
-    for (std::uint64_t p = 0; p < 4; ++p) dirty_page(pool, b, p, 'b');
+    for (std::uint64_t i = 0; i < 4; ++i) dirty_page(pool, a, i * kStride, 'a');
+    for (std::uint64_t i = 0; i < 4; ++i) dirty_page(pool, b, i * kStride, 'b');
     pool.debug_validate();
     EXPECT_GE(pool.stats().evictions, 4u);
     std::vector<bool> b_resident;
-    for (std::uint64_t p = 0; p < 4; ++p) {
-      b_resident.push_back(pool.contains(b, p));
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      b_resident.push_back(pool.contains(b, i * kStride));
       // One shard evicts in exact LRU order: every a page, no b page.
       if (shards == 1) {
-        EXPECT_TRUE(b_resident.back()) << p;
-        EXPECT_FALSE(pool.contains(a, p)) << p;
+        EXPECT_TRUE(b_resident.back()) << i;
+        EXPECT_FALSE(pool.contains(a, i * kStride)) << i;
       }
     }
     pool.discard_file(a);
-    for (std::uint64_t p = 0; p < 4; ++p) {
-      EXPECT_FALSE(pool.contains(a, p)) << p;
-      EXPECT_EQ(pool.contains(b, p), b_resident[p]) << p;
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      EXPECT_FALSE(pool.contains(a, i * kStride)) << i;
+      EXPECT_EQ(pool.contains(b, i * kStride), b_resident[i]) << i;
     }
     pool.debug_validate();
     pool.flush_file(b);
-    for (std::uint64_t p = 0; p < 4; ++p) {
-      EXPECT_EQ(stored(*store, b, p), 'b') << p;
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(stored(*store, b, i * kStride), 'b') << i;
     }
     pool.discard_file(b);
     EXPECT_EQ(pool.resident_pages(), 0u);

@@ -130,16 +130,21 @@ std::uint64_t pin_window(BufferPool& pool, FileId file, std::uint64_t first,
   return pool.stats().misses - before;
 }
 
+// Windows in the 4-shard cases start mid-run, at kMid, so they cover the
+// end of run 0 and the start of run 1, which the file's first runs put in
+// different shards.
+constexpr std::uint64_t kMid = BufferPool::kRunPages / 2;
+
 // ------------------------------------------------------------ batching ----
 
 TEST(GatherReadv, SequentialWindowIssuesOneGatherRead) {
   CountingReadStore store;
-  const FileId file = make_file(store, 256, 16);
+  const FileId file = make_file(store, 256, 32);
   BufferPool pool(store, BufferPoolConfig{.page_size = 256,
                                           .capacity_pages = 32,
                                           .shards = 4});
   constexpr std::size_t kWindow = 16;
-  static_cast<void>(pool.pin_span(file, 0, kWindow - 1));
+  static_cast<void>(pool.pin_span(file, kMid, kMid + kWindow - 1));
   // The whole sequential window must go out as a single vectored gather —
   // not one backing read per page, the pre-coalescing behaviour.
   EXPECT_EQ(store.readv_calls, 1u);
@@ -150,8 +155,8 @@ TEST(GatherReadv, SequentialWindowIssuesOneGatherRead) {
   EXPECT_EQ(pool.stats().gather_read_pages, kWindow);
   EXPECT_EQ(pool.resident_pages(), kWindow);
   EXPECT_EQ(pool.stats().misses, kWindow);
-  // Page 0's first pin was the request's; every later pin loads nothing.
-  for (std::uint64_t p = 0; p < kWindow; ++p) {
+  // Page kMid's first pin was the request's; every later pin loads nothing.
+  for (std::uint64_t p = kMid; p < kMid + kWindow; ++p) {
     auto g = pool.pin(file, p);
     EXPECT_EQ(static_cast<char>(g.data()[0]), char('a' + p % 26)) << p;
     EXPECT_EQ(g.valid_bytes(), 256u);
@@ -163,14 +168,14 @@ TEST(GatherReadv, SequentialWindowIssuesOneGatherRead) {
 
 TEST(GatherReadv, ResidentPagesSplitTheWindowIntoRuns) {
   CountingReadStore store;
-  const FileId file = make_file(store, 256, 16);
+  const FileId file = make_file(store, 256, 32);
   BufferPool pool(store, BufferPoolConfig{.page_size = 256,
                                           .capacity_pages = 32,
                                           .shards = 4});
-  EXPECT_TRUE(pool.prefetch(file, 4));  // single-page path: one read()
+  EXPECT_TRUE(pool.prefetch(file, kMid + 4));  // single-page path: one read()
   EXPECT_EQ(store.read_calls, 1u);
-  // Page 4 is resident, so the window splits into runs [0..3] and [5..9].
-  EXPECT_EQ(pin_window(pool, file, 0, 9), 9u);
+  // Page kMid + 4 is resident, so the window splits into two runs.
+  EXPECT_EQ(pin_window(pool, file, kMid, kMid + 9), 9u);
   EXPECT_EQ(store.readv_calls, 2u);
   EXPECT_EQ(store.read_calls, 1u);
   EXPECT_EQ(pool.resident_pages(), 10u);
@@ -194,13 +199,14 @@ TEST(GatherReadv, CoalesceLimitBoundsRunLength) {
 
 TEST(GatherReadv, PinSpanGathersTheColdSpanAsMisses) {
   CountingReadStore store;
-  const FileId file = make_file(store, 256, 16);
+  const FileId file = make_file(store, 256, 32);
   BufferPool pool(store, BufferPoolConfig{.page_size = 256,
                                           .capacity_pages = 32,
                                           .shards = 4});
+  constexpr std::uint64_t kLast = kMid + 15;
   {
-    auto g = pool.pin_span(file, 0, 15);
-    EXPECT_EQ(static_cast<char>(g.data()[0]), 'a');
+    auto g = pool.pin_span(file, kMid, kLast);
+    EXPECT_EQ(static_cast<char>(g.data()[0]), char('a' + kMid));
   }
   // The whole cold span arrived by one gather, before any copy.
   EXPECT_EQ(store.readv_calls, 1u);
@@ -212,12 +218,12 @@ TEST(GatherReadv, PinSpanGathersTheColdSpanAsMisses) {
   EXPECT_EQ(pool.stats().gather_read_pages, 16u);
   // The first pin of a gathered page is its miss, not a hit; later pins
   // are hits.
-  for (std::uint64_t p = 1; p < 16; ++p) {
-    auto g = pool.pin_span(file, p, 15);
-    EXPECT_EQ(static_cast<char>(g.data()[0]), char('a' + p)) << p;
+  for (std::uint64_t p = kMid + 1; p <= kLast; ++p) {
+    auto g = pool.pin_span(file, p, kLast);
+    EXPECT_EQ(static_cast<char>(g.data()[0]), char('a' + p % 26)) << p;
   }
   EXPECT_EQ(pool.stats().hits, 0u);
-  static_cast<void>(pool.pin(file, 3));
+  static_cast<void>(pool.pin(file, kMid + 3));
   EXPECT_EQ(pool.stats().hits, 1u);
   EXPECT_EQ(store.readv_calls + store.read_calls, 1u);
   pool.debug_validate();
@@ -225,17 +231,17 @@ TEST(GatherReadv, PinSpanGathersTheColdSpanAsMisses) {
 
 TEST(GatherReadv, PinSpanOfOnePageOrAResidentPageIssuesNoGather) {
   CountingReadStore store;
-  const FileId file = make_file(store, 256, 16);
+  const FileId file = make_file(store, 256, 32);
   BufferPool pool(store, BufferPoolConfig{.page_size = 256,
                                           .capacity_pages = 32,
                                           .shards = 4});
   // A one-page span is a plain demand load, as pin() does.
-  static_cast<void>(pool.pin_span(file, 3, 3));
+  static_cast<void>(pool.pin_span(file, kMid + 3, kMid + 3));
   EXPECT_EQ(store.read_calls, 1u);
   EXPECT_EQ(store.readv_calls, 0u);
   // A resident first page is a hit: the cold pages after it wait until
   // the copy reaches them.
-  static_cast<void>(pool.pin_span(file, 3, 10));
+  static_cast<void>(pool.pin_span(file, kMid + 3, kMid + 10));
   EXPECT_EQ(store.read_calls + store.readv_calls, 1u);
   EXPECT_EQ(pool.stats().hits, 1u);
   EXPECT_EQ(pool.resident_pages(), 1u);
@@ -245,17 +251,17 @@ TEST(GatherReadv, PinSpanOfOnePageOrAResidentPageIssuesNoGather) {
 
 TEST(GatherReadv, WindowIsClampedToEndOfFile) {
   CountingReadStore store;
-  // 5 full pages plus a 100-byte tail page: pages 0..5 exist, 6+ do not.
-  const FileId file = make_file(store, 256, 5, 100);
+  // 17 full pages plus a 100-byte tail page: pages 0..17 exist, 18+ do not.
+  const FileId file = make_file(store, 256, 17, 100);
   BufferPool pool(store, BufferPoolConfig{.page_size = 256,
                                           .capacity_pages = 32,
                                           .shards = 4});
-  static_cast<void>(pool.pin_span(file, 4, 11));
-  EXPECT_EQ(pool.stats().misses, 2u);  // pages 4 and 5 only
+  static_cast<void>(pool.pin_span(file, 14, 21));
+  EXPECT_EQ(pool.stats().misses, 4u);  // pages 14..17 only
   EXPECT_EQ(store.readv_calls, 1u);
-  EXPECT_FALSE(pool.contains(file, 6));
-  EXPECT_EQ(pool.resident_pages(), 2u);
-  auto tail = pool.pin(file, 5);
+  EXPECT_FALSE(pool.contains(file, 18));
+  EXPECT_EQ(pool.resident_pages(), 4u);
+  auto tail = pool.pin(file, 17);
   EXPECT_EQ(tail.valid_bytes(), 100u);
   EXPECT_EQ(static_cast<char>(tail.data()[99]), 'T');
   EXPECT_EQ(tail.data()[100], std::byte{0});  // zero past the valid extent
@@ -263,25 +269,26 @@ TEST(GatherReadv, WindowIsClampedToEndOfFile) {
 
 TEST(GatherReadv, WindowEntirelyPastEofGathersNothing) {
   CountingReadStore store;
-  const FileId file = make_file(store, 256, 4);
+  const FileId file = make_file(store, 256, 20);
   BufferPool pool(store, BufferPoolConfig{.page_size = 256,
                                           .capacity_pages = 32,
                                           .shards = 4});
-  // The gather loads nothing past EOF; only the page the request pins is
-  // faulted in, by one read that finds no bytes.
+  // The gather loads nothing past EOF, and the page the request pins is
+  // a zero page installed without a store read.
   {
     auto g = pool.pin_span(file, 100, 107);
     EXPECT_EQ(g.valid_bytes(), 0u);
+    EXPECT_EQ(g.data()[0], std::byte{0});
   }
   EXPECT_EQ(store.readv_calls, 0u);
-  EXPECT_EQ(store.read_calls, 1u);
+  EXPECT_EQ(store.read_calls, 0u);
   EXPECT_EQ(pool.stats().gather_read_pages, 0u);
   EXPECT_EQ(pool.resident_pages(), 1u);
   EXPECT_FALSE(pool.contains(file, 101));
   // An empty file never gathers either.
   const FileId empty = store.open("empty.bin", true);
   static_cast<void>(pool.pin_span(empty, 0, 7));
-  EXPECT_EQ(store.readv_calls, 0u);
+  EXPECT_EQ(store.readv_calls + store.read_calls, 0u);
   EXPECT_EQ(pool.stats().gather_read_pages, 0u);
   EXPECT_EQ(pool.resident_pages(), 2u);
   EXPECT_FALSE(pool.contains(empty, 1));
@@ -291,28 +298,53 @@ TEST(GatherReadv, WindowEntirelyPastEofGathersNothing) {
 
 TEST(GatherReadv, FailedGatherLeavesNoHalfValidFramesResident) {
   CountingReadStore store;
-  const FileId file = make_file(store, 256, 8);
+  const FileId file = make_file(store, 256, 32);
+  BufferPool pool(store, BufferPoolConfig{.page_size = 256,
+                                          .capacity_pages = 32,
+                                          .shards = 4});
+  constexpr std::uint64_t kFirst = kMid + 4;  // 8 pages across runs 0 and 1
+  constexpr std::uint64_t kLast = kFirst + 7;
+  store.fail_reads = 1;
+  EXPECT_THROW(static_cast<void>(pool.pin_span(file, kFirst, kLast)),
+               util::IoError);
+  EXPECT_EQ(pool.resident_pages(), 0u);
+  pool.debug_validate();  // the unwind left no leaked latch or frame
+  // A failing demand load reports its error and unwinds the same way.
+  store.fail_reads = 1;
+  EXPECT_THROW(static_cast<void>(pool.pin(file, kFirst)), util::IoError);
+  EXPECT_FALSE(pool.contains(file, kFirst));
+  pool.debug_validate();
+  // The frames were returned to the pool: a retry loads everything fresh.
+  const std::uint64_t misses = pool.stats().misses;
+  EXPECT_EQ(pin_window(pool, file, kFirst, kLast), 8u);
+  EXPECT_EQ(pool.stats().misses - misses, 8u);
+  EXPECT_EQ(pool.stats().gather_read_pages, 8u);
+  for (std::uint64_t p = kFirst; p <= kLast; ++p) {
+    auto g = pool.pin(file, p);
+    EXPECT_EQ(static_cast<char>(g.data()[0]), char('a' + p % 26)) << p;
+  }
+}
+
+TEST(GatherReadv, FailedLoadsCountEveryPageTheRequestNeededAsAMiss) {
+  // PoolStats::misses counts the pages a request needed that were not
+  // resident, whether or not their load then succeeded: a failed one-page
+  // pin and a failed 8-page pin_span count alike.
+  CountingReadStore store;
+  const FileId file = make_file(store, 256, 32);
   BufferPool pool(store, BufferPoolConfig{.page_size = 256,
                                           .capacity_pages = 32,
                                           .shards = 4});
   store.fail_reads = 1;
-  EXPECT_THROW(static_cast<void>(pool.pin_span(file, 0, 7)), util::IoError);
-  EXPECT_EQ(pool.resident_pages(), 0u);
-  // Stats stay exact: nothing was loaded, so no miss stays counted.
-  EXPECT_EQ(pool.stats().misses, 0u);
-  pool.debug_validate();  // the unwind left no leaked latch or frame
-  // A failing demand load reports its error and unwinds the same way.
+  EXPECT_THROW(static_cast<void>(pool.pin(file, kMid)), util::IoError);
+  EXPECT_EQ(pool.stats().misses, 1u);
   store.fail_reads = 1;
-  EXPECT_THROW(static_cast<void>(pool.pin(file, 0)), util::IoError);
-  EXPECT_FALSE(pool.contains(file, 0));
+  EXPECT_THROW(static_cast<void>(pool.pin_span(file, kMid + 4, kMid + 11)),
+               util::IoError);
+  EXPECT_EQ(pool.stats().misses, 1u + 8u);
+  EXPECT_EQ(pool.stats().gather_read_pages, 0u);
+  EXPECT_EQ(pool.stats().hits, 0u);
+  EXPECT_EQ(pool.resident_pages(), 0u);
   pool.debug_validate();
-  // The frames were returned to the pool: a retry loads everything fresh.
-  EXPECT_EQ(pin_window(pool, file, 0, 7), 8u);
-  EXPECT_EQ(pool.stats().gather_read_pages, 8u);
-  for (std::uint64_t p = 0; p < 8; ++p) {
-    auto g = pool.pin(file, p);
-    EXPECT_EQ(static_cast<char>(g.data()[0]), char('a' + p)) << p;
-  }
 }
 
 TEST(GatherReadv, FailureInSecondRunKeepsFirstRunResident) {

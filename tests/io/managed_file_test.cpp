@@ -385,6 +385,32 @@ TEST_F(WarmSeekTest, SeekPastEofTouchesTheLastPage) {
   fs_->pool().debug_validate();
 }
 
+TEST(AppendTest, TruncatingOpenWriteAndCloseMakeNoStoreRead) {
+  // A POST: its page lies wholly past the store's EOF, so the pin that
+  // stages the write installs a zero page instead of reading no bytes.
+  util::TempDir dir;
+  auto owned = std::make_unique<SizeCountingStore>(
+      std::make_unique<RealFileStore>(dir.path()));
+  SizeCountingStore& counts = *owned;
+  ManagedFileSystem fs(std::move(owned), ManagedFsOptions{});
+  {
+    auto f = fs.open("post.bin", OpenMode::kCreate);
+    f.write(as_bytes(std::string(3 * 4096, 'o')));
+  }
+  fs.drop_caches();
+  const std::uint64_t loads = counts.loads;
+  {
+    auto f = fs.open("post.bin", OpenMode::kTruncate);
+    f.write(as_bytes(std::string(4096, 'p')));
+    f.close();
+  }
+  EXPECT_EQ(counts.loads, loads);
+  auto f = fs.open("post.bin", OpenMode::kRead);
+  EXPECT_EQ(f.size(), 4096u);
+  EXPECT_EQ(read_all(f, 8192), std::string(4096, 'p'));
+  fs.pool().debug_validate();
+}
+
 /// Records how far into its file any backing read reached.
 class ReadExtentStore final : public StoreDecorator {
  public:

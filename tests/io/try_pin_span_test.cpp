@@ -21,6 +21,9 @@ namespace {
 
 constexpr std::size_t kPage = 256;
 constexpr std::uint64_t kPages = 4;
+/// The span's first page.  Its pages end run 2 and start run 3, which the
+/// file's runs put in different shards of the 2-shard pool.
+constexpr std::uint64_t kFirst = 3 * BufferPool::kRunPages - 2;
 
 /// Counts backing reads and can hold the next one on a latch, so a test
 /// can keep a page mid-load (io_busy) for as long as it likes.
@@ -93,16 +96,18 @@ class TryPinSpanTest : public ::testing::Test {
                                        .capacity_pages = 8,
                                        .shards = 2}) {
     file_ = store_.open("data.bin", true);
-    std::string content;
-    for (std::uint64_t p = 0; p < kPages; ++p) {
-      content += std::string(kPage, static_cast<char>('a' + p));
+    // The span's page i holds 'a' + i; the pages before it hold '.'.
+    std::string content(kFirst * kPage, '.');
+    for (std::uint64_t i = 0; i < kPages; ++i) {
+      content += std::string(kPage, static_cast<char>('a' + i));
     }
     store_.write(file_, 0,
                  std::as_bytes(std::span(content.data(), content.size())));
   }
 
-  void load(std::uint64_t page_no) {
-    static_cast<void>(pool_.pin(file_, page_no));
+  /// Loads the span's page `i`.
+  void load(std::uint64_t i) {
+    static_cast<void>(pool_.pin(file_, kFirst + i));
   }
 
   util::TempDir dir_{"clio-try-pin"};
@@ -116,7 +121,7 @@ TEST_F(TryPinSpanTest, AllResidentSpanPinsEveryPageAsAHit) {
   const PoolStats before = pool_.stats();
   const std::uint64_t reads = store_.reads();
   {
-    const auto guards = pool_.try_pin_span(file_, 0, kPages - 1);
+    const auto guards = pool_.try_pin_span(file_, kFirst, kFirst + kPages - 1);
     ASSERT_EQ(guards.size(), kPages);
     for (std::uint64_t p = 0; p < kPages; ++p) {
       EXPECT_EQ(static_cast<char>(guards[p].data()[0]), 'a' + p);
@@ -130,16 +135,16 @@ TEST_F(TryPinSpanTest, AllResidentSpanPinsEveryPageAsAHit) {
 }
 
 TEST_F(TryPinSpanTest, OneColdPageLeavesThePoolAsItWas) {
-  // Pages 0..1 arrive by one demand gather, so page 1 still owes its first
-  // pin the miss the gather counted; page 2 stays cold.
-  static_cast<void>(pool_.pin_span(file_, 0, 1));
+  // The span's pages 0..1 arrive by one demand gather, so page 1 still
+  // owes its first pin the miss the gather counted; page 2 stays cold.
+  static_cast<void>(pool_.pin_span(file_, kFirst, kFirst + 1));
   load(3);
   const PoolStats before = pool_.stats();
   const std::uint64_t reads = store_.reads();
-  EXPECT_TRUE(pool_.try_pin_span(file_, 0, kPages - 1).empty());
+  EXPECT_TRUE(pool_.try_pin_span(file_, kFirst, kFirst + kPages - 1).empty());
   expect_same_stats(pool_.stats(), before);
   EXPECT_EQ(store_.reads(), reads);  // nothing loaded
-  EXPECT_FALSE(pool_.contains(file_, 2));
+  EXPECT_FALSE(pool_.contains(file_, kFirst + 2));
   pool_.debug_validate();  // no pin left behind
   // Page 1's miss is still owed: its first pin counts no hit.
   load(1);
@@ -157,7 +162,7 @@ TEST_F(TryPinSpanTest, PageMidLoadReturnsAtOnceWithoutWaiting) {
   const std::uint64_t reads = store_.reads();
   // A probe that waited on the load would not return before release().
   auto probe = std::async(std::launch::async, [&] {
-    return pool_.try_pin_span(file_, 0, kPages - 1).empty();
+    return pool_.try_pin_span(file_, kFirst, kFirst + kPages - 1).empty();
   });
   const auto status = probe.wait_for(std::chrono::milliseconds(500));
   EXPECT_EQ(status, std::future_status::ready)

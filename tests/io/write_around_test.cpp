@@ -295,16 +295,23 @@ class AroundResidencyTest : public ::testing::Test {
     std::vector<bool> seen(pool_.shard_count(), false);
     for (std::uint64_t p = first; p <= last; ++p) {
       if (pool_.contains(file_, p)) {
-        seen[PageKeyHash{}(PageKey{file_, p}) % pool_.shard_count()] = true;
+        seen[RunKeyHash{}(RunKey{file_, p / BufferPool::kRunPages}) %
+             pool_.shard_count()] = true;
       }
     }
     return static_cast<std::size_t>(std::count(seen.begin(), seen.end(), true));
   }
 
+  /// A span ManagedFile sends around the pool: kCoalescePages or more.
   void check(std::uint64_t offset, std::size_t length) {
+    ASSERT_GE((offset + length - 1) / kPage - offset / kPage + 1,
+              BufferPool::kCoalescePages);
+    check_span(offset, length);
+  }
+
+  void check_span(std::uint64_t offset, std::size_t length) {
     const std::uint64_t first = offset / kPage;
     const std::uint64_t last = (offset + length - 1) / kPage;
-    ASSERT_GE(last - first + 1, BufferPool::kCoalescePages);
     std::size_t resident = 0;
     std::size_t runs = 0;
     for (std::uint64_t p = first; p <= last; ++p) {
@@ -404,6 +411,40 @@ TEST_F(AroundResidencyTest, WholeSpanResident) {
   make_resident(100, 80);
   make_dirty(140);
   check(100 * kPage + 3, 79 * kPage);
+}
+
+// Runs are BufferPool::kRunPages (16) pages: run 6 is pages 96..111, run
+// 7 is 112..127, and so on.
+
+TEST_F(AroundResidencyTest, SpanStartsAndEndsMidRun) {
+  // Pages 99..172: the first and last runs are only partly in the span,
+  // and each holds resident pages on both sides of the span's edge.
+  make_resident(97, 2);    // run 6, before the span
+  make_resident(99, 1);    // the span's first page
+  make_dirty(105);
+  make_dirty(172);         // the span's last page, in run 10
+  make_resident(173, 3);   // run 10, after the span
+  check(99 * kPage + 17, 74 * kPage - 30);
+}
+
+TEST_F(AroundResidencyTest, ResidentPagesOnBothSidesOfARunBoundary) {
+  make_resident(111, 2);  // the last page of run 6, the first of run 7
+  make_dirty(127);        // the last page of run 7
+  make_dirty(128);        // the first of run 8
+  make_resident(143, 1);
+  make_resident(159, 2);
+  ASSERT_GE(shards_of_resident(100, 179), 2u);
+  check(100 * kPage, 80 * kPage);
+}
+
+TEST_F(AroundResidencyTest, SpanCoveringExactlyOneRun) {
+  // Pages 112..127, run 7 whole.  ManagedFile sends no span this short
+  // around the pool, but the pass must visit the run's first and last
+  // slots and nothing of its neighbours.
+  make_resident(111, 2);
+  make_dirty(119);
+  make_resident(127, 2);
+  check_span(112 * kPage, BufferPool::kRunPages * kPage);
 }
 
 }  // namespace
