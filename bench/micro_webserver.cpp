@@ -37,7 +37,6 @@
 #include <string>
 #include <thread>
 
-#include "core/webserver_benchmark.hpp"
 #include "io/fault_store.hpp"
 #include "io/file_store.hpp"
 #include "io/retrying_store.hpp"
@@ -45,6 +44,7 @@
 #include "net/load_gen.hpp"
 #include "net/server.hpp"
 #include "obs/bench_report.hpp"
+#include "paper/paper.hpp"
 #include "util/resilience.hpp"
 #include "util/temp_dir.hpp"
 
@@ -52,13 +52,13 @@ namespace {
 
 using namespace clio;
 
-std::string scenario_name(const core::ThroughputRow& row) {
+std::string scenario_name(const paper::ThroughputRow& row) {
   return "throughput_c" + std::to_string(row.connections) +
          (row.keep_alive ? "_ka" : "_noka");
 }
 
 void report_rows(obs::BenchReport& report,
-                 const std::vector<core::ThroughputRow>& rows,
+                 const std::vector<paper::ThroughputRow>& rows,
                  const std::string& prefix) {
   for (const auto& row : rows) {
     report.scenario(prefix + scenario_name(row));
@@ -70,7 +70,7 @@ void report_rows(obs::BenchReport& report,
   }
 }
 
-void print_rows(const std::vector<core::ThroughputRow>& rows,
+void print_rows(const std::vector<paper::ThroughputRow>& rows,
                 double base_rps) {
   for (const auto& row : rows) {
     std::printf(
@@ -87,13 +87,13 @@ void print_rows(const std::vector<core::ThroughputRow>& rows,
 
 void bench_throughput(obs::BenchReport& report) {
   util::TempDir dir("clio-microweb");
-  core::WebBenchConfig config;
+  paper::WebBenchConfig config;
   config.workdir = dir.path() / "docroot";
   config.vm_dispatch = false;  // raw serving path; JIT is Table 6's story
   config.worker_threads = 8;
-  core::WebServerBench bench(config);
+  paper::WebServerBench bench(config);
 
-  const std::vector<core::ThroughputScenario> scenarios = {
+  const std::vector<paper::ThroughputScenario> scenarios = {
       {1, false}, {1, true}, {2, true}, {4, true}, {8, false}, {8, true}};
   const auto rows =
       bench.run_throughput(scenarios, /*requests_per_connection=*/400,
@@ -145,11 +145,11 @@ void bench_throughput(obs::BenchReport& report) {
 
 void bench_openloop(obs::BenchReport& report) {
   util::TempDir dir("clio-microweb");
-  core::WebBenchConfig config;
+  paper::WebBenchConfig config;
   config.workdir = dir.path() / "docroot";
   config.vm_dispatch = false;
   config.worker_threads = 8;
-  core::WebServerBench bench(config);
+  paper::WebServerBench bench(config);
   bench.server().set_record_samples(false);
 
   // The sweep holds the run duration roughly constant (~1.5 s per point)
@@ -202,12 +202,12 @@ void bench_faults(obs::BenchReport& report) {
   plan.latency_us = 200;
   net::NetFaultInjector injector(plan);
 
-  core::WebBenchConfig config;
+  paper::WebBenchConfig config;
   config.workdir = dir.path() / "docroot";
   config.vm_dispatch = false;
   config.worker_threads = 4;
   config.fault_injector = &injector;
-  core::WebServerBench bench(config);
+  paper::WebServerBench bench(config);
 
   for (const bool degraded : {false, true}) {
     injector.arm(degraded);

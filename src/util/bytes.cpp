@@ -1,10 +1,7 @@
 #include "util/bytes.hpp"
 
 #include <array>
-#include <cctype>
 #include <cstdio>
-
-#include "util/error.hpp"
 
 namespace clio::util {
 
@@ -25,79 +22,6 @@ std::string format_bytes(std::uint64_t bytes) {
     std::snprintf(buf, sizeof(buf), "%.1f %s", value, kUnits[unit]);
   }
   return buf;
-}
-
-std::uint64_t parse_bytes(std::string_view text) {
-  std::size_t i = 0;
-  while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i]))) {
-    ++i;
-  }
-  std::uint64_t value = 0;
-  bool any_digit = false;
-  while (i < text.size() && std::isdigit(static_cast<unsigned char>(text[i]))) {
-    const std::uint64_t digit = static_cast<std::uint64_t>(text[i] - '0');
-    check<ParseError>(value <= (UINT64_MAX - digit) / 10,
-                      "parse_bytes: overflow");
-    value = value * 10 + digit;
-    any_digit = true;
-    ++i;
-  }
-  check<ParseError>(any_digit, "parse_bytes: no digits");
-  // Optional fractional part (format_bytes emits e.g. "1.5 MiB").
-  double fraction = 0.0;
-  if (i < text.size() && text[i] == '.') {
-    ++i;
-    double scale = 0.1;
-    bool any_frac = false;
-    while (i < text.size() &&
-           std::isdigit(static_cast<unsigned char>(text[i]))) {
-      fraction += scale * (text[i] - '0');
-      scale *= 0.1;
-      any_frac = true;
-      ++i;
-    }
-    check<ParseError>(any_frac, "parse_bytes: dangling decimal point");
-  }
-  while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i]))) {
-    ++i;
-  }
-  std::string unit;
-  while (i < text.size() &&
-         std::isalpha(static_cast<unsigned char>(text[i]))) {
-    unit += static_cast<char>(
-        std::tolower(static_cast<unsigned char>(text[i])));
-    ++i;
-  }
-  while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i]))) {
-    ++i;
-  }
-  check<ParseError>(i == text.size(), "parse_bytes: trailing junk");
-
-  std::uint64_t mult = 1;
-  if (unit.empty() || unit == "b") {
-    mult = 1;
-  } else if (unit == "kib" || unit == "k") {
-    mult = kKiB;
-  } else if (unit == "mib" || unit == "m") {
-    mult = kMiB;
-  } else if (unit == "gib" || unit == "g") {
-    mult = kGiB;
-  } else if (unit == "kb") {
-    mult = 1000ULL;
-  } else if (unit == "mb") {
-    mult = 1000ULL * 1000;
-  } else if (unit == "gb") {
-    mult = 1000ULL * 1000 * 1000;
-  } else {
-    throw ParseError("parse_bytes: unknown unit '" + unit + "'");
-  }
-  check<ParseError>(mult == 0 || value <= UINT64_MAX / mult,
-                    "parse_bytes: overflow");
-  check<ParseError>(fraction == 0.0 || mult > 1,
-                    "parse_bytes: fractional bytes need a unit");
-  const auto frac_bytes =
-      static_cast<std::uint64_t>(fraction * static_cast<double>(mult) + 0.5);
-  return value * mult + frac_bytes;
 }
 
 }  // namespace clio::util

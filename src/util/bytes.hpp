@@ -2,17 +2,11 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 namespace clio::util {
 
 /// Formats a byte count with binary units, e.g. 131072 -> "128.0 KiB".
 [[nodiscard]] std::string format_bytes(std::uint64_t bytes);
-
-/// Parses sizes like "64", "4KiB", "16 MB", "1GiB" (case-insensitive;
-/// decimal units are powers of 1000, binary units powers of 1024).
-/// Throws ParseError on malformed input or overflow.
-[[nodiscard]] std::uint64_t parse_bytes(std::string_view text);
 
 inline constexpr std::uint64_t kKiB = 1024ULL;
 inline constexpr std::uint64_t kMiB = 1024ULL * 1024;

@@ -6,8 +6,9 @@
 
 namespace clio::util {
 
-/// Fixed-width ASCII table renderer.  Every bench binary prints its paper
-/// table/figure through this so the output format is uniform and diffable.
+/// Fixed-width ASCII table renderer.  `clio_paper` prints every paper
+/// table and figure through this so the output format is uniform and
+/// diffable.
 ///
 ///   TextTable t({"Request", "Data size (Bytes)", "Seek Time (ms)"});
 ///   t.add_row({"1", "66617088", "9.43e-05"});

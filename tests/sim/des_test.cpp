@@ -91,42 +91,7 @@ TEST(Des, SingleCpuCreatesContention) {
   EXPECT_GT(contended.makespan_ms, free.makespan_ms);
 }
 
-// --- speedup sweeps: the Figure 4 / Figure 5 shapes ----------------------
-
-TEST(Speedup, DiskSweepIsNearlyFlat) {
-  const auto points = sweep_disks(model::make_qcrd(), base_machine(),
-                                  {2, 4, 8, 16, 32}, 1.0);
-  ASSERT_EQ(points.size(), 5u);
-  for (const auto& p : points) {
-    EXPECT_GE(p.speedup, 0.95) << p.value;
-    EXPECT_LE(p.speedup, 2.0) << p.value;  // "changes slightly"
-  }
-  // Flat: the whole sweep spans a narrow band (the paper's bars wobble
-  // within ~0.3 of each other without a strict trend).
-  double lo = points[0].speedup;
-  double hi = points[0].speedup;
-  for (const auto& p : points) {
-    lo = std::min(lo, p.speedup);
-    hi = std::max(hi, p.speedup);
-  }
-  EXPECT_LT(hi - lo, 0.5);
-}
-
-TEST(Speedup, CpuSweepRisesThenSaturates) {
-  const auto points = sweep_cpus(model::make_qcrd(), base_machine(),
-                                 {2, 4, 8, 16, 32}, 1.0);
-  ASSERT_EQ(points.size(), 5u);
-  // Rising...
-  EXPECT_GT(points[1].speedup, points[0].speedup);
-  EXPECT_GT(points.back().speedup, points.front().speedup);
-  // ...but saturating: the gain from 16 to 32 CPUs is small.
-  const double tail_gain = points[4].speedup - points[3].speedup;
-  const double head_gain = points[1].speedup - points[0].speedup;
-  EXPECT_LT(tail_gain, head_gain);
-  // Amdahl ceiling from the I/O-serial fraction keeps it modest.
-  EXPECT_LT(points.back().speedup, 4.0);
-  EXPECT_GT(points.back().speedup, 1.5);
-}
+// --- speedup sweeps (tests/paper/qcrd_test.cpp holds the Figure 4/5 shapes)
 
 TEST(Speedup, CpuSpeedupExceedsDiskSpeedupForQcrd) {
   // Paper: "it is expected to efficiently improve the performance of QCRD

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/error.hpp"
-
 namespace clio::util {
 namespace {
 
@@ -17,48 +15,6 @@ TEST(FormatBytes, BinaryUnits) {
   EXPECT_EQ(format_bytes(1024), "1.0 KiB");
   EXPECT_EQ(format_bytes(131072), "128.0 KiB");
   EXPECT_EQ(format_bytes(kGiB), "1.0 GiB");
-}
-
-TEST(ParseBytes, PlainNumbers) {
-  EXPECT_EQ(parse_bytes("0"), 0u);
-  EXPECT_EQ(parse_bytes("12345"), 12345u);
-}
-
-TEST(ParseBytes, BinarySuffixes) {
-  EXPECT_EQ(parse_bytes("4KiB"), 4096u);
-  EXPECT_EQ(parse_bytes("4k"), 4096u);
-  EXPECT_EQ(parse_bytes("16 MiB"), 16u * kMiB);
-  EXPECT_EQ(parse_bytes("1GiB"), kGiB);
-  EXPECT_EQ(parse_bytes("2g"), 2 * kGiB);
-}
-
-TEST(ParseBytes, DecimalSuffixes) {
-  EXPECT_EQ(parse_bytes("1kb"), 1000u);
-  EXPECT_EQ(parse_bytes("3MB"), 3000000u);
-  EXPECT_EQ(parse_bytes("1GB"), 1000000000u);
-}
-
-TEST(ParseBytes, CaseInsensitiveAndPadded) {
-  EXPECT_EQ(parse_bytes("  8 kIb  "), 8192u);
-}
-
-TEST(ParseBytes, RejectsGarbage) {
-  EXPECT_THROW(static_cast<void>(parse_bytes("")), ParseError);
-  EXPECT_THROW(static_cast<void>(parse_bytes("abc")), ParseError);
-  EXPECT_THROW(static_cast<void>(parse_bytes("12XB")), ParseError);
-  EXPECT_THROW(static_cast<void>(parse_bytes("12 KiB extra")), ParseError);
-  EXPECT_THROW(static_cast<void>(parse_bytes("-5")), ParseError);
-}
-
-TEST(ParseBytes, RejectsOverflow) {
-  EXPECT_THROW(static_cast<void>(parse_bytes("99999999999999999999999")), ParseError);
-  EXPECT_THROW(static_cast<void>(parse_bytes("18446744073709551615KiB")), ParseError);
-}
-
-TEST(ParseBytes, RoundTripsFormatMultiples) {
-  for (std::uint64_t v : {1ULL * kKiB, 7ULL * kMiB, 3ULL * kGiB}) {
-    EXPECT_EQ(parse_bytes(format_bytes(v)), v) << v;
-  }
 }
 
 }  // namespace
