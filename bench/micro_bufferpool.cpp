@@ -8,8 +8,9 @@
 //                count, with shards it should scale on multi-core hosts.
 //   warm-op    — one thread's managed ops on resident pages: ns per
 //                ManagedFile::seek, per seek(0)+seek(off) (a replayed seek
-//                record), per seek + 512 B read and per 512 B read_at (a
-//                replayed read record).
+//                record), per seek + 512 B read, per 512 B read_at (a
+//                replayed read record) and per 6 KiB read_at, which
+//                crosses a page boundary.
 //   miss-churn — pool much smaller than the file, every access evicts and
 //                loads; measures how much the loads serialize.
 //   flush      — dirties a sequentially-written file and flushes, reporting
@@ -352,13 +353,14 @@ void bench_gather_churn(obs::BenchReport& report) {
 }
 
 /// Warm managed ops on one thread: a 1 MiB file wholly resident in a
-/// default-sized pool over a real store, and four op shapes timed in
+/// default-sized pool over a real store, and five op shapes timed in
 /// batches, the shapes taking turns so machine noise lands on all of them.
 /// Each batch is one clock read around kOps ops, so the numbers carry no
 /// per-op clock cost; the median batch is reported.
 void bench_warm_ops(obs::BenchReport& report) {
   constexpr std::uint64_t kPages = 256;
   constexpr std::size_t kRead = 512;
+  constexpr std::size_t kSpan = 6 * 1024;  ///< 2-3 pages from a slot
   constexpr std::uint64_t kOps = 200000;
   constexpr int kBatches = 7;
   util::TempDir dir("clio-microbp");
@@ -366,11 +368,13 @@ void bench_warm_ops(obs::BenchReport& report) {
   io::ManagedFile file = fs.open("warm.bin", io::OpenMode::kTruncate);
   const std::vector<std::byte> content(kPages * kPageSize, std::byte{0x2b});
   file.write(content);
-  std::vector<std::byte> buf(kRead);
+  std::vector<std::byte> buf(kSpan);
   for (std::uint64_t p = 0; p < kPages; ++p) {
-    static_cast<void>(file.read_at(p * kPageSize, buf));
+    static_cast<void>(file.read_at(p * kPageSize, std::span(buf).first(kRead)));
   }
   // Random 512-byte slots, none crossing a page, so every op is a hit.
+  // The 6 KiB span starts at a slot of the first kPages - 2 pages, so it
+  // ends inside the file.
   util::Rng rng(7);
   std::vector<std::uint64_t> offsets(4096);
   for (auto& off : offsets) {
@@ -380,6 +384,7 @@ void bench_warm_ops(obs::BenchReport& report) {
   struct Shape {
     const char* name;
     void (*op)(io::ManagedFile&, std::uint64_t, std::span<std::byte>);
+    std::size_t bytes = kRead;  ///< the op's buffer
     util::LatencyHistogram hist = {};
     std::vector<double> ns = {};
   };
@@ -403,13 +408,21 @@ void bench_warm_ops(obs::BenchReport& report) {
        .op = [](io::ManagedFile& f, std::uint64_t off,
                 std::span<std::byte> out) {
          static_cast<void>(f.read_at(off, out));
-       }}};
+       }},
+      {.name = "read_at_6k",
+       .op = [](io::ManagedFile& f, std::uint64_t off,
+                std::span<std::byte> out) {
+         static_cast<void>(
+             f.read_at(off % ((kPages - 2) * kPageSize), out));
+       },
+       .bytes = kSpan}};
   unsigned long long local = 0;
   for (int b = 0; b < kBatches; ++b) {
     for (Shape& shape : shapes) {
       const auto start = Clock::now();
       for (std::uint64_t i = 0; i < kOps; ++i) {
-        shape.op(file, offsets[i % offsets.size()], buf);
+        shape.op(file, offsets[i % offsets.size()],
+                 std::span(buf).first(shape.bytes));
       }
       const double ns =
           std::chrono::duration<double, std::nano>(Clock::now() - start)

@@ -244,8 +244,7 @@ std::vector<BufferPool::PageGuard> BufferPool::try_pin_span(
   for (const auto& [s, idx] : pinned) {
     Shard& sh = shards_[s];
     std::lock_guard<std::mutex> lock(sh.mutex);
-    if (!std::exchange(frames_[idx].miss_counted, false)) sh.stats.hits++;
-    lru_touch(sh, idx);
+    count_touch(sh, idx);
   }
   return guards;
 }
@@ -397,17 +396,14 @@ void BufferPool::abort_gather_frames(std::span<const GatherTarget> targets) {
 // -------------------------------------------------------- read around ----
 
 template <typename Visit>
-std::vector<std::uint8_t> BufferPool::for_each_resident(FileId file,
-                                                        std::uint64_t offset,
-                                                        std::uint64_t length,
-                                                        bool wait_pins,
-                                                        Visit visit) {
+void BufferPool::for_each_resident(FileId file, std::uint64_t offset,
+                                   std::uint64_t length, Walk walk,
+                                   Visit visit) {
   const std::size_t page_size = config_.page_size;
   const std::uint64_t first_page = offset / page_size;
   const std::uint64_t end = offset + length;
   const std::uint64_t last_page = (end - 1) / page_size;
-  std::vector<std::uint8_t> done(
-      static_cast<std::size_t>(last_page - first_page + 1), 0);
+  const bool leading_only = walk == Walk::kLeading;
   // The span's runs in order, each under one hold of its shard's lock, so
   // a long span keeps no shard from pin and the event loop for more than
   // kRunPages page copies at a time.
@@ -423,49 +419,80 @@ std::vector<std::uint8_t> BufferPool::for_each_resident(FileId file,
     auto it = sh.page_table.find(key);
     while (it != sh.page_table.end() && (want & it->second.occupied) != 0) {
       const int slot = std::countr_zero(want & it->second.occupied);
+      if (leading_only && slot != std::countr_zero(want)) return;
       const std::size_t idx = it->second.frame[slot];
       const Frame& f = frames_[idx];
       if (f.io_busy) {
         // Mid-load, or a dirty page mid-write-back: its bytes reach the
         // frame or the store when the latch clears, so look again then.
+        if (leading_only) return;
         sh.io_cv.wait(lk);
-      } else if (wait_pins && (f.flush_pins > 0 || f.pins > 0)) {
+      } else if (walk == Walk::kUnpinned && (f.flush_pins > 0 || f.pins > 0)) {
         // The wait is bounded because an unpin does not signal, which
         // keeps the hot unpin path free of a notify: a reader's last
         // unpin is seen within a millisecond.
         sh.io_cv.wait_for(lk, std::chrono::milliseconds(1));
       } else {
         const std::uint64_t page_begin = (base + slot) * page_size;
-        visit(sh, idx, std::max(offset, page_begin),
-              std::min(end, page_begin + page_size));
-        done[base + slot - first_page] = 1;
+        if (!visit(sh, idx, std::max(offset, page_begin),
+                   std::min(end, page_begin + page_size))) {
+          return;
+        }
         want &= ~(1u << slot);
         continue;
       }
       it = sh.page_table.find(key);  // the wait let go of the lock
     }
+    if (leading_only && want != 0) return;
   }
-  return done;
+}
+
+void BufferPool::count_touch(Shard& sh, std::size_t idx) {
+  if (!std::exchange(frames_[idx].miss_counted, false)) sh.stats.hits++;
+  lru_touch(sh, idx);
+}
+
+std::size_t BufferPool::read_resident(FileId file, std::uint64_t offset,
+                                      std::span<std::byte> out) {
+  if (out.empty()) return 0;
+  const std::size_t page_size = config_.page_size;
+  std::size_t copied = 0;  // the leading pages are visited in order
+  // A page whose valid bytes stop short of the span is a hole or lies
+  // past the file's end, which only the logical size can tell apart.
+  for_each_resident(
+      file, offset, out.size(), Walk::kLeading,
+      [&](Shard& sh, std::size_t idx, std::uint64_t lo, std::uint64_t hi) {
+        const Frame& f = frames_[idx];
+        if (f.valid_bytes < hi - (lo - lo % page_size)) return false;
+        count_touch(sh, idx);
+        std::memcpy(out.data() + copied, f.data.data() + lo % page_size,
+                    hi - lo);
+        copied += hi - lo;
+        return true;
+      });
+  return copied;
 }
 
 void BufferPool::read_around(FileId file, std::uint64_t offset,
                              std::span<std::byte> out) {
   if (out.empty()) return;
   const std::size_t page_size = config_.page_size;
-  // Each resident page's part of `out`, copied under its shard lock: that
-  // keeps the frame resident as a pin would, without the pin.  A gathered
-  // page's miss_counted stays for its own first pin.
-  const std::vector<std::uint8_t> resident = for_each_resident(
-      file, offset, out.size(), /*wait_pins=*/false,
-      [&](Shard& sh, std::size_t idx, std::uint64_t lo, std::uint64_t hi) {
-        sh.stats.hits++;
-        lru_touch(sh, idx);
-        std::memcpy(out.data() + (lo - offset),
-                    frames_[idx].data.data() + lo % page_size, hi - lo);
-      });
-  // Each maximal run of the other pages is one store read.
   const std::uint64_t first_page = offset / page_size;
   const std::uint64_t end = offset + out.size();
+  // Each resident page's part of `out`, copied under its shard lock: that
+  // keeps the frame resident as a pin would, without the pin.
+  std::vector<std::uint8_t> resident(
+      static_cast<std::size_t>((end - 1) / page_size - first_page + 1), 0);
+  for_each_resident(
+      file, offset, out.size(), Walk::kAll,
+      [&](Shard& sh, std::size_t idx, std::uint64_t lo, std::uint64_t hi) {
+        count_touch(sh, idx);
+        std::memcpy(out.data() + (lo - offset),
+                    frames_[idx].data.data() + lo % page_size, hi - lo);
+        resident[lo / page_size - first_page] = 1;
+        return true;
+      });
+  // Each maximal run of the other pages is one store read.
   for (std::size_t i = 0, j = 0; i < resident.size(); i = j) {
     for (j = i + 1; j < resident.size() && resident[j] == resident[i];) ++j;
     if (resident[i] != 0) continue;
@@ -536,8 +563,8 @@ std::uint64_t BufferPool::copy_into_resident(FileId file, std::uint64_t offset,
   std::uint64_t extent = 0;
   // A load, a write-back or a reader's copy uses a frame's bytes outside
   // the lock, so each page waits those out before it takes the bytes.
-  static_cast<void>(for_each_resident(
-      file, offset, data.size(), /*wait_pins=*/true,
+  for_each_resident(
+      file, offset, data.size(), Walk::kUnpinned,
       [&](Shard&, std::size_t idx, std::uint64_t lo, std::uint64_t hi) {
         Frame& f = frames_[idx];
         const auto within = static_cast<std::size_t>(lo % page_size);
@@ -548,7 +575,8 @@ std::uint64_t BufferPool::copy_into_resident(FileId file, std::uint64_t offset,
           f.dirty = true;
           extent = std::max(extent, f.page_no * page_size + f.valid_bytes);
         }
-      }));
+        return true;
+      });
   return extent;
 }
 
@@ -575,10 +603,11 @@ std::size_t BufferPool::find_or_load(Shard& sh,
       // A page a gather loaded had its miss counted then: its first pin
       // is that miss, not a hit.
       if (pin) {
-        if (!std::exchange(f.miss_counted, false)) sh.stats.hits++;
+        count_touch(sh, found);
         f.pins++;
+      } else {
+        lru_touch(sh, found);
       }
-      lru_touch(sh, found);
       return found;
     }
     if (span_last > page_no) {

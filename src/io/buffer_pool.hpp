@@ -203,10 +203,24 @@ class BufferPool {
   std::vector<PageGuard> try_pin_span(FileId file, std::uint64_t first_page,
                                       std::uint64_t last_page);
 
+  /// Copies the leading pages of [offset, offset + out.size()) that the
+  /// pool can answer alone into `out`, and returns the bytes copied.  A
+  /// page qualifies while it is resident, not mid-I/O (io_busy), and its
+  /// valid bytes cover every byte asked of it; the copy stops at the first
+  /// page that does not.  Each page is copied under its shard lock, one
+  /// hold per run, counts as pin() counts it and is LRU-touched.  It never
+  /// loads, waits, pins or sizes the file, and allocates nothing:
+  /// ManagedFile::read_at's warm path, correct without a clamp at EOF
+  /// because no resident page's valid bytes run past the logical file
+  /// size.
+  std::size_t read_resident(FileId file, std::uint64_t offset,
+                            std::span<std::byte> out);
+
   /// Copies out.size() bytes of `file` from `offset` into `out` without
   /// staging them through frames.  Each resident page (clean or dirty;
   /// one mid-load or mid-write-back is waited out, as pin() does) is
-  /// copied from its frame under its shard lock and counts as a hit.
+  /// copied from its frame under its shard lock and counts as pin()
+  /// counts it.
   /// Each maximal run of non-resident pages is one backing `read`
   /// straight into `out`, its bytes past the store's EOF zero-filled.  No
   /// frame is installed or evicted.
@@ -419,18 +433,28 @@ class BufferPool {
   /// Publishes one gathered run's frames: valid extents from `got`, stale
   /// tails zeroed, io_busy latches released, gather stats credited.
   void publish_gather_run(std::span<const GatherTarget> run, std::size_t got);
-  /// The around paths' pass over the resident pages of `file` that hold
-  /// bytes of [offset, offset + length): `visit(sh, frame, lo, hi)` runs
-  /// under the page's shard lock, once for each such page, with the file
-  /// bytes [lo, hi) it holds of the span.  Returns one mark per page of
-  /// the span, set where the page was visited.  One lookup under one lock
-  /// hold per run of the span, in order.  A page mid-I/O (io_busy), or with
-  /// `wait_pins` one pinned or held by a flush, is waited out.
+  /// Which resident pages for_each_resident visits, and what it does
+  /// with one it cannot visit yet.
+  enum class Walk {
+    kAll,       ///< every one; a page mid-I/O is waited out
+    kUnpinned,  ///< every one; a page mid-I/O, pinned or flush-held is
+                ///< waited out
+    kLeading,   ///< the span's leading pages; the pass ends at the first
+                ///< page that is not resident or is mid-I/O
+  };
+  /// The pass over the resident pages of `file` that hold bytes of
+  /// [offset, offset + length), shared by read_resident and the around
+  /// paths: `visit(sh, frame, lo, hi)` runs under the page's shard lock,
+  /// once for each page `walk` admits, in page order, with the file bytes
+  /// [lo, hi) it holds of the span; a visit that returns false ends the
+  /// pass.  One lookup under one lock hold per run of the span.
   template <typename Visit>
-  std::vector<std::uint8_t> for_each_resident(FileId file,
-                                              std::uint64_t offset,
-                                              std::uint64_t length,
-                                              bool wait_pins, Visit visit);
+  void for_each_resident(FileId file, std::uint64_t offset,
+                         std::uint64_t length, Walk walk, Visit visit);
+  /// A request's touch of resident frame `idx`: counts a hit unless a
+  /// gather already counted the page's miss (miss_counted, cleared here),
+  /// and moves the frame to the LRU front.
+  void count_touch(Shard& sh, std::size_t idx);
   /// read_around's store step: one backing read of a non-resident run
   /// into `out`, zero-filling what the store does not have.
   void read_direct(FileId file, std::uint64_t offset,

@@ -90,29 +90,29 @@ FileId RealFileStore::open(const std::string& name, bool create) {
   check<IoError>(!name.empty() && name.find('/') == std::string::npos,
                  "RealFileStore: file names must be flat and non-empty");
   std::lock_guard<std::mutex> lock(mutex_);
-  int flags = O_RDWR;
-  if (create) flags |= O_CREAT;
-  const auto path = root_ / name;
+  // The path is built only for open(2): a cached descriptor needs none.
+  const auto open_fd = [&](const char* what) {
+    const auto path = root_ / name;
+    const int fd = ::open(path.c_str(), create ? O_RDWR | O_CREAT : O_RDWR,
+                          0644);
+    if (fd < 0) {
+      throw IoError(std::string("RealFileStore: ") + what + "('" +
+                    path.string() + "') failed: " + std::strerror(errno));
+    }
+    return fd;
+  };
   if (auto it = by_name_.find(name); it != by_name_.end()) {
     Entry& e = entries_[it->second];
     if (e.fd < 0) {
       // Re-binding a retired-but-remembered name: same id, fresh fd, so
       // buffer-pool pages cached under this id stay valid.
-      e.fd = ::open(path.c_str(), flags, 0644);
-      if (e.fd < 0) {
-        throw IoError("RealFileStore: reopen('" + path.string() +
-                      "') failed: " + std::strerror(errno));
-      }
+      e.fd = open_fd("reopen");
     }
     e.idle = false;  // leaving the idle cache (stale queue entry is skipped)
     e.refs++;
     return it->second;
   }
-  const int fd = ::open(path.c_str(), flags, 0644);
-  if (fd < 0) {
-    throw IoError("RealFileStore: open('" + path.string() +
-                  "') failed: " + std::strerror(errno));
-  }
+  const int fd = open_fd("open");
   const auto id = static_cast<FileId>(entries_.size());
   entries_.push_back(Entry{fd, name, 1});
   by_name_.emplace(name, id);

@@ -139,26 +139,36 @@ std::size_t ManagedFile::read_at(std::uint64_t offset,
                                  std::span<std::byte> out) {
   check<IoError>(fs_ != nullptr, "ManagedFile: read on closed file");
   const OpTimer timer;
-  const std::size_t page_size = fs_->pool_->page_size();
-  const std::uint64_t file_size = size();
+  BufferPool& pool = *fs_->pool_;
+  const std::size_t page_size = pool.page_size();
+  const std::uint64_t first_page = offset / page_size;
   std::size_t total = 0;
-  if (offset < file_size && !out.empty()) {
+  // A span the frames would stage is first offered to the pool alone: its
+  // resident leading pages need neither the file's size nor a pin.
+  if (!out.empty() && (offset + out.size() - 1) / page_size - first_page + 1 <
+                          BufferPool::kCoalescePages) {
+    total = pool.read_resident(id_, offset, out);
+  }
+  // Only the pages the pool could not answer pay for sizing the file.
+  if (const std::uint64_t file_size = total < out.size() ? size() : 0;
+      offset + total < file_size) {
     const std::size_t want = static_cast<std::size_t>(
         std::min<std::uint64_t>(out.size(), file_size - offset));
-    const std::uint64_t first_page = offset / page_size;
     const std::uint64_t last_page = (offset + want - 1) / page_size;
     if (last_page - first_page + 1 >= BufferPool::kCoalescePages) {
       // A full backing transfer or more: staging it through frames would
       // evict as many pages as it reads, then copy each one out again.
-      fs_->pool_->read_around(id_, offset, out.first(want));
+      pool.read_around(id_, offset, out.first(want));
       total = want;
     } else {
+      // The rest of a short span, from its first page the pool could not
+      // answer, as pinned copies.
       while (total < want) {
         const std::uint64_t pos = offset + total;
         const std::uint64_t page = pos / page_size;
         const std::size_t within = static_cast<std::size_t>(pos % page_size);
         const std::size_t take = std::min(want - total, page_size - within);
-        auto guard = fs_->pool_->pin_span(id_, page, last_page);
+        auto guard = pool.pin_span(id_, page, last_page);
         std::memcpy(out.data() + total, guard.data().data() + within, take);
         total += take;
       }

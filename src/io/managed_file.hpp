@@ -107,10 +107,18 @@ class ManagedFile {
 
   /// Reads up to out.size() bytes at `offset`, like pread: returns the
   /// count actually read (short at EOF, 0 past it) and leaves the
-  /// position alone.  Counted as one Read and no Seek.  A span of
-  /// BufferPool::kCoalescePages pages or more goes around the pool
-  /// (BufferPool::read_around); a shorter one is pinned page by page, its
-  /// cold pages loaded by pin_span's gather.
+  /// position alone.  Counted as one Read and no Seek.  A span of fewer
+  /// than BufferPool::kCoalescePages pages first copies its leading pages
+  /// that are resident, not mid-I/O and valid over the bytes asked of
+  /// them (BufferPool::read_resident: one shard-lock hold per run, no pin,
+  /// no allocation).  Only when that stops short is the file sized: the
+  /// rest is pinned page by page, its cold pages loaded by pin_span's
+  /// gather, and a span of kCoalescePages pages or more goes around the
+  /// pool (BufferPool::read_around).  The warm copy needs no clamp at EOF
+  /// because a resident page's valid bytes never run past the logical
+  /// file size: loads stop at the store's EOF, writes raise the size
+  /// with the bytes, and a truncating open discards the file's pages
+  /// before it truncates.
   std::size_t read_at(std::uint64_t offset, std::span<std::byte> out);
 
   /// Writes all bytes at `offset`, like pwrite, extending the file, and

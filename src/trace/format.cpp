@@ -5,7 +5,7 @@
 
 namespace clio::trace {
 
-void validate(const TraceFile& trace) {
+std::uint64_t validate(const TraceFile& trace) {
   using util::ParseError;
   util::check<ParseError>(trace.header.num_records == trace.records.size(),
                           "trace: header record count mismatch");
@@ -21,6 +21,7 @@ void validate(const TraceFile& trace) {
   // processes; track the aggregate depth per fid which must never go
   // negative.
   std::vector<std::int64_t> open_depth(trace.header.num_files, 0);
+  std::uint64_t repetitions = 0;
   std::size_t index = 0;
   for (const auto& r : trace.records) {
     // Messages are built only on failure: this loop runs once per record
@@ -32,6 +33,7 @@ void validate(const TraceFile& trace) {
     if (r.count < 1) {
       throw ParseError(util::cat("trace: zero count at record ", index));
     }
+    repetitions += r.count;
     if (r.pid >= trace.header.num_processes) {
       throw ParseError(util::cat("trace: pid out of range at record ", index));
     }
@@ -54,6 +56,7 @@ void validate(const TraceFile& trace) {
     }
     ++index;
   }
+  return repetitions;
 }
 
 }  // namespace clio::trace

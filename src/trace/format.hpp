@@ -49,8 +49,10 @@ struct TraceFile {
 
 /// Structural validation: op codes in range, record count consistent with
 /// the header, wall clock non-decreasing, open/close balance never negative.
-/// Throws ParseError describing the first violation.
-void validate(const TraceFile& trace);
+/// Throws ParseError describing the first violation.  Returns the number
+/// of operations the records stand for (the sum of their counts), so a
+/// replay sizes its rows in the same pass.
+std::uint64_t validate(const TraceFile& trace);
 
 /// Human-readable op mnemonic (reuses the I/O subsystem's naming).
 [[nodiscard]] inline std::string_view op_name(TraceOp op) {

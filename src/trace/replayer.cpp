@@ -14,7 +14,9 @@ TraceReplayer::TraceReplayer(io::ManagedFileSystem& fs, ReplayOptions options)
     : fs_(fs), options_(options) {}
 
 ReplayResult TraceReplayer::replay(const TraceFile& trace) {
-  validate(trace);
+  // One pass over the records checks them, before any I/O, and counts
+  // the operations they stand for.
+  const std::uint64_t repetitions = validate(trace);
   ReplayResult result;
   Stopwatch total;
 
@@ -31,9 +33,7 @@ ReplayResult TraceReplayer::replay(const TraceFile& trace) {
   if (options_.keep_rows) {
     // One row per repetition of each record: without this the rows vector
     // regrows (and copies itself) inside the timed replay.
-    std::size_t repetitions = 0;
-    for (const auto& r : trace.records) repetitions += r.count;
-    result.rows.reserve(repetitions);
+    result.rows.reserve(static_cast<std::size_t>(repetitions));
   }
 
   auto slot_of = [&](const TraceRecord& r) -> io::ManagedFile& {

@@ -56,18 +56,6 @@ void TextTable::render(std::ostream& os) const {
   rule();
 }
 
-void TextTable::render_csv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c > 0) os << ',';
-      os << csv_escape(cells[c]);
-    }
-    os << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-}
-
 std::string format_ms(double ms) {
   char buf[64];
   const double mag = std::fabs(ms);
@@ -87,19 +75,6 @@ std::string format_fixed(double v, int decimals) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
   return buf;
-}
-
-std::string csv_escape(const std::string& cell) {
-  const bool needs_quotes =
-      cell.find_first_of(",\"\n\r") != std::string::npos;
-  if (!needs_quotes) return cell;
-  std::string out = "\"";
-  for (char ch : cell) {
-    if (ch == '"') out += '"';
-    out += ch;
-  }
-  out += '"';
-  return out;
 }
 
 }  // namespace clio::util

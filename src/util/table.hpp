@@ -23,9 +23,6 @@ class TextTable {
   /// Renders with a box-drawing border, columns right-padded.
   void render(std::ostream& os) const;
 
-  /// Renders as RFC-4180-ish CSV (quotes cells containing comma/quote/\n).
-  void render_csv(std::ostream& os) const;
-
   [[nodiscard]] std::size_t rows() const { return rows_.size(); }
   [[nodiscard]] std::size_t cols() const { return headers_.size(); }
 
@@ -40,8 +37,5 @@ class TextTable {
 
 /// Fixed-point with the given number of decimals.
 [[nodiscard]] std::string format_fixed(double v, int decimals);
-
-/// CSV-escapes a single cell.
-[[nodiscard]] std::string csv_escape(const std::string& cell);
 
 }  // namespace clio::util

@@ -9,7 +9,9 @@
 // first and last pages are often partial, some extending the file, some
 // flushed and some left dirty; sparse writes past EOF, which leave holes;
 // long writes over pages a small read left resident clean or a small
-// write left resident dirty; cold reads of other files, which force
+// write left resident dirty; reads over resident pages whose valid bytes
+// stop short (a file's old last page, a hole's pages loaded as zeros)
+// after a write grew the file; cold reads of other files, which force
 // evictions; and reads of random spans on both sides of the threshold.
 // Each read and write is drawn either as seek plus read/write or as the
 // positional read_at/write_at, which must leave the stream position
@@ -157,7 +159,9 @@ class Round {
                   BufferPool::kCoalescePages * kPage +
                       rng_.uniform_u64(40 * kPage));
         if (failure.empty()) failure = long_write;
-      } else if (dice < 77) {
+      } else if (dice < 72) {
+        failure = partial_pages(f);
+      } else if (dice < 79) {
         failure = flush(f);
       } else if (dice < 95) {
         failure = churn();
@@ -253,6 +257,31 @@ class Round {
              ", expected " + std::to_string(shadow.size());
     }
     return {};
+  }
+
+  /// Resident pages whose valid bytes stop short of the page: a read
+  /// across the file's end loads its last page short, a write past the
+  /// end (under the threshold or over it, sometimes leaving a hole) grows
+  /// the file, and reads over the old end and the new pages meet the
+  /// short page, and hole pages loaded as zeros, resident; each is then
+  /// read again warm.
+  std::string partial_pages(std::size_t f) {
+    const std::uint64_t old_end = shadows_[f].size();
+    const std::uint64_t from = old_end - std::min<std::uint64_t>(
+                                             old_end, rng_.uniform_u64(kPage));
+    std::string failure = read_span(f, from, 1 + rng_.uniform_u64(2 * kPage));
+    const std::uint64_t at = old_end + rng_.uniform_u64(3 * kPage);
+    if (failure.empty()) failure = write(f, at, span_length());
+    const std::size_t len =
+        static_cast<std::size_t>(at - from) + 1 + rng_.uniform_u64(kPage);
+    for (int i = 0; i < 2 && failure.empty(); ++i) {
+      failure = read_span(f, from, len);
+    }
+    const std::uint64_t hole = old_end + rng_.uniform_u64(at - old_end + 1);
+    for (int i = 0; i < 2 && failure.empty(); ++i) {
+      failure = read_span(f, hole, 1 + rng_.uniform_u64(2 * kPage));
+    }
+    return failure;
   }
 
   /// Writes `len` bytes to file `f` at `offset` and to its shadow.

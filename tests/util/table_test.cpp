@@ -47,30 +47,6 @@ TEST(TextTable, ColumnsAlignAcrossRows) {
   }
 }
 
-TEST(TextTable, CsvRoundTripsSimpleCells) {
-  TextTable t({"a", "b"});
-  t.add_row({"1", "2"});
-  std::ostringstream oss;
-  t.render_csv(oss);
-  EXPECT_EQ(oss.str(), "a,b\n1,2\n");
-}
-
-TEST(TextTable, CsvQuotesSpecialCells) {
-  TextTable t({"name"});
-  t.add_row({"has,comma"});
-  t.add_row({"has\"quote"});
-  std::ostringstream oss;
-  t.render_csv(oss);
-  EXPECT_NE(oss.str().find("\"has,comma\""), std::string::npos);
-  EXPECT_NE(oss.str().find("\"has\"\"quote\""), std::string::npos);
-}
-
-TEST(CsvEscape, PassesPlainCells) { EXPECT_EQ(csv_escape("plain"), "plain"); }
-
-TEST(CsvEscape, EscapesNewlines) {
-  EXPECT_EQ(csv_escape("a\nb"), "\"a\nb\"");
-}
-
 TEST(FormatMs, TinyValuesUseScientific) {
   EXPECT_EQ(format_ms(7.33e-5), "7.33E-05");
   EXPECT_EQ(format_ms(9.43e-5), "9.43E-05");
