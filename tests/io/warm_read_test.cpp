@@ -9,9 +9,9 @@
 // page another thread is still loading.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -302,8 +302,8 @@ TEST(WarmReadConcurrencyTest, WriterExtendingAPageBesideAWarmReader) {
       const bool last = done.load();
       const std::uint64_t offset = (i * 40) % (2 * kPage);
       const std::size_t got = reader_file.read_at(offset, buf);
-      if (std::memcmp(buf.data(), pattern_bytes(offset, got).data(), got) !=
-          0) {
+      const std::vector<std::byte> want = pattern_bytes(offset, got);
+      if (!std::equal(want.begin(), want.end(), buf.begin())) {
         failure = "read at " + std::to_string(offset) + " of " +
                   std::to_string(got) + " bytes differs";
       }
