@@ -11,6 +11,8 @@
 //                record), per seek + 512 B read, per 512 B read_at (a
 //                replayed read record) and per 6 KiB read_at, which
 //                crosses a page boundary.
+//   read_at    — warm 4 KiB read_at calls at 1/2/4/8 threads, all on one
+//                16-page run (one shard), each thread with its own handle.
 //   miss-churn — pool much smaller than the file, every access evicts and
 //                loads; measures how much the loads serialize.
 //   flush      — dirties a sequentially-written file and flushes, reporting
@@ -452,6 +454,41 @@ void bench_warm_ops(obs::BenchReport& report) {
               static_cast<unsigned long long>(stats.prefetches));
 }
 
+/// Warm 4 KiB read_at calls on 1/2/4/8 threads, each with its own handle
+/// and all on one 16-page run, so one shard: the contended case for a
+/// warm copy made under the shard lock.
+void bench_warm_read_threads(obs::BenchReport& report) {
+  constexpr std::uint64_t kPages = io::BufferPool::kRunPages;
+  constexpr std::uint64_t kOps = 200000;
+  util::TempDir dir("clio-microbp");
+  io::ManagedFileSystem fs(std::make_unique<io::RealFileStore>(dir.path()));
+  io::ManagedFile writer = fs.open("hot.bin", io::OpenMode::kTruncate);
+  writer.write(std::vector<std::byte>(kPages * kPageSize, std::byte{0x3c}));
+  std::vector<io::ManagedFile> handles;
+  for (int t = 0; t < 8; ++t) {
+    handles.push_back(fs.open("hot.bin", io::OpenMode::kRead));
+  }
+  double base = 0.0;
+  for (int threads : {1, 2, 4, 8}) {
+    const RunResult r = run_threads(threads, kOps, [&](int t) {
+      util::Rng rng(3000 + t);
+      std::vector<std::byte> buf(kPageSize);
+      unsigned long long local = 0;
+      for (std::uint64_t i = 0; i < kOps; ++i) {
+        static_cast<void>(handles[static_cast<std::size_t>(t)].read_at(
+            rng.uniform_u64(kPages) * kPageSize, buf));
+        local += static_cast<unsigned char>(buf[0]);
+      }
+      benchmark_sink = local;
+    });
+    if (threads == 1) base = r.ops_per_sec;
+    print_row("read_at", fs.pool().shard_count(), threads, r, base);
+    report.scenario("warm_read_at_one_run_t" + std::to_string(threads));
+    report.metric("ops_per_sec", r.ops_per_sec);
+    report.metric("speedup", r.ops_per_sec / base);
+  }
+}
+
 /// POST cycles (truncating open, one-page write, flushing close of a new
 /// file, as the web server's POST runs them) on two pools of one size,
 /// one with 1k resident pages of other files and one with 64k.  The
@@ -730,6 +767,8 @@ int main(int argc, char** argv) {
     bench_warm_hits(report, 16);
     std::printf("\n-- warm managed ops, one thread --\n");
     bench_warm_ops(report);
+    std::printf("\n-- warm 4 KiB read_at, all threads on one 16-page run --\n");
+    bench_warm_read_threads(report);
     std::printf("\n");
   }
   if (enabled("miss")) {

@@ -49,7 +49,11 @@ BufferPool::~BufferPool() {
 }
 
 std::size_t BufferPool::shard_of(FileId file, std::uint64_t page_no) const {
-  return RunKeyHash{}(RunKey{file, page_no / kRunPages}) % shards_.size();
+  // A mask where the shard count allows one, as the default 16 does: the
+  // same shard as the remainder, without a division on every lookup.
+  const std::size_t hash = RunKeyHash{}(RunKey{file, page_no / kRunPages});
+  const std::size_t n = shards_.size();
+  return std::has_single_bit(n) ? hash & (n - 1) : hash % n;
 }
 
 // ------------------------------------------------------------- guards ----
@@ -156,13 +160,22 @@ void BufferPool::lru_touch(Shard& sh, std::size_t idx) {
 
 // ------------------------------------------------------ per-file index ----
 
+const BufferPool::Run* BufferPool::find_run(const Shard& sh, RunKey key) {
+  if (sh.hot_run == nullptr || !(sh.hot_key == key)) {
+    const auto it = sh.page_table.find(key);
+    if (it == sh.page_table.end()) return nullptr;
+    sh.hot_run = &it->second;
+    sh.hot_key = key;
+  }
+  return sh.hot_run;
+}
+
 std::size_t BufferPool::lookup(const Shard& sh, FileId file,
                               std::uint64_t page_no) {
-  const auto it = sh.page_table.find(RunKey{file, page_no / kRunPages});
+  const Run* run = find_run(sh, RunKey{file, page_no / kRunPages});
   const std::size_t slot = page_no % kRunPages;
-  const bool held =
-      it != sh.page_table.end() && (it->second.occupied >> slot & 1u) != 0;
-  return held ? it->second.frame[slot] : kNoFrame;
+  const bool held = run != nullptr && (run->occupied >> slot & 1u) != 0;
+  return held ? run->frame[slot] : kNoFrame;
 }
 
 void BufferPool::table_insert(Shard& sh, std::size_t idx) {
@@ -182,7 +195,10 @@ void BufferPool::table_erase(Shard& sh, std::size_t idx) {
   Frame& f = frames_[idx];
   const auto run = sh.page_table.find(RunKey{f.file, f.page_no / kRunPages});
   run->second.occupied &= ~(1u << f.page_no % kRunPages);
-  if (run->second.occupied == 0) sh.page_table.erase(run);
+  if (run->second.occupied == 0) {
+    if (sh.hot_run == &run->second) sh.hot_run = nullptr;
+    sh.page_table.erase(run);
+  }
   sh.resident--;
   if (f.file_next != kNoFrame) frames_[f.file_next].file_prev = f.file_prev;
   if (f.file_prev != kNoFrame) {
@@ -403,7 +419,6 @@ void BufferPool::for_each_resident(FileId file, std::uint64_t offset,
   const std::uint64_t first_page = offset / page_size;
   const std::uint64_t end = offset + length;
   const std::uint64_t last_page = (end - 1) / page_size;
-  const bool leading_only = walk == Walk::kLeading;
   // The span's runs in order, each under one hold of its shard's lock, so
   // a long span keeps no shard from pin and the event loop for more than
   // kRunPages page copies at a time.
@@ -416,16 +431,15 @@ void BufferPool::for_each_resident(FileId file, std::uint64_t offset,
     const RunKey key{file, r};
     Shard& sh = shards_[shard_of(file, base)];
     std::unique_lock<std::mutex> lk(sh.mutex);
-    auto it = sh.page_table.find(key);
-    while (it != sh.page_table.end() && (want & it->second.occupied) != 0) {
-      const int slot = std::countr_zero(want & it->second.occupied);
-      if (leading_only && slot != std::countr_zero(want)) return;
-      const std::size_t idx = it->second.frame[slot];
+    const Run* run = find_run(sh, key);
+    while (run != nullptr && (want & run->occupied) != 0) {
+      const int slot = std::countr_zero(want & run->occupied);
+      const std::size_t idx = run->frame[slot];
       const Frame& f = frames_[idx];
       if (f.io_busy) {
         // Mid-load, or a dirty page mid-write-back: its bytes reach the
         // frame or the store when the latch clears, so look again then.
-        if (leading_only) return;
+        if (walk == Walk::kNoWait) return;
         sh.io_cv.wait(lk);
       } else if (walk == Walk::kUnpinned && (f.flush_pins > 0 || f.pins > 0)) {
         // The wait is bounded because an unpin does not signal, which
@@ -441,9 +455,8 @@ void BufferPool::for_each_resident(FileId file, std::uint64_t offset,
         want &= ~(1u << slot);
         continue;
       }
-      it = sh.page_table.find(key);  // the wait let go of the lock
+      run = find_run(sh, key);  // the wait let go of the lock
     }
-    if (leading_only && want != 0) return;
   }
 }
 
@@ -456,17 +469,20 @@ std::size_t BufferPool::read_resident(FileId file, std::uint64_t offset,
                                       std::span<std::byte> out) {
   if (out.empty()) return 0;
   const std::size_t page_size = config_.page_size;
-  std::size_t copied = 0;  // the leading pages are visited in order
-  // A page whose valid bytes stop short of the span is a hole or lies
-  // past the file's end, which only the logical size can tell apart.
+  std::size_t copied = 0;
+  // The copy ends at the first page not visited in turn (not resident, or
+  // mid-I/O), and at one whose valid bytes stop short of the span: a hole
+  // or the file's end, which only the logical size can tell apart.
   for_each_resident(
-      file, offset, out.size(), Walk::kLeading,
+      file, offset, out.size(), Walk::kNoWait,
       [&](Shard& sh, std::size_t idx, std::uint64_t lo, std::uint64_t hi) {
         const Frame& f = frames_[idx];
-        if (f.valid_bytes < hi - (lo - lo % page_size)) return false;
+        const std::size_t within = lo - f.page_no * page_size;
+        if (lo != offset + copied || f.valid_bytes < hi - lo + within) {
+          return false;
+        }
         count_touch(sh, idx);
-        std::memcpy(out.data() + copied, f.data.data() + lo % page_size,
-                    hi - lo);
+        std::memcpy(out.data() + copied, f.data.data() + within, hi - lo);
         copied += hi - lo;
         return true;
       });
@@ -1127,6 +1143,12 @@ void BufferPool::debug_validate(bool expect_unpinned) const {
     // Each occupied slot holds a frame of its own page, so no frame sits in
     // two slots, and each LRU frame above sits in one.
     std::size_t slots = 0;
+    if (sh.hot_run != nullptr) {
+      const auto hot = sh.page_table.find(sh.hot_key);
+      if (hot == sh.page_table.end() || &hot->second != sh.hot_run) {
+        fail("hot run is not its key's run");
+      }
+    }
     for (const auto& [key, run] : sh.page_table) {
       if (run.occupied == 0) fail("empty run kept");
       if (shard_of(key.file, key.run * kRunPages) != s) fail("run misplaced");

@@ -371,6 +371,11 @@ class BufferPool {
     std::size_t lru_head = kNoFrame;  ///< most recently used
     std::size_t lru_tail = kNoFrame;  ///< least recently used
     std::unordered_map<RunKey, Run, RunKeyHash> page_table;
+    /// The run the shard's last lookup found (null if none): a read after
+    /// a seek, or the next page of a scan, finds its run without a hash
+    /// probe.  Map nodes stay put until erased, and table_erase clears it.
+    mutable const Run* hot_run = nullptr;
+    mutable RunKey hot_key{};
     std::size_t resident = 0;  ///< occupied slots of page_table
     /// First frame of each file's list of this shard's page-table entries,
     /// so per-file work (flush_file, discard_file) visits only that file's
@@ -398,6 +403,9 @@ class BufferPool {
   };
 
   [[nodiscard]] std::size_t shard_of(FileId file, std::uint64_t page_no) const;
+  /// The run `key` in `sh`'s page table, or null; remembered as the
+  /// shard's hot run.
+  [[nodiscard]] static const Run* find_run(const Shard& sh, RunKey key);
   /// The frame of (file, page_no) in `sh`'s page table, or kNoFrame.
   [[nodiscard]] static std::size_t lookup(const Shard& sh, FileId file,
                                           std::uint64_t page_no);
@@ -439,8 +447,7 @@ class BufferPool {
     kAll,       ///< every one; a page mid-I/O is waited out
     kUnpinned,  ///< every one; a page mid-I/O, pinned or flush-held is
                 ///< waited out
-    kLeading,   ///< the span's leading pages; the pass ends at the first
-                ///< page that is not resident or is mid-I/O
+    kNoWait,    ///< every one; the pass ends at a page mid-I/O
   };
   /// The pass over the resident pages of `file` that hold bytes of
   /// [offset, offset + length), shared by read_resident and the around

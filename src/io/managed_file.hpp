@@ -118,7 +118,9 @@ class ManagedFile {
   /// because a resident page's valid bytes never run past the logical
   /// file size: loads stop at the store's EOF, writes raise the size
   /// with the bytes, and a truncating open discards the file's pages
-  /// before it truncates.
+  /// before it truncates.  So the file must not be read on another handle
+  /// while a truncating open of it runs: pages reloaded between the
+  /// discard and the truncate would outlive it.
   std::size_t read_at(std::uint64_t offset, std::span<std::byte> out);
 
   /// Writes all bytes at `offset`, like pwrite, extending the file, and

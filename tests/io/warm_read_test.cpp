@@ -18,6 +18,8 @@
 #include <thread>
 #include <vector>
 
+#include "io/buffer_pool.hpp"
+#include "io/file_store.hpp"
 #include "io/managed_file.hpp"
 #include "io/store_decorator.hpp"
 #include "util/temp_dir.hpp"
@@ -271,6 +273,36 @@ TEST_F(WarmReadTest, PageMidLoadIsWaitedOutBySizedPath) {
   EXPECT_EQ(got, pattern_bytes(2 * kPage + 30, kPage));
   EXPECT_EQ(store_->size_calls() - sizes, 1u);
   fs_->pool().debug_validate();
+}
+
+TEST(HotRunTest, ARunLeavingThePageTableLeavesNoHotRunBehind) {
+  // Each shard remembers the run its last lookup found, so a read after a
+  // seek skips the hash probe.  A run that an eviction or a discard takes
+  // out of the table must not be answered from that memory: the pages
+  // read back from the store, and debug_validate checks the hot run
+  // against the table.
+  util::TempDir dir;
+  RealFileStore store(dir.path());
+  const FileId file = store.open("h.bin", true);
+  store.write(file, 0, pattern_bytes(0, 32 * kPage));
+  BufferPool pool(store, BufferPoolConfig{.page_size = kPage,
+                                          .capacity_pages = 1,
+                                          .shards = 1});
+  std::vector<std::byte> buf(100);
+  static_cast<void>(pool.pin(file, 0));
+  ASSERT_EQ(pool.read_resident(file, 10, buf), buf.size());  // run 0 hot
+  // The pool's one frame goes to page 16, of run 1: run 0 is evicted.
+  static_cast<void>(pool.pin(file, 16));
+  pool.debug_validate();
+  EXPECT_EQ(pool.read_resident(file, 10, buf), 0u);
+  ASSERT_EQ(pool.read_resident(file, 16 * kPage + 5, buf), buf.size());
+  EXPECT_EQ(buf, pattern_bytes(16 * kPage + 5, buf.size()));
+  // A discard erases run 1, the hot run now.
+  pool.discard_file(file);
+  pool.debug_validate();
+  EXPECT_EQ(pool.read_resident(file, 16 * kPage + 5, buf), 0u);
+  auto guard = pool.pin(file, 0);
+  EXPECT_EQ(guard.data()[10], pattern(10));
 }
 
 TEST(WarmReadConcurrencyTest, WriterExtendingAPageBesideAWarmReader) {
