@@ -76,13 +76,15 @@ bool int_relation(std::int64_t a, std::int64_t b) {
   }
 }
 
+constexpr const char* kBufferIndexTrap =
+    "interpreter: buffer index out of range";
+
 /// Byte `idx` of a buffer, and element `idx` of an array: ldelem's
 /// bounds checks on both tiers.
 [[gnu::always_inline]] inline std::int64_t byte_at(
     const std::vector<std::byte>& bytes, std::int64_t idx) {
   const auto at = static_cast<std::size_t>(idx);
-  check<ExecutionError>(idx >= 0 && at < bytes.size(),
-                        "interpreter: buffer index out of range");
+  check<ExecutionError>(idx >= 0 && at < bytes.size(), kBufferIndexTrap);
   return std::to_integer<std::uint8_t>(bytes[at]);
 }
 [[gnu::always_inline]] inline const Value& array_at(
@@ -185,7 +187,7 @@ Value Interpreter::run_frame(std::uint16_t index, std::span<const Value> args,
       // superinstructions
       &&lbl_kBrTrueS, &&lbl_kBrFalseS, &&lbl_kBrTrueAndSS,
       &&lbl_kBrFalseAndSS, &&lbl_kIncS, &&lbl_kIncSBr, &&lbl_kStSI,
-      &&lbl_kLdElemS, &&lbl_kLdElemSS, &&lbl_kLdElemSIS,
+      &&lbl_kLdElemS, &&lbl_kLdElemSS, &&lbl_kLdElemSIS, &&lbl_kSearchLoop,
       CLIO_VM_FUSED_RELATIONS(VM_RELATION_LABELS)
       CLIO_VM_FUSED_BINOPS(VM_BINOP_LABELS)
   };
@@ -495,6 +497,54 @@ Value Interpreter::run_frame(std::uint16_t index, std::span<const Value> args,
                             VM_INT(ip->slot3)));
     (sp++)->set_int(e);
     VM_NEXT();
+  }
+  VM_CASE(kSearchLoop) {
+    // The head kBrGeSS j, n; the body ip[1], kBr{Eq,Ne}ElemSIS c, a, i, j,
+    // x; the latch kIncSBr j, s -- bounds (11 of an iteration's 19).  The
+    // fuser proved that only the latch writes a slot the loop reads, and
+    // only j, so c, n, a + i, x and s are read once per run and j lives in
+    // a local, written back on every exit.  One dispatch per run; the
+    // source instructions are counted at each exit, before the throw:
+    // 19 per finished iteration, then 4 to leave at the head, 14 at the
+    // body, 11 up to a bounds trap.  Each relation has its own inlined
+    // loop: one chosen per run, not a test per element.
+    const DecodedInsn& body = ip[1];
+    const std::vector<std::byte>& bytes = slots[body.slot].proven_obj().bytes();
+    const std::byte* const data = bytes.data();
+    const std::size_t size = bytes.size();
+    const std::int64_t n = VM_INT(ip->slot2);
+    const std::uint64_t base = bits(VM_INT(body.slot2)) + bits(body.imm);
+    const std::int64_t key = VM_INT(body.slot4);
+    const std::uint64_t step = bits(ip->imm);
+    std::int64_t j = VM_INT(ip->slot);
+    std::uint64_t iterations = 0;
+#define VM_SEARCH(goes_on)                                                 \
+  for (;; ++iterations, j = wrap(bits(j) + step)) {                        \
+    if (j >= n) goto search_head_exit;                                     \
+    const std::uint64_t at = base + bits(j);                               \
+    if (at >= size) [[unlikely]] goto search_trap;                         \
+    if (!(std::to_integer<std::int64_t>(data[at]) goes_on key)) {          \
+      goto search_body_exit;                                               \
+    }                                                                      \
+  }
+    if (ip->slot4 != 0) {
+      VM_SEARCH(==)
+    } else {
+      VM_SEARCH(!=)
+    }
+#undef VM_SEARCH
+  search_head_exit:
+    fused_extra += 19 * iterations + 3;
+    slots[ip->slot].set_proven_int(j);
+    VM_JUMP(ip->target);
+  search_body_exit:
+    fused_extra += 19 * iterations + 13;
+    slots[ip->slot].set_proven_int(j);
+    VM_JUMP(ip->slot3);
+  search_trap:
+    fused_extra += 19 * iterations + 10;
+    slots[ip->slot].set_proven_int(j);
+    throw ExecutionError(kBufferIndexTrap);
   }
 #define VM_RELATION_FUSED_HANDLERS(rel)                                  \
   VM_CASE(kBr##rel##SS) { /* ldS a; ldS b; cmp; br* */                  \

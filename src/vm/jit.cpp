@@ -341,6 +341,48 @@ Match match_at(const std::vector<DecodedInsn>& in, std::size_t at,
   return Match{in[at], 1, is_branch(in[at].op)};
 }
 
+/// Rewrites the head of each search loop in a fused stream (targets
+/// already remapped) to kSearchLoop.  The shape: a head kBrGeSS j, n at h
+/// whose branch leaves the loop; at h + 1 a body kBrEqElemSIS or
+/// kBrNeElemSIS that compares buf[a + i + j] with x; on one edge of the
+/// body a latch kIncSBr j, s back to h, the other edge leaving the loop;
+/// and j none of the slots n, c, a and x, so the latch's store changes
+/// nothing else the loop reads.  The body and latch stay where they are,
+/// so a branch into either from elsewhere runs as before.  Each
+/// instruction was formed under its own proof, and the loop runs them in
+/// their order, so the proofs still hold.
+void form_search_loops(std::vector<DecodedInsn>& code) {
+  for (std::size_t h = 0; h + 2 < code.size(); ++h) {
+    DecodedInsn& head = code[h];
+    const DecodedInsn& body = code[h + 1];
+    const std::uint32_t j = head.slot;
+    if (head.op != Op::kBrGeSS ||
+        (body.op != Op::kBrEqElemSIS && body.op != Op::kBrNeElemSIS) ||
+        body.slot3 != j || j == head.slot2 || j == body.slot ||
+        j == body.slot2 || j == body.slot4) {
+      continue;
+    }
+    const auto is_latch = [&](std::size_t k) {
+      return k < code.size() && code[k].op == Op::kIncSBr &&
+             code[k].slot == j && code[k].target == h;
+    };
+    const bool latch_taken = is_latch(body.target);
+    if (!latch_taken && !is_latch(h + 2)) continue;
+    const std::size_t latch = latch_taken ? body.target : h + 2;
+    const std::size_t exit = latch_taken ? h + 2 : body.target;
+    const auto in_loop = [&](std::size_t k) {
+      return k == h || k == h + 1 || k == latch;
+    };
+    if (in_loop(head.target) || in_loop(exit)) continue;
+    head.op = Op::kSearchLoop;
+    head.slot3 = static_cast<std::uint32_t>(exit);
+    // A taken eq or a not-taken ne goes round again while the element
+    // equals x.
+    head.slot4 = (body.op == Op::kBrEqElemSIS) == latch_taken ? 1 : 0;
+    head.imm = code[latch].imm;
+  }
+}
+
 /// Translates a verified plain decode into its fused stream, given what
 /// the kind pass proved.  Runs of source instructions whose operands are
 /// proven become superinstructions (greedy, longest first) and borrowed
@@ -348,7 +390,8 @@ Match match_at(const std::vector<DecodedInsn>& in, std::size_t at,
 /// copied, and checks its operands when it runs.  A run fuses only if no
 /// instruction after its first is a leader: a branch target, an elided
 /// load or a borrowing ldelem.  So every target still starts an
-/// instruction, and targets are remapped to the fused indices.
+/// instruction, and targets are remapped to the fused indices.  Last, each
+/// search loop's head becomes kSearchLoop (form_search_loops()).
 CompiledMethod fuse(const CompiledMethod& decoded, const MethodDef& method,
                     const Verified& verified) {
   const Proof proof(verified, method);
@@ -408,6 +451,7 @@ CompiledMethod fuse(const CompiledMethod& decoded, const MethodDef& method,
       insn.target = fused_index[insn.target];
     }
   }
+  form_search_loops(out.code);
   return out;
 }
 

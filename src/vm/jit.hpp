@@ -20,11 +20,16 @@ struct DecodedInsn {
   Op op = Op::kNop;
   std::uint32_t slot = 0;    ///< superinstruction: first frame slot
   std::uint32_t slot2 = 0;   ///< superinstruction: second frame slot
-  std::uint32_t slot3 = 0;   ///< kLdElemSIS forms: the third slot
-  std::uint32_t slot4 = 0;   ///< kBr<rel>ElemSIS: the compared slot
+  /// kLdElemSIS forms: the third slot.  kSearchLoop: the index the body
+  /// leaves the loop to.
+  std::uint32_t slot3 = 0;
+  /// kBr<rel>ElemSIS: the compared slot.  kSearchLoop: 1 when the loop
+  /// goes on while the element equals the key, 0 while it differs.
+  std::uint32_t slot4 = 0;
   std::uint32_t target = 0;  ///< superinstruction: branch target index
   /// Bytecode opcode: the immediate, index or branch target index; for
-  /// kLdcF64 the f64 bit pattern.  Superinstruction: the immediate.
+  /// kLdcF64 the f64 bit pattern.  Superinstruction: the immediate
+  /// (kSearchLoop: the latch's step).
   std::int64_t imm = 0;
 };
 

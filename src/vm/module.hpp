@@ -66,9 +66,15 @@ class Value {
   }
 
   /// The payload of a value the kind pass proved an int, or a buffer or
-  /// array (so not null), read without the kind check.
+  /// array, read without the kind check.  proven_obj still tests for null,
+  /// so a wrong proof that hands it a scalar traps instead of crashing.
   [[nodiscard]] std::int64_t proven_int() const { return i_; }
-  [[nodiscard]] const Obj& proven_obj() const { return *obj_; }
+  [[nodiscard]] const Obj& proven_obj() const {
+    if (obj_ == nullptr) [[unlikely]] {
+      trap_kind("Value: expected object reference");
+    }
+    return *obj_;
+  }
   /// The object this value references, or null for a scalar.
   [[nodiscard]] const Obj* obj_if() const { return obj_.get(); }
 

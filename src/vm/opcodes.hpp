@@ -91,6 +91,10 @@ enum class Op : std::uint8_t {
   kLdElemS,              ///< ldelem of slot c, index on top
   kLdElemSS,             ///< ldS c; ldS i; ldelem
   kLdElemSIS,            ///< ldS c; ldS a; ldc i; add; ldS b; add; ldelem
+  // The search loop: a head kBrGeSS j, n, then a body kBr{Eq,Ne}ElemSIS
+  // c, a, i, j, x one of whose edges is a latch kIncSBr j, s back to the
+  // head.  Only the head is rewritten (vm/jit.cpp).
+  kSearchLoop,           ///< runs the head, body and latch to an exit
 // ldS a; ldS b; cmp<rel>; br* t  and  ldS b; cmp<rel>; br* t  and
 // ldS c; ldS a; ldc i; add; ldS b; add; ldelem; ldS d; cmp<rel>; br* t
 // (borrowed, like kLdElemSIS)

@@ -25,11 +25,11 @@ namespace {
 constexpr std::uint64_t kBitapFixtureInsns = 400091;
 constexpr std::uint64_t kDmineFixtureInsns = 786175;
 // Dispatches the same calls make on the fused tier (the default
-// compile_threshold of 1 tiers up on the first call): 0.36x and 0.22x of
+// compile_threshold of 1 tiers up on the first call): 0.36x and 0.10x of
 // the instruction counts.  A change to the superinstruction set, the
 // borrow rule or what the kind pass proves moves these.
 constexpr std::uint64_t kBitapFixtureDispatches = 144056;
-constexpr std::uint64_t kDmineFixtureDispatches = 170521;
+constexpr std::uint64_t kDmineFixtureDispatches = 78421;
 
 class KernelsTest : public ::testing::Test {
  protected:
@@ -110,25 +110,36 @@ TEST(KernelsFusedTier, EveryElementLoadBorrowsItsContainer) {
   }
 }
 
-TEST(KernelsFusedTier, DmineScanLoopIsThreeInstructionsPerIteration) {
+TEST(KernelsFusedTier, DmineScanLoopIsOneSearchLoopInstruction) {
   // The scan loop runs about 85% of dmine's instructions: the loop test,
   // the compare of buf[rec + 1 + j] with the item and its branch, and the
-  // increment that branches back to the loop test.
+  // increment that branches back to the loop test.  The loop test is one
+  // kSearchLoop that runs all three to an exit; the compare and the
+  // increment keep their places after it.
   const Module module = assemble(kernels::kDmineSource);
   Jit jit(module, JitOptions{.compile_ns_per_byte = 0});
   const std::vector<DecodedInsn>& code = jit.get(0, scan_args(module)).code;
-  const auto compare =
+  EXPECT_EQ(std::count_if(code.begin(), code.end(),
+                          [](const auto& i) {
+                            return i.op == Op::kSearchLoop;
+                          }),
+            1);
+  const auto head =
       std::find_if(code.begin(), code.end(),
-                   [](const auto& i) { return i.op == Op::kBrNeElemSIS; });
-  ASSERT_NE(compare, code.end());
-  const auto at = static_cast<std::size_t>(compare - code.begin());
-  ASSERT_GT(at, 0u);
-  EXPECT_EQ(code[at - 1].op, Op::kBrGeSS);  // j >= n: leave the loop
-  // item != buf[rec + 1 + j]: next j
-  ASSERT_LT(code[at].target, code.size());
-  const DecodedInsn& next = code[code[at].target];
+                   [](const auto& i) { return i.op == Op::kSearchLoop; });
+  ASSERT_NE(head, code.end());
+  const auto at = static_cast<std::size_t>(head - code.begin());
+  ASSERT_LT(at + 2, code.size());
+  // item != buf[rec + 1 + j]: next j, so the loop goes on while they
+  // differ and leaves to the instruction after the compare.
+  EXPECT_EQ(code[at + 1].op, Op::kBrNeElemSIS);
+  EXPECT_EQ(head->slot4, 0u);
+  EXPECT_EQ(head->slot3, at + 2);
+  ASSERT_LT(code[at + 1].target, code.size());
+  const DecodedInsn& next = code[code[at + 1].target];
   EXPECT_EQ(next.op, Op::kIncSBr);  // ++j, back to the loop test
-  EXPECT_EQ(next.target, at - 1);
+  EXPECT_EQ(next.target, at);
+  EXPECT_EQ(head->imm, 1);
 }
 
 TEST_F(KernelsTest, BitapKernelMatchesNativeScanner) {

@@ -125,11 +125,11 @@ std::uint64_t first_program_seed() {
   return env == nullptr ? 1 : 1 + 400 * std::strtoull(env, nullptr, 10);
 }
 
-// Frame of every generated method `gen 3 8`: args 0-2 and locals 0-3 are
+// Frame of every generated method `gen 3 9`: args 0-2 and locals 0-3 are
 // the scalars statements read and write; local 4 is the loop counter,
-// local 6 an index temporary in 0..15, and locals 5 and 7 containers of
-// 16 elements (at first a buffer and an array; a statement may make them
-// one container).
+// local 6 an index temporary in 0..15, locals 5 and 7 containers of 16
+// elements (at first a buffer and an array; a statement may make them one
+// container), and local 8 a search loop's index.
 const char* const kScalars[] = {"ldarg 0", "ldarg 1", "ldarg 2", "ldloc 0",
                                 "ldloc 1", "ldloc 2", "ldloc 3"};
 const char* const kBinops[] = {"add", "sub", "mul", "and",
@@ -143,7 +143,9 @@ class ProgramGenerator {
 
   std::string method() {
     out_.str("");
-    out_ << ".method gen 3 8\n";
+    search_loops_ = 0;
+    wild_index_ = false;
+    out_ << ".method gen 3 9\n";
     for (int i = 0; i < 4; ++i) {
       out_ << "ldc " << value() << "\nstloc " << i << "\n";
     }
@@ -169,6 +171,12 @@ class ProgramGenerator {
     if (roll == 1) args[slot] = kernels::make_buffer({});
     return args;
   }
+
+  /// Search loops (statement 18) in the last method.
+  [[nodiscard]] std::uint64_t search_loops() const { return search_loops_; }
+  /// Whether a statement other than a search loop in the last method may
+  /// index a container out of range.
+  [[nodiscard]] bool wild_index() const { return wild_index_; }
 
  private:
   /// Mostly small values (so divisors hit zero and shifts stay in range),
@@ -204,7 +212,7 @@ class ProgramGenerator {
 
   /// One stack-neutral statement; `nested` ones do not branch.
   void statement(bool nested) {
-    const auto kind = rng_.uniform_u64(nested ? 5 : 18);
+    const auto kind = rng_.uniform_u64(nested ? 5 : 19);
     const auto guarded = [&](const std::string& test) {
       const std::string skip = label();
       out_ << test << cond() << " " << skip << "\n";
@@ -283,6 +291,7 @@ class ProgramGenerator {
       case 14: {  // load an element at slot + imm + slot; one time in
                   // four an index part is a scalar, mostly out of range
         const bool wild = rng_.uniform_u64(4) == 0;
+        wild_index_ = wild_index_ || wild;
         out_ << scalar() << "\nldc 7\nand\nstloc 6\nldloc " << container()
              << "\n" << (wild ? scalar() : "ldloc 6") << "\nldc "
              << rng_.uniform_u64(2) << "\nadd\nldloc 6\nadd\nldelem\n"
@@ -305,6 +314,7 @@ class ProgramGenerator {
                   // and branch, as in dmine's scan loop; one time in four
                   // an index part is a scalar, mostly out of range
         const bool wild = rng_.uniform_u64(4) == 0;
+        wild_index_ = wild_index_ || wild;
         out_ << scalar() << "\nldc 7\nand\nstloc 6\n";
         guarded("ldloc " + container() + "\n" +
                 (wild ? scalar() : "ldloc 6") + "\nldc " +
@@ -313,17 +323,58 @@ class ProgramGenerator {
                 relation() + "\n");
         break;
       }
+      case 18: {  // a search loop, as in dmine's scan: from a start, while
+                  // j < n, step j until buf[a + i + j] relates to x one
+                  // way or the other.  One time in four the start is any
+                  // value and a is a scalar, mostly out of range; one time
+                  // in eight each of n, a and x is j itself.
+        ++search_loops_;
+        const bool wild = rng_.uniform_u64(4) == 0;
+        const auto part = [&](const std::string& usual) {
+          return rng_.uniform_u64(8) == 0 ? std::string("ldloc 8") : usual;
+        };
+        const std::string n = part(scalar());
+        const std::string a = part(wild ? scalar() : "ldloc 6");
+        const std::string x = part(scalar());
+        const std::string head = label();
+        const std::string latch = label();
+        const std::string exit = label();
+        const bool latch_taken = rng_.uniform_u64(2) == 0;
+        const std::int64_t steps[] = {1, 3, -1};
+        const std::int64_t step = steps[rng_.uniform_u64(3)];
+        out_ << "ldc " << (wild ? value() : rng_.uniform_i64(0, 3))
+             << "\nstloc 8\n" << head << ":\nldloc 8\n" << n << "\n"
+             << (rng_.uniform_u64(2) == 0 ? "cmpge\nbrtrue "
+                                          : "cmplt\nbrfalse ")
+             << exit << "\nldloc " << container() << "\n" << a << "\nldc "
+             << rng_.uniform_u64(2) << "\nadd\nldloc 8\nadd\nldelem\n" << x
+             << "\n" << (rng_.uniform_u64(2) == 0 ? "cmpeq" : "cmpne") << "\n"
+             << cond() << " " << (latch_taken ? latch : exit) << "\n";
+        if (latch_taken) {
+          out_ << "ldc " << value() << "\n" << store() << "\nbr " << exit
+               << "\n";
+        }
+        out_ << latch << ":\nldloc 8\n"
+             << (rng_.uniform_u64(2) == 0
+                     ? "ldc " + std::to_string(step) + "\nadd\n"
+                     : "ldc " + std::to_string(-step) + "\nsub\n")
+             << "stloc 8\nbr " << head << "\n" << exit << ":\n";
+        break;
+      }
     }
   }
 
   util::Rng rng_;
   std::ostringstream out_;
   int labels_ = 0;
+  std::uint64_t search_loops_ = 0;
+  bool wild_index_ = false;
 };
 
 TEST(TierDifferential, GeneratedProgramsAgreeAndReachEverySuperinstruction) {
   std::set<Op> emitted;
   std::uint64_t traps = 0;
+  std::uint64_t search_loop_traps = 0;
   std::uint64_t insns = 0;
   std::uint64_t dispatches = 0;
   const std::uint64_t first = first_program_seed();
@@ -334,16 +385,26 @@ TEST(TierDifferential, GeneratedProgramsAgreeAndReachEverySuperinstruction) {
     std::vector<std::vector<Value>> calls;
     for (int call = 0; call < 3; ++call) calls.push_back(gen.args());
     // The first call tiers the fused engine up: its stream is this one.
-    for (const Op op : fused_ops(module, "gen", calls[0])) {
-      emitted.insert(op);
-    }
+    const std::multiset<Op> ops = fused_ops(module, "gen", calls[0]);
+    emitted.insert(ops.begin(), ops.end());
+    // When every search loop fused and no other statement can index out
+    // of range, a fused call's bounds trap came from inside a kSearchLoop.
+    const bool only_search_loops_trap =
+        gen.search_loops() > 0 &&
+        ops.count(Op::kSearchLoop) == gen.search_loops() && !gen.wild_index();
     TierPair tiers(module);
     for (int call = 0; call < 3; ++call) {
+      const std::uint64_t misses = tiers.fused.jit_stats().guard_misses;
       const Outcome out = tiers.expect_same(
           "gen", calls[static_cast<std::size_t>(call)],
           "seed " + std::to_string(seed) + " call " + std::to_string(call) +
               "\n" + source);
       traps += out.result.starts_with("trap ") ? 1 : 0;
+      if (only_search_loops_trap &&
+          tiers.fused.jit_stats().guard_misses == misses &&
+          out.result == "trap interpreter: buffer index out of range") {
+        ++search_loop_traps;
+      }
       insns += out.insns;
       dispatches += out.dispatches;
     }
@@ -357,6 +418,7 @@ TEST(TierDifferential, GeneratedProgramsAgreeAndReachEverySuperinstruction) {
   // Both outcomes occur often enough to mean something.
   EXPECT_GT(traps, 50u);
   EXPECT_LT(traps, 900u);
+  EXPECT_GT(search_loop_traps, 0u);
   EXPECT_LT(dispatches, insns * 3 / 4);
 }
 
@@ -431,14 +493,14 @@ join:
 
 TEST(TierDifferential, EverySuperinstructionTrapsAtItsCheckingInstruction) {
   // For each superinstruction, a method whose run reaches that op.  arg 0
-  // is the operand under test, arg 1 the int 3.  The first call tiers the
-  // fused engine up on arg 0's proven kind: the int 65 (an index out of
-  // range, a shift count of 65) or, for a container, the empty buffer
-  // (every index out of range), so the run traps at the checks a proof
-  // leaves.  The int 0 runs it through, or traps in a div.  Every other
-  // kind misses the entry guard and runs the plain decode, which traps at
-  // the first instruction that reads arg 0.  Each method starts with a
-  // few counted instructions so a miscounted trap shows.
+  // is the operand under test, arg 1 the int 3, local 1 the int 0.  The
+  // first call tiers the fused engine up on arg 0's proven kind: the int
+  // 65 (an index out of range, a shift count of 65) or, for a container,
+  // the empty buffer (every index out of range), so the run traps at the
+  // checks a proof leaves.  The int 0 runs it through, or traps in a div.
+  // Every other kind misses the entry guard and runs the plain decode,
+  // which traps at the first instruction that reads arg 0.  Each method
+  // starts with a few counted instructions so a miscounted trap shows.
   struct Case {
     std::string body;  ///< the run under test; must fuse to `op`
     Op op;
@@ -473,6 +535,23 @@ TEST(TierDifferential, EverySuperinstructionTrapsAtItsCheckingInstruction) {
       {kBuffer + "ldarg 1\nldarg 0\ndiv\nldelem\npop\n", Op::kLdElemS},
       {"ldarg 1\n" + kBuffer + "ldarg 0\nldelem\nldelem\npop\n",
        Op::kLdElemSS},
+      // Search loops over local 1 (j, from 0) whose bounds check traps:
+      // at iteration 0 when arg 0 is a (65), at iteration 4 when arg 0 is
+      // n (65) and buf[4 + j] runs past 8 bytes, at iteration 0 when arg 0
+      // is the (empty) container.  The int 0 leaves at the head.
+      {"h0:\nldloc 1\nldarg 1\ncmplt\nbrfalse d0\n" + kBuffer +
+           "ldarg 0\nldc 1\nadd\nldloc 1\nadd\nldelem\nldarg 1\ncmpeq\n"
+           "brtrue out\nldloc 1\nldc -1\nsub\nstloc 1\nbr h0\nd0:\n",
+       Op::kSearchLoop},
+      {"h1:\nldloc 1\nldarg 0\ncmpge\nbrtrue d1\n" + kBuffer +
+           "ldarg 1\nldc 1\nadd\nldloc 1\nadd\nldelem\nldarg 1\ncmpne\n"
+           "brtrue l1\nbr out\nl1:\nldloc 1\nldc 1\nadd\nstloc 1\nbr h1\n"
+           "d1:\n",
+       Op::kSearchLoop},
+      {"h2:\nldloc 1\nldarg 1\ncmpge\nbrtrue d2\nldarg 0\nldarg 1\nldc 1\n"
+       "add\nldloc 1\nadd\nldelem\nldarg 1\ncmpeq\nbrfalse l2\nbr out\n"
+       "l2:\nldloc 1\nldc 1\nadd\nstloc 1\nbr h2\nd2:\n",
+       Op::kSearchLoop, true},
   };
   // brfalse branches when the relation fails: it fuses to the negation.
   const char* const relation_names[] = {"eq", "ne", "lt", "le", "gt", "ge"};
@@ -525,7 +604,7 @@ TEST(TierDifferential, EverySuperinstructionTrapsAtItsCheckingInstruction) {
   const Value arg1 = Value::from_int(3);
   for (const Case& c : cases) {
     const std::string source =
-        ".method f 2 1\nldc 8\nsyscall buf_new\nstloc 0\nldloc 0\npop\n" +
+        ".method f 2 2\nldc 8\nsyscall buf_new\nstloc 0\nldloc 0\npop\n" +
         c.body +
         "ldc 0\nret\nout:\nldc 1\nret\n.end\n";
     const Module module = assemble(source);
@@ -547,6 +626,203 @@ TEST(TierDifferential, EverySuperinstructionTrapsAtItsCheckingInstruction) {
     for (const Value& v : values) tiers.expect_same("f", {v, arg1}, source);
     EXPECT_EQ(tiers.fused.jit_stats().guard_misses, values.size() - 2)
         << source;
+  }
+}
+
+// ---- the search loop ----
+
+/// f(buf, a, j0, n, key): from j = j0, while j < n, step j until
+/// buf[a + 1 + j] relates to key as `relation` (cmpeq or cmpne) read by
+/// `branch` (brtrue or brfalse) says; returns that j, or -1 when j reaches
+/// n.  The latch is on the body's taken edge or its fall-through.
+std::string search_method(const std::string& relation,
+                          const std::string& branch, bool latch_taken,
+                          std::int64_t step) {
+  return ".method f 5 1\nldarg 2\nstloc 0\nhead:\nldloc 0\nldarg 3\n"
+         "cmpge\nbrtrue miss\nldarg 0\nldarg 1\nldc 1\nadd\nldloc 0\n"
+         "add\nldelem\nldarg 4\n" +
+         relation + "\n" + branch + (latch_taken ? " latch\nbr hit\n"
+                                                 : " hit\n") +
+         "latch:\nldloc 0\nldc " + std::to_string(step) +
+         "\nadd\nstloc 0\nbr head\nhit:\nldloc 0\nret\nmiss:\nldc -1\n"
+         "ret\n.end\n";
+}
+
+/// buf[i] = i % 5 over 12 bytes.
+Value search_buffer() {
+  std::vector<std::byte> bytes(12);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::byte>(i % 5);
+  }
+  return kernels::make_buffer(bytes);
+}
+
+TEST(TierDifferential, SearchLoopShapesAgree) {
+  // Both body relations on each latch edge, steps 1, 3 and -1, over
+  // (a, j0, n, key) that find the key, reach n, and trap at the first
+  // element or after a few.
+  const Value buf = search_buffer();
+  const std::int64_t arg_sets[][4] = {
+      {0, 0, 11, 3},  {0, 0, 11, 9},  {0, 0, 40, 9},   {0, -5, 11, 0},
+      {0, 10, 11, 0}, {2, 1, 11, 4},  {0, 9, 3, 2},    {kMax, 0, 11, 0},
+      {0, 4, 11, 4},  {-1, 3, 11, 1}, {0, 0, kMin, 0}, {0, 0, kMax, 0}};
+  for (const std::string relation : {"cmpeq", "cmpne"}) {
+    for (const std::string branch : {"brtrue", "brfalse"}) {
+      for (const bool latch_taken : {true, false}) {
+        for (const std::int64_t step : {1, 3, -1}) {
+          const std::string source =
+              search_method(relation, branch, latch_taken, step);
+          const Module module = assemble(source);
+          std::vector<Value> seed = {buf};
+          for (int i = 0; i < 4; ++i) seed.push_back(Value::from_int(0));
+          const auto ops = fused_ops(module, "f", seed);
+          EXPECT_EQ(ops.count(Op::kSearchLoop), 1u) << source;
+          TierPair tiers(module);
+          for (const auto& set : arg_sets) {
+            std::vector<Value> args = {buf};
+            for (const std::int64_t v : set) {
+              args.push_back(Value::from_int(v));
+            }
+            tiers.expect_same("f", args,
+                              source + "args " + std::to_string(set[0]) +
+                                  " " + std::to_string(set[1]) + " " +
+                                  std::to_string(set[2]) + " " +
+                                  std::to_string(set[3]));
+          }
+          EXPECT_EQ(tiers.fused.jit_stats().guard_misses, 0u) << source;
+        }
+      }
+    }
+  }
+  // The dmine shape, spelled out: a taken ne goes round again, so the
+  // loop stops at the first 3, at index 1 + 2.
+  TierPair tiers(assemble(search_method("cmpeq", "brfalse", true, 1)));
+  const auto ints_from = [&](std::int64_t a, std::int64_t j0, std::int64_t n,
+                             std::int64_t key) {
+    return std::vector<Value>{buf, Value::from_int(a), Value::from_int(j0),
+                              Value::from_int(n), Value::from_int(key)};
+  };
+  Outcome out = tiers.expect_same("f", ints_from(0, 0, 11, 3), "finds 3");
+  EXPECT_EQ(out.result, "int 2");
+  // 2 to set j, then 19 per iteration (2), then 14 to leave at the body,
+  // and br hit; ldloc; ret: one search-loop dispatch.
+  EXPECT_EQ(out.insns, 2u + 19 * 2 + 14 + 3);
+  EXPECT_EQ(out.dispatches, 2u + 1 + 3);
+  out = tiers.expect_same("f", ints_from(0, 0, 40, 9), "past the end");
+  EXPECT_EQ(out.result, "trap interpreter: buffer index out of range");
+  // 11 iterations, then 11 up to the ldelem that traps at buf[12].
+  EXPECT_EQ(out.insns, 2u + 19 * 11 + 11);
+  EXPECT_EQ(out.dispatches, 2u + 1);
+  out = tiers.expect_same("f", ints_from(0, 0, 4, 9), "reaches n");
+  EXPECT_EQ(out.result, "int -1");
+  EXPECT_EQ(out.insns, 2u + 19 * 4 + 4 + 2);
+}
+
+TEST(TierDifferential, SearchLoopWithJInAnotherRoleStaysThreeInstructions) {
+  // j in n's, a's or x's place changes what the loop reads on every
+  // iteration, so the loop stays the plain head, body and latch.
+  const std::string plain = search_method("cmpeq", "brfalse", true, 1);
+  // Each arg is loaded once in the method.
+  const auto j_as = [&](const std::string& arg) {
+    std::string source = plain;
+    source.replace(source.find(arg), arg.size(), "ldloc 0");
+    return source;
+  };
+  const std::string aliased[] = {j_as("ldarg 3"), j_as("ldarg 1"),
+                                 j_as("ldarg 4")};
+  const Value buf = search_buffer();
+  for (const std::string& source : aliased) {
+    const Module module = assemble(source);
+    std::vector<Value> args = {buf};
+    for (int i = 0; i < 4; ++i) args.push_back(Value::from_int(i));
+    const auto ops = fused_ops(module, "f", args);
+    EXPECT_EQ(ops.count(Op::kSearchLoop), 0u) << source;
+    EXPECT_EQ(ops.count(Op::kBrGeSS), 1u) << source;
+    EXPECT_EQ(ops.count(Op::kBrNeElemSIS), 1u) << source;
+    EXPECT_EQ(ops.count(Op::kIncSBr), 1u) << source;
+    TierPair tiers(module);
+    for (const std::int64_t key : {0, 1, 3, 4, 9}) {
+      args.back() = Value::from_int(key);
+      for (const std::int64_t n : {0, 3, 20}) {
+        args[3] = Value::from_int(n);
+        tiers.expect_same("f", args,
+                          source + "n " + std::to_string(n) + " key " +
+                              std::to_string(key));
+      }
+    }
+  }
+}
+
+TEST(TierDifferential, BranchesIntoTheSearchLoopBodyAndLatch) {
+  // f(buf, a, j0, n, key, entry): entry 1 jumps straight to the body and
+  // entry 2 to the latch, around the head.  Both keep their indices in the
+  // fused stream, so each entry runs as the plain decode does.
+  const Module module = assemble(R"(
+.method f 6 1
+  ldarg 2
+  stloc 0
+  ldarg 5
+  ldc 1
+  cmpeq
+  brtrue body
+  ldarg 5
+  ldc 2
+  cmpeq
+  brtrue latch
+head:
+  ldloc 0
+  ldarg 3
+  cmpge
+  brtrue miss
+body:
+  ldarg 0
+  ldarg 1
+  ldc 1
+  add
+  ldloc 0
+  add
+  ldelem
+  ldarg 4
+  cmpne
+  brtrue latch
+  ldloc 0
+  ret
+latch:
+  ldloc 0
+  ldc 1
+  add
+  stloc 0
+  br head
+miss:
+  ldc -1
+  ret
+.end
+)");
+  const Value buf = search_buffer();
+  const auto args = [&](std::int64_t j0, std::int64_t n, std::int64_t key,
+                        std::int64_t entry) {
+    return std::vector<Value>{buf,
+                              Value::from_int(0),
+                              Value::from_int(j0),
+                              Value::from_int(n),
+                              Value::from_int(key),
+                              Value::from_int(entry)};
+  };
+  const auto ops = fused_ops(module, "f", args(0, 0, 0, 0));
+  EXPECT_EQ(ops.count(Op::kSearchLoop), 1u);
+  EXPECT_EQ(ops.count(Op::kBrNeElemSIS), 1u);
+  EXPECT_EQ(ops.count(Op::kIncSBr), 1u);
+  TierPair tiers(module);
+  for (const std::int64_t entry : {0, 1, 2}) {
+    const std::string context = "entry " + std::to_string(entry);
+    // j0 = n: the head would leave at once, the body entry reads buf[6].
+    EXPECT_EQ(tiers.expect_same("f", args(5, 5, 1, entry), context).result,
+              entry == 1 ? "int 5" : "int -1");
+    // The latch entry skips buf[1 + 0] == 1.
+    EXPECT_EQ(tiers.expect_same("f", args(0, 11, 1, entry), context).result,
+              entry == 2 ? "int 5" : "int 0");
+    tiers.expect_same("f", args(11, 20, 7, entry), context + " past 12");
+    tiers.expect_same("f", args(-2, 20, 9, entry), context + " from -2");
   }
 }
 
